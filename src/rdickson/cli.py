@@ -29,8 +29,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 from . import charsum, gf, permcheck, rdpoly
 from .gf import InternalCheckError
+from .permcheck import DEFAULT_MAX_Q
 
-DEFAULT_MAX_Q = 343
 GRID_LIMIT = 10 ** 6
 SMALL_N = 5000          # bound for the O(n) and O(n^2) cross-check routes
 
@@ -89,7 +89,7 @@ def _max_q_from_env():
 # -- parsing helpers -------------------------------------------------------
 
 
-def _parse_range_list(text, what):
+def _parse_range_list(text, what, minimum=None):
     """Accept "4", "1..10", "5,7,9" and mixtures like "0..2,6"."""
     out = []
     for token in text.split(","):
@@ -105,6 +105,8 @@ def _parse_range_list(text, what):
                 f"bad {what} {text!r}: expected N, N..M or a comma list")
     if not out:
         raise UsageError(f"empty {what} {text!r}")
+    if minimum is not None and min(out) < minimum:
+        raise UsageError(f"{what} entries must be at least {minimum}")
     return out
 
 
@@ -272,12 +274,12 @@ def cmd_poly(args, cfg):
 
 def cmd_pp(args, cfg):
     F = _load_field(args, cfg)
-    ns = _parse_range_list(args.n, "--n")
-    if min(ns) < 1:
-        raise UsageError("--n indices must be at least 1 for pp scans")
+    ns = _parse_range_list(args.n, "--n", minimum=1)
     ks = _parse_range_list(args.k, "--k") if args.k else list(range(F.p))
     _guard_grid(len(ns) * len(ks), cfg)
     criteria = [c.strip() for c in args.criteria.split(",") if c.strip()]
+    if not criteria:
+        raise UsageError("--criteria names no criterion")
     allowed = ("brute_force", "two_to_one")
     for crit in criteria:
         if crit not in allowed:
@@ -333,12 +335,14 @@ def cmd_verify(args, cfg):
         raise UsageError("--p and --e are required for theorem grids")
     ps = _parse_range_list(args.p, "--p")
     es = _parse_range_list(args.e, "--e")
-    ls = _parse_range_list(args.l, "--l") if args.l else None
-    ns = _parse_range_list(args.n, "--n") if args.n else None
+    ls = _parse_range_list(args.l, "--l", minimum=0) if args.l else None
+    ns = _parse_range_list(args.n, "--n", minimum=0) if args.n else None
     ks = _parse_range_list(args.k, "--k") if args.k else None
     for p in ps:
         if not gf.is_prime(p):
             raise UsageError(f"--p entries must be prime, got {p}")
+    _guard_grid(permcheck.grid_size(args.target, ps, es, ns=ns, ls=ls, ks=ks),
+                cfg)
     max_q = cfg.max_q if not cfg.unsafe_large else 10 ** 9
     try:
         report = permcheck.verify_theorem(

@@ -454,7 +454,9 @@ class QuadExt:
         return self.make(F.neg(a0), F.neg(a1))
 
     def mul(self, u, v):
-        F = self.base
+        F, q = self.base, self.q
+        if u < q and v < q:
+            return F.mul(u, v)
         a0, a1 = self.parts(u)
         b0, b1 = self.parts(v)
         re = F.add(F.mul(a0, b0), F.mul(self.d, F.mul(a1, b1)))
@@ -477,6 +479,8 @@ class QuadExt:
             if n == 0:
                 return 1
             raise ZeroDivisionError(f"negative power of zero in {self!r}")
+        if u < self.q:
+            return self.base.pow(u, n)
         n %= self.size - 1
         result = 1
         while n:

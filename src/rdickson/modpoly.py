@@ -109,11 +109,3 @@ def gcd(a, b, p):
     if a:
         a = scale(a, pow(a[-1], -1, p), p)
     return a
-
-
-def evaluate(c, x, p):
-    """Horner evaluation at an integer point, reduced mod p."""
-    acc = 0
-    for coef in reversed(c):
-        acc = (acc * x + coef) % p
-    return acc

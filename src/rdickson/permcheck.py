@@ -168,10 +168,14 @@ def verify_theorem(theorem, ps, es, *, ns=None, ls=None, ks=None,
     parameters (default: all of [0, p-1]); statements with a fixed or
     restricted kind ignore or filter it.  Returns a TheoremReport
     whose counterexample list is empty iff every grid point agrees.
+    Every statement assumes odd characteristic, so p = 2 is refused.
     """
     if theorem not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem!r}; "
                          f"expected one of {', '.join(THEOREM_IDS)}")
+    if 2 in ps:
+        raise ValueError(f"{theorem} assumes odd characteristic; "
+                         "p = 2 is outside its domain")
     entries = []
     for p in ps:
         for e in es:
@@ -180,12 +184,28 @@ def verify_theorem(theorem, ps, es, *, ns=None, ls=None, ks=None,
                     f"grid point GF({p}^{e}) exceeds the size bound "
                     f"q <= {max_q}")
             F = gf.make_field(p, e)
-            kset = list(ks) if ks is not None else list(range(p))
-            lset = list(ls) if ls is not None else list(range(e + 1))
-            nset = list(ns) if ns is not None else list(range(31))
+            nset, lset, kset = _grid_axes(p, e, ns, ls, ks)
             entries.extend(_theorem_points(theorem, F, nset, lset, kset))
     bad = [ent for ent in entries if not ent["ok"]]
     return TheoremReport(theorem, entries, bad)
+
+
+def _grid_axes(p, e, ns, ls, ks):
+    """The index, exponent and kind lists of one field, defaults filled."""
+    return (ns if ns is not None else range(31),
+            ls if ls is not None else range(e + 1),
+            ks if ks is not None else range(p))
+
+
+def grid_size(theorem, ps, es, *, ns=None, ls=None, ks=None):
+    """Upper bound on the permutation scans verify_theorem runs for
+    these arguments: one per (field, index or exponent, kind) point."""
+    total = 0
+    for p in ps:
+        for e in es:
+            nset, lset, kset = _grid_axes(p, e, ns, ls, ks)
+            total += len(nset if theorem == "T2.2" else lset) * len(kset)
+    return total
 
 
 def _theorem_points(theorem, F, nset, lset, kset):

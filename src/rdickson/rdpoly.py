@@ -208,10 +208,16 @@ def eval_recurrence(F, n, k, x, a=1):
     """Two-term recurrence with index reduction mod q^2 - 1.
 
     For a = 1 and x != 1/4 the value depends only on n mod (q^2 - 1)
-    once n >= 1, so arbitrary-precision indices cost O(q^2) field ops;
-    the excluded point x = 1/4 takes its closed constant instead.
-    Other a reduce to a = 1 by D(n,k; a,x) = a^n * D(n,k; 1, x/a^2)
-    (odd characteristic; a = 0 is routed to eval_a0).
+    once n >= 1; the excluded point x = 1/4 takes its closed constant
+    instead.  The reduced index is reached by index doubling on the
+    Lucas sequence U_0 = 0, U_1 = 1, U_m = U_{m-1} - x U_{m-2}:
+
+        U_{2m} = U_m (2 U_{m+1} - U_m),  U_{2m+1} = U_{m+1}^2 - x U_m^2,
+
+    and v_n = U_n - x (2 - k) U_{n-1}, so any index costs O(log q)
+    field ops in every characteristic.  Other a reduce to a = 1 by
+    D(n,k; a,x) = a^n * D(n,k; 1, x/a^2) (odd characteristic; a = 0 is
+    routed to eval_a0).
     """
     k %= F.p
     if a == 0:
@@ -223,15 +229,17 @@ def eval_recurrence(F, n, k, x, a=1):
         return F.mul(F.pow(a, n), inner)
     if F.p != 2 and x == F.quarter:
         return value_at_quarter(F, n, k)
-    if n >= 1:
-        n = (n - 1) % (F.q * F.q - 1) + 1
-    prev = F.from_int(2 - k)
     if n == 0:
-        return prev
-    cur = 1
-    for _ in range(n - 1):
-        prev, cur = cur, F.sub(cur, F.mul(x, prev))
-    return cur
+        return F.from_int(2 - k)
+    m = (n - 1) % (F.q * F.q - 1)
+    # (u, w) = (U_j, U_{j+1}), doubled down the bits of m to j = m = n - 1
+    u, w = 0, 1
+    for bit in bin(m)[2:]:
+        u, w = (F.mul(u, F.sub(F.add(w, w), u)),
+                F.sub(F.mul(w, w), F.mul(x, F.mul(u, u))))
+        if bit == "1":
+            u, w = w, F.sub(w, F.mul(x, u))
+    return F.sub(w, F.mul(F.mul(x, F.from_int(2 - k)), u))
 
 
 def eval_functional(F, n, k, x):
@@ -270,11 +278,14 @@ def functional_map(ext, n, k, y):
 
     Defined for any y != 1/2 of the extension, not just roots of
     y(1-y) = x over the base field; the permutation counting argument
-    feeds it the fixed line of the q-power map as well.
+    feeds it the fixed line of the q-power map as well.  On that line,
+    V = {y : y^q = 1 - y}, the second power is the conjugate of the
+    first, so each point costs at most one power in GF(q^2).
     """
     k %= ext.base.p
     z = ext.sub(1, y)
-    yn, zn = ext.pow(y, n), ext.pow(z, n)
+    yn = ext.pow(y, n)
+    zn = ext.frobenius(yn) if z == ext.frobenius(y) else ext.pow(z, n)
     num = ext.sub(ext.mul(yn, z), ext.mul(y, zn))
     den = ext.sub(ext.add(y, y), 1)
     return ext.add(ext.mul(k, ext.mul(num, ext.inv(den))), ext.add(yn, zn))
@@ -453,68 +464,25 @@ def genfun_coeffs(F, k, x, count):
 # -- reduced polynomial representative ------------------------------------
 
 
-def _mul_mod_reduction(F, a, b):
-    """Product of two degree < q vectors modulo x^q - x."""
-    q = F.q
-    prod = [0] * (2 * q)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] = F.add(prod[i + j], F.mul(ai, bj))
-    for m in range(2 * q - 1, q - 1, -1):
-        if prod[m]:
-            prod[m - (q - 1)] = F.add(prod[m - (q - 1)], prod[m])
-            prod[m] = 0
-    return prod[:q]
-
-
-def _point_indicator(F, c):
-    """Degree < q vector of the function that is 1 at c and 0 elsewhere:
-    1 - (x - c)^(q-1) reduced mod x^q - x."""
-    base = [F.neg(c), 1] + [0] * (F.q - 2)
-    acc = [1] + [0] * (F.q - 1)
-    n = F.q - 1
-    while n:
-        if n & 1:
-            acc = _mul_mod_reduction(F, acc, base)
-        base = _mul_mod_reduction(F, base, base)
-        n >>= 1
-    out = [F.neg(v) for v in acc]
-    out[0] = F.add(out[0], 1)
-    return out
-
-
 def as_polynomial(F, n, k):
     """The unique degree < q polynomial agreeing with x -> D(n,k; 1,x)
     on all of GF(q) (odd p).
 
-    The recurrence is run on coefficient vectors modulo x^q - x.  For
-    n past q^2 - 1 the index is reduced first and the one point x = 1/4
-    (where index reduction is not valid) is patched back with a point
-    indicator polynomial.
+    Interpolated from the q values f(a) of eval_recurrence through
+    f = sum_a f(a) (1 - (x - a)^(q-1)): the constant coefficient is
+    f(0) and, for j >= 1, c_j = -sum_a f(a) a^(q-1-j) with 0^0 = 1.
+    That is O(q log q) field ops for the values and O(q^2) for the sums.
     """
     if F.p == 2:
         raise ValueError("as_polynomial needs odd characteristic")
     k %= F.p
     q = F.q
-    n_red = n if n < q * q else (n - 1) % (q * q - 1) + 1
-    prev = [F.from_int(2 - k)] + [0] * (q - 1)
-    cur = [1] + [0] * (q - 1)
-    if n_red == 0:
-        cur = prev
-    else:
-        for _ in range(n_red - 1):
-            shifted = [0] + prev[:q - 1]
-            shifted[1] = F.add(shifted[1], prev[q - 1])
-            prev, cur = cur, [F.sub(c, s) for c, s in zip(cur, shifted)]
-    if n != n_red:
-        want = value_at_quarter(F, n, k)
-        got = 0
-        for c in reversed(cur):
-            got = F.add(F.mul(got, F.quarter), c)
-        if got != want:
-            delta = F.sub(want, got)
-            ind = _point_indicator(F, F.quarter)
-            cur = [F.add(c, F.mul(delta, ic)) for c, ic in zip(cur, ind)]
-    return FieldPolynomial(F, tuple(cur))
+    # sums[i] = sum_a f(a) a^i for i < q - 1; c_j = -sums[q - 1 - j]
+    sums = [0] * (q - 1)
+    f0 = sums[0] = eval_recurrence(F, n, k, 0)
+    for a in range(1, q):
+        t = eval_recurrence(F, n, k, a)
+        for i in range(q - 1):
+            sums[i] = F.add(sums[i], t)
+            t = F.mul(t, a)
+    return FieldPolynomial(F, (f0,) + tuple(F.neg(s) for s in reversed(sums)))

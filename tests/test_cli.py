@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from rdickson import charsum, rdpoly
+from rdickson import charsum, permcheck, rdpoly
 from rdickson.cli import RunConfig, main
 
 
@@ -182,6 +182,35 @@ class TestGuardsAndErrors:
     def test_verify_rejects_nonprime(self, capsys):
         code, _, err = run(capsys, "verify", "T2.1", "--p", "9", "--e", "1")
         assert code == 2 and "prime" in err
+
+    @pytest.mark.parametrize("target", permcheck.THEOREM_IDS)
+    def test_verify_refuses_characteristic_2(self, capsys, target):
+        # every statement assumes odd p; running it at p = 2 used to
+        # report false counterexamples
+        code, out, err = run(capsys, "verify", target, "--p", "2",
+                             "--e", "1..3")
+        assert (code, out) == (2, "")
+        assert "odd characteristic" in err
+
+    @pytest.mark.parametrize("target,flag", [("T-pl1-gen", "--l"),
+                                             ("T2.2", "--n")])
+    def test_verify_rejects_negative_indices(self, capsys, target, flag):
+        code, _, err = run(capsys, "verify", target, "--p", "3",
+                           "--e", "1", flag, "-1")
+        assert code == 2 and "at least 0" in err
+        assert "Traceback" not in err
+
+    def test_verify_grid_guard(self, capsys):
+        # 400001 indices times 3 kinds is past the 10^6 point bound
+        code, _, err = run(capsys, "verify", "T2.2", "--p", "3", "--e", "1",
+                           "--n", "0..400000")
+        assert code == 2 and "grid" in err
+
+    def test_pp_rejects_empty_criteria(self, capsys):
+        code, out, err = run(capsys, "pp", "--field", "9", "--n", "1",
+                             "--k", "0", "--criteria", ",")
+        assert (code, out) == (2, "")
+        assert "criterion" in err
 
 
 class TestCharTwo:

@@ -138,6 +138,36 @@ class TestEvaluatorAgreement:
             assert rd.eval_recurrence(F25, n, k, x) == naive(F25, small, k, x)
 
 
+class TestDoublingKernel:
+    # the index-doubling kernel against the plain loop, where reduction
+    # mod q^2 - 1 wraps, and at an index no loop could reach
+    FIELDS = [gf.make_field(3, 3), gf.make_field(2, 3),
+              gf.make_field(3, 2, (2, 1, 1))]
+
+    @pytest.mark.parametrize("F", FIELDS, ids=gf.field_descriptor)
+    def test_band_around_period(self, F):
+        period = F.q * F.q - 1
+        for k in range(F.p):
+            for x in F.elements():
+                for n in range(period - 2, period + 3):
+                    assert rd.eval_recurrence(F, n, k, x) == naive(F, n, k, x)
+
+    @pytest.mark.parametrize("F", FIELDS, ids=gf.field_descriptor)
+    def test_huge_index(self, F):
+        n = 10 ** 30
+        small = (n - 1) % (F.q * F.q - 1) + 1
+        # at x = 1/4 (odd p, a prime-field element) the value is the
+        # constant (k(n-1) + 2) / 2^n, worked here in integers mod p
+        quarter = pow(4, -1, F.p) if F.p != 2 else None
+        for k in range(F.p):
+            for x in F.elements():
+                if x == quarter:
+                    want = (k * (n - 1) + 2) * pow(2, -n, F.p) % F.p
+                else:
+                    want = naive(F, small, k, x)
+                assert rd.eval_recurrence(F, n, k, x) == want
+
+
 class TestQuarterPoint:
     def test_constant_equals_sequence_value(self):
         # (k(n-1)+2)/2^n agrees with the raw recurrence at x = 1/4
@@ -286,7 +316,56 @@ class TestGenfun:
         assert rd.genfun_coeffs(F5, 1, 2, 0) == []
 
 
+class TestFunctionalMap:
+    def test_all_of_the_extension_against_two_powers(self):
+        # every y != 1/2 of GF(9^2): the base line, the fixed line V,
+        # and the points outside both, which take the second power
+        ext = gf.quadratic_extension(F9)
+        F, d = F9, ext.d
+
+        def mul(u, v):
+            a0, a1 = u % 9, u // 9
+            b0, b1 = v % 9, v // 9
+            re = F.add(F.mul(a0, b0), F.mul(d, F.mul(a1, b1)))
+            return re + 9 * F.add(F.mul(a0, b1), F.mul(a1, b0))
+
+        def power(u, n):
+            out = 1
+            for _ in range(n):
+                out = mul(out, u)
+            return out
+
+        outside = 0
+        for y in ext.elements():
+            if y == F.half:
+                continue
+            z = ext.sub(1, y)
+            outside += z != ext.frobenius(y) and y >= F.q
+            for n in (1, 2, 5, 13):
+                yn, zn = power(y, n), power(z, n)
+                num = ext.sub(mul(yn, z), mul(y, zn))
+                frac = mul(num, ext.inv(ext.sub(ext.add(y, y), 1)))
+                for k in range(3):
+                    want = ext.add(mul(k, frac), ext.add(yn, zn))
+                    assert rd.functional_map(ext, n, k, y) == want
+        assert outside == 81 - (9 + 9 - 1)     # GF(9) and V meet in 1/2
+
+
 class TestAsPolynomial:
+    @pytest.mark.parametrize("F", [F7, F9], ids=lambda F: f"GF({F.q})")
+    def test_matches_folded_integer_row(self, F):
+        # value = sum_i w[i] (-x)^i; x^i and x^((i-1) mod (q-1) + 1)
+        # agree on GF(q) for i >= 1, so the folded row is the interpolant
+        q = F.q
+        for n in range(3 * q):
+            for k in range(F.p):
+                want = [0] * q
+                for i, w in enumerate(rd.family_weights(n, k)):
+                    j = (i - 1) % (q - 1) + 1 if i else 0
+                    want[j] = F.add(want[j], F.from_int(w * (-1) ** i))
+                poly = rd.as_polynomial(F, n, k)
+                assert poly.coeffs == rd.FieldPolynomial(F, want).coeffs
+
     def test_interpolates_on_all_points(self):
         for F in (F5, F7):
             for n in range(26):
