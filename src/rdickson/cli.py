@@ -11,8 +11,8 @@ Subcommands:
 Shared flags: --field, --format {pretty,json,csv}, --out FILE, --check,
 --unsafe-large.  Fields are given as "q", "p^e" or "p^e/c0,c1,...,1";
 elements as comma-separated coordinates ("3" or "1,2").  Sizes are
-guarded by q <= RDK_MAX_Q (environment, default 343) and grids by
-10^6 points; --unsafe-large lifts both.
+guarded by q <= RDK_MAX_Q (environment, default 343), and grids and
+range arguments by 10^6 points; --unsafe-large lifts both.
 
 Exit codes: 0 verified/ok, 1 a check failed or an internal
 cross-check tripped, 2 usage error.  Output is deterministic: equal
@@ -89,20 +89,22 @@ def _max_q_from_env():
 # -- parsing helpers -------------------------------------------------------
 
 
-def _parse_range_list(text, what, minimum=None):
-    """Accept "4", "1..10", "5,7,9" and mixtures like "0..2,6"."""
-    out = []
+def _parse_range_list(text, what, cfg, minimum=None):
+    """Accept "4", "1..10", "5,7,9" and mixtures like "0..2,6".
+
+    The entries are counted, and held to the grid bound, before any
+    list is built.
+    """
+    spans = []
     for token in text.split(","):
-        token = token.strip()
+        lo, sep, hi = token.strip().partition("..")
         try:
-            if ".." in token:
-                lo, _, hi = token.partition("..")
-                out.extend(range(int(lo), int(hi) + 1))
-            else:
-                out.append(int(token))
+            spans.append(range(int(lo), int(hi if sep else lo) + 1))
         except ValueError:
             raise UsageError(
                 f"bad {what} {text!r}: expected N, N..M or a comma list")
+    _guard_grid(sum(max(0, r.stop - r.start) for r in spans), cfg)
+    out = [v for r in spans for v in r]
     if not out:
         raise UsageError(f"empty {what} {text!r}")
     if minimum is not None and min(out) < minimum:
@@ -215,7 +217,7 @@ def cmd_eval(args, cfg):
             methods["definition"] = rdpoly.eval_definition(F, n, k, x, a)
         if a == 0:
             methods["a0"] = rdpoly.eval_a0(F, n, k, x)
-        if F.p == 2:
+        if F.p == 2 and n <= SMALL_N:
             methods["char2"] = rdpoly.char2_eval(F, n, k, x, a)
         if F.p != 2 and a == 1:
             methods["functional"] = rdpoly.eval_functional(F, n, k, x)
@@ -274,8 +276,9 @@ def cmd_poly(args, cfg):
 
 def cmd_pp(args, cfg):
     F = _load_field(args, cfg)
-    ns = _parse_range_list(args.n, "--n", minimum=1)
-    ks = _parse_range_list(args.k, "--k") if args.k else list(range(F.p))
+    ns = _parse_range_list(args.n, "--n", cfg, minimum=1)
+    ks = (_parse_range_list(args.k, "--k", cfg) if args.k
+          else list(range(F.p)))
     _guard_grid(len(ns) * len(ks), cfg)
     criteria = [c.strip() for c in args.criteria.split(",") if c.strip()]
     if not criteria:
@@ -333,20 +336,23 @@ def cmd_verify(args, cfg):
             f"one of {', '.join(permcheck.THEOREM_IDS)}")
     if not args.p or not args.e:
         raise UsageError("--p and --e are required for theorem grids")
-    ps = _parse_range_list(args.p, "--p")
-    es = _parse_range_list(args.e, "--e")
-    ls = _parse_range_list(args.l, "--l", minimum=0) if args.l else None
-    ns = _parse_range_list(args.n, "--n", minimum=0) if args.n else None
-    ks = _parse_range_list(args.k, "--k") if args.k else None
+    ps = _parse_range_list(args.p, "--p", cfg)
+    es = _parse_range_list(args.e, "--e", cfg)
+    ls = _parse_range_list(args.l, "--l", cfg, minimum=0) if args.l else None
+    ns = _parse_range_list(args.n, "--n", cfg, minimum=0) if args.n else None
+    ks = _parse_range_list(args.k, "--k", cfg) if args.k else None
     for p in ps:
         if not gf.is_prime(p):
             raise UsageError(f"--p entries must be prime, got {p}")
-    _guard_grid(permcheck.grid_size(args.target, ps, es, ns=ns, ls=ls, ks=ks),
-                cfg)
-    max_q = cfg.max_q if not cfg.unsafe_large else 10 ** 9
+    grid = dict(ns=ns, ls=ls, ks=ks,
+                max_q=cfg.max_q if not cfg.unsafe_large else 10 ** 9)
     try:
-        report = permcheck.verify_theorem(
-            args.target, ps, es, ns=ns, ls=ls, ks=ks, max_q=max_q)
+        size = permcheck.grid_size(args.target, ps, es, **grid)
+        _guard_grid(size, cfg)
+        if not size:
+            raise UsageError(
+                f"no point of this grid lies in the domain of {args.target}")
+        report = permcheck.verify_theorem(args.target, ps, es, **grid)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -374,7 +380,8 @@ def _verify_sums(args, cfg):
     F = _load_field(args, cfg)
     if F.p == 2:
         raise UsageError("sum tables need odd characteristic")
-    ks = _parse_range_list(args.k, "--k") if args.k else list(range(F.p))
+    ks = (_parse_range_list(args.k, "--k", cfg) if args.k
+          else list(range(F.p)))
     _guard_grid(len(ks) * F.q ** 2, cfg)
     results, failures = [], []
     for k in ks:
@@ -505,7 +512,8 @@ def _build_parser():
     p_ver.add_argument("--e", help="extension degrees, e.g. 1..2")
     p_ver.add_argument("--l", help="power exponents (default 0..e)")
     p_ver.add_argument("--n", help="indices (T2.2 grids, default 0..30)")
-    p_ver.add_argument("--k", help="kinds (default 0..p-1)")
+    p_ver.add_argument("--k", help="kinds (default 0..p-1; ignored by the "
+                       "fixed-kind statements)")
 
     p_sums = sub.add_parser("sums", parents=[common],
                             help="full-field sum table for one kind")

@@ -2,7 +2,7 @@
 
 Three independent criteria (exhaustive image scan, monomial gcd rule,
 2-to-1 count on the extended domain) plus a grid verifier that checks
-both sides of each named permutation statement separately: the left
+both sides of each statement of the table STATEMENTS separately: the left
 side is always an exhaustive permutation test of the actual map, the
 right side the stated arithmetic condition or the stated auxiliary
 polynomial's own exhaustive test.  The two sides must coincide at
@@ -10,15 +10,12 @@ every grid point; any disagreement is collected as a counterexample.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
 
 from . import gf, rdpoly
 
 DEFAULT_MAX_Q = 343
-
-THEOREM_IDS = ("T2.2", "T2.1", "T-pl1-k2", "T-pl1-gen",
-               "T-pl2-k2", "T-pl2-k4", "T-pl2-gen", "T-k0-pe2")
-
 
 @dataclass
 class PPReport:
@@ -157,165 +154,128 @@ def _power_map_pp(F, weighted_terms):
     return is_pp_bruteforce(F, fn).verdict
 
 
-def verify_theorem(theorem, ps, es, *, ns=None, ls=None, ks=None,
-                   max_q=DEFAULT_MAX_Q):
-    """Evaluate both sides of a named permutation statement on a grid.
+def _exponents(e, ns, ls):
+    return "l", range(e + 1) if ls is None else ls
 
-    ps, es: primes and extension degrees (their product grid gives the
-    fields, each guarded by q <= max_q).  ns: degree indices, used by
-    T2.2 only (default 0..30).  ls: prime-power exponents for the
-    other statements (default: all 0 <= l <= e per field).  ks: kind
-    parameters (default: all of [0, p-1]); statements with a fixed or
-    restricted kind ignore or filter it.  Returns a TheoremReport
-    whose counterexample list is empty iff every grid point agrees.
-    Every statement assumes odd characteristic, so p = 2 is refused.
+
+@dataclass(frozen=True)
+class Statement:
+    """Domain and right side of one named permutation statement.
+
+    Over GF(p^e), axis(e, ns, ls) names the grid axis and gives its
+    points: indices n, or exponents l with n = p^l + shift.  kinds(p, ks)
+    keeps the statement's kinds among the requested ones (taken mod p).
+    The left side scans x -> D(n,k; a,x), rhs(F, l, n, k) is the right
+    side and extra(F, l, n, k, lhs) gives further keys.
     """
-    if theorem not in THEOREM_IDS:
+
+    shift: int
+    kinds: Callable
+    rhs: Callable
+    axis: Callable = _exponents
+    a: int = 1
+    extra: Callable | None = None
+
+
+STATEMENTS = {
+    # a = 0 family: PP iff k != 2, n = 2l even, gcd(l, q-1) = 1
+    "T2.2": Statement(
+        0, lambda p, ks: ks, a=0,
+        axis=lambda e, ns, ls: ("n", range(31) if ns is None else ns),
+        rhs=lambda F, l, n, k: k != 2 % F.p and n % 2 == 0
+        and math.gcd(n // 2, F.q - 1) == 1),
+    # n = p^l: PP iff p = 3, k != 0 and gcd((3^l-1)/2, q-1) = 1
+    "T2.1": Statement(
+        0, lambda p, ks: ks,
+        rhs=lambda F, l, n, k: F.p == 3 and k != 0
+        and math.gcd((3 ** l - 1) // 2, F.q - 1) == 1),
+    # n = p^l + 1, k = 2: PP iff gcd((p^l-1)/2, q-1) = 1
+    "T-pl1-k2": Statement(
+        1, lambda p, ks: (2 % p,),
+        rhs=lambda F, l, n, k: math.gcd((F.p ** l - 1) // 2, F.q - 1) == 1),
+    # n = p^l + 1: for k = 0, PP iff gcd((p^l+1)/2, q-1) = 1;
+    # for k not in {0, 2}, PP iff l = 0
+    "T-pl1-gen": Statement(
+        1, lambda p, ks: [k for k in ks if k != 2 % p],
+        rhs=lambda F, l, n, k: l == 0 if k else
+        math.gcd((F.p ** l + 1) // 2, F.q - 1) == 1),
+    # n = p^l + 2, k = 2: PP iff l = 0; the statement's auxiliary
+    # binomial x^((p^l+1)/2) + x^((p^l-1)/2) is recorded alongside
+    "T-pl2-k2": Statement(
+        2, lambda p, ks: (2 % p,),
+        rhs=lambda F, l, n, k: l == 0,
+        extra=lambda F, l, n, k, lhs: {"binomial_pp": _power_map_pp(
+            F, ((1, (F.p ** l + 1) // 2), (1, (F.p ** l - 1) // 2)))}),
+    # n = p^l + 2, k = 4 (p > 3): PP iff the binomial x^((p^l-1)/2) - x/2
+    # is one; the sharper l = 0 claim is recorded but not asserted
+    "T-pl2-k4": Statement(
+        2, lambda p, ks: (4 % p,) if p > 3 else (),
+        rhs=lambda F, l, n, k: _power_map_pp(
+            F, ((1, (F.p ** l - 1) // 2), (F.neg(F.half), 1))),
+        extra=lambda F, l, n, k, lhs: {"l_zero_claim_ok": lhs == (l == 0)}),
+    # n = p^l + 2, k not in {0, 2, 4}: PP iff the trinomial
+    # (4-k) x^((p^l+1)/2) + k x^((p^l-1)/2) + (2-k) x is one
+    "T-pl2-gen": Statement(
+        2, lambda p, ks: [k for k in ks if k not in (0, 2 % p, 4 % p)],
+        rhs=lambda F, l, n, k: _power_map_pp(
+            F, ((F.from_int(4 - k), (F.p ** l + 1) // 2),
+                (k, (F.p ** l - 1) // 2), (F.from_int(2 - k), 1)))),
+    # n = p^e + 2, k = 0: PP iff q = 1 mod 3
+    "T-k0-pe2": Statement(
+        2, lambda p, ks: (0,), axis=lambda e, ns, ls: ("l", (e,)),
+        rhs=lambda F, l, n, k: F.q % 3 == 1),
+}
+
+THEOREM_IDS = tuple(STATEMENTS)
+
+
+def _grid(theorem, ps, es, ns, ls, ks, max_q):
+    """Check a grid against the statements' assumptions; list its fields."""
+    if theorem not in STATEMENTS:
         raise ValueError(f"unknown theorem id {theorem!r}; "
                          f"expected one of {', '.join(THEOREM_IDS)}")
     if 2 in ps:
         raise ValueError(f"{theorem} assumes odd characteristic; "
                          "p = 2 is outside its domain")
-    entries = []
+    st, grid = STATEMENTS[theorem], []
     for p in ps:
-        for e in es:
-            if p ** e > max_q:
-                raise ValueError(
-                    f"grid point GF({p}^{e}) exceeds the size bound "
-                    f"q <= {max_q}")
-            F = gf.make_field(p, e)
-            nset, lset, kset = _grid_axes(p, e, ns, ls, ks)
-            entries.extend(_theorem_points(theorem, F, nset, lset, kset))
+        for e in es:  # p > 2: p^e > max_q once e reaches its bit length
+            if p ** min(e, max_q.bit_length()) > max_q:
+                raise ValueError(f"grid point GF({p}^{e}) exceeds the "
+                                 f"size bound q <= {max_q}")
+            kinds = range(p) if ks is None else [k % p for k in ks]
+            grid.append((p, e, st.axis(e, ns, ls), st.kinds(p, kinds)))
+    return grid
+
+
+def verify_theorem(theorem, ps, es, *, ns=None, ls=None, ks=None,
+                   max_q=DEFAULT_MAX_Q):
+    """Evaluate both sides of a named permutation statement on a grid.
+
+    The fields GF(p^e) run over ps x es, each guarded by q <= max_q;
+    p = 2 is refused: every statement assumes odd characteristic.  The
+    STATEMENTS entry fixes the rest: indices ns (T2.2, default 0..30) or
+    exponents ls (default 0..e; T-k0-pe2 takes l = e alone), and which
+    kinds ks (default 0..p-1, mod p) it covers, none outside its domain;
+    fixed-kind statements ignore ks.  No counterexample iff all agree.
+    """
+    st, entries = STATEMENTS.get(theorem), []
+    for p, e, (name, axis), kinds in _grid(theorem, ps, es, ns, ls, ks, max_q):
+        F = gf.make_field(p, e)
+        for v in axis:
+            l, n = (v, p ** v + st.shift) if name == "l" else (None, v)
+            for k in kinds:
+                lhs = dickson_pp_bruteforce(F, n, k, st.a).verdict
+                ent = _entry(F, lhs, st.rhs(F, l, n, k),
+                             **{name: v, "n": n}, k=k)
+                ent.update(st.extra(F, l, n, k, lhs) if st.extra else {})
+                entries.append(ent)
     bad = [ent for ent in entries if not ent["ok"]]
     return TheoremReport(theorem, entries, bad)
 
 
-def _grid_axes(p, e, ns, ls, ks):
-    """The index, exponent and kind lists of one field, defaults filled."""
-    return (ns if ns is not None else range(31),
-            ls if ls is not None else range(e + 1),
-            ks if ks is not None else range(p))
-
-
-def grid_size(theorem, ps, es, *, ns=None, ls=None, ks=None):
-    """Upper bound on the permutation scans verify_theorem runs for
-    these arguments: one per (field, index or exponent, kind) point."""
-    total = 0
-    for p in ps:
-        for e in es:
-            nset, lset, kset = _grid_axes(p, e, ns, ls, ks)
-            total += len(nset if theorem == "T2.2" else lset) * len(kset)
-    return total
-
-
-def _theorem_points(theorem, F, nset, lset, kset):
-    p, q = F.p, F.q
-    out = []
-    if theorem == "T2.2":
-        # a = 0 family: PP iff k != 2, n = 2l even, gcd(l, q-1) = 1
-        for n in nset:
-            for k in kset:
-                k %= p
-                lhs = is_pp_bruteforce(
-                    F, lambda x: rdpoly.eval_a0(F, n, k, x)).verdict
-                rhs = (k - 2) % p != 0 and n % 2 == 0 \
-                    and math.gcd(n // 2, q - 1) == 1
-                out.append(_entry(F, lhs, rhs, n=n, k=k))
-        return out
-
-    if theorem == "T2.1":
-        # n = p^l: for p = 3 PP iff k != 0 and gcd((3^l-1)/2, q-1) = 1;
-        # for p > 3 never a PP
-        for l in lset:
-            n = p ** l
-            for k in kset:
-                k %= p
-                lhs = dickson_pp_bruteforce(F, n, k).verdict
-                if p == 3:
-                    rhs = k != 0 and math.gcd((3 ** l - 1) // 2, q - 1) == 1
-                else:
-                    rhs = False
-                out.append(_entry(F, lhs, rhs, l=l, n=n, k=k))
-        return out
-
-    if theorem == "T-pl1-k2":
-        # n = p^l + 1, k = 2: PP iff gcd((p^l-1)/2, q-1) = 1
-        for l in lset:
-            n = p ** l + 1
-            lhs = dickson_pp_bruteforce(F, n, 2).verdict
-            rhs = math.gcd((p ** l - 1) // 2, q - 1) == 1
-            out.append(_entry(F, lhs, rhs, l=l, n=n, k=2 % p))
-        return out
-
-    if theorem == "T-pl1-gen":
-        # n = p^l + 1: for k = 0, PP iff gcd((p^l+1)/2, q-1) = 1;
-        # for k not in {0, 2}, PP iff l = 0
-        for l in lset:
-            n = p ** l + 1
-            for k in kset:
-                k %= p
-                if k == 2 % p:
-                    continue
-                lhs = dickson_pp_bruteforce(F, n, k).verdict
-                if k == 0:
-                    rhs = math.gcd((p ** l + 1) // 2, q - 1) == 1
-                else:
-                    rhs = l == 0
-                out.append(_entry(F, lhs, rhs, l=l, n=n, k=k))
-        return out
-
-    if theorem == "T-pl2-k2":
-        # n = p^l + 2, k = 2: PP iff l = 0; the statement's auxiliary
-        # binomial is recorded alongside
-        half = F.half
-        for l in lset:
-            n = p ** l + 2
-            m = (p ** l - 1) // 2
-            lhs = dickson_pp_bruteforce(F, n, 2).verdict
-            rhs = l == 0
-            aux = _power_map_pp(F, ((1, m + 1), (1, m)))
-            ent = _entry(F, lhs, rhs, l=l, n=n, k=2 % p)
-            ent["binomial_pp"] = aux
-            out.append(ent)
-        return out
-
-    if theorem == "T-pl2-k4":
-        # n = p^l + 2, k = 4 (p > 3): PP iff the stated binomial
-        # x^((p^l-1)/2) - x/2 is a PP; the sharper l = 0 claim is
-        # recorded per point but not asserted
-        if p <= 3:
-            return out
-        half = F.half
-        for l in lset:
-            n = p ** l + 2
-            m = (p ** l - 1) // 2
-            lhs = dickson_pp_bruteforce(F, n, 4).verdict
-            rhs = _power_map_pp(F, ((1, m), (F.neg(half), 1)))
-            ent = _entry(F, lhs, rhs, l=l, n=n, k=4 % p)
-            ent["l_zero_claim_ok"] = lhs == (l == 0)
-            out.append(ent)
-        return out
-
-    if theorem == "T-pl2-gen":
-        # n = p^l + 2, k not in {0, 2, 4}: PP iff the trinomial
-        # (4-k) x^((p^l+1)/2) + k x^((p^l-1)/2) + (2-k) x is one
-        for l in lset:
-            n = p ** l + 2
-            m = (p ** l - 1) // 2
-            for k in kset:
-                k %= p
-                if k in (0, 2 % p, 4 % p):
-                    continue
-                lhs = dickson_pp_bruteforce(F, n, k).verdict
-                rhs = _power_map_pp(F, ((F.from_int(4 - k), m + 1),
-                                        (k, m),
-                                        (F.from_int(2 - k), 1)))
-                out.append(_entry(F, lhs, rhs, l=l, n=n, k=k))
-        return out
-
-    # T-k0-pe2: n = p^e + 2, k = 0: PP iff q = 1 mod 3
-    n = q + 2
-    lhs = dickson_pp_bruteforce(F, n, 0).verdict
-    rhs = q % 3 == 1
-    out.append(_entry(F, lhs, rhs, l=F.e, n=n, k=0))
-    return out
+def grid_size(theorem, ps, es, *, ns=None, ls=None, ks=None,
+              max_q=DEFAULT_MAX_Q):
+    """Exact point count of verify_theorem's grid; builds no field."""
+    return sum(len(axis) * len(kinds) for _, _, (_, axis), kinds
+               in _grid(theorem, ps, es, ns, ls, ks, max_q))

@@ -9,15 +9,18 @@ two classical kinds.  Each evaluator below is an independent route to
 the same values, kept separate so they can be cross-checked:
 
   eval_definition   integer coefficient rows (any characteristic, any a)
-  eval_recurrence   two-term recurrence with index reduction mod q^2 - 1
+  eval_recurrence   Lucas index doubling after reduction mod q^2 - 1
   eval_functional   through the parameter y with y(1 - y) = x in GF(q^2)
   eval_via_fnk      half-scaled integer form evaluated at 1 - 4x
   eval_a0           closed value at a = 0
   char2_eval        characteristic-2 reduction to a single kind
   closed_form       closed values for indices p^l, p^l + 1, p^l + 2
 
-Coefficients are always assembled exactly over the integers and only
-then reduced mod p; no route divides by quantities that can vanish.
+The integer-row routes (eval_definition, char2_eval through it, and
+eval_via_fnk) assemble their rows exactly over the integers and only
+then reduce them mod p; the other routes, and as_polynomial
+(interpolated from the q values of eval_recurrence), compute in the
+field throughout.  No route divides by a quantity that can vanish.
 """
 
 from dataclasses import dataclass

@@ -1,12 +1,15 @@
 """Command line behaviour: exact output, formats, guards, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
+import resource
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rdickson import charsum, permcheck, rdpoly
 from rdickson.cli import RunConfig, main
@@ -16,6 +19,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_capped(*argv):
+    """Run the CLI in a child capped at 1 GiB of address space and 20 s,
+    so that a regression to unbounded work fails fast instead of taking
+    the machine's memory."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    return subprocess.run([sys.executable, "-m", "rdickson", *argv],
+                          capture_output=True, text=True, timeout=20,
+                          preexec_fn=cap)
 
 
 class TestDocumentedExamples:
@@ -212,6 +226,50 @@ class TestGuardsAndErrors:
         assert (code, out) == (2, "")
         assert "criterion" in err
 
+    @pytest.mark.parametrize("target,axes,points", [
+        ("T-k0-pe2", ("--l", "0..400000"), 1),
+        ("T-pl1-k2", ("--l", "0..1", "--k", "0..600000"), 2),
+    ])
+    def test_verify_grid_guard_counts_points_run(self, capsys, target,
+                                                 axes, points):
+        # axes a statement ignores no longer count against the bound
+        code, out, _ = run(capsys, "verify", target, "--p", "3", "--e", "1",
+                           *axes)
+        assert code == 0
+        assert out == f"{target}: {points} grid points, 0 failures\n" \
+                      "pass: true\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("T-pl1-gen", "--p", "5", "--e", "1", "--k", "2"),
+        ("T-pl2-k4", "--p", "3", "--e", "1"),
+    ])
+    def test_verify_refuses_empty_grid(self, capsys, argv):
+        # a grid outside the statement's domain used to pass vacuously
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert "domain" in err
+
+    def test_huge_range_is_refused_before_it_is_built(self):
+        # the range used to be built before any guard ran, ending in a
+        # MemoryError traceback
+        proc = run_capped("pp", "--field", "5", "--n", "1..1000000000000")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "grid" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("target", ["T2.1", "T-pl1-gen", "T-k0-pe2"])
+    @pytest.mark.parametrize("axes", [
+        ("--p", "1000000007", "--e", "1"),
+        ("--p", "3", "--e", "1000000000000", "--l", "0"),
+    ])
+    @pytest.mark.parametrize("unsafe", [(), ("--unsafe-large",)])
+    def test_oversized_field_is_refused_before_any_work(self, target, axes,
+                                                        unsafe):
+        # the q bound must hold before the kinds 0..p-1 or p^e are built
+        proc = run_capped("verify", target, *axes, *unsafe)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "size bound" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestCharTwo:
     def test_eval_and_check_work(self, capsys):
@@ -225,6 +283,14 @@ class TestCharTwo:
         assert code == 0
         code, _, err = run(capsys, "pp", "--field", "4", "--n", "1..5")
         assert code == 2 and "odd characteristic" in err
+
+    def test_check_skips_linear_route_at_large_index(self):
+        # --check used to run the O(n) char2 route at any n and never
+        # finished at n = 10^20
+        proc = run_capped("eval", "--field", "8", "--n", str(10 ** 20),
+                          "--k", "6", "--x", "1", "--check")
+        assert (proc.returncode, proc.stdout) == \
+            (0, "recurrence: 1,0,0\nagree: true\n")
 
     def test_general_scale_falls_back_to_definition(self, capsys):
         # worked by hand over GF(4), t^2 = t + 1: with k = 1, a = t + 1,
@@ -261,3 +327,78 @@ class TestModuleEntry:
              "--n", "4", "--k", "3", "--x", "2"],
             capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stdout == "0\n"
+
+
+# -- generated argument lists ----------------------------------------------
+
+_FIELDS = st.sampled_from(("3", "4", "5", "7", "8", "9", "3^2/1,0,1",
+                           "2^3", "16", "25", "27", "6", "1", "0", "x"))
+
+
+def _ranges(lo, hi):
+    single = st.integers(lo, hi).map(str)
+    span = st.tuples(st.integers(lo, hi), st.integers(lo, hi)).map(
+        lambda t: f"{t[0]}..{t[1]}")
+    return st.lists(st.one_of(single, span), min_size=1, max_size=3).map(
+        ",".join)
+
+
+def _opt(flag, values):
+    return st.one_of(st.just(()), values.map(lambda v: (flag, v)))
+
+
+_ELEMENT = st.lists(st.integers(-1, 30), min_size=1, max_size=3).map(
+    lambda cs: ",".join(map(str, cs)))
+
+_EVAL = st.tuples(
+    st.just(("eval", "--field")), _FIELDS,
+    st.tuples(st.just("--n"), st.one_of(st.integers(-2, 60),
+                                        st.just(10 ** 20)).map(str)),
+    st.tuples(st.just("--k"), st.integers(-3, 30).map(str)),
+    st.tuples(st.just("--x"), _ELEMENT), _opt("--a", _ELEMENT),
+    st.sampled_from(((), ("--check",))))
+_PP = st.tuples(
+    st.just(("pp", "--field")), _FIELDS,
+    st.tuples(st.just("--n"), _ranges(-1, 40)), _opt("--k", _ranges(-3, 9)),
+    _opt("--criteria", st.sampled_from(
+        ("brute_force", "two_to_one", "two_to_one,brute_force", ",",
+         "magic"))))
+_VERIFY = st.tuples(
+    st.tuples(st.just("verify"),
+              st.sampled_from(permcheck.THEOREM_IDS + ("T9.9",))),
+    st.sampled_from((("--p", "3", "--e", "1..3"), ("--p", "5", "--e", "1..2"),
+                     ("--p", "3,5", "--e", "1,2"), ("--p", "2", "--e", "1"),
+                     ("--p", "9", "--e", "1"), ("--p", "3", "--e", "0"),
+                     ("--p", "3", "--e", "4"), ("--p", "3",), ())),
+    _opt("--l", _ranges(-1, 4)), _opt("--n", _ranges(-1, 30)),
+    _opt("--k", _ranges(-3, 9)))
+_VERIFY_SUMS = st.tuples(
+    st.just(("verify", "sums", "--field")),
+    st.sampled_from(("3", "4", "5", "6")), _opt("--k", _ranges(-3, 6)))
+_FIELD_INFO = st.tuples(st.just(("field-info", "--field")), _FIELDS)
+
+
+def _flatten(parts):
+    out = []
+    for part in parts:
+        out.extend((part,) if isinstance(part, str) else part)
+    return out
+
+
+class TestGeneratedArguments:
+    # the exit-code contract on generated invocations: 0 ok, 1 only
+    # with a reported failure, 2 usage; never an uncaught exception
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(_EVAL, _PP, _VERIFY, _VERIFY_SUMS, _FIELD_INFO).map(
+        _flatten))
+    def test_exit_code_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 1:
+            assert ("pass: false" in out or "agree: false" in out
+                    or "criteria disagree" in out
+                    or "internal cross-check failed" in err)

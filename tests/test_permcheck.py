@@ -155,3 +155,48 @@ class TestTheoremGrids:
         assert blob["pass"] is True and blob["failures"] == []
         assert {"field", "q", "l", "n", "k", "lhs", "rhs", "ok"} <= \
             set(blob["grid"][0])
+
+
+class TestStatementTable:
+    BASE = {"field", "q", "n", "k", "lhs", "rhs", "ok"}
+    SHAPES = {"T2.2": BASE, "T2.1": BASE | {"l"}, "T-pl1-k2": BASE | {"l"},
+              "T-pl1-gen": BASE | {"l"},
+              "T-pl2-k2": BASE | {"l", "binomial_pp"},
+              "T-pl2-k4": BASE | {"l", "l_zero_claim_ok"},
+              "T-pl2-gen": BASE | {"l"}, "T-k0-pe2": BASE | {"l"}}
+
+    def test_ids_and_order(self):
+        assert pc.THEOREM_IDS == tuple(self.SHAPES)
+
+    @pytest.mark.parametrize("theorem", pc.THEOREM_IDS)
+    def test_row_shape(self, theorem):
+        # pins the CSV columns of `verify` for each statement
+        rep = pc.verify_theorem(theorem, [5], [1], ns=[2, 3], ls=[0, 1])
+        assert rep.entries
+        assert all(set(ent) == self.SHAPES[theorem] for ent in rep.entries)
+
+    @pytest.mark.parametrize("theorem", pc.THEOREM_IDS)
+    @pytest.mark.parametrize("axes", [
+        {},
+        {"ns": [0, 3, 3, 8], "ls": [0, 2, 2], "ks": [0, 2, 2, 4, 9, -1]},
+        {"ns": [1], "ls": [1], "ks": [2]},
+    ])
+    def test_grid_size_is_exact(self, theorem, axes):
+        # duplicate kinds count twice, kinds outside the statement's
+        # domain not at all, exactly as verify_theorem runs them
+        rep = pc.verify_theorem(theorem, [3, 5], [1, 2], **axes)
+        assert pc.grid_size(theorem, [3, 5], [1, 2], **axes) == \
+            len(rep.entries)
+
+    @pytest.mark.parametrize("theorem", pc.THEOREM_IDS)
+    @pytest.mark.parametrize("ps, es, match", [
+        ([2], [1], "odd characteristic"),
+        ([10 ** 9 + 7], [1], "size bound"),
+        ([3], [10 ** 12], "size bound"),
+    ])
+    def test_grid_size_refuses_what_verify_refuses(self, theorem, ps, es,
+                                                   match):
+        # checked before any kind list or p^e is built
+        for fn in (pc.grid_size, pc.verify_theorem):
+            with pytest.raises(ValueError, match=match):
+                fn(theorem, ps, es, ls=[0])
