@@ -7,8 +7,8 @@ formula and by expanding a product, and compared), a right-hand-side
 vector c derived from b, a first-order recurrence that pins down the
 shifted sums d_n = S(n) - (k(n-1)+2)/2^n for 1 <= n <= q^2 - 1, and a
 second, direct expression for S(n) sharing only c.  The recurrence
-overdetermines the final block; the spare equations are checked, and
-sums_bruteforce gives the term-by-term oracle for tests.
+overdetermines the final block; the spare equations are checked.
+sums_bruteforce is the term-by-term oracle, O(q^3) for all n at once.
 """
 
 from dataclasses import dataclass
@@ -111,18 +111,13 @@ def c_coeffs(F, k):
     geo = [0] + [1] * (q * q - 1)
     part1 = modpoly.add(geo, modpoly.shift(geo, q - 1), p)
     part1 = modpoly.sub(part1, modpoly.shift(geo, q), p)
-    inv4 = pow(4, -1, p)
-    mixer = [0] * (2 * q - 2) + [1]
-    zm1_pow = [1]                      # (z-1)^t, grown incrementally
-    powers = {0: [1]}
-    for t in range(1, q - 1):
-        zm1_pow = modpoly.mul(zm1_pow, [p - 1, 1], p)
-        powers[t] = zm1_pow
-    r = 1
+    # Horner's rule in (z - 1): mixer <- mixer (z - 1) + 4^(-m) z^(2m)
+    inv4, r, mixer = pow(4, -1, p), 1, []
     for m in range(1, q):
         r = r * inv4 % p
-        term = modpoly.scale(modpoly.shift(powers[q - 1 - m], 2 * m), r, p)
-        mixer = modpoly.add(mixer, term, p)
+        mixer = modpoly.add(modpoly.mul(mixer, [p - 1, 1], p),
+                            modpoly.shift([r], 2 * m), p)
+    mixer = modpoly.add(mixer, modpoly.shift([1], 2 * (q - 1)), p)
     c = modpoly.sub(part1, modpoly.mul(mixer, b, p), p)
     if c and c[0] != 0:
         raise InternalCheckError("c-vector constant term is nonzero")
@@ -206,7 +201,6 @@ class SumTable:
 
     field: gf.FieldSpec
     k: int
-    b: list
     c: list
     d: list
     sums: list
@@ -223,51 +217,53 @@ class SumTable:
 def sums_via_recurrence(F, k):
     """Build the SumTable along both closed routes and cross-check.
 
-    Route one: solve for d, then add back the offsets (k(n-1)+2)/2^n.
-    Route two: the direct expressions.  Any disagreement raises
-    InternalCheckError; the brute-force oracle stays in the tests.
+    Route one: solve for d, then add back the offsets (k(n-1)+2)/2^n,
+    the values at x = 1/4.  Route two: the direct expressions.  Any
+    disagreement raises InternalCheckError.
     """
     if F.p == 2:
         raise ValueError("the sum machinery needs odd characteristic")
     q, p = F.q, F.p
     k %= p
-    b = b_coeffs(F, k)
     c = c_coeffs(F, k)
     d = _d_vector(F, k, c)
-    inv2 = pow(2, -1, p)
     sums = [0] * (q * q)
     for n in range(1, q * q):
-        sums[n] = (d[n] + (k * (n - 1) + 2) * pow(inv2, n, p)) % p
+        sums[n] = (d[n] + rdpoly.value_at_quarter(F, n, k)) % p
     direct = _sums_direct(F, k, c)
     for n in range(1, q * q):
         if sums[n] != direct[n]:
             raise InternalCheckError(
                 f"sum routes disagree at n = {n}: {sums[n]} vs {direct[n]}")
-    return SumTable(F, k, b, c, d, sums)
+    return SumTable(F, k, c, d, sums)
 
 
-def sums_bruteforce(F, k, n):
-    """Term-by-term oracle: actually add up D(n,k; 1,x) over the field."""
-    acc = 0
+def sums_bruteforce(F, k):
+    """Term-by-term oracle: S[n] = sum over x of D(n,k; 1,x), n < q^2.
+
+    One pass per x of v_0 = 2 - k, v_1 = 1, v_m = v_{m-1} - x v_{m-2},
+    O(q^3) field ops: no index reduction, special point or doubling.
+    """
+    S = [0] * (F.q * F.q)
     for x in F.elements():
-        acc = F.add(acc, rdpoly.eval_recurrence(F, n, k, x))
-    return acc
+        v, w = F.from_int(2 - k), 1
+        for n in range(len(S)):
+            S[n] = F.add(S[n], v)
+            v, w = w, F.sub(w, F.mul(x, v))
+    return S
 
 
-def residue_identity_holds(F, k):
-    """Check (z^q - z^(q-1) - 1) * d(z) = c(z) with d built from the
-    brute-force sums rather than from the recurrence."""
+def residue_identity_holds(table, brute):
+    """Check (z^q - z^(q-1) - 1) * d(z) = table.c(z) with d built from
+    the brute-force sums brute = sums_bruteforce(F, k), not from c."""
+    F, k = table.field, table.k
     q, p = F.q, F.p
-    k %= p
-    c = c_coeffs(F, k)
-    inv2 = pow(2, -1, p)
     dpoly = [0] * (q * q)
     for n in range(1, q * q):
-        off = (k * (n - 1) + 2) * pow(inv2, n, p) % p
-        dpoly[n] = (sums_bruteforce(F, k, n) - off) % p
+        dpoly[n] = (brute[n] - rdpoly.value_at_quarter(F, n, k)) % p
     mult = [0] * (q + 1)
     mult[0] = p - 1
     mult[q - 1] = (mult[q - 1] - 1) % p
     mult[q] = 1
     lhs = modpoly.mul(mult, dpoly, p)
-    return modpoly.trim(lhs) == modpoly.trim(c)
+    return modpoly.trim(lhs) == modpoly.trim(table.c)

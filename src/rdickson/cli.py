@@ -201,16 +201,7 @@ def cmd_eval(args, cfg):
     k = _parse_int(args.k, "--k")
     x = _parse_element(F, args.x, "--x")
     a = _parse_element(F, args.a, "--a")
-    if F.p == 2 and a not in (0, 1):
-        # the rescale shortcut in eval_recurrence is scoped to odd
-        # characteristic, so this corner runs the definition directly
-        if n > SMALL_N:
-            raise UsageError(
-                "over characteristic 2 a scale outside {0, 1} is evaluated "
-                f"by the defining recurrence; keep --n at or below {SMALL_N}")
-        value = rdpoly.eval_definition(F, n, k, x, a)
-    else:
-        value = rdpoly.eval_recurrence(F, n, k, x, a)
+    value = rdpoly.eval_recurrence(F, n, k, x, a)
     methods = {"recurrence": value}
     if args.check:
         if n <= SMALL_N:
@@ -386,12 +377,13 @@ def _verify_sums(args, cfg):
     results, failures = [], []
     for k in ks:
         table = charsum.sums_via_recurrence(F, k)
+        brute = charsum.sums_bruteforce(F, k)
         bad = 0
         for n in range(1, F.q ** 2):
-            if table.sums[n] != charsum.sums_bruteforce(F, k, n):
+            if table.sums[n] != brute[n]:
                 bad += 1
                 failures.append({"k": k % F.p, "n": n})
-        residue = charsum.residue_identity_holds(F, k)
+        residue = charsum.residue_identity_holds(table, brute)
         if not residue:
             failures.append({"k": k % F.p, "identity": "residue"})
         results.append({"k": k % F.p, "rows": F.q ** 2 - 1,
@@ -424,8 +416,8 @@ def cmd_sums(args, cfg):
     table = charsum.sums_via_recurrence(F, k)
     oracle = {}
     if args.check:
-        for n in range(1, F.q ** 2):
-            oracle[n] = charsum.sums_bruteforce(F, k, n) == table.sums[n]
+        brute = charsum.sums_bruteforce(F, k)
+        oracle = {n: brute[n] == table.sums[n] for n in range(1, F.q ** 2)}
     mismatch = args.check and not all(oracle.values())
 
     header = ("n", "sum", "d", "oracle_match")

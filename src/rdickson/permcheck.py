@@ -16,6 +16,7 @@ from dataclasses import dataclass, field as dataclass_field
 from . import gf, rdpoly
 
 DEFAULT_MAX_Q = 343
+N_DIGITS = 4300   # Python's default cap on the digits of a printed int
 
 @dataclass
 class PPReport:
@@ -229,6 +230,18 @@ STATEMENTS = {
 THEOREM_IDS = tuple(STATEMENTS)
 
 
+def _n_prints(p, l, shift):
+    """Whether n = p^l + shift has at most N_DIGITS decimal digits.
+
+    l log10(p) decides it unless it lies within 1 of the bound, so p^l
+    is formed only when it has about N_DIGITS digits.
+    """
+    est = l * math.log10(p)
+    if abs(est - N_DIGITS) > 1:
+        return est < N_DIGITS
+    return p ** l + shift < 10 ** N_DIGITS
+
+
 def _grid(theorem, ps, es, ns, ls, ks, max_q):
     """Check a grid against the statements' assumptions; list its fields."""
     if theorem not in STATEMENTS:
@@ -243,8 +256,14 @@ def _grid(theorem, ps, es, ns, ls, ks, max_q):
             if p ** min(e, max_q.bit_length()) > max_q:
                 raise ValueError(f"grid point GF({p}^{e}) exceeds the "
                                  f"size bound q <= {max_q}")
+            name, axis = st.axis(e, ns, ls)
+            if name == "l" and axis and not _n_prints(p, max(axis), st.shift):
+                raise ValueError(
+                    f"exponent l = {max(axis)} is too large for p = {p}: "
+                    f"n = p^l + {st.shift} would exceed {N_DIGITS} decimal "
+                    "digits; lower --l")
             kinds = range(p) if ks is None else [k % p for k in ks]
-            grid.append((p, e, st.axis(e, ns, ls), st.kinds(p, kinds)))
+            grid.append((p, e, (name, axis), st.kinds(p, kinds)))
     return grid
 
 

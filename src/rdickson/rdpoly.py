@@ -219,15 +219,13 @@ def eval_recurrence(F, n, k, x, a=1):
 
     and v_n = U_n - x (2 - k) U_{n-1}, so any index costs O(log q)
     field ops in every characteristic.  Other a reduce to a = 1 by
-    D(n,k; a,x) = a^n * D(n,k; 1, x/a^2) (odd characteristic; a = 0 is
-    routed to eval_a0).
+    D(n,k; a,x) = a^n * D(n,k; 1, x/a^2), which holds in every
+    characteristic; a = 0 is routed to eval_a0.
     """
     k %= F.p
     if a == 0:
         return eval_a0(F, n, k, x)
     if a != 1:
-        if F.p == 2:
-            raise ValueError("the scaling route needs odd characteristic")
         inner = eval_recurrence(F, n, k, F.mul(x, F.inv(F.mul(a, a))))
         return F.mul(F.pow(a, n), inner)
     if F.p != 2 and x == F.quarter:

@@ -4,6 +4,7 @@ import pytest
 
 from rdickson import charsum as cs
 from rdickson import gf
+from rdickson import rdpoly as rd
 from rdickson.gf import InternalCheckError
 
 F5 = gf.make_field(5)
@@ -60,14 +61,15 @@ class TestSumTable:
         for k in range(F.p):
             table = cs.sums_via_recurrence(F, k)
             assert table.sums[0] == 0
+            brute = cs.sums_bruteforce(F, k)
             for n in range(1, F.q ** 2):
-                assert table.sums[n] == cs.sums_bruteforce(F, k, n), (k, n)
+                assert table.sums[n] == brute[n], (k, n)
 
     def test_frozen_q5_k3(self):
         # frozen from brute-force summation before the table existed
         table = cs.sums_via_recurrence(F5, 3)
         assert table.sums[1:9] == [0, 0, 0, 0, 0, 0, 0, 1]
-        assert table.sums[24] == cs.sums_bruteforce(F5, 3, 24)
+        assert table.sums[24] == cs.sums_bruteforce(F5, 3)[24]
 
     def test_overdetermined_tail_guard_fires(self):
         c = cs.c_coeffs(F5, 3)
@@ -81,15 +83,32 @@ class TestSumTable:
         assert len(blob["rows"]) == 80
         assert blob["rows"][0]["n"] == 1
         first = blob["rows"][0]
-        assert first["sum"] == list(F9.coeffs(cs.sums_bruteforce(F9, 2, 1)))
+        assert first["sum"] == list(F9.coeffs(cs.sums_bruteforce(F9, 2)[1]))
 
     def test_rejects_char2(self):
         with pytest.raises(ValueError):
             cs.sums_via_recurrence(gf.make_field(2), 1)
 
 
+class TestBruteforce:
+    @pytest.mark.parametrize("F", [F5, F7, F9, gf.make_field(3, 3)],
+                             ids=lambda F: f"GF({F.q})")
+    def test_matches_summed_doubling_kernel(self, F):
+        # the one-pass table against eval_recurrence added up over the
+        # field index by index, which ties the doubling kernel to the sums
+        for k in range(F.p):
+            brute = cs.sums_bruteforce(F, k)
+            assert len(brute) == F.q ** 2
+            for n in range(F.q ** 2):
+                acc = 0
+                for x in F.elements():
+                    acc = F.add(acc, rd.eval_recurrence(F, n, k, x))
+                assert brute[n] == acc, (k, n)
+
+
 class TestResidueIdentity:
     def test_holds_from_bruteforce_sums(self):
         for F in (F5, F9):
             for k in (0, 2, F.p - 1):
-                assert cs.residue_identity_holds(F, k)
+                assert cs.residue_identity_holds(
+                    cs.sums_via_recurrence(F, k), cs.sums_bruteforce(F, k))

@@ -1,7 +1,9 @@
 """Command line behaviour: exact output, formats, guards, exit codes."""
 
+import collections
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import resource
@@ -11,7 +13,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rdickson import charsum, permcheck, rdpoly
+from rdickson import charsum, gf, permcheck, rdpoly
 from rdickson.cli import RunConfig, main
 
 
@@ -125,11 +127,29 @@ class TestChecks:
     def test_verify_sums_failure_exits_1(self, capsys, monkeypatch):
         real = charsum.sums_bruteforce
         monkeypatch.setattr(charsum, "sums_bruteforce",
-                            lambda F, k, n: (real(F, k, n) + 1) % F.p)
+                            lambda F, k: [(v + 1) % F.p for v in real(F, k)])
         code, out, _ = run(capsys, "verify", "sums", "--field", "5",
                            "--k", "1")
         assert code == 1
         assert "pass: false" in out
+
+    @pytest.mark.parametrize("argv, tables", [
+        (("verify", "sums", "--field", "5", "--k", "0..4"), 5),
+        (("sums", "--field", "5", "--k", "1", "--check"), 1),
+    ])
+    def test_sum_ingredients_built_once(self, capsys, monkeypatch, argv,
+                                        tables):
+        # the oracle and c once per kind, b once per table
+        calls = collections.Counter()
+        for name in ("sums_bruteforce", "c_coeffs", "b_coeffs"):
+            def counted(*a, _real=getattr(charsum, name), _name=name):
+                calls[_name] += 1
+                return _real(*a)
+            monkeypatch.setattr(charsum, name, counted)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert calls == {"sums_bruteforce": tables, "c_coeffs": tables,
+                         "b_coeffs": tables}
 
     def test_verify_theorem_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "T2.2", "--p", "5", "--e", "1",
@@ -270,6 +290,22 @@ class TestGuardsAndErrors:
         assert "size bound" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("l", ["100000", "1000000000000"])
+    def test_huge_exponent_is_refused_before_any_scan(self, l):
+        # n = 3^l would not print in decimal, and 3^(10^12) would not
+        # even finish: refused from p and l alone
+        proc = run_capped("verify", "T2.1", "--p", "3", "--e", "1", "--l", l)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "--l" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_small_exponents_pass_the_digit_bound_unchanged(self, capsys):
+        # the digest was recorded on this output before the bound existed
+        code, out, _ = run(capsys, "verify", "T2.1", "--p", "3", "--e", "1",
+                           "--l", "0..7", "--format", "csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f322b2c607ad54afb98f6b0f8376406eea33b2c4fc05e283fbf44594f5f83be7")
+
 
 class TestCharTwo:
     def test_eval_and_check_work(self, capsys):
@@ -298,9 +334,19 @@ class TestCharTwo:
         code, out, _ = run(capsys, "eval", "--field", "4", "--n", "6",
                            "--k", "1", "--x", "0,1", "--a", "1,1")
         assert code == 0 and out == "1,0\n"
-        code, _, err = run(capsys, "eval", "--field", "4", "--n", "6000",
+        # period 3, so n = 6000 repeats n = 6; eval_definition gives the
+        # same 1,0 but takes seconds at this index
+        code, out, _ = run(capsys, "eval", "--field", "4", "--n", "6000",
                            "--k", "1", "--x", "0,1", "--a", "1,1")
-        assert code == 2 and "5000" in err
+        assert (code, out) == (0, "1,0\n")
+        # the rescaled value depends on n mod q^2 - 1 = 63 only
+        F8 = gf.make_field(2, 3)
+        want = F8.coeffs(rdpoly.eval_definition(
+            F8, (10 ** 20 - 1) % 63 + 1, 1, 2, 3))
+        code, out, _ = run(capsys, "eval", "--field", "8", "--n",
+                           str(10 ** 20), "--k", "1", "--x", "0,1",
+                           "--a", "1,1")
+        assert (code, out) == (0, ",".join(map(str, want)) + "\n")
 
 
 class TestRunConfig:

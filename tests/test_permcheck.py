@@ -200,3 +200,14 @@ class TestStatementTable:
         for fn in (pc.grid_size, pc.verify_theorem):
             with pytest.raises(ValueError, match=match):
                 fn(theorem, ps, es, ls=[0])
+
+    @pytest.mark.parametrize("theorem", [t for t in pc.THEOREM_IDS
+                                         if t not in ("T2.2", "T-k0-pe2")])
+    def test_exponents_whose_n_cannot_print_are_refused(self, theorem):
+        # 3^9012 + 2 has 4300 decimal digits, 3^9013 has 4301; both
+        # functions refuse alike, before any p^l with l = 10^12 is formed
+        pc.grid_size(theorem, [3], [1], ls=[9012])
+        for ls in ([0, 9013], [10 ** 12]):
+            for fn in (pc.grid_size, pc.verify_theorem):
+                with pytest.raises(ValueError, match="--l"):
+                    fn(theorem, [3], [1], ls=ls)

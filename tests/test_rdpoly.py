@@ -197,15 +197,19 @@ class TestPeriodAndScaling:
                     assert naive(F5, n + period, k, x) == naive(F5, n, k, x)
 
     def test_scaling_identity(self):
-        # D(n,k; a,x) = a^n D(n,k; 1, x/a^2) for a != 0
-        for a in range(1, 7):
-            for n in range(9):
-                for k in range(7):
-                    for x in F7.elements():
-                        inner = rd.eval_recurrence(
-                            F7, n, k, F7.mul(x, F7.inv(F7.mul(a, a))))
-                        assert rd.eval_recurrence(F7, n, k, x, a) == \
-                            F7.mul(F7.pow(a, n), inner) == naive(F7, n, k, x, a)
+        # D(n,k; a,x) = a^n D(n,k; 1, x/a^2) for a != 0, in every
+        # characteristic: GF(4) and GF(8) check the p = 2 rescaling
+        for F, ns in ((F7, range(9)), (F4, (*range(9), 40, 301)),
+                      (gf.make_field(2, 3), (*range(9), 40, 301))):
+            for a in range(1, F.q):
+                for n in ns:
+                    for k in range(F.p if F.p > 2 else 4):
+                        for x in F.elements():
+                            inner = rd.eval_recurrence(
+                                F, n, k, F.mul(x, F.inv(F.mul(a, a))))
+                            assert rd.eval_recurrence(F, n, k, x, a) == \
+                                F.mul(F.pow(a, n), inner) == \
+                                naive(F, n, k, x, a), (F.q, a, n, k, x)
 
     def test_kind_collapses_mod_p(self):
         for n in range(9):
