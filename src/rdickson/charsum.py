@@ -8,7 +8,10 @@ vector c derived from b, a first-order recurrence that pins down the
 shifted sums d_n = S(n) - (k(n-1)+2)/2^n for 1 <= n <= q^2 - 1, and a
 second, direct expression for S(n) sharing only c.  The recurrence
 overdetermines the final block; the spare equations are checked.
-sums_bruteforce is the term-by-term oracle, O(q^3) for all n at once.
+A table costs O(q^2) list work beyond the field: b has about 2q
+nonzero entries and modpoly.mul skips zeros, so the one large product,
+mixer * b, is O(q^2).  sums_bruteforce is the term-by-term oracle,
+O(q^3) for all n at once.
 """
 
 from dataclasses import dataclass
@@ -58,22 +61,21 @@ def _b_by_cases(F, k):
 
 def _b_by_product(F, k):
     # (2 - k + (k-1) z) * (-1 - (z - z^q)^(q-1)), no binomials involved
+    # the power is kept as a sparse {degree: coeff}: it has at most q terms
     q, p = F.q, F.p
-    pw = [1]
+    pw = {0: 1}
     for _ in range(q - 1):
-        nxt = [0] * (len(pw) + q)
-        for i, c in enumerate(pw):
-            if c:
-                nxt[i + 1] = (nxt[i + 1] + c) % p
-                nxt[i + q] = (nxt[i + q] - c) % p
-        pw = nxt
-    neg = [(-c) % p for c in pw]
-    neg[0] = (neg[0] - 1) % p
+        nxt = {}
+        for i, c in pw.items():
+            nxt[i + 1] = (nxt.get(i + 1, 0) + c) % p
+            nxt[i + q] = (nxt.get(i + q, 0) - c) % p
+        pw = {i: c for i, c in nxt.items() if c}
+    neg = {i: -c % p for i, c in pw.items()}
+    neg[0] = (neg.get(0, 0) - 1) % p
     out = [0] * (q * q - q + 2)
-    for i, c in enumerate(neg):
-        if c:
-            out[i] = (out[i] + (2 - k) * c) % p
-            out[i + 1] = (out[i + 1] + (k - 1) * c) % p
+    for i, c in neg.items():
+        out[i] = (out[i] + (2 - k) * c) % p
+        out[i + 1] = (out[i + 1] + (k - 1) * c) % p
     return out
 
 

@@ -22,6 +22,7 @@ invocations produce identical bytes.
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -420,20 +421,21 @@ def cmd_sums(args, cfg):
         oracle = {n: brute[n] == table.sums[n] for n in range(1, F.q ** 2)}
     mismatch = args.check and not all(oracle.values())
 
+    # lazy rows: _render consumes only the rendering --format names
     header = ("n", "sum", "d", "oracle_match")
-    pretty = [" ".join(header)]
-    csv_rows = []
-    for n in range(1, F.q ** 2):
-        om = _bool(oracle[n]) if args.check else ""
-        cells = [str(n), _coords(F, table.sums[n]), str(table.d[n]), om]
-        pretty.append(" ".join(cells).rstrip())
-        csv_rows.append(cells)
-    jobj = table.to_json()
-    jobj.update(command="sums")
-    if args.check:
-        for row in jobj["rows"]:
-            row["oracle_match"] = oracle[row["n"]]
-    _emit(args, pretty, jobj, header, csv_rows)
+    rows = ([str(n), _coords(F, table.sums[n]), str(table.d[n]),
+             _bool(oracle[n]) if args.check else ""]
+            for n in range(1, F.q ** 2))
+    pretty = itertools.chain([" ".join(header)],
+                             (" ".join(cells).rstrip() for cells in rows))
+    jobj = None
+    if args.format == "json":
+        jobj = table.to_json()
+        jobj.update(command="sums")
+        if args.check:
+            for row in jobj["rows"]:
+                row["oracle_match"] = oracle[row["n"]]
+    _emit(args, pretty, jobj, header, rows)
     return 1 if mismatch else 0
 
 

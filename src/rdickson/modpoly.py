@@ -1,8 +1,10 @@
-"""Dense polynomial arithmetic over GF(p) for odd or even prime p.
+"""Polynomial arithmetic over GF(p) for odd or even prime p.
 
 Polynomials are lists of ints in [0, p), index = degree (constant term
 first).  The zero polynomial is the empty list.  All functions return
-canonical (trimmed) lists and never mutate their arguments.
+canonical (trimmed) lists and never mutate their arguments.  mul skips
+the zero terms of both operands, so a product costs nnz(a) * nnz(b)
+multiply-adds plus one pass over the output list.
 """
 
 
@@ -52,10 +54,11 @@ def shift(a, t):
 def mul(a, b, p):
     if not a or not b:
         return []
+    terms = [(j, y) for j, y in enumerate(b) if y]
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
+            for j, y in terms:
                 out[i + j] += x * y
     return trim([v % p for v in out])
 

@@ -13,14 +13,15 @@ the same values, kept separate so they can be cross-checked:
   eval_functional   through the parameter y with y(1 - y) = x in GF(q^2)
   eval_via_fnk      half-scaled integer form evaluated at 1 - 4x
   eval_a0           closed value at a = 0
-  char2_eval        characteristic-2 reduction to a single kind
+  char2_eval        characteristic-2 row mod 2 by Lucas' theorem
   closed_form       closed values for indices p^l, p^l + 1, p^l + 2
 
-The integer-row routes (eval_definition, char2_eval through it, and
-eval_via_fnk) assemble their rows exactly over the integers and only
-then reduce them mod p; the other routes, and as_polynomial
-(interpolated from the q values of eval_recurrence), compute in the
-field throughout.  No route divides by a quantity that can vanish.
+The integer-row routes (eval_definition and eval_via_fnk) assemble
+their rows exactly over the integers and only then reduce them mod p;
+char2_eval reads its row mod 2 straight off the bits of the indices;
+the other routes, and as_polynomial (interpolated from the q values of
+eval_recurrence), compute in the field throughout.  No route divides
+by a quantity that can vanish.
 """
 
 from dataclasses import dataclass
@@ -292,12 +293,33 @@ def functional_map(ext, n, k, y):
     return ext.add(ext.mul(k, ext.mul(num, ext.inv(den))), ext.add(yn, zn))
 
 
+def _odd_binom(m, i):
+    """C(m, i) mod 2 by Lucas' theorem: odd iff i & (m - i) == 0."""
+    return 0 <= i <= m and i & (m - i) == 0
+
+
 def char2_eval(F, n, k, x, a=1):
-    """Characteristic-2 reduction: only k mod 2 survives, leaving the
-    second-kind row for odd k and the first-kind row for even k."""
+    """Characteristic-2 route from the row mod 2, with no integer row.
+
+    Only k mod 2 survives, leaving the second-kind row C(n-i, i) for odd
+    k and the first-kind row C(n-i, i) + C(n-i-1, i-1) for even k; each
+    entry mod 2 is a bit test (Lucas).  The value sum_i w_i x^i a^(n-2i)
+    (-x = x here) is summed by Horner's rule in a^2, then times a^(n%2).
+    """
     if F.p != 2:
         raise ValueError("char2_eval is for characteristic 2")
-    return eval_definition(F, n, k % 2, x, a)
+    if n == 0:
+        return F.from_int(2 - k)
+    a2, acc, xp = F.mul(a, a), 0, 1
+    for i in range(n // 2 + 1):
+        odd = _odd_binom(n - i, i)
+        if k % 2 == 0:
+            odd ^= _odd_binom(n - i - 1, i - 1)
+        acc = F.mul(acc, a2)
+        if odd:
+            acc = F.add(acc, xp)
+        xp = F.mul(xp, x)
+    return F.mul(acc, a) if n % 2 else acc
 
 
 # -- closed forms for indices near prime powers --------------------------

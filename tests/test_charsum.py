@@ -1,5 +1,7 @@
 """Sum tables against the add-it-all-up oracle."""
 
+import hashlib
+
 import pytest
 
 from rdickson import charsum as cs
@@ -26,9 +28,10 @@ class TestPowerSum:
 
 class TestBVector:
     def test_two_constructions_agree(self):
-        for F in (F5, F7, F9):
+        for q in (5, 7, 9, 25, 27, 49, 125, 243):
+            F = gf.parse_field_descriptor(str(q))
             for k in range(F.p):
-                assert cs._b_by_cases(F, k) == cs._b_by_product(F, k)
+                assert cs._b_by_cases(F, k) == cs._b_by_product(F, k), (q, k)
 
     def test_frozen_entries_q5_k3(self):
         # worked out from the digit formula by hand: pairs sit at the
@@ -53,6 +56,26 @@ class TestCVector:
                 c = cs.c_coeffs(F, k)
                 assert len(c) == F.q ** 2 + F.q
                 assert c[0] == 0
+
+    # sha256 of the comma-joined vector, recorded with the dense product
+    # (every entry of b walked) before mul skipped zeros
+    DIGESTS = {
+        (125, 2):
+        "1633f19aadb008497b08f3c05d9d6243766dd8ce1eb3ef1f89e7f75ef93cc7b1",
+        (169, 3):
+        "b20052211c59796bf2dd0ed6108c65d36d210a60b23282aeab1bb7e8f87243a1",
+        (243, 1):
+        "630b74cde980f753c9b0a11c51b24871053ac10a5725606022169fcec3e8a0de",
+        (343, 3):
+        "9de395932d221f2f8ed6182eb2a8ca53d8cfd699146edb73e507e860f7251ae1",
+    }
+
+    @pytest.mark.parametrize("q, k", list(DIGESTS),
+                             ids=[f"GF({q})-k{k}" for q, k in DIGESTS])
+    def test_frozen_digests(self, q, k):
+        c = cs.c_coeffs(gf.parse_field_descriptor(str(q)), k)
+        digest = hashlib.sha256(",".join(map(str, c)).encode()).hexdigest()
+        assert digest == self.DIGESTS[q, k]
 
 
 class TestSumTable:

@@ -13,7 +13,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rdickson import charsum, gf, permcheck, rdpoly
+from rdickson import charsum, cli, gf, permcheck, rdpoly
 from rdickson.cli import RunConfig, main
 
 
@@ -90,6 +90,22 @@ class TestFormats:
                         "--format", "csv")
         rows = list(csv.reader(io.StringIO(out)))
         assert all(row[3] == "" for row in rows[1:])
+
+    @pytest.mark.parametrize("fmt, coords, to_json", [
+        ("pretty", 24, 0), ("csv", 24, 0), ("json", 0, 1)])
+    def test_sums_renders_only_requested_format(self, capsys, monkeypatch,
+                                                fmt, coords, to_json):
+        # one _coords per row for pretty and csv, to_json alone for json
+        calls = collections.Counter()
+        for owner, name in ((cli, "_coords"), (charsum.SumTable, "to_json")):
+            def counted(*a, _real=getattr(owner, name), _name=name):
+                calls[_name] += 1
+                return _real(*a)
+            monkeypatch.setattr(owner, name, counted)
+        code, _, _ = run(capsys, "sums", "--field", "5", "--k", "3",
+                         "--format", fmt, "--check")
+        assert code == 0
+        assert (calls["_coords"], calls["to_json"]) == (coords, to_json)
 
     def test_output_is_byte_identical_across_runs(self, capsys):
         argv = ("verify", "T-k0-pe2", "--p", "3,5", "--e", "1",

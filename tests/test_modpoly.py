@@ -1,0 +1,51 @@
+"""Polynomial products mod p against a dense schoolbook product."""
+
+import random
+
+import pytest
+
+from rdickson import modpoly
+
+
+def schoolbook(a, b, p):
+    # every pair of positions, zero or not, then trimmed
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i in range(len(a)):
+        for j in range(len(b)):
+            out[i + j] = (out[i + j] + a[i] * b[j]) % p
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def operand(rng, p):
+    """Up to 16 coefficients in runs: zero runs, nonzero runs, and zeros
+    left at either end (trailing ones make the list non-canonical)."""
+    out, size = [], rng.randrange(17)
+    while len(out) < size:
+        run = rng.randrange(1, 5)
+        if rng.random() < 0.5:
+            out += [0] * run
+        else:
+            out += [rng.randrange(1, p) for _ in range(run)]
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+class TestMul:
+    def test_random_operands_with_zero_runs(self, p):
+        rng = random.Random(p)
+        for _ in range(400):
+            a, b = operand(rng, p), operand(rng, p)
+            a_copy, b_copy = list(a), list(b)
+            assert modpoly.mul(a, b, p) == schoolbook(a, b, p), (a, b)
+            assert (a, b) == (a_copy, b_copy)
+
+    def test_empty_and_single_term_operands(self, p):
+        rng = random.Random(100 + p)
+        for _ in range(50):
+            b = operand(rng, p)
+            single = [0] * rng.randrange(5) + [rng.randrange(1, p)]
+            for a in ([], [0], [0, 0, 0], single):
+                assert modpoly.mul(a, b, p) == schoolbook(a, b, p)
+                assert modpoly.mul(b, a, p) == schoolbook(b, a, p)

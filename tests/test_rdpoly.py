@@ -6,6 +6,7 @@ the library existed and must never be regenerated from library output.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -227,6 +228,18 @@ class TestChar2:
                     want = naive(F4, n, k % 2, x)
                     assert rd.char2_eval(F4, n, k, x) == want
                     assert rd.eval_definition(F4, n, k, x) == want
+
+    @pytest.mark.parametrize("desc", ["4", "8", "16", "2^3/1,0,1,1"])
+    def test_char2_eval_matches_definition_any_a(self, desc):
+        # the bit-test row against the exact integer row, a != 1 included
+        F = gf.parse_field_descriptor(desc)
+        rng = random.Random(desc)
+        points = [(x, a) for x in F.elements() for a in F.elements()]
+        for n in list(range(70)) + [127, 128, 129, 255, 256, 257, 300]:
+            for k in range(4):
+                for x, a in rng.sample(points, 4) + [(F.q - 1, 0)]:
+                    assert rd.char2_eval(F, n, k, x, a) == \
+                        rd.eval_definition(F, n, k, x, a), (F.q, n, k, x, a)
 
     def test_char2_index_reduction(self):
         period = F4.q ** 2 - 1
