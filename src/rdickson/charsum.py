@@ -17,7 +17,7 @@ O(q^3) for all n at once.
 from dataclasses import dataclass
 from math import comb
 
-from . import gf, modpoly, rdpoly
+from . import gf, modpoly
 from .gf import InternalCheckError
 
 
@@ -165,31 +165,46 @@ def _d_vector(F, k, c):
     return d
 
 
+def _quarter_offsets(p, k, count):
+    """rdpoly.value_at_quarter(F, n, k) for n < count, over any F of
+    characteristic p: the values lie in the prime subfield, whose
+    encodings are the ints below p, so one running power of 1/2 mod p
+    gives them all."""
+    inv2, r, out = pow(2, -1, p), 1, []
+    for n in range(count):
+        out.append((k * (n - 1) + 2) * r % p)
+        r = r * inv2 % p
+    return out
+
+
 def _sums_direct(F, k, c):
     """The closed expressions for S(n) themselves, sharing only c."""
     q, p = F.q, F.p
     inv2 = pow(2, -1, p)
+    h = [1] * (q * q)             # h[m] = 2^-m, one running power
+    for m in range(1, q * q):
+        h[m] = h[m - 1] * inv2 % p
     two_q = pow(2, q, p)
     S = [0] * (q * q)
     for j in range(1, q):
-        S[j] = (-c[j] + (k * (j - 1) + 2) * pow(inv2, j, p)) % p
-    S[q] = (c[1] - c[q] + (2 - k) * pow(inv2, q, p)) % p
+        S[j] = (-c[j] + (k * (j - 1) + 2) * h[j]) % p
+    S[q] = (c[1] - c[q] + (2 - k) * h[q]) % p
     half_step = (1 - two_q + pow(2, q - 1, p)) % p
     for l in range(1, q - 1):
         if l >= 2:
             S[l * q] = (S[(l - 1) * q] - S[(l - 1) * q + 1] - c[l * q]
                         + ((k - 2) * (two_q - 1) + two_q)
-                        * pow(inv2, l * q, p)) % p
+                        * h[l * q]) % p
         for j in range(1, q):
             S[l * q + j] = (S[(l - 1) * q + j] - S[(l - 1) * q + j + 1]
                             - c[l * q + j]
                             + ((k * j + 2) * half_step + k * (two_q - 1))
-                            * pow(inv2, l * q + j, p)) % p
+                            * h[l * q + j]) % p
     acc = 0
     for j in range(q - 1, -1, -1):
         acc = (acc + c[q * q + j]) % p
         S[q * q - q + j] = (acc + (k * (j - 1) + 2)
-                            * pow(inv2, q * q - q + j, p)) % p
+                            * h[q * q - q + j]) % p
     return S
 
 
@@ -229,9 +244,8 @@ def sums_via_recurrence(F, k):
     k %= p
     c = c_coeffs(F, k)
     d = _d_vector(F, k, c)
-    sums = [0] * (q * q)
-    for n in range(1, q * q):
-        sums[n] = (d[n] + rdpoly.value_at_quarter(F, n, k)) % p
+    offsets = _quarter_offsets(p, k, q * q)
+    sums = [0] + [(d[n] + offsets[n]) % p for n in range(1, q * q)]
     direct = _sums_direct(F, k, c)
     for n in range(1, q * q):
         if sums[n] != direct[n]:
@@ -260,9 +274,8 @@ def residue_identity_holds(table, brute):
     the brute-force sums brute = sums_bruteforce(F, k), not from c."""
     F, k = table.field, table.k
     q, p = F.q, F.p
-    dpoly = [0] * (q * q)
-    for n in range(1, q * q):
-        dpoly[n] = (brute[n] - rdpoly.value_at_quarter(F, n, k)) % p
+    offsets = _quarter_offsets(p, k, q * q)
+    dpoly = [0] + [(brute[n] - offsets[n]) % p for n in range(1, q * q)]
     mult = [0] * (q + 1)
     mult[0] = p - 1
     mult[q - 1] = (mult[q - 1] - 1) % p

@@ -14,19 +14,33 @@ built from two base-field encodings, so base elements embed as
 themselves and membership in the base line is the test u < q.
 
 Construction validates everything (primality, monic irreducible
-modulus); after that a FieldSpec is immutable and safe to share.
-Internal lookup tables are built once at construction time.
+modulus); after that a FieldSpec is immutable and safe to share.  A
+FieldSpec of degree e >= 2 builds its lookup tables at construction; a
+QuadExt builds its exp/log tables of GF(q^2)* lazily, once its
+table-free paths have done about as much work as the build costs.
+Tables change speed only, never values.
 """
 
 import itertools
-from functools import lru_cache
+from array import array
+from functools import lru_cache, partial
 
 from . import modpoly
 
-# Lookup-table thresholds for extension fields.  Above these sizes the
-# slow polynomial paths are used; correctness is identical.
+# Lookup-table thresholds.  Above these sizes the slow paths are used;
+# correctness is identical.  GF(q^2) tables take 8 bytes per element:
+# 0.9 MiB for q = 343, 8 MiB at the bound.
 _LOG_TABLE_MAX_Q = 4096
 _ADD_TABLE_MAX_Q = 512
+_EXT_TABLE_MAX_Q = 1024
+# A QuadExt builds its tables once its slow paths have made
+# (q^2 - 1) // _EXT_TABLE_RENT multiplications.  One slow multiplication
+# costs about four steps of the build's walk, so this is the rent-or-buy
+# point: an op never pays more than about twice the cheaper choice.
+_EXT_TABLE_RENT = 4
+# quadratic_extension and rdpoly._principal_y keep at most this many
+# entries, so a long-lived process holds a bounded number of tables.
+EXT_CACHE_SIZE = 4
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -104,6 +118,32 @@ def _default_modulus(p, e):
     raise AssertionError("unreachable: irreducibles exist in every degree")
 
 
+def _cyclic_tables(size, candidates, power, times):
+    """exp/log tables of the cyclic group GF(size)*, as array('i').
+
+    The generator is the first candidate g with g^(N/f) != 1 for every
+    prime f dividing N = size - 1, tested with the table-free power;
+    times(g) is the map u -> u*g, and walking it gives exp[i] = g^i for
+    i < N and log[g^i] = i (log[0] is unused).
+    """
+    order = size - 1
+    fac = _prime_factors(order)
+    gen = next(g for g in candidates
+               if all(power(g, order // f) != 1 for f in fac))
+    step = times(gen)
+    exp = array("i", [0]) * order
+    log = array("i", [0]) * size
+    acc = 1
+    for i in range(order):
+        exp[i] = acc
+        log[acc] = i
+        acc = step(acc)
+    if acc != 1:
+        raise InternalCheckError(f"generator {gen} of GF({size})* has "
+                                 "the wrong order")
+    return exp, log
+
+
 class FieldSpec:
     """Arithmetic context for GF(p^e); build instances via make_field().
 
@@ -124,7 +164,13 @@ class FieldSpec:
         self._pows = [p ** i for i in range(e + 1)]
         self._exp = self._log = self._neg_table = self._add_table = None
         if e >= 2 and self.q <= _LOG_TABLE_MAX_Q:
-            self._build_log_tables()
+            exp, log = _cyclic_tables(self.q, range(2, self.q), self._pow_slow,
+                                      lambda g: partial(self._mul_slow, g))
+            # lists, not arrays: at q <= 4096 memory is no concern, and a
+            # list hands back its stored ints where an array builds new
+            # ones, which made mul 1.6x slower; exp is doubled so mul can
+            # index log[a] + log[b] without a mod
+            self._exp, self._log = (exp + exp).tolist(), log.tolist()
         if e >= 2 and self.q <= _ADD_TABLE_MAX_Q:
             self._build_add_tables()
         if p != 2:
@@ -268,32 +314,33 @@ class FieldSpec:
 
     # -- table construction ---------------------------------------------
 
-    def _build_log_tables(self):
-        q = self.q
-        fac = _prime_factors(q - 1)
-        gen = next(g for g in range(2, q)
-                   if all(self._pow_slow(g, (q - 1) // f) != 1 for f in fac))
-        # exp is doubled so mul can index log[a] + log[b] without a mod
-        exp = [1] * (2 * (q - 1))
-        log = [0] * q
-        acc = 1
-        for i in range(1, q - 1):
-            acc = self._mul_slow(acc, gen)
-            exp[i] = exp[i + q - 1] = acc
-            log[acc] = i
-        self._exp, self._log = exp, log
-
     def _build_add_tables(self):
-        q, p = self.q, self.p
-        vecs = [self.coeffs(a) for a in range(q)]
-        self._neg_table = [self.element(-c for c in v) for v in vecs]
-        table = [0] * (q * q)
-        for a in range(q):
-            va, row = vecs[a], a * q
-            for b in range(a, q):
-                s = self.element((x + y) % p for x, y in zip(va, vecs[b]))
-                table[row + b] = table[b * q + a] = s
-        self._add_table = table
+        """neg and add tables by recursion on the number of digits.
+
+        With s = p^(j-1), an element of the j-digit level is lo + t*s
+        (lo < s, t < p), and (lo + t*s) + (lo' + t'*s) is
+        (lo + lo') + ((t + t') mod p)*s.  So row lo + t*s of level j is
+        one slice, from t*s, of `wide`: the level j-1 row of lo repeated
+        for top digits c = 0 .. 2p-2, with (c mod p)*s added.
+        """
+        p = self.p
+        neg = array("H", [-a % p for a in range(p)])
+        add = array("H", [(a + b) % p for a in range(p) for b in range(p)])
+        s = p
+        while s < self.q:
+            size = s * p
+            nadd = array("H", [0]) * (size * size)
+            for lo in range(s):
+                row = add[lo * s:(lo + 1) * s]
+                wide = array("H", [v + c % p * s
+                                   for c in range(2 * p - 1) for v in row])
+                for t in range(p):
+                    a = lo + t * s
+                    nadd[a * size:(a + 1) * size] = wide[t * s:t * s + size]
+            neg = array("H", [neg[lo] + -t % p * s
+                              for t in range(p) for lo in range(s)])
+            add, s = nadd, size
+        self._neg_table, self._add_table = neg, add
 
 
 def make_field(p, e=1, modulus=None):
@@ -403,9 +450,20 @@ class QuadExt:
     s^((q-1)) = d^((q-1)/2) = -1 and Frobenius x -> x^q is conjugation
     (a0, a1) -> (a0, -a1).  Elements are ints u = a0 + a1*q; the base
     field embeds as the ints below q.  Requires odd characteristic.
+
+    Arithmetic starts on the table-free paths: the coordinate product,
+    square-and-multiply and the norm inverse, with products and powers
+    of base elements handed to the base field.  Once those paths have
+    made (q^2 - 1) // _EXT_TABLE_RENT multiplications (only for
+    q <= _EXT_TABLE_MAX_Q), or on build_tables(), exp/log tables of
+    GF(q^2)* are built: two array('i'), 8 bytes per element, 0.9 MiB
+    for q = 343.  After that pow is one lookup, and mul and inv of
+    nonzero elements two.  A one-point evaluation never builds them; a
+    permutation scan over GF(343) builds them within its first dozen
+    2-to-1 rows.
     """
 
-    __slots__ = ("base", "q", "size", "d")
+    __slots__ = ("base", "q", "size", "d", "_exp", "_log", "_rent")
 
     def __init__(self, base):
         if base.p == 2:
@@ -415,6 +473,10 @@ class QuadExt:
         self.q = base.q
         self.size = base.q * base.q
         self.d = next(x for x in range(1, base.q) if not base.is_square(x))
+        self._exp = self._log = None
+        # slow multiplications left before the tables are built
+        self._rent = ((self.size - 1) // _EXT_TABLE_RENT
+                      if self.q <= _EXT_TABLE_MAX_Q else float("inf"))
 
     def __repr__(self):
         return f"QuadExt({field_descriptor(self.base)!r}, d={self.d})"
@@ -437,35 +499,38 @@ class QuadExt:
         return u < self.q
 
     def add(self, u, v):
-        F = self.base
-        a0, a1 = self.parts(u)
-        b0, b1 = self.parts(v)
-        return self.make(F.add(a0, b0), F.add(a1, b1))
+        F, q = self.base, self.q
+        a1, a0 = divmod(u, q)
+        b1, b0 = divmod(v, q)
+        return F.add(a0, b0) + q * F.add(a1, b1)
 
     def sub(self, u, v):
-        F = self.base
-        a0, a1 = self.parts(u)
-        b0, b1 = self.parts(v)
-        return self.make(F.sub(a0, b0), F.sub(a1, b1))
+        F, q = self.base, self.q
+        a1, a0 = divmod(u, q)
+        b1, b0 = divmod(v, q)
+        return F.sub(a0, b0) + q * F.sub(a1, b1)
 
     def neg(self, u):
-        F = self.base
-        a0, a1 = self.parts(u)
-        return self.make(F.neg(a0), F.neg(a1))
+        F, q = self.base, self.q
+        a1, a0 = divmod(u, q)
+        return F.neg(a0) + q * F.neg(a1)
 
     def mul(self, u, v):
-        F, q = self.base, self.q
-        if u < q and v < q:
-            return F.mul(u, v)
-        a0, a1 = self.parts(u)
-        b0, b1 = self.parts(v)
-        re = F.add(F.mul(a0, b0), F.mul(self.d, F.mul(a1, b1)))
-        im = F.add(F.mul(a0, b1), F.mul(a1, b0))
-        return self.make(re, im)
+        if self._exp is not None:
+            if u == 0 or v == 0:
+                return 0
+            return self._exp[(self._log[u] + self._log[v]) % (self.size - 1)]
+        if u < self.q and v < self.q:
+            return self.base.mul(u, v)
+        self._charge(1)
+        return self._mul_slow(u, v)
 
     def inv(self, u):
         if u == 0:
             raise ZeroDivisionError(f"inversion of zero in {self!r}")
+        if self._exp is not None:
+            return self._exp[-self._log[u] % (self.size - 1)]
+        self._charge(1)
         F = self.base
         a0, a1 = self.parts(u)
         # conjugate over norm: norm = a0^2 - d*a1^2 lies in the base field
@@ -479,23 +544,68 @@ class QuadExt:
             if n == 0:
                 return 1
             raise ZeroDivisionError(f"negative power of zero in {self!r}")
-        if u < self.q:
-            return self.base.pow(u, n)
         n %= self.size - 1
+        if self._exp is None:
+            if u < self.q:
+                return self.base.pow(u, n)
+            self._charge(n.bit_length() + n.bit_count())
+            if self._exp is None:
+                return self._pow_slow(u, n)
+        return self._exp[self._log[u] * n % (self.size - 1)]
+
+    def frobenius(self, u):
+        a1, a0 = divmod(u, self.q)
+        return a0 + self.q * self.base.neg(a1)
+
+    # -- the tables and the slow paths ----------------------------------
+
+    def build_tables(self):
+        """Build the exp/log tables of GF(q^2)* now, if not yet built."""
+        if self._exp is None:
+            self._exp, self._log = _cyclic_tables(
+                self.size, range(self.q, self.size), self._pow_slow,
+                self._times)
+
+    def _charge(self, muls):
+        self._rent -= muls
+        if self._rent <= 0:
+            self.build_tables()
+
+    def _mul_slow(self, u, v):
+        F, q = self.base, self.q
+        a1, a0 = divmod(u, q)
+        b1, b0 = divmod(v, q)
+        re = F.add(F.mul(a0, b0), F.mul(self.d, F.mul(a1, b1)))
+        im = F.add(F.mul(a0, b1), F.mul(a1, b0))
+        return re + im * q
+
+    def _pow_slow(self, u, n):
+        """Square-and-multiply for n >= 0, on the coordinate product."""
         result = 1
         while n:
             if n & 1:
-                result = self.mul(result, u)
-            u = self.mul(u, u)
+                result = self._mul_slow(result, u)
+            u = self._mul_slow(u, u)
             n >>= 1
         return result
 
-    def frobenius(self, u):
-        a0, a1 = self.parts(u)
-        return self.make(a0, self.base.neg(a1))
+    def _times(self, g):
+        """The map u -> u*g, with g's coordinate products precomputed:
+        (a0 + a1 s)(g0 + g1 s) = (a0 g0 + d a1 g1) + (a0 g1 + a1 g0) s."""
+        F, q = self.base, self.q
+        g0, g1 = self.parts(g)
+        m0 = [F.mul(a, g0) for a in range(q)]
+        m1 = [F.mul(a, g1) for a in range(q)]
+        md = [F.mul(self.d, b) for b in m1]
+        add = F.add
+
+        def step(u):
+            a1, a0 = divmod(u, q)
+            return add(m0[a0], md[a1]) + q * add(m1[a0], m0[a1])
+        return step
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=EXT_CACHE_SIZE)
 def quadratic_extension(field):
     """The (cached) quadratic extension context of a field."""
     return QuadExt(field)

@@ -269,9 +269,10 @@ def eval_functional(F, n, k, x):
     return val
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=gf.EXT_CACHE_SIZE)
 def _principal_y(ext, x):
-    # pure in (ext, x), and extensions are cached one per base field
+    # pure in (ext, x); bounded like quadratic_extension, since every key
+    # keeps its extension and that extension's tables alive
     return min(gf.solve_y(ext, x), key=ext.coeffs)
 
 
@@ -282,7 +283,10 @@ def functional_map(ext, n, k, y):
     y(1-y) = x over the base field; the permutation counting argument
     feeds it the fixed line of the q-power map as well.  On that line,
     V = {y : y^q = 1 - y}, the second power is the conjugate of the
-    first, so each point costs at most one power in GF(q^2).
+    first, so each point costs at most one power in GF(q^2).  Once the
+    extension has its tables a power is one lookup either way, but
+    before that the conjugate halves the work, which keeps short scans
+    (two rows near q^2 over GF(343)) below the table-building trigger.
     """
     k %= ext.base.p
     z = ext.sub(1, y)

@@ -26,6 +26,16 @@ class TestPowerSum:
             cs.power_sum(F5, -1)
 
 
+class TestQuarterOffsets:
+    @pytest.mark.parametrize("F", [F5, F9, gf.make_field(5, 2),
+                                   gf.make_field(3, 3)],
+                             ids=lambda F: f"GF({F.q})")
+    def test_running_power_matches_value_at_quarter(self, F):
+        for k in range(F.p):
+            want = [rd.value_at_quarter(F, n, k) for n in range(F.q * F.q)]
+            assert cs._quarter_offsets(F.p, k, F.q * F.q) == want
+
+
 class TestBVector:
     def test_two_constructions_agree(self):
         for q in (5, 7, 9, 25, 27, 49, 125, 243):

@@ -174,6 +174,62 @@ class TestChecks:
         assert "pass: true" in out
 
 
+class TestExtensionTables:
+    """The GF(q^2) tables are built only once they pay, and change no
+    output."""
+
+    @staticmethod
+    def fresh_caches():
+        gf.quadratic_extension.cache_clear()
+        rdpoly._principal_y.cache_clear()
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--field", "343", "--n", "117000", "--k", "3", "--x",
+         "5,1,0", "--check"),
+        ("pp", "--field", "343", "--n", "115962,117063", "--k", "1",
+         "--criteria", "two_to_one"),
+    ])
+    def test_short_runs_never_build(self, capsys, argv):
+        self.fresh_caches()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        ext = gf.quadratic_extension(gf.parse_field_descriptor("343"))
+        assert ext._exp is None
+
+    def test_a_scan_past_the_bound_builds(self, capsys):
+        self.fresh_caches()
+        code, _, _ = run(capsys, "pp", "--field", "49", "--n", "1..12",
+                         "--k", "0,1")
+        assert code == 0
+        assert gf.quadratic_extension(gf.make_field(7, 2))._exp is not None
+
+    @pytest.mark.parametrize("argv", [
+        ("pp", "--field", "25", "--n", "1..30", "--k", "0..4"),
+        ("pp", "--field", "27", "--n", "1,2,3,9,10,11,27,28,29",
+         "--format", "json"),
+        ("pp", "--field", "49", "--n", "1..10,48,49,50", "--k", "0,2,4",
+         "--format", "csv"),
+        ("verify", "T-pl1-gen", "--p", "3,5", "--e", "1,2", "--l", "0..2"),
+        ("verify", "T-k0-pe2", "--p", "3,5,7", "--e", "1,2",
+         "--format", "json"),
+    ])
+    def test_output_is_the_same_with_tables_on_and_off(self, capsys,
+                                                       monkeypatch, argv):
+        outputs = []
+        for attr, value in (("_EXT_TABLE_MAX_Q", 0),
+                            ("_EXT_TABLE_RENT", 10 ** 9)):
+            with monkeypatch.context() as m:
+                m.setattr(gf, attr, value)
+                self.fresh_caches()
+                outputs.append(run(capsys, *argv))
+                if argv[0] == "pp":
+                    F = gf.parse_field_descriptor(argv[2])
+                    built = gf.quadratic_extension(F)._exp is not None
+                    assert built == (attr == "_EXT_TABLE_RENT")
+        self.fresh_caches()
+        assert outputs[0] == outputs[1]
+
+
 class TestGuardsAndErrors:
     def test_field_size_guard(self, capsys):
         code, _, err = run(capsys, "field-info", "--field", "625")

@@ -1,9 +1,11 @@
 """Field layer: construction, arithmetic, quadratic extensions."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rdickson import gf
+from rdickson import gf, rdpoly
 
 
 def brute_irreducible_quadratics(p):
@@ -266,3 +268,109 @@ def test_fixed_line_membership_criterion():
             lhs = ext.in_base(ext.mul(u, ext.sub(1, u)))
             fu = ext.frobenius(u)
             assert lhs == (fu == u or fu == ext.sub(1, u))
+
+
+# -- lookup tables ------------------------------------------------------
+
+
+def per_pair_tables(F):
+    """Oracle: add and neg tables from coordinate vectors, pair by pair."""
+    p, q = F.p, F.q
+    weights = [p ** i for i in range(F.e)]
+    vecs = [[a // w % p for w in weights] for a in range(q)]
+    add = [sum((x + y) % p * w for x, y, w in zip(va, vb, weights))
+           for va in vecs for vb in vecs]
+    neg = [sum(-x % p * w for x, w in zip(va, weights)) for va in vecs]
+    return add, neg
+
+
+@pytest.mark.parametrize("p, e", [(7, 3), (3, 5), (2, 8), (17, 2), (5, 3)])
+def test_digit_recursion_add_tables_match_per_pair(p, e):
+    F = gf.make_field(p, e)
+    add, neg = per_pair_tables(F)
+    assert list(F._add_table) == add
+    assert list(F._neg_table) == neg
+
+
+def fast_and_slow(F, monkeypatch):
+    """An extension with its tables built, and a fresh one that never
+    builds them (square-and-multiply, coordinate product, norm inverse)."""
+    fast = gf.QuadExt(F)
+    fast.build_tables()
+    with monkeypatch.context() as m:
+        m.setattr(gf, "_EXT_TABLE_MAX_Q", 0)
+        slow = gf.QuadExt(F)
+    return fast, slow
+
+
+def exponents(ext):
+    N = ext.size - 1
+    return (0, 1, 2, 3, ext.q - 1, ext.q, ext.q + 1, N - 1, N, N + 7,
+            10 ** 30 + 11, -1, -5)
+
+
+def check_tables(fast, slow, us, vs):
+    for u in us:
+        for n in exponents(fast):
+            if u or n >= 0:
+                assert fast.pow(u, n) == slow.pow(u, n), (u, n)
+        for v in vs:
+            assert fast.mul(u, v) == slow.mul(u, v), (u, v)
+        if u:
+            assert fast.inv(u) == slow.inv(u), u
+    assert fast._exp is not None and slow._exp is None
+
+
+@pytest.mark.parametrize("p, e", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)])
+def test_ext_tables_match_slow_paths_everywhere(p, e, monkeypatch):
+    fast, slow = fast_and_slow(gf.make_field(p, e), monkeypatch)
+    us = range(fast.size)
+    if fast.q <= 9:
+        vs = us
+    else:
+        vs = [0, 1, 2, fast.q - 1, fast.q] + random.Random(fast.q).sample(
+            range(fast.size), 12)
+    check_tables(fast, slow, us, vs)
+
+
+@pytest.mark.parametrize("fd", ["243", "337", "343"])
+def test_ext_tables_match_slow_paths_on_a_sample(fd, monkeypatch):
+    fast, slow = fast_and_slow(gf.parse_field_descriptor(fd), monkeypatch)
+    rng = random.Random(fd)
+    us = [0, 1, fast.q - 1, fast.q] + rng.sample(range(fast.size), 40)
+    check_tables(fast, slow, us, rng.sample(range(fast.size), 8))
+
+
+def test_ext_tables_build_at_the_rent_bound():
+    # u^1 costs square-and-multiply two products: a square and a multiply
+    ext = gf.QuadExt(gf.make_field(7, 2))
+    budget = (ext.size - 1) // gf._EXT_TABLE_RENT
+    u = ext.q + 3
+    for _ in range((budget - 1) // 2):
+        ext.pow(u, 1)
+    ext.pow(5, 10 ** 6)            # powers of base elements cost nothing
+    ext.mul(5, 6)
+    assert ext._exp is None
+    ext.pow(u, 1)
+    assert ext._exp is not None
+
+
+def test_ext_tables_are_never_built_above_the_size_bound(monkeypatch):
+    monkeypatch.setattr(gf, "_EXT_TABLE_MAX_Q", 7)
+    ext = gf.QuadExt(gf.make_field(11))
+    for u in range(11, 121):
+        ext.pow(u, 10 ** 6)
+    assert ext._exp is None
+
+
+def test_extension_caches_stay_bounded():
+    gf.quadratic_extension.cache_clear()
+    rdpoly._principal_y.cache_clear()
+    fields = [gf.make_field(p) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29)]
+    for F in fields:
+        rdpoly.eval_functional(F, 5, 1, 0)
+    assert len(fields) > gf.EXT_CACHE_SIZE
+    for cache in (gf.quadratic_extension, rdpoly._principal_y):
+        info = cache.cache_info()
+        assert info.maxsize == gf.EXT_CACHE_SIZE
+        assert info.currsize == gf.EXT_CACHE_SIZE
