@@ -26,7 +26,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from . import charsum, gf, permcheck, rdpoly
 from .gf import InternalCheckError
@@ -42,39 +42,14 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Serializable record of one invocation (dict round-trip exact)."""
+    """The settings of one invocation that the size guards read."""
 
-    command: str
-    fmt: str = "pretty"
-    out: str | None = None
-    check: bool = False
-    unsafe_large: bool = False
     max_q: int = DEFAULT_MAX_Q
-    params: tuple = ()
-
-    _FLAGS = ("command", "fmt", "out", "check", "unsafe_large", "max_q")
+    unsafe_large: bool = False
 
     @classmethod
     def from_args(cls, args):
-        known = {"command", "format", "out", "check", "unsafe_large"}
-        params = tuple(sorted(
-            (name, str(value))
-            for name, value in vars(args).items()
-            if name not in known and value is not None))
-        return cls(command=args.command, fmt=args.format, out=args.out,
-                   check=getattr(args, "check", False),
-                   unsafe_large=args.unsafe_large,
-                   max_q=_max_q_from_env(), params=params)
-
-    def to_dict(self):
-        d = {name: getattr(self, name) for name in self._FLAGS}
-        d["params"] = dict(self.params)
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(params=tuple(sorted(d["params"].items())),
-                   **{name: d[name] for name in cls._FLAGS})
+        return cls(max_q=_max_q_from_env(), unsafe_large=args.unsafe_large)
 
 
 def _max_q_from_env():
@@ -209,8 +184,6 @@ def cmd_eval(args, cfg):
             methods["definition"] = rdpoly.eval_definition(F, n, k, x, a)
         if a == 0:
             methods["a0"] = rdpoly.eval_a0(F, n, k, x)
-        if F.p == 2 and n <= SMALL_N:
-            methods["char2"] = rdpoly.char2_eval(F, n, k, x, a)
         if F.p != 2 and a == 1:
             methods["functional"] = rdpoly.eval_functional(F, n, k, x)
             if n <= SMALL_N:

@@ -8,20 +8,23 @@ integer combination k * (second kind) - (k - 1) * (first kind) of the
 two classical kinds.  Each evaluator below is an independent route to
 the same values, kept separate so they can be cross-checked:
 
-  eval_definition   integer coefficient rows (any characteristic, any a)
+  eval_definition   integer coefficient row (any characteristic, any a)
   eval_recurrence   Lucas index doubling after reduction mod q^2 - 1
   eval_functional   through the parameter y with y(1 - y) = x in GF(q^2)
   eval_via_fnk      half-scaled integer form evaluated at 1 - 4x
   eval_a0           closed value at a = 0
-  char2_eval        characteristic-2 row mod 2 by Lucas' theorem
   closed_form       closed values for indices p^l, p^l + 1, p^l + 2
 
-The integer-row routes (eval_definition and eval_via_fnk) assemble
-their rows exactly over the integers and only then reduce them mod p;
-char2_eval reads its row mod 2 straight off the bits of the indices;
-the other routes, and as_polynomial (interpolated from the q values of
-eval_recurrence), compute in the field throughout.  No route divides
-by a quantity that can vanish.
+char2_eval is eval_definition behind a characteristic-2 check, not a
+route of its own.  The integer-row routes (eval_definition and
+eval_via_fnk) build their rows exactly over the integers and only then
+reduce them mod p.  A row is walked from its first entry by the exact
+ratio of neighbouring binomials, a few big-int multiplies and exact
+divisions per entry.  The family row, the fnk row and its reduction
+mod p are cached, at most ROW_CACHE_SIZE of each.  The other routes,
+and as_polynomial (interpolated from the q values of eval_recurrence),
+compute in the field throughout.  No route divides by a quantity that
+can vanish.
 """
 
 from dataclasses import dataclass
@@ -31,6 +34,9 @@ from math import comb
 
 from . import gf
 from .gf import InternalCheckError
+
+# a row near the CLI's cross-check cap n = 5000 holds about 1 MiB of ints
+ROW_CACHE_SIZE = 8
 
 
 # -- polynomial value types ---------------------------------------------
@@ -143,56 +149,57 @@ class RdpParams:
 # -- integer coefficient rows -------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def first_kind_weights(n):
-    """Integer row w of the first kind: value = sum_i w[i] (-x)^i a^(n-2i).
+def second_kind_weights(n):
+    """Integer row of the second kind: w[i] = C(n-i, i).
 
-    w[i] = n/(n-i) * C(n-i, i) is an integer because it also equals
-    C(n-i, i) + C(n-i-1, i-1).
+    Built by the exact ratio C(n-i-1, i+1) = C(n-i, i) (n-2i)(n-2i-1)
+    / ((i+1)(n-i)), one big-int step per entry.
+    """
+    c, row = 1, [1]
+    for i in range(n // 2):
+        c = c * (n - 2 * i) * (n - 2 * i - 1) // ((i + 1) * (n - i))
+        row.append(c)
+    return tuple(row)
+
+
+def first_kind_weights(n):
+    """Integer row of the first kind: value = sum_i w[i] (-x)^i a^(n-2i).
+
+    w[i] = C(n-i, i) + C(n-i-1, i-1): the second-kind row of n plus
+    that of n - 2 shifted up one place.
     """
     if n == 0:
         return (2,)
-    return tuple([1] + [comb(n - i, i) + comb(n - i - 1, i - 1)
-                        for i in range(1, n // 2 + 1)])
+    shifted = (0,) + second_kind_weights(n - 2)
+    return tuple(s + t for s, t in zip(second_kind_weights(n), shifted))
 
 
-@lru_cache(maxsize=None)
-def second_kind_weights(n):
-    """Integer row of the second kind: w[i] = C(n-i, i)."""
-    return tuple(comb(n - i, i) for i in range(n // 2 + 1))
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ROW_CACHE_SIZE)
 def family_weights(n, k):
-    """Row of the k-th member: k * second - (k-1) * first, over Z."""
+    """Row of the k-th member, k * second - (k-1) * first over Z:
+    w[i] = C(n-i, i) + (1 - k) C(n-i-1, i-1)."""
     if n == 0:
         return (2 - k,)
-    first = first_kind_weights(n)
-    second = second_kind_weights(n)
-    return tuple(k * s - (k - 1) * f for f, s in zip(first, second))
+    # C(n-i-1, i-1) = C(n-i, i) i / (n-i), exactly
+    return tuple(s + (1 - k) * (s * i // (n - i))
+                 for i, s in enumerate(second_kind_weights(n)))
 
 
 # -- evaluators ----------------------------------------------------------
 
 
 def eval_definition(F, n, k, x, a=1):
-    """Sum the integer coefficient rows; any characteristic, any a."""
+    """Sum the integer coefficient row; any characteristic, any a.
+
+    The value sum_i w[i] (-x)^i a^(n-2i) is summed by Horner's rule in
+    a^2, then multiplied by a^(n % 2).
+    """
     k %= F.p
-    row = family_weights(n, k)
-    negx = F.neg(x)
-    if a == 1:
-        acc = 0
-        for w in reversed(row):
-            acc = F.add(F.mul(acc, negx), F.from_int(w))
-        return acc
-    apow = [1] * (n + 1)
-    for j in range(1, n + 1):
-        apow[j] = F.mul(apow[j - 1], a)
-    acc, xp = 0, 1
-    for i, w in enumerate(row):
-        acc = F.add(acc, F.mul(F.mul(F.from_int(w), xp), apow[n - 2 * i]))
+    negx, a2, acc, xp = F.neg(x), F.mul(a, a), 0, 1
+    for w in family_weights(n, k):
+        acc = F.add(F.mul(acc, a2), F.mul(F.from_int(w), xp))
         xp = F.mul(xp, negx)
-    return acc
+    return F.mul(acc, a) if n % 2 else acc
 
 
 def value_at_quarter(F, n, k):
@@ -297,33 +304,11 @@ def functional_map(ext, n, k, y):
     return ext.add(ext.mul(k, ext.mul(num, ext.inv(den))), ext.add(yn, zn))
 
 
-def _odd_binom(m, i):
-    """C(m, i) mod 2 by Lucas' theorem: odd iff i & (m - i) == 0."""
-    return 0 <= i <= m and i & (m - i) == 0
-
-
 def char2_eval(F, n, k, x, a=1):
-    """Characteristic-2 route from the row mod 2, with no integer row.
-
-    Only k mod 2 survives, leaving the second-kind row C(n-i, i) for odd
-    k and the first-kind row C(n-i, i) + C(n-i-1, i-1) for even k; each
-    entry mod 2 is a bit test (Lucas).  The value sum_i w_i x^i a^(n-2i)
-    (-x = x here) is summed by Horner's rule in a^2, then times a^(n%2).
-    """
+    """The definition route, refusing any field of odd characteristic."""
     if F.p != 2:
         raise ValueError("char2_eval is for characteristic 2")
-    if n == 0:
-        return F.from_int(2 - k)
-    a2, acc, xp = F.mul(a, a), 0, 1
-    for i in range(n // 2 + 1):
-        odd = _odd_binom(n - i, i)
-        if k % 2 == 0:
-            odd ^= _odd_binom(n - i - 1, i - 1)
-        acc = F.mul(acc, a2)
-        if odd:
-            acc = F.add(acc, xp)
-        xp = F.mul(xp, x)
-    return F.mul(acc, a) if n % 2 else acc
+    return eval_definition(F, n, k, x, a)
 
 
 # -- closed forms for indices near prime powers --------------------------
@@ -382,30 +367,33 @@ def closed_form(F, n, k, x):
 # -- half-scaled integer form ---------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ROW_CACHE_SIZE)
 def fnk_coeffs(n, k):
     """Integer polynomial f with D(n,k; 1,x) = (1/2)^n f(1 - 4x), odd p.
 
     For n >= 1, f(t) = k * sum_j C(n-1, 2j+1) (t^j - t^(j+1))
     + 2 * sum_j C(n, 2j) t^j; the index-0 member is the constant 2 - k.
-    Exact over the integers (k enters linearly, so reducing k mod p
-    first changes nothing mod p).
+    C(n, i) is stepped by the exact ratio (n-i)/(i+1), and C(n-1, i) is
+    C(n, i) (n-i)/n, straight into f.  Exact over the integers (k
+    enters linearly, so reducing k mod p first changes nothing mod p).
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
         return IntPolynomial((2 - k,))
     out = [0] * (n // 2 + 2)
+    c = 1                                       # C(n, 2j)
     for j in range(n // 2 + 1):
-        c = comb(n - 1, 2 * j + 1)
-        if c:
-            out[j] += k * c
-            out[j + 1] -= k * c
-        out[j] += 2 * comb(n, 2 * j)
+        odd = c * (n - 2 * j) // (2 * j + 1)    # C(n, 2j+1)
+        step = odd * (n - 2 * j - 1)
+        d = k * (step // n)                     # k C(n-1, 2j+1)
+        out[j] += 2 * c + d
+        out[j + 1] -= d
+        c = step // (2 * j + 2)                 # C(n, 2j+2)
     return IntPolynomial(tuple(out))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ROW_CACHE_SIZE)
 def _fnk_row_mod(n, k, p):
     return tuple(c % p for c in fnk_coeffs(n, k).coeffs)
 

@@ -6,15 +6,18 @@ import csv
 import hashlib
 import io
 import json
+import re
 import resource
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rdickson import charsum, cli, gf, permcheck, rdpoly
-from rdickson.cli import RunConfig, main
+from rdickson.cli import main
 
 
 def run(capsys, *argv):
@@ -65,6 +68,33 @@ class TestDocumentedExamples:
         lines = out.splitlines()
         assert lines[0] == "n k brute_force two_to_one agree"
         assert lines[1] == "3 1 true true true"
+
+
+def _readme_cli_examples():
+    """(argv, expected first output line or None) for every `rdickson`
+    line of the README's CLI block; "# -> text" gives the line, and two
+    spaces end it."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    examples = []
+    for line in block.split("```", 1)[0].splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        if argv[:1] != ["rdickson"]:
+            continue
+        literal = re.match(r"\s*->\s*(.*?)(?:\s{2,}.*)?$", comment)
+        examples.append((argv[1:], literal and literal.group(1)))
+    return examples
+
+
+@pytest.mark.parametrize("argv, first_line", _readme_cli_examples(),
+                         ids=lambda v: " ".join(v) if isinstance(v, list)
+                         else None)
+def test_readme_cli_example(capsys, argv, first_line):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    if first_line is not None:
+        assert out.splitlines()[0] == first_line
 
 
 class TestFormats:
@@ -383,7 +413,10 @@ class TestCharTwo:
     def test_eval_and_check_work(self, capsys):
         code, out, _ = run(capsys, "eval", "--field", "4", "--n", "6",
                            "--k", "3", "--x", "1,1", "--check")
-        assert code == 0 and "char2" in out and "agree: true" in out
+        lines = out.splitlines()
+        assert code == 0 and lines[-1] == "agree: true"
+        assert {line.split(": ")[0] for line in lines[:-1]} == \
+            {"definition", "recurrence"}
 
     def test_pp_needs_brute_force_only(self, capsys):
         code, out, _ = run(capsys, "pp", "--field", "4", "--n", "1..5",
@@ -406,8 +439,7 @@ class TestCharTwo:
         code, out, _ = run(capsys, "eval", "--field", "4", "--n", "6",
                            "--k", "1", "--x", "0,1", "--a", "1,1")
         assert code == 0 and out == "1,0\n"
-        # period 3, so n = 6000 repeats n = 6; eval_definition gives the
-        # same 1,0 but takes seconds at this index
+        # period 3, so n = 6000 repeats n = 6
         code, out, _ = run(capsys, "eval", "--field", "4", "--n", "6000",
                            "--k", "1", "--x", "0,1", "--a", "1,1")
         assert (code, out) == (0, "1,0\n")
@@ -419,23 +451,6 @@ class TestCharTwo:
                            str(10 ** 20), "--k", "1", "--x", "0,1",
                            "--a", "1,1")
         assert (code, out) == (0, ",".join(map(str, want)) + "\n")
-
-
-class TestRunConfig:
-    def test_dict_round_trip(self):
-        cfg = RunConfig(command="eval", fmt="json", out=None, check=True,
-                        unsafe_large=False, max_q=343,
-                        params=(("field", "9"), ("n", "3")))
-        assert RunConfig.from_dict(cfg.to_dict()) == cfg
-
-    def test_from_args_collects_params(self, capsys):
-        # reach through main so from_args sees real parsed namespaces
-        from rdickson.cli import _build_parser
-        args = _build_parser().parse_args(
-            ["eval", "--field", "5", "--n", "4", "--k", "3", "--x", "2"])
-        cfg = RunConfig.from_args(args)
-        assert cfg.command == "eval" and ("field", "5") in cfg.params
-        assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
 
 class TestModuleEntry:

@@ -70,6 +70,43 @@ class TestWeights:
                 assert w * (n - i) == n * math.comb(n - i, i)
 
 
+    @pytest.mark.parametrize("n", [2047, 2048, 3013, 4999, 5000])
+    def test_ratio_rows_match_binomials_at_large_n(self, n):
+        # every ratio step must divide exactly; the first kind is taken
+        # from w[i] = n/(n-i) C(n-i, i), not from the two-row sum
+        second = [math.comb(n - i, i) for i in range(n // 2 + 1)]
+        first = [n * c // (n - i) for i, c in enumerate(second)]
+        assert rd.second_kind_weights(n) == tuple(second)
+        assert rd.first_kind_weights(n) == tuple(first)
+        for k in range(4):
+            assert rd.family_weights(n, k) == tuple(
+                k * s - (k - 1) * f for f, s in zip(first, second))
+
+    @pytest.mark.parametrize("n", [1931, 3013, 5000])
+    def test_fnk_ratio_row_matches_binomials_at_large_n(self, n):
+        odd = [math.comb(n - 1, 2 * j + 1) for j in range(n // 2 + 1)]
+        even = [2 * math.comb(n, 2 * j) for j in range(n // 2 + 1)]
+        for k in range(4):
+            want = even + [0]
+            for j, c in enumerate(odd):
+                want[j] += k * c
+                want[j + 1] -= k * c
+            assert rd.fnk_coeffs(n, k) == rd.IntPolynomial(tuple(want))
+
+    def test_row_caches_stay_bounded_near_the_cap(self):
+        # eleven indices near the CLI's cross-check cap n = 5000
+        for n in range(4990, 5001):
+            rd.eval_definition(F5, n, 3, 2)
+            rd.eval_via_fnk(F5, n, 3, 2)
+            rd.fnk_coeffs(n, 2)
+        caches = [fn for fn in vars(rd).values() if hasattr(fn, "cache_info")]
+        assert caches
+        for fn in caches:
+            info = fn.cache_info()
+            assert info.maxsize is not None, fn.__name__
+            assert info.currsize <= rd.ROW_CACHE_SIZE, fn.__name__
+
+
 class TestFrozenValues:
     # frozen from the naive recurrence before the library ran
     def test_gf5_n4_k3_x2(self):
@@ -231,15 +268,16 @@ class TestChar2:
 
     @pytest.mark.parametrize("desc", ["4", "8", "16", "2^3/1,0,1,1"])
     def test_char2_eval_matches_definition_any_a(self, desc):
-        # the bit-test row against the exact integer row, a != 1 included
+        # the definition route against the oracle recurrence, a != 1 and
+        # a = 0 included
         F = gf.parse_field_descriptor(desc)
         rng = random.Random(desc)
         points = [(x, a) for x in F.elements() for a in F.elements()]
         for n in list(range(70)) + [127, 128, 129, 255, 256, 257, 300]:
             for k in range(4):
                 for x, a in rng.sample(points, 4) + [(F.q - 1, 0)]:
-                    assert rd.char2_eval(F, n, k, x, a) == \
-                        rd.eval_definition(F, n, k, x, a), (F.q, n, k, x, a)
+                    assert rd.eval_definition(F, n, k, x, a) == \
+                        naive(F, n, k % 2, x, a), (F.q, n, k, x, a)
 
     def test_char2_index_reduction(self):
         period = F4.q ** 2 - 1
