@@ -21,10 +21,10 @@ eval_via_fnk) build their rows exactly over the integers and only then
 reduce them mod p.  A row is walked from its first entry by the exact
 ratio of neighbouring binomials, a few big-int multiplies and exact
 divisions per entry.  The family row, the fnk row and its reduction
-mod p are cached, at most ROW_CACHE_SIZE of each.  The other routes,
-and as_polynomial (interpolated from the q values of eval_recurrence),
-compute in the field throughout.  No route divides by a quantity that
-can vanish.
+mod p keep ROW_CACHE_SIZE rows each, for callers that read one row at
+many points x.  The other routes, and as_polynomial (interpolated from
+the q values of eval_recurrence), compute in the field throughout.  No
+route divides by a quantity that can vanish.
 """
 
 from dataclasses import dataclass
@@ -35,8 +35,9 @@ from math import comb
 from . import gf
 from .gf import InternalCheckError
 
-# a row near the CLI's cross-check cap n = 5000 holds about 1 MiB of ints
-ROW_CACHE_SIZE = 8
+# Every caller that reads a row twice reads one (n, k) over many x; the
+# CLI reads each row once.  One row per cache serves that reuse.
+ROW_CACHE_SIZE = 1
 
 
 # -- polynomial value types ---------------------------------------------

@@ -40,8 +40,8 @@ def test_criterion_1_four_way_equivalence():
         F = gf.make_field(p, e)
         top = min(F.q ** 2 - 1, 200)
         for k in range(p):
-            for x in F.elements():
-                for n in range(top + 1):
+            for n in range(top + 1):
+                for x in F.elements():
                     v1 = rd.eval_definition(F, n, k, x)
                     v2 = rd.eval_recurrence(F, n, k, x)
                     v3 = rd.eval_functional(F, n, k, x)

@@ -100,11 +100,9 @@ class TestWeights:
             rd.eval_via_fnk(F5, n, 3, 2)
             rd.fnk_coeffs(n, 2)
         caches = [fn for fn in vars(rd).values() if hasattr(fn, "cache_info")]
-        assert caches
-        for fn in caches:
-            info = fn.cache_info()
-            assert info.maxsize is not None, fn.__name__
-            assert info.currsize <= rd.ROW_CACHE_SIZE, fn.__name__
+        assert all(fn.cache_info().maxsize is not None for fn in caches)
+        for fn in (rd.family_weights, rd.fnk_coeffs, rd._fnk_row_mod):
+            assert fn.cache_info().currsize <= rd.ROW_CACHE_SIZE, fn.__name__
 
 
 class TestFrozenValues:
