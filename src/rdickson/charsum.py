@@ -222,14 +222,6 @@ class SumTable:
     d: list
     sums: list
 
-    def to_json(self):
-        F = self.field
-        return {"field": gf.field_descriptor(F),
-                "k": self.k,
-                "rows": [{"n": n, "sum": list(F.coeffs(self.sums[n])),
-                          "d": self.d[n]}
-                         for n in range(1, len(self.sums))]}
-
 
 def sums_via_recurrence(F, k):
     """Build the SumTable along both closed routes and cross-check.

@@ -15,14 +15,17 @@ guarded by q <= RDK_MAX_Q (environment, default 343), and grids and
 range arguments by 10^6 points; --unsafe-large lifts both.
 
 Exit codes: 0 verified/ok, 1 a check failed or an internal
-cross-check tripped, 2 usage error.  Output is deterministic: equal
-invocations produce identical bytes.
+cross-check tripped, 2 usage error, an --out that cannot be written
+included.  Output is deterministic: equal invocations produce identical
+bytes.  Commands render their whole output and write it once; `sums`
+builds and checks its table first and then writes it one row at a time,
+rendering each of its at most p distinct sum values once.
 """
 
 import argparse
+import contextlib
 import csv
 import io
-import itertools
 import json
 import os
 import sys
@@ -158,14 +161,37 @@ def _render(fmt, pretty_lines, json_obj, csv_header, csv_rows):
     return "\n".join(pretty_lines)
 
 
+@contextlib.contextmanager
+def _output(args):
+    """The stream a command writes to: the --out file, or stdout.
+
+    An OSError from opening or writing --out is a usage error.  A reader
+    that closes stdout early (say `| head`) ends the output quietly and
+    leaves the exit code to the command.
+    """
+    if not args.out:
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # what is left, and the flush at exit, goes to the null device
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise UsageError(
+            f"cannot write --out {args.out}: {exc.strerror or exc}")
+
+
 def _emit(args, pretty_lines, json_obj, csv_header, csv_rows):
     text = _render(args.format, pretty_lines, json_obj, csv_header, csv_rows)
-    text += "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    text += "\n"               # appends in place: no second copy of text
+    with _output(args) as fh:
+        fh.write(text)
 
 
 # -- eval --------------------------------------------------------------
@@ -388,28 +414,59 @@ def cmd_sums(args, cfg):
         raise UsageError("sum tables need odd characteristic")
     k = _parse_int(args.k, "--k")
     table = charsum.sums_via_recurrence(F, k)
-    oracle = {}
+    oracle = None
     if args.check:
         brute = charsum.sums_bruteforce(F, k)
-        oracle = {n: brute[n] == table.sums[n] for n in range(1, F.q ** 2)}
-    mismatch = args.check and not all(oracle.values())
+        oracle = [brute[n] == table.sums[n] for n in range(F.q ** 2)]
+    with _output(args) as fh:
+        _write_sums(fh, args.format, table, oracle)
+    return 0 if oracle is None or all(oracle[1:]) else 1
 
-    # lazy rows: _render consumes only the rendering --format names
+
+def _write_sums(fh, fmt, table, oracle):
+    """Write the rows n = 1 .. q^2 - 1 of a sum table one at a time.
+
+    The bytes are those of the whole-table renderings: json.dumps(...,
+    sort_keys=True, indent=2) of {command, field, k, rows}, csv.writer
+    rows, or space-joined cells.  oracle[n] fills oracle_match (json
+    leaves the key out, the other formats the cell blank, when oracle is
+    None).  Every sum lies in the prime subfield, so each of the at most
+    p distinct values is rendered once.
+    """
+    F, sums, d = table.field, table.sums, table.d
+    rows = range(1, len(sums))
+    if oracle is None:
+        oracle = [None] * len(sums)
+    if fmt == "json":
+        # a row's sum list sits at nesting depth 3: items at 8 spaces
+        cell = {v: json.dumps(list(F.coeffs(v)), indent=2).replace(
+                    "\n", "\n      ") for v in set(sums)}
+        match = {None: "", True: '      "oracle_match": true,\n',
+                 False: '      "oracle_match": false,\n'}
+        fh.write(f'{{\n  "command": "sums",\n'
+                 f'  "field": {json.dumps(gf.field_descriptor(F))},\n'
+                 f'  "k": {table.k},\n  "rows": [')
+        sep = "\n"
+        for n in rows:
+            fh.write(f'{sep}    {{\n      "d": {d[n]},\n      "n": {n},\n'
+                     f'{match[oracle[n]]}'
+                     f'      "sum": {cell[sums[n]]}\n    }}')
+            sep = ",\n"
+        fh.write("\n  ]\n}\n")
+        return
+    cell = {v: _coords(F, v) for v in set(sums)}
+    match = {None: "", True: "true", False: "false"}
     header = ("n", "sum", "d", "oracle_match")
-    rows = ([str(n), _coords(F, table.sums[n]), str(table.d[n]),
-             _bool(oracle[n]) if args.check else ""]
-            for n in range(1, F.q ** 2))
-    pretty = itertools.chain([" ".join(header)],
-                             (" ".join(cells).rstrip() for cells in rows))
-    jobj = None
-    if args.format == "json":
-        jobj = table.to_json()
-        jobj.update(command="sums")
-        if args.check:
-            for row in jobj["rows"]:
-                row["oracle_match"] = oracle[row["n"]]
-    _emit(args, pretty, jobj, header, rows)
-    return 1 if mismatch else 0
+    if fmt == "csv":
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows((n, cell[sums[n]], d[n], match[oracle[n]])
+                         for n in rows)
+        return
+    fh.write(" ".join(header) + "\n")
+    for n in rows:
+        fh.write(f"{n} {cell[sums[n]]} {d[n]} {match[oracle[n]]}".rstrip()
+                 + "\n")
 
 
 # -- field-info --------------------------------------------------------

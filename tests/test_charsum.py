@@ -1,10 +1,12 @@
 """Sum tables against the add-it-all-up oracle."""
 
 import hashlib
+import json
 
 import pytest
 
 from rdickson import charsum as cs
+from rdickson import cli
 from rdickson import gf
 from rdickson import rdpoly as rd
 from rdickson.gf import InternalCheckError
@@ -110,13 +112,20 @@ class TestSumTable:
         with pytest.raises(InternalCheckError):
             cs._d_vector(F5, 3, c)
 
-    def test_json_rows(self):
-        blob = cs.sums_via_recurrence(F9, 2).to_json()
+    def test_json_rows(self, capsys):
+        # the table as the CLI writes it in json
+        assert cli.main(["sums", "--field", "3^2/1,0,1", "--k", "2",
+                         "--format", "json"]) == 0
+        blob = json.loads(capsys.readouterr().out)
         assert blob["field"] == "3^2/1,0,1" and blob["k"] == 2
         assert len(blob["rows"]) == 80
         assert blob["rows"][0]["n"] == 1
         first = blob["rows"][0]
         assert first["sum"] == list(F9.coeffs(cs.sums_bruteforce(F9, 2)[1]))
+        table = cs.sums_via_recurrence(F9, 2)
+        for n, row in enumerate(blob["rows"], start=1):
+            assert row == {"n": n, "d": table.d[n],
+                           "sum": list(F9.coeffs(table.sums[n]))}
 
     def test_rejects_char2(self):
         with pytest.raises(ValueError):

@@ -6,11 +6,13 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 import resource
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -121,21 +123,32 @@ class TestFormats:
         rows = list(csv.reader(io.StringIO(out)))
         assert all(row[3] == "" for row in rows[1:])
 
-    @pytest.mark.parametrize("fmt, coords, to_json", [
-        ("pretty", 24, 0), ("csv", 24, 0), ("json", 0, 1)])
-    def test_sums_renders_only_requested_format(self, capsys, monkeypatch,
-                                                fmt, coords, to_json):
-        # one _coords per row for pretty and csv, to_json alone for json
+    @pytest.mark.parametrize("fmt, caps", [
+        ("pretty", {"_coords": 5, "dumps": 0, "writer": 0}),
+        ("csv", {"_coords": 5, "dumps": 0, "writer": 1}),
+        ("json", {"_coords": 0, "dumps": 5 + 1, "writer": 0})])
+    def test_sums_renders_only_requested_format(self, monkeypatch, fmt, caps):
+        # 624 rows but at most p = 5 distinct sums: each value's
+        # coordinates are rendered once (json also dumps the field
+        # descriptor), and only in the format asked for
+        F = gf.make_field(5, 2)
+        table = charsum.sums_via_recurrence(F, 3)
+        brute = charsum.sums_bruteforce(F, 3)
+        oracle = [a == b for a, b in zip(brute, table.sums)]
         calls = collections.Counter()
-        for owner, name in ((cli, "_coords"), (charsum.SumTable, "to_json")):
-            def counted(*a, _real=getattr(owner, name), _name=name):
+        for owner, name in ((gf.FieldSpec, "coeffs"), (cli, "_coords"),
+                            (cli.json, "dumps"), (cli.csv, "writer")):
+            def counted(*a, _real=getattr(owner, name), _name=name, **kw):
                 calls[_name] += 1
-                return _real(*a)
+                return _real(*a, **kw)
             monkeypatch.setattr(owner, name, counted)
-        code, _, _ = run(capsys, "sums", "--field", "5", "--k", "3",
-                         "--format", fmt, "--check")
-        assert code == 0
-        assert (calls["_coords"], calls["to_json"]) == (coords, to_json)
+        out = io.StringIO()
+        cli._write_sums(out, fmt, table, oracle)
+        assert out.getvalue().count("\n") > 624
+        assert 0 < calls["coeffs"] <= 5
+        for name, cap in caps.items():
+            assert (calls[name] > 0) == (cap > 0), name
+            assert calls[name] <= cap, name
 
     def test_output_is_byte_identical_across_runs(self, capsys):
         argv = ("verify", "T-k0-pe2", "--p", "3,5", "--e", "1",
@@ -151,6 +164,93 @@ class TestFormats:
                            "--out", str(target))
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["value"] == [0]
+
+
+def _sums_reference(F, k, fmt, check):
+    """The sums output built whole: json.dumps of the table object,
+    csv.writer rows, or the space-joined pretty lines."""
+    table = charsum.sums_via_recurrence(F, k)
+    rows = range(1, F.q ** 2)
+    match = {}
+    if check:
+        brute = charsum.sums_bruteforce(F, k)
+        match = {n: brute[n] == table.sums[n] for n in rows}
+    coords = {n: list(F.coeffs(table.sums[n])) for n in rows}
+    if fmt == "json":
+        obj = {"command": "sums", "field": gf.field_descriptor(F),
+               "k": k % F.p, "rows": []}
+        for n in rows:
+            row = {"n": n, "sum": coords[n], "d": table.d[n]}
+            if check:
+                row["oracle_match"] = match[n]
+            obj["rows"].append(row)
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    header = ["n", "sum", "d", "oracle_match"]
+    cells = [[str(n), ",".join(map(str, coords[n])), str(table.d[n]),
+              ("true" if match[n] else "false") if check else ""]
+             for n in rows]
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(cells)
+        return buf.getvalue()
+    return "\n".join([" ".join(header)]
+                     + [" ".join(c).rstrip() for c in cells]) + "\n"
+
+
+class TestSumsWriter:
+    # the table is written row by row; the bytes must be those of the
+    # whole-table renderings
+    def _check(self, capsys, tmp_path, fd, k, fmt, check, dest):
+        argv = ["sums", "--field", fd, "--k", str(k), "--format", fmt]
+        argv += ["--check"] if check else []
+        target = tmp_path / "sums.out"
+        argv += ["--out", str(target)] if dest == "out" else []
+        code, out, err = run(capsys, *argv)
+        if dest == "out":
+            assert out == ""
+            out = target.read_text(encoding="utf-8")
+        want = _sums_reference(gf.parse_field_descriptor(fd), k, fmt, check)
+        assert out == want and err == ""
+        return code
+
+    @pytest.mark.parametrize("dest", ["stdout", "out"])
+    @pytest.mark.parametrize("check", [False, True], ids=["plain", "check"])
+    @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+    @pytest.mark.parametrize("fd", ["5", "7", "9", "25", "27"])
+    def test_bytes_match_whole_table_rendering(self, capsys, tmp_path, fd,
+                                               fmt, check, dest):
+        assert self._check(capsys, tmp_path, fd, 4, fmt, check, dest) == 0
+
+    @pytest.mark.parametrize("fd, k, dest", [("125", 2, "stdout"),
+                                             ("243", 1, "out")])
+    def test_large_json_bytes(self, capsys, tmp_path, fd, k, dest):
+        assert self._check(capsys, tmp_path, fd, k, "json", False, dest) == 0
+
+    @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+    def test_oracle_mismatch_rows(self, capsys, tmp_path, monkeypatch, fmt):
+        real = charsum.sums_bruteforce
+
+        def off_by_one(F, k):
+            brute = real(F, k)
+            brute[3] = F.add(brute[3], 1)
+            return brute
+        monkeypatch.setattr(charsum, "sums_bruteforce", off_by_one)
+        assert self._check(capsys, tmp_path, "9", 2, fmt, True,
+                           "stdout") == 1
+
+    def test_json_table_memory_peak(self, tmp_path):
+        # rendered as one json.dumps string this call peaked at 81.6 MiB;
+        # the table itself takes about 3.3 MiB
+        tracemalloc.start()
+        try:
+            code = main(["sums", "--field", "243", "--k", "1", "--format",
+                         "json", "--out", str(tmp_path / "s.json")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 8 * 2 ** 20
 
 
 class TestChecks:
@@ -391,6 +491,48 @@ class TestGuardsAndErrors:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert "size bound" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ("sums", "--field", "5", "--k", "1"),
+        ("eval", "--field", "5", "--n", "4", "--k", "3", "--x", "2")],
+        ids=["sums", "eval"])
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, argv, where):
+        # used to end in a FileNotFoundError or IsADirectoryError traceback
+        target = tmp_path / "missing" / "x.txt" if where == "missing-dir" \
+            else tmp_path
+        proc = run_capped(*argv, "--out", str(target))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith(f"error: cannot write --out {target}: ")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, lines, code", [
+        (("sums", "--field", "125", "--k", "1"), 1, 0),
+        (("sums", "--field", "125", "--k", "1", "--check"), 1, 1),
+        (("eval", "--field", "5", "--n", "4", "--k", "3", "--x", "2"), 0, 0)],
+        ids=["sums", "sums-check", "eval"])
+    def test_reader_closing_the_pipe_keeps_the_exit_code(self, tmp_path,
+                                                         argv, lines, code):
+        # the reader closes its end after `lines` lines: the sums rows
+        # outgrow the pipe buffer, so rows are still unwritten, and eval
+        # has not flushed its one line yet; with --check the oracle is
+        # made to disagree, and the 1 must survive
+        (tmp_path / "sitecustomize.py").write_text(
+            "from rdickson import charsum\n"
+            "real = charsum.sums_bruteforce\n"
+            "def off(F, k):\n"
+            "    S = real(F, k); S[1] = F.add(S[1], 1); return S\n"
+            "charsum.sums_bruteforce = off\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(tmp_path), *sys.path]))
+        proc = subprocess.Popen([sys.executable, "-m", "rdickson", *argv],
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env)
+        for _ in range(lines):
+            proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=20), err) == (code, b"")
 
     @pytest.mark.parametrize("l", ["100000", "1000000000000"])
     def test_huge_exponent_is_refused_before_any_scan(self, l):
