@@ -208,8 +208,6 @@ def cmd_eval(args, cfg):
     if args.check:
         if n <= SMALL_N:
             methods["definition"] = rdpoly.eval_definition(F, n, k, x, a)
-        if a == 0:
-            methods["a0"] = rdpoly.eval_a0(F, n, k, x)
         if F.p != 2 and a == 1:
             methods["functional"] = rdpoly.eval_functional(F, n, k, x)
             if n <= SMALL_N:
@@ -328,7 +326,7 @@ def cmd_verify(args, cfg):
     if not args.p or not args.e:
         raise UsageError("--p and --e are required for theorem grids")
     ps = _parse_range_list(args.p, "--p", cfg)
-    es = _parse_range_list(args.e, "--e", cfg)
+    es = _parse_range_list(args.e, "--e", cfg, minimum=1)
     ls = _parse_range_list(args.l, "--l", cfg, minimum=0) if args.l else None
     ns = _parse_range_list(args.n, "--n", cfg, minimum=0) if args.n else None
     ks = _parse_range_list(args.k, "--k", cfg) if args.k else None

@@ -11,7 +11,8 @@ the arithmetic and is passed around together with the elements.
 GF(q^2) is modelled separately as GF(q)[s]/(s^2 - d) with d the first
 non-square of GF(q)*: an extension element is an int u = a0 + a1*q
 built from two base-field encodings, so base elements embed as
-themselves and membership in the base line is the test u < q.
+themselves and membership in the base line is the test u < q.  Square
+roots are taken by Tonelli-Shanks with that same d as the non-square.
 
 Construction validates everything (primality, monic irreducible
 modulus); after that a FieldSpec is immutable and safe to share.  A
@@ -118,18 +119,31 @@ def _default_modulus(p, e):
     raise AssertionError("unreachable: irreducibles exist in every degree")
 
 
-def _cyclic_tables(size, candidates, power, times):
+def _square_and_multiply(mul, a, n):
+    """a^n for n >= 0 by square-and-multiply over the product mul."""
+    result = 1
+    while n:
+        if n & 1:
+            result = mul(result, a)
+        a = mul(a, a)
+        n >>= 1
+    return result
+
+
+def _cyclic_tables(size, candidates, mul, times):
     """exp/log tables of the cyclic group GF(size)*, as array('i').
 
     The generator is the first candidate g with g^(N/f) != 1 for every
-    prime f dividing N = size - 1, tested with the table-free power;
-    times(g) is the map u -> u*g, and walking it gives exp[i] = g^i for
-    i < N and log[g^i] = i (log[0] is unused).
+    prime f dividing N = size - 1, tested by square-and-multiply over
+    the table-free product mul; times(g) is the map u -> u*g, and
+    walking it gives exp[i] = g^i for i < N and log[g^i] = i (log[0] is
+    unused).
     """
     order = size - 1
     fac = _prime_factors(order)
     gen = next(g for g in candidates
-               if all(power(g, order // f) != 1 for f in fac))
+               if all(_square_and_multiply(mul, g, order // f) != 1
+                      for f in fac))
     step = times(gen)
     exp = array("i", [0]) * order
     log = array("i", [0]) * size
@@ -164,7 +178,7 @@ class FieldSpec:
         self._pows = [p ** i for i in range(e + 1)]
         self._exp = self._log = self._neg_table = self._add_table = None
         if e >= 2 and self.q <= _LOG_TABLE_MAX_Q:
-            exp, log = _cyclic_tables(self.q, range(2, self.q), self._pow_slow,
+            exp, log = _cyclic_tables(self.q, range(2, self.q), self._mul_slow,
                                       lambda g: partial(self._mul_slow, g))
             # lists, not arrays: at q <= 4096 memory is no concern, and a
             # list hands back its stored ints where an array builds new
@@ -174,7 +188,7 @@ class FieldSpec:
         if e >= 2 and self.q <= _ADD_TABLE_MAX_Q:
             self._build_add_tables()
         if p != 2:
-            self._half = self.inv(2 % self.q if e == 1 else 2)
+            self._half = self.inv(2)
             self._quarter = self.mul(self._half, self._half)
         else:
             self._half = self._quarter = None
@@ -265,7 +279,7 @@ class FieldSpec:
             return pow(a, -1, self.p)
         if self._exp is not None:
             return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
-        return self._pow_slow(a, self.q - 2)
+        return _square_and_multiply(self._mul_slow, a, self.q - 2)
 
     def pow(self, a, n):
         if a == 0:
@@ -279,7 +293,7 @@ class FieldSpec:
             return pow(a, n, self.p)
         if self._exp is not None:
             return self._exp[self._log[a] * n % (self.q - 1)]
-        return self._pow_slow(a, n)
+        return _square_and_multiply(self._mul_slow, a, n)
 
     def is_square(self, a):
         """Quadratic character test; zero counts as a square."""
@@ -302,15 +316,6 @@ class FieldSpec:
         prod = modpoly.mulmod(list(self.coeffs(a)), list(self.coeffs(b)),
                               list(self.modulus), self.p)
         return self.element(prod)
-
-    def _pow_slow(self, a, n):
-        result = 1
-        while n:
-            if n & 1:
-                result = self._mul_slow(result, a)
-            a = self._mul_slow(a, a)
-            n >>= 1
-        return result
 
     # -- table construction ---------------------------------------------
 
@@ -550,7 +555,7 @@ class QuadExt:
                 return self.base.pow(u, n)
             self._charge(n.bit_length() + n.bit_count())
             if self._exp is None:
-                return self._pow_slow(u, n)
+                return _square_and_multiply(self._mul_slow, u, n)
         return self._exp[self._log[u] * n % (self.size - 1)]
 
     def frobenius(self, u):
@@ -563,7 +568,7 @@ class QuadExt:
         """Build the exp/log tables of GF(q^2)* now, if not yet built."""
         if self._exp is None:
             self._exp, self._log = _cyclic_tables(
-                self.size, range(self.q, self.size), self._pow_slow,
+                self.size, range(self.q, self.size), self._mul_slow,
                 self._times)
 
     def _charge(self, muls):
@@ -578,16 +583,6 @@ class QuadExt:
         re = F.add(F.mul(a0, b0), F.mul(self.d, F.mul(a1, b1)))
         im = F.add(F.mul(a0, b1), F.mul(a1, b0))
         return re + im * q
-
-    def _pow_slow(self, u, n):
-        """Square-and-multiply for n >= 0, on the coordinate product."""
-        result = 1
-        while n:
-            if n & 1:
-                result = self._mul_slow(result, u)
-            u = self._mul_slow(u, u)
-            n >>= 1
-        return result
 
     def _times(self, g):
         """The map u -> u*g, with g's coordinate products precomputed:
@@ -611,40 +606,34 @@ def quadratic_extension(field):
     return QuadExt(field)
 
 
-def sqrt_ext(ext, v, exhaustive_max=10_000):
+def sqrt_ext(ext, v):
     """Square roots of a base-field element, in GF(q) or GF(q^2).
 
     Returns the roots as extension encodings in ascending coordinate
     order: (0,) for v = 0, otherwise a pair.  A square is rooted in
-    the base field (by exhaustive scan up to exhaustive_max elements,
-    Tonelli-Shanks beyond); a non-square v is rooted as sqrt(v/d)*s,
-    since v/d is then a square and s*s = d.
+    the base field by Tonelli-Shanks, with the extension's d as the
+    non-square it needs; a non-square v is rooted as sqrt(v/d)*s, since
+    v/d is then a square and s*s = d.
     """
-    F = ext.base
+    F, d = ext.base, ext.d
     if v == 0:
         return (0,)
     if F.is_square(v):
-        r = _base_sqrt(F, v, exhaustive_max)
+        r = _tonelli_shanks(F, v, d)
         roots = (r, F.neg(r))
     else:
-        w = _base_sqrt(F, F.mul(v, F.inv(ext.d)), exhaustive_max)
+        w = _tonelli_shanks(F, F.mul(v, F.inv(d)), d)
         roots = (ext.make(0, w), ext.make(0, F.neg(w)))
     return tuple(sorted(roots, key=ext.coeffs))
 
 
-def _base_sqrt(F, v, exhaustive_max):
-    """One square root of a known square v != 0 in GF(q), q odd."""
-    if F.q <= exhaustive_max:
-        return next(r for r in range(1, F.q) if F.mul(r, r) == v)
-    return _tonelli_shanks(F, v)
-
-
-def _tonelli_shanks(F, v):
+def _tonelli_shanks(F, v, z):
+    """One square root of a square v != 0 of GF(q), q odd, given a
+    non-square z of GF(q)*."""
     t, s = F.q - 1, 0
     while t % 2 == 0:
         t //= 2
         s += 1
-    z = next(x for x in range(1, F.q) if not F.is_square(x))
     m, c = s, F.pow(z, t)
     u, r = F.pow(v, t), F.pow(v, (t + 1) // 2)
     while u != 1:

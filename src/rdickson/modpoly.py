@@ -9,11 +9,12 @@ multiply-adds plus one pass over the output list.
 
 
 def trim(c):
-    """Strip trailing zero coefficients."""
-    n = len(c)
-    while n and c[n - 1] == 0:
-        n -= 1
-    return list(c[:n])
+    """A new list of the coefficients of c without trailing zeros; c may
+    be any iterable."""
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
 
 
 def degree(c):

@@ -12,19 +12,19 @@ the same values, kept separate so they can be cross-checked:
   eval_recurrence   Lucas index doubling after reduction mod q^2 - 1
   eval_functional   through the parameter y with y(1 - y) = x in GF(q^2)
   eval_via_fnk      half-scaled integer form evaluated at 1 - 4x
-  eval_a0           closed value at a = 0
   closed_form       closed values for indices p^l, p^l + 1, p^l + 2
 
-char2_eval is eval_definition behind a characteristic-2 check, not a
-route of its own.  The integer-row routes (eval_definition and
-eval_via_fnk) build their rows exactly over the integers and only then
-reduce them mod p.  A row is walked from its first entry by the exact
-ratio of neighbouring binomials, a few big-int multiplies and exact
-divisions per entry.  The family row, the fnk row and its reduction
-mod p keep ROW_CACHE_SIZE rows each, for callers that read one row at
-many points x.  The other routes, and as_polynomial (interpolated from
-the q values of eval_recurrence), compute in the field throughout.  No
-route divides by a quantity that can vanish.
+char2_eval is eval_definition behind a characteristic-2 check, and
+eval_a0, the closed value at a = 0, is what eval_recurrence returns at
+a = 0; neither is a route of its own.  The integer-row routes
+(eval_definition and eval_via_fnk) build their rows exactly over the
+integers and only then reduce them mod p.  A row is walked from its
+first entry by the exact ratio of neighbouring binomials, a few big-int
+multiplies and exact divisions per entry.  The family row, the fnk row
+and its reduction mod p keep ROW_CACHE_SIZE rows each, for callers that
+read one row at many points x.  The other routes, and as_polynomial
+(interpolated from the q values of eval_recurrence), compute in the
+field throughout.  No route divides by a quantity that can vanish.
 """
 
 from dataclasses import dataclass
@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from . import gf
+from . import gf, modpoly
 from .gf import InternalCheckError
 
 # Every caller that reads a row twice reads one (n, k) over many x; the
@@ -68,11 +68,7 @@ class IntPolynomial:
     coeffs: tuple
 
     def __post_init__(self):
-        c = tuple(self.coeffs)
-        n = len(c)
-        while n and c[n - 1] == 0:
-            n -= 1
-        object.__setattr__(self, "coeffs", c[:n])
+        object.__setattr__(self, "coeffs", tuple(modpoly.trim(self.coeffs)))
 
     @property
     def degree(self):
@@ -102,11 +98,7 @@ class FieldPolynomial:
     coeffs: tuple
 
     def __post_init__(self):
-        c = tuple(self.coeffs)
-        n = len(c)
-        while n and c[n - 1] == 0:
-            n -= 1
-        object.__setattr__(self, "coeffs", c[:n])
+        object.__setattr__(self, "coeffs", tuple(modpoly.trim(self.coeffs)))
 
     @property
     def degree(self):
@@ -449,9 +441,7 @@ def fnk_specialize(n, k):
         rhs = [Fraction(3 * n - 8 * j - 1, n + 1) * comb(n + 1, 2 * j + 1)
                for j in range(l)] + [Fraction(-1)]
     lhs = tuple(Fraction(c) for c in fnk_coeffs(n, k).coeffs)
-    rhs = tuple(Fraction(c) for c in rhs)
-    while rhs and rhs[-1] == 0:
-        rhs = rhs[:-1]
+    rhs = tuple(Fraction(c) for c in modpoly.trim(rhs))
     return FnkIdentityReport(n=n, k=k, holds=lhs == rhs, lhs=lhs, rhs=rhs)
 
 

@@ -240,17 +240,18 @@ class TestSumsWriter:
         assert self._check(capsys, tmp_path, "9", 2, fmt, True,
                            "stdout") == 1
 
-    def test_json_table_memory_peak(self, tmp_path):
-        # rendered as one json.dumps string this call peaked at 81.6 MiB;
-        # the table itself takes about 3.3 MiB
-        tracemalloc.start()
-        try:
-            code = main(["sums", "--field", "243", "--k", "1", "--format",
-                         "json", "--out", str(tmp_path / "s.json")])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert code == 0 and peak < 8 * 2 ** 20
+    def test_json_table_memory_peak(self):
+        # only the writer is traced: rendered as one json.dumps string the
+        # GF(243) table peaked at about 80 MiB, row by row at about 0.5 MiB
+        table = charsum.sums_via_recurrence(gf.make_field(3, 5), 1)
+        with open(os.devnull, "w", encoding="utf-8") as fh:
+            tracemalloc.start()
+            try:
+                cli._write_sums(fh, "json", table, None)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
 
 class TestChecks:
@@ -260,6 +261,25 @@ class TestChecks:
         assert code == 0
         assert "agree: true" in out
         assert "closed_form" in out               # 8 = 7 + 1 has a shape
+
+    @pytest.mark.parametrize("n, routes", [(7000, ["recurrence"]),
+                                           (3, ["definition", "recurrence"])])
+    def test_eval_check_at_a0_prints_no_echoed_route(self, capsys, n, routes):
+        # at a = 0 eval_recurrence is eval_a0, so an "a0" route would only
+        # repeat the recurrence line
+        argv = ("eval", "--field", "5", "--n", str(n), "--k", "1", "--x", "2",
+                "--a", "0", "--check")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert [line.split(": ")[0] for line in out.splitlines()] == \
+            routes + ["agree"]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        obj = json.loads(out)
+        assert code == 0 and sorted(obj["methods"]) == routes and obj["agree"]
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert [row[0] for row in csv.reader(io.StringIO(out))] == \
+            ["quantity", "value", *routes, "agree"]
 
     def test_eval_check_disagreement_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(rdpoly, "eval_functional",
@@ -435,6 +455,13 @@ class TestGuardsAndErrors:
                            "--e", "1", flag, "-1")
         assert code == 2 and "at least 0" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("e", ["0", "-1"])
+    def test_verify_rejects_degree_below_one(self, capsys, e):
+        # --e 0 used to fail inside make_field, --e -1 as an empty domain
+        code, out, err = run(capsys, "verify", "T2.1", "--p", "3", "--e", e)
+        assert (code, out) == (2, "")
+        assert err == "error: --e entries must be at least 1\n"
 
     def test_verify_grid_guard(self, capsys):
         # 400001 indices times 3 kinds is past the 10^6 point bound

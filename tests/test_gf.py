@@ -1,5 +1,6 @@
 """Field layer: construction, arithmetic, quadratic extensions."""
 
+import itertools
 import random
 
 import pytest
@@ -212,13 +213,41 @@ def test_sqrt_ext_everywhere():
                 assert all(ext.in_base(r) for r in roots) == (v in sq)
 
 
-def test_sqrt_algorithmic_path_agrees_with_scan():
-    # force Tonelli-Shanks by setting the exhaustive threshold to zero
-    for F in (gf.make_field(13), gf.make_field(17), gf.make_field(3, 2),
-              gf.make_field(5, 2)):
-        ext = gf.quadratic_extension(F)
-        for v in F.elements():
-            assert gf.sqrt_ext(ext, v, exhaustive_max=0) == gf.sqrt_ext(ext, v)
+def scan_roots(ext):
+    """Oracle: the roots in GF(q^2) of every v in GF(q), by scanning.
+
+    (a0 + a1 s)^2 = a0^2 + d a1^2 + 2 a0 a1 s lies in GF(q) only if
+    a0 a1 = 0, so the base line and the line s*GF(q) hold every root.
+    """
+    q = ext.q
+    roots = {}
+    for u in itertools.chain(range(q), range(q, q * q, q)):
+        roots.setdefault(ext.mul(u, u), []).append(u)
+    return {v: tuple(sorted(us, key=ext.coeffs)) for v, us in roots.items()}
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 13, 17, 25, 27, 41, 49, 73, 81,
+                               97, 243, 257, 337, 343])
+def test_sqrt_ext_matches_scan(q):
+    # 8 or 16 divides q - 1 for 9, 17, 25, 41, 49, 73, 81, 97, 257 and
+    # 337, so Tonelli-Shanks runs its inner squaring loop
+    ext = gf.quadratic_extension(gf.parse_field_descriptor(str(q)))
+    want = scan_roots(ext)
+    assert sorted(want) == list(range(q))
+    for v in range(q):
+        assert gf.sqrt_ext(ext, v) == want[v]
+
+
+@pytest.mark.parametrize("q", [10007, 12289])
+def test_sqrt_ext_large_prime_sample(q):
+    # 2^12 divides 12289 - 1; 10007 - 1 = 2 * 5003
+    F = gf.make_field(q)
+    ext = gf.quadratic_extension(F)
+    for v in random.Random(q).sample(range(1, q), 200):
+        roots = gf.sqrt_ext(ext, v)
+        assert len(roots) == 2 and roots[0] != roots[1]
+        assert all(ext.mul(r, r) == v for r in roots)
+        assert all(ext.in_base(r) for r in roots) == F.is_square(v)
 
 
 def test_solve_y():
