@@ -2,12 +2,11 @@
 
 S(n) = sum over all x in GF(q) of D(n,k; 1,x) lies in the prime
 subfield, so everything here is arithmetic on integer vectors mod p.
-The route: a closed coefficient vector b (built twice, by a digit case
-formula and by expanding a product, and compared), a right-hand-side
-vector c derived from b, a first-order recurrence that pins down the
-shifted sums d_n = S(n) - (k(n-1)+2)/2^n for 1 <= n <= q^2 - 1, and a
-second, direct expression for S(n) sharing only c.  The recurrence
-overdetermines the final block; the spare equations are checked.
+The route: a closed coefficient vector b (the expansion of a product),
+a right-hand-side vector c derived from b, and a first-order recurrence
+that pins down the shifted sums d_n = S(n) - (k(n-1)+2)/2^n for
+1 <= n <= q^2 - 1.  The recurrence overdetermines the final block; the
+spare equations are checked.
 A table costs O(q^2) list work beyond the field: b has about 2q
 nonzero entries and modpoly.mul skips zeros, so the one large product,
 mixer * b, is O(q^2).  sums_bruteforce is the term-by-term oracle,
@@ -15,7 +14,6 @@ O(q^3) for all n at once.
 """
 
 from dataclasses import dataclass
-from math import comb
 
 from . import gf, modpoly
 from .gf import InternalCheckError
@@ -38,31 +36,18 @@ def power_sum(F, m):
 # -- the b vector ----------------------------------------------------------
 
 
-def _b_by_cases(F, k):
-    # digit formula: j = alpha + beta q with 0 <= alpha < q
-    q, p = F.q, F.p
-    out = [0] * (q * q - q + 2)
-    for j in range(len(out)):
-        alpha, beta = j % q, j // q
-        s = alpha + beta
-        if s == q - 1:
-            v = (-1) ** (beta + 1) * (2 - k) * comb(q - 1, beta)
-        elif s == q:
-            v = (-1) ** (beta + 1) * (k - 1) * comb(q - 1, beta)
-        elif s == 1:
-            v = 1 - k
-        elif s == 0:
-            v = k - 2
-        else:
-            v = 0
-        out[j] = v % p
-    return out
+def b_coeffs(F, k):
+    """Coefficient vector b, indices 0 .. q^2 - q + 1, entries mod p.
 
-
-def _b_by_product(F, k):
-    # (2 - k + (k-1) z) * (-1 - (z - z^q)^(q-1)), no binomials involved
-    # the power is kept as a sparse {degree: coeff}: it has at most q terms
+    b(z) = (2 - k + (k-1) z) * (-1 - (z - z^q)^(q-1)), expanded without
+    binomials; the power is kept as a sparse {degree: coeff}, since it
+    has at most q terms.  The tests hold it to the digit formula of the
+    paper.
+    """
+    if F.p == 2:
+        raise ValueError("the sum machinery needs odd characteristic")
     q, p = F.q, F.p
+    k %= p
     pw = {0: 1}
     for _ in range(q - 1):
         nxt = {}
@@ -77,22 +62,6 @@ def _b_by_product(F, k):
         out[i] = (out[i] + (2 - k) * c) % p
         out[i + 1] = (out[i + 1] + (k - 1) * c) % p
     return out
-
-
-def b_coeffs(F, k):
-    """Coefficient vector b, indices 0 .. q^2 - q + 1, entries mod p.
-
-    Assembled along two genuinely different routes; a mismatch raises
-    InternalCheckError instead of silently preferring one.
-    """
-    if F.p == 2:
-        raise ValueError("the sum machinery needs odd characteristic")
-    k %= F.p
-    cases = _b_by_cases(F, k)
-    product = _b_by_product(F, k)
-    if cases != product:
-        raise InternalCheckError("b-vector constructions disagree")
-    return cases
 
 
 # -- the c vector ----------------------------------------------------------
@@ -128,7 +97,7 @@ def c_coeffs(F, k):
     return c + [0] * (q * q + q - len(c))
 
 
-# -- the recurrence and the direct expressions ------------------------------
+# -- the recurrence --------------------------------------------------------
 
 
 def _d_vector(F, k, c):
@@ -177,37 +146,6 @@ def _quarter_offsets(p, k, count):
     return out
 
 
-def _sums_direct(F, k, c):
-    """The closed expressions for S(n) themselves, sharing only c."""
-    q, p = F.q, F.p
-    inv2 = pow(2, -1, p)
-    h = [1] * (q * q)             # h[m] = 2^-m, one running power
-    for m in range(1, q * q):
-        h[m] = h[m - 1] * inv2 % p
-    two_q = pow(2, q, p)
-    S = [0] * (q * q)
-    for j in range(1, q):
-        S[j] = (-c[j] + (k * (j - 1) + 2) * h[j]) % p
-    S[q] = (c[1] - c[q] + (2 - k) * h[q]) % p
-    half_step = (1 - two_q + pow(2, q - 1, p)) % p
-    for l in range(1, q - 1):
-        if l >= 2:
-            S[l * q] = (S[(l - 1) * q] - S[(l - 1) * q + 1] - c[l * q]
-                        + ((k - 2) * (two_q - 1) + two_q)
-                        * h[l * q]) % p
-        for j in range(1, q):
-            S[l * q + j] = (S[(l - 1) * q + j] - S[(l - 1) * q + j + 1]
-                            - c[l * q + j]
-                            + ((k * j + 2) * half_step + k * (two_q - 1))
-                            * h[l * q + j]) % p
-    acc = 0
-    for j in range(q - 1, -1, -1):
-        acc = (acc + c[q * q + j]) % p
-        S[q * q - q + j] = (acc + (k * (j - 1) + 2)
-                            * h[q * q - q + j]) % p
-    return S
-
-
 @dataclass
 class SumTable:
     """All full-field sums of one (field, kind) pair for 1 <= n < q^2.
@@ -224,11 +162,11 @@ class SumTable:
 
 
 def sums_via_recurrence(F, k):
-    """Build the SumTable along both closed routes and cross-check.
+    """Build the SumTable: solve for d, then add back the offsets
+    (k(n-1)+2)/2^n, the values at x = 1/4.
 
-    Route one: solve for d, then add back the offsets (k(n-1)+2)/2^n,
-    the values at x = 1/4.  Route two: the direct expressions.  Any
-    disagreement raises InternalCheckError.
+    The overdetermined tail of d and the shape of c are checked on the
+    way; sums_bruteforce is the independent oracle.
     """
     if F.p == 2:
         raise ValueError("the sum machinery needs odd characteristic")
@@ -238,11 +176,6 @@ def sums_via_recurrence(F, k):
     d = _d_vector(F, k, c)
     offsets = _quarter_offsets(p, k, q * q)
     sums = [0] + [(d[n] + offsets[n]) % p for n in range(1, q * q)]
-    direct = _sums_direct(F, k, c)
-    for n in range(1, q * q):
-        if sums[n] != direct[n]:
-            raise InternalCheckError(
-                f"sum routes disagree at n = {n}: {sums[n]} vs {direct[n]}")
     return SumTable(F, k, c, d, sums)
 
 

@@ -266,7 +266,7 @@ def cmd_poly(args, cfg):
 def cmd_pp(args, cfg):
     F = _load_field(args, cfg)
     ns = _parse_range_list(args.n, "--n", cfg, minimum=1)
-    ks = (_parse_range_list(args.k, "--k", cfg) if args.k
+    ks = (_parse_range_list(args.k, "--k", cfg) if args.k is not None
           else list(range(F.p)))
     _guard_grid(len(ns) * len(ks), cfg)
     criteria = [c.strip() for c in args.criteria.split(",") if c.strip()]
@@ -327,9 +327,12 @@ def cmd_verify(args, cfg):
         raise UsageError("--p and --e are required for theorem grids")
     ps = _parse_range_list(args.p, "--p", cfg)
     es = _parse_range_list(args.e, "--e", cfg, minimum=1)
-    ls = _parse_range_list(args.l, "--l", cfg, minimum=0) if args.l else None
-    ns = _parse_range_list(args.n, "--n", cfg, minimum=0) if args.n else None
-    ks = _parse_range_list(args.k, "--k", cfg) if args.k else None
+    ls = (_parse_range_list(args.l, "--l", cfg, minimum=0)
+          if args.l is not None else None)
+    ns = (_parse_range_list(args.n, "--n", cfg, minimum=0)
+          if args.n is not None else None)
+    ks = (_parse_range_list(args.k, "--k", cfg)
+          if args.k is not None else None)
     for p in ps:
         if not gf.is_prime(p):
             raise UsageError(f"--p entries must be prime, got {p}")
@@ -369,7 +372,7 @@ def _verify_sums(args, cfg):
     F = _load_field(args, cfg)
     if F.p == 2:
         raise UsageError("sum tables need odd characteristic")
-    ks = (_parse_range_list(args.k, "--k", cfg) if args.k
+    ks = (_parse_range_list(args.k, "--k", cfg) if args.k is not None
           else list(range(F.p)))
     _guard_grid(len(ks) * F.q ** 2, cfg)
     results, failures = [], []

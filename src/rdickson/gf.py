@@ -119,17 +119,6 @@ def _default_modulus(p, e):
     raise AssertionError("unreachable: irreducibles exist in every degree")
 
 
-def _square_and_multiply(mul, a, n):
-    """a^n for n >= 0 by square-and-multiply over the product mul."""
-    result = 1
-    while n:
-        if n & 1:
-            result = mul(result, a)
-        a = mul(a, a)
-        n >>= 1
-    return result
-
-
 def _cyclic_tables(size, candidates, mul, times):
     """exp/log tables of the cyclic group GF(size)*, as array('i').
 
@@ -142,7 +131,7 @@ def _cyclic_tables(size, candidates, mul, times):
     order = size - 1
     fac = _prime_factors(order)
     gen = next(g for g in candidates
-               if all(_square_and_multiply(mul, g, order // f) != 1
+               if all(modpoly.power(mul, g, order // f, 1) != 1
                       for f in fac))
     step = times(gen)
     exp = array("i", [0]) * order
@@ -279,7 +268,7 @@ class FieldSpec:
             return pow(a, -1, self.p)
         if self._exp is not None:
             return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
-        return _square_and_multiply(self._mul_slow, a, self.q - 2)
+        return modpoly.power(self._mul_slow, a, self.q - 2, 1)
 
     def pow(self, a, n):
         if a == 0:
@@ -293,7 +282,7 @@ class FieldSpec:
             return pow(a, n, self.p)
         if self._exp is not None:
             return self._exp[self._log[a] * n % (self.q - 1)]
-        return _square_and_multiply(self._mul_slow, a, n)
+        return modpoly.power(self._mul_slow, a, n, 1)
 
     def is_square(self, a):
         """Quadratic character test; zero counts as a square."""
@@ -555,7 +544,7 @@ class QuadExt:
                 return self.base.pow(u, n)
             self._charge(n.bit_length() + n.bit_count())
             if self._exp is None:
-                return _square_and_multiply(self._mul_slow, u, n)
+                return modpoly.power(self._mul_slow, u, n, 1)
         return self._exp[self._log[u] * n % (self.size - 1)]
 
     def frobenius(self, u):

@@ -93,16 +93,21 @@ def mulmod(a, b, m, p):
     return mod(mul(a, b, p), m, p)
 
 
-def powmod(a, n, m, p):
-    """a**n mod m over GF(p), n >= 0, by repeated squaring."""
-    result = [1]
-    a = mod(a, m, p)
+def power(mul, a, n, one):
+    """a^n for n >= 0 by square-and-multiply over the product mul, whose
+    identity is one; the package's one such loop."""
+    result = one
     while n:
         if n & 1:
-            result = mulmod(result, a, m, p)
-        a = mulmod(a, a, m, p)
+            result = mul(result, a)
+        a = mul(a, a)
         n >>= 1
     return result
+
+
+def powmod(a, n, m, p):
+    """a**n mod m over GF(p), n >= 0, by repeated squaring."""
+    return power(lambda u, v: mulmod(u, v, m, p), mod(a, m, p), n, [1])
 
 
 def gcd(a, b, p):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from math import comb
 
 import pytest
 
@@ -14,6 +15,59 @@ from rdickson.gf import InternalCheckError
 F5 = gf.make_field(5)
 F7 = gf.make_field(7)
 F9 = gf.make_field(3, 2)
+
+
+def _b_by_cases(F, k):
+    # digit formula: j = alpha + beta q with 0 <= alpha < q
+    q, p = F.q, F.p
+    out = [0] * (q * q - q + 2)
+    for j in range(len(out)):
+        alpha, beta = j % q, j // q
+        s = alpha + beta
+        if s == q - 1:
+            v = (-1) ** (beta + 1) * (2 - k) * comb(q - 1, beta)
+        elif s == q:
+            v = (-1) ** (beta + 1) * (k - 1) * comb(q - 1, beta)
+        elif s == 1:
+            v = 1 - k
+        elif s == 0:
+            v = k - 2
+        else:
+            v = 0
+        out[j] = v % p
+    return out
+
+
+def _sums_direct(F, k, c):
+    """The closed expressions for S(n) themselves, from c alone: no d
+    vector and no running offsets."""
+    q, p = F.q, F.p
+    inv2 = pow(2, -1, p)
+    h = [1] * (q * q)             # h[m] = 2^-m, one running power
+    for m in range(1, q * q):
+        h[m] = h[m - 1] * inv2 % p
+    two_q = pow(2, q, p)
+    S = [0] * (q * q)
+    for j in range(1, q):
+        S[j] = (-c[j] + (k * (j - 1) + 2) * h[j]) % p
+    S[q] = (c[1] - c[q] + (2 - k) * h[q]) % p
+    half_step = (1 - two_q + pow(2, q - 1, p)) % p
+    for l in range(1, q - 1):
+        if l >= 2:
+            S[l * q] = (S[(l - 1) * q] - S[(l - 1) * q + 1] - c[l * q]
+                        + ((k - 2) * (two_q - 1) + two_q)
+                        * h[l * q]) % p
+        for j in range(1, q):
+            S[l * q + j] = (S[(l - 1) * q + j] - S[(l - 1) * q + j + 1]
+                            - c[l * q + j]
+                            + ((k * j + 2) * half_step + k * (two_q - 1))
+                            * h[l * q + j]) % p
+    acc = 0
+    for j in range(q - 1, -1, -1):
+        acc = (acc + c[q * q + j]) % p
+        S[q * q - q + j] = (acc + (k * (j - 1) + 2)
+                            * h[q * q - q + j]) % p
+    return S
 
 
 class TestPowerSum:
@@ -39,11 +93,11 @@ class TestQuarterOffsets:
 
 
 class TestBVector:
-    def test_two_constructions_agree(self):
-        for q in (5, 7, 9, 25, 27, 49, 125, 243):
-            F = gf.parse_field_descriptor(str(q))
-            for k in range(F.p):
-                assert cs._b_by_cases(F, k) == cs._b_by_product(F, k), (q, k)
+    @pytest.mark.parametrize("q", [5, 7, 9, 25, 27, 49, 125, 243, 343])
+    def test_matches_digit_formula(self, q):
+        F = gf.parse_field_descriptor(str(q))
+        for k in range(F.p):
+            assert cs.b_coeffs(F, k) == _b_by_cases(F, k), k
 
     def test_frozen_entries_q5_k3(self):
         # worked out from the digit formula by hand: pairs sit at the
@@ -91,7 +145,9 @@ class TestCVector:
 
 
 class TestSumTable:
-    @pytest.mark.parametrize("F", [F5, F9], ids=lambda F: f"GF({F.q})")
+    @pytest.mark.parametrize("F", [F5, F7, F9, gf.make_field(5, 2),
+                                   gf.make_field(3, 3), gf.make_field(7, 2)],
+                             ids=lambda F: f"GF({F.q})")
     def test_matches_bruteforce_all_k(self, F):
         for k in range(F.p):
             table = cs.sums_via_recurrence(F, k)
@@ -99,6 +155,13 @@ class TestSumTable:
             brute = cs.sums_bruteforce(F, k)
             for n in range(1, F.q ** 2):
                 assert table.sums[n] == brute[n], (k, n)
+
+    @pytest.mark.parametrize("q", [5, 9, 25, 27, 49, 125, 169, 243, 343])
+    def test_matches_closed_expressions(self, q):
+        F = gf.parse_field_descriptor(str(q))
+        for k in range(3):
+            table = cs.sums_via_recurrence(F, k)
+            assert table.sums[1:] == _sums_direct(F, k, table.c)[1:], k
 
     def test_frozen_q5_k3(self):
         # frozen from brute-force summation before the table existed

@@ -463,6 +463,19 @@ class TestGuardsAndErrors:
         assert (code, out) == (2, "")
         assert err == "error: --e entries must be at least 1\n"
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("pp", "--field", "7", "--n", "1..3", "--k"), "--k"),
+        (("verify", "T2.1", "--p", "3", "--e", "1", "--l"), "--l"),
+        (("verify", "T2.2", "--p", "3", "--e", "1", "--n"), "--n"),
+        (("verify", "sums", "--field", "5", "--k"), "--k"),
+    ], ids=["pp-k", "T2.1-l", "T2.2-n", "sums-k"])
+    def test_empty_range_is_a_usage_error(self, capsys, argv, flag):
+        # an empty range used to fall back to the default grid, exit 0
+        code, out, err = run(capsys, *argv, "")
+        assert (code, out) == (2, "")
+        assert err == (f"error: bad {flag} '': expected N, N..M or a "
+                       "comma list\n")
+
     def test_verify_grid_guard(self, capsys):
         # 400001 indices times 3 kinds is past the 10^6 point bound
         code, _, err = run(capsys, "verify", "T2.2", "--p", "3", "--e", "1",

@@ -49,3 +49,22 @@ class TestMul:
             for a in ([], [0], [0, 0, 0], single):
                 assert modpoly.mul(a, b, p) == schoolbook(a, b, p)
                 assert modpoly.mul(b, a, p) == schoolbook(b, a, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_powmod_matches_repeated_products(p):
+    # a^n mod m against n schoolbook products, each reduced mod m
+    rng = random.Random(200 + p)
+    for _ in range(20):
+        m = [rng.randrange(p) for _ in range(rng.randrange(1, 5))] + [1]
+        a = operand(rng, p)
+        want = modpoly.mod([1], m, p)
+        for n in range(12):
+            assert modpoly.powmod(a, n, m, p) == want, (a, n, m)
+            want = modpoly.mod(schoolbook(want, a, p), m, p)
+
+
+def test_power_over_integers():
+    for a in range(-3, 4):
+        for n in range(10):
+            assert modpoly.power(lambda u, v: u * v, a, n, 1) == a ** n
