@@ -100,7 +100,7 @@ def c_coeffs(F, k):
 # -- the recurrence --------------------------------------------------------
 
 
-def _d_vector(F, k, c):
+def _d_vector(F, c):
     """Shifted sums d_1 .. d_{q^2-1} from the coefficient identity.
 
     The identity (z^q - z^(q-1) - 1) d(z) = c(z) determines d block by
@@ -173,7 +173,7 @@ def sums_via_recurrence(F, k):
     q, p = F.q, F.p
     k %= p
     c = c_coeffs(F, k)
-    d = _d_vector(F, k, c)
+    d = _d_vector(F, c)
     offsets = _quarter_offsets(p, k, q * q)
     sums = [0] + [(d[n] + offsets[n]) % p for n in range(1, q * q)]
     return SumTable(F, k, c, d, sums)

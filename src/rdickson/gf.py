@@ -504,11 +504,6 @@ class QuadExt:
         b1, b0 = divmod(v, q)
         return F.sub(a0, b0) + q * F.sub(a1, b1)
 
-    def neg(self, u):
-        F, q = self.base, self.q
-        a1, a0 = divmod(u, q)
-        return F.neg(a0) + q * F.neg(a1)
-
     def mul(self, u, v):
         if self._exp is not None:
             if u == 0 or v == 0:

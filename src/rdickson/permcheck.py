@@ -24,7 +24,7 @@ class PPReport:
 
     witness holds coordinate vectors (readable without the field):
     for brute_force the first colliding pair in enumeration order, for
-    two_to_one the first violating point of the extended domain.
+    two_to_one the point of the extended domain that decided.
     """
 
     verdict: bool
@@ -85,7 +85,11 @@ def is_pp_two_to_one(F, n, k):
         g(y) = k (y^n (1-y) - y (1-y)^n)/(2y-1) + y^n + (1-y)^n
 
     takes every value exactly twice and never takes the excluded value
-    (k(n-1)+2)/2^n.  The fibers are exposed in detail["fibers"].
+    (k(n-1)+2)/2^n.  One pass maps the points in domain order and stops
+    at the first that decides: a hit of the excluded value or a third
+    point in one fiber.  After a full pass a one-point fiber decides.
+    The witness is the deciding point.  detail["fibers"] holds the
+    points mapped so far: every fiber when the verdict is true.
     """
     if F.p == 2:
         raise ValueError("the 2-to-1 criterion needs odd characteristic")
@@ -99,20 +103,18 @@ def is_pp_two_to_one(F, n, k):
     domain += [v for v in gf.enumerate_v(ext) if v != half]
     excluded = rdpoly.value_at_quarter(F, n, k)
     fibers = {}
-    images = []
+    detail = {"fibers": fibers, "excluded_value": excluded}
     for y in domain:
         val = rdpoly.functional_map(ext, n, k, y)
-        images.append(val)
-        fibers.setdefault(val, []).append(y)
-    detail = {"fibers": fibers, "excluded_value": excluded}
-    for y, val in zip(domain, images):
-        if val == excluded:
+        fiber = fibers.setdefault(val, [])
+        fiber.append(y)
+        if val == excluded or len(fiber) == 3:
             return PPReport(False, "two_to_one", F, params,
                             (ext.coeffs(y),), detail)
-    for y, val in zip(domain, images):
-        if len(fibers[val]) != 2:
+    for fiber in fibers.values():
+        if len(fiber) == 1:
             return PPReport(False, "two_to_one", F, params,
-                            (ext.coeffs(y),), detail)
+                            (ext.coeffs(fiber[0]),), detail)
     return PPReport(True, "two_to_one", F, params, None, detail)
 
 

@@ -173,7 +173,7 @@ class TestSumTable:
         c = cs.c_coeffs(F5, 3)
         c[F5.q ** 2] = (c[F5.q ** 2] + 1) % F5.p
         with pytest.raises(InternalCheckError):
-            cs._d_vector(F5, 3, c)
+            cs._d_vector(F5, c)
 
     def test_json_rows(self, capsys):
         # the table as the CLI writes it in json

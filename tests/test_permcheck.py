@@ -11,6 +11,8 @@ F3 = gf.make_field(3)
 F5 = gf.make_field(5)
 F7 = gf.make_field(7)
 F9 = gf.make_field(3, 2)
+F25 = gf.make_field(5, 2)
+F27 = gf.make_field(3, 3)
 
 
 def is_permutation(F, fn):
@@ -61,11 +63,64 @@ class TestTwoToOne:
         assert pc.is_pp_two_to_one(F9, 3, 1).verdict
 
     def test_agrees_with_brute_force_everywhere(self):
-        for F in (F3, F5, F9):
+        for F in (F3, F5, F9, F25, F27):
             for n in range(1, F.q ** 2):
                 for k in range(F.p):
                     assert pc.is_pp_two_to_one(F, n, k).verdict == \
                         pc.dickson_pp_bruteforce(F, n, k).verdict, (F.q, n, k)
+
+    def test_stops_at_the_first_point_that_decides(self, monkeypatch):
+        # a permutation row maps all 2q-2 points, any other row fewer
+        calls = []
+        real = rd.functional_map
+
+        def counted(ext, n, k, y):
+            calls.append(y)
+            return real(ext, n, k, y)
+
+        monkeypatch.setattr(rd, "functional_map", counted)
+        seen = set()
+        for n in range(1, 50):
+            for k in range(F25.p):
+                calls.clear()
+                pp = pc.dickson_pp_bruteforce(F25, n, k).verdict
+                assert pc.is_pp_two_to_one(F25, n, k).verdict == pp
+                seen.add(pp)
+                if pp:
+                    assert len(calls) == 2 * F25.q - 2, (n, k)
+                else:
+                    assert len(calls) < 2 * F25.q - 2, (n, k)
+        assert seen == {True, False}
+
+    def test_witness_is_the_last_point_mapped(self):
+        for F in (F5, F9):
+            ext = gf.quadratic_extension(F)
+            domain = [y for y in F.elements() if y != F.half]
+            domain += [v for v in gf.enumerate_v(ext) if v != F.half]
+            position = {ext.coeffs(y): i for i, y in enumerate(domain)}
+            for n in range(1, F.q ** 2):
+                for k in range(F.p):
+                    rep = pc.is_pp_two_to_one(F, n, k)
+                    if rep.verdict:
+                        continue
+                    i = position[rep.witness[0]]
+                    y = domain[i]
+                    fibers = rep.detail["fibers"]
+                    assert sum(map(len, fibers.values())) == i + 1, \
+                        (F.q, n, k)
+                    val = rd.functional_map(ext, n, k, y)
+                    assert val == rep.detail["excluded_value"] or \
+                        len(fibers[val]) == 3, (F.q, n, k)
+
+    def test_lone_point_decides_after_the_pass(self, monkeypatch):
+        # a g that is 1-to-1 and misses the excluded value: only the
+        # check after the pass can refuse it
+        monkeypatch.setattr(rd, "functional_map",
+                            lambda ext, n, k, y: ("own", y))
+        rep = pc.is_pp_two_to_one(F5, 3, 1)
+        assert not rep.verdict
+        assert rep.witness == (gf.quadratic_extension(F5).coeffs(0),)
+        assert len(rep.detail["fibers"]) == 2 * F5.q - 2
 
     def test_fibers_are_exact_pairs_when_pp(self):
         rep = pc.is_pp_two_to_one(F9, 3, 1)
