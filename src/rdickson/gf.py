@@ -17,28 +17,22 @@ roots are taken by Tonelli-Shanks with that same d as the non-square.
 Construction validates everything (primality, monic irreducible
 modulus); after that a FieldSpec is immutable and safe to share.  A
 FieldSpec of degree e >= 2 builds its lookup tables at construction; a
-QuadExt builds its exp/log tables of GF(q^2)* lazily, once its
-table-free paths have done about as much work as the build costs.
-Tables change speed only, never values.
+QuadExt builds coset tables of GF(q^2)*, none longer than q + 1, on its
+first product, power or inverse outside the base line.  Tables change
+speed only, never values.
 """
 
 import itertools
 from array import array
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from . import modpoly
 
 # Lookup-table thresholds.  Above these sizes the slow paths are used;
-# correctness is identical.  GF(q^2) tables take 8 bytes per element:
-# 0.9 MiB for q = 343, 8 MiB at the bound.
+# correctness is identical.  The log bound covers GF(q) and the O(q)
+# coset tables of GF(q^2)* alike.
 _LOG_TABLE_MAX_Q = 4096
 _ADD_TABLE_MAX_Q = 512
-_EXT_TABLE_MAX_Q = 1024
-# A QuadExt builds its tables once its slow paths have made
-# (q^2 - 1) // _EXT_TABLE_RENT multiplications.  One slow multiplication
-# costs about four steps of the build's walk, so this is the rent-or-buy
-# point: an op never pays more than about twice the cheaper choice.
-_EXT_TABLE_RENT = 4
 # quadratic_extension and rdpoly._principal_y keep at most this many
 # entries, so a long-lived process holds a bounded number of tables.
 EXT_CACHE_SIZE = 4
@@ -119,28 +113,31 @@ def _default_modulus(p, e):
     raise AssertionError("unreachable: irreducibles exist in every degree")
 
 
-def _cyclic_tables(size, candidates, mul, times):
+def _generator(order, candidates, mul):
+    """The first candidate g with g^(order/f) != 1 for every prime f
+    dividing order, by square-and-multiply over the table-free product
+    mul: the first generator of a cyclic group of that order."""
+    fac = _prime_factors(order)
+    return next(g for g in candidates
+                if all(modpoly.power(mul, g, order // f, 1) != 1
+                       for f in fac))
+
+
+def _cyclic_tables(size, candidates, mul):
     """exp/log tables of the cyclic group GF(size)*, as array('i').
 
-    The generator is the first candidate g with g^(N/f) != 1 for every
-    prime f dividing N = size - 1, tested by square-and-multiply over
-    the table-free product mul; times(g) is the map u -> u*g, and
-    walking it gives exp[i] = g^i for i < N and log[g^i] = i (log[0] is
-    unused).
+    Walking u -> u*g from the generator g gives exp[i] = g^i for
+    i < N = size - 1 and log[g^i] = i (log[0] is unused).
     """
     order = size - 1
-    fac = _prime_factors(order)
-    gen = next(g for g in candidates
-               if all(modpoly.power(mul, g, order // f, 1) != 1
-                      for f in fac))
-    step = times(gen)
+    gen = _generator(order, candidates, mul)
     exp = array("i", [0]) * order
     log = array("i", [0]) * size
     acc = 1
     for i in range(order):
         exp[i] = acc
         log[acc] = i
-        acc = step(acc)
+        acc = mul(acc, gen)
     if acc != 1:
         raise InternalCheckError(f"generator {gen} of GF({size})* has "
                                  "the wrong order")
@@ -167,8 +164,7 @@ class FieldSpec:
         self._pows = [p ** i for i in range(e + 1)]
         self._exp = self._log = self._neg_table = self._add_table = None
         if e >= 2 and self.q <= _LOG_TABLE_MAX_Q:
-            exp, log = _cyclic_tables(self.q, range(2, self.q), self._mul_slow,
-                                      lambda g: partial(self._mul_slow, g))
+            exp, log = _cyclic_tables(self.q, range(2, self.q), self._mul_slow)
             # lists, not arrays: at q <= 4096 memory is no concern, and a
             # list hands back its stored ints where an array builds new
             # ones, which made mul 1.6x slower; exp is doubled so mul can
@@ -250,7 +246,10 @@ class FieldSpec:
     def sub(self, a, b):
         if self.e == 1:
             return (a - b) % self.p
-        return self.add(a, self.neg(b))
+        t = self._add_table
+        if t is not None:
+            return t[a * self.q + self._neg_table[b]]
+        return self._add_slow(a, self.neg(b))
 
     def mul(self, a, b):
         if self.e == 1:
@@ -445,19 +444,22 @@ class QuadExt:
     (a0, a1) -> (a0, -a1).  Elements are ints u = a0 + a1*q; the base
     field embeds as the ints below q.  Requires odd characteristic.
 
-    Arithmetic starts on the table-free paths: the coordinate product,
-    square-and-multiply and the norm inverse, with products and powers
-    of base elements handed to the base field.  Once those paths have
-    made (q^2 - 1) // _EXT_TABLE_RENT multiplications (only for
-    q <= _EXT_TABLE_MAX_Q), or on build_tables(), exp/log tables of
-    GF(q^2)* are built: two array('i'), 8 bytes per element, 0.9 MiB
-    for q = 343.  After that pow is one lookup, and mul and inv of
-    nonzero elements two.  A one-point evaluation never builds them; a
-    permutation scan over GF(343) builds them within its first dozen
-    2-to-1 rows.
+    Products and powers of base elements go to the base field.  The
+    first other product, power or inverse builds coset tables of
+    GF(q^2)*, if q <= _LOG_TABLE_MAX_Q at construction.  With g the
+    first generator in encoding order, h = g^(q+1) = N(g) generates
+    GF(q)*, and i < q^2 - 1 is uniquely alpha*(q+1) + beta with
+    alpha < q - 1 and beta <= q, so g^i = h^alpha g^beta.  The tables,
+    of at most q + 1 entries each, hold h's powers and logs, the h-logs
+    of the coordinates of each g^beta, and rho[t] = log(t + s) for t in
+    GF(q).  So log(a0 + a1 s) is (q+1) log_h(a0) if a1 = 0, else
+    (q+1) log_h(a1) + rho[a0/a1], and pow, inv and mul are a few lookups.
+    Above the bound the table-free paths run: the coordinate product,
+    square-and-multiply and the norm inverse.
     """
 
-    __slots__ = ("base", "q", "size", "d", "_exp", "_log", "_rent")
+    __slots__ = ("base", "q", "size", "d", "_buildable", "_hpow", "_hlog",
+                 "_reps", "_rho")
 
     def __init__(self, base):
         if base.p == 2:
@@ -467,10 +469,8 @@ class QuadExt:
         self.q = base.q
         self.size = base.q * base.q
         self.d = next(x for x in range(1, base.q) if not base.is_square(x))
-        self._exp = self._log = None
-        # slow multiplications left before the tables are built
-        self._rent = ((self.size - 1) // _EXT_TABLE_RENT
-                      if self.q <= _EXT_TABLE_MAX_Q else float("inf"))
+        self._buildable = self.q <= _LOG_TABLE_MAX_Q
+        self._hpow = self._hlog = self._reps = self._rho = None
 
     def __repr__(self):
         return f"QuadExt({field_descriptor(self.base)!r}, d={self.d})"
@@ -505,21 +505,21 @@ class QuadExt:
         return F.sub(a0, b0) + q * F.sub(a1, b1)
 
     def mul(self, u, v):
-        if self._exp is not None:
-            if u == 0 or v == 0:
-                return 0
-            return self._exp[(self._log[u] + self._log[v]) % (self.size - 1)]
         if u < self.q and v < self.q:
             return self.base.mul(u, v)
-        self._charge(1)
-        return self._mul_slow(u, v)
+        if u == 0 or v == 0:
+            return 0
+        if self._rho is None and not self._build():
+            return self._mul_slow(u, v)
+        return self._exp(self._logof(u) + self._logof(v))
 
     def inv(self, u):
         if u == 0:
             raise ZeroDivisionError(f"inversion of zero in {self!r}")
-        if self._exp is not None:
-            return self._exp[-self._log[u] % (self.size - 1)]
-        self._charge(1)
+        if u < self.q:
+            return self.base.inv(u)
+        if self._rho is not None or self._build():
+            return self._exp(-self._logof(u))
         F = self.base
         a0, a1 = self.parts(u)
         # conjugate over norm: norm = a0^2 - d*a1^2 lies in the base field
@@ -534,31 +534,62 @@ class QuadExt:
                 return 1
             raise ZeroDivisionError(f"negative power of zero in {self!r}")
         n %= self.size - 1
-        if self._exp is None:
-            if u < self.q:
-                return self.base.pow(u, n)
-            self._charge(n.bit_length() + n.bit_count())
-            if self._exp is None:
-                return modpoly.power(self._mul_slow, u, n, 1)
-        return self._exp[self._log[u] * n % (self.size - 1)]
+        if u < self.q:
+            return self.base.pow(u, n)
+        if self._rho is None and not self._build():
+            return modpoly.power(self._mul_slow, u, n, 1)
+        return self._exp(self._logof(u) * n)
 
     def frobenius(self, u):
         a1, a0 = divmod(u, self.q)
         return a0 + self.q * self.base.neg(a1)
 
-    # -- the tables and the slow paths ----------------------------------
+    # -- the coset tables and the slow paths ------------------------------
 
-    def build_tables(self):
-        """Build the exp/log tables of GF(q^2)* now, if not yet built."""
-        if self._exp is None:
-            self._exp, self._log = _cyclic_tables(
-                self.size, range(self.q, self.size), self._mul_slow,
-                self._times)
+    def _build(self):
+        """Build the coset tables if q is within the bound; say if built."""
+        if not self._buildable:
+            return False
+        F, q, order = self.base, self.q, self.size - 1
+        step = self._times(_generator(order, range(q, self.size),
+                                      self._mul_slow))
+        # reps[beta] = g^beta for beta <= q, then h = g^(q+1)
+        *reps, h = itertools.accumulate(range(q + 1), lambda u, _: step(u),
+                                        initial=1)
+        if not 0 < h < q:
+            raise InternalCheckError(f"g^(q+1) = {h} is not in GF({q})*")
+        hpow = [F.pow(h, a) for a in range(q - 1)]
+        hlog, rho = [None] * q, [None] * q
+        if F.mul(hpow[-1], h) != 1:
+            raise InternalCheckError(f"h^(q-1) != 1 for h = {h} in GF({q})")
+        for alpha, c in enumerate(hpow):
+            hlog[c] = alpha
+        for beta, (r0, r1) in enumerate(map(self.parts, reps[1:]), 1):
+            if r1 and hlog[r1] is not None:
+                rho[F.mul(r0, F.inv(r1))] = (beta - (q + 1) * hlog[r1]) % order
+        # at most q - 1 and q writes: no empty slot means none went twice
+        if None in hlog[1:] or None in rho:
+            raise InternalCheckError(f"a log slot of GF({q}^2)* filled twice")
+        self._reps = [tuple(hlog[c] if c else None for c in self.parts(r))
+                      for r in reps]
+        self._hpow, self._hlog, self._rho = hpow, hlog, rho
+        return True
 
-    def _charge(self, muls):
-        self._rent -= muls
-        if self._rent <= 0:
-            self.build_tables()
+    def _logof(self, u):
+        a1, a0 = divmod(u, self.q)
+        hlog = self._hlog
+        if a1 == 0:
+            return (self.q + 1) * hlog[a0]
+        # a0/a1 = h^(log_h a0 - log_h a1); a negative index wraps mod q - 1
+        t = self._hpow[hlog[a0] - hlog[a1]] if a0 else 0
+        return (self.q + 1) * hlog[a1] + self._rho[t]
+
+    def _exp(self, i):
+        alpha, beta = divmod(i, self.q + 1)
+        hpow, m = self._hpow, self.q - 1
+        l0, l1 = self._reps[beta]
+        return ((0 if l0 is None else hpow[(alpha + l0) % m])
+                + self.q * (0 if l1 is None else hpow[(alpha + l1) % m]))
 
     def _mul_slow(self, u, v):
         F, q = self.base, self.q
@@ -647,12 +678,11 @@ def solve_y(ext, x):
 
 
 def enumerate_v(ext):
-    """The q-element set {v in GF(q^2) : v^q = 1 - v}, ascending.
+    """The q-element set {v in GF(q^2) : v^q = 1 - v}, as an ascending
+    range of encodings.
 
     With Frobenius as conjugation, v = a0 + a1*s satisfies the
     equation iff a0 = 1 - a0, i.e. a0 = 1/2 with a1 free; the base
     field meets the set exactly in {1/2}.
     """
-    F = ext.base
-    h = F.half
-    return [ext.make(h, a1) for a1 in range(F.q)]
+    return range(ext.base.half, ext.size, ext.q)

@@ -9,6 +9,7 @@ polynomial's own exhaustive test.  The two sides must coincide at
 every grid point; any disagreement is collected as a counterexample.
 """
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
@@ -99,12 +100,12 @@ def is_pp_two_to_one(F, n, k):
     params = rdpoly.RdpParams(n, k)
     ext = gf.quadratic_extension(F)
     half = F.half
-    domain = [y for y in F.elements() if y != half]
-    domain += [v for v in gf.enumerate_v(ext) if v != half]
     excluded = rdpoly.value_at_quarter(F, n, k)
     fibers = {}
     detail = {"fibers": fibers, "excluded_value": excluded}
-    for y in domain:
+    for y in itertools.chain(F.elements(), gf.enumerate_v(ext)):
+        if y == half:
+            continue
         val = rdpoly.functional_map(ext, n, k, y)
         fiber = fibers.setdefault(val, [])
         fiber.append(y)

@@ -283,10 +283,10 @@ def functional_map(ext, n, k, y):
     y(1-y) = x over the base field; the permutation counting argument
     feeds it the fixed line of the q-power map as well.  On that line,
     V = {y : y^q = 1 - y}, the second power is the conjugate of the
-    first, so each point costs at most one power in GF(q^2).  Once the
-    extension has its tables a power is one lookup either way, but
-    before that the conjugate halves the work, which keeps short scans
-    (two rows near q^2 over GF(343)) below the table-building trigger.
+    first, so each point costs at most one power in GF(q^2).  With the
+    extension's coset tables a power is a few lookups, and the
+    conjugate is cheaper still; above their size bound it halves the
+    square-and-multiply work.
     """
     k %= ext.base.p
     z = ext.sub(1, y)

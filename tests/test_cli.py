@@ -325,13 +325,23 @@ class TestChecks:
 
 
 class TestExtensionTables:
-    """The GF(q^2) tables are built only once they pay, and change no
-    output."""
+    """The GF(q^2) coset tables are built by the first operation that
+    needs them, hold at most q + 1 entries each, and change no output."""
 
     @staticmethod
     def fresh_caches():
         gf.quadratic_extension.cache_clear()
         rdpoly._principal_y.cache_clear()
+
+    @staticmethod
+    def ext343():
+        return gf.quadratic_extension(gf.parse_field_descriptor("343"))
+
+    def test_field_info_builds_nothing(self, capsys):
+        self.fresh_caches()
+        code, _, _ = run(capsys, "field-info", "--field", "343")
+        assert code == 0
+        assert self.ext343()._rho is None
 
     @pytest.mark.parametrize("argv", [
         ("eval", "--field", "343", "--n", "117000", "--k", "3", "--x",
@@ -339,19 +349,28 @@ class TestExtensionTables:
         ("pp", "--field", "343", "--n", "115962,117063", "--k", "1",
          "--criteria", "two_to_one"),
     ])
-    def test_short_runs_never_build(self, capsys, argv):
+    def test_a_run_on_the_base_line_builds_nothing(self, capsys, argv):
+        # 1 - 4x is a square at x = 5 + t, and both rows are decided by
+        # points of GF(343) before the pass reaches V
         self.fresh_caches()
         code, _, _ = run(capsys, *argv)
         assert code == 0
-        ext = gf.quadratic_extension(gf.parse_field_descriptor("343"))
-        assert ext._exp is None
+        assert self.ext343()._rho is None
 
-    def test_a_scan_past_the_bound_builds(self, capsys):
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--field", "343", "--n", "117000", "--k", "3", "--x",
+         "0,1", "--check"),
+        ("pp", "--field", "343", "--n", "2", "--k", "1",
+         "--criteria", "two_to_one"),
+    ])
+    def test_a_run_builds_tables_of_at_most_q_plus_1_entries(self, capsys,
+                                                             argv):
         self.fresh_caches()
-        code, _, _ = run(capsys, "pp", "--field", "49", "--n", "1..12",
-                         "--k", "0,1")
+        code, _, _ = run(capsys, *argv)
         assert code == 0
-        assert gf.quadratic_extension(gf.make_field(7, 2))._exp is not None
+        ext = self.ext343()
+        sizes = [len(t) for t in (ext._hpow, ext._hlog, ext._reps, ext._rho)]
+        assert max(sizes) == ext.q + 1
 
     @pytest.mark.parametrize("argv", [
         ("pp", "--field", "25", "--n", "1..30", "--k", "0..4"),
@@ -366,16 +385,15 @@ class TestExtensionTables:
     def test_output_is_the_same_with_tables_on_and_off(self, capsys,
                                                        monkeypatch, argv):
         outputs = []
-        for attr, value in (("_EXT_TABLE_MAX_Q", 0),
-                            ("_EXT_TABLE_RENT", 10 ** 9)):
+        for bound in (0, gf._LOG_TABLE_MAX_Q):
             with monkeypatch.context() as m:
-                m.setattr(gf, attr, value)
+                m.setattr(gf, "_LOG_TABLE_MAX_Q", bound)
                 self.fresh_caches()
                 outputs.append(run(capsys, *argv))
                 if argv[0] == "pp":
                     F = gf.parse_field_descriptor(argv[2])
-                    built = gf.quadratic_extension(F)._exp is not None
-                    assert built == (attr == "_EXT_TABLE_RENT")
+                    built = gf.quadratic_extension(F)._rho is not None
+                    assert built == (bound > 0)
         self.fresh_caches()
         assert outputs[0] == outputs[1]
 

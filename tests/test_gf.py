@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rdickson import gf, rdpoly
+from rdickson import gf, modpoly, rdpoly
 
 
 def brute_irreducible_quadratics(p):
@@ -303,31 +303,36 @@ def test_fixed_line_membership_criterion():
 
 
 def per_pair_tables(F):
-    """Oracle: add and neg tables from coordinate vectors, pair by pair."""
+    """Oracle: add, sub and neg tables from coordinate vectors, pair by
+    pair."""
     p, q = F.p, F.q
     weights = [p ** i for i in range(F.e)]
     vecs = [[a // w % p for w in weights] for a in range(q)]
     add = [sum((x + y) % p * w for x, y, w in zip(va, vb, weights))
            for va in vecs for vb in vecs]
+    sub = [sum((x - y) % p * w for x, y, w in zip(va, vb, weights))
+           for va in vecs for vb in vecs]
     neg = [sum(-x % p * w for x, w in zip(va, weights)) for va in vecs]
-    return add, neg
+    return add, sub, neg
 
 
 @pytest.mark.parametrize("p, e", [(7, 3), (3, 5), (2, 8), (17, 2), (5, 3)])
 def test_digit_recursion_add_tables_match_per_pair(p, e):
     F = gf.make_field(p, e)
-    add, neg = per_pair_tables(F)
+    add, sub, neg = per_pair_tables(F)
     assert list(F._add_table) == add
     assert list(F._neg_table) == neg
+    assert [F.sub(a, b) for a in range(F.q) for b in range(F.q)] == sub
 
 
 def fast_and_slow(F, monkeypatch):
-    """An extension with its tables built, and a fresh one that never
-    builds them (square-and-multiply, coordinate product, norm inverse)."""
+    """A fresh extension, whose first product outside the base line
+    builds its coset tables, and one that read a size bound of 0 at
+    construction and never builds them (square-and-multiply, coordinate
+    product, norm inverse)."""
     fast = gf.QuadExt(F)
-    fast.build_tables()
     with monkeypatch.context() as m:
-        m.setattr(gf, "_EXT_TABLE_MAX_Q", 0)
+        m.setattr(gf, "_LOG_TABLE_MAX_Q", 0)
         slow = gf.QuadExt(F)
     return fast, slow
 
@@ -336,6 +341,10 @@ def exponents(ext):
     N = ext.size - 1
     return (0, 1, 2, 3, ext.q - 1, ext.q, ext.q + 1, N - 1, N, N + 7,
             10 ** 30 + 11, -1, -5)
+
+
+def tables(ext):
+    return ext._hpow, ext._hlog, ext._reps, ext._rho
 
 
 def check_tables(fast, slow, us, vs):
@@ -347,7 +356,7 @@ def check_tables(fast, slow, us, vs):
             assert fast.mul(u, v) == slow.mul(u, v), (u, v)
         if u:
             assert fast.inv(u) == slow.inv(u), u
-    assert fast._exp is not None and slow._exp is None
+    assert fast._rho is not None and slow._rho is None
 
 
 @pytest.mark.parametrize("p, e", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)])
@@ -362,7 +371,9 @@ def test_ext_tables_match_slow_paths_everywhere(p, e, monkeypatch):
     check_tables(fast, slow, us, vs)
 
 
-@pytest.mark.parametrize("fd", ["243", "337", "343"])
+# 1031 lies between the old 1024 bound of the q^2-entry tables and the
+# 4096 bound that the coset tables share with GF(q)
+@pytest.mark.parametrize("fd", ["243", "337", "343", "1031"])
 def test_ext_tables_match_slow_paths_on_a_sample(fd, monkeypatch):
     fast, slow = fast_and_slow(gf.parse_field_descriptor(fd), monkeypatch)
     rng = random.Random(fd)
@@ -370,26 +381,65 @@ def test_ext_tables_match_slow_paths_on_a_sample(fd, monkeypatch):
     check_tables(fast, slow, us, rng.sample(range(fast.size), 8))
 
 
-def test_ext_tables_build_at_the_rent_bound():
-    # u^1 costs square-and-multiply two products: a square and a multiply
-    ext = gf.QuadExt(gf.make_field(7, 2))
-    budget = (ext.size - 1) // gf._EXT_TABLE_RENT
-    u = ext.q + 3
-    for _ in range((budget - 1) // 2):
-        ext.pow(u, 1)
-    ext.pow(5, 10 ** 6)            # powers of base elements cost nothing
-    ext.mul(5, 6)
-    assert ext._exp is None
-    ext.pow(u, 1)
-    assert ext._exp is not None
+def test_ext_tables_hold_at_most_q_plus_1_entries():
+    ext = gf.QuadExt(gf.make_field(7, 3))
+    ext.mul(ext.q, ext.q + 1)
+    assert [len(t) for t in tables(ext)] == [ext.q - 1, ext.q, ext.q + 1,
+                                             ext.q]
+
+
+def test_construction_and_base_line_ops_build_nothing():
+    ext = gf.QuadExt(gf.make_field(7, 3))
+    q = ext.q
+    for u in (0, 1, 5, q - 1):
+        for v in (0, 2, q - 3):
+            ext.mul(u, v)
+        ext.pow(u, 10 ** 6)
+        if u:
+            ext.inv(u)
+    for u, v in ((q, 3 * q + 1), (5, q * q - 1)):
+        ext.add(u, v), ext.sub(u, v), ext.frobenius(u)
+    ext.mul(0, q + 1), ext.mul(q + 1, 0)
+    assert tables(ext) == (None,) * 4
+    ext.pow(q + 1, 2)
+    assert all(t is not None for t in tables(ext))
 
 
 def test_ext_tables_are_never_built_above_the_size_bound(monkeypatch):
-    monkeypatch.setattr(gf, "_EXT_TABLE_MAX_Q", 7)
+    monkeypatch.setattr(gf, "_LOG_TABLE_MAX_Q", 7)
     ext = gf.QuadExt(gf.make_field(11))
     for u in range(11, 121):
-        ext.pow(u, 10 ** 6)
-    assert ext._exp is None
+        ext.pow(u, 10 ** 6), ext.mul(u, u), ext.inv(u)
+    assert tables(ext) == (None,) * 4
+
+
+# Over GF(343) (342 = 2 * 3^2 * 19, 344 = 2^3 * 43), walking u -> u*g^2
+# meets only half of GF(343)*, and u -> u*g^43 only 8 of the 344 cosets
+@pytest.mark.parametrize("fault, match", [
+    ("off_line", "is not in GF"), (2, "filled twice"), (43, "filled twice")])
+def test_a_wrong_times_step_fails_the_build(fault, match, monkeypatch):
+    ext = gf.QuadExt(gf.make_field(7, 3))
+    q, times = ext.q, gf.QuadExt._times
+
+    def wrong_times(self, g):
+        if fault == "off_line":      # pushes g^(q+1) off the base line
+            step = times(self, g)
+            return lambda u: step(u) + q * (step(u) < q)
+        return times(self, modpoly.power(self._mul_slow, g, fault, 1))
+
+    monkeypatch.setattr(gf.QuadExt, "_times", wrong_times)
+    with pytest.raises(gf.InternalCheckError, match=match):
+        ext.mul(q, q)
+    assert ext._rho is None
+
+
+def test_a_wrong_base_power_fails_the_build(monkeypatch):
+    ext = gf.QuadExt(gf.make_field(7, 3))
+    power = gf.FieldSpec.pow
+    monkeypatch.setattr(gf.FieldSpec, "pow",
+                        lambda F, a, n: power(F, a, n + 1))
+    with pytest.raises(gf.InternalCheckError, match=r"h\^\(q-1\)"):
+        ext.mul(ext.q, ext.q)
 
 
 def test_extension_caches_stay_bounded():
