@@ -13,9 +13,7 @@ mixer * b, is O(q^2).  sums_bruteforce is the term-by-term oracle,
 O(q^3) for all n at once.
 """
 
-from dataclasses import dataclass
-
-from . import gf, modpoly
+from . import modpoly
 from .gf import InternalCheckError
 
 
@@ -146,7 +144,6 @@ def _quarter_offsets(p, k, count):
     return out
 
 
-@dataclass
 class SumTable:
     """All full-field sums of one (field, kind) pair for 1 <= n < q^2.
 
@@ -154,11 +151,10 @@ class SumTable:
     member, whose sum is identically 0 (a constant summed q times).
     """
 
-    field: gf.FieldSpec
-    k: int
-    c: list
-    d: list
-    sums: list
+    __slots__ = ("field", "k", "c", "d", "sums")
+
+    def __init__(self, field, k, c, d, sums):
+        self.field, self.k, self.c, self.d, self.sums = field, k, c, d, sums
 
 
 def sums_via_recurrence(F, k):

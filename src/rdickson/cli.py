@@ -29,7 +29,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import charsum, gf, permcheck, rdpoly
 from .gf import InternalCheckError
@@ -43,12 +42,13 @@ class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class RunConfig:
     """The settings of one invocation that the size guards read."""
 
-    max_q: int = DEFAULT_MAX_Q
-    unsafe_large: bool = False
+    __slots__ = ("max_q", "unsafe_large")
+
+    def __init__(self, max_q=DEFAULT_MAX_Q, unsafe_large=False):
+        self.max_q, self.unsafe_large = max_q, unsafe_large
 
     @classmethod
     def from_args(cls, args):

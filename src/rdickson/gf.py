@@ -12,7 +12,8 @@ GF(q^2) is modelled separately as GF(q)[s]/(s^2 - d) with d the first
 non-square of GF(q)*: an extension element is an int u = a0 + a1*q
 built from two base-field encodings, so base elements embed as
 themselves and membership in the base line is the test u < q.  Square
-roots are taken by Tonelli-Shanks with that same d as the non-square.
+roots are taken by Tonelli-Shanks with that same d as the non-square,
+its constants computed once per extension.
 
 Construction validates everything (primality, monic irreducible
 modulus); after that a FieldSpec is immutable and safe to share.  A
@@ -458,8 +459,8 @@ class QuadExt:
     square-and-multiply and the norm inverse.
     """
 
-    __slots__ = ("base", "q", "size", "d", "_buildable", "_hpow", "_hlog",
-                 "_reps", "_rho")
+    __slots__ = ("base", "q", "size", "d", "_split", "_buildable", "_hpow",
+                 "_hlog", "_reps", "_rho")
 
     def __init__(self, base):
         if base.p == 2:
@@ -469,6 +470,11 @@ class QuadExt:
         self.q = base.q
         self.size = base.q * base.q
         self.d = next(x for x in range(1, base.q) if not base.is_square(x))
+        # Tonelli-Shanks constants: q - 1 = 2^s t with t odd, and c = d^t
+        s, t = 0, self.q - 1
+        while t % 2 == 0:
+            s, t = s + 1, t // 2
+        self._split = (s, t, base.pow(self.d, t))
         self._buildable = self.q <= _LOG_TABLE_MAX_Q
         self._hpow = self._hlog = self._reps = self._rho = None
 
@@ -625,37 +631,42 @@ def sqrt_ext(ext, v):
     """Square roots of a base-field element, in GF(q) or GF(q^2).
 
     Returns the roots as extension encodings in ascending coordinate
-    order: (0,) for v = 0, otherwise a pair.  A square is rooted in
-    the base field by Tonelli-Shanks, with the extension's d as the
-    non-square it needs; a non-square v is rooted as sqrt(v/d)*s, since
-    v/d is then a square and s*s = d.
+    order: (0,) for v = 0, otherwise a pair.  Tonelli-Shanks, with the
+    extension's d as the non-square it needs, roots a square in the
+    base field, and its first round tells a non-square v apart; v/d is
+    then a square, and sqrt(v/d)*s is a root of v, since s*s = d.
     """
-    F, d = ext.base, ext.d
+    F = ext.base
     if v == 0:
         return (0,)
-    if F.is_square(v):
-        r = _tonelli_shanks(F, v, d)
+    r = _tonelli_shanks(ext, v)
+    if r is not None:
         roots = (r, F.neg(r))
     else:
-        w = _tonelli_shanks(F, F.mul(v, F.inv(d)), d)
+        w = _tonelli_shanks(ext, F.mul(v, F.inv(ext.d)))
         roots = (ext.make(0, w), ext.make(0, F.neg(w)))
     return tuple(sorted(roots, key=ext.coeffs))
 
 
-def _tonelli_shanks(F, v, z):
-    """One square root of a square v != 0 of GF(q), q odd, given a
-    non-square z of GF(q)*."""
-    t, s = F.q - 1, 0
-    while t % 2 == 0:
-        t //= 2
-        s += 1
-    m, c = s, F.pow(z, t)
-    u, r = F.pow(v, t), F.pow(v, (t + 1) // 2)
+def _tonelli_shanks(ext, v):
+    """One square root in GF(q) of v != 0, or None if v is a non-square.
+
+    With q - 1 = 2^s t (t odd) and c = d^t from the extension, one power
+    h = v^((t-1)/2) gives r = v h = v^((t+1)/2) and u = r h = v^t.  v is
+    a square iff u^(2^(s-1)) = 1, which the first round decides.
+    """
+    F = ext.base
+    m, t, c = ext._split
+    h = F.pow(v, (t - 1) // 2)
+    r = F.mul(v, h)
+    u = F.mul(r, h)
     while u != 1:
         i, w = 0, u
         while w != 1:
             w = F.mul(w, w)
             i += 1
+        if i == m:
+            return None
         b = c
         for _ in range(m - i - 1):
             b = F.mul(b, b)

@@ -11,29 +11,30 @@ every grid point; any disagreement is collected as a counterexample.
 
 import itertools
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, field as dataclass_field
 
 from . import gf, rdpoly
 
 DEFAULT_MAX_Q = 343
 N_DIGITS = 4300   # Python's default cap on the digits of a printed int
 
-@dataclass
+
 class PPReport:
     """Outcome of one permutation test.
 
     witness holds coordinate vectors (readable without the field):
     for brute_force the first colliding pair in enumeration order, for
-    two_to_one the point of the extended domain that decided.
+    two_to_one the point of the extended domain that decided.  params
+    is an rdpoly.RdpParams or None; each report owns its detail dict.
     """
 
-    verdict: bool
-    criterion: str
-    field: gf.FieldSpec
-    params: rdpoly.RdpParams | None = None
-    witness: tuple | None = None
-    detail: dict = dataclass_field(default_factory=dict)
+    __slots__ = ("verdict", "criterion", "field", "params", "witness",
+                 "detail")
+
+    def __init__(self, verdict, criterion, field, params=None, witness=None,
+                 detail=None):
+        self.verdict, self.criterion, self.field = verdict, criterion, field
+        self.params, self.witness = params, witness
+        self.detail = {} if detail is None else detail
 
     def to_json(self):
         out = {"verdict": self.verdict,
@@ -122,13 +123,14 @@ def is_pp_two_to_one(F, n, k):
 # -- grid verification of the permutation statements ----------------------
 
 
-@dataclass
 class TheoremReport:
     """Both-sides grid check of one named statement."""
 
-    theorem: str
-    entries: list
-    counterexamples: list
+    __slots__ = ("theorem", "entries", "counterexamples")
+
+    def __init__(self, theorem, entries, counterexamples):
+        self.theorem, self.entries = theorem, entries
+        self.counterexamples = counterexamples
 
     @property
     def passed(self):
@@ -162,7 +164,6 @@ def _exponents(e, ns, ls):
     return "l", range(e + 1) if ls is None else ls
 
 
-@dataclass(frozen=True)
 class Statement:
     """Domain and right side of one named permutation statement.
 
@@ -173,12 +174,11 @@ class Statement:
     side and extra(F, l, n, k, lhs) gives further keys.
     """
 
-    shift: int
-    kinds: Callable
-    rhs: Callable
-    axis: Callable = _exponents
-    a: int = 1
-    extra: Callable | None = None
+    __slots__ = ("shift", "kinds", "rhs", "axis", "a", "extra")
+
+    def __init__(self, shift, kinds, rhs, axis=_exponents, a=1, extra=None):
+        self.shift, self.kinds, self.rhs = shift, kinds, rhs
+        self.axis, self.a, self.extra = axis, a, extra
 
 
 STATEMENTS = {

@@ -27,13 +27,10 @@ read one row at many points x.  The other routes, and as_polynomial
 field throughout.  No route divides by a quantity that can vanish.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from . import gf, modpoly
-from .gf import InternalCheckError
 
 # Every caller that reads a row twice reads one (n, k) over many x; the
 # CLI reads each row once.  One row per cache serves that reuse.
@@ -60,15 +57,21 @@ def _format_terms(parts):
     return " ".join(out)
 
 
-@dataclass(frozen=True)
 class IntPolynomial:
     """Dense integer polynomial; coeffs run from the constant term up
-    and are kept canonical (no trailing zeros)."""
+    and are kept canonical (no trailing zeros).  Equal coefficients
+    make equal polynomials."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(modpoly.trim(self.coeffs)))
+    def __init__(self, coeffs):
+        self.coeffs = tuple(modpoly.trim(coeffs))
+
+    def __eq__(self, other):
+        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
     @property
     def degree(self):
@@ -90,15 +93,14 @@ class IntPolynomial:
         return _format_terms(parts)
 
 
-@dataclass(frozen=True)
 class FieldPolynomial:
     """Dense polynomial with coefficients in a field, canonical form."""
 
-    field: gf.FieldSpec
-    coeffs: tuple
+    __slots__ = ("field", "coeffs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(modpoly.trim(self.coeffs)))
+    def __init__(self, field, coeffs):
+        self.field = field
+        self.coeffs = tuple(modpoly.trim(coeffs))
 
     @property
     def degree(self):
@@ -126,13 +128,13 @@ class FieldPolynomial:
         return _format_terms(parts)
 
 
-@dataclass(frozen=True)
 class RdpParams:
     """Index triple (n, k, a); a is a field encoding, default 1."""
 
-    n: int
-    k: int
-    a: int = 1
+    __slots__ = ("n", "k", "a")
+
+    def __init__(self, n, k, a=1):
+        self.n, self.k, self.a = n, k, a
 
     def reduced(self, field):
         """Normalize the kind parameter into [0, p-1]."""
@@ -251,9 +253,9 @@ def eval_functional(F, n, k, x):
 
     for x != 1/4 (there y = 1/2 and the closed constant applies).  The
     two admissible y are swapped by y -> 1 - y and give the same value;
-    the one with the smaller coordinate vector is used.  Odd p only.
-    The result must land in GF(q); if not, the arithmetic is broken
-    and InternalCheckError is raised.
+    the one with the smaller coordinate vector is used.  That y lies on
+    GF(q) or on V, where functional_map computes in GF(q), so the value
+    lies in GF(q) by construction.  Odd p only.
     """
     if F.p == 2:
         raise ValueError("the functional route needs odd characteristic")
@@ -261,12 +263,7 @@ def eval_functional(F, n, k, x):
     if x == F.quarter:
         return value_at_quarter(F, n, k)
     ext = gf.quadratic_extension(F)
-    y = _principal_y(ext, x)
-    val = functional_map(ext, n, k, y)
-    if not ext.in_base(val):
-        raise InternalCheckError(
-            f"functional value left the base field: n={n} k={k} x={x}")
-    return val
+    return functional_map(ext, n, k, _principal_y(ext, x))
 
 
 @lru_cache(maxsize=gf.EXT_CACHE_SIZE)
@@ -281,20 +278,27 @@ def functional_map(ext, n, k, y):
 
     Defined for any y != 1/2 of the extension, not just roots of
     y(1-y) = x over the base field; the permutation counting argument
-    feeds it the fixed line of the q-power map as well.  On that line,
-    V = {y : y^q = 1 - y}, the second power is the conjugate of the
-    first, so each point costs at most one power in GF(q^2).  With the
-    extension's coset tables a power is a few lookups, and the
-    conjugate is cheaper still; above their size bound it halves the
-    square-and-multiply work.
+    feeds it the base line GF(q) and the fixed line of the q-power map,
+    V = {y : y^q = 1 - y} = {1/2 + t s}, and both take base-field
+    arithmetic only.  On GF(q) the formula is evaluated in GF(q).  On
+    V, 1 - y is the conjugate of y, so y^n = A + B s gives
+    (1 - y)^n = A - B s, and the value is (2 - k) A + k B / (2t): one
+    power in GF(q^2), a few lookups with the extension's coset tables.
+    Any other y takes the formula in GF(q^2), with two powers.
     """
-    k %= ext.base.p
-    z = ext.sub(1, y)
-    yn = ext.pow(y, n)
-    zn = ext.frobenius(yn) if z == ext.frobenius(y) else ext.pow(z, n)
-    num = ext.sub(ext.mul(yn, z), ext.mul(y, zn))
-    den = ext.sub(ext.add(y, y), 1)
-    return ext.add(ext.mul(k, ext.mul(num, ext.inv(den))), ext.add(yn, zn))
+    F = ext.base
+    k %= F.p
+    t, y0 = divmod(y, ext.q)
+    if t and y0 == F.half:
+        b, a = divmod(ext.pow(y, n), ext.q)
+        return F.add(F.mul(F.from_int(2 - k), a),
+                     F.mul(k, F.mul(b, F.inv(F.add(t, t)))))
+    R = ext if t else F
+    z = R.sub(1, y)
+    yn, zn = R.pow(y, n), R.pow(z, n)
+    num = R.sub(R.mul(yn, z), R.mul(y, zn))
+    den = R.sub(R.add(y, y), 1)
+    return R.add(R.mul(k, R.mul(num, R.inv(den))), R.add(yn, zn))
 
 
 def char2_eval(F, n, k, x, a=1):
@@ -403,15 +407,13 @@ def eval_via_fnk(F, n, k, x):
     return F.mul(acc, F.pow(F.half, n))
 
 
-@dataclass(frozen=True)
 class FnkIdentityReport:
     """Outcome of comparing fnk_coeffs against a reduced expansion."""
 
-    n: int
-    k: int
-    holds: bool
-    lhs: tuple
-    rhs: tuple
+    __slots__ = ("n", "k", "holds", "lhs", "rhs")
+
+    def __init__(self, n, k, holds, lhs, rhs):
+        self.n, self.k, self.holds, self.lhs, self.rhs = n, k, holds, lhs, rhs
 
 
 def fnk_specialize(n, k):
@@ -424,6 +426,8 @@ def fnk_specialize(n, k):
     k=3: n = 2l even; -t^l + sum_{j<l} (3n-8j-1)/(n+1) C(n+1, 2j+1) t^j,
          compared exactly over the rationals.
     """
+    from fractions import Fraction  # its only user; kept off start-up
+
     if k not in (0, 1, 2, 3):
         raise ValueError("reduced expansions exist for k in {0, 1, 2, 3}")
     if k == 3 and n % 2:

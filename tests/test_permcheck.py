@@ -41,6 +41,13 @@ class TestBruteForce:
         assert rep.verdict and rep.witness is None
         assert rep.criterion == "brute_force"
 
+    def test_reports_do_not_share_detail(self):
+        one = pc.is_pp_bruteforce(F5, lambda x: x)
+        two = pc.PPReport(True, "brute_force", F5)
+        one.detail["mark"] = 1
+        assert two.detail == {} and one.detail is not two.detail
+        assert (two.params, two.witness) == (None, None)
+
 
 class TestMonomial:
     def test_matches_brute_force(self):

@@ -7,6 +7,7 @@ the library existed and must never be regenerated from library output.
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -369,39 +370,76 @@ class TestGenfun:
         assert rd.genfun_coeffs(F5, 1, 2, 0) == []
 
 
+def two_power_map(ext, n, k, y):
+    """The 2-to-1 map by its defining formula, with both powers taken by
+    a test-local square-and-multiply over a test-local coordinate
+    product: (a0 + a1 s)(b0 + b1 s) = (a0 b0 + d a1 b1) + (a0 b1 + a1 b0) s."""
+    F, q, d = ext.base, ext.q, ext.d
+
+    def mul(u, v):
+        a1, a0 = divmod(u, q)
+        b1, b0 = divmod(v, q)
+        re = F.add(F.mul(a0, b0), F.mul(d, F.mul(a1, b1)))
+        return re + q * F.add(F.mul(a0, b1), F.mul(a1, b0))
+
+    def power(u, m):
+        out = 1
+        for bit in bin(m)[2:]:
+            out = mul(out, out)
+            if bit == "1":
+                out = mul(out, u)
+        return out
+
+    z = ext.sub(1, y)
+    yn, zn = power(y, n), power(z, n)
+    num = ext.sub(mul(yn, z), mul(y, zn))
+    frac = mul(num, ext.inv(ext.sub(ext.add(y, y), 1)))
+    return ext.add(mul(k, frac), ext.add(yn, zn))
+
+
 class TestFunctionalMap:
     def test_all_of_the_extension_against_two_powers(self):
         # every y != 1/2 of GF(9^2): the base line, the fixed line V,
-        # and the points outside both, which take the second power
+        # and the points outside both, which take the general formula
         ext = gf.quadratic_extension(F9)
-        F, d = F9, ext.d
-
-        def mul(u, v):
-            a0, a1 = u % 9, u // 9
-            b0, b1 = v % 9, v // 9
-            re = F.add(F.mul(a0, b0), F.mul(d, F.mul(a1, b1)))
-            return re + 9 * F.add(F.mul(a0, b1), F.mul(a1, b0))
-
-        def power(u, n):
-            out = 1
-            for _ in range(n):
-                out = mul(out, u)
-            return out
-
         outside = 0
         for y in ext.elements():
-            if y == F.half:
+            if y == F9.half:
                 continue
             z = ext.sub(1, y)
-            outside += z != ext.frobenius(y) and y >= F.q
+            outside += z != ext.frobenius(y) and y >= F9.q
             for n in (1, 2, 5, 13):
-                yn, zn = power(y, n), power(z, n)
-                num = ext.sub(mul(yn, z), mul(y, zn))
-                frac = mul(num, ext.inv(ext.sub(ext.add(y, y), 1)))
                 for k in range(3):
-                    want = ext.add(mul(k, frac), ext.add(yn, zn))
+                    want = two_power_map(ext, n, k, y)
                     assert rd.functional_map(ext, n, k, y) == want
         assert outside == 81 - (9 + 9 - 1)     # GF(9) and V meet in 1/2
+
+    @pytest.mark.parametrize("F", [gf.make_field(13), F25,
+                                   gf.make_field(3, 3), gf.make_field(7, 2)],
+                             ids=lambda F: f"GF({F.q})")
+    def test_base_line_and_v_against_two_powers(self, F):
+        # the whole 2-to-1 domain (GF(q) and V = {1/2 + t s}, less 1/2),
+        # at every kind; n past q^2 - 1 checks the exponent reduction
+        ext = gf.quadratic_extension(F)
+        q = F.q
+        domain = [y for y in range(q) if y != F.half]
+        domain += [F.half + t * q for t in range(1, q)]
+        for n in (1, 2, 3, q - 2, q + 2, q * q + 5):
+            for k in range(F.p):
+                for y in domain:
+                    want = two_power_map(ext, n, k, y)
+                    assert rd.functional_map(ext, n, k, y) == want, (n, k, y)
+
+    def test_v_sample_of_gf343_against_two_powers(self):
+        F = gf.make_field(7, 3)
+        ext = gf.quadratic_extension(F)
+        rng = random.Random(343)
+        for t in rng.sample(range(1, F.q), 25):
+            y = F.half + t * F.q
+            for n in (2, 101, rng.randrange(F.q ** 2, 10 ** 9)):
+                for k in range(F.p):
+                    want = two_power_map(ext, n, k, y)
+                    assert rd.functional_map(ext, n, k, y) == want, (n, k, t)
 
 
 class TestAsPolynomial:
@@ -466,6 +504,21 @@ class TestValueTypes:
         assert blob["field"] == "3^2/1,0,1"
         assert blob["coeffs"] == [[1, 1], [0, 0], [1, 2]]
 
+    def test_int_polynomial_compares_by_coefficients(self):
+        assert rd.IntPolynomial([1, -2, 0]) == rd.IntPolynomial((1, -2))
+        assert rd.IntPolynomial((1, -2)) != rd.IntPolynomial((1, 2))
+        assert rd.IntPolynomial((1, -2)) != (1, -2)
+        assert len({rd.IntPolynomial((3, 0)), rd.IntPolynomial([3])}) == 1
+
     def test_params_reduce_kind_only(self):
         prm = rd.RdpParams(7, 9, 3).reduced(F5)
         assert (prm.n, prm.k, prm.a) == (7, 4, 3)
+        prm = rd.RdpParams(7, -1).reduced(F5)
+        assert (prm.n, prm.k, prm.a) == (7, 4, 1)
+
+    def test_fnk_specialize_sides_are_fractions(self):
+        for k in range(4):
+            rep = rd.fnk_specialize(6, k)
+            assert (rep.n, rep.k, rep.holds) == (6, k, True)
+            assert rep.lhs == rep.rhs and rep.lhs
+            assert all(type(c) is Fraction for c in rep.lhs + rep.rhs)
