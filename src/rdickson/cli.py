@@ -105,17 +105,19 @@ def _load_field(args, cfg):
     if not getattr(args, "field", None):
         raise UsageError("--field is required for this command")
     try:
-        F = gf.parse_field_descriptor(args.field)
+        p, e, modulus = gf.split_field_descriptor(args.field)
+        _guard_field(p, e, cfg)
+        return gf.make_field(p, e, modulus)
     except ValueError as exc:
         raise UsageError(str(exc))
-    _guard_field(F, cfg)
-    return F
 
 
-def _guard_field(F, cfg):
-    if F.q > cfg.max_q and not cfg.unsafe_large:
+def _guard_field(p, e, cfg):
+    """Refuse GF(p^e) above the q bound before anything of it is built."""
+    if not cfg.unsafe_large and gf.exceeds_size_bound(p, e, cfg.max_q):
+        size = p if e == 1 else f"{p}^{e}"
         raise UsageError(
-            f"field size {F.q} exceeds the bound q <= {cfg.max_q}; "
+            f"field size {size} exceeds the bound q <= {cfg.max_q}; "
             "raise RDK_MAX_Q or pass --unsafe-large")
 
 
@@ -337,7 +339,7 @@ def cmd_verify(args, cfg):
         if not gf.is_prime(p):
             raise UsageError(f"--p entries must be prime, got {p}")
     grid = dict(ns=ns, ls=ls, ks=ks,
-                max_q=cfg.max_q if not cfg.unsafe_large else 10 ** 9)
+                max_q=None if cfg.unsafe_large else cfg.max_q)
     try:
         size = permcheck.grid_size(args.target, ps, es, **grid)
         _guard_grid(size, cfg)
@@ -571,4 +573,9 @@ def main(argv=None):
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # with the size guards lifted, a field or grid can outgrow memory
+        print("error: out of memory; --unsafe-large lifts the guards "
+              "that keep sizes in reach", file=sys.stderr)
         return 2

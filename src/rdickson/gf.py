@@ -19,8 +19,8 @@ Construction validates everything (primality, monic irreducible
 modulus); after that a FieldSpec is immutable and safe to share.  A
 FieldSpec of degree e >= 2 builds its lookup tables at construction; a
 QuadExt builds coset tables of GF(q^2)*, none longer than q + 1, on its
-first product, power or inverse outside the base line.  Tables change
-speed only, never values.
+first product or power off the base line.  Tables change speed only,
+never values.
 """
 
 import itertools
@@ -107,7 +107,8 @@ def is_irreducible(m, p):
 def _default_modulus(p, e):
     """Lexicographically smallest monic irreducible of degree e,
     coefficients compared constant term first."""
-    for tail in itertools.product(range(p), repeat=e):
+    # for e >= 2 a zero constant term makes x a factor, so those are skipped
+    for tail in itertools.product(range(1, p), *[range(p)] * (e - 1)):
         m = list(tail) + [1]
         if is_irreducible(m, p):
             return tuple(m)
@@ -337,6 +338,19 @@ class FieldSpec:
         self._neg_table, self._add_table = neg, add
 
 
+def _check_p_and_e(p, e):
+    if not isinstance(p, int) or not is_prime(p):
+        raise ValueError(f"p must be prime, got {p!r}")
+    if not isinstance(e, int) or e < 1:
+        raise ValueError(f"e must be a positive integer, got {e!r}")
+
+
+def exceeds_size_bound(p, e, max_q):
+    """Whether q = p^e exceeds max_q (None is no bound), without forming
+    a huge p^e: as p >= 2, p^e > max_q once e reaches max_q's bit length."""
+    return max_q is not None and p ** min(e, max_q.bit_length()) > max_q
+
+
 def make_field(p, e=1, modulus=None):
     """Construct GF(p**e).
 
@@ -346,10 +360,7 @@ def make_field(p, e=1, modulus=None):
     modulus must be monic of degree e and irreducible; coefficients
     are given constant term first and reduced mod p.
     """
-    if not isinstance(p, int) or not is_prime(p):
-        raise ValueError(f"p must be prime, got {p!r}")
-    if not isinstance(e, int) or e < 1:
-        raise ValueError(f"e must be a positive integer, got {e!r}")
+    _check_p_and_e(p, e)
     if modulus is None:
         modulus = (0, 1) if e == 1 else _default_modulus(p, e)
     else:
@@ -413,11 +424,11 @@ def _factor_prime_power(n):
     raise AssertionError("unreachable")
 
 
-def parse_field_descriptor(text):
-    """Parse "q", "p^e", or "p^e/c0,c1,...,1" into a field.
-
-    A bare integer may be a prime or a prime power (e.g. "9" means
-    GF(3^2) with the default modulus).
+def split_field_descriptor(text):
+    """Parse "q", "p^e", or "p^e/c0,c1,...,1" into (p, e, modulus),
+    building no field; p must be prime and e positive.  modulus is None
+    unless given.  A bare integer may be a prime or a prime power (e.g.
+    "9" means GF(3^2) with the default modulus).
     """
     body, _, modpart = text.strip().partition("/")
     try:
@@ -434,7 +445,13 @@ def parse_field_descriptor(text):
             modulus = tuple(int(c) for c in modpart.split(","))
         except ValueError:
             raise ValueError(f"bad modulus in field descriptor {text!r}") from None
-    return make_field(p, e, modulus)
+    _check_p_and_e(p, e)
+    return p, e, modulus
+
+
+def parse_field_descriptor(text):
+    """The field that split_field_descriptor(text) describes."""
+    return make_field(*split_field_descriptor(text))
 
 
 class QuadExt:
@@ -446,17 +463,18 @@ class QuadExt:
     field embeds as the ints below q.  Requires odd characteristic.
 
     Products and powers of base elements go to the base field.  The
-    first other product, power or inverse builds coset tables of
-    GF(q^2)*, if q <= _LOG_TABLE_MAX_Q at construction.  With g the
-    first generator in encoding order, h = g^(q+1) = N(g) generates
-    GF(q)*, and i < q^2 - 1 is uniquely alpha*(q+1) + beta with
-    alpha < q - 1 and beta <= q, so g^i = h^alpha g^beta.  The tables,
+    first other product or power builds coset tables of GF(q^2)*, if
+    q <= _LOG_TABLE_MAX_Q at construction.  With g the first generator
+    in encoding order, h = g^(q+1) = N(g) generates GF(q)*, and
+    i < q^2 - 1 is uniquely alpha*(q+1) + beta with alpha < q - 1 and
+    beta <= q, so g^i = h^alpha g^beta.  The tables,
     of at most q + 1 entries each, hold h's powers and logs, the h-logs
     of the coordinates of each g^beta, and rho[t] = log(t + s) for t in
     GF(q).  So log(a0 + a1 s) is (q+1) log_h(a0) if a1 = 0, else
-    (q+1) log_h(a1) + rho[a0/a1], and pow, inv and mul are a few lookups.
-    Above the bound the table-free paths run: the coordinate product,
-    square-and-multiply and the norm inverse.
+    (q+1) log_h(a1) + rho[a0/a1], and pow and mul are a few lookups; a
+    negative exponent, -1 for the inverse, reduces mod q^2 - 1.  Above
+    the bound the table-free paths run: the coordinate product and
+    square-and-multiply over it.
     """
 
     __slots__ = ("base", "q", "size", "d", "_split", "_buildable", "_hpow",
@@ -492,24 +510,6 @@ class QuadExt:
         a0, a1 = self.parts(u)
         return self.base.coeffs(a0) + self.base.coeffs(a1)
 
-    def elements(self):
-        return range(self.size)
-
-    def in_base(self, u):
-        return u < self.q
-
-    def add(self, u, v):
-        F, q = self.base, self.q
-        a1, a0 = divmod(u, q)
-        b1, b0 = divmod(v, q)
-        return F.add(a0, b0) + q * F.add(a1, b1)
-
-    def sub(self, u, v):
-        F, q = self.base, self.q
-        a1, a0 = divmod(u, q)
-        b1, b0 = divmod(v, q)
-        return F.sub(a0, b0) + q * F.sub(a1, b1)
-
     def mul(self, u, v):
         if u < self.q and v < self.q:
             return self.base.mul(u, v)
@@ -518,19 +518,6 @@ class QuadExt:
         if self._rho is None and not self._build():
             return self._mul_slow(u, v)
         return self._exp(self._logof(u) + self._logof(v))
-
-    def inv(self, u):
-        if u == 0:
-            raise ZeroDivisionError(f"inversion of zero in {self!r}")
-        if u < self.q:
-            return self.base.inv(u)
-        if self._rho is not None or self._build():
-            return self._exp(-self._logof(u))
-        F = self.base
-        a0, a1 = self.parts(u)
-        # conjugate over norm: norm = a0^2 - d*a1^2 lies in the base field
-        nrm_inv = F.inv(F.sub(F.mul(a0, a0), F.mul(self.d, F.mul(a1, a1))))
-        return self.make(F.mul(a0, nrm_inv), F.neg(F.mul(a1, nrm_inv)))
 
     def pow(self, u, n):
         if u == 0:
@@ -545,10 +532,6 @@ class QuadExt:
         if self._rho is None and not self._build():
             return modpoly.power(self._mul_slow, u, n, 1)
         return self._exp(self._logof(u) * n)
-
-    def frobenius(self, u):
-        a1, a0 = divmod(u, self.q)
-        return a0 + self.q * self.base.neg(a1)
 
     # -- the coset tables and the slow paths ------------------------------
 
@@ -679,12 +662,16 @@ def solve_y(ext, x):
     """All y in GF(q^2) with y*(1-y) = x, ascending encoding order.
 
     Completing the square gives y = (1 + r)/2 with r*r = 1 - 4x, so
-    there is a single y exactly when x = 1/4.
+    there is a single y exactly when x = 1/4.  r = r0 + r1 s, so y has
+    the base coordinates (1 + r0)/2 and r1/2.
     """
     F = ext.base
     disc = F.sub(1, F.mul(F.from_int(4), x))
     half = F.half
-    ys = [ext.mul(ext.add(1, r), half) for r in sqrt_ext(ext, disc)]
+    ys = []
+    for r in sqrt_ext(ext, disc):
+        r0, r1 = ext.parts(r)
+        ys.append(ext.make(F.mul(F.add(1, r0), half), F.mul(r1, half)))
     return tuple(sorted(ys))
 
 

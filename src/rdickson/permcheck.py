@@ -255,8 +255,8 @@ def _grid(theorem, ps, es, ns, ls, ks, max_q):
                          "p = 2 is outside its domain")
     st, grid = STATEMENTS[theorem], []
     for p in ps:
-        for e in es:  # p > 2: p^e > max_q once e reaches its bit length
-            if p ** min(e, max_q.bit_length()) > max_q:
+        for e in es:
+            if gf.exceeds_size_bound(p, e, max_q):
                 raise ValueError(f"grid point GF({p}^{e}) exceeds the "
                                  f"size bound q <= {max_q}")
             name, axis = st.axis(e, ns, ls)
@@ -274,12 +274,13 @@ def verify_theorem(theorem, ps, es, *, ns=None, ls=None, ks=None,
                    max_q=DEFAULT_MAX_Q):
     """Evaluate both sides of a named permutation statement on a grid.
 
-    The fields GF(p^e) run over ps x es, each guarded by q <= max_q;
-    p = 2 is refused: every statement assumes odd characteristic.  The
-    STATEMENTS entry fixes the rest: indices ns (T2.2, default 0..30) or
-    exponents ls (default 0..e; T-k0-pe2 takes l = e alone), and which
-    kinds ks (default 0..p-1, mod p) it covers, none outside its domain;
-    fixed-kind statements ignore ks.  No counterexample iff all agree.
+    The fields GF(p^e) run over ps x es, each guarded by q <= max_q
+    (None: no bound); p = 2 is refused: every statement assumes odd
+    characteristic.  The STATEMENTS entry fixes the rest: indices ns
+    (T2.2, default 0..30) or exponents ls (default 0..e; T-k0-pe2 takes
+    l = e alone), and which kinds ks (default 0..p-1, mod p) it covers,
+    none outside its domain; fixed-kind statements ignore ks.  No
+    counterexample iff all agree.
     """
     st, entries = STATEMENTS.get(theorem), []
     for p, e, (name, axis), kinds in _grid(theorem, ps, es, ns, ls, ks, max_q):

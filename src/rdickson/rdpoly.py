@@ -10,7 +10,8 @@ the same values, kept separate so they can be cross-checked:
 
   eval_definition   integer coefficient row (any characteristic, any a)
   eval_recurrence   Lucas index doubling after reduction mod q^2 - 1
-  eval_functional   through the parameter y with y(1 - y) = x in GF(q^2)
+  eval_functional   through the parameter y with y(1 - y) = x, which
+                    lies on GF(q) or on the line V of GF(q^2)
   eval_via_fnk      half-scaled integer form evaluated at 1 - 4x
   closed_form       closed values for indices p^l, p^l + 1, p^l + 2
 
@@ -274,31 +275,32 @@ def _principal_y(ext, x):
 
 
 def functional_map(ext, n, k, y):
-    """k (y^n (1-y) - y (1-y)^n)/(2y-1) + y^n + (1-y)^n in GF(q^2).
+    """k (y^n (1-y) - y (1-y)^n)/(2y-1) + y^n + (1-y)^n, a base element.
 
-    Defined for any y != 1/2 of the extension, not just roots of
-    y(1-y) = x over the base field; the permutation counting argument
-    feeds it the base line GF(q) and the fixed line of the q-power map,
-    V = {y : y^q = 1 - y} = {1/2 + t s}, and both take base-field
-    arithmetic only.  On GF(q) the formula is evaluated in GF(q).  On
+    Defined for y != 1/2 on the base line GF(q) or on the fixed line of
+    the q-power map, V = {y : y^q = 1 - y} = {1/2 + t s}: the points
+    the permutation counting argument feeds it, and the only ones
+    gf.solve_y returns.  On GF(q) the formula is evaluated in GF(q).  On
     V, 1 - y is the conjugate of y, so y^n = A + B s gives
     (1 - y)^n = A - B s, and the value is (2 - k) A + k B / (2t): one
     power in GF(q^2), a few lookups with the extension's coset tables.
-    Any other y takes the formula in GF(q^2), with two powers.
+    Any other y of GF(q^2) raises ValueError.
     """
     F = ext.base
     k %= F.p
     t, y0 = divmod(y, ext.q)
-    if t and y0 == F.half:
+    if t:
+        if y0 != F.half:
+            raise ValueError(f"y = {ext.coeffs(y)} lies on neither GF(q) "
+                             "nor V")
         b, a = divmod(ext.pow(y, n), ext.q)
         return F.add(F.mul(F.from_int(2 - k), a),
                      F.mul(k, F.mul(b, F.inv(F.add(t, t)))))
-    R = ext if t else F
-    z = R.sub(1, y)
-    yn, zn = R.pow(y, n), R.pow(z, n)
-    num = R.sub(R.mul(yn, z), R.mul(y, zn))
-    den = R.sub(R.add(y, y), 1)
-    return R.add(R.mul(k, R.mul(num, R.inv(den))), R.add(yn, zn))
+    z = F.sub(1, y)
+    yn, zn = F.pow(y, n), F.pow(z, n)
+    num = F.sub(F.mul(yn, z), F.mul(y, zn))
+    den = F.sub(F.add(y, y), 1)
+    return F.add(F.mul(k, F.mul(num, F.inv(den))), F.add(yn, zn))
 
 
 def char2_eval(F, n, k, x, a=1):

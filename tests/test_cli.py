@@ -403,6 +403,26 @@ class TestGuardsAndErrors:
         code, _, err = run(capsys, "field-info", "--field", "625")
         assert code == 2 and "exceeds" in err
 
+    @pytest.mark.parametrize("fd", ["3^40", "2^64", "3^12", "3^40/1,2"])
+    def test_field_size_guard_runs_before_the_field_is_built(
+            self, capsys, monkeypatch, fd):
+        # the guard used to run after make_field, whose modulus search
+        # did not finish within 20 s for 3^40 and 2^64
+        def refuse(*args):
+            raise AssertionError("make_field ran before the size guard")
+        monkeypatch.setattr(gf, "make_field", refuse)
+        code, out, err = run(capsys, "field-info", "--field", fd)
+        assert (code, out) == (2, "")
+        assert f"field size {fd.partition('/')[0]} exceeds the bound" in err
+
+    def test_invalid_descriptors_keep_their_messages(self, capsys):
+        for fd, msg in (("4^40", "p must be prime, got 4"),
+                        ("3^0", "e must be a positive integer, got 0"),
+                        ("3^x", "bad field descriptor '3^x'"),
+                        ("9^2/1,2", "p must be prime, got 9")):
+            code, _, err = run(capsys, "field-info", "--field", fd)
+            assert code == 2 and msg in err, fd
+
     def test_env_raises_guard(self, capsys, monkeypatch):
         monkeypatch.setenv("RDK_MAX_Q", "625")
         code, _, _ = run(capsys, "field-info", "--field", "625")
@@ -541,14 +561,42 @@ class TestGuardsAndErrors:
         ("--p", "1000000007", "--e", "1"),
         ("--p", "3", "--e", "1000000000000", "--l", "0"),
     ])
-    @pytest.mark.parametrize("unsafe", [(), ("--unsafe-large",)])
-    def test_oversized_field_is_refused_before_any_work(self, target, axes,
-                                                        unsafe):
+    def test_oversized_field_is_refused_before_any_work(self, target, axes):
         # the q bound must hold before the kinds 0..p-1 or p^e are built
-        proc = run_capped("verify", target, *axes, *unsafe)
+        proc = run_capped("verify", target, *axes)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert "size bound" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "T2.1", "--p", "3", "--e", "1000000000000", "--l", "0",
+         "--k", "1"),
+        ("field-info", "--field", "3^1000000000000")])
+    def test_unsafe_large_past_memory_is_a_usage_error(self, argv):
+        # the default modulus of degree 10^12 cannot be searched for;
+        # field-info ended in a MemoryError traceback, and verify reaches
+        # the same search once --unsafe-large lifts its q bound
+        proc = run_capped(*argv, "--unsafe-large")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "out of memory" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("target", ["T2.1", "T-pl1-gen", "T-k0-pe2"])
+    def test_unsafe_large_lifts_the_verify_size_bound(self, capsys,
+                                                       monkeypatch, target):
+        # --unsafe-large used to leave a bound of q <= 10^9 in place; the
+        # grid is sized for real, and the scan of GF(10^9 + 7) stubbed
+        seen = []
+
+        def verify(theorem, ps, es, **grid):
+            seen.append(grid["max_q"])
+            return permcheck.TheoremReport(theorem, [], [])
+        monkeypatch.setattr(permcheck, "verify_theorem", verify)
+        code, out, err = run(capsys, "verify", target, "--p", "1000000007",
+                             "--e", "1", "--l", "0", "--k", "1",
+                             "--unsafe-large")
+        assert (code, err, seen) == (0, "", [None])
+        assert out.endswith("pass: true\n")
 
     @pytest.mark.parametrize("argv", [
         ("sums", "--field", "5", "--k", "1"),

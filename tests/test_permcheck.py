@@ -263,6 +263,14 @@ class TestStatementTable:
             with pytest.raises(ValueError, match=match):
                 fn(theorem, ps, es, ls=[0])
 
+    @pytest.mark.parametrize("theorem", pc.THEOREM_IDS)
+    def test_grid_size_without_a_bound_takes_any_field(self, theorem):
+        # max_q=None, what the CLI passes under --unsafe-large, refuses
+        # no q; T2.2 takes its default indices 0..30
+        size = pc.grid_size(theorem, [10 ** 9 + 7], [1], ls=[0], ks=[1],
+                            max_q=None)
+        assert size == (31 if theorem == "T2.2" else 1)
+
     @pytest.mark.parametrize("theorem", [t for t in pc.THEOREM_IDS
                                          if t not in ("T2.2", "T-k0-pe2")])
     def test_exponents_whose_n_cannot_print_are_refused(self, theorem):

@@ -371,10 +371,24 @@ class TestGenfun:
 
 
 def two_power_map(ext, n, k, y):
-    """The 2-to-1 map by its defining formula, with both powers taken by
-    a test-local square-and-multiply over a test-local coordinate
-    product: (a0 + a1 s)(b0 + b1 s) = (a0 b0 + d a1 b1) + (a0 b1 + a1 b0) s."""
+    """The 2-to-1 map by its defining formula in test-local coordinate
+    arithmetic, sharing none with QuadExt: sums and differences by
+    coordinates, the product (a0 + a1 s)(b0 + b1 s) = (a0 b0 + d a1 b1)
+    + (a0 b1 + a1 b0) s, both powers by square-and-multiply over it, and
+    the inverse as the conjugate over the norm a0^2 - d a1^2."""
     F, q, d = ext.base, ext.q, ext.d
+
+    def add(u, v):
+        return F.add(u % q, v % q) + q * F.add(u // q, v // q)
+
+    def sub(u, v):
+        return F.sub(u % q, v % q) + q * F.sub(u // q, v // q)
+
+    def inv(u):
+        a1, a0 = divmod(u, q)
+        norm = F.sub(F.mul(a0, a0), F.mul(d, F.mul(a1, a1)))
+        c = F.inv(norm)
+        return F.mul(a0, c) + q * F.neg(F.mul(a1, c))
 
     def mul(u, v):
         a1, a0 = divmod(u, q)
@@ -390,24 +404,28 @@ def two_power_map(ext, n, k, y):
                 out = mul(out, u)
         return out
 
-    z = ext.sub(1, y)
+    z = sub(1, y)
     yn, zn = power(y, n), power(z, n)
-    num = ext.sub(mul(yn, z), mul(y, zn))
-    frac = mul(num, ext.inv(ext.sub(ext.add(y, y), 1)))
-    return ext.add(mul(k, frac), ext.add(yn, zn))
+    num = sub(mul(yn, z), mul(y, zn))
+    frac = mul(num, inv(sub(add(y, y), 1)))
+    return add(mul(k, frac), add(yn, zn))
 
 
 class TestFunctionalMap:
     def test_all_of_the_extension_against_two_powers(self):
-        # every y != 1/2 of GF(9^2): the base line, the fixed line V,
-        # and the points outside both, which take the general formula
+        # every y != 1/2 of GF(9^2): the base line and the fixed line V
+        # against the formula, and every point outside both refused
         ext = gf.quadratic_extension(F9)
         outside = 0
-        for y in ext.elements():
+        for y in range(ext.size):
             if y == F9.half:
                 continue
-            z = ext.sub(1, y)
-            outside += z != ext.frobenius(y) and y >= F9.q
+            a1, a0 = divmod(y, F9.q)
+            if a1 and F9.add(a0, a0) != 1:      # y^q = a0 - a1 s != 1 - y
+                outside += 1
+                with pytest.raises(ValueError, match="neither"):
+                    rd.functional_map(ext, 2, 1, y)
+                continue
             for n in (1, 2, 5, 13):
                 for k in range(3):
                     want = two_power_map(ext, n, k, y)
