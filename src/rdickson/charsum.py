@@ -7,11 +7,19 @@ a right-hand-side vector c derived from b, and a first-order recurrence
 that pins down the shifted sums d_n = S(n) - (k(n-1)+2)/2^n for
 1 <= n <= q^2 - 1.  The recurrence overdetermines the final block; the
 spare equations are checked.
-A table costs O(q^2) list work beyond the field: b has about 2q
-nonzero entries and modpoly.mul skips zeros, so the one large product,
-mixer * b, is O(q^2).  sums_bruteforce is the term-by-term oracle,
-O(q^3) for all n at once.
+Every ingredient is built from its closed shape, in whole-list passes:
+b is a comb with two teeth at each multiple of q - 1, the first part
+of c is runs of equal entries, and the mixer polynomial is two exact
+divisions by z - 2 of an O(q) numerator.  The one large product,
+mixer * b, is q + 1 shifted copies of mixer * (b_0 + b_1 z); d is
+solved one block of q entries per list pass, and the offsets
+(k(n-1)+2)/2^n repeat with a period dividing p(p - 1).  A table costs
+O(q^2) list work beyond the field, O(q) of it in Python steps.
+sums_bruteforce is the term-by-term oracle, O(q^3) for all n at once.
 """
+
+from itertools import accumulate, cycle, islice
+from operator import add
 
 from . import modpoly
 from .gf import InternalCheckError
@@ -37,62 +45,78 @@ def power_sum(F, m):
 def b_coeffs(F, k):
     """Coefficient vector b, indices 0 .. q^2 - q + 1, entries mod p.
 
-    b(z) = (2 - k + (k-1) z) * (-1 - (z - z^q)^(q-1)), expanded without
-    binomials; the power is kept as a sparse {degree: coeff}, since it
-    has at most q terms.  The tests hold it to the digit formula of the
+    b(z) = (2 - k + (k-1) z) * (-1 - (z - z^q)^(q-1)).  With u = z^(q-1),
+    (z - z^q)^(q-1) = u (1 - u)^(q-1) and (1 - u)^(q-1) = (1 - u^q)/(1 - u)
+    = 1 + u + ... + u^(q-1) mod p, so b = -(2 - k + (k-1) z) times
+    sum_{j=0}^{q} z^(j(q-1)): a comb whose teeth (k - 2, 1 - k) sit at the
+    multiples of q - 1.  The tests hold it to the digit formula of the
     paper.
     """
     if F.p == 2:
         raise ValueError("the sum machinery needs odd characteristic")
     q, p = F.q, F.p
-    k %= p
-    pw = {0: 1}
-    for _ in range(q - 1):
-        nxt = {}
-        for i, c in pw.items():
-            nxt[i + 1] = (nxt.get(i + 1, 0) + c) % p
-            nxt[i + q] = (nxt.get(i + q, 0) - c) % p
-        pw = {i: c for i, c in nxt.items() if c}
-    neg = {i: -c % p for i, c in pw.items()}
-    neg[0] = (neg.get(0, 0) - 1) % p
-    out = [0] * (q * q - q + 2)
-    for i, c in neg.items():
-        out[i] = (out[i] + (2 - k) * c) % p
-        out[i + 1] = (out[i + 1] + (k - 1) * c) % p
-    return out
+    tooth = [(k - 2) % p, (1 - k) % p]
+    return (tooth + [0] * (q - 3)) * q + tooth
 
 
 # -- the c vector ----------------------------------------------------------
 
 
+def _divide_by_z_minus_2(a, p):
+    """The quotient of a by z - 2 over GF(p), by synthetic division; a
+    nonzero remainder raises InternalCheckError."""
+    quo, carry = [0] * (len(a) - 1), 0
+    for i in range(len(a) - 1, 0, -1):
+        carry = (a[i] + 2 * carry) % p
+        quo[i - 1] = carry
+    if (a[0] + 2 * carry) % p:
+        raise InternalCheckError("mixer numerator is not divisible by z - 2")
+    return quo
+
+
+def _mixer(q, p):
+    """z^(2(q-1)) + sum_{m=1}^{q-1} (z-1)^(q-1-m) z^(2m) (1/4)^m, degree
+    2q - 2.
+
+    The sum is geometric with ratio z^2 / (4(z - 1)); as 4^q = 4,
+    (z - 1)^q = z^q - 1 and (z - 1)^(q-1) = 1 + z + ... + z^(q-1) mod p,
+    (z - 2)^2 (mixer - z^(2q-2)) = z^(2q) - (z^2 + ... + z^(q+1)), which
+    two exact divisions by z - 2 undo.
+    """
+    num = [0, 0] + [p - 1] * q + [0] * (q - 2) + [1]
+    mixer = _divide_by_z_minus_2(_divide_by_z_minus_2(num, p), p)
+    mixer[-1] = (mixer[-1] + 1) % p
+    return mixer
+
+
 def c_coeffs(F, k):
     """Right-hand-side vector c, indices 0 .. q^2 + q - 1.
 
-    c(z) = (1 + z^(q-1) - z^q) * (z + ... + z^(q^2-1))
-         - (z^(2(q-1)) + sum_{m=1}^{q-1} (z-1)^(q-1-m) z^(2m) (1/4)^m) * b(z).
+    c(z) = (1 + z^(q-1) - z^q) * (z + ... + z^(q^2-1)) - mixer(z) * b(z).
+    The first product is 1 at degrees 1 .. q^2 - 1 except 2 at q, then
+    -1 at q^2 + q - 1.  b is the comb of b_coeffs, so mixer * b is
+    mixer * (b_0 + b_1 z) added at every multiple of q - 1.
 
     The constant term must vanish and the degree stays below q^2 + q;
     both are asserted, not assumed.
     """
     q, p = F.q, F.p
-    k %= p
     b = b_coeffs(F, k)
-    geo = [0] + [1] * (q * q - 1)
-    part1 = modpoly.add(geo, modpoly.shift(geo, q - 1), p)
-    part1 = modpoly.sub(part1, modpoly.shift(geo, q), p)
-    # Horner's rule in (z - 1): mixer <- mixer (z - 1) + 4^(-m) z^(2m)
-    inv4, r, mixer = pow(4, -1, p), 1, []
-    for m in range(1, q):
-        r = r * inv4 % p
-        mixer = modpoly.add(modpoly.mul(mixer, [p - 1, 1], p),
-                            modpoly.shift([r], 2 * m), p)
-    mixer = modpoly.add(mixer, modpoly.shift([1], 2 * (q - 1)), p)
-    c = modpoly.sub(part1, modpoly.mul(mixer, b, p), p)
-    if c and c[0] != 0:
+    mixer = _mixer(q, p)
+    b0, b1 = b[0], b[1]
+    tooth = [-(b0 * x + b1 * y) % p for x, y in zip(mixer + [0], [0] + mixer)]
+    width, last = len(tooth), len(b) - 2
+    c = ([0] + [1] * (q - 1) + [2] + [1] * (q * q - q - 1) + [0] * (q - 1)
+         + [p - 1])
+    c += [0] * (last + width - len(c))
+    for s in range(0, last + 1, q - 1):
+        c[s:s + width] = map(add, c[s:s + width], tooth)
+    c = [v % p for v in c]
+    if c[0] != 0:
         raise InternalCheckError("c-vector constant term is nonzero")
-    if modpoly.degree(c) >= q * q + q:
+    if any(c[q * q + q:]):
         raise InternalCheckError("c-vector degree exceeds its bound")
-    return c + [0] * (q * q + q - len(c))
+    return c[:q * q + q]
 
 
 # -- the recurrence --------------------------------------------------------
@@ -101,34 +125,32 @@ def c_coeffs(F, k):
 def _d_vector(F, c):
     """Shifted sums d_1 .. d_{q^2-1} from the coefficient identity.
 
-    The identity (z^q - z^(q-1) - 1) d(z) = c(z) determines d block by
-    block going up and the top block again from the tail of c going
-    down; the overlap must agree, and InternalCheckError reports any
-    conflict.  Index 0 of the returned list is unused.
+    The identity (z^q - z^(q-1) - 1) d(z) = c(z) gives, with d zero
+    below index 1, d[lq + j] = d[(l-1)q + j] - d[(l-1)q + j + 1] - c[lq + j]:
+    block l from block l - 1 and its own first entry, going up.  The top
+    block follows again from the tail of c going down; the overlap must
+    agree, and InternalCheckError reports any conflict.  Index 0 of the
+    returned list is unused.
     """
     q, p = F.q, F.p
     d = [0] * (q * q)
-    for j in range(1, q):
-        d[j] = -c[j] % p
-    d[q] = (c[1] - c[q]) % p
-    for l in range(1, q - 1):
-        if l >= 2:
-            d[l * q] = (d[(l - 1) * q] - d[(l - 1) * q + 1] - c[l * q]) % p
-        for j in range(1, q):
-            d[l * q + j] = (d[(l - 1) * q + j] - d[(l - 1) * q + j + 1]
-                            - c[l * q + j]) % p
-    acc = 0
-    for j in range(q - 1, -1, -1):
-        acc = (acc + c[q * q + j]) % p
-        d[q * q - q + j] = acc
+    d[1:q] = [-x % p for x in c[1:q]]
+    for base in range(q, q * q - q, q):
+        d[base] = (d[base - q] - d[base - q + 1] - c[base]) % p
+        prev = d[base - q + 1:base + 1]
+        d[base + 1:base + q] = [(x - y - z) % p for x, y, z in
+                                zip(prev, prev[1:], c[base + 1:base + q])]
+    base = q * q - q
+    tail = list(accumulate(reversed(c[q * q:q * q + q])))
+    d[base:] = [v % p for v in reversed(tail)]
     # the tail block is pinned twice over; the recurrence must agree
-    l = q - 1
-    for j in range(q):
-        expect = (d[(l - 1) * q + j] - d[(l - 1) * q + j + 1]
-                  - c[l * q + j]) % p
-        if d[l * q + j] != expect:
+    prev = d[base - q:base + 1]
+    expect = [(x - y - z) % p for x, y, z in
+              zip(prev, prev[1:], c[base:base + q])]
+    for j, (got, want) in enumerate(zip(d[base:], expect)):
+        if got != want:
             raise InternalCheckError(
-                f"overdetermined tail disagrees at index {l * q + j}")
+                f"overdetermined tail disagrees at index {base + j}")
     return d
 
 
@@ -136,12 +158,14 @@ def _quarter_offsets(p, k, count):
     """rdpoly.value_at_quarter(F, n, k) for n < count, over any F of
     characteristic p: the values lie in the prime subfield, whose
     encodings are the ints below p, so one running power of 1/2 mod p
-    gives them all."""
-    inv2, r, out = pow(2, -1, p), 1, []
-    for n in range(count):
-        out.append((k * (n - 1) + 2) * r % p)
+    gives them.  (k(n-1) + 2) has period p in n and 2^-n a period
+    dividing p - 1, so one period of length p(p - 1) is built and
+    repeated."""
+    inv2, r, period = pow(2, -1, p), 1, []
+    for n in range(min(count, p * (p - 1))):
+        period.append((k * (n - 1) + 2) * r % p)
         r = r * inv2 % p
-    return out
+    return list(islice(cycle(period), count))
 
 
 class SumTable:
@@ -170,8 +194,8 @@ def sums_via_recurrence(F, k):
     k %= p
     c = c_coeffs(F, k)
     d = _d_vector(F, c)
-    offsets = _quarter_offsets(p, k, q * q)
-    sums = [0] + [(d[n] + offsets[n]) % p for n in range(1, q * q)]
+    sums = [(x + y) % p for x, y in zip(d, _quarter_offsets(p, k, q * q))]
+    sums[0] = 0
     return SumTable(F, k, c, d, sums)
 
 

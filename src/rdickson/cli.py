@@ -18,8 +18,9 @@ Exit codes: 0 verified/ok, 1 a check failed or an internal
 cross-check tripped, 2 usage error, an --out that cannot be written
 included.  Output is deterministic: equal invocations produce identical
 bytes.  Commands render their whole output and write it once; `sums`
-builds and checks its table first and then writes it one row at a time,
-rendering each of its at most p distinct sum values once.
+builds and checks its table first and then writes it ROWS_PER_WRITE
+rows at a time, rendering each of its at most p distinct sum values
+once.
 """
 
 import argparse
@@ -29,6 +30,7 @@ import io
 import json
 import os
 import sys
+from itertools import islice, repeat
 
 from . import charsum, gf, permcheck, rdpoly
 from .gf import InternalCheckError
@@ -426,20 +428,34 @@ def cmd_sums(args, cfg):
     return 0 if oracle is None or all(oracle[1:]) else 1
 
 
+ROWS_PER_WRITE = 1000
+
+
+def _row_blocks(table, oracle):
+    """The rows (n, sum, d, oracle_match) for n = 1 .. q^2 - 1, as
+    iterators over ROWS_PER_WRITE rows, each to be read before the next."""
+    size = len(table.sums)
+    checks = islice(oracle, 1, None) if oracle is not None else repeat(None)
+    rows = zip(range(1, size), islice(table.sums, 1, None),
+               islice(table.d, 1, None), checks)
+    for _ in range(1, size, ROWS_PER_WRITE):
+        yield islice(rows, ROWS_PER_WRITE)
+
+
 def _write_sums(fh, fmt, table, oracle):
-    """Write the rows n = 1 .. q^2 - 1 of a sum table one at a time.
+    """Write the rows n = 1 .. q^2 - 1 of a sum table, ROWS_PER_WRITE
+    rows per write.
 
     The bytes are those of the whole-table renderings: json.dumps(...,
     sort_keys=True, indent=2) of {command, field, k, rows}, csv.writer
     rows, or space-joined cells.  oracle[n] fills oracle_match (json
     leaves the key out, the other formats the cell blank, when oracle is
     None).  Every sum lies in the prime subfield, so each of the at most
-    p distinct values is rendered once.
+    p distinct values is rendered once, for csv by the one csv.writer
+    (n, d and oracle_match never need quoting); a row is one f-string
+    of those pieces.
     """
-    F, sums, d = table.field, table.sums, table.d
-    rows = range(1, len(sums))
-    if oracle is None:
-        oracle = [None] * len(sums)
+    F, sums = table.field, table.sums
     if fmt == "json":
         # a row's sum list sits at nesting depth 3: items at 8 spaces
         cell = {v: json.dumps(list(F.coeffs(v)), indent=2).replace(
@@ -448,28 +464,34 @@ def _write_sums(fh, fmt, table, oracle):
                  False: '      "oracle_match": false,\n'}
         fh.write(f'{{\n  "command": "sums",\n'
                  f'  "field": {json.dumps(gf.field_descriptor(F))},\n'
-                 f'  "k": {table.k},\n  "rows": [')
-        sep = "\n"
-        for n in rows:
-            fh.write(f'{sep}    {{\n      "d": {d[n]},\n      "n": {n},\n'
-                     f'{match[oracle[n]]}'
-                     f'      "sum": {cell[sums[n]]}\n    }}')
+                 f'  "k": {table.k},\n  "rows": [\n')
+        sep = ""
+        for rows in _row_blocks(table, oracle):
+            fh.write(sep + ",\n".join([
+                f'    {{\n      "d": {dn},\n      "n": {n},\n'
+                f'{match[ok]}      "sum": {cell[s]}\n    }}'
+                for n, s, dn, ok in rows]))
             sep = ",\n"
         fh.write("\n  ]\n}\n")
         return
-    cell = {v: _coords(F, v) for v in set(sums)}
-    match = {None: "", True: "true", False: "false"}
+    values = list(set(sums))
     header = ("n", "sum", "d", "oracle_match")
     if fmt == "csv":
-        writer = csv.writer(fh, lineterminator="\n")
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows((n, cell[sums[n]], d[n], match[oracle[n]])
-                         for n in rows)
-        return
-    fh.write(" ".join(header) + "\n")
-    for n in rows:
-        fh.write(f"{n} {cell[sums[n]]} {d[n]} {match[oracle[n]]}".rstrip()
-                 + "\n")
+        writer.writerows([_coords(F, v)] for v in values)
+        head, *quoted = buf.getvalue().splitlines()
+        cell = dict(zip(values, quoted))
+        sep, match = ",", {None: ",", True: ",true", False: ",false"}
+    else:
+        # the blank oracle_match cell and its separator are stripped
+        head, cell = " ".join(header), {v: _coords(F, v) for v in values}
+        sep, match = " ", {None: "", True: " true", False: " false"}
+    fh.write(head + "\n")
+    for rows in _row_blocks(table, oracle):
+        fh.write("".join([f"{n}{sep}{cell[s]}{sep}{dn}{match[ok]}\n"
+                          for n, s, dn, ok in rows]))
 
 
 # -- field-info --------------------------------------------------------

@@ -24,6 +24,7 @@ never values.
 """
 
 import itertools
+import math
 from array import array
 from functools import lru_cache
 
@@ -405,23 +406,46 @@ def field_descriptor(field):
     return f"{field.p}^{field.e}/{mods}"
 
 
+def _integer_root(n, e):
+    """The largest r with r^e <= n, for n >= 1.
+
+    Newton's method from above, started at a float estimate of the root
+    of n's top 40e or so bits, shifted back and rounded up: its error is
+    far below 1, so Newton needs a few steps even for large e.
+    """
+    k = max(0, n.bit_length() // e - 40)
+    r = (int(2 ** (math.log2(n >> k * e) / e)) + 3) << k
+    while True:
+        s = ((e - 1) * r + n // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
+
+
 def _factor_prime_power(n):
-    if n < 2:
-        raise ValueError(f"{n} is not a prime power")
-    if is_prime(n):
-        return n, 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e, m = 0, n
-            while m % d == 0:
-                m //= d
-                e += 1
-            if m != 1:
-                raise ValueError(f"{n} is not a prime power")
-            return d, e
-        d += 1 if d == 2 else 2
-    raise AssertionError("unreachable")
+    """(p, e) with p^e = n and p prime.
+
+    Trial division stops below 1024: a divisor there is p.  Otherwise
+    p > 1024, so e <= log2(n) / 10, and n = p^e is a perfect e'-th power
+    only for e' dividing e: the largest e whose exact integer root is
+    prime wins.  So a large composite is refused at once.
+    """
+    if n >= 2:
+        for d in range(2, 1024):
+            if n % d == 0:
+                e, m = 0, n
+                while m % d == 0:
+                    m //= d
+                    e += 1
+                if m == 1:
+                    return d, e
+                break
+        else:
+            for e in range(n.bit_length() // 10, 0, -1):
+                p = _integer_root(n, e)
+                if p ** e == n and is_prime(p):
+                    return p, e
+    raise ValueError(f"{n} is not a prime power")
 
 
 def split_field_descriptor(text):

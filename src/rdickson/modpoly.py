@@ -22,15 +22,6 @@ def degree(c):
     return len(c) - 1
 
 
-def add(a, b, p):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, x in enumerate(b):
-        out[i] = (out[i] + x) % p
-    return trim(out)
-
-
 def sub(a, b, p):
     out = [0] * max(len(a), len(b))
     for i, x in enumerate(a):
@@ -43,13 +34,6 @@ def sub(a, b, p):
 def scale(a, s, p):
     s %= p
     return trim([(x * s) % p for x in a])
-
-
-def shift(a, t):
-    """Multiply by x**t."""
-    if not a:
-        return []
-    return [0] * t + list(a)
 
 
 def mul(a, b, p):

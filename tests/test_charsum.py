@@ -8,7 +8,7 @@ import pytest
 
 from rdickson import charsum as cs
 from rdickson import cli
-from rdickson import gf
+from rdickson import gf, modpoly
 from rdickson import rdpoly as rd
 from rdickson.gf import InternalCheckError
 
@@ -36,6 +36,34 @@ def _b_by_cases(F, k):
             v = 0
         out[j] = v % p
     return out
+
+
+def _add(a, b, p):
+    out = [0] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] = x
+    for i, x in enumerate(b):
+        out[i] = (out[i] + x) % p
+    return modpoly.trim(out)
+
+
+def _c_by_products(F, k):
+    """c from the products of its definition: part1 from three shifted
+    geometric rows, the mixer by Horner's rule in (z - 1), and the sparse
+    product of the mixer with the digit-formula b."""
+    q, p = F.q, F.p
+    geo = [0] + [1] * (q * q - 1)
+    part1 = _add(geo, [0] * (q - 1) + geo, p)
+    part1 = modpoly.sub(part1, [0] * q + geo, p)
+    # mixer <- mixer (z - 1) + 4^(-m) z^(2m)
+    inv4, r, mixer = pow(4, -1, p), 1, []
+    for m in range(1, q):
+        r = r * inv4 % p
+        mixer = _add(modpoly.mul(mixer, [p - 1, 1], p), [0] * (2 * m) + [r],
+                     p)
+    mixer = _add(mixer, [0] * (2 * (q - 1)) + [1], p)
+    c = modpoly.sub(part1, modpoly.mul(mixer, _b_by_cases(F, k), p), p)
+    return c + [0] * (q * q + q - len(c))
 
 
 def _sums_direct(F, k, c):
@@ -91,9 +119,18 @@ class TestQuarterOffsets:
             want = [rd.value_at_quarter(F, n, k) for n in range(F.q * F.q)]
             assert cs._quarter_offsets(F.p, k, F.q * F.q) == want
 
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_period_repeats_around_its_length(self, p):
+        # one period of p(p - 1) values is built and repeated
+        F, period = gf.make_field(p), p * (p - 1)
+        for count in (0, 1, period - 1, period, period + 1, 3 * period + 2):
+            for k in range(p):
+                want = [rd.value_at_quarter(F, n, k) for n in range(count)]
+                assert cs._quarter_offsets(p, k, count) == want, (count, k)
+
 
 class TestBVector:
-    @pytest.mark.parametrize("q", [5, 7, 9, 25, 27, 49, 125, 243, 343])
+    @pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27, 49, 125, 243, 343])
     def test_matches_digit_formula(self, q):
         F = gf.parse_field_descriptor(str(q))
         for k in range(F.p):
@@ -123,6 +160,41 @@ class TestCVector:
                 assert len(c) == F.q ** 2 + F.q
                 assert c[0] == 0
 
+    @pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27, 49])
+    def test_matches_products_of_the_definition(self, q):
+        F = gf.parse_field_descriptor(str(q))
+        for k in range(F.p):
+            assert cs.c_coeffs(F, k) == _c_by_products(F, k), k
+
+    @pytest.mark.parametrize("q", [3, 5, 9, 25, 343])
+    def test_mixer_division_is_exact_only_for_its_numerator(self, q):
+        p = gf.parse_field_descriptor(str(q)).p
+        # z^(2q) - (z^2 + ... + z^(q+1)) = (z - 2)^2 (mixer - z^(2q-2))
+        num = [0, 0] + [p - 1] * q + [0] * (q - 2) + [1]
+        once = cs._divide_by_z_minus_2(num, p)
+        assert len(cs._divide_by_z_minus_2(once, p)) == 2 * q - 1
+        for i in range(len(num)):
+            # off by one coefficient: the value at z = 2 moves by 2^i
+            bad = list(num)
+            bad[i] = (bad[i] + 1) % p
+            with pytest.raises(InternalCheckError, match="z - 2"):
+                cs._divide_by_z_minus_2(bad, p)
+        # divisible once but not twice: the second division refuses
+        bad = list(num)
+        bad[1], bad[2] = (bad[1] - 2) % p, (bad[2] + 1) % p
+        with pytest.raises(InternalCheckError, match="z - 2"):
+            cs._divide_by_z_minus_2(cs._divide_by_z_minus_2(bad, p), p)
+
+    @pytest.mark.parametrize("fault, message", [
+        (lambda m: [(m[0] + 1) % 5] + m[1:], "constant term"),
+        (lambda m: m + [1], "degree")])
+    def test_shape_checks_fire_on_a_wrong_mixer(self, monkeypatch, fault,
+                                                message):
+        real = cs._mixer
+        monkeypatch.setattr(cs, "_mixer", lambda q, p: fault(real(q, p)))
+        with pytest.raises(InternalCheckError, match=message):
+            cs.c_coeffs(F5, 3)
+
     # sha256 of the comma-joined vector, recorded with the dense product
     # (every entry of b walked) before mul skipped zeros
     DIGESTS = {
@@ -145,8 +217,9 @@ class TestCVector:
 
 
 class TestSumTable:
-    @pytest.mark.parametrize("F", [F5, F7, F9, gf.make_field(5, 2),
-                                   gf.make_field(3, 3), gf.make_field(7, 2)],
+    @pytest.mark.parametrize("F", [gf.make_field(3), F5, F7, F9,
+                                   gf.make_field(5, 2), gf.make_field(3, 3),
+                                   gf.make_field(7, 2)],
                              ids=lambda F: f"GF({F.q})")
     def test_matches_bruteforce_all_k(self, F):
         for k in range(F.p):

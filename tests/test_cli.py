@@ -12,6 +12,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -240,6 +241,33 @@ class TestSumsWriter:
         assert self._check(capsys, tmp_path, "9", 2, fmt, True,
                            "stdout") == 1
 
+    @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+    def test_bytes_match_across_write_blocks(self, capsys, tmp_path, fmt):
+        # 6560 rows: several ROWS_PER_WRITE blocks and a partial last one
+        assert 81 ** 2 - 1 > 6 * cli.ROWS_PER_WRITE
+        assert self._check(capsys, tmp_path, "81", 2, fmt, True,
+                           "stdout") == 0
+
+    @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+    def test_oracle_mismatch_on_a_block_boundary(self, capsys, tmp_path,
+                                                 monkeypatch, fmt):
+        real = charsum.sums_bruteforce
+        last = cli.ROWS_PER_WRITE         # the last row of the first block
+
+        def off_by_one(F, k):
+            brute = real(F, k)
+            for n in (last, last + 1):
+                brute[n] = F.add(brute[n], 1)
+            return brute
+        monkeypatch.setattr(charsum, "sums_bruteforce", off_by_one)
+        assert self._check(capsys, tmp_path, "49", 3, fmt, True,
+                           "stdout") == 1
+        code, out, _ = run(capsys, "sums", "--field", "49", "--k", "3",
+                           "--check", "--format", "csv")
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [row[0] for row in rows if row[3] == "false"] == \
+            [str(last), str(last + 1)]
+
     def test_json_table_memory_peak(self):
         # only the writer is traced: rendered as one json.dumps string the
         # GF(243) table peaked at about 80 MiB, row by row at about 0.5 MiB
@@ -414,6 +442,15 @@ class TestGuardsAndErrors:
         code, out, err = run(capsys, "field-info", "--field", fd)
         assert (code, out) == (2, "")
         assert f"field size {fd.partition('/')[0]} exceeds the bound" in err
+
+    def test_large_composite_descriptor_is_refused_at_once(self, capsys):
+        # 1000000007 * 1000000009: trial division ran past a 5 s timeout
+        start = time.perf_counter()
+        code, out, err = run(capsys, "field-info", "--field",
+                             "1000000016000000063")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert "1000000016000000063 is not a prime power" in err
 
     def test_invalid_descriptors_keep_their_messages(self, capsys):
         for fd, msg in (("4^40", "p must be prime, got 4"),

@@ -166,6 +166,64 @@ def test_descriptor_roundtrip():
             gf.parse_field_descriptor(bad)
 
 
+def _trial_factor(n):
+    # oracle: the smallest divisor, then strip it
+    d = next(d for d in range(2, n + 1) if n % d == 0)
+    e = 0
+    while n % d == 0:
+        n //= d
+        e += 1
+    return (d, e) if n == 1 else None
+
+
+def test_factor_prime_power_matches_trial_division():
+    for n in range(2, 3000):
+        try:
+            got = gf._factor_prime_power(n)
+        except ValueError as exc:
+            assert str(exc) == f"{n} is not a prime power"
+            got = None
+        assert got == _trial_factor(n), n
+    for bad in (0, 1):
+        with pytest.raises(ValueError, match="is not a prime power"):
+            gf._factor_prime_power(bad)
+
+
+LARGE_DESCRIPTORS = [
+    (3 ** 40, (3, 40)), (2 ** 64, (2, 64)), (7 ** 100, (7, 100)),
+    ((2 ** 61 - 1) ** 3, (2 ** 61 - 1, 3)), (2 ** 127 - 1, (2 ** 127 - 1, 1)),
+    (1031 ** 900, (1031, 900)), (1031, (1031, 1)),
+    (1000000007 * 1000000009, None), (6 ** 20, None), (2 ** 61 * 3, None),
+    (1031 * 1033, None), (1031 ** 99 * 1033, None), (10 ** 4299 + 1, None)]
+
+
+@pytest.mark.parametrize("n, want", LARGE_DESCRIPTORS,
+                         ids=[f"{n.bit_length()}bit-{i}" for i, (n, _)
+                              in enumerate(LARGE_DESCRIPTORS)])
+def test_factor_prime_power_of_large_integers(n, want):
+    # divisors below 1024, then exact integer roots: no trial division up
+    # to sqrt(n), and a few Newton steps per root even for large e
+    if want is None:
+        with pytest.raises(ValueError, match=f"{n} is not a prime power"):
+            gf._factor_prime_power(n)
+    else:
+        assert gf._factor_prime_power(n) == want
+
+
+def test_integer_root_is_the_floor():
+    for n in range(1, 2000):
+        for e in range(1, 12):
+            r = gf._integer_root(n, e)
+            assert r ** e <= n < (r + 1) ** e, (n, e)
+    rng = random.Random(5)
+    for _ in range(500):
+        # the float start must stay above the root: next to exact powers
+        b, e = rng.getrandbits(rng.randrange(1, 400)) + 2, rng.randrange(1, 80)
+        for n in (b ** e - 1, b ** e, b ** e + 1):
+            r = gf._integer_root(n, e)
+            assert r ** e <= n < (r + 1) ** e, (b, e)
+
+
 # -- quadratic extension ------------------------------------------------
 
 
