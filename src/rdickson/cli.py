@@ -8,11 +8,13 @@ Subcommands:
   sums        full-field sum table for one kind
   field-info  parameters of a field descriptor
 
-Shared flags: --field, --format {pretty,json,csv}, --out FILE, --check,
---unsafe-large.  Fields are given as "q", "p^e" or "p^e/c0,c1,...,1";
-elements as comma-separated coordinates ("3" or "1,2").  Sizes are
-guarded by q <= RDK_MAX_Q (environment, default 343), and grids and
-range arguments by 10^6 points; --unsafe-large lifts both.
+Shared flags: --field, --format {pretty,json,csv}, --out FILE and
+--unsafe-large; eval and sums also take --check.  Fields are given as
+"q", "p^e" or "p^e/c0,c1,...,1"; elements as comma-separated
+coordinates ("3" or "1,2").  Sizes are guarded by q <= DEFAULT_MAX_Q
+(343), and grids and range arguments by 10^6 points; --unsafe-large
+lifts both.  Each handler takes max_q: the bound, or None under
+--unsafe-large, which then lifts the grid bound too.
 
 Exit codes: 0 verified/ok, 1 a check failed or an internal
 cross-check tripped, 2 usage error, an --out that cannot be written
@@ -44,33 +46,10 @@ class UsageError(Exception):
     pass
 
 
-class RunConfig:
-    """The settings of one invocation that the size guards read."""
-
-    __slots__ = ("max_q", "unsafe_large")
-
-    def __init__(self, max_q=DEFAULT_MAX_Q, unsafe_large=False):
-        self.max_q, self.unsafe_large = max_q, unsafe_large
-
-    @classmethod
-    def from_args(cls, args):
-        return cls(max_q=_max_q_from_env(), unsafe_large=args.unsafe_large)
-
-
-def _max_q_from_env():
-    raw = os.environ.get("RDK_MAX_Q")
-    if raw is None:
-        return DEFAULT_MAX_Q
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"RDK_MAX_Q must be an integer, got {raw!r}")
-
-
 # -- parsing helpers -------------------------------------------------------
 
 
-def _parse_range_list(text, what, cfg, minimum=None):
+def _parse_range_list(text, what, max_q, minimum=None):
     """Accept "4", "1..10", "5,7,9" and mixtures like "0..2,6".
 
     The entries are counted, and held to the grid bound, before any
@@ -84,7 +63,7 @@ def _parse_range_list(text, what, cfg, minimum=None):
         except ValueError:
             raise UsageError(
                 f"bad {what} {text!r}: expected N, N..M or a comma list")
-    _guard_grid(sum(max(0, r.stop - r.start) for r in spans), cfg)
+    _guard_grid(sum(max(0, r.stop - r.start) for r in spans), max_q)
     out = [v for r in spans for v in r]
     if not out:
         raise UsageError(f"empty {what} {text!r}")
@@ -103,28 +82,24 @@ def _parse_int(text, what, minimum=None):
     return value
 
 
-def _load_field(args, cfg):
+def _load_field(args, max_q):
     if not getattr(args, "field", None):
         raise UsageError("--field is required for this command")
-    try:
-        p, e, modulus = gf.split_field_descriptor(args.field)
-        _guard_field(p, e, cfg)
-        return gf.make_field(p, e, modulus)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    p, e, modulus = gf.split_field_descriptor(args.field)
+    _guard_field(p, e, max_q)
+    return gf.make_field(p, e, modulus)
 
 
-def _guard_field(p, e, cfg):
+def _guard_field(p, e, max_q):
     """Refuse GF(p^e) above the q bound before anything of it is built."""
-    if not cfg.unsafe_large and gf.exceeds_size_bound(p, e, cfg.max_q):
+    if gf.exceeds_size_bound(p, e, max_q):
         size = p if e == 1 else f"{p}^{e}"
-        raise UsageError(
-            f"field size {size} exceeds the bound q <= {cfg.max_q}; "
-            "raise RDK_MAX_Q or pass --unsafe-large")
+        raise UsageError(f"field size {size} exceeds the bound "
+                         f"q <= {max_q}; pass --unsafe-large")
 
 
-def _guard_grid(n_points, cfg):
-    if n_points > GRID_LIMIT and not cfg.unsafe_large:
+def _guard_grid(n_points, max_q):
+    if max_q is not None and n_points > GRID_LIMIT:
         raise UsageError(
             f"grid of {n_points} points exceeds {GRID_LIMIT}; "
             "pass --unsafe-large to proceed")
@@ -201,8 +176,8 @@ def _emit(args, pretty_lines, json_obj, csv_header, csv_rows):
 # -- eval --------------------------------------------------------------
 
 
-def cmd_eval(args, cfg):
-    F = _load_field(args, cfg)
+def cmd_eval(args, max_q):
+    F = _load_field(args, max_q)
     n = _parse_int(args.n, "--n", minimum=0)
     k = _parse_int(args.k, "--k")
     x = _parse_element(F, args.x, "--x")
@@ -243,8 +218,8 @@ def cmd_eval(args, cfg):
 # -- poly --------------------------------------------------------------
 
 
-def cmd_poly(args, cfg):
-    F = _load_field(args, cfg)
+def cmd_poly(args, max_q):
+    F = _load_field(args, max_q)
     n = _parse_int(args.n, "--n", minimum=0)
     k = _parse_int(args.k, "--k")
     poly = rdpoly.as_polynomial(F, n, k)
@@ -267,12 +242,12 @@ def cmd_poly(args, cfg):
 # -- pp ----------------------------------------------------------------
 
 
-def cmd_pp(args, cfg):
-    F = _load_field(args, cfg)
-    ns = _parse_range_list(args.n, "--n", cfg, minimum=1)
-    ks = (_parse_range_list(args.k, "--k", cfg) if args.k is not None
+def cmd_pp(args, max_q):
+    F = _load_field(args, max_q)
+    ns = _parse_range_list(args.n, "--n", max_q, minimum=1)
+    ks = (_parse_range_list(args.k, "--k", max_q) if args.k is not None
           else list(range(F.p)))
-    _guard_grid(len(ns) * len(ks), cfg)
+    _guard_grid(len(ns) * len(ks), max_q)
     criteria = [c.strip() for c in args.criteria.split(",") if c.strip()]
     if not criteria:
         raise UsageError("--criteria names no criterion")
@@ -320,37 +295,33 @@ def cmd_pp(args, cfg):
 # -- verify ------------------------------------------------------------
 
 
-def cmd_verify(args, cfg):
+def cmd_verify(args, max_q):
     if args.target == "sums":
-        return _verify_sums(args, cfg)
+        return _verify_sums(args, max_q)
     if args.target not in permcheck.THEOREM_IDS:
         raise UsageError(
             f"unknown verify target {args.target!r}; expected 'sums' or "
             f"one of {', '.join(permcheck.THEOREM_IDS)}")
     if not args.p or not args.e:
         raise UsageError("--p and --e are required for theorem grids")
-    ps = _parse_range_list(args.p, "--p", cfg)
-    es = _parse_range_list(args.e, "--e", cfg, minimum=1)
-    ls = (_parse_range_list(args.l, "--l", cfg, minimum=0)
+    ps = _parse_range_list(args.p, "--p", max_q)
+    es = _parse_range_list(args.e, "--e", max_q, minimum=1)
+    ls = (_parse_range_list(args.l, "--l", max_q, minimum=0)
           if args.l is not None else None)
-    ns = (_parse_range_list(args.n, "--n", cfg, minimum=0)
+    ns = (_parse_range_list(args.n, "--n", max_q, minimum=0)
           if args.n is not None else None)
-    ks = (_parse_range_list(args.k, "--k", cfg)
+    ks = (_parse_range_list(args.k, "--k", max_q)
           if args.k is not None else None)
     for p in ps:
         if not gf.is_prime(p):
             raise UsageError(f"--p entries must be prime, got {p}")
-    grid = dict(ns=ns, ls=ls, ks=ks,
-                max_q=None if cfg.unsafe_large else cfg.max_q)
-    try:
-        size = permcheck.grid_size(args.target, ps, es, **grid)
-        _guard_grid(size, cfg)
-        if not size:
-            raise UsageError(
-                f"no point of this grid lies in the domain of {args.target}")
-        report = permcheck.verify_theorem(args.target, ps, es, **grid)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    grid = dict(ns=ns, ls=ls, ks=ks, max_q=max_q)
+    size = permcheck.grid_size(args.target, ps, es, **grid)
+    _guard_grid(size, max_q)
+    if not size:
+        raise UsageError(
+            f"no point of this grid lies in the domain of {args.target}")
+    report = permcheck.verify_theorem(args.target, ps, es, **grid)
 
     pretty = [f"{args.target}: {len(report.entries)} grid points, "
               f"{len(report.counterexamples)} failures"]
@@ -372,13 +343,13 @@ def _csv_cell(value):
     return str(value)
 
 
-def _verify_sums(args, cfg):
-    F = _load_field(args, cfg)
+def _verify_sums(args, max_q):
+    F = _load_field(args, max_q)
     if F.p == 2:
         raise UsageError("sum tables need odd characteristic")
-    ks = (_parse_range_list(args.k, "--k", cfg) if args.k is not None
+    ks = (_parse_range_list(args.k, "--k", max_q) if args.k is not None
           else list(range(F.p)))
-    _guard_grid(len(ks) * F.q ** 2, cfg)
+    _guard_grid(len(ks) * F.q ** 2, max_q)
     results, failures = [], []
     for k in ks:
         table = charsum.sums_via_recurrence(F, k)
@@ -413,8 +384,8 @@ def _verify_sums(args, cfg):
 # -- sums --------------------------------------------------------------
 
 
-def cmd_sums(args, cfg):
-    F = _load_field(args, cfg)
+def cmd_sums(args, max_q):
+    F = _load_field(args, max_q)
     if F.p == 2:
         raise UsageError("sum tables need odd characteristic")
     k = _parse_int(args.k, "--k")
@@ -497,8 +468,8 @@ def _write_sums(fh, fmt, table, oracle):
 # -- field-info --------------------------------------------------------
 
 
-def cmd_field_info(args, cfg):
-    F = _load_field(args, cfg)
+def cmd_field_info(args, max_q):
+    F = _load_field(args, max_q)
     info = {"p": F.p, "e": F.e, "q": F.q,
             "modulus": list(F.modulus),
             "descriptor": gf.field_descriptor(F)}
@@ -524,8 +495,6 @@ def _build_parser():
     common.add_argument("--format", choices=("pretty", "json", "csv"),
                         default="pretty")
     common.add_argument("--out", help="write output to a file instead of stdout")
-    common.add_argument("--check", action="store_true",
-                        help="cross-check against the independent routes")
     common.add_argument("--unsafe-large", action="store_true",
                         help="lift the q and grid size guards")
 
@@ -567,6 +536,10 @@ def _build_parser():
     p_sums = sub.add_parser("sums", parents=[common],
                             help="full-field sum table for one kind")
     p_sums.add_argument("--k", required=True)
+    for checked in (p_eval, p_sums):
+        checked.add_argument(
+            "--check", action="store_true",
+            help="cross-check against the independent routes")
 
     sub.add_parser("field-info", parents=[common],
                    help="parameters of a field descriptor")
@@ -584,9 +557,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    max_q = None if args.unsafe_large else DEFAULT_MAX_Q
     try:
-        cfg = RunConfig.from_args(args)
-        return _HANDLERS[args.command](args, cfg)
+        return _HANDLERS[args.command](args, max_q)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

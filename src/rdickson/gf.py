@@ -127,15 +127,16 @@ def _generator(order, candidates, mul):
 
 
 def _cyclic_tables(size, candidates, mul):
-    """exp/log tables of the cyclic group GF(size)*, as array('i').
+    """exp/log tables of the cyclic group GF(size)*, as lists: a list
+    hands back its stored ints where an array builds new ones, which
+    made FieldSpec.mul 1.6x slower.
 
     Walking u -> u*g from the generator g gives exp[i] = g^i for
     i < N = size - 1 and log[g^i] = i (log[0] is unused).
     """
     order = size - 1
     gen = _generator(order, candidates, mul)
-    exp = array("i", [0]) * order
-    log = array("i", [0]) * size
+    exp, log = [0] * order, [0] * size
     acc = 1
     for i in range(order):
         exp[i] = acc
@@ -150,8 +151,8 @@ def _cyclic_tables(size, candidates, mul):
 class FieldSpec:
     """Arithmetic context for GF(p^e); build instances via make_field().
 
-    Elements are ints in [0, q).  Methods trust their operands; use
-    field_arith() for a validating dispatcher.  pow() accepts
+    Elements are ints in [0, q).  Methods trust their operands: none
+    checks that an int is an element of this field.  pow() accepts
     arbitrary-precision exponents (negative allowed for nonzero base)
     and reduces them by the group order; pow(0, 0) is 1.
     """
@@ -168,11 +169,8 @@ class FieldSpec:
         self._exp = self._log = self._neg_table = self._add_table = None
         if e >= 2 and self.q <= _LOG_TABLE_MAX_Q:
             exp, log = _cyclic_tables(self.q, range(2, self.q), self._mul_slow)
-            # lists, not arrays: at q <= 4096 memory is no concern, and a
-            # list hands back its stored ints where an array builds new
-            # ones, which made mul 1.6x slower; exp is doubled so mul can
-            # index log[a] + log[b] without a mod
-            self._exp, self._log = (exp + exp).tolist(), log.tolist()
+            # exp is doubled so mul can index log[a] + log[b] without a mod
+            self._exp, self._log = exp + exp, log
         if e >= 2 and self.q <= _ADD_TABLE_MAX_Q:
             self._build_add_tables()
         if p != 2:
@@ -372,30 +370,6 @@ def make_field(p, e=1, modulus=None):
         if e >= 2 and not is_irreducible(list(modulus), p):
             raise ValueError(f"modulus {modulus} is reducible over GF({p})")
     return FieldSpec(p, e, modulus)
-
-
-_ARITH = {"add": 2, "sub": 2, "mul": 2, "neg": 1, "inv": 1, "pow": 2}
-
-
-def field_arith(field, op, *operands):
-    """Validating dispatcher over the FieldSpec methods.
-
-    op is one of add/sub/mul/neg/inv/pow.  Element operands must be
-    valid encodings for this exact field (a stray element of another
-    field is rejected); the exponent of pow may be any integer.
-    """
-    if op not in _ARITH:
-        raise ValueError(f"unknown field operation {op!r}")
-    if len(operands) != _ARITH[op]:
-        raise ValueError(f"{op} expects {_ARITH[op]} operands")
-    n_elems = 1 if op == "pow" else _ARITH[op]
-    for v in operands[:n_elems]:
-        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < field.q:
-            raise ValueError(f"{v!r} is not an element of {field!r} "
-                             "(mixed-field operands?)")
-    if op == "pow" and not isinstance(operands[1], int):
-        raise ValueError("pow exponent must be an integer")
-    return getattr(field, op)(*operands)
 
 
 def field_descriptor(field):

@@ -23,44 +23,33 @@ class PPReport:
 
     witness holds coordinate vectors (readable without the field):
     for brute_force the first colliding pair in enumeration order, for
-    two_to_one the point of the extended domain that decided.  params
-    is an rdpoly.RdpParams or None; each report owns its detail dict.
+    two_to_one the point of the extended domain that decided.  Each
+    report owns its detail dict.
     """
 
-    __slots__ = ("verdict", "criterion", "field", "params", "witness",
-                 "detail")
+    __slots__ = ("verdict", "criterion", "witness", "detail")
 
-    def __init__(self, verdict, criterion, field, params=None, witness=None,
-                 detail=None):
-        self.verdict, self.criterion, self.field = verdict, criterion, field
-        self.params, self.witness = params, witness
+    def __init__(self, verdict, criterion, witness=None, detail=None):
+        self.verdict, self.criterion = verdict, criterion
+        self.witness = witness
         self.detail = {} if detail is None else detail
-
-    def to_json(self):
-        out = {"verdict": self.verdict,
-               "criterion": self.criterion,
-               "field": gf.field_descriptor(self.field),
-               "witness": [list(w) for w in self.witness] if self.witness else None}
-        if self.params is not None:
-            out["params"] = {"n": self.params.n, "k": self.params.k,
-                             "a": self.params.a}
-        return out
 
 
 def is_pp_bruteforce(F, fn, params=None):
     """Exhaustive scan: does fn (encoding -> encoding) permute GF(q)?
 
     On failure the witness is the first collision (x1, x2) in
-    enumeration order.
+    enumeration order.  params is unused; perfbench/traced_op.py passes
+    it positionally, so it stays until the benchmark stops doing so.
     """
     seen = {}
     for x in F.elements():
         v = fn(x)
         if v in seen:
-            return PPReport(False, "brute_force", F, params,
+            return PPReport(False, "brute_force",
                             (F.coeffs(seen[v]), F.coeffs(x)))
         seen[v] = x
-    return PPReport(True, "brute_force", F, params, None)
+    return PPReport(True, "brute_force")
 
 
 def monomial_pp(F, n):
@@ -68,14 +57,12 @@ def monomial_pp(F, n):
     if n < 1:
         raise ValueError("monomial degree must be at least 1")
     g = math.gcd(n, F.q - 1)
-    return PPReport(g == 1, "monomial_gcd", F, None, None, {"n": n, "gcd": g})
+    return PPReport(g == 1, "monomial_gcd", None, {"n": n, "gcd": g})
 
 
 def dickson_pp_bruteforce(F, n, k, a=1):
     """Brute-force permutation test of x -> D(n,k; a,x)."""
-    params = rdpoly.RdpParams(n, k, a).reduced(F)
-    return is_pp_bruteforce(
-        F, lambda x: rdpoly.eval_recurrence(F, n, k, x, a), params)
+    return is_pp_bruteforce(F, lambda x: rdpoly.eval_recurrence(F, n, k, x, a))
 
 
 def is_pp_two_to_one(F, n, k):
@@ -98,7 +85,6 @@ def is_pp_two_to_one(F, n, k):
     if n < 1:
         raise ValueError("the 2-to-1 criterion needs n >= 1")
     k %= F.p
-    params = rdpoly.RdpParams(n, k)
     ext = gf.quadratic_extension(F)
     half = F.half
     excluded = rdpoly.value_at_quarter(F, n, k)
@@ -111,13 +97,12 @@ def is_pp_two_to_one(F, n, k):
         fiber = fibers.setdefault(val, [])
         fiber.append(y)
         if val == excluded or len(fiber) == 3:
-            return PPReport(False, "two_to_one", F, params,
-                            (ext.coeffs(y),), detail)
+            return PPReport(False, "two_to_one", (ext.coeffs(y),), detail)
     for fiber in fibers.values():
         if len(fiber) == 1:
-            return PPReport(False, "two_to_one", F, params,
-                            (ext.coeffs(fiber[0]),), detail)
-    return PPReport(True, "two_to_one", F, params, None, detail)
+            return PPReport(False, "two_to_one", (ext.coeffs(fiber[0]),),
+                            detail)
+    return PPReport(True, "two_to_one", None, detail)
 
 
 # -- grid verification of the permutation statements ----------------------

@@ -29,7 +29,6 @@ field throughout.  No route divides by a quantity that can vanish.
 """
 
 from functools import lru_cache
-from math import comb
 
 from . import gf, modpoly
 
@@ -127,19 +126,6 @@ class FieldPolynomial:
             text = str(c) if F.e == 1 else "(" + ",".join(map(str, F.coeffs(c))) + ")"
             parts.append((text, i, False))
         return _format_terms(parts)
-
-
-class RdpParams:
-    """Index triple (n, k, a); a is a field encoding, default 1."""
-
-    __slots__ = ("n", "k", "a")
-
-    def __init__(self, n, k, a=1):
-        self.n, self.k, self.a = n, k, a
-
-    def reduced(self, field):
-        """Normalize the kind parameter into [0, p-1]."""
-        return RdpParams(self.n, self.k % field.p, self.a)
 
 
 # -- integer coefficient rows -------------------------------------------
@@ -407,48 +393,6 @@ def eval_via_fnk(F, n, k, x):
     for c in reversed(_fnk_row_mod(n, k, F.p)):
         acc = F.add(F.mul(acc, t), c)
     return F.mul(acc, F.pow(F.half, n))
-
-
-class FnkIdentityReport:
-    """Outcome of comparing fnk_coeffs against a reduced expansion."""
-
-    __slots__ = ("n", "k", "holds", "lhs", "rhs")
-
-    def __init__(self, n, k, holds, lhs, rhs):
-        self.n, self.k, self.holds, self.lhs, self.rhs = n, k, holds, lhs, rhs
-
-
-def fnk_specialize(n, k):
-    """Compare fnk_coeffs with the reduced expansions for kinds 0..3.
-
-    k=0: 2 * sum_j C(n, 2j) t^j (the factor 2 is the bookkeeping that
-         moves one halving into the (1/2)^(n-1) normalization)
-    k=1: sum_j C(n+1, 2j+1) t^j
-    k=2: 2 * sum_j C(n, 2j+1) t^j
-    k=3: n = 2l even; -t^l + sum_{j<l} (3n-8j-1)/(n+1) C(n+1, 2j+1) t^j,
-         compared exactly over the rationals.
-    """
-    from fractions import Fraction  # its only user; kept off start-up
-
-    if k not in (0, 1, 2, 3):
-        raise ValueError("reduced expansions exist for k in {0, 1, 2, 3}")
-    if k == 3 and n % 2:
-        raise ValueError("the k = 3 expansion needs even n")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if k == 0:
-        rhs = [2 * comb(n, 2 * j) for j in range(n // 2 + 1)]
-    elif k == 1:
-        rhs = [comb(n + 1, 2 * j + 1) for j in range(n // 2 + 1)]
-    elif k == 2:
-        rhs = [2 * comb(n, 2 * j + 1) for j in range((n + 1) // 2)] or [0]
-    else:
-        l = n // 2
-        rhs = [Fraction(3 * n - 8 * j - 1, n + 1) * comb(n + 1, 2 * j + 1)
-               for j in range(l)] + [Fraction(-1)]
-    lhs = tuple(Fraction(c) for c in fnk_coeffs(n, k).coeffs)
-    rhs = tuple(Fraction(c) for c in modpoly.trim(rhs))
-    return FnkIdentityReport(n=n, k=k, holds=lhs == rhs, lhs=lhs, rhs=rhs)
 
 
 # -- generating series ----------------------------------------------------

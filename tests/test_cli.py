@@ -429,7 +429,8 @@ class TestExtensionTables:
 class TestGuardsAndErrors:
     def test_field_size_guard(self, capsys):
         code, _, err = run(capsys, "field-info", "--field", "625")
-        assert code == 2 and "exceeds" in err
+        assert (code, err) == (2, "error: field size 5^4 exceeds the bound "
+                                  "q <= 343; pass --unsafe-large\n")
 
     @pytest.mark.parametrize("fd", ["3^40", "2^64", "3^12", "3^40/1,2"])
     def test_field_size_guard_runs_before_the_field_is_built(
@@ -460,15 +461,32 @@ class TestGuardsAndErrors:
             code, _, err = run(capsys, "field-info", "--field", fd)
             assert code == 2 and msg in err, fd
 
-    def test_env_raises_guard(self, capsys, monkeypatch):
-        monkeypatch.setenv("RDK_MAX_Q", "625")
-        code, _, _ = run(capsys, "field-info", "--field", "625")
-        assert code == 0
+    @pytest.mark.parametrize("argv, msg", [
+        (("field-info", "--field", "3^2/2,0,1"),
+         "modulus (2, 0, 1) is reducible over GF(3)"),
+        (("verify", "T2.1", "--p", "3", "--e", "7"),
+         "grid point GF(3^7) exceeds the size bound q <= 343"),
+        (("poly", "--field", "8", "--n", "3", "--k", "1"),
+         "as_polynomial needs odd characteristic"),
+    ], ids=["reducible-modulus", "verify-past-bound", "library-error"])
+    def test_library_value_errors_are_one_usage_line(self, argv, msg):
+        # a ValueError from the library reaches main unwrapped: exit 2
+        # and its message as the one stderr line, with no traceback
+        proc = run_capped(*argv)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: {msg}\n"
 
-    def test_env_must_be_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("RDK_MAX_Q", "lots")
-        code, _, err = run(capsys, "field-info", "--field", "5")
-        assert code == 2 and "RDK_MAX_Q" in err
+    @pytest.mark.parametrize("argv", [
+        ("poly", "--field", "5", "--n", "3", "--k", "1"),
+        ("pp", "--field", "5", "--n", "1..3"),
+        ("verify", "T2.1", "--p", "3", "--e", "1"),
+        ("field-info", "--field", "5"),
+    ], ids=lambda argv: argv[0])
+    def test_check_is_refused_where_nothing_reads_it(self, capsys, argv):
+        # --check used to be accepted here and checked nothing, exit 0
+        code, out, err = run(capsys, *argv, "--check")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --check" in err
 
     def test_unsafe_large_lifts_guard(self, capsys):
         code, out, _ = run(capsys, "eval", "--field", "625", "--n", "2",

@@ -141,20 +141,6 @@ def test_field_axioms_gf25(a, b, c):
     assert F.pow(F.add(a, b), p) == F.add(F.pow(a, p), F.pow(b, p))
 
 
-def test_field_arith_dispatcher():
-    F = gf.make_field(7)
-    assert gf.field_arith(F, "add", 3, 5) == 1
-    assert gf.field_arith(F, "pow", 3, -1) == 5
-    with pytest.raises(ValueError):
-        gf.field_arith(F, "xor", 1, 2)
-    with pytest.raises(ValueError):
-        gf.field_arith(F, "add", 3)
-    with pytest.raises(ValueError):
-        gf.field_arith(F, "add", 3, 12)      # element of a larger field
-    with pytest.raises(ZeroDivisionError):
-        gf.field_arith(F, "inv", 0)
-
-
 def test_descriptor_roundtrip():
     for F in (gf.make_field(5), gf.make_field(3, 2), gf.make_field(7, 2)):
         assert gf.parse_field_descriptor(gf.field_descriptor(F)) == F
