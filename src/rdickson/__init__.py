@@ -15,10 +15,10 @@ from .permcheck import (PPReport, THEOREM_IDS, TheoremReport,
                         is_pp_two_to_one, monomial_pp, verify_theorem)
 from .rdpoly import (FieldPolynomial, IntPolynomial, as_polynomial,
                      char2_eval, closed_form, eval_a0, eval_definition,
-                     eval_functional, eval_recurrence, eval_via_fnk,
-                     family_weights, first_kind_weights, fnk_coeffs,
-                     functional_map, genfun_coeffs, second_kind_weights,
-                     value_at_quarter)
+                     eval_functional, eval_matrix, eval_recurrence,
+                     eval_via_fnk, family_weights, first_kind_weights,
+                     fnk_coeffs, functional_map, genfun_coeffs,
+                     second_kind_weights, value_at_quarter)
 
 __version__ = "0.1.0"
 
@@ -30,7 +30,7 @@ __all__ = [
     "IntPolynomial", "FieldPolynomial",
     "first_kind_weights", "second_kind_weights", "family_weights",
     "eval_definition", "eval_recurrence", "eval_functional",
-    "eval_via_fnk", "eval_a0", "char2_eval", "closed_form",
+    "eval_via_fnk", "eval_matrix", "eval_a0", "char2_eval", "closed_form",
     "value_at_quarter", "functional_map", "fnk_coeffs",
     "genfun_coeffs", "as_polynomial",
     "PPReport", "TheoremReport", "THEOREM_IDS", "is_pp_bruteforce",

@@ -193,6 +193,9 @@ def cmd_eval(args, max_q):
                 methods["fnk"] = rdpoly.eval_via_fnk(F, n, k, x)
             if rdpoly._power_shape(F.p, n) is not None:
                 methods["closed_form"] = rdpoly.closed_form(F, n, k, x)
+        # where fewer than two independent routes would run
+        if n > SMALL_N and (F.p == 2 or a != 1 or x == F.quarter):
+            methods["matrix"] = rdpoly.eval_matrix(F, n, k, x, a)
     agree = len(set(methods.values())) == 1
 
     pretty = [_coords(F, value)]
@@ -543,7 +546,7 @@ def _build_parser():
 
     sub.add_parser("field-info", parents=[common],
                    help="parameters of a field descriptor")
-    return parser
+    return parser, sub.choices
 
 
 _HANDLERS = {"eval": cmd_eval, "poly": cmd_poly, "pp": cmd_pp,
@@ -552,9 +555,13 @@ _HANDLERS = {"eval": cmd_eval, "poly": cmd_poly, "pp": cmd_pp,
 
 
 def main(argv=None):
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            # with the usage of the command they were given to
+            commands[args.command].error(
+                "unrecognized arguments: " + " ".join(extra))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     max_q = None if args.unsafe_large else DEFAULT_MAX_Q

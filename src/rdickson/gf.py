@@ -18,9 +18,9 @@ its constants computed once per extension.
 Construction validates everything (primality, monic irreducible
 modulus); after that a FieldSpec is immutable and safe to share.  A
 FieldSpec of degree e >= 2 builds its lookup tables at construction; a
-QuadExt builds coset tables of GF(q^2)*, none longer than q + 1, on its
-first product or power off the base line.  Tables change speed only,
-never values.
+QuadExt multiplies by the coordinate formula and builds coset tables
+of GF(q^2)*, none longer than q + 1, on its first power off the base
+line.  Tables change speed only, never values.
 """
 
 import itertools
@@ -460,19 +460,18 @@ class QuadExt:
     (a0, a1) -> (a0, -a1).  Elements are ints u = a0 + a1*q; the base
     field embeds as the ints below q.  Requires odd characteristic.
 
-    Products and powers of base elements go to the base field.  The
-    first other product or power builds coset tables of GF(q^2)*, if
-    q <= _LOG_TABLE_MAX_Q at construction.  With g the first generator
-    in encoding order, h = g^(q+1) = N(g) generates GF(q)*, and
-    i < q^2 - 1 is uniquely alpha*(q+1) + beta with alpha < q - 1 and
-    beta <= q, so g^i = h^alpha g^beta.  The tables,
-    of at most q + 1 entries each, hold h's powers and logs, the h-logs
-    of the coordinates of each g^beta, and rho[t] = log(t + s) for t in
-    GF(q).  So log(a0 + a1 s) is (q+1) log_h(a0) if a1 = 0, else
-    (q+1) log_h(a1) + rho[a0/a1], and pow and mul are a few lookups; a
-    negative exponent, -1 for the inverse, reduces mod q^2 - 1.  Above
-    the bound the table-free paths run: the coordinate product and
-    square-and-multiply over it.
+    Products always use the coordinate formula.  Powers of base
+    elements go to the base field; the first other power builds coset
+    tables of GF(q^2)* with that product, if q <= _LOG_TABLE_MAX_Q at
+    construction.  With g the first generator in encoding order,
+    h = g^(q+1) = N(g) generates GF(q)*, and i < q^2 - 1 is uniquely
+    alpha*(q+1) + beta with alpha < q - 1 and beta <= q, so
+    g^i = h^alpha g^beta.  The tables, of at most q + 1 entries each,
+    hold h's powers and logs, the h-logs of the coordinates of each
+    g^beta, and rho[t] = log(t + s) for t in GF(q).  So log(a0 + a1 s)
+    is (q+1) log_h(a1) + rho[a0/a1] for a1 != 0, and a power is a few
+    lookups; a negative exponent, -1 for the inverse, reduces mod
+    q^2 - 1.  Above the bound pow is square-and-multiply over mul.
     """
 
     __slots__ = ("base", "q", "size", "d", "_split", "_buildable", "_hpow",
@@ -509,40 +508,33 @@ class QuadExt:
         return self.base.coeffs(a0) + self.base.coeffs(a1)
 
     def mul(self, u, v):
-        if u < self.q and v < self.q:
-            return self.base.mul(u, v)
-        if u == 0 or v == 0:
-            return 0
-        if self._rho is None and not self._build():
-            return self._mul_slow(u, v)
-        return self._exp(self._logof(u) + self._logof(v))
+        """(a0 + a1 s)(b0 + b1 s) = (a0 b0 + d a1 b1) + (a0 b1 + a1 b0) s."""
+        F, q = self.base, self.q
+        a1, a0 = divmod(u, q)
+        b1, b0 = divmod(v, q)
+        re = F.add(F.mul(a0, b0), F.mul(self.d, F.mul(a1, b1)))
+        im = F.add(F.mul(a0, b1), F.mul(a1, b0))
+        return re + im * q
 
     def pow(self, u, n):
-        if u == 0:
-            if n > 0:
-                return 0
-            if n == 0:
-                return 1
-            raise ZeroDivisionError(f"negative power of zero in {self!r}")
-        n %= self.size - 1
         if u < self.q:
             return self.base.pow(u, n)
+        n %= self.size - 1
         if self._rho is None and not self._build():
-            return modpoly.power(self._mul_slow, u, n, 1)
+            return modpoly.power(self.mul, u, n, 1)
         return self._exp(self._logof(u) * n)
 
-    # -- the coset tables and the slow paths ------------------------------
+    # -- the coset tables ----------------------------------------------------
 
     def _build(self):
         """Build the coset tables if q is within the bound; say if built."""
         if not self._buildable:
             return False
         F, q, order = self.base, self.q, self.size - 1
-        step = self._times(_generator(order, range(q, self.size),
-                                      self._mul_slow))
+        g = _generator(order, range(q, self.size), self.mul)
         # reps[beta] = g^beta for beta <= q, then h = g^(q+1)
-        *reps, h = itertools.accumulate(range(q + 1), lambda u, _: step(u),
-                                        initial=1)
+        *reps, h = itertools.accumulate(range(q + 1),
+                                        lambda u, _: self.mul(u, g), initial=1)
         if not 0 < h < q:
             raise InternalCheckError(f"g^(q+1) = {h} is not in GF({q})*")
         hpow = [F.pow(h, a) for a in range(q - 1)]
@@ -565,9 +557,8 @@ class QuadExt:
     def _logof(self, u):
         a1, a0 = divmod(u, self.q)
         hlog = self._hlog
-        if a1 == 0:
-            return (self.q + 1) * hlog[a0]
-        # a0/a1 = h^(log_h a0 - log_h a1); a negative index wraps mod q - 1
+        # a1 != 0, as pow sends the base line to the base field;
+        # a0/a1 = h^(log_h a0 - log_h a1), a negative index wraps mod q - 1
         t = self._hpow[hlog[a0] - hlog[a1]] if a0 else 0
         return (self.q + 1) * hlog[a1] + self._rho[t]
 
@@ -577,29 +568,6 @@ class QuadExt:
         l0, l1 = self._reps[beta]
         return ((0 if l0 is None else hpow[(alpha + l0) % m])
                 + self.q * (0 if l1 is None else hpow[(alpha + l1) % m]))
-
-    def _mul_slow(self, u, v):
-        F, q = self.base, self.q
-        a1, a0 = divmod(u, q)
-        b1, b0 = divmod(v, q)
-        re = F.add(F.mul(a0, b0), F.mul(self.d, F.mul(a1, b1)))
-        im = F.add(F.mul(a0, b1), F.mul(a1, b0))
-        return re + im * q
-
-    def _times(self, g):
-        """The map u -> u*g, with g's coordinate products precomputed:
-        (a0 + a1 s)(g0 + g1 s) = (a0 g0 + d a1 g1) + (a0 g1 + a1 g0) s."""
-        F, q = self.base, self.q
-        g0, g1 = self.parts(g)
-        m0 = [F.mul(a, g0) for a in range(q)]
-        m1 = [F.mul(a, g1) for a in range(q)]
-        md = [F.mul(self.d, b) for b in m1]
-        add = F.add
-
-        def step(u):
-            a1, a0 = divmod(u, q)
-            return add(m0[a0], md[a1]) + q * add(m1[a0], m0[a1])
-        return step
 
 
 @lru_cache(maxsize=EXT_CACHE_SIZE)

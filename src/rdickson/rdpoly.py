@@ -14,6 +14,8 @@ the same values, kept separate so they can be cross-checked:
                     lies on GF(q) or on the line V of GF(q^2)
   eval_via_fnk      half-scaled integer form evaluated at 1 - 4x
   closed_form       closed values for indices p^l, p^l + 1, p^l + 2
+  eval_matrix       the defining recurrence as a 2x2 matrix power on
+                    the unreduced index (any characteristic, any a)
 
 char2_eval is eval_definition behind a characteristic-2 check, and
 eval_a0, the closed value at a = 0, is what eval_recurrence returns at
@@ -231,6 +233,29 @@ def eval_recurrence(F, n, k, x, a=1):
         if bit == "1":
             u, w = w, F.sub(w, F.mul(x, u))
     return F.sub(w, F.mul(F.mul(x, F.from_int(2 - k)), u))
+
+
+def eval_matrix(F, n, k, x, a=1):
+    """v_n from the defining recurrence v_m = a v_{m-1} - x v_{m-2},
+    v_0 = 2 - k, v_1 = a, as a matrix power: for n >= 1, v_n is the
+    first entry of M^(n-1) (a, 2 - k) with M = [[a, -x], [1, 0]].
+
+    Square-and-multiply on the unreduced n, with no case of a or x:
+    the route shares only the recurrence with eval_recurrence.
+    """
+    v0 = F.from_int(2 - k)
+    if n == 0:
+        return v0
+
+    def times(m, w):
+        (m00, m01, m10, m11), (w00, w01, w10, w11) = m, w
+        return (F.add(F.mul(m00, w00), F.mul(m01, w10)),
+                F.add(F.mul(m00, w01), F.mul(m01, w11)),
+                F.add(F.mul(m10, w00), F.mul(m11, w10)),
+                F.add(F.mul(m10, w01), F.mul(m11, w11)))
+    m00, m01, _, _ = modpoly.power(times, (a, F.neg(x), 1, 0), n - 1,
+                                   (1, 0, 0, 1))
+    return F.add(F.mul(m00, a), F.mul(m01, v0))
 
 
 def eval_functional(F, n, k, x):

@@ -290,7 +290,7 @@ class TestChecks:
         assert "agree: true" in out
         assert "closed_form" in out               # 8 = 7 + 1 has a shape
 
-    @pytest.mark.parametrize("n, routes", [(7000, ["recurrence"]),
+    @pytest.mark.parametrize("n, routes", [(7000, ["matrix", "recurrence"]),
                                            (3, ["definition", "recurrence"])])
     def test_eval_check_at_a0_prints_no_echoed_route(self, capsys, n, routes):
         # at a = 0 eval_recurrence is eval_a0, so an "a0" route would only
@@ -308,6 +308,48 @@ class TestChecks:
         assert code == 0
         assert [row[0] for row in csv.reader(io.StringIO(out))] == \
             ["quantity", "value", *routes, "agree"]
+
+    @staticmethod
+    def off_by_one(real):
+        """real with 1 added to the value of its outermost call alone: the
+        rescaled recurrence calls itself, and two shifts could cancel."""
+        depth = []
+
+        def wrong(F, *rest):
+            depth.append(None)
+            try:
+                value = real(F, *rest)
+            finally:
+                depth.pop()
+            return value if depth else (value + 1) % F.q
+        return wrong
+
+    ROUTES = {"recurrence": "eval_recurrence", "definition": "eval_definition",
+              "functional": "eval_functional", "fnk": "eval_via_fnk",
+              "closed_form": "closed_form", "matrix": "eval_matrix"}
+
+    # p = 2 and odd, a = 0, 1 and other, x = 1/4 (2 in GF(7)) or not
+    @pytest.mark.parametrize("n", [cli.SMALL_N, cli.SMALL_N + 1])
+    @pytest.mark.parametrize("field, x, a", [
+        (field, x, a) for field, xs, others in [("16", ["1,1"], "0,1"),
+                                                 ("7", ["3", "2"], "5")]
+        for x in xs for a in ("0", "1", others)])
+    def test_eval_check_catches_any_one_corrupted_computation(
+            self, capsys, monkeypatch, field, x, a, n):
+        argv = ("eval", "--field", field, "--n", str(n), "--k", "3",
+                "--x", x, "--a", a, "--check")
+        code, clean, _ = run(capsys, *argv)
+        routes = [line.split(": ")[0] for line in clean.splitlines()[:-1]]
+        assert code == 0 and len(routes) >= 2
+        # the routes, and the closed values that routes may share
+        for name in [self.ROUTES[r] for r in routes] + ["value_at_quarter",
+                                                        "eval_a0"]:
+            with monkeypatch.context() as m:
+                m.setattr(rdpoly, name, self.off_by_one(getattr(rdpoly, name)))
+                code, out, _ = run(capsys, *argv)
+            if name in self.ROUTES.values() or out != clean:
+                assert (code, "agree: false") == (1, out.splitlines()[-1]), \
+                    name
 
     def test_eval_check_disagreement_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(rdpoly, "eval_functional",
@@ -487,6 +529,7 @@ class TestGuardsAndErrors:
         code, out, err = run(capsys, *argv, "--check")
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --check" in err
+        assert err.splitlines()[0].startswith(f"usage: rdickson {argv[0]}")
 
     def test_unsafe_large_lifts_guard(self, capsys):
         code, out, _ = run(capsys, "eval", "--field", "625", "--n", "2",
@@ -734,7 +777,7 @@ class TestCharTwo:
         proc = run_capped("eval", "--field", "8", "--n", str(10 ** 20),
                           "--k", "6", "--x", "1", "--check")
         assert (proc.returncode, proc.stdout) == \
-            (0, "recurrence: 1,0,0\nagree: true\n")
+            (0, "matrix: 1,0,0\nrecurrence: 1,0,0\nagree: true\n")
 
     def test_general_scale_falls_back_to_definition(self, capsys):
         # worked by hand over GF(4), t^2 = t + 1: with k = 1, a = t + 1,

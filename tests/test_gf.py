@@ -243,6 +243,27 @@ def one_minus(ext, u):
     return F.sub(1, a0) + ext.q * F.neg(a1)
 
 
+def coordinate_add(ext, u, v):
+    """Oracle: u + v, coordinate by coordinate."""
+    F, (a1, a0), (b1, b0) = ext.base, divmod(u, ext.q), divmod(v, ext.q)
+    return F.add(a0, b0) + ext.q * F.add(a1, b1)
+
+
+@pytest.mark.parametrize("q", [9, 25])
+@settings(max_examples=100)
+@given(st.integers(0, 624), st.integers(0, 624), st.integers(0, 624))
+def test_mul_is_the_product_of_gf_q_squared(q, u, v, w):
+    ext = gf.quadratic_extension(gf.parse_field_descriptor(str(q)))
+    u, v, w = u % ext.size, v % ext.size, w % ext.size
+    s = ext.make(0, 1)
+    assert ext.mul(s, s) == ext.d
+    assert ext.mul(u, 1) == ext.mul(1, u) == u
+    assert ext.mul(u, v) == ext.mul(v, u)
+    assert ext.mul(ext.mul(u, v), w) == ext.mul(u, ext.mul(v, w))
+    assert ext.mul(u, coordinate_add(ext, v, w)) == \
+        coordinate_add(ext, ext.mul(u, v), ext.mul(u, w))
+
+
 def test_extension_is_a_field_of_order_q_squared():
     ext = gf.quadratic_extension(gf.make_field(5))
     for u in range(1, ext.size):
@@ -399,10 +420,10 @@ def test_digit_recursion_add_tables_match_per_pair(p, e):
 
 
 def fast_and_slow(F, monkeypatch):
-    """A fresh extension, whose first product outside the base line
+    """A fresh extension, whose first power outside the base line
     builds its coset tables, and one that read a size bound of 0 at
-    construction and never builds them (coordinate product and
-    square-and-multiply)."""
+    construction and never builds them (square-and-multiply over the
+    coordinate product)."""
     fast = gf.QuadExt(F)
     with monkeypatch.context() as m:
         m.setattr(gf, "_LOG_TABLE_MAX_Q", 0)
@@ -421,26 +442,19 @@ def tables(ext):
     return ext._hpow, ext._hlog, ext._reps, ext._rho
 
 
-def check_tables(fast, slow, us, vs):
+def check_tables(fast, slow, us):
+    # the tables serve pow alone; mul is the coordinate product in both
     for u in us:
         for n in exponents(fast):
             if u or n >= 0:
                 assert fast.pow(u, n) == slow.pow(u, n), (u, n)
-        for v in vs:
-            assert fast.mul(u, v) == slow.mul(u, v), (u, v)
     assert fast._rho is not None and slow._rho is None
 
 
 @pytest.mark.parametrize("p, e", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)])
 def test_ext_tables_match_slow_paths_everywhere(p, e, monkeypatch):
     fast, slow = fast_and_slow(gf.make_field(p, e), monkeypatch)
-    us = range(fast.size)
-    if fast.q <= 9:
-        vs = us
-    else:
-        vs = [0, 1, 2, fast.q - 1, fast.q] + random.Random(fast.q).sample(
-            range(fast.size), 12)
-    check_tables(fast, slow, us, vs)
+    check_tables(fast, slow, range(fast.size))
 
 
 # 1031 lies between the old 1024 bound of the q^2-entry tables and the
@@ -450,12 +464,12 @@ def test_ext_tables_match_slow_paths_on_a_sample(fd, monkeypatch):
     fast, slow = fast_and_slow(gf.parse_field_descriptor(fd), monkeypatch)
     rng = random.Random(fd)
     us = [0, 1, fast.q - 1, fast.q] + rng.sample(range(fast.size), 40)
-    check_tables(fast, slow, us, rng.sample(range(fast.size), 8))
+    check_tables(fast, slow, us)
 
 
 def test_ext_tables_hold_at_most_q_plus_1_entries():
     ext = gf.QuadExt(gf.make_field(7, 3))
-    ext.mul(ext.q, ext.q + 1)
+    ext.pow(ext.q, 2)
     assert [len(t) for t in tables(ext)] == [ext.q - 1, ext.q, ext.q + 1,
                                              ext.q]
 
@@ -469,7 +483,8 @@ def test_construction_and_base_line_ops_build_nothing():
         ext.pow(u, 10 ** 6)
         if u:
             ext.pow(u, -1)
-    ext.mul(0, q + 1), ext.mul(q + 1, 0)
+    # products never build, on the base line or off it
+    ext.mul(0, q + 1), ext.mul(q + 1, 0), ext.mul(q + 1, q + 2)
     # solve_y takes its roots and y = (1 + r)/2 in base-field arithmetic
     ys = [y for x in range(q) for y in gf.solve_y(ext, x)]
     assert any(y >= q for y in ys)
@@ -491,19 +506,27 @@ def test_ext_tables_are_never_built_above_the_size_bound(monkeypatch):
 @pytest.mark.parametrize("fault, match", [
     ("off_line", "is not in GF"), (2, "filled twice"), (43, "filled twice")])
 def test_a_wrong_times_step_fails_the_build(fault, match, monkeypatch):
+    # the build walks u -> u*g from the generator that _generator finds
     ext = gf.QuadExt(gf.make_field(7, 3))
-    q, times = ext.q, gf.QuadExt._times
+    q, generator, mul = ext.q, gf._generator, gf.QuadExt.mul
+    found = []
 
-    def wrong_times(self, g):
-        if fault == "off_line":      # pushes g^(q+1) off the base line
-            step = times(self, g)
-            return lambda u: step(u) + q * (step(u) < q)
-        return times(self, modpoly.power(self._mul_slow, g, fault, 1))
+    def wrong_generator(order, candidates, times):
+        g = generator(order, candidates, times)
+        found.append(g)
+        return g if fault == "off_line" else modpoly.power(times, g, fault, 1)
 
-    monkeypatch.setattr(gf.QuadExt, "_times", wrong_times)
+    def off_line(self, u, v):
+        # only g^(q+1) of the walk's products lies on the base line
+        w = mul(self, u, v)
+        return w + q * (w < q) if found and v == found[0] else w
+
+    monkeypatch.setattr(gf, "_generator", wrong_generator)
+    if fault == "off_line":
+        monkeypatch.setattr(gf.QuadExt, "mul", off_line)
     with pytest.raises(gf.InternalCheckError, match=match):
-        ext.mul(q, q)
-    assert ext._rho is None
+        ext.pow(q, 2)
+    assert found and ext._rho is None
 
 
 def test_a_wrong_base_power_fails_the_build(monkeypatch):
@@ -512,7 +535,7 @@ def test_a_wrong_base_power_fails_the_build(monkeypatch):
     monkeypatch.setattr(gf.FieldSpec, "pow",
                         lambda F, a, n: power(F, a, n + 1))
     with pytest.raises(gf.InternalCheckError, match=r"h\^\(q-1\)"):
-        ext.mul(ext.q, ext.q)
+        ext.pow(ext.q, 2)
 
 
 def test_extension_caches_stay_bounded():

@@ -204,6 +204,32 @@ class TestDoublingKernel:
                 assert rd.eval_recurrence(F, n, k, x) == want
 
 
+class TestMatrixRoute:
+    @pytest.mark.parametrize("F", [F4, F5, F9, gf.make_field(2, 3)],
+                             ids=lambda F: f"GF({F.q})")
+    def test_every_small_case_against_the_plain_loop(self, F):
+        for a in F.elements():
+            for k in range(F.p):
+                for x in F.elements():
+                    for n in range(12):
+                        assert rd.eval_matrix(F, n, k, x, a) == \
+                            naive(F, n, k, x, a), (a, k, x, n)
+
+    @pytest.mark.parametrize("desc", ["16", "25", "343"])
+    def test_unreduced_index_against_the_recurrence(self, desc):
+        # the recurrence reduces n, rescales a and patches x = 1/4; the
+        # matrix power does none of these
+        F = gf.parse_field_descriptor(desc)
+        rng = random.Random(desc)
+        for _ in range(60):
+            a = rng.choice([0, 1, rng.randrange(F.q)])
+            x = F.quarter if F.p != 2 and rng.random() < 0.2 \
+                else rng.randrange(F.q)
+            n, k = rng.randrange(10 ** 30), rng.randrange(F.p)
+            assert rd.eval_matrix(F, n, k, x, a) == \
+                rd.eval_recurrence(F, n, k, x, a), (a, k, x, n)
+
+
 class TestQuarterPoint:
     def test_constant_equals_sequence_value(self):
         # (k(n-1)+2)/2^n agrees with the raw recurrence at x = 1/4
