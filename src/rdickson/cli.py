@@ -23,20 +23,22 @@ bytes.  Commands render their whole output and write it once; `sums`
 builds and checks its table first and then writes it ROWS_PER_WRITE
 rows at a time, rendering each of its at most p distinct sum values
 once.
+
+Each process is one command, so the module imports only gf up front:
+a handler imports the modules it calls (rdpoly for eval and poly,
+permcheck for pp and the statements, charsum for the sum tables), and
+json and csv are imported where those formats are rendered.
 """
 
 import argparse
 import contextlib
-import csv
 import io
-import json
 import os
 import sys
 from itertools import islice, repeat
 
-from . import charsum, gf, permcheck, rdpoly
-from .gf import InternalCheckError
-from .permcheck import DEFAULT_MAX_Q
+from . import gf
+from .gf import DEFAULT_MAX_Q, InternalCheckError
 
 GRID_LIMIT = 10 ** 6
 SMALL_N = 5000          # bound for the O(n) and O(n^2) cross-check routes
@@ -130,8 +132,10 @@ def _bool(v):
 
 def _render(fmt, pretty_lines, json_obj, csv_header, csv_rows):
     if fmt == "json":
+        import json
         return json.dumps(json_obj, sort_keys=True, indent=2)
     if fmt == "csv":
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(csv_header)
@@ -177,6 +181,7 @@ def _emit(args, pretty_lines, json_obj, csv_header, csv_rows):
 
 
 def cmd_eval(args, max_q):
+    from . import rdpoly
     F = _load_field(args, max_q)
     n = _parse_int(args.n, "--n", minimum=0)
     k = _parse_int(args.k, "--k")
@@ -222,6 +227,7 @@ def cmd_eval(args, max_q):
 
 
 def cmd_poly(args, max_q):
+    from . import rdpoly
     F = _load_field(args, max_q)
     n = _parse_int(args.n, "--n", minimum=0)
     k = _parse_int(args.k, "--k")
@@ -246,6 +252,7 @@ def cmd_poly(args, max_q):
 
 
 def cmd_pp(args, max_q):
+    from . import permcheck
     F = _load_field(args, max_q)
     ns = _parse_range_list(args.n, "--n", max_q, minimum=1)
     ks = (_parse_range_list(args.k, "--k", max_q) if args.k is not None
@@ -301,6 +308,7 @@ def cmd_pp(args, max_q):
 def cmd_verify(args, max_q):
     if args.target == "sums":
         return _verify_sums(args, max_q)
+    from . import permcheck
     if args.target not in permcheck.THEOREM_IDS:
         raise UsageError(
             f"unknown verify target {args.target!r}; expected 'sums' or "
@@ -328,8 +336,10 @@ def cmd_verify(args, max_q):
 
     pretty = [f"{args.target}: {len(report.entries)} grid points, "
               f"{len(report.counterexamples)} failures"]
-    for ent in report.counterexamples:
-        pretty.append("FAIL " + json.dumps(ent, sort_keys=True))
+    if report.counterexamples:
+        import json
+        pretty += ["FAIL " + json.dumps(ent, sort_keys=True)
+                   for ent in report.counterexamples]
     pretty.append(f"pass: {_bool(report.passed)}")
     keys = sorted({key for ent in report.entries for key in ent})
     csv_rows = [[_csv_cell(ent.get(key)) for key in keys]
@@ -347,6 +357,7 @@ def _csv_cell(value):
 
 
 def _verify_sums(args, max_q):
+    from . import charsum
     F = _load_field(args, max_q)
     if F.p == 2:
         raise UsageError("sum tables need odd characteristic")
@@ -388,6 +399,7 @@ def _verify_sums(args, max_q):
 
 
 def cmd_sums(args, max_q):
+    from . import charsum
     F = _load_field(args, max_q)
     if F.p == 2:
         raise UsageError("sum tables need odd characteristic")
@@ -431,6 +443,7 @@ def _write_sums(fh, fmt, table, oracle):
     """
     F, sums = table.field, table.sums
     if fmt == "json":
+        import json
         # a row's sum list sits at nesting depth 3: items at 8 spaces
         cell = {v: json.dumps(list(F.coeffs(v)), indent=2).replace(
                     "\n", "\n      ") for v in set(sums)}
@@ -451,6 +464,7 @@ def _write_sums(fh, fmt, table, oracle):
     values = list(set(sums))
     header = ("n", "sum", "d", "oracle_match")
     if fmt == "csv":
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -527,8 +541,8 @@ def _build_parser():
 
     p_ver = sub.add_parser("verify", parents=[common],
                            help="check a named statement or the sum tables")
-    p_ver.add_argument("target", help="'sums' or a statement id, one of: "
-                       + ", ".join(permcheck.THEOREM_IDS))
+    p_ver.add_argument("target", help="'sums' or a statement id (an unknown "
+                       "target lists them)")
     p_ver.add_argument("--p", help="primes, e.g. 3,5,7")
     p_ver.add_argument("--e", help="extension degrees, e.g. 1..2")
     p_ver.add_argument("--l", help="power exponents (default 0..e)")

@@ -126,25 +126,51 @@ def _generator(order, candidates, mul):
                        for f in fac))
 
 
-def _cyclic_tables(size, candidates, mul):
-    """exp/log tables of the cyclic group GF(size)*, as lists: a list
+def _cyclic_tables(F):
+    """exp/log tables of the cyclic group GF(q)*, as lists: a list
     hands back its stored ints where an array builds new ones, which
     made FieldSpec.mul 1.6x slower.
 
     Walking u -> u*g from the generator g gives exp[i] = g^i for
-    i < N = size - 1 and log[g^i] = i (log[0] is unused).
+    i < N = q - 1 and log[g^i] = i (log[0] is unused).  The step is
+    GF(p)-linear: for u with digits u_i, u*g is the sum of the columns
+    cols[i][u_i] = (u_i p^i)*g, where each column is made by adds from
+    one slow product (p^i)*g.  So a step is e adds by F.add, whose
+    tables, if any, are built by then.
+
+    Two checks make a wrong column raise InternalCheckError rather than
+    leave wrong tables.  The walk must fill every log slot of GF(q)*
+    once and come back to 1.  A linear step that does is the product by
+    some element of some field on the same digits, and that field is
+    this one iff its powers x^0 .. x^e of x (encoded p) are the ones
+    the modulus fixes.
     """
-    order = size - 1
-    gen = _generator(order, candidates, mul)
-    exp, log = [0] * order, [0] * size
+    p, q, order = F.p, F.q, F.q - 1
+    gen = _generator(order, range(2, q), F._mul_slow)
+    add = F.add
+    cols = [list(itertools.accumulate(
+                itertools.repeat(F._mul_slow(s, gen), p - 1), add, initial=0))
+            for s in F._pows[:-1]]
+    exp, log = [0] * order, [None] * q
     acc = 1
     for i in range(order):
         exp[i] = acc
         log[acc] = i
-        acc = mul(acc, gen)
+        u, acc = acc, 0
+        for col in cols:
+            u, d = divmod(u, p)
+            acc = add(acc, col[d])
     if acc != 1:
-        raise InternalCheckError(f"generator {gen} of GF({size})* has "
+        raise InternalCheckError(f"generator {gen} of GF({q})* has "
                                  "the wrong order")
+    # N writes: no empty slot in GF(q)* means none went twice
+    if None in log[1:]:
+        raise InternalCheckError(f"a log slot of GF({q})* filled twice")
+    want = F._pows[:-1] + [F.element(-c for c in F.modulus[:-1])]
+    if [exp[i * log[p] % order] for i in range(F.e + 1)] != want:
+        raise InternalCheckError(f"the walk of GF({q})* is not the "
+                                 f"product by {gen}")
+    log[0] = 0
     return exp, log
 
 
@@ -167,12 +193,12 @@ class FieldSpec:
         self.modulus = tuple(modulus)
         self._pows = [p ** i for i in range(e + 1)]
         self._exp = self._log = self._neg_table = self._add_table = None
-        if e >= 2 and self.q <= _LOG_TABLE_MAX_Q:
-            exp, log = _cyclic_tables(self.q, range(2, self.q), self._mul_slow)
-            # exp is doubled so mul can index log[a] + log[b] without a mod
-            self._exp, self._log = exp + exp, log
         if e >= 2 and self.q <= _ADD_TABLE_MAX_Q:
             self._build_add_tables()
+        if e >= 2 and self.q <= _LOG_TABLE_MAX_Q:
+            exp, log = _cyclic_tables(self)
+            # exp is doubled so mul can index log[a] + log[b] without a mod
+            self._exp, self._log = exp + exp, log
         if p != 2:
             self._half = self.inv(2)
             self._quarter = self.mul(self._half, self._half)
@@ -342,6 +368,10 @@ def _check_p_and_e(p, e):
         raise ValueError(f"p must be prime, got {p!r}")
     if not isinstance(e, int) or e < 1:
         raise ValueError(f"e must be a positive integer, got {e!r}")
+
+
+# The bound on q that the CLI and the statement grids apply by default.
+DEFAULT_MAX_Q = 343
 
 
 def exceeds_size_bound(p, e, max_q):

@@ -14,7 +14,6 @@ import math
 
 from . import gf, rdpoly
 
-DEFAULT_MAX_Q = 343
 N_DIGITS = 4300   # Python's default cap on the digits of a printed int
 
 
@@ -256,7 +255,7 @@ def _grid(theorem, ps, es, ns, ls, ks, max_q):
 
 
 def verify_theorem(theorem, ps, es, *, ns=None, ls=None, ks=None,
-                   max_q=DEFAULT_MAX_Q):
+                   max_q=gf.DEFAULT_MAX_Q):
     """Evaluate both sides of a named permutation statement on a grid.
 
     The fields GF(p^e) run over ps x es, each guarded by q <= max_q
@@ -283,7 +282,7 @@ def verify_theorem(theorem, ps, es, *, ns=None, ls=None, ks=None,
 
 
 def grid_size(theorem, ps, es, *, ns=None, ls=None, ks=None,
-              max_q=DEFAULT_MAX_Q):
+              max_q=gf.DEFAULT_MAX_Q):
     """Exact point count of verify_theorem's grid; builds no field."""
     return sum(len(axis) * len(kinds) for _, _, (_, axis), kinds
                in _grid(theorem, ps, es, ns, ls, ks, max_q))

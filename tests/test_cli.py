@@ -138,7 +138,7 @@ class TestFormats:
         oracle = [a == b for a, b in zip(brute, table.sums)]
         calls = collections.Counter()
         for owner, name in ((gf.FieldSpec, "coeffs"), (cli, "_coords"),
-                            (cli.json, "dumps"), (cli.csv, "writer")):
+                            (json, "dumps"), (csv, "writer")):
             def counted(*a, _real=getattr(owner, name), _name=name, **kw):
                 calls[_name] += 1
                 return _real(*a, **kw)
@@ -817,6 +817,52 @@ class TestModuleEntry:
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True)
         assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+    # a fresh process per command: the package modules loaded once main
+    # returns.  Stdlib modules are left out: site hooks may preload them.
+    @pytest.mark.parametrize("argv, extra", [
+        (("field-info", "--field", "9"), ()),
+        (("verify", "--help"), ()),
+        (("eval", "--field", "9", "--n", "4", "--k", "1", "--x", "1,1"),
+         ("rdpoly",)),
+        (("poly", "--field", "9", "--n", "4", "--k", "1"), ("rdpoly",)),
+        (("pp", "--field", "9", "--n", "1..3"), ("rdpoly", "permcheck")),
+        (("verify", "T2.1", "--p", "3", "--e", "1"), ("rdpoly", "permcheck")),
+        (("sums", "--field", "9", "--k", "1"), ("charsum",)),
+        (("verify", "sums", "--field", "3"), ("charsum",))])
+    def test_each_command_loads_only_the_modules_it_runs(self, argv, extra):
+        code = ("import contextlib, io, sys; from rdickson.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    rc = main({list(argv)!r})\n"
+                "print(rc, *sorted(m for m in sys.modules"
+                " if m.partition('.')[0] == 'rdickson'))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        want = sorted(["rdickson"] + [f"rdickson.{m}" for m in
+                                      ("cli", "gf", "modpoly", *extra)])
+        assert proc.stdout.split() == ["0", *want], proc.stderr
+
+    def test_package_names_resolve_to_their_home_modules(self):
+        import rdickson
+        homes = (gf, rdpoly, permcheck, charsum)
+        for name in rdickson.__all__:
+            value = getattr(rdickson, name)
+            holders = [m for m in homes if name in vars(m)]
+            assert all(vars(m)[name] is value for m in holders), name
+            assert holders or name == "__version__", name
+        with pytest.raises(AttributeError, match="no_such_name"):
+            rdickson.no_such_name
+        star = {}
+        exec("from rdickson import *", star)
+        assert set(rdickson.__all__) <= set(star)
+        assert all(star[name] is getattr(rdickson, name)
+                   for name in rdickson.__all__)
+        # the package alone loads none of its modules
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, rdickson; print(*sorted("
+             "m for m in sys.modules if m.partition('.')[0] == 'rdickson'))"],
+            capture_output=True, text=True)
+        assert proc.stdout == "rdickson\n", proc.stderr
 
 
 # -- generated argument lists ----------------------------------------------

@@ -1,12 +1,13 @@
 """Field layer: construction, arithmetic, quadratic extensions."""
 
+import collections
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rdickson import gf, modpoly, rdpoly
+from rdickson import cli, gf, modpoly, rdpoly
 
 
 def brute_irreducible_quadratics(p):
@@ -417,6 +418,67 @@ def test_digit_recursion_add_tables_match_per_pair(p, e):
     assert list(F._add_table) == add
     assert list(F._neg_table) == neg
     assert [F.sub(a, b) for a in range(F.q) for b in range(F.q)] == sub
+
+
+def slow_walk(F):
+    """Oracle: exp/log tables of GF(q)* by the walk u -> u*g over the
+    slow polynomial product, from the generator that FieldSpec uses;
+    exp is doubled as FieldSpec keeps it."""
+    order = F.q - 1
+    g = gf._generator(order, range(2, F.q), F._mul_slow)
+    exp, log = [0] * order, [0] * F.q
+    acc = 1
+    for i in range(order):
+        exp[i] = acc
+        log[acc] = i
+        acc = F._mul_slow(acc, g)
+    assert acc == 1
+    return exp + exp, log
+
+
+# every e >= 2 field up to the default q bound, and GF(3^6), whose walk
+# adds by the slow path (729 > _ADD_TABLE_MAX_Q)
+@pytest.mark.parametrize("p, e", [
+    (p, e) for p in (2, 3, 5, 7, 11, 13, 17) for e in range(2, 9)
+    if p ** e <= gf.DEFAULT_MAX_Q] + [(3, 6)])
+def test_linear_walk_tables_match_the_slow_walk(p, e):
+    F = gf.make_field(p, e)
+    assert (F.q <= gf._ADD_TABLE_MAX_Q) == (F._add_table is not None)
+    assert (F._exp, F._log) == slow_walk(F)
+
+
+def wrong_column(m, g, s, wrong):
+    """Let the next build use the generator g and read wrong for the
+    slow product s*g, from which one column of its walk is made."""
+    real = gf.FieldSpec._mul_slow
+    m.setattr(gf, "_generator", lambda *args: g)
+    m.setattr(gf.FieldSpec, "_mul_slow", lambda self, a, b:
+              wrong if (a, b) == (s, g) else real(self, a, b))
+
+
+def test_a_wrong_column_fails_the_build(monkeypatch, capsys):
+    # every wrong value of every column: some wrong steps still run once
+    # through GF(q)* and back to 1, and only the powers of x catch those
+    caught = collections.Counter()
+    for p, e in ((2, 3), (3, 2), (2, 4), (3, 3)):
+        F = gf.make_field(p, e)
+        g = gf._generator(F.q - 1, range(2, F.q), F._mul_slow)
+        for s in F._pows[:-1]:
+            for wrong in set(range(F.q)) - {F.mul(s, g)}:
+                with monkeypatch.context() as m:
+                    wrong_column(m, g, s, wrong)
+                    with pytest.raises(gf.InternalCheckError) as info:
+                        gf.make_field(p, e)
+                caught[next(why for why in ("wrong order", "filled twice",
+                                            "not the product")
+                            if why in str(info.value))] += 1
+    assert len(caught) == 3, caught
+    # the command line reports a failed internal cross-check (g is the
+    # generator of GF(27), the last field above)
+    with monkeypatch.context() as m:
+        wrong_column(m, g, 3, 0)
+        assert cli.main(["field-info", "--field", "27"]) == 1
+    assert capsys.readouterr().err.startswith("internal cross-check failed")
 
 
 def fast_and_slow(F, monkeypatch):
