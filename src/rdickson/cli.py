@@ -19,15 +19,18 @@ lifts both.  Each handler takes max_q: the bound, or None under
 Exit codes: 0 verified/ok, 1 a check failed or an internal
 cross-check tripped, 2 usage error, an --out that cannot be written
 included.  Output is deterministic: equal invocations produce identical
-bytes.  Commands render their whole output and write it once; `sums`
-builds and checks its table first and then writes it ROWS_PER_WRITE
-rows at a time, rendering each of its at most p distinct sum values
-once.
+bytes.  Commands render their whole output and write it once; `poly`
+renders only the format asked for, so its integer row is turned into
+decimal once.  `sums` builds and checks its table first and then writes
+it ROWS_PER_WRITE rows at a time, rendering each of its at most p
+distinct sum values once.
 
 Each process is one command, so the module imports only gf up front:
 a handler imports the modules it calls (rdpoly for eval and poly,
 permcheck for pp and the statements, charsum for the sum tables), and
-json and csv are imported where those formats are rendered.
+json and csv are imported where those formats are rendered.  The
+parser holds the subparser of the command named first alone, or all of
+them when no command is named first.
 """
 
 import argparse
@@ -132,16 +135,24 @@ def _bool(v):
 
 def _render(fmt, pretty_lines, json_obj, csv_header, csv_rows):
     if fmt == "json":
-        import json
-        return json.dumps(json_obj, sort_keys=True, indent=2)
+        return _json_text(json_obj)
     if fmt == "csv":
-        import csv
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(csv_header)
-        writer.writerows(csv_rows)
-        return buf.getvalue().rstrip("\n")
+        return _csv_text(csv_header, csv_rows)
     return "\n".join(pretty_lines)
+
+
+def _json_text(obj):
+    import json
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def _csv_text(header, rows):
+    import csv
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().rstrip("\n")
 
 
 @contextlib.contextmanager
@@ -171,7 +182,11 @@ def _output(args):
 
 
 def _emit(args, pretty_lines, json_obj, csv_header, csv_rows):
-    text = _render(args.format, pretty_lines, json_obj, csv_header, csv_rows)
+    _write(args, _render(args.format, pretty_lines, json_obj, csv_header,
+                         csv_rows))
+
+
+def _write(args, text):
     text += "\n"               # appends in place: no second copy of text
     with _output(args) as fh:
         fh.write(text)
@@ -233,18 +248,27 @@ def cmd_poly(args, max_q):
     k = _parse_int(args.k, "--k")
     poly = rdpoly.as_polynomial(F, n, k)
     fnk = rdpoly.fnk_coeffs(n, k % F.p) if n <= SMALL_N else None
-
-    pretty = [str(poly)]
-    if fnk is not None:
-        pretty.append(f"f = {str(fnk).replace('x', 't')}"
-                      "   (value = f(1 - 4x) / 2^n)")
-    jobj = {"command": "poly", "field": gf.field_descriptor(F), "n": n,
+    # only the format asked for is rendered, so the big ints of the fnk
+    # row are turned into decimal once
+    if args.format == "json":
+        text = _json_text({
+            "command": "poly", "field": gf.field_descriptor(F), "n": n,
             "k": k % F.p, "poly": poly.to_json(), "poly_str": str(poly),
-            "fnk": fnk.to_json() if fnk is not None else None}
-    rows = [("poly", i, _coords(F, c)) for i, c in enumerate(poly.coeffs)]
-    if fnk is not None:
-        rows += [("fnk", i, str(c)) for i, c in enumerate(fnk.coeffs)]
-    _emit(args, pretty, jobj, ("source", "degree", "coeff"), rows)
+            "fnk": fnk.to_json() if fnk is not None else None})
+    elif args.format == "csv":
+        text = _csv_text(("source", "degree", "coeff"),
+                         [("poly", i, _coords(F, c))
+                          for i, c in enumerate(poly.coeffs)])
+        if fnk is not None:
+            # a decimal integer never needs csv quoting
+            text += "".join([f"\nfnk,{i},{c}"
+                             for i, c in enumerate(fnk.coeffs)])
+    else:
+        text = str(poly)
+        if fnk is not None:
+            text += (f"\nf = {str(fnk).replace('x', 't')}"
+                     "   (value = f(1 - 4x) / 2^n)")
+    _write(args, text)
     return 0
 
 
@@ -505,7 +529,41 @@ def cmd_field_info(args, max_q):
 # -- wiring ------------------------------------------------------------
 
 
-def _build_parser():
+# name -> (handler, help, arguments); --check is listed where the
+# handler reads it
+_CHECK = ("--check", {"action": "store_true",
+                      "help": "cross-check against the independent routes"})
+_COMMANDS = {
+    "eval": (cmd_eval, "evaluate one member at one point", (
+        ("--n", {"required": True, "help": "index (any size)"}),
+        ("--k", {"required": True, "help": "kind parameter"}),
+        ("--x", {"required": True, "help": "argument element"}),
+        ("--a", {"default": "1", "help": "scale element (default 1)"}),
+        _CHECK)),
+    "poly": (cmd_poly, "reduced polynomial mod x^q - x", (
+        ("--n", {"required": True}), ("--k", {"required": True}))),
+    "pp": (cmd_pp, "permutation scan over an (n, k) grid", (
+        ("--n", {"required": True, "help": "range, e.g. 1..10"}),
+        ("--k", {"help": "range (default: all of 0..p-1)"}),
+        ("--criteria", {"default": "brute_force,two_to_one"}))),
+    "verify": (cmd_verify, "check a named statement or the sum tables", (
+        ("target", {"help": "'sums' or a statement id (an unknown target "
+                            "lists them)"}),
+        ("--p", {"help": "primes, e.g. 3,5,7"}),
+        ("--e", {"help": "extension degrees, e.g. 1..2"}),
+        ("--l", {"help": "power exponents (default 0..e)"}),
+        ("--n", {"help": "indices (T2.2 grids, default 0..30)"}),
+        ("--k", {"help": "kinds (default 0..p-1; ignored by the "
+                         "fixed-kind statements)"}))),
+    "sums": (cmd_sums, "full-field sum table for one kind", (
+        ("--k", {"required": True}), _CHECK)),
+    "field-info": (cmd_field_info, "parameters of a field descriptor", ()),
+}
+
+
+def _build_parser(only=None):
+    """The parser and its subparsers by name: all of them, or only the
+    one named `only`, which parses and reports that command alike."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field", help='field descriptor: "q", "p^e" or '
                                         '"p^e/c0,c1,...,1"')
@@ -520,56 +578,19 @@ def _build_parser():
         description="Exact arithmetic for a reversed Dickson-type "
                     "polynomial family over finite fields.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", parents=[common],
-                            help="evaluate one member at one point")
-    p_eval.add_argument("--n", required=True, help="index (any size)")
-    p_eval.add_argument("--k", required=True, help="kind parameter")
-    p_eval.add_argument("--x", required=True, help="argument element")
-    p_eval.add_argument("--a", default="1", help="scale element (default 1)")
-
-    p_poly = sub.add_parser("poly", parents=[common],
-                            help="reduced polynomial mod x^q - x")
-    p_poly.add_argument("--n", required=True)
-    p_poly.add_argument("--k", required=True)
-
-    p_pp = sub.add_parser("pp", parents=[common],
-                          help="permutation scan over an (n, k) grid")
-    p_pp.add_argument("--n", required=True, help="range, e.g. 1..10")
-    p_pp.add_argument("--k", help="range (default: all of 0..p-1)")
-    p_pp.add_argument("--criteria", default="brute_force,two_to_one")
-
-    p_ver = sub.add_parser("verify", parents=[common],
-                           help="check a named statement or the sum tables")
-    p_ver.add_argument("target", help="'sums' or a statement id (an unknown "
-                       "target lists them)")
-    p_ver.add_argument("--p", help="primes, e.g. 3,5,7")
-    p_ver.add_argument("--e", help="extension degrees, e.g. 1..2")
-    p_ver.add_argument("--l", help="power exponents (default 0..e)")
-    p_ver.add_argument("--n", help="indices (T2.2 grids, default 0..30)")
-    p_ver.add_argument("--k", help="kinds (default 0..p-1; ignored by the "
-                       "fixed-kind statements)")
-
-    p_sums = sub.add_parser("sums", parents=[common],
-                            help="full-field sum table for one kind")
-    p_sums.add_argument("--k", required=True)
-    for checked in (p_eval, p_sums):
-        checked.add_argument(
-            "--check", action="store_true",
-            help="cross-check against the independent routes")
-
-    sub.add_parser("field-info", parents=[common],
-                   help="parameters of a field descriptor")
+    for name, (_, text, arguments) in _COMMANDS.items():
+        if only in (None, name):
+            cmd = sub.add_parser(name, parents=[common], help=text)
+            for flag, options in arguments:
+                cmd.add_argument(flag, **options)
     return parser, sub.choices
 
 
-_HANDLERS = {"eval": cmd_eval, "poly": cmd_poly, "pp": cmd_pp,
-             "verify": cmd_verify, "sums": cmd_sums,
-             "field-info": cmd_field_info}
-
-
 def main(argv=None):
-    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a run builds the subparser of its command alone
+    parser, commands = _build_parser(argv[0] if argv and argv[0] in _COMMANDS
+                                     else None)
     try:
         args, extra = parser.parse_known_args(argv)
         if extra:
@@ -580,7 +601,7 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     max_q = None if args.unsafe_large else DEFAULT_MAX_Q
     try:
-        return _HANDLERS[args.command](args, max_q)
+        return _COMMANDS[args.command][0](args, max_q)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,6 +25,7 @@ line.  Tables change speed only, never values.
 
 import itertools
 import math
+import sys
 from array import array
 from functools import lru_cache
 
@@ -340,26 +341,36 @@ class FieldSpec:
         With s = p^(j-1), an element of the j-digit level is lo + t*s
         (lo < s, t < p), and (lo + t*s) + (lo' + t'*s) is
         (lo + lo') + ((t + t') mod p)*s.  So row lo + t*s of level j is
-        one slice, from t*s, of `wide`: the level j-1 row of lo repeated
-        for top digits c = 0 .. 2p-2, with (c mod p)*s added.
+        one slice, from t*s, of the level j-1 row of lo repeated for top
+        digits c = 0 .. p-1 and again, with (c mod p)*s added.
+
+        The level j-1 table plus c*s in every entry is one big-int add:
+        read as an integer, the table's 16-bit entries are digits base
+        2^16, and no entry reaches 2^16, so adding c*s times the repunit
+        sum_i 2^(16 i) carries nowhere.  The entries are native-endian,
+        as is the integer, so a digit is an entry on either byte order.
         """
-        p = self.p
+        p, order = self.p, sys.byteorder
         neg = array("H", [-a % p for a in range(p)])
         add = array("H", [(a + b) % p for a in range(p) for b in range(p)])
         s = p
         while s < self.q:
-            size = s * p
-            nadd = array("H", [0]) * (size * size)
+            size, low = s * p, int.from_bytes(add, order)
+            repunit = ((1 << 16 * s * s) - 1) // 0xFFFF
+            shifted = [(low + c * s * repunit).to_bytes(2 * s * s, order)
+                       for c in range(p)]
+            add = array("H", [0]) * (size * size)
             for lo in range(s):
-                row = add[lo * s:(lo + 1) * s]
-                wide = array("H", [v + c % p * s
-                                   for c in range(2 * p - 1) for v in row])
+                # the row of lo at top digits 0 .. p-1 and again
+                wide = array("H", b"".join([t[2 * s * lo:2 * s * (lo + 1)]
+                                            for t in shifted]) * 2)
                 for t in range(p):
                     a = lo + t * s
-                    nadd[a * size:(a + 1) * size] = wide[t * s:t * s + size]
+                    add[a * size:(a + 1) * size] = wide[t * s:t * s + size]
+            del low, shifted
             neg = array("H", [neg[lo] + -t % p * s
                               for t in range(p) for lo in range(s)])
-            add, s = nadd, size
+            s = size
         self._neg_table, self._add_table = neg, add
 
 

@@ -26,8 +26,9 @@ first entry by the exact ratio of neighbouring binomials, a few big-int
 multiplies and exact divisions per entry.  The family row, the fnk row
 and its reduction mod p keep ROW_CACHE_SIZE rows each, for callers that
 read one row at many points x.  The other routes, and as_polynomial
-(interpolated from the q values of eval_recurrence), compute in the
-field throughout.  No route divides by a quantity that can vanish.
+(interpolated from the q values of eval_recurrence by a transform over
+GF(q)*), compute in the field throughout.  No route divides by a
+quantity that can vanish.
 """
 
 from functools import lru_cache
@@ -452,18 +453,43 @@ def as_polynomial(F, n, k):
     Interpolated from the q values f(a) of eval_recurrence through
     f = sum_a f(a) (1 - (x - a)^(q-1)): the constant coefficient is
     f(0) and, for j >= 1, c_j = -sum_a f(a) a^(q-1-j) with 0^0 = 1.
-    That is O(q log q) field ops for the values and O(q^2) for the sums.
+    Over a = g^j, g a generator of GF(q)*, the sums over GF(q)* are the
+    length q - 1 transform of the values f(g^j) with root g.  That is
+    O(q log q) field ops for the values and O(q s) for the sums, s the
+    sum of the prime factors of q - 1 with multiplicity.
     """
     if F.p == 2:
         raise ValueError("as_polynomial needs odd characteristic")
     k %= F.p
-    q = F.q
+    order = F.q - 1
+    g = gf._generator(order, range(2, F.q), F.mul)
+    powers = [1] * order
+    for j in range(1, order):
+        powers[j] = F.mul(powers[j - 1], g)
     # sums[i] = sum_a f(a) a^i for i < q - 1; c_j = -sums[q - 1 - j]
-    sums = [0] * (q - 1)
-    f0 = sums[0] = eval_recurrence(F, n, k, 0)
-    for a in range(1, q):
-        t = eval_recurrence(F, n, k, a)
-        for i in range(q - 1):
-            sums[i] = F.add(sums[i], t)
-            t = F.mul(t, a)
+    sums = _dft(F, [eval_recurrence(F, n, k, a) for a in powers], powers)
+    f0 = eval_recurrence(F, n, k, 0)
+    sums[0] = F.add(sums[0], f0)
     return FieldPolynomial(F, (f0,) + tuple(F.neg(s) for s in reversed(sums)))
+
+
+def _dft(F, xs, powers):
+    """[sum_j xs[j] w^(ij) for i < m], m = len(xs), where powers lists
+    w^0 .. w^(m-1) for a w of order m.
+
+    Mixed radix: with f the smallest prime factor of m, the slices
+    xs[s::f] are transformed with root w^f (powers[::f]), and then
+    X_i = sum_s w^(si) Y_s[i mod m/f].  O(m (f - 1)) ops per level.
+    """
+    m = len(xs)
+    if m == 1:
+        return list(xs)
+    f = next(d for d in range(2, m + 1) if m % d == 0)
+    r = m // f
+    ys = [_dft(F, xs[s::f], powers[::f]) for s in range(f)]
+    out = ys[0] * f
+    for s in range(1, f):
+        y = ys[s]
+        for i in range(m):
+            out[i] = F.add(out[i], F.mul(powers[s * i % m], y[i % r]))
+    return out

@@ -282,6 +282,80 @@ class TestSumsWriter:
         assert peak < 2 * 2 ** 20
 
 
+def _poly_reference(F, n, k, fmt):
+    """The poly output built whole: json.dumps of the document,
+    csv.writer rows, or the joined pretty lines."""
+    poly = rdpoly.as_polynomial(F, n, k)
+    fnk = rdpoly.fnk_coeffs(n, k % F.p) if n <= cli.SMALL_N else None
+    if fmt == "json":
+        obj = {"command": "poly", "field": gf.field_descriptor(F), "n": n,
+               "k": k % F.p, "poly": poly.to_json(), "poly_str": str(poly),
+               "fnk": fnk.to_json() if fnk is not None else None}
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("source", "degree", "coeff"))
+        writer.writerows(("poly", i, ",".join(map(str, F.coeffs(c))))
+                         for i, c in enumerate(poly.coeffs))
+        if fnk is not None:
+            writer.writerows(("fnk", i, str(c))
+                             for i, c in enumerate(fnk.coeffs))
+        return buf.getvalue()
+    lines = [str(poly)]
+    if fnk is not None:
+        lines.append(f"f = {str(fnk).replace('x', 't')}"
+                     "   (value = f(1 - 4x) / 2^n)")
+    return "\n".join(lines) + "\n"
+
+
+class TestPolyWriter:
+    # only one format is rendered and the csv fnk rows are joined
+    # directly; the bytes must be those of the whole-document renderings
+    @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+    @pytest.mark.parametrize("n", [0, 37, cli.SMALL_N, cli.SMALL_N + 1])
+    @pytest.mark.parametrize("fd, k", [("5", 3), ("9", 2), ("7", 0)])
+    def test_bytes_match_whole_document_rendering(self, capsys, fd, k, n,
+                                                  fmt):
+        code, out, err = run(capsys, "poly", "--field", fd, "--n", str(n),
+                             "--k", str(k), "--format", fmt)
+        want = _poly_reference(gf.parse_field_descriptor(fd), n, k, fmt)
+        assert (code, out, err) == (0, want, "")
+
+    def test_rows_cover_negative_and_empty_fnk_rows(self):
+        # k >= 2 gives negative coefficients; n = 0, k = 2 the zero row
+        assert min(rdpoly.fnk_coeffs(cli.SMALL_N, 3).coeffs) < 0
+        assert rdpoly.fnk_coeffs(0, 2).coeffs == ()
+
+
+class TestParser:
+    # a run whose first argument names a command builds that subparser
+    # alone; what it prints and returns is that of the full parser
+    @pytest.mark.parametrize("argv", [
+        ("--help",), (), ("bogus",), ("bogus", "--field", "5"),
+        ("--format", "json", "poly"),
+        *((name, "--help") for name in cli._COMMANDS),
+        ("eval", "--field", "5"),
+        ("poly", "--field", "5", "--n", "3", "--k", "1", "--check"),
+        ("pp", "--field", "5", "--n", "1..3", "--format", "xml"),
+        ("verify",),
+        ("sums", "--field", "5", "--k", "1", "--chec"),
+        ("field-info", "--field", "5", "--bogus"),
+        ("verify", "T2.1", "--p", "3", "--e", "1", "extra")],
+        ids=" ".join)
+    def test_one_subparser_reports_as_all_six(self, capsys, monkeypatch,
+                                               argv):
+        got = run(capsys, *argv)
+        full = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda only=None: full())
+        assert got == run(capsys, *argv)
+        assert got[0] in (0, 2) and got[1] + got[2]
+
+    def test_a_named_command_builds_its_subparser_alone(self):
+        assert list(cli._build_parser("poly")[1]) == ["poly"]
+        assert list(cli._build_parser()[1]) == list(cli._COMMANDS)
+
+
 class TestChecks:
     def test_eval_check_agreement(self, capsys):
         code, out, _ = run(capsys, "eval", "--field", "7", "--n", "8",

@@ -507,6 +507,47 @@ class TestAsPolynomial:
         poly = rd.as_polynomial(F5, 0, 4)
         assert poly.coeffs == ((2 - 4) % 5,)
 
+    # q - 1 = 2, 2^3, 2*11, 2*13 and 4*31: one prime, a prime power,
+    # and mixed radices with a large prime that the transform sums
+    # directly
+    @pytest.mark.parametrize("desc", ["3", "9", "23", "27", "125"])
+    def test_transform_matches_the_quadratic_sums(self, desc):
+        F = gf.parse_field_descriptor(desc)
+        period = F.q * F.q - 1
+        for n in (0, 1, 2, F.q + 1, period - 1, period, period + 1,
+                  7 * period + F.q + 3):
+            for k in range(F.p):
+                want = as_polynomial_by_sums(F, n, k)
+                assert rd.as_polynomial(F, n, k).coeffs == want.coeffs, (n, k)
+
+    @pytest.mark.parametrize("desc", ["3", "9", "23", "27", "125"])
+    def test_transform_against_the_naive_transform(self, desc):
+        F = gf.parse_field_descriptor(desc)
+        m, rng = F.q - 1, random.Random(desc)
+        g = gf._generator(m, range(2, F.q), F.mul)
+        powers = [F.pow(g, j) for j in range(m)]
+        xs = [rng.randrange(F.q) for _ in range(m)]
+        want = [0] * m
+        for i in range(m):
+            for j, x in enumerate(xs):
+                want[i] = F.add(want[i], F.mul(x, F.pow(g, i * j)))
+        assert rd._dft(F, xs, powers) == want
+
+
+def as_polynomial_by_sums(F, n, k):
+    """Oracle: the interpolation sums taken point by point, O(q^2)."""
+    k %= F.p
+    q = F.q
+    # sums[i] = sum_a f(a) a^i for i < q - 1; c_j = -sums[q - 1 - j]
+    sums = [0] * (q - 1)
+    f0 = sums[0] = rd.eval_recurrence(F, n, k, 0)
+    for a in range(1, q):
+        t = rd.eval_recurrence(F, n, k, a)
+        for i in range(q - 1):
+            sums[i] = F.add(sums[i], t)
+            t = F.mul(t, a)
+    return rd.FieldPolynomial(F, (f0,) + tuple(F.neg(s) for s in reversed(sums)))
+
 
 class TestValueTypes:
     def test_int_polynomial_canonical(self):
