@@ -17,13 +17,16 @@ lifts both.  Each handler takes max_q: the bound, or None under
 --unsafe-large, which then lifts the grid bound too.
 
 Exit codes: 0 verified/ok, 1 a check failed or an internal
-cross-check tripped, 2 usage error, an --out that cannot be written
-included.  Output is deterministic: equal invocations produce identical
-bytes.  Commands render their whole output and write it once; `poly`
-renders only the format asked for, so its integer row is turned into
-decimal once.  `sums` builds and checks its table first and then writes
-it ROWS_PER_WRITE rows at a time, rendering each of its at most p
-distinct sum values once.
+cross-check tripped, 2 usage error (a ValueError, from here or from the
+library), an --out that cannot be written included.  Output is
+deterministic: equal invocations produce identical bytes.  Every output
+format is written here: the library returns values, records and
+coefficient tuples, and _terms writes a tuple as a sum of terms.
+Commands render their whole output and write it once; `poly` renders
+only the format asked for, so its integer row is turned into decimal
+once.  `sums` builds and checks its table first and then writes it
+ROWS_PER_WRITE rows at a time, rendering each of its at most p distinct
+sum values once.
 
 Each process is one command, so the module imports only gf up front:
 a handler imports the modules it calls (rdpoly for eval and poly,
@@ -47,10 +50,6 @@ GRID_LIMIT = 10 ** 6
 SMALL_N = 5000          # bound for the O(n) and O(n^2) cross-check routes
 
 
-class UsageError(Exception):
-    pass
-
-
 # -- parsing helpers -------------------------------------------------------
 
 
@@ -66,14 +65,14 @@ def _parse_range_list(text, what, max_q, minimum=None):
         try:
             spans.append(range(int(lo), int(hi if sep else lo) + 1))
         except ValueError:
-            raise UsageError(
+            raise ValueError(
                 f"bad {what} {text!r}: expected N, N..M or a comma list")
     _guard_grid(sum(max(0, r.stop - r.start) for r in spans), max_q)
     out = [v for r in spans for v in r]
     if not out:
-        raise UsageError(f"empty {what} {text!r}")
+        raise ValueError(f"empty {what} {text!r}")
     if minimum is not None and min(out) < minimum:
-        raise UsageError(f"{what} entries must be at least {minimum}")
+        raise ValueError(f"{what} entries must be at least {minimum}")
     return out
 
 
@@ -81,15 +80,15 @@ def _parse_int(text, what, minimum=None):
     try:
         value = int(text)
     except ValueError:
-        raise UsageError(f"bad {what} {text!r}: expected an integer")
+        raise ValueError(f"bad {what} {text!r}: expected an integer")
     if minimum is not None and value < minimum:
-        raise UsageError(f"{what} must be at least {minimum}")
+        raise ValueError(f"{what} must be at least {minimum}")
     return value
 
 
 def _load_field(args, max_q):
-    if not getattr(args, "field", None):
-        raise UsageError("--field is required for this command")
+    if not args.field:
+        raise ValueError("--field is required for this command")
     p, e, modulus = gf.split_field_descriptor(args.field)
     _guard_field(p, e, max_q)
     return gf.make_field(p, e, modulus)
@@ -99,13 +98,13 @@ def _guard_field(p, e, max_q):
     """Refuse GF(p^e) above the q bound before anything of it is built."""
     if gf.exceeds_size_bound(p, e, max_q):
         size = p if e == 1 else f"{p}^{e}"
-        raise UsageError(f"field size {size} exceeds the bound "
+        raise ValueError(f"field size {size} exceeds the bound "
                          f"q <= {max_q}; pass --unsafe-large")
 
 
 def _guard_grid(n_points, max_q):
     if max_q is not None and n_points > GRID_LIMIT:
-        raise UsageError(
+        raise ValueError(
             f"grid of {n_points} points exceeds {GRID_LIMIT}; "
             "pass --unsafe-large to proceed")
 
@@ -114,12 +113,12 @@ def _parse_element(F, text, what):
     try:
         coords = [int(t) for t in text.split(",")]
     except ValueError:
-        raise UsageError(
+        raise ValueError(
             f"bad {what} {text!r}: expected comma-separated coordinates")
     try:
         return F.element(coords)
     except ValueError as exc:
-        raise UsageError(f"bad {what} {text!r}: {exc}")
+        raise ValueError(f"bad {what} {text!r}: {exc}")
 
 
 def _coords(F, v):
@@ -131,6 +130,35 @@ def _bool(v):
 
 
 # -- output ----------------------------------------------------------------
+
+
+def _terms(coeffs, var, F=None):
+    """A coefficient tuple, constant term first, as a sum of terms in var.
+
+    The coefficients are signed integers when F is None, else elements
+    of F, written as coordinates in parentheses, with "*" before a
+    power, when F.e > 1.  A coefficient 1 before a power is left out,
+    and () is "0".
+    """
+    out = []
+    for i, c in enumerate(coeffs):
+        if not c:
+            continue
+        if F is None:
+            sign, text = "-" if c < 0 else "+", str(abs(c))
+        else:
+            sign, text = "+", str(c) if F.e == 1 else f"({_coords(F, c)})"
+        if i:
+            power = var if i == 1 else f"{var}^{i}"
+            if text == "1":
+                text = power
+            else:
+                text += ("*" if text[-1] == ")" else "") + power
+        out.append(f"{sign} {text}")
+    if not out:
+        return "0"
+    text = " ".join(out)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def _render(fmt, pretty_lines, json_obj, csv_header, csv_rows):
@@ -177,7 +205,7 @@ def _output(args):
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             yield fh
     except OSError as exc:
-        raise UsageError(
+        raise ValueError(
             f"cannot write --out {args.out}: {exc.strerror or exc}")
 
 
@@ -251,23 +279,26 @@ def cmd_poly(args, max_q):
     # only the format asked for is rendered, so the big ints of the fnk
     # row are turned into decimal once
     if args.format == "json":
+        field = gf.field_descriptor(F)
         text = _json_text({
-            "command": "poly", "field": gf.field_descriptor(F), "n": n,
-            "k": k % F.p, "poly": poly.to_json(), "poly_str": str(poly),
-            "fnk": fnk.to_json() if fnk is not None else None})
+            "command": "poly", "field": field, "n": n, "k": k % F.p,
+            "poly": {"field": field,
+                     "coeffs": [list(F.coeffs(c)) for c in poly]},
+            "poly_str": _terms(poly, "x", F),
+            # decimal strings: the coefficients outgrow fixed-width ints
+            "fnk": {"coeffs": [str(c) for c in fnk]}
+            if fnk is not None else None})
     elif args.format == "csv":
         text = _csv_text(("source", "degree", "coeff"),
                          [("poly", i, _coords(F, c))
-                          for i, c in enumerate(poly.coeffs)])
+                          for i, c in enumerate(poly)])
         if fnk is not None:
             # a decimal integer never needs csv quoting
-            text += "".join([f"\nfnk,{i},{c}"
-                             for i, c in enumerate(fnk.coeffs)])
+            text += "".join([f"\nfnk,{i},{c}" for i, c in enumerate(fnk)])
     else:
-        text = str(poly)
+        text = _terms(poly, "x", F)
         if fnk is not None:
-            text += (f"\nf = {str(fnk).replace('x', 't')}"
-                     "   (value = f(1 - 4x) / 2^n)")
+            text += f"\nf = {_terms(fnk, 't')}   (value = f(1 - 4x) / 2^n)"
     _write(args, text)
     return 0
 
@@ -284,14 +315,14 @@ def cmd_pp(args, max_q):
     _guard_grid(len(ns) * len(ks), max_q)
     criteria = [c.strip() for c in args.criteria.split(",") if c.strip()]
     if not criteria:
-        raise UsageError("--criteria names no criterion")
+        raise ValueError("--criteria names no criterion")
     allowed = ("brute_force", "two_to_one")
     for crit in criteria:
         if crit not in allowed:
-            raise UsageError(f"unknown criterion {crit!r}; "
+            raise ValueError(f"unknown criterion {crit!r}; "
                              f"choose from {', '.join(allowed)}")
     if F.p == 2 and "two_to_one" in criteria:
-        raise UsageError("the two_to_one criterion needs odd characteristic")
+        raise ValueError("the two_to_one criterion needs odd characteristic")
 
     rows, disagreements = [], 0
     for n in ns:
@@ -334,11 +365,11 @@ def cmd_verify(args, max_q):
         return _verify_sums(args, max_q)
     from . import permcheck
     if args.target not in permcheck.THEOREM_IDS:
-        raise UsageError(
+        raise ValueError(
             f"unknown verify target {args.target!r}; expected 'sums' or "
             f"one of {', '.join(permcheck.THEOREM_IDS)}")
     if not args.p or not args.e:
-        raise UsageError("--p and --e are required for theorem grids")
+        raise ValueError("--p and --e are required for theorem grids")
     ps = _parse_range_list(args.p, "--p", max_q)
     es = _parse_range_list(args.e, "--e", max_q, minimum=1)
     ls = (_parse_range_list(args.l, "--l", max_q, minimum=0)
@@ -349,12 +380,12 @@ def cmd_verify(args, max_q):
           if args.k is not None else None)
     for p in ps:
         if not gf.is_prime(p):
-            raise UsageError(f"--p entries must be prime, got {p}")
+            raise ValueError(f"--p entries must be prime, got {p}")
     grid = dict(ns=ns, ls=ls, ks=ks, max_q=max_q)
     size = permcheck.grid_size(args.target, ps, es, **grid)
     _guard_grid(size, max_q)
     if not size:
-        raise UsageError(
+        raise ValueError(
             f"no point of this grid lies in the domain of {args.target}")
     report = permcheck.verify_theorem(args.target, ps, es, **grid)
 
@@ -368,7 +399,9 @@ def cmd_verify(args, max_q):
     keys = sorted({key for ent in report.entries for key in ent})
     csv_rows = [[_csv_cell(ent.get(key)) for key in keys]
                 for ent in report.entries]
-    _emit(args, pretty, report.to_json(), keys, csv_rows)
+    jobj = {"theorem": report.theorem, "pass": report.passed,
+            "grid": report.entries, "failures": report.counterexamples}
+    _emit(args, pretty, jobj, keys, csv_rows)
     return 0 if report.passed else 1
 
 
@@ -384,7 +417,7 @@ def _verify_sums(args, max_q):
     from . import charsum
     F = _load_field(args, max_q)
     if F.p == 2:
-        raise UsageError("sum tables need odd characteristic")
+        raise ValueError("sum tables need odd characteristic")
     ks = (_parse_range_list(args.k, "--k", max_q) if args.k is not None
           else list(range(F.p)))
     _guard_grid(len(ks) * F.q ** 2, max_q)
@@ -426,7 +459,7 @@ def cmd_sums(args, max_q):
     from . import charsum
     F = _load_field(args, max_q)
     if F.p == 2:
-        raise UsageError("sum tables need odd characteristic")
+        raise ValueError("sum tables need odd characteristic")
     k = _parse_int(args.k, "--k")
     table = charsum.sums_via_recurrence(F, k)
     oracle = None
@@ -602,9 +635,6 @@ def main(argv=None):
     max_q = None if args.unsafe_large else DEFAULT_MAX_Q
     try:
         return _COMMANDS[args.command][0](args, max_q)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InternalCheckError as exc:
         print(f"internal cross-check failed: {exc}", file=sys.stderr)
         return 1

@@ -120,12 +120,6 @@ class TheoremReport:
     def passed(self):
         return not self.counterexamples
 
-    def to_json(self):
-        return {"theorem": self.theorem,
-                "pass": self.passed,
-                "grid": self.entries,
-                "failures": self.counterexamples}
-
 
 def _entry(F, lhs, rhs, **params):
     e = {"field": gf.field_descriptor(F), "q": F.q}

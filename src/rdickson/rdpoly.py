@@ -28,7 +28,8 @@ and its reduction mod p keep ROW_CACHE_SIZE rows each, for callers that
 read one row at many points x.  The other routes, and as_polynomial
 (interpolated from the q values of eval_recurrence by a transform over
 GF(q)*), compute in the field throughout.  No route divides by a
-quantity that can vanish.
+quantity that can vanish.  fnk_coeffs and as_polynomial return bare
+coefficient tuples; cli writes them as terms.
 """
 
 from functools import lru_cache
@@ -38,97 +39,6 @@ from . import gf, modpoly
 # Every caller that reads a row twice reads one (n, k) over many x; the
 # CLI reads each row once.  One row per cache serves that reuse.
 ROW_CACHE_SIZE = 1
-
-
-# -- polynomial value types ---------------------------------------------
-
-
-def _format_terms(parts):
-    """Join (coeff_text, degree, negative) triples into a readable sum."""
-    if not parts:
-        return "0"
-    out = []
-    for text, deg, negative in parts:
-        var = "" if deg == 0 else ("x" if deg == 1 else f"x^{deg}")
-        if text == "1" and var:
-            text = ""
-        body = f"{text}{'*' if text and var and text[-1] == ')' else ''}{var}" or "1"
-        if not out:
-            out.append(f"-{body}" if negative else body)
-        else:
-            out.append(f"{'-' if negative else '+'} {body}")
-    return " ".join(out)
-
-
-class IntPolynomial:
-    """Dense integer polynomial; coeffs run from the constant term up
-    and are kept canonical (no trailing zeros).  Equal coefficients
-    make equal polynomials."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(modpoly.trim(coeffs))
-
-    def __eq__(self, other):
-        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def to_json(self):
-        # decimal strings: the coefficients outgrow fixed-width ints fast
-        return {"coeffs": [str(c) for c in self.coeffs]}
-
-    def __str__(self):
-        parts = [(str(abs(c)), i, c < 0)
-                 for i, c in enumerate(self.coeffs) if c]
-        return _format_terms(parts)
-
-
-class FieldPolynomial:
-    """Dense polynomial with coefficients in a field, canonical form."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs):
-        self.field = field
-        self.coeffs = tuple(modpoly.trim(coeffs))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        F, acc = self.field, 0
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
-        return acc
-
-    def to_json(self):
-        F = self.field
-        return {"field": gf.field_descriptor(F),
-                "coeffs": [list(F.coeffs(c)) for c in self.coeffs]}
-
-    def __str__(self):
-        F = self.field
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            text = str(c) if F.e == 1 else "(" + ",".join(map(str, F.coeffs(c))) + ")"
-            parts.append((text, i, False))
-        return _format_terms(parts)
 
 
 # -- integer coefficient rows -------------------------------------------
@@ -380,7 +290,9 @@ def closed_form(F, n, k, x):
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
 def fnk_coeffs(n, k):
-    """Integer polynomial f with D(n,k; 1,x) = (1/2)^n f(1 - 4x), odd p.
+    """Integer polynomial f with D(n,k; 1,x) = (1/2)^n f(1 - 4x), odd p,
+    as its coefficient tuple from the constant term up, without
+    trailing zeros (n = 0, k = 2 gives ()).
 
     For n >= 1, f(t) = k * sum_j C(n-1, 2j+1) (t^j - t^(j+1))
     + 2 * sum_j C(n, 2j) t^j; the index-0 member is the constant 2 - k.
@@ -391,7 +303,7 @@ def fnk_coeffs(n, k):
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
-        return IntPolynomial((2 - k,))
+        return (2 - k,) if k != 2 else ()
     out = [0] * (n // 2 + 2)
     c = 1                                       # C(n, 2j)
     for j in range(n // 2 + 1):
@@ -401,12 +313,12 @@ def fnk_coeffs(n, k):
         out[j] += 2 * c + d
         out[j + 1] -= d
         c = step // (2 * j + 2)                 # C(n, 2j+2)
-    return IntPolynomial(tuple(out))
+    return tuple(modpoly.trim(out))
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
 def _fnk_row_mod(n, k, p):
-    return tuple(c % p for c in fnk_coeffs(n, k).coeffs)
+    return tuple(c % p for c in fnk_coeffs(n, k))
 
 
 def eval_via_fnk(F, n, k, x):
@@ -448,7 +360,8 @@ def genfun_coeffs(F, k, x, count):
 
 def as_polynomial(F, n, k):
     """The unique degree < q polynomial agreeing with x -> D(n,k; 1,x)
-    on all of GF(q) (odd p).
+    on all of GF(q) (odd p), as its tuple of field elements from the
+    constant term up, without trailing zeros.
 
     Interpolated from the q values f(a) of eval_recurrence through
     f = sum_a f(a) (1 - (x - a)^(q-1)): the constant coefficient is
@@ -470,7 +383,8 @@ def as_polynomial(F, n, k):
     sums = _dft(F, [eval_recurrence(F, n, k, a) for a in powers], powers)
     f0 = eval_recurrence(F, n, k, 0)
     sums[0] = F.add(sums[0], f0)
-    return FieldPolynomial(F, (f0,) + tuple(F.neg(s) for s in reversed(sums)))
+    return tuple(modpoly.trim(
+        [f0] + [F.neg(s) for s in reversed(sums)]))
 
 
 def _dft(F, xs, powers):

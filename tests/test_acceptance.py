@@ -129,7 +129,7 @@ def reduced_expansion_holds(n, k):
         l = n // 2
         rhs = [Fraction(3 * n - 8 * j - 1, n + 1) * comb(n + 1, 2 * j + 1)
                for j in range(l)] + [Fraction(-1)]
-    lhs = tuple(Fraction(c) for c in rd.fnk_coeffs(n, k).coeffs)
+    lhs = tuple(Fraction(c) for c in rd.fnk_coeffs(n, k))
     rhs = tuple(Fraction(c) for c in modpoly.trim(rhs))
     return lhs == rhs
 

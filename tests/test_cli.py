@@ -282,31 +282,198 @@ class TestSumsWriter:
         assert peak < 2 * 2 ** 20
 
 
+def _format_terms(parts):
+    """Join (coeff_text, degree, negative) triples into a readable sum."""
+    if not parts:
+        return "0"
+    out = []
+    for text, deg, negative in parts:
+        var = "" if deg == 0 else ("x" if deg == 1 else f"x^{deg}")
+        if text == "1" and var:
+            text = ""
+        body = f"{text}{'*' if text and var and text[-1] == ')' else ''}{var}" or "1"
+        if not out:
+            out.append(f"-{body}" if negative else body)
+        else:
+            out.append(f"{'-' if negative else '+'} {body}")
+    return " ".join(out)
+
+
+def _int_terms(coeffs):
+    parts = [(str(abs(c)), i, c < 0)
+             for i, c in enumerate(coeffs) if c]
+    return _format_terms(parts)
+
+
+def _field_terms(F, coeffs):
+    parts = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        text = str(c) if F.e == 1 else "(" + ",".join(map(str, F.coeffs(c))) + ")"
+        parts.append((text, i, False))
+    return _format_terms(parts)
+
+
 def _poly_reference(F, n, k, fmt):
     """The poly output built whole: json.dumps of the document,
-    csv.writer rows, or the joined pretty lines."""
+    csv.writer rows, or the joined pretty lines.  The terms are written
+    by an oracle of their own: terms in x, renamed to t for the integer
+    form."""
     poly = rdpoly.as_polynomial(F, n, k)
     fnk = rdpoly.fnk_coeffs(n, k % F.p) if n <= cli.SMALL_N else None
     if fmt == "json":
         obj = {"command": "poly", "field": gf.field_descriptor(F), "n": n,
-               "k": k % F.p, "poly": poly.to_json(), "poly_str": str(poly),
-               "fnk": fnk.to_json() if fnk is not None else None}
+               "k": k % F.p,
+               "poly": {"field": gf.field_descriptor(F),
+                        "coeffs": [list(F.coeffs(c)) for c in poly]},
+               "poly_str": _field_terms(F, poly),
+               "fnk": {"coeffs": [str(c) for c in fnk]}
+               if fnk is not None else None}
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(("source", "degree", "coeff"))
         writer.writerows(("poly", i, ",".join(map(str, F.coeffs(c))))
-                         for i, c in enumerate(poly.coeffs))
+                         for i, c in enumerate(poly))
         if fnk is not None:
-            writer.writerows(("fnk", i, str(c))
-                             for i, c in enumerate(fnk.coeffs))
+            writer.writerows(("fnk", i, str(c)) for i, c in enumerate(fnk))
         return buf.getvalue()
-    lines = [str(poly)]
+    lines = [_field_terms(F, poly)]
     if fnk is not None:
-        lines.append(f"f = {str(fnk).replace('x', 't')}"
+        lines.append(f"f = {_int_terms(fnk).replace('x', 't')}"
                      "   (value = f(1 - 4x) / 2^n)")
     return "\n".join(lines) + "\n"
+
+
+# poly output captured whole, byte for byte: the integer row in t with a
+# negative coefficient, extension coordinates with "*x^2", and the zero
+# polynomial on both lines
+POLY_LITERALS = {
+    ("7", 3, 0, "pretty"):
+        "1 + 4x\nf = 2 + 6t   (value = f(1 - 4x) / 2^n)\n",
+    ("7", 3, 0, "json"): """\
+{
+  "command": "poly",
+  "field": "7",
+  "fnk": {
+    "coeffs": [
+      "2",
+      "6"
+    ]
+  },
+  "k": 0,
+  "n": 3,
+  "poly": {
+    "coeffs": [
+      [
+        1
+      ],
+      [
+        4
+      ]
+    ],
+    "field": "7"
+  },
+  "poly_str": "1 + 4x"
+}
+""",
+    ("7", 3, 0, "csv"):
+        "source,degree,coeff\npoly,0,1\npoly,1,4\nfnk,0,2\nfnk,1,6\n",
+    ("9", 5, 2, "pretty"):
+        "(1,0) + (1,0)*x^2\n"
+        "f = 10 + 20t + 2t^2   (value = f(1 - 4x) / 2^n)\n",
+    ("9", 5, 2, "json"): """\
+{
+  "command": "poly",
+  "field": "3^2/1,0,1",
+  "fnk": {
+    "coeffs": [
+      "10",
+      "20",
+      "2"
+    ]
+  },
+  "k": 2,
+  "n": 5,
+  "poly": {
+    "coeffs": [
+      [
+        1,
+        0
+      ],
+      [
+        0,
+        0
+      ],
+      [
+        1,
+        0
+      ]
+    ],
+    "field": "3^2/1,0,1"
+  },
+  "poly_str": "(1,0) + (1,0)*x^2"
+}
+""",
+    ("9", 5, 2, "csv"):
+        'source,degree,coeff\npoly,0,"1,0"\npoly,1,"0,0"\npoly,2,"1,0"\n'
+        "fnk,0,10\nfnk,1,20\nfnk,2,2\n",
+    ("5", 4, 3, "pretty"):
+        "1 + 4x + 4x^2\nf = 11 + 6t - t^2   (value = f(1 - 4x) / 2^n)\n",
+    ("5", 4, 3, "json"): """\
+{
+  "command": "poly",
+  "field": "5",
+  "fnk": {
+    "coeffs": [
+      "11",
+      "6",
+      "-1"
+    ]
+  },
+  "k": 3,
+  "n": 4,
+  "poly": {
+    "coeffs": [
+      [
+        1
+      ],
+      [
+        4
+      ],
+      [
+        4
+      ]
+    ],
+    "field": "5"
+  },
+  "poly_str": "1 + 4x + 4x^2"
+}
+""",
+    ("5", 4, 3, "csv"):
+        "source,degree,coeff\npoly,0,1\npoly,1,4\npoly,2,4\n"
+        "fnk,0,11\nfnk,1,6\nfnk,2,-1\n",
+    ("5", 0, 2, "pretty"): "0\nf = 0   (value = f(1 - 4x) / 2^n)\n",
+    ("5", 0, 2, "json"): """\
+{
+  "command": "poly",
+  "field": "5",
+  "fnk": {
+    "coeffs": []
+  },
+  "k": 2,
+  "n": 0,
+  "poly": {
+    "coeffs": [],
+    "field": "5"
+  },
+  "poly_str": "0"
+}
+""",
+    ("5", 0, 2, "csv"): "source,degree,coeff\n",
+}
 
 
 class TestPolyWriter:
@@ -322,10 +489,42 @@ class TestPolyWriter:
         want = _poly_reference(gf.parse_field_descriptor(fd), n, k, fmt)
         assert (code, out, err) == (0, want, "")
 
+    @pytest.mark.parametrize("fd, n, k, fmt", sorted(POLY_LITERALS),
+                             ids=lambda v: str(v))
+    def test_bytes_match_literal_output(self, capsys, fd, n, k, fmt):
+        code, out, err = run(capsys, "poly", "--field", fd, "--n", str(n),
+                             "--k", str(k), "--format", fmt)
+        assert (code, out, err) == (0, POLY_LITERALS[fd, n, k, fmt], "")
+
     def test_rows_cover_negative_and_empty_fnk_rows(self):
         # k >= 2 gives negative coefficients; n = 0, k = 2 the zero row
-        assert min(rdpoly.fnk_coeffs(cli.SMALL_N, 3).coeffs) < 0
-        assert rdpoly.fnk_coeffs(0, 2).coeffs == ()
+        assert min(rdpoly.fnk_coeffs(cli.SMALL_N, 3)) < 0
+        assert rdpoly.fnk_coeffs(0, 2) == ()
+
+    def test_terms(self):
+        F9 = gf.make_field(3, 2)
+        assert cli._terms((5, -1), "x") == "5 - x"
+        assert cli._terms((), "x") == "0"
+        assert cli._terms((0, 2, 0, -7), "x") == "2x - 7x^3"
+        assert cli._terms((-1, 0, 1), "t") == "-1 + t^2"
+        assert cli._terms((4, 0, 7), "x", F9) == "(1,1) + (1,2)*x^2"
+        assert cli._terms((1, 1), "x", gf.make_field(7)) == "1 + x"
+
+    def test_json_coefficients(self, capsys):
+        # the integer row as decimal strings, since its entries outgrow
+        # fixed-width ints; field elements as coordinate lists
+        _, out, _ = run(capsys, "poly", "--field", "5", "--n", "80",
+                        "--k", "3", "--format", "json")
+        coeffs = json.loads(out)["fnk"]["coeffs"]
+        assert coeffs[0] == str(3 * 79 + 2)
+        assert all(isinstance(c, str) for c in coeffs)
+        _, out, _ = run(capsys, "poly", "--field", "9", "--n", "7",
+                        "--k", "2", "--format", "json")
+        blob = json.loads(out)["poly"]
+        F9 = gf.make_field(3, 2)
+        assert blob["field"] == "3^2/1,0,1"
+        assert blob["coeffs"] == [list(F9.coeffs(c))
+                                  for c in rdpoly.as_polynomial(F9, 7, 2)]
 
 
 class TestParser:
@@ -466,6 +665,15 @@ class TestChecks:
                            "--n", "0..12")
         assert code == 0
         assert "pass: true" in out
+
+    def test_verify_theorem_json(self, capsys):
+        code, out, _ = run(capsys, "verify", "T2.1", "--p", "3", "--e", "1",
+                           "--format", "json")
+        blob = json.loads(out)
+        assert code == 0 and blob["theorem"] == "T2.1"
+        assert blob["pass"] is True and blob["failures"] == []
+        assert {"field", "q", "l", "n", "k", "lhs", "rhs", "ok"} <= \
+            set(blob["grid"][0])
 
 
 class TestExtensionTables:

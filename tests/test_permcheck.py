@@ -205,13 +205,6 @@ class TestTheoremGrids:
         assert by_q == {3: False, 9: False, 5: False, 25: True,
                         7: True, 49: True}
 
-    def test_report_json(self):
-        rep = pc.verify_theorem("T2.1", [3], [1])
-        blob = rep.to_json()
-        assert blob["pass"] is True and blob["failures"] == []
-        assert {"field", "q", "l", "n", "k", "lhs", "rhs", "ok"} <= \
-            set(blob["grid"][0])
-
 
 class TestStatementTable:
     BASE = {"field", "q", "n", "k", "lhs", "rhs", "ok"}
