@@ -21,7 +21,7 @@ _HOMES = {
                "char2_eval", "closed_form", "value_at_quarter",
                "functional_map", "fnk_coeffs", "genfun_coeffs",
                "as_polynomial"),
-    "permcheck": ("PPReport", "TheoremReport", "THEOREM_IDS",
+    "permcheck": ("PPReport", "THEOREM_IDS",
                   "is_pp_bruteforce", "monomial_pp", "is_pp_two_to_one",
                   "dickson_pp_bruteforce", "verify_theorem"),
     "charsum": ("SumTable", "power_sum", "b_coeffs", "c_coeffs",

@@ -17,10 +17,13 @@ its constants computed once per extension.
 
 Construction validates everything (primality, monic irreducible
 modulus); after that a FieldSpec is immutable and safe to share.  A
-FieldSpec of degree e >= 2 builds its lookup tables at construction; a
-QuadExt multiplies by the coordinate formula and builds coset tables
-of GF(q^2)*, none longer than q + 1, on its first power off the base
-line.  Tables change speed only, never values.
+FieldSpec builds its lookup tables at construction: add tables for
+degree e >= 2, and exp/log tables of GF(q)* for every degree, from the
+first generator that a walk finds (prime fields multiply without
+them).  A QuadExt multiplies by the coordinate formula and, on its
+first power off the base line, builds coset tables of GF(q^2)*, none
+longer than q + 1, that index the base field's exp/log tables.  Tables
+change speed only, never values.
 """
 
 import itertools
@@ -72,20 +75,6 @@ def is_prime(n):
     return True
 
 
-def _prime_factors(n):
-    """Set of prime divisors by trial division (desk scale)."""
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.add(n)
-    return out
-
-
 def is_irreducible(m, p):
     """Irreducibility of a monic polynomial over GF(p).
 
@@ -117,61 +106,58 @@ def _default_modulus(p, e):
     raise AssertionError("unreachable: irreducibles exist in every degree")
 
 
-def _generator(order, candidates, mul):
-    """The first candidate g with g^(order/f) != 1 for every prime f
-    dividing order, by square-and-multiply over the table-free product
-    mul: the first generator of a cyclic group of that order."""
-    fac = _prime_factors(order)
-    return next(g for g in candidates
-                if all(modpoly.power(mul, g, order // f, 1) != 1
-                       for f in fac))
-
-
 def _cyclic_tables(F):
     """exp/log tables of the cyclic group GF(q)*, as lists: a list
     hands back its stored ints where an array builds new ones, which
     made FieldSpec.mul 1.6x slower.
 
-    Walking u -> u*g from the generator g gives exp[i] = g^i for
-    i < N = q - 1 and log[g^i] = i (log[0] is unused).  The step is
-    GF(p)-linear: for u with digits u_i, u*g is the sum of the columns
-    cols[i][u_i] = (u_i p^i)*g, where each column is made by adds from
-    one slow product (p^i)*g.  So a step is e adds by F.add, whose
-    tables, if any, are built by then.
+    The candidates g = 1, 2, ... are walked u -> u*g from 1 in turn;
+    the first walk that first comes back to 1 after N = q - 1 steps
+    runs once through GF(q)*, so it is its own order test, and gives
+    exp[i] = g^i for i < N and log[g^i] = i (log[0] = 0 is unused).
+    For e = 1 a step is u*g mod p.  For e >= 2 it is GF(p)-linear: for
+    u with digits u_i, u*g is the sum of the columns cols[i][u_i] =
+    (u_i p^i)*g, each made by adds from one slow product (p^i)*g, so a
+    step is e adds by F.add, whose tables, if any, are built by then.
 
-    Two checks make a wrong column raise InternalCheckError rather than
-    leave wrong tables.  The walk must fill every log slot of GF(q)*
-    once and come back to 1.  A linear step that does is the product by
-    some element of some field on the same digits, and that field is
-    this one iff its powers x^0 .. x^e of x (encoded p) are the ones
-    the modulus fixes.
+    A walk that has not come back after N steps raises
+    InternalCheckError.  A linear step whose walk runs through GF(q)*
+    is the product by some element of some field on the same digits,
+    which is this field iff its powers x^0 .. x^e of x (encoded p) are
+    the ones the modulus fixes; for e >= 2 anything else raises too.
     """
-    p, q, order = F.p, F.q, F.q - 1
-    gen = _generator(order, range(2, q), F._mul_slow)
-    add = F.add
-    cols = [list(itertools.accumulate(
-                itertools.repeat(F._mul_slow(s, gen), p - 1), add, initial=0))
-            for s in F._pows[:-1]]
-    exp, log = [0] * order, [None] * q
-    acc = 1
-    for i in range(order):
-        exp[i] = acc
-        log[acc] = i
-        u, acc = acc, 0
-        for col in cols:
-            u, d = divmod(u, p)
-            acc = add(acc, col[d])
-    if acc != 1:
-        raise InternalCheckError(f"generator {gen} of GF({q})* has "
-                                 "the wrong order")
-    # N writes: no empty slot in GF(q)* means none went twice
-    if None in log[1:]:
-        raise InternalCheckError(f"a log slot of GF({q})* filled twice")
-    want = F._pows[:-1] + [F.element(-c for c in F.modulus[:-1])]
-    if [exp[i * log[p] % order] for i in range(F.e + 1)] != want:
-        raise InternalCheckError(f"the walk of GF({q})* is not the "
-                                 f"product by {gen}")
-    log[0] = 0
+    p, q, order, add = F.p, F.q, F.q - 1, F.add
+    exp, log = [0] * order, [0] * q
+    for g in range(1, q):
+        cols = [list(itertools.accumulate(
+                    itertools.repeat(F._mul_slow(s, g), p - 1), add,
+                    initial=0))
+                for s in F._pows[:-1]] if F.e > 1 else None
+        acc = 1
+        for i in range(order):
+            exp[i] = acc
+            log[acc] = i
+            if cols is None:
+                acc = acc * g % p
+            else:
+                u, acc = acc, 0
+                for col in cols:
+                    u, d = divmod(u, p)
+                    acc = add(acc, col[d])
+            if acc == 1:
+                break
+        else:
+            raise InternalCheckError(f"the walk of {g} in GF({q})* has not "
+                                     f"come back to 1 after {order} steps")
+        if i == order - 1:
+            break
+    else:
+        raise InternalCheckError(f"no walk runs through GF({q})*")
+    if F.e > 1:
+        want = F._pows[:-1] + [F.element(-c for c in F.modulus[:-1])]
+        if [exp[i * log[p] % order] for i in range(F.e + 1)] != want:
+            raise InternalCheckError(f"the walk of GF({q})* is not the "
+                                     f"product by {g}")
     return exp, log
 
 
@@ -196,9 +182,10 @@ class FieldSpec:
         self._exp = self._log = self._neg_table = self._add_table = None
         if e >= 2 and self.q <= _ADD_TABLE_MAX_Q:
             self._build_add_tables()
-        if e >= 2 and self.q <= _LOG_TABLE_MAX_Q:
+        if self.q <= _LOG_TABLE_MAX_Q:
             exp, log = _cyclic_tables(self)
-            # exp is doubled so mul can index log[a] + log[b] without a mod
+            # exp is doubled so mul and QuadExt can index a sum of two
+            # logs without a mod
             self._exp, self._log = exp + exp, log
         if p != 2:
             self._half = self.inv(2)
@@ -310,6 +297,13 @@ class FieldSpec:
         if self._exp is not None:
             return self._exp[self._log[a] * n % (self.q - 1)]
         return modpoly.power(self._mul_slow, a, n, 1)
+
+    def generator_powers(self):
+        """g^0 .. g^(q-2) for g the first generator of GF(q)* in encoding
+        order: the exp table, or above the table bound the same walk."""
+        if self._exp is not None:
+            return self._exp[:self.q - 1]
+        return _cyclic_tables(self)[0]
 
     def is_square(self, a):
         """Quadratic character test; zero counts as a square."""
@@ -504,19 +498,23 @@ class QuadExt:
     Products always use the coordinate formula.  Powers of base
     elements go to the base field; the first other power builds coset
     tables of GF(q^2)* with that product, if q <= _LOG_TABLE_MAX_Q at
-    construction.  With g the first generator in encoding order,
-    h = g^(q+1) = N(g) generates GF(q)*, and i < q^2 - 1 is uniquely
-    alpha*(q+1) + beta with alpha < q - 1 and beta <= q, so
-    g^i = h^alpha g^beta.  The tables, of at most q + 1 entries each,
-    hold h's powers and logs, the h-logs of the coordinates of each
-    g^beta, and rho[t] = log(t + s) for t in GF(q).  So log(a0 + a1 s)
-    is (q+1) log_h(a1) + rho[a0/a1] for a1 != 0, and a power is a few
+    construction and the base field has exp/log tables, of generator b,
+    which the coset tables index.  g = a0 + a1 s of norm
+    g^(q+1) = a0^2 - d a1^2 = b generates GF(q^2)* iff no g^beta with
+    0 < beta <= q lies on the base line; then each i < q^2 - 1 is
+    alpha*(q+1) + beta with alpha < q - 1, beta <= q, and
+    g^i = b^alpha g^beta.  The tables, of at most q + 1 entries, hold
+    the b-logs of the coordinates of each g^beta, and rho[t] =
+    log(t + s) for t in GF(q).  So log(a0 + a1 s) is
+    (q+1) log_b(a1) + rho[a0/a1] for a1 != 0, and a power is a few
     lookups; a negative exponent, -1 for the inverse, reduces mod
-    q^2 - 1.  Above the bound pow is square-and-multiply over mul.
+    q^2 - 1.  Without the tables pow is square-and-multiply over mul.
+    The build raises InternalCheckError unless the base log inverts
+    the base exp, the walk's g^(q+1) is b and rho fills once per slot.
     """
 
-    __slots__ = ("base", "q", "size", "d", "_split", "_buildable", "_hpow",
-                 "_hlog", "_reps", "_rho")
+    __slots__ = ("base", "q", "size", "d", "_split", "_buildable", "_reps",
+                 "_rho")
 
     def __init__(self, base):
         if base.p == 2:
@@ -531,8 +529,9 @@ class QuadExt:
         while t % 2 == 0:
             s, t = s + 1, t // 2
         self._split = (s, t, base.pow(self.d, t))
-        self._buildable = self.q <= _LOG_TABLE_MAX_Q
-        self._hpow = self._hlog = self._reps = self._rho = None
+        self._buildable = (self.q <= _LOG_TABLE_MAX_Q
+                           and base._exp is not None)
+        self._reps = self._rho = None
 
     def __repr__(self):
         return f"QuadExt({field_descriptor(self.base)!r}, d={self.d})"
@@ -563,52 +562,72 @@ class QuadExt:
         n %= self.size - 1
         if self._rho is None and not self._build():
             return modpoly.power(self.mul, u, n, 1)
-        return self._exp(self._logof(u) * n)
+        return self._exp(self._logof(u) * n % (self.size - 1))
 
     # -- the coset tables ----------------------------------------------------
 
     def _build(self):
-        """Build the coset tables if q is within the bound; say if built."""
+        """Build the coset tables if buildable; say if built.  g is the
+        first a0 + a1 s (a1 = 1, 2, ...; a0 off the base log) of norm b
+        whose walk stays off the base line up to g^q."""
         if not self._buildable:
             return False
         F, q, order = self.base, self.q, self.size - 1
-        g = _generator(order, range(q, self.size), self.mul)
-        # reps[beta] = g^beta for beta <= q, then h = g^(q+1)
-        *reps, h = itertools.accumulate(range(q + 1),
-                                        lambda u, _: self.mul(u, g), initial=1)
-        if not 0 < h < q:
-            raise InternalCheckError(f"g^(q+1) = {h} is not in GF({q})*")
-        hpow = [F.pow(h, a) for a in range(q - 1)]
-        hlog, rho = [None] * q, [None] * q
-        if F.mul(hpow[-1], h) != 1:
-            raise InternalCheckError(f"h^(q-1) != 1 for h = {h} in GF({q})")
-        for alpha, c in enumerate(hpow):
-            hlog[c] = alpha
-        for beta, (r0, r1) in enumerate(map(self.parts, reps[1:]), 1):
-            if r1 and hlog[r1] is not None:
-                rho[F.mul(r0, F.inv(r1))] = (beta - (q + 1) * hlog[r1]) % order
-        # at most q - 1 and q writes: no empty slot means none went twice
-        if None in hlog[1:] or None in rho:
+        exp, log = F._exp, F._log
+        # the tables read the base log at every coordinate of GF(q)*
+        if [exp[i] for i in log[1:]] != list(range(1, q)):
+            raise InternalCheckError(f"the log of GF({q})* does not invert "
+                                     "its exp")
+        b = exp[1]
+        for a1 in range(1, q):
+            # a0^2 = b + d a1^2, a0 read off the base log if it is a square
+            c = F.add(b, F.mul(self.d, F.mul(a1, a1)))
+            if log[c] % 2:
+                continue
+            g = self.make(exp[log[c] // 2] if c else 0, a1)
+            # reps[beta] = g^beta for beta <= q, off the base line for beta > 0
+            reps = [1, g]
+            for _ in range(q - 1):
+                u = self.mul(reps[-1], g)
+                if u < q:
+                    break
+                reps.append(u)
+            else:
+                break
+        else:
+            raise InternalCheckError(f"no g of norm {b} generates GF({q}^2)*")
+        if self.mul(reps[-1], g) != b:
+            raise InternalCheckError(f"g^(q+1) is not the norm {b} of g in "
+                                     f"GF({q}^2)")
+        rho = [None] * q
+        for beta, u in enumerate(reps[1:], 1):
+            r1, r0 = divmod(u, q)
+            t = exp[log[r0] - log[r1]] if r0 else 0
+            rho[t] = (beta - (q + 1) * log[r1]) % order
+        # q writes: no empty slot means none went twice
+        if None in rho:
             raise InternalCheckError(f"a log slot of GF({q}^2)* filled twice")
-        self._reps = [tuple(hlog[c] if c else None for c in self.parts(r))
+        self._reps = [tuple(log[c] if c else None for c in self.parts(r))
                       for r in reps]
-        self._hpow, self._hlog, self._rho = hpow, hlog, rho
+        self._rho = rho
         return True
 
     def _logof(self, u):
         a1, a0 = divmod(u, self.q)
-        hlog = self._hlog
+        exp, log = self.base._exp, self.base._log
         # a1 != 0, as pow sends the base line to the base field;
-        # a0/a1 = h^(log_h a0 - log_h a1), a negative index wraps mod q - 1
-        t = self._hpow[hlog[a0] - hlog[a1]] if a0 else 0
-        return (self.q + 1) * hlog[a1] + self._rho[t]
+        # a0/a1 = b^(log a0 - log a1), a negative index wraps into the
+        # second half of the doubled exp
+        t = exp[log[a0] - log[a1]] if a0 else 0
+        return (self.q + 1) * log[a1] + self._rho[t]
 
     def _exp(self, i):
         alpha, beta = divmod(i, self.q + 1)
-        hpow, m = self._hpow, self.q - 1
+        exp = self.base._exp
         l0, l1 = self._reps[beta]
-        return ((0 if l0 is None else hpow[(alpha + l0) % m])
-                + self.q * (0 if l1 is None else hpow[(alpha + l1) % m]))
+        # alpha and the logs are below q - 1: no mod in the doubled exp
+        return ((0 if l0 is None else exp[alpha + l0])
+                + self.q * (0 if l1 is None else exp[alpha + l1]))
 
 
 @lru_cache(maxsize=EXT_CACHE_SIZE)

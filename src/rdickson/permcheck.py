@@ -6,7 +6,8 @@ both sides of each statement of the table STATEMENTS separately: the left
 side is always an exhaustive permutation test of the actual map, the
 right side the stated arithmetic condition or the stated auxiliary
 polynomial's own exhaustive test.  The two sides must coincide at
-every grid point; any disagreement is collected as a counterexample.
+every grid point; each point is one entry, with ok false where they
+differ.
 """
 
 import itertools
@@ -105,20 +106,6 @@ def is_pp_two_to_one(F, n, k):
 
 
 # -- grid verification of the permutation statements ----------------------
-
-
-class TheoremReport:
-    """Both-sides grid check of one named statement."""
-
-    __slots__ = ("theorem", "entries", "counterexamples")
-
-    def __init__(self, theorem, entries, counterexamples):
-        self.theorem, self.entries = theorem, entries
-        self.counterexamples = counterexamples
-
-    @property
-    def passed(self):
-        return not self.counterexamples
 
 
 def _entry(F, lhs, rhs, **params):
@@ -257,8 +244,9 @@ def verify_theorem(theorem, ps, es, *, ns=None, ls=None, ks=None,
     characteristic.  The STATEMENTS entry fixes the rest: indices ns
     (T2.2, default 0..30) or exponents ls (default 0..e; T-k0-pe2 takes
     l = e alone), and which kinds ks (default 0..p-1, mod p) it covers,
-    none outside its domain; fixed-kind statements ignore ks.  No
-    counterexample iff all agree.
+    none outside its domain; fixed-kind statements ignore ks.  Returns
+    the list of grid entries; the statement holds on the grid iff every
+    entry has ok true.
     """
     st, entries = STATEMENTS.get(theorem), []
     for p, e, (name, axis), kinds in _grid(theorem, ps, es, ns, ls, ks, max_q):
@@ -271,8 +259,7 @@ def verify_theorem(theorem, ps, es, *, ns=None, ls=None, ks=None,
                              **{name: v, "n": n}, k=k)
                 ent.update(st.extra(F, l, n, k, lhs) if st.extra else {})
                 entries.append(ent)
-    bad = [ent for ent in entries if not ent["ok"]]
-    return TheoremReport(theorem, entries, bad)
+    return entries
 
 
 def grid_size(theorem, ps, es, *, ns=None, ls=None, ks=None,

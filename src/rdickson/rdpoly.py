@@ -23,13 +23,15 @@ a = 0; neither is a route of its own.  The integer-row routes
 (eval_definition and eval_via_fnk) build their rows exactly over the
 integers and only then reduce them mod p.  A row is walked from its
 first entry by the exact ratio of neighbouring binomials, a few big-int
-multiplies and exact divisions per entry.  The family row, the fnk row
-and its reduction mod p keep ROW_CACHE_SIZE rows each, for callers that
-read one row at many points x.  The other routes, and as_polynomial
-(interpolated from the q values of eval_recurrence by a transform over
-GF(q)*), compute in the field throughout.  No route divides by a
-quantity that can vanish.  fnk_coeffs and as_polynomial return bare
-coefficient tuples; cli writes them as terms.
+multiplies and exact divisions per entry; the rows of the two
+classical kinds are the family's rows at k = 1 and k = 0.  The family
+row, the fnk row and its reduction mod p keep ROW_CACHE_SIZE rows each,
+for callers that read one row at many points x.  The other routes, and
+as_polynomial (interpolated from the q values of eval_recurrence by a
+transform over GF(q)* on the powers of the field's generator), compute
+in the field throughout.  No route divides by a quantity that can
+vanish.  fnk_coeffs and as_polynomial return bare coefficient tuples;
+cli writes them as terms.
 """
 
 from functools import lru_cache
@@ -45,39 +47,32 @@ ROW_CACHE_SIZE = 1
 
 
 def second_kind_weights(n):
-    """Integer row of the second kind: w[i] = C(n-i, i).
-
-    Built by the exact ratio C(n-i-1, i+1) = C(n-i, i) (n-2i)(n-2i-1)
-    / ((i+1)(n-i)), one big-int step per entry.
-    """
-    c, row = 1, [1]
-    for i in range(n // 2):
-        c = c * (n - 2 * i) * (n - 2 * i - 1) // ((i + 1) * (n - i))
-        row.append(c)
-    return tuple(row)
+    """Integer row of the second kind, w[i] = C(n-i, i): the k = 1 member."""
+    return family_weights(n, 1)
 
 
 def first_kind_weights(n):
-    """Integer row of the first kind: value = sum_i w[i] (-x)^i a^(n-2i).
-
-    w[i] = C(n-i, i) + C(n-i-1, i-1): the second-kind row of n plus
-    that of n - 2 shifted up one place.
-    """
-    if n == 0:
-        return (2,)
-    shifted = (0,) + second_kind_weights(n - 2)
-    return tuple(s + t for s, t in zip(second_kind_weights(n), shifted))
+    """Integer row of the first kind, w[i] = C(n-i, i) + C(n-i-1, i-1):
+    the k = 0 member."""
+    return family_weights(n, 0)
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
 def family_weights(n, k):
     """Row of the k-th member, k * second - (k-1) * first over Z:
-    w[i] = C(n-i, i) + (1 - k) C(n-i-1, i-1)."""
+    w[i] = C(n-i, i) + (1 - k) C(n-i-1, i-1).
+
+    C(n-i, i) is walked by the exact ratio C(n-i, i) = C(n-i+1, i-1)
+    (n-2i+2)(n-2i+1) / (i (n-i+1)), one big-int step per entry, and
+    C(n-i-1, i-1) is C(n-i, i) i / (n-i), exactly.
+    """
     if n == 0:
         return (2 - k,)
-    # C(n-i-1, i-1) = C(n-i, i) i / (n-i), exactly
-    return tuple(s + (1 - k) * (s * i // (n - i))
-                 for i, s in enumerate(second_kind_weights(n)))
+    c, row = 1, [1]
+    for i in range(1, n // 2 + 1):
+        c = c * (n - 2 * i + 2) * (n - 2 * i + 1) // (i * (n - i + 1))
+        row.append(c + (1 - k) * (c * i // (n - i)))
+    return tuple(row)
 
 
 # -- evaluators ----------------------------------------------------------
@@ -366,19 +361,15 @@ def as_polynomial(F, n, k):
     Interpolated from the q values f(a) of eval_recurrence through
     f = sum_a f(a) (1 - (x - a)^(q-1)): the constant coefficient is
     f(0) and, for j >= 1, c_j = -sum_a f(a) a^(q-1-j) with 0^0 = 1.
-    Over a = g^j, g a generator of GF(q)*, the sums over GF(q)* are the
-    length q - 1 transform of the values f(g^j) with root g.  That is
-    O(q log q) field ops for the values and O(q s) for the sums, s the
-    sum of the prime factors of q - 1 with multiplicity.
+    Over a = g^j, g the generator of F.generator_powers(), the sums
+    over GF(q)* are the length q - 1 transform of the values f(g^j) with
+    root g.  That is O(q log q) field ops for the values and O(q s) for
+    the sums, s the sum of the prime factors of q - 1 with multiplicity.
     """
     if F.p == 2:
         raise ValueError("as_polynomial needs odd characteristic")
     k %= F.p
-    order = F.q - 1
-    g = gf._generator(order, range(2, F.q), F.mul)
-    powers = [1] * order
-    for j in range(1, order):
-        powers[j] = F.mul(powers[j - 1], g)
+    powers = F.generator_powers()
     # sums[i] = sum_a f(a) a^i for i < q - 1; c_j = -sums[q - 1 - j]
     sums = _dft(F, [eval_recurrence(F, n, k, a) for a in powers], powers)
     f0 = eval_recurrence(F, n, k, 0)

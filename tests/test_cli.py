@@ -721,7 +721,7 @@ class TestExtensionTables:
         code, _, _ = run(capsys, *argv)
         assert code == 0
         ext = self.ext343()
-        sizes = [len(t) for t in (ext._hpow, ext._hlog, ext._reps, ext._rho)]
+        sizes = [len(t) for t in (ext._reps, ext._rho)]
         assert max(sizes) == ext.q + 1
 
     @pytest.mark.parametrize("argv", [
@@ -900,6 +900,14 @@ class TestGuardsAndErrors:
                            "--n", "0..400000")
         assert code == 2 and "grid" in err
 
+    def test_pp_rejects_a_repeated_criterion(self, capsys):
+        # a repeated criterion ran twice, and its pretty and csv column
+        # repeated while each json row held its key once
+        code, out, err = run(capsys, "pp", "--field", "7", "--n", "1..3",
+                             "--criteria", "two_to_one,brute_force,two_to_one")
+        assert (code, out) == (2, "")
+        assert err == "error: criterion 'two_to_one' is named twice\n"
+
     def test_pp_rejects_empty_criteria(self, capsys):
         code, out, err = run(capsys, "pp", "--field", "9", "--n", "1",
                              "--k", "0", "--criteria", ",")
@@ -970,7 +978,7 @@ class TestGuardsAndErrors:
 
         def verify(theorem, ps, es, **grid):
             seen.append(grid["max_q"])
-            return permcheck.TheoremReport(theorem, [], [])
+            return []
         monkeypatch.setattr(permcheck, "verify_theorem", verify)
         code, out, err = run(capsys, "verify", target, "--p", "1000000007",
                              "--e", "1", "--l", "0", "--k", "1",

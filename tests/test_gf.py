@@ -420,12 +420,36 @@ def test_digit_recursion_add_tables_match_per_pair(p, e):
     assert [F.sub(a, b) for a in range(F.q) for b in range(F.q)] == sub
 
 
-def slow_walk(F):
+def prime_factors(n):
+    """Set of prime divisors by trial division."""
+    out, d = set(), 2
+    while d * d <= n:
+        while n % d == 0:
+            out.add(d)
+            n //= d
+        d += 1
+    if n > 1:
+        out.add(n)
+    return out
+
+
+def first_generator(order, candidates, mul):
+    """Oracle: the first generator in encoding order of a cyclic group of
+    that order, the first candidate g with g^(order/f) != 1 for every
+    prime f dividing order, by square-and-multiply over mul."""
+    fac = prime_factors(order)
+    return next(g for g in candidates
+                if all(modpoly.power(mul, g, order // f, 1) != 1
+                       for f in fac))
+
+
+def slow_walk(F, g=None):
     """Oracle: exp/log tables of GF(q)* by the walk u -> u*g over the
-    slow polynomial product, from the generator that FieldSpec uses;
-    exp is doubled as FieldSpec keeps it."""
+    slow polynomial product, from g or else the first generator in
+    encoding order; exp is doubled as FieldSpec keeps it."""
     order = F.q - 1
-    g = gf._generator(order, range(2, F.q), F._mul_slow)
+    if g is None:
+        g = first_generator(order, range(1, F.q), F._mul_slow)
     exp, log = [0] * order, [0] * F.q
     acc = 1
     for i in range(order):
@@ -447,36 +471,66 @@ def test_linear_walk_tables_match_the_slow_walk(p, e):
     assert (F._exp, F._log) == slow_walk(F)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 41, 337, 1031, 4093])
+def test_prime_field_tables_start_at_the_first_primitive_root(p):
+    F = gf.make_field(p)
+    assert F._exp[1] == first_generator(p - 1, range(1, p),
+                                        lambda a, b: a * b % p)
+    assert (F._exp, F._log) == slow_walk(F)
+
+
+@pytest.mark.parametrize("fd", ["5", "337", "9", "125", "3^6"])
+def test_generator_powers_are_the_same_walk_above_the_bound(fd,
+                                                           monkeypatch):
+    F = gf.parse_field_descriptor(fd)
+    want = slow_walk(F)[0][:F.q - 1]
+    assert F.generator_powers() == want
+    with monkeypatch.context() as m:
+        m.setattr(gf, "_LOG_TABLE_MAX_Q", 0)
+        above = gf.parse_field_descriptor(fd)
+    assert above._exp is None and above.generator_powers() == want
+
+
 def wrong_column(m, g, s, wrong):
-    """Let the next build use the generator g and read wrong for the
-    slow product s*g, from which one column of its walk is made."""
+    """Let the slow product s*g, from which one column of the walk of
+    the candidate g is made, read wrong."""
     real = gf.FieldSpec._mul_slow
-    m.setattr(gf, "_generator", lambda *args: g)
     m.setattr(gf.FieldSpec, "_mul_slow", lambda self, a, b:
               wrong if (a, b) == (s, g) else real(self, a, b))
 
 
 def test_a_wrong_column_fails_the_build(monkeypatch, capsys):
-    # every wrong value of every column: some wrong steps still run once
-    # through GF(q)* and back to 1, and only the powers of x catch those
+    # every wrong value of every column of the first generator g.  A
+    # wrong step that does not come back to 1 in q - 1 steps, or that
+    # runs through GF(q)* as no product of this field does, raises.  One
+    # that comes back early takes g for a non-generator, and the build
+    # walks the next generator: its tables are right, and the oracle's
+    # walk from that generator.  None leaves wrong tables.
     caught = collections.Counter()
     for p, e in ((2, 3), (3, 2), (2, 4), (3, 3)):
         F = gf.make_field(p, e)
-        g = gf._generator(F.q - 1, range(2, F.q), F._mul_slow)
+        g = first_generator(F.q - 1, range(1, F.q), F._mul_slow)
         for s in F._pows[:-1]:
             for wrong in set(range(F.q)) - {F.mul(s, g)}:
                 with monkeypatch.context() as m:
                     wrong_column(m, g, s, wrong)
-                    with pytest.raises(gf.InternalCheckError) as info:
-                        gf.make_field(p, e)
-                caught[next(why for why in ("wrong order", "filled twice",
-                                            "not the product")
-                            if why in str(info.value))] += 1
+                    try:
+                        G = gf.make_field(p, e)
+                    except gf.InternalCheckError as exc:
+                        caught[next(why for why in ("not come back",
+                                                    "not the product")
+                                    if why in str(exc))] += 1
+                        continue
+                h = first_generator(F.q - 1, range(g + 1, F.q), F._mul_slow)
+                assert (G._exp, G._log) == slow_walk(F, h)
+                caught["next generator"] += 1
     assert len(caught) == 3, caught
     # the command line reports a failed internal cross-check (g is the
     # generator of GF(27), the last field above)
     with monkeypatch.context() as m:
         wrong_column(m, g, 3, 0)
+        with pytest.raises(gf.InternalCheckError):
+            gf.make_field(3, 3)
         assert cli.main(["field-info", "--field", "27"]) == 1
     assert capsys.readouterr().err.startswith("internal cross-check failed")
 
@@ -501,7 +555,7 @@ def exponents(ext):
 
 
 def tables(ext):
-    return ext._hpow, ext._hlog, ext._reps, ext._rho
+    return ext._reps, ext._rho
 
 
 def check_tables(fast, slow, us):
@@ -532,8 +586,7 @@ def test_ext_tables_match_slow_paths_on_a_sample(fd, monkeypatch):
 def test_ext_tables_hold_at_most_q_plus_1_entries():
     ext = gf.QuadExt(gf.make_field(7, 3))
     ext.pow(ext.q, 2)
-    assert [len(t) for t in tables(ext)] == [ext.q - 1, ext.q, ext.q + 1,
-                                             ext.q]
+    assert [len(t) for t in tables(ext)] == [ext.q + 1, ext.q]
 
 
 def test_construction_and_base_line_ops_build_nothing():
@@ -550,7 +603,7 @@ def test_construction_and_base_line_ops_build_nothing():
     # solve_y takes its roots and y = (1 + r)/2 in base-field arithmetic
     ys = [y for x in range(q) for y in gf.solve_y(ext, x)]
     assert any(y >= q for y in ys)
-    assert tables(ext) == (None,) * 4
+    assert tables(ext) == (None,) * 2
     ext.pow(q + 1, 2)
     assert all(t is not None for t in tables(ext))
 
@@ -560,44 +613,107 @@ def test_ext_tables_are_never_built_above_the_size_bound(monkeypatch):
     ext = gf.QuadExt(gf.make_field(11))
     for u in range(11, 121):
         ext.pow(u, 10 ** 6), ext.mul(u, u), ext.pow(u, -1)
-    assert tables(ext) == (None,) * 4
+    assert tables(ext) == (None,) * 2
 
 
-# Over GF(343) (342 = 2 * 3^2 * 19, 344 = 2^3 * 43), walking u -> u*g^2
-# meets only half of GF(343)*, and u -> u*g^43 only 8 of the 344 cosets
-@pytest.mark.parametrize("fault, match", [
-    ("off_line", "is not in GF"), (2, "filled twice"), (43, "filled twice")])
-def test_a_wrong_times_step_fails_the_build(fault, match, monkeypatch):
-    # the build walks u -> u*g from the generator that _generator finds
-    ext = gf.QuadExt(gf.make_field(7, 3))
-    q, generator, mul = ext.q, gf._generator, gf.QuadExt.mul
-    found = []
-
-    def wrong_generator(order, candidates, times):
-        g = generator(order, candidates, times)
-        found.append(g)
-        return g if fault == "off_line" else modpoly.power(times, g, fault, 1)
-
-    def off_line(self, u, v):
-        # only g^(q+1) of the walk's products lies on the base line
-        w = mul(self, u, v)
-        return w + q * (w < q) if found and v == found[0] else w
-
-    monkeypatch.setattr(gf, "_generator", wrong_generator)
-    if fault == "off_line":
-        monkeypatch.setattr(gf.QuadExt, "mul", off_line)
-    with pytest.raises(gf.InternalCheckError, match=match):
-        ext.pow(q, 2)
-    assert found and ext._rho is None
-
-
-def test_a_wrong_base_power_fails_the_build(monkeypatch):
-    ext = gf.QuadExt(gf.make_field(7, 3))
-    power = gf.FieldSpec.pow
-    monkeypatch.setattr(gf.FieldSpec, "pow",
-                        lambda F, a, n: power(F, a, n + 1))
-    with pytest.raises(gf.InternalCheckError, match=r"h\^\(q-1\)"):
+def built_or_raised(ext, monkeypatch):
+    """Build ext's coset tables under the faults in place.  On an
+    InternalCheckError return its text, with no table kept.  Else
+    return None, once every power of a sample of GF(q^2) agrees with
+    square-and-multiply over the coordinate product."""
+    try:
         ext.pow(ext.q, 2)
+    except gf.InternalCheckError as exc:
+        assert tables(ext) == (None,) * 2
+        return str(exc)
+    monkeypatch.undo()
+    _, slow = fast_and_slow(ext.base, monkeypatch)
+    rng = random.Random(ext.q)
+    check_tables(ext, slow, [ext.q, ext.q + 1] + rng.sample(range(ext.size),
+                                                            30))
+    return None
+
+
+def first_candidate(F):
+    """The g that a fault-free build of GF(q^2) walks, by its table."""
+    ext = gf.QuadExt(F)
+    ext.pow(ext.q, 2)
+    return ext._exp(1)
+
+
+# The walk multiplies by the candidate g.  Over GF(343) (344 = 2^3 * 43)
+# its walk by g^2 or g^43 after g itself stays off the base line, and
+# ends off the norm; one product put on the base line makes the build
+# take g for a non-generator and keep the next candidate; all of them
+# there leave no candidate.
+@pytest.mark.parametrize("fault, match", [
+    ("off_line", "is not the norm"), ("g^2", "is not the norm"),
+    ("g^43", "is not the norm"), ("on_line", None),
+    ("all_on_line", "generates")])
+def test_a_wrong_times_step_fails_the_build(fault, match, monkeypatch,
+                                            capsys):
+    F = gf.make_field(7, 3)
+    q, g, real = F.q, first_candidate(F), gf.QuadExt.mul
+    steps = []
+
+    def mul(self, u, v):
+        w = real(self, u, v)
+        if fault == "all_on_line":
+            return w % q
+        if v != g:
+            return w
+        steps.append(u)
+        if fault == "off_line":
+            # of the walk's products only g^(q+1) lies on the base line
+            return w + q * (w < q)
+        if fault == "on_line":
+            return w % q if len(steps) == 100 else w
+        power = modpoly.power(lambda a, b: real(self, a, b), g,
+                              int(fault[2:]), 1)
+        return real(self, u, power)
+    monkeypatch.setattr(gf.QuadExt, "mul", mul)
+    ext = gf.QuadExt(F)
+    got = built_or_raised(ext, monkeypatch)
+    if match is None:
+        assert got is None and ext._exp(1) != g
+        return
+    assert match in got
+    # a run that needs the coset tables reports the failed cross-check
+    gf.quadratic_extension.cache_clear()
+    rdpoly._principal_y.cache_clear()
+    assert cli.main(["pp", "--field", "343", "--n", "2", "--k", "1",
+                     "--criteria", "two_to_one"]) == 1
+    gf.quadratic_extension.cache_clear()
+    rdpoly._principal_y.cache_clear()
+    assert capsys.readouterr().err.startswith("internal cross-check failed")
+
+
+def test_a_wrong_base_power_fails_the_build(monkeypatch, capsys):
+    # the build reads its a0 and the b-logs of every coordinate off the
+    # base log.  Over the prime field GF(337), whose products read no
+    # table, a wrong entry there reaches the coset build alone: each
+    # raises before a table is kept
+    walk = gf._cyclic_tables
+    for c in (1, 2, 336) + tuple(random.Random(7).sample(range(3, 336), 10)):
+        for delta in (1, 2, 335):
+            def wrong_log(F, c=c, delta=delta):
+                exp, log = walk(F)
+                log[c] = (log[c] + delta) % 336
+                return exp, log
+            with monkeypatch.context() as m:
+                m.setattr(gf, "_cyclic_tables", wrong_log)
+                got = built_or_raised(gf.QuadExt(gf.make_field(337)), m)
+            assert got and "does not invert" in got
+    # a run that needs the coset tables reports the failed cross-check
+    with monkeypatch.context() as m:
+        m.setattr(gf, "_cyclic_tables", wrong_log)
+        gf.quadratic_extension.cache_clear()
+        rdpoly._principal_y.cache_clear()
+        assert cli.main(["pp", "--field", "337", "--n", "2", "--k", "1",
+                         "--criteria", "two_to_one"]) == 1
+        gf.quadratic_extension.cache_clear()
+        rdpoly._principal_y.cache_clear()
+    assert capsys.readouterr().err.startswith("internal cross-check failed")
 
 
 def test_extension_caches_stay_bounded():

@@ -157,6 +157,11 @@ class TestTwoToOne:
             pc.is_pp_two_to_one(F5, 0, 1)
 
 
+def holds(entries):
+    """A statement holds on a grid iff every entry has ok true."""
+    return all(ent["ok"] for ent in entries)
+
+
 class TestTheoremGrids:
     def test_unknown_id(self):
         with pytest.raises(ValueError):
@@ -167,41 +172,42 @@ class TestTheoremGrids:
             pc.verify_theorem("T2.1", [7], [4])
 
     def test_a0_statement(self):
-        rep = pc.verify_theorem("T2.2", [5], [1], ns=range(25))
-        assert rep.passed and len(rep.entries) == 25 * 5
+        rows = pc.verify_theorem("T2.2", [5], [1], ns=range(25))
+        assert holds(rows) and len(rows) == 25 * 5
         # spot-check one entry against a direct count
-        ent = next(e for e in rep.entries if e["n"] == 4 and e["k"] == 1)
+        ent = next(e for e in rows if e["n"] == 4 and e["k"] == 1)
         want = is_permutation(F5, lambda x: rd.eval_a0(F5, 4, 1, x))
         assert ent["lhs"] == want == ent["rhs"] and ent["ok"]
 
     def test_prime_power_statement_p3_vs_p5(self):
-        assert pc.verify_theorem("T2.1", [3], [1, 2]).passed
-        rep = pc.verify_theorem("T2.1", [5], [1], ls=[1])
-        assert rep.passed
-        assert all(e["rhs"] is False for e in rep.entries)   # p > 3: never
+        assert holds(pc.verify_theorem("T2.1", [3], [1, 2]))
+        rows = pc.verify_theorem("T2.1", [5], [1], ls=[1])
+        assert holds(rows)
+        assert all(e["rhs"] is False for e in rows)   # p > 3: never
 
     def test_pl1_statements(self):
-        assert pc.verify_theorem("T-pl1-k2", [3, 5], [1, 2], ls=[0, 1, 2]).passed
-        rep = pc.verify_theorem("T-pl1-gen", [5], [1], ls=[0, 1])
-        assert rep.passed
-        assert all(e["k"] != 2 for e in rep.entries)
+        assert holds(pc.verify_theorem("T-pl1-k2", [3, 5], [1, 2],
+                                       ls=[0, 1, 2]))
+        rows = pc.verify_theorem("T-pl1-gen", [5], [1], ls=[0, 1])
+        assert holds(rows)
+        assert all(e["k"] != 2 for e in rows)
 
     def test_pl2_statements(self):
-        rep = pc.verify_theorem("T-pl2-k2", [5], [1, 2], ls=[0, 1])
-        assert rep.passed
-        assert all("binomial_pp" in e for e in rep.entries)
-        rep = pc.verify_theorem("T-pl2-k4", [5, 7], [1], ls=[0, 1])
-        assert rep.passed
-        assert all("l_zero_claim_ok" in e for e in rep.entries)
-        assert pc.verify_theorem("T-pl2-k4", [3], [1]).entries == []
-        rep = pc.verify_theorem("T-pl2-gen", [7], [1], ls=[0, 1])
-        assert rep.passed
-        assert all(e["k"] not in (0, 2, 4) for e in rep.entries)
+        rows = pc.verify_theorem("T-pl2-k2", [5], [1, 2], ls=[0, 1])
+        assert holds(rows)
+        assert all("binomial_pp" in e for e in rows)
+        rows = pc.verify_theorem("T-pl2-k4", [5, 7], [1], ls=[0, 1])
+        assert holds(rows)
+        assert all("l_zero_claim_ok" in e for e in rows)
+        assert pc.verify_theorem("T-pl2-k4", [3], [1]) == []
+        rows = pc.verify_theorem("T-pl2-gen", [7], [1], ls=[0, 1])
+        assert holds(rows)
+        assert all(e["k"] not in (0, 2, 4) for e in rows)
 
     def test_k0_order_plus_two(self):
-        rep = pc.verify_theorem("T-k0-pe2", [3, 5, 7], [1, 2])
-        assert rep.passed
-        by_q = {e["q"]: e["rhs"] for e in rep.entries}
+        rows = pc.verify_theorem("T-k0-pe2", [3, 5, 7], [1, 2])
+        assert holds(rows)
+        by_q = {e["q"]: e["rhs"] for e in rows}
         assert by_q == {3: False, 9: False, 5: False, 25: True,
                         7: True, 49: True}
 
@@ -220,9 +226,9 @@ class TestStatementTable:
     @pytest.mark.parametrize("theorem", pc.THEOREM_IDS)
     def test_row_shape(self, theorem):
         # pins the CSV columns of `verify` for each statement
-        rep = pc.verify_theorem(theorem, [5], [1], ns=[2, 3], ls=[0, 1])
-        assert rep.entries
-        assert all(set(ent) == self.SHAPES[theorem] for ent in rep.entries)
+        rows = pc.verify_theorem(theorem, [5], [1], ns=[2, 3], ls=[0, 1])
+        assert rows
+        assert all(set(ent) == self.SHAPES[theorem] for ent in rows)
 
     @pytest.mark.parametrize("theorem", pc.THEOREM_IDS)
     @pytest.mark.parametrize("axes", [
@@ -233,9 +239,9 @@ class TestStatementTable:
     def test_grid_size_is_exact(self, theorem, axes):
         # duplicate kinds count twice, kinds outside the statement's
         # domain not at all, exactly as verify_theorem runs them
-        rep = pc.verify_theorem(theorem, [3, 5], [1, 2], **axes)
+        rows = pc.verify_theorem(theorem, [3, 5], [1, 2], **axes)
         assert pc.grid_size(theorem, [3, 5], [1, 2], **axes) == \
-            len(rep.entries)
+            len(rows)
 
     @pytest.mark.parametrize("theorem", pc.THEOREM_IDS)
     @pytest.mark.parametrize("ps, es, match", [
