@@ -358,13 +358,22 @@ def cmd_pp(args, max_q):
 
 
 def cmd_verify(args, max_q):
-    if args.target == "sums":
+    sums = args.target == "sums"
+    if not sums:
+        from . import permcheck
+        if args.target not in permcheck.THEOREM_IDS:
+            raise ValueError(
+                f"unknown verify target {args.target!r}; expected 'sums' "
+                f"or one of {', '.join(permcheck.THEOREM_IDS)}")
+    # a flag the target never reads would pass as if it had been checked
+    unread, reads = ((("--p", "--e", "--l", "--n"), "the field of --field")
+                     if sums else (("--field",), "the fields of --p and --e"))
+    for flag in unread:
+        if getattr(args, flag[2:]) is not None:
+            raise ValueError(f"verify {args.target} does not read {flag}; "
+                             f"it checks {reads}")
+    if sums:
         return _verify_sums(args, max_q)
-    from . import permcheck
-    if args.target not in permcheck.THEOREM_IDS:
-        raise ValueError(
-            f"unknown verify target {args.target!r}; expected 'sums' or "
-            f"one of {', '.join(permcheck.THEOREM_IDS)}")
     if not args.p or not args.e:
         raise ValueError("--p and --e are required for theorem grids")
     ps = _parse_range_list(args.p, "--p", max_q)

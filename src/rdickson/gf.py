@@ -17,28 +17,26 @@ its constants computed once per extension.
 
 Construction validates everything (primality, monic irreducible
 modulus); after that a FieldSpec is immutable and safe to share.  A
-FieldSpec builds its lookup tables at construction: add tables for
-degree e >= 2, and exp/log tables of GF(q)* for every degree, from the
-first generator that a walk finds (prime fields multiply without
-them).  A QuadExt multiplies by the coordinate formula and, on its
-first power off the base line, builds coset tables of GF(q^2)*, none
+FieldSpec builds its lookup tables at construction: exp/log tables of
+GF(q)* for every degree, from the first generator g that a walk finds,
+and for degree e >= 2 the Zech table log(1 + g^i) through which it
+adds; all are O(q) (prime fields multiply and add without them).  A
+QuadExt multiplies by the coordinate formula and, on its first power
+off the base line, builds coset tables of GF(q^2)*, none
 longer than q + 1, that index the base field's exp/log tables.  Tables
 change speed only, never values.
 """
 
 import itertools
 import math
-import sys
-from array import array
 from functools import lru_cache
 
 from . import modpoly
 
-# Lookup-table thresholds.  Above these sizes the slow paths are used;
-# correctness is identical.  The log bound covers GF(q) and the O(q)
-# coset tables of GF(q^2)* alike.
+# Lookup-table threshold.  Above this size the slow paths are used;
+# correctness is identical.  It covers the exp/log/Zech tables of GF(q)
+# and the O(q) coset tables of GF(q^2)* alike.
 _LOG_TABLE_MAX_Q = 4096
-_ADD_TABLE_MAX_Q = 512
 # quadratic_extension and rdpoly._principal_y keep at most this many
 # entries, so a long-lived process holds a bounded number of tables.
 EXT_CACHE_SIZE = 4
@@ -118,7 +116,7 @@ def _cyclic_tables(F):
     For e = 1 a step is u*g mod p.  For e >= 2 it is GF(p)-linear: for
     u with digits u_i, u*g is the sum of the columns cols[i][u_i] =
     (u_i p^i)*g, each made by adds from one slow product (p^i)*g, so a
-    step is e adds by F.add, whose tables, if any, are built by then.
+    step is e adds by F._add_slow, as no table exists yet.
 
     A walk that has not come back after N steps raises
     InternalCheckError.  A linear step whose walk runs through GF(q)*
@@ -126,7 +124,7 @@ def _cyclic_tables(F):
     which is this field iff its powers x^0 .. x^e of x (encoded p) are
     the ones the modulus fixes; for e >= 2 anything else raises too.
     """
-    p, q, order, add = F.p, F.q, F.q - 1, F.add
+    p, q, order, add = F.p, F.q, F.q - 1, F._add_slow
     exp, log = [0] * order, [0] * q
     for g in range(1, q):
         cols = [list(itertools.accumulate(
@@ -161,6 +159,19 @@ def _cyclic_tables(F):
     return exp, log
 
 
+def _zech_table(log, ones, log_neg):
+    """zech[i] = log(1 + g^i) from ones[i] = 1 + g^i, None at log(-1).
+    As g^i runs through GF(q)*, 1 + g^i runs once through GF(q) less 1,
+    so the other entries are 1 .. q - 2, each once; anything else
+    raises InternalCheckError."""
+    zech = [log[v] if v else None for v in ones]
+    if (zech[log_neg] is not None
+            or set(zech) != {None, *range(1, len(zech))}):
+        raise InternalCheckError(f"the Zech logarithms of GF({len(log)})* "
+                                 "are not a permutation of its logs")
+    return zech
+
+
 class FieldSpec:
     """Arithmetic context for GF(p^e); build instances via make_field().
 
@@ -168,10 +179,15 @@ class FieldSpec:
     checks that an int is an element of this field.  pow() accepts
     arbitrary-precision exponents (negative allowed for nonzero base)
     and reduces them by the group order; pow(0, 0) is 1.
+
+    Up to the table bound, mul reads exp/log; for e >= 2, with
+    zech[i] = log(1 + g^i), a + b = a (1 + b/a) is
+    exp[log a + zech[log b - log a]], and -a is exp[log a + log(-1)],
+    log(-1) being (q - 1)/2, or 0 for p = 2.
     """
 
     __slots__ = ("p", "e", "q", "modulus", "_pows", "_exp", "_log",
-                 "_neg_table", "_add_table", "_half", "_quarter")
+                 "_zech", "_log_neg", "_half", "_quarter")
 
     def __init__(self, p, e, modulus):
         self.p = p
@@ -179,14 +195,18 @@ class FieldSpec:
         self.q = p ** e
         self.modulus = tuple(modulus)
         self._pows = [p ** i for i in range(e + 1)]
-        self._exp = self._log = self._neg_table = self._add_table = None
-        if e >= 2 and self.q <= _ADD_TABLE_MAX_Q:
-            self._build_add_tables()
+        self._exp = self._log = self._zech = None
+        self._log_neg = (self.q - 1) // 2 if p != 2 else 0
         if self.q <= _LOG_TABLE_MAX_Q:
             exp, log = _cyclic_tables(self)
-            # exp is doubled so mul and QuadExt can index a sum of two
-            # logs without a mod
+            # exp and zech are doubled so that mul, add, sub and QuadExt
+            # index a sum or difference of logs without a mod
             self._exp, self._log = exp + exp, log
+            if e >= 2:
+                # 1 + u steps the constant digit alone
+                zech = _zech_table(log, [u - u % p + (u + 1) % p
+                                         for u in exp], self._log_neg)
+                self._zech = zech + zech
         if p != 2:
             self._half = self.inv(2)
             self._quarter = self.mul(self._half, self._half)
@@ -245,26 +265,34 @@ class FieldSpec:
     def add(self, a, b):
         if self.e == 1:
             return (a + b) % self.p
-        t = self._add_table
-        if t is not None:
-            return t[a * self.q + b]
-        return self._add_slow(a, b)
+        zech = self._zech
+        if zech is None:
+            return self._add_slow(a, b)
+        if not a or not b:
+            return a or b
+        la = self._log[a]
+        z = zech[self._log[b] - la]
+        return 0 if z is None else self._exp[la + z]
 
     def neg(self, a):
         if self.e == 1:
             return -a % self.p
-        t = self._neg_table
-        if t is not None:
-            return t[a]
-        return self.element(-c for c in self.coeffs(a))
+        if self._zech is None:
+            return self.element(-c for c in self.coeffs(a))
+        return self._exp[self._log[a] + self._log_neg] if a else 0
 
     def sub(self, a, b):
         if self.e == 1:
             return (a - b) % self.p
-        t = self._add_table
-        if t is not None:
-            return t[a * self.q + self._neg_table[b]]
-        return self._add_slow(a, self.neg(b))
+        zech = self._zech
+        if zech is None:
+            return self._add_slow(a, self.neg(b))
+        if not a or not b:
+            return a or self.neg(b)
+        # a - b = a (1 + (-b)/a), where log(-b) = log b + log(-1)
+        la = self._log[a]
+        z = zech[self._log[b] + self._log_neg - la]
+        return 0 if z is None else self._exp[la + z]
 
     def mul(self, a, b):
         if self.e == 1:
@@ -315,6 +343,8 @@ class FieldSpec:
 
     def _add_slow(self, a, b):
         p, r, mult = self.p, 0, 1
+        if p == 2:
+            return a ^ b
         while a or b:
             r += ((a + b) % p) * mult
             a //= p
@@ -326,46 +356,6 @@ class FieldSpec:
         prod = modpoly.mulmod(list(self.coeffs(a)), list(self.coeffs(b)),
                               list(self.modulus), self.p)
         return self.element(prod)
-
-    # -- table construction ---------------------------------------------
-
-    def _build_add_tables(self):
-        """neg and add tables by recursion on the number of digits.
-
-        With s = p^(j-1), an element of the j-digit level is lo + t*s
-        (lo < s, t < p), and (lo + t*s) + (lo' + t'*s) is
-        (lo + lo') + ((t + t') mod p)*s.  So row lo + t*s of level j is
-        one slice, from t*s, of the level j-1 row of lo repeated for top
-        digits c = 0 .. p-1 and again, with (c mod p)*s added.
-
-        The level j-1 table plus c*s in every entry is one big-int add:
-        read as an integer, the table's 16-bit entries are digits base
-        2^16, and no entry reaches 2^16, so adding c*s times the repunit
-        sum_i 2^(16 i) carries nowhere.  The entries are native-endian,
-        as is the integer, so a digit is an entry on either byte order.
-        """
-        p, order = self.p, sys.byteorder
-        neg = array("H", [-a % p for a in range(p)])
-        add = array("H", [(a + b) % p for a in range(p) for b in range(p)])
-        s = p
-        while s < self.q:
-            size, low = s * p, int.from_bytes(add, order)
-            repunit = ((1 << 16 * s * s) - 1) // 0xFFFF
-            shifted = [(low + c * s * repunit).to_bytes(2 * s * s, order)
-                       for c in range(p)]
-            add = array("H", [0]) * (size * size)
-            for lo in range(s):
-                # the row of lo at top digits 0 .. p-1 and again
-                wide = array("H", b"".join([t[2 * s * lo:2 * s * (lo + 1)]
-                                            for t in shifted]) * 2)
-                for t in range(p):
-                    a = lo + t * s
-                    add[a * size:(a + 1) * size] = wide[t * s:t * s + size]
-            del low, shifted
-            neg = array("H", [neg[lo] + -t % p * s
-                              for t in range(p) for lo in range(s)])
-            s = size
-        self._neg_table, self._add_table = neg, add
 
 
 def _check_p_and_e(p, e):

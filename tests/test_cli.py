@@ -813,6 +813,37 @@ class TestGuardsAndErrors:
         assert "unrecognized arguments: --check" in err
         assert err.splitlines()[0].startswith(f"usage: rdickson {argv[0]}")
 
+    @pytest.mark.parametrize("argv, flag, reads", [
+        (("T2.1", "--p", "3", "--e", "1", "--field", "343"), "--field",
+         "the fields of --p and --e"),
+        (("T2.2", "--p", "3", "--e", "1", "--field", "3"), "--field",
+         "the fields of --p and --e"),
+        (("sums", "--field", "5", "--k", "1", "--p", "3", "--e", "9",
+          "--l", "4"), "--p", "the field of --field"),
+        (("sums", "--field", "5", "--e", "9"), "--e", "the field of --field"),
+        (("sums", "--field", "5", "--l", "4"), "--l", "the field of --field"),
+        (("sums", "--field", "5", "--n", "3"), "--n", "the field of --field"),
+    ], ids=["T2.1-field", "T2.2-field", "sums-p", "sums-e", "sums-l",
+            "sums-n"])
+    def test_verify_refuses_a_flag_its_target_never_reads(self, capsys,
+                                                          argv, flag, reads):
+        # these used to check GF(3), or GF(5), and exit 0 as if the
+        # ignored flag had been checked
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: verify {argv[0]} does not read {flag}; "
+                       f"it checks {reads}\n")
+
+    @pytest.mark.parametrize("target", permcheck.THEOREM_IDS)
+    def test_every_statement_takes_l_n_and_k(self, capsys, target):
+        # a statement that does not run an axis sizes its grid without
+        # it, so the flags stay accepted on every statement
+        code, out, err = run(capsys, "verify", target, "--p", "3,5",
+                             "--e", "1", "--l", "0..1", "--n", "0..3",
+                             "--k", "0..1")
+        assert (code, err) == (0, "")
+        assert out.endswith("pass: true\n")
+
     def test_unsafe_large_lifts_guard(self, capsys):
         code, out, _ = run(capsys, "eval", "--field", "625", "--n", "2",
                            "--k", "1", "--x", "7", "--unsafe-large")

@@ -3,6 +3,7 @@
 import collections
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -411,13 +412,16 @@ def per_pair_tables(F):
     return add, sub, neg
 
 
-@pytest.mark.parametrize("p, e", [(7, 3), (3, 5), (2, 8), (17, 2), (5, 3)])
+@pytest.mark.parametrize("p, e", [(7, 3), (3, 5), (2, 8), (17, 2), (5, 3),
+                                  (3, 6), (2, 9)])
 def test_digit_recursion_add_tables_match_per_pair(p, e):
     F = gf.make_field(p, e)
+    assert F._zech is not None
     add, sub, neg = per_pair_tables(F)
-    assert list(F._add_table) == add
-    assert list(F._neg_table) == neg
-    assert [F.sub(a, b) for a in range(F.q) for b in range(F.q)] == sub
+    pairs = list(itertools.product(range(F.q), repeat=2))
+    assert list(itertools.starmap(F.add, pairs)) == add
+    assert list(itertools.starmap(F.sub, pairs)) == sub
+    assert [F.neg(a) for a in range(F.q)] == neg
 
 
 def prime_factors(n):
@@ -460,15 +464,92 @@ def slow_walk(F, g=None):
     return exp + exp, log
 
 
-# every e >= 2 field up to the default q bound, and GF(3^6), whose walk
-# adds by the slow path (729 > _ADD_TABLE_MAX_Q)
+def slow_zech(F, exp, log):
+    """Oracle: the doubled Zech table log(1 + g^i) of exp/log tables,
+    1 + g^i by the slow digit-wise add."""
+    zech = [log[v] if v else None
+            for v in (F._add_slow(1, u) for u in exp[:F.q - 1])]
+    return zech + zech
+
+
+# every e >= 2 field up to the default q bound, and GF(3^6) above it
 @pytest.mark.parametrize("p, e", [
     (p, e) for p in (2, 3, 5, 7, 11, 13, 17) for e in range(2, 9)
     if p ** e <= gf.DEFAULT_MAX_Q] + [(3, 6)])
 def test_linear_walk_tables_match_the_slow_walk(p, e):
     F = gf.make_field(p, e)
-    assert (F.q <= gf._ADD_TABLE_MAX_Q) == (F._add_table is not None)
-    assert (F._exp, F._log) == slow_walk(F)
+    exp, log = slow_walk(F)
+    assert (F._exp, F._log) == (exp, log)
+    assert F._zech == slow_zech(F, exp, log)
+
+
+def test_gf343_holds_its_tables_in_64_kib():
+    # exp, log and Zech tables are O(q); a q^2 add table of 16-bit
+    # entries alone would take 230 KiB
+    tracemalloc.start()
+    try:
+        F = gf.make_field(7, 3)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * 1024
+    assert F._zech is not None
+
+
+def test_char2_slow_add_is_the_digit_loop():
+    # GF(2^13) is above the table bound, so add, sub and neg take the
+    # slow path, which adds by XOR in characteristic 2
+    F = gf.make_field(2, 13)
+    assert F._zech is None
+    rng = random.Random(13)
+    for _ in range(3000):
+        a, b = rng.randrange(F.q), rng.randrange(F.q)
+        want = sum((a // 2 ** i + b // 2 ** i) % 2 * 2 ** i
+                   for i in range(13))
+        assert F.add(a, b) == F.sub(a, b) == want
+        assert F.neg(a) == a
+
+
+def test_a_wrong_zech_input_fails_the_build(monkeypatch, capsys):
+    # the Zech table reads each exp entry of one period, each log entry
+    # but log[0] and log[1], and one digit step 1 + u per exp entry.
+    # Every wrong value of any one of them raises before a field is made
+    walk, zech_table = gf._cyclic_tables, gf._zech_table
+
+    def fault(m, where, i, wrong):
+        if where == "step":
+            m.setattr(gf, "_zech_table", lambda log, ones, log_neg:
+                      zech_table(log, ones[:i] + [wrong] + ones[i + 1:],
+                                 log_neg))
+        else:
+            def faulted_walk(F):
+                exp, log = walk(F)
+                (exp if where == "exp" else log)[i] = wrong
+                return exp, log
+            m.setattr(gf, "_cyclic_tables", faulted_walk)
+
+    caught = 0
+    for p, e in ((2, 3), (3, 2), (2, 4), (3, 3)):
+        F = gf.make_field(p, e)
+        exp = F._exp[:F.q - 1]
+        ones = [F._add_slow(1, u) for u in exp]
+        for where, table, slots in (("exp", exp, range(F.q - 1)),
+                                    ("log", F._log, range(2, F.q)),
+                                    ("step", ones, range(F.q - 1))):
+            for i in slots:
+                for wrong in set(range(F.q)) - {table[i]}:
+                    with monkeypatch.context() as m:
+                        fault(m, where, i, wrong)
+                        with pytest.raises(gf.InternalCheckError,
+                                           match="Zech"):
+                            gf.make_field(p, e)
+                    caught += 1
+    assert caught > 2000
+    # the command line reports a failed internal cross-check
+    with monkeypatch.context() as m:
+        fault(m, "step", 5, 1)
+        assert cli.main(["field-info", "--field", "27"]) == 1
+    assert capsys.readouterr().err.startswith("internal cross-check failed")
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 41, 337, 1031, 4093])
