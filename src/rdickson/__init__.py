@@ -19,8 +19,8 @@ _HOMES = {
                "family_weights", "eval_definition", "eval_recurrence",
                "eval_functional", "eval_via_fnk", "eval_matrix", "eval_a0",
                "char2_eval", "closed_form", "value_at_quarter",
-               "functional_map", "fnk_coeffs", "genfun_coeffs",
-               "as_polynomial"),
+               "functional_map", "recurrence_row", "functional_row",
+               "fnk_coeffs", "genfun_coeffs", "as_polynomial"),
     "permcheck": ("PPReport", "THEOREM_IDS",
                   "is_pp_bruteforce", "monomial_pp", "is_pp_two_to_one",
                   "dickson_pp_bruteforce", "verify_theorem"),

@@ -25,6 +25,15 @@ QuadExt multiplies by the coordinate formula and, on its first power
 off the base line, builds coset tables of GF(q^2)*, none
 longer than q + 1, that index the base field's exp/log tables.  Tables
 change speed only, never values.
+
+The per-point kernels of the permutation scans live here too, as they
+read the tables: FieldSpec.lucas doubles the Lucas sequence of
+T^2 - T + x to an index, and FieldSpec.binet and QuadExt.binet evaluate
+the same sequence from a root y of that polynomial on GF(q) or on V.
+Each has a loop body for prime fields (ints mod p), one that holds
+values as logs and adds through the Zech table or the coset tables,
+and the field's methods, used above the table bound and wherever a
+zero, which has no log, turns up.
 """
 
 import itertools
@@ -114,9 +123,11 @@ def _cyclic_tables(F):
     runs once through GF(q)*, so it is its own order test, and gives
     exp[i] = g^i for i < N and log[g^i] = i (log[0] = 0 is unused).
     For e = 1 a step is u*g mod p.  For e >= 2 it is GF(p)-linear: for
-    u with digits u_i, u*g is the sum of the columns cols[i][u_i] =
-    (u_i p^i)*g, each made by adds from one slow product (p^i)*g, so a
-    step is e adds by F._add_slow, as no table exists yet.
+    u with digits u_i, u*g is the sum of u_i ((p^i)*g), each (p^i)*g
+    one slow product.  The walk keeps that sum over the integers, in a
+    radix 2^b whose digits hold e products of two digits without carry,
+    so a step is one pass over its digits: each is reduced mod p, which
+    gives a digit of u*g and the term it adds to the next sum.
 
     A walk that has not come back after N steps raises
     InternalCheckError.  A linear step whose walk runs through GF(q)*
@@ -124,24 +135,29 @@ def _cyclic_tables(F):
     which is this field iff its powers x^0 .. x^e of x (encoded p) are
     the ones the modulus fixes; for e >= 2 anything else raises too.
     """
-    p, q, order, add = F.p, F.q, F.q - 1, F._add_slow
+    p, q, order = F.p, F.q, F.q - 1
+    b = (F.e * (p - 1) ** 2).bit_length()
+    mask = (1 << b) - 1
     exp, log = [0] * order, [0] * q
     for g in range(1, q):
-        cols = [list(itertools.accumulate(
-                    itertools.repeat(F._mul_slow(s, g), p - 1), add,
-                    initial=0))
-                for s in F._pows[:-1]] if F.e > 1 else None
-        acc = 1
+        terms = [(i * b, s, sum(c << j * b for j, c in
+                                enumerate(F.coeffs(F._mul_slow(s, g)))))
+                 for i, s in enumerate(F._pows[:-1])] if F.e > 1 else None
+        acc, wide = 1, terms and terms[0][2]
         for i in range(order):
             exp[i] = acc
             log[acc] = i
-            if cols is None:
+            if terms is None:
                 acc = acc * g % p
             else:
-                u, acc = acc, 0
-                for col in cols:
-                    u, d = divmod(u, p)
-                    acc = add(acc, col[d])
+                # wide is acc * g with unreduced digits: one pass
+                # reduces them to the next acc and sums its product by g
+                acc = nxt = 0
+                for shift, s, col in terms:
+                    d = (wide >> shift & mask) % p
+                    acc += d * s
+                    nxt += d * col
+                wide = nxt
             if acc == 1:
                 break
         else:
@@ -325,6 +341,112 @@ class FieldSpec:
         if self._exp is not None:
             return self._exp[self._log[a] * n % (self.q - 1)]
         return modpoly.power(self._mul_slow, a, n, 1)
+
+    # -- the Lucas sequence of T^2 - T + x -----------------------------------
+
+    def lucas(self, x, bits, c):
+        """U_(j+1) - c x U_j, for U_0 = 0, U_1 = 1, U_i = U_(i-1) - x U_(i-2)
+        and bits the binary digits of j >= 1 after its leading 1.
+
+        (U_j, U_(j+1)) is doubled down the bits from (U_1, U_2) = (1, 1):
+        U_2i = U_i (2 U_(i+1) - U_i), U_(2i+1) = U_(i+1)^2 - x U_i^2.
+        Prime fields step ints mod p.  With a Zech table the pair is held
+        as logs, so a product is a sum and a sum one Zech lookup; a term
+        0 has no log and is held as None.  Fields without tables step by
+        add, sub and mul.
+        """
+        if self.e == 1:
+            p = self.p
+            u = w = 1
+            for bit in bits:
+                u, w = u * (w + w - u) % p, (w * w - x * u * u) % p
+                if bit == "1":
+                    u, w = w, (w - x * u) % p
+            return (w - c * x * u) % p
+        if not x:
+            return 1            # then U_i = 1 for every i >= 1
+        zech = self._zech
+        if zech is None:
+            add, sub, mul = self.add, self.sub, self.mul
+            u = w = 1
+            for bit in bits:
+                u, w = (mul(u, sub(add(w, w), u)),
+                        sub(mul(w, w), mul(x, mul(u, u))))
+                if bit == "1":
+                    u, w = w, sub(w, mul(x, u))
+            return sub(w, mul(mul(c, x), u))
+        # logs below m = q - 1; h = log(-1), two = log 2 (None for p = 2,
+        # where 2 U_(i+1) - U_i is U_i); a, b are the logs of U_2i, U_2i+1
+        exp, log, m, h, two = (self._exp, self._log, self.q - 1,
+                               self._log_neg, zech[0])
+        xh = (log[x] + h) % m
+        u = w = 0
+        for bit in bits:
+            if u is None:
+                a, b = None, 2 * w % m
+            elif w is None:
+                a, b = (2 * u + h) % m, (xh + 2 * u) % m
+            else:
+                if two is None:
+                    a = 2 * u % m
+                else:
+                    t = zech[u - w - two + h]
+                    a = None if t is None else (u + w + two + t) % m
+                z = zech[(xh + 2 * (u - w)) % m]
+                b = None if z is None else (2 * w + z) % m
+            if bit == "0":
+                u, w = a, b
+            elif a is None or b is None:
+                u, w = b, (xh + a) % m if b is None else b
+            else:
+                z = zech[xh + a - b]
+                u, w = b, None if z is None else (b + z) % m
+        if w is None:
+            return exp[(log[c] + xh + u) % m] if c else 0
+        if u is None or not c:
+            return exp[w]
+        z = zech[(log[c] + xh + u - w) % m]
+        return 0 if z is None else exp[w + z]
+
+    def binet(self, y, n, c):
+        """U_n - c x U_(n-1), lucas's value for j = n - 1 >= 0, or c for
+        n = 0, at x = y (1 - y), from the root y of T^2 - T + x: with
+        z = 1 - y != y, U_i = (y^i - z^i)/(y - z), so it is
+        ((1 - c z) y^n - (1 - c y) z^n) / (y - z), with 0^0 = 1.
+
+        Prime fields compute with ints mod p.  With a Zech table 1 - y is
+        read as log(1 + (-y)), and so are the other sums, all as logs; a
+        zero stops that with a TypeError, and the formula runs again by
+        the field's methods, as on every field without tables.
+        """
+        if self.e == 1:
+            p = self.p
+            z = 1 - y
+            return ((1 - c * z) * pow(y, n, p) - (1 - c * y) * pow(z, n, p)) \
+                * pow(y - z, -1, p) % p
+        if y < 2:
+            return 1 if n else c    # x = 0
+        zech = self._zech
+        if zech is not None:
+            log, m, h = self._log, self.q - 1, self._log_neg
+            try:
+                ly = log[y]
+                lz = zech[ly + h]
+                # the logs of y^n (1 - c z) and -z^n (1 - c y)
+                a, b = ly * n % m, (lz * n + h) % m
+                if c:
+                    a += zech[(log[c] + lz + h) % m]
+                    b += zech[(log[c] + ly + h) % m]
+                # y - z = 2y - 1 = -(1 + (-2) y)
+                d = zech[(ly + zech[0] + h) % m] + h
+                return self._exp[(a + zech[(b - a) % m] - d) % m]
+            except TypeError:
+                pass
+        sub, mul = self.sub, self.mul
+        z = sub(1, y)
+        num = sub(mul(self.pow(y, n), sub(1, mul(c, z))),
+                  mul(self.pow(z, n), sub(1, mul(c, y))))
+        return mul(num, self.inv(sub(y, z)))
 
     def generator_powers(self):
         """g^0 .. g^(q-2) for g the first generator of GF(q)* in encoding
@@ -553,6 +675,29 @@ class QuadExt:
         if self._rho is None and not self._build():
             return modpoly.power(self.mul, u, n, 1)
         return self._exp(self._logof(u) * n % (self.size - 1))
+
+    def binet(self, y, n, c):
+        """FieldSpec.binet at the root y = 1/2 + t s of V, t != 0 and n >= 0.
+
+        Its conjugate z = 1/2 - t s is 1 - y, and y^n = A + B s gives
+        z^n = A - B s, so the value is c A + (2 - c) B / (2t).  With the
+        coset tables, A and B are read as logs and the two terms added
+        once; without them y^n is a power by the coordinate product.
+        """
+        F, q = self.base, self.q
+        t = y // q
+        if self._rho is not None or self._build():
+            exp, log, m = F._exp, F._log, q - 1
+            alpha, beta = divmod(self._logof(y) * n % (self.size - 1), q + 1)
+            l0, l1 = self._reps[beta]
+            d = (2 - c) % F.p
+            return F.add(
+                0 if l0 is None or not c else exp[(log[c] + alpha + l0) % m],
+                0 if l1 is None or not d else
+                exp[(log[d] - log[2] + alpha + l1 - log[t]) % m])
+        b, a = divmod(self.pow(y, n), q)
+        return F.add(F.mul(c, a), F.mul(F.mul((2 - c) % F.p, F.half),
+                                        F.mul(b, F.inv(t))))
 
     # -- the coset tables ----------------------------------------------------
 

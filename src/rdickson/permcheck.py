@@ -8,6 +8,11 @@ right side the stated arithmetic condition or the stated auxiliary
 polynomial's own exhaustive test.  The two sides must coincide at
 every grid point; each point is one entry, with ok false where they
 differ.
+
+Both scans of the family take one row function per (n, k), built once:
+the image scan evaluates rdpoly.recurrence_row point by point and stops
+at the first collision, and the 2-to-1 count maps its domain through
+rdpoly.functional_row and stops at the first point that decides.
 """
 
 import itertools
@@ -62,7 +67,7 @@ def monomial_pp(F, n):
 
 def dickson_pp_bruteforce(F, n, k, a=1):
     """Brute-force permutation test of x -> D(n,k; a,x)."""
-    return is_pp_bruteforce(F, lambda x: rdpoly.eval_recurrence(F, n, k, x, a))
+    return is_pp_bruteforce(F, rdpoly.recurrence_row(F, n, k, a))
 
 
 def is_pp_two_to_one(F, n, k):
@@ -88,12 +93,13 @@ def is_pp_two_to_one(F, n, k):
     ext = gf.quadratic_extension(F)
     half = F.half
     excluded = rdpoly.value_at_quarter(F, n, k)
+    row = rdpoly.functional_row(ext, n, k)
     fibers = {}
     detail = {"fibers": fibers, "excluded_value": excluded}
     for y in itertools.chain(F.elements(), gf.enumerate_v(ext)):
         if y == half:
             continue
-        val = rdpoly.functional_map(ext, n, k, y)
+        val = row(y)
         fiber = fibers.setdefault(val, [])
         fiber.append(y)
         if val == excluded or len(fiber) == 3:

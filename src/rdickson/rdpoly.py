@@ -27,11 +27,16 @@ multiplies and exact divisions per entry; the rows of the two
 classical kinds are the family's rows at k = 1 and k = 0.  The family
 row, the fnk row and its reduction mod p keep ROW_CACHE_SIZE rows each,
 for callers that read one row at many points x.  The other routes, and
-as_polynomial (interpolated from the q values of eval_recurrence by a
+as_polynomial (interpolated from the q values of one recurrence_row by a
 transform over GF(q)* on the powers of the field's generator), compute
-in the field throughout.  No route divides by a quantity that can
-vanish.  fnk_coeffs and as_polynomial return bare coefficient tuples;
-cli writes them as terms.
+in the field throughout.  A caller that reads a row at many points x
+takes it as a function: recurrence_row(F, n, k, a) and
+functional_row(ext, n, k) do the row's fixed work once, and per point
+call one kernel in gf (FieldSpec.lucas, FieldSpec.binet or
+QuadExt.binet), which holds the loop over the field's tables;
+eval_recurrence and functional_map are their values at one point.  No
+route divides by a quantity that can vanish.  fnk_coeffs and
+as_polynomial return bare coefficient tuples; cli writes them as terms.
 """
 
 from functools import lru_cache
@@ -106,39 +111,47 @@ def eval_a0(F, n, k, x):
 
 
 def eval_recurrence(F, n, k, x, a=1):
-    """Two-term recurrence with index reduction mod q^2 - 1.
+    """Two-term recurrence with index reduction mod q^2 - 1: the value of
+    recurrence_row(F, n, k, a) at x."""
+    return recurrence_row(F, n, k, a)(x)
+
+
+def recurrence_row(F, n, k, a=1):
+    """x -> D(n,k; a,x) by the two-term recurrence, the row's fixed work
+    done once.
 
     For a = 1 and x != 1/4 the value depends only on n mod (q^2 - 1)
     once n >= 1; the excluded point x = 1/4 takes its closed constant
-    instead.  The reduced index is reached by index doubling on the
-    Lucas sequence U_0 = 0, U_1 = 1, U_m = U_{m-1} - x U_{m-2}:
+    instead.  With U_0 = 0, U_1 = 1, U_m = U_{m-1} - x U_{m-2}, the
+    value is v_n = U_n - x (2 - k) U_{n-1}, which F.lucas reaches by
+    index doubling down the bits of (n - 1) mod (q^2 - 1),
 
         U_{2m} = U_m (2 U_{m+1} - U_m),  U_{2m+1} = U_{m+1}^2 - x U_m^2,
 
-    and v_n = U_n - x (2 - k) U_{n-1}, so any index costs O(log q)
-    field ops in every characteristic.  Other a reduce to a = 1 by
-    D(n,k; a,x) = a^n * D(n,k; 1, x/a^2), which holds in every
-    characteristic; a = 0 is routed to eval_a0.
+    so any index costs O(log q) field ops in every characteristic.
+    Other a reduce to a = 1 by D(n,k; a,x) = a^n * D(n,k; 1, x/a^2),
+    which holds in every characteristic; a = 0 is routed to eval_a0.
     """
     k %= F.p
     if a == 0:
-        return eval_a0(F, n, k, x)
+        return lambda x: eval_a0(F, n, k, x)
     if a != 1:
-        inner = eval_recurrence(F, n, k, F.mul(x, F.inv(F.mul(a, a))))
-        return F.mul(F.pow(a, n), inner)
-    if F.p != 2 and x == F.quarter:
-        return value_at_quarter(F, n, k)
+        row, an = recurrence_row(F, n, k), F.pow(a, n)
+        scale = F.inv(F.mul(a, a))
+        return lambda x: F.mul(an, row(F.mul(x, scale)))
+    c = F.from_int(2 - k)
     if n == 0:
-        return F.from_int(2 - k)
+        return lambda x: c
+    quarter = F.quarter if F.p != 2 else None
+    at_quarter = value_at_quarter(F, n, k) if F.p != 2 else None
     m = (n - 1) % (F.q * F.q - 1)
-    # (u, w) = (U_j, U_{j+1}), doubled down the bits of m to j = m = n - 1
-    u, w = 0, 1
-    for bit in bin(m)[2:]:
-        u, w = (F.mul(u, F.sub(F.add(w, w), u)),
-                F.sub(F.mul(w, w), F.mul(x, F.mul(u, u))))
-        if bit == "1":
-            u, w = w, F.sub(w, F.mul(x, u))
-    return F.sub(w, F.mul(F.mul(x, F.from_int(2 - k)), u))
+    lucas, bits = F.lucas, bin(m)[3:]
+
+    def row(x):
+        if x == quarter:
+            return at_quarter
+        return lucas(x, bits, c) if m else 1
+    return row
 
 
 def eval_matrix(F, n, k, x, a=1):
@@ -192,32 +205,38 @@ def _principal_y(ext, x):
 
 
 def functional_map(ext, n, k, y):
-    """k (y^n (1-y) - y (1-y)^n)/(2y-1) + y^n + (1-y)^n, a base element.
+    """k (y^n (1-y) - y (1-y)^n)/(2y-1) + y^n + (1-y)^n, a base element:
+    the value of functional_row(ext, n, k) at y."""
+    return functional_row(ext, n, k)(y)
+
+
+def functional_row(ext, n, k):
+    """y -> k (y^n (1-y) - y (1-y)^n)/(2y-1) + y^n + (1-y)^n, with n
+    reduced once.
 
     Defined for y != 1/2 on the base line GF(q) or on the fixed line of
     the q-power map, V = {y : y^q = 1 - y} = {1/2 + t s}: the points
     the permutation counting argument feeds it, and the only ones
-    gf.solve_y returns.  On GF(q) the formula is evaluated in GF(q).  On
-    V, 1 - y is the conjugate of y, so y^n = A + B s gives
-    (1 - y)^n = A - B s, and the value is (2 - k) A + k B / (2t): one
-    power in GF(q^2), a few lookups with the extension's coset tables.
-    Any other y of GF(q^2) raises ValueError.
+    gf.solve_y returns.  With z = 1 - y the value is Binet's form
+    ((1 - c z) y^n - (1 - c y) z^n) / (y - z), c = 2 - k, of the
+    recurrence's value at x = y z, which F.binet evaluates in GF(q).  On
+    V, z is the conjugate of y, so y^n = A + B s gives z^n = A - B s,
+    and ext.binet returns (2 - k) A + k B / (2t) from the extension's
+    coset tables.  Any other y of GF(q^2) raises ValueError.
     """
-    F = ext.base
-    k %= F.p
-    t, y0 = divmod(y, ext.q)
-    if t:
-        if y0 != F.half:
+    F, q = ext.base, ext.q
+    c, half = F.from_int(2 - k % F.p), F.half
+    # an n >= 1 stays >= 1, so that 0^n = 0
+    n = (n - 1) % (ext.size - 1) + 1 if n else 0
+
+    def row(y):
+        if y < q:
+            return F.binet(y, n, c)
+        if y % q != half:
             raise ValueError(f"y = {ext.coeffs(y)} lies on neither GF(q) "
                              "nor V")
-        b, a = divmod(ext.pow(y, n), ext.q)
-        return F.add(F.mul(F.from_int(2 - k), a),
-                     F.mul(k, F.mul(b, F.inv(F.add(t, t)))))
-    z = F.sub(1, y)
-    yn, zn = F.pow(y, n), F.pow(z, n)
-    num = F.sub(F.mul(yn, z), F.mul(y, zn))
-    den = F.sub(F.add(y, y), 1)
-    return F.add(F.mul(k, F.mul(num, F.inv(den))), F.add(yn, zn))
+        return ext.binet(y, n, c)
+    return row
 
 
 def char2_eval(F, n, k, x, a=1):
@@ -358,7 +377,7 @@ def as_polynomial(F, n, k):
     on all of GF(q) (odd p), as its tuple of field elements from the
     constant term up, without trailing zeros.
 
-    Interpolated from the q values f(a) of eval_recurrence through
+    Interpolated from the q values f(a) of one recurrence_row through
     f = sum_a f(a) (1 - (x - a)^(q-1)): the constant coefficient is
     f(0) and, for j >= 1, c_j = -sum_a f(a) a^(q-1-j) with 0^0 = 1.
     Over a = g^j, g the generator of F.generator_powers(), the sums
@@ -371,8 +390,9 @@ def as_polynomial(F, n, k):
     k %= F.p
     powers = F.generator_powers()
     # sums[i] = sum_a f(a) a^i for i < q - 1; c_j = -sums[q - 1 - j]
-    sums = _dft(F, [eval_recurrence(F, n, k, a) for a in powers], powers)
-    f0 = eval_recurrence(F, n, k, 0)
+    row = recurrence_row(F, n, k)
+    sums = _dft(F, [row(a) for a in powers], powers)
+    f0 = row(0)
     sums[0] = F.add(sums[0], f0)
     return tuple(modpoly.trim(
         [f0] + [F.neg(s) for s in reversed(sums)]))

@@ -79,13 +79,17 @@ class TestTwoToOne:
     def test_stops_at_the_first_point_that_decides(self, monkeypatch):
         # a permutation row maps all 2q-2 points, any other row fewer
         calls = []
-        real = rd.functional_map
+        real = rd.functional_row
 
-        def counted(ext, n, k, y):
-            calls.append(y)
-            return real(ext, n, k, y)
+        def counted(ext, n, k):
+            row = real(ext, n, k)
 
-        monkeypatch.setattr(rd, "functional_map", counted)
+            def point(y):
+                calls.append(y)
+                return row(y)
+            return point
+
+        monkeypatch.setattr(rd, "functional_row", counted)
         seen = set()
         for n in range(1, 50):
             for k in range(F25.p):
@@ -122,8 +126,8 @@ class TestTwoToOne:
     def test_lone_point_decides_after_the_pass(self, monkeypatch):
         # a g that is 1-to-1 and misses the excluded value: only the
         # check after the pass can refuse it
-        monkeypatch.setattr(rd, "functional_map",
-                            lambda ext, n, k, y: ("own", y))
+        monkeypatch.setattr(rd, "functional_row",
+                            lambda ext, n, k: lambda y: ("own", y))
         rep = pc.is_pp_two_to_one(F5, 3, 1)
         assert not rep.verdict
         assert rep.witness == (gf.quadratic_extension(F5).coeffs(0),)

@@ -212,6 +212,71 @@ class TestDoublingKernel:
                 assert rd.eval_recurrence(F, n, k, x) == want
 
 
+def stepped(F, k, x, count):
+    """Oracle: v_0 .. v_(count-1) at a = 1, stepped one index at a time."""
+    out = [F.from_int(2 - k), 1]
+    while len(out) < count:
+        out.append(F.sub(out[-1], F.mul(x, out[-2])))
+    return out[:count]
+
+
+class TestRowKernels:
+    # each loop body of FieldSpec.lucas: ints mod p (GF(3), GF(7)),
+    # Zech logs with odd p (GF(9), GF(25), GF(27)) and with p = 2
+    # (GF(8), GF(16)), and add/sub/mul on fields built with no tables
+    BODIES = [("3", True), ("7", True), ("9", True), ("25", True),
+              ("27", True), ("8", True), ("16", True), ("9", False),
+              ("8", False)]
+
+    @pytest.mark.parametrize("desc, tables", BODIES,
+                             ids=[f"GF({d})-{'tables' if t else 'none'}"
+                                  for d, t in BODIES])
+    def test_each_body_matches_the_stepped_recurrence(self, desc, tables,
+                                                      monkeypatch):
+        with monkeypatch.context() as m:
+            if not tables:
+                m.setattr(gf, "_LOG_TABLE_MAX_Q", 0)
+            F = gf.parse_field_descriptor(desc)
+        assert (F._exp is not None) == tables
+        q, period = F.q, F.q * F.q - 1
+        big = 10 ** 18 + 12345
+        ns = sorted(set(range(3 * q)) | {q * q - 2, q * q - 1, q * q, big})
+        for k in range(F.p):
+            rows = {n: rd.recurrence_row(F, n, k) for n in ns}
+            for x in F.elements():
+                want = stepped(F, k, x, q * q + 1)
+                for n in ns:
+                    if n <= q * q:
+                        expect = want[n]
+                    elif F.p != 2 and x == F.quarter:
+                        expect = F.mul(F.from_int(k * (n - 1) + 2),
+                                       F.inv(F.pow(2, n)))
+                    else:
+                        expect = want[(n - 1) % period + 1]
+                    assert rows[n](x) == expect, (k, x, n)
+
+
+    @pytest.mark.parametrize("desc", ["7", "9", "25", "8", "16"])
+    def test_lucas_through_chains_with_a_zero_term(self, desc):
+        # U at every j < 3q, where the doubling passes through pairs
+        # (U_i, U_(i+1)) with U_i = 0 and with U_(i+1) = 0, each ending
+        # on either bit; U_0 = 0 heads the list
+        F = gf.parse_field_descriptor(desc)
+        count = 3 * F.q
+        seen = set()
+        for x in F.elements():
+            u = [0] + stepped(F, 1, x, count + 1)   # U_i, as v_i = U_(i+1)
+            for j in range(1, count):
+                for c in (0, 1):
+                    want = F.sub(u[j + 1], F.mul(F.mul(c, x), u[j]))
+                    assert F.lucas(x, bin(j)[3:], c) == want, (x, j, c)
+                for s in range(1, j.bit_length()):
+                    i = j >> s
+                    if 0 in (u[i], u[i + 1]):
+                        seen.add((u[i] == 0, j >> s - 1 & 1))
+        assert seen == {(True, 0), (True, 1), (False, 0), (False, 1)}
+
+
 class TestMatrixRoute:
     @pytest.mark.parametrize("F", [F4, F5, F9, gf.make_field(2, 3)],
                              ids=lambda F: f"GF({F.q})")
@@ -478,6 +543,51 @@ class TestFunctionalMap:
                 for k in range(F.p):
                     want = two_power_map(ext, n, k, y)
                     assert rd.functional_map(ext, n, k, y) == want, (n, k, t)
+
+
+def functional_map_by_formula(ext, n, k, y):
+    """Oracle: the 2-to-1 map point by point, as it was computed before
+    functional_row: on V one QuadExt.pow and (2 - k) A + k B / (2t), on
+    GF(q) the formula in base-field ops."""
+    F = ext.base
+    k %= F.p
+    t, y0 = divmod(y, ext.q)
+    if t:
+        b, a = divmod(ext.pow(y, n), ext.q)
+        return F.add(F.mul(F.from_int(2 - k), a),
+                     F.mul(k, F.mul(b, F.inv(F.add(t, t)))))
+    z = F.sub(1, y)
+    yn, zn = F.pow(y, n), F.pow(z, n)
+    num = F.sub(F.mul(yn, z), F.mul(y, zn))
+    den = F.sub(F.add(y, y), 1)
+    return F.add(F.mul(k, F.mul(num, F.inv(den))), F.add(yn, zn))
+
+
+class TestFunctionalRow:
+    ROWS = [("5", True), ("7", True), ("9", True), ("25", True),
+            ("27", True), ("49", True), ("125", True), ("9", False)]
+
+    @pytest.mark.parametrize("desc, tables", ROWS,
+                             ids=[f"GF({d})-{'tables' if t else 'none'}"
+                                  for d, t in ROWS])
+    def test_row_matches_the_point_formula(self, desc, tables, monkeypatch):
+        # every point of GF(q) and V but 1/2, every kind, n in 0 .. 2q
+        # and past q^2 - 1; with no tables both kernels use the methods
+        with monkeypatch.context() as m:
+            if not tables:
+                m.setattr(gf, "_LOG_TABLE_MAX_Q", 0)
+            F = gf.parse_field_descriptor(desc)
+            ext = gf.QuadExt(F)
+        q = F.q
+        domain = [y for y in range(q) if y != F.half]
+        domain += [F.half + t * q for t in range(1, q)]
+        for n in [*range(2 * q + 1), q * q - 1, q * q + 5, 10 ** 9 + 7]:
+            for k in range(F.p):
+                row = rd.functional_row(ext, n, k)
+                for y in domain:
+                    assert row(y) == functional_map_by_formula(
+                        ext, n, k, y), (n, k, y)
+        assert (ext._rho is not None) == tables
 
 
 class TestAsPolynomial:
