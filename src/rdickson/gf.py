@@ -21,10 +21,10 @@ FieldSpec builds its lookup tables at construction: exp/log tables of
 GF(q)* for every degree, from the first generator g that a walk finds,
 and for degree e >= 2 the Zech table log(1 + g^i) through which it
 adds; all are O(q) (prime fields multiply and add without them).  A
-QuadExt multiplies by the coordinate formula and, on its first power
-off the base line, builds coset tables of GF(q^2)*, none
-longer than q + 1, that index the base field's exp/log tables.  Tables
-change speed only, never values.
+QuadExt multiplies by the coordinate formula, raises to powers by
+square-and-multiply over it and, at its first binet point, builds
+coset tables of GF(q^2)*, none longer than q + 1, that index the base
+field's exp/log tables.  Tables change speed only, never values.
 
 The per-point kernels of the permutation scans live here too, as they
 read the tables: FieldSpec.lucas doubles the Lucas sequence of
@@ -608,21 +608,22 @@ class QuadExt:
     field embeds as the ints below q.  Requires odd characteristic.
 
     Products always use the coordinate formula.  Powers of base
-    elements go to the base field; the first other power builds coset
-    tables of GF(q^2)* with that product, if q <= _LOG_TABLE_MAX_Q at
-    construction and the base field has exp/log tables, of generator b,
-    which the coset tables index.  g = a0 + a1 s of norm
+    elements go to the base field, and every other power is
+    square-and-multiply over that product; a negative exponent, -1 for
+    the inverse, reduces mod q^2 - 1.  The first binet point builds
+    coset tables of GF(q^2)* with the product, if q <= _LOG_TABLE_MAX_Q
+    at construction and the base field has exp/log tables, of
+    generator b, which the coset tables index.  g = a0 + a1 s of norm
     g^(q+1) = a0^2 - d a1^2 = b generates GF(q^2)* iff no g^beta with
     0 < beta <= q lies on the base line; then each i < q^2 - 1 is
     alpha*(q+1) + beta with alpha < q - 1, beta <= q, and
     g^i = b^alpha g^beta.  The tables, of at most q + 1 entries, hold
     the b-logs of the coordinates of each g^beta, and rho[t] =
     log(t + s) for t in GF(q).  So log(a0 + a1 s) is
-    (q+1) log_b(a1) + rho[a0/a1] for a1 != 0, and a power is a few
-    lookups; a negative exponent, -1 for the inverse, reduces mod
-    q^2 - 1.  Without the tables pow is square-and-multiply over mul.
-    The build raises InternalCheckError unless the base log inverts
-    the base exp, the walk's g^(q+1) is b and rho fills once per slot.
+    (q+1) log_b(a1) + rho[a0/a1] for a1 != 0, and binet reads y^n in a
+    few lookups.  The build raises InternalCheckError unless the base
+    log inverts the base exp, the walk's g^(q+1) is b and rho fills
+    once per slot.
     """
 
     __slots__ = ("base", "q", "size", "d", "_split", "_buildable", "_reps",
@@ -671,10 +672,7 @@ class QuadExt:
     def pow(self, u, n):
         if u < self.q:
             return self.base.pow(u, n)
-        n %= self.size - 1
-        if self._rho is None and not self._build():
-            return modpoly.power(self.mul, u, n, 1)
-        return self._exp(self._logof(u) * n % (self.size - 1))
+        return modpoly.power(self.mul, u, n % (self.size - 1), 1)
 
     def binet(self, y, n, c):
         """FieldSpec.binet at the root y = 1/2 + t s of V, t != 0 and n >= 0.
@@ -750,19 +748,11 @@ class QuadExt:
     def _logof(self, u):
         a1, a0 = divmod(u, self.q)
         exp, log = self.base._exp, self.base._log
-        # a1 != 0, as pow sends the base line to the base field;
+        # a1 != 0, as binet reads points of V alone;
         # a0/a1 = b^(log a0 - log a1), a negative index wraps into the
         # second half of the doubled exp
         t = exp[log[a0] - log[a1]] if a0 else 0
         return (self.q + 1) * log[a1] + self._rho[t]
-
-    def _exp(self, i):
-        alpha, beta = divmod(i, self.q + 1)
-        exp = self.base._exp
-        l0, l1 = self._reps[beta]
-        # alpha and the logs are below q - 1: no mod in the doubled exp
-        return ((0 if l0 is None else exp[alpha + l0])
-                + self.q * (0 if l1 is None else exp[alpha + l1]))
 
 
 @lru_cache(maxsize=EXT_CACHE_SIZE)

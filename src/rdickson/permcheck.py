@@ -1,13 +1,14 @@
 """Permutation behaviour of the family over GF(q).
 
 Three independent criteria (exhaustive image scan, monomial gcd rule,
-2-to-1 count on the extended domain) plus a grid verifier that checks
-both sides of each statement of the table STATEMENTS separately: the left
-side is always an exhaustive permutation test of the actual map, the
-right side the stated arithmetic condition or the stated auxiliary
-polynomial's own exhaustive test.  The two sides must coincide at
-every grid point; each point is one entry, with ok false where they
-differ.
+2-to-1 count on the extended domain), each returning a PPReport of its
+verdict and the raw encodings that decided it, plus a grid verifier
+that checks both sides of each statement of the table STATEMENTS
+separately: the left side is always an exhaustive permutation test of
+the actual map, the right side the stated arithmetic condition or the
+stated auxiliary polynomial's own exhaustive test.  The two sides must
+coincide at every grid point; each point is one entry, with ok false
+where they differ.
 
 Both scans of the family take one row function per (n, k), built once:
 the image scan evaluates rdpoly.recurrence_row point by point and stops
@@ -24,20 +25,16 @@ N_DIGITS = 4300   # Python's default cap on the digits of a printed int
 
 
 class PPReport:
-    """Outcome of one permutation test.
-
-    witness holds coordinate vectors (readable without the field):
-    for brute_force the first colliding pair in enumeration order, for
-    two_to_one the point of the extended domain that decided.  Each
-    report owns its detail dict.
+    """Outcome of one permutation test: the verdict and, on a refusal,
+    the raw encodings that decided it.  For the image scan that is the
+    first colliding pair (x1, x2) in enumeration order, for the 2-to-1
+    count the point (y,) of the extended domain that decided.
     """
 
-    __slots__ = ("verdict", "criterion", "witness", "detail")
+    __slots__ = ("verdict", "witness")
 
-    def __init__(self, verdict, criterion, witness=None, detail=None):
-        self.verdict, self.criterion = verdict, criterion
-        self.witness = witness
-        self.detail = {} if detail is None else detail
+    def __init__(self, verdict, witness=None):
+        self.verdict, self.witness = verdict, witness
 
 
 def is_pp_bruteforce(F, fn, params=None):
@@ -51,18 +48,16 @@ def is_pp_bruteforce(F, fn, params=None):
     for x in F.elements():
         v = fn(x)
         if v in seen:
-            return PPReport(False, "brute_force",
-                            (F.coeffs(seen[v]), F.coeffs(x)))
+            return PPReport(False, (seen[v], x))
         seen[v] = x
-    return PPReport(True, "brute_force")
+    return PPReport(True)
 
 
 def monomial_pp(F, n):
     """x -> x^n permutes GF(q) iff gcd(n, q - 1) = 1 (n >= 1)."""
     if n < 1:
         raise ValueError("monomial degree must be at least 1")
-    g = math.gcd(n, F.q - 1)
-    return PPReport(g == 1, "monomial_gcd", None, {"n": n, "gcd": g})
+    return PPReport(math.gcd(n, F.q - 1) == 1)
 
 
 def dickson_pp_bruteforce(F, n, k, a=1):
@@ -82,8 +77,7 @@ def is_pp_two_to_one(F, n, k):
     (k(n-1)+2)/2^n.  One pass maps the points in domain order and stops
     at the first that decides: a hit of the excluded value or a third
     point in one fiber.  After a full pass a one-point fiber decides.
-    The witness is the deciding point.  detail["fibers"] holds the
-    points mapped so far: every fiber when the verdict is true.
+    The witness is the deciding point.
     """
     if F.p == 2:
         raise ValueError("the 2-to-1 criterion needs odd characteristic")
@@ -95,7 +89,6 @@ def is_pp_two_to_one(F, n, k):
     excluded = rdpoly.value_at_quarter(F, n, k)
     row = rdpoly.functional_row(ext, n, k)
     fibers = {}
-    detail = {"fibers": fibers, "excluded_value": excluded}
     for y in itertools.chain(F.elements(), gf.enumerate_v(ext)):
         if y == half:
             continue
@@ -103,12 +96,11 @@ def is_pp_two_to_one(F, n, k):
         fiber = fibers.setdefault(val, [])
         fiber.append(y)
         if val == excluded or len(fiber) == 3:
-            return PPReport(False, "two_to_one", (ext.coeffs(y),), detail)
+            return PPReport(False, (y,))
     for fiber in fibers.values():
         if len(fiber) == 1:
-            return PPReport(False, "two_to_one", (ext.coeffs(fiber[0]),),
-                            detail)
-    return PPReport(True, "two_to_one", None, detail)
+            return PPReport(False, (fiber[0],))
+    return PPReport(True)
 
 
 # -- grid verification of the permutation statements ----------------------

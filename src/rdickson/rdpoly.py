@@ -98,9 +98,10 @@ def eval_definition(F, n, k, x, a=1):
 
 
 def value_at_quarter(F, n, k):
-    """The constant (k(n-1) + 2) / 2^n the family takes at x = 1/4."""
-    num = (k * ((n - 1) % F.p) + 2) % F.p
-    return F.mul(num, F.inv(F.pow(F.from_int(2), n)))
+    """The constant (k(n-1) + 2) / 2^n the family takes at x = 1/4.  It
+    lies in the prime subfield, whose encodings are the ints below p;
+    2^(p-1) = 1 there, so the power reads n mod p - 1 alone."""
+    return (k * (n - 1) + 2) * pow(2, -n % (F.p - 1), F.p) % F.p
 
 
 def eval_a0(F, n, k, x):

@@ -1050,14 +1050,15 @@ class TestGuardsAndErrors:
             "charsum.sums_bruteforce = off\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(tmp_path), *sys.path]))
-        proc = subprocess.Popen([sys.executable, "-m", "rdickson", *argv],
-                                stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, env=env)
-        for _ in range(lines):
-            proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert (proc.wait(timeout=20), err) == (code, b"")
+        # leaving the with block closes both pipes
+        with subprocess.Popen([sys.executable, "-m", "rdickson", *argv],
+                              stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=env) as proc:
+            for _ in range(lines):
+                proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=20), err) == (code, b"")
 
     @pytest.mark.parametrize("l", ["100000", "1000000000000"])
     def test_huge_exponent_is_refused_before_any_scan(self, l):

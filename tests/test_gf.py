@@ -617,10 +617,10 @@ def test_a_wrong_column_fails_the_build(monkeypatch, capsys):
 
 
 def fast_and_slow(F, monkeypatch):
-    """A fresh extension, whose first power outside the base line
-    builds its coset tables, and one that read a size bound of 0 at
-    construction and never builds them (square-and-multiply over the
-    coordinate product)."""
+    """A fresh extension, whose first binet point builds its coset
+    tables, and one that read a size bound of 0 at construction and
+    never builds them (y^n by square-and-multiply over the coordinate
+    product)."""
     fast = gf.QuadExt(F)
     with monkeypatch.context() as m:
         m.setattr(gf, "_LOG_TABLE_MAX_Q", 0)
@@ -629,29 +629,37 @@ def fast_and_slow(F, monkeypatch):
 
 
 def exponents(ext):
-    # -1 and -5 check the inverse, which pow reduces mod q^2 - 1
     N = ext.size - 1
     return (0, 1, 2, 3, ext.q - 1, ext.q, ext.q + 1, N - 1, N, N + 7,
-            10 ** 30 + 11, -1, -5)
+            10 ** 30 + 11)
 
 
 def tables(ext):
     return ext._reps, ext._rho
 
 
-def check_tables(fast, slow, us):
-    # the tables serve pow alone; mul is the coordinate product in both
-    for u in us:
+def v_point(ext, t):
+    """The point 1/2 + t s of V."""
+    return ext.make(ext.base.half, t)
+
+
+def check_tables(fast, slow, ts):
+    # the tables serve binet alone; mul and pow are the coordinate
+    # product and square-and-multiply over it in both.  c = 0 and
+    # c = 2 each drop one of the two terms
+    p = fast.base.p
+    for t in ts:
+        y = v_point(fast, t)
         for n in exponents(fast):
-            if u or n >= 0:
-                assert fast.pow(u, n) == slow.pow(u, n), (u, n)
+            for c in {0, 1, 2 % p, (p + 1) // 2, p - 1}:
+                assert fast.binet(y, n, c) == slow.binet(y, n, c), (t, n, c)
     assert fast._rho is not None and slow._rho is None
 
 
 @pytest.mark.parametrize("p, e", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)])
 def test_ext_tables_match_slow_paths_everywhere(p, e, monkeypatch):
     fast, slow = fast_and_slow(gf.make_field(p, e), monkeypatch)
-    check_tables(fast, slow, range(fast.size))
+    check_tables(fast, slow, range(1, fast.q))
 
 
 # 1031 lies between the old 1024 bound of the q^2-entry tables and the
@@ -660,13 +668,13 @@ def test_ext_tables_match_slow_paths_everywhere(p, e, monkeypatch):
 def test_ext_tables_match_slow_paths_on_a_sample(fd, monkeypatch):
     fast, slow = fast_and_slow(gf.parse_field_descriptor(fd), monkeypatch)
     rng = random.Random(fd)
-    us = [0, 1, fast.q - 1, fast.q] + rng.sample(range(fast.size), 40)
-    check_tables(fast, slow, us)
+    check_tables(fast, slow, [1, 2, fast.q - 1] + rng.sample(range(1, fast.q),
+                                                              40))
 
 
 def test_ext_tables_hold_at_most_q_plus_1_entries():
     ext = gf.QuadExt(gf.make_field(7, 3))
-    ext.pow(ext.q, 2)
+    assert ext._build()
     assert [len(t) for t in tables(ext)] == [ext.q + 1, ext.q]
 
 
@@ -679,13 +687,14 @@ def test_construction_and_base_line_ops_build_nothing():
         ext.pow(u, 10 ** 6)
         if u:
             ext.pow(u, -1)
-    # products never build, on the base line or off it
+    # products and powers never build, on the base line or off it
     ext.mul(0, q + 1), ext.mul(q + 1, 0), ext.mul(q + 1, q + 2)
+    ext.pow(q + 1, 2), ext.pow(v_point(ext, 3), 10 ** 6)
     # solve_y takes its roots and y = (1 + r)/2 in base-field arithmetic
     ys = [y for x in range(q) for y in gf.solve_y(ext, x)]
     assert any(y >= q for y in ys)
     assert tables(ext) == (None,) * 2
-    ext.pow(q + 1, 2)
+    ext.binet(v_point(ext, 1), 2, 1)
     assert all(t is not None for t in tables(ext))
 
 
@@ -694,32 +703,39 @@ def test_ext_tables_are_never_built_above_the_size_bound(monkeypatch):
     ext = gf.QuadExt(gf.make_field(11))
     for u in range(11, 121):
         ext.pow(u, 10 ** 6), ext.mul(u, u), ext.pow(u, -1)
+    for t in range(1, 11):
+        ext.binet(v_point(ext, t), 10 ** 6, 1)
     assert tables(ext) == (None,) * 2
 
 
 def built_or_raised(ext, monkeypatch):
     """Build ext's coset tables under the faults in place.  On an
     InternalCheckError return its text, with no table kept.  Else
-    return None, once every power of a sample of GF(q^2) agrees with
-    square-and-multiply over the coordinate product."""
+    return None, once binet at a sample of V agrees with the
+    extension that has no tables."""
     try:
-        ext.pow(ext.q, 2)
+        ext._build()
     except gf.InternalCheckError as exc:
         assert tables(ext) == (None,) * 2
         return str(exc)
     monkeypatch.undo()
     _, slow = fast_and_slow(ext.base, monkeypatch)
     rng = random.Random(ext.q)
-    check_tables(ext, slow, [ext.q, ext.q + 1] + rng.sample(range(ext.size),
-                                                            30))
+    check_tables(ext, slow, [1] + rng.sample(range(1, ext.q), 30))
     return None
+
+
+def table_g(ext):
+    """The g of ext's built tables, read back from its b-logs."""
+    return ext.make(*(0 if l is None else ext.base._exp[l]
+                      for l in ext._reps[1]))
 
 
 def first_candidate(F):
     """The g that a fault-free build of GF(q^2) walks, by its table."""
     ext = gf.QuadExt(F)
-    ext.pow(ext.q, 2)
-    return ext._exp(1)
+    ext._build()
+    return table_g(ext)
 
 
 # The walk multiplies by the candidate g.  Over GF(343) (344 = 2^3 * 43)
@@ -756,7 +772,7 @@ def test_a_wrong_times_step_fails_the_build(fault, match, monkeypatch,
     ext = gf.QuadExt(F)
     got = built_or_raised(ext, monkeypatch)
     if match is None:
-        assert got is None and ext._exp(1) != g
+        assert got is None and table_g(ext) != g
         return
     assert match in got
     # a run that needs the coset tables reports the failed cross-check

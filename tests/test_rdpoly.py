@@ -313,6 +313,24 @@ class TestQuarterPoint:
                     assert rd.value_at_quarter(F, n, k) == \
                         naive(F, n, k, F.quarter)
 
+    @pytest.mark.parametrize("desc", ["3", "9", "25", "337", "343"])
+    def test_constant_equals_the_field_op_formula(self, desc):
+        # oracle: the formula in field ops, which reads nothing of how
+        # the prime subfield is encoded.  (k(n-1) + 2) has period p in
+        # n and 2^-n a period dividing p - 1, so n <= 3p(p - 1) covers
+        # each pair of residues; p = 337 takes a sample of indices and
+        # kinds
+        F = gf.parse_field_descriptor(desc)
+        p, rng = F.p, random.Random(desc)
+        ns, ks = range(3 * p * (p - 1) + 1), range(p)
+        if p > 100:
+            ns, ks = rng.sample(ns, 400), rng.sample(ks, 20)
+        for n in [*ns, 10 ** 30 + 7]:
+            for k in [*ks, -1, -p - 2]:
+                num = (k * ((n - 1) % p) + 2) % p
+                want = F.mul(num, F.inv(F.pow(F.from_int(2), n)))
+                assert rd.value_at_quarter(F, n, k) == want, (n, k)
+
     def test_index_reduction_is_wrong_at_quarter_and_patched(self):
         # the reason 1/4 is special: the reduced index gives another value
         n = 4 + 24
