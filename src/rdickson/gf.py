@@ -17,23 +17,25 @@ its constants computed once per extension.
 
 Construction validates everything (primality, monic irreducible
 modulus); after that a FieldSpec is immutable and safe to share.  A
-FieldSpec builds its lookup tables at construction: exp/log tables of
-GF(q)* for every degree, from the first generator g that a walk finds,
-and for degree e >= 2 the Zech table log(1 + g^i) through which it
-adds; all are O(q) (prime fields multiply and add without them).  A
-QuadExt multiplies by the coordinate formula, raises to powers by
+FieldSpec with q <= _LOG_TABLE_MAX_Q builds its lookup tables at
+construction, all O(q): exp/log tables of GF(q)*, from the first
+generator g that a walk finds, and the Zech table log(1 + g^i).  The
+methods of a prime field still add, multiply and take powers as ints
+mod p; the other fields do so through the tables.  A QuadExt
+multiplies by the coordinate formula, raises to powers by
 square-and-multiply over it and, at its first binet point, builds
 coset tables of GF(q^2)*, none longer than q + 1, that index the base
-field's exp/log tables.  Tables change speed only, never values.
+field's exp/log tables, if the base field holds them.  Tables change
+speed only, never values.
 
 The per-point kernels of the permutation scans live here too, as they
 read the tables: FieldSpec.lucas doubles the Lucas sequence of
 T^2 - T + x to an index, and FieldSpec.binet and QuadExt.binet evaluate
 the same sequence from a root y of that polynomial on GF(q) or on V.
-Each has a loop body for prime fields (ints mod p), one that holds
-values as logs and adds through the Zech table or the coset tables,
-and the field's methods, used above the table bound and wherever a
-zero, which has no log, turns up.
+Each has a body that holds values as logs and adds through the Zech
+table or the coset tables, and one by the field's methods, used on
+fields without tables and wherever a zero, which has no log, turns
+up; lucas has a third, ints mod p, for prime fields.
 """
 
 import itertools
@@ -196,10 +198,12 @@ class FieldSpec:
     arbitrary-precision exponents (negative allowed for nonzero base)
     and reduces them by the group order; pow(0, 0) is 1.
 
-    Up to the table bound, mul reads exp/log; for e >= 2, with
-    zech[i] = log(1 + g^i), a + b = a (1 + b/a) is
-    exp[log a + zech[log b - log a]], and -a is exp[log a + log(-1)],
-    log(-1) being (q - 1)/2, or 0 for p = 2.
+    Up to the table bound every field holds exp, log and, with
+    zech[i] = log(1 + g^i), the Zech table.  For e >= 2 mul reads
+    exp/log, a + b = a (1 + b/a) is exp[log a + zech[log b - log a]],
+    and -a is exp[log a + log(-1)], log(-1) being (q - 1)/2, or 0 for
+    p = 2.  Prime fields compute with ints mod p in these methods, and
+    read the tables in binet and their quadratic extension.
     """
 
     __slots__ = ("p", "e", "q", "modulus", "_pows", "_exp", "_log",
@@ -218,11 +222,10 @@ class FieldSpec:
             # exp and zech are doubled so that mul, add, sub and QuadExt
             # index a sum or difference of logs without a mod
             self._exp, self._log = exp + exp, log
-            if e >= 2:
-                # 1 + u steps the constant digit alone
-                zech = _zech_table(log, [u - u % p + (u + 1) % p
-                                         for u in exp], self._log_neg)
-                self._zech = zech + zech
+            # 1 + u steps the constant digit alone
+            zech = _zech_table(log, [u - u % p + (u + 1) % p for u in exp],
+                               self._log_neg)
+            self._zech = zech + zech
         if p != 2:
             self._half = self.inv(2)
             self._quarter = self.mul(self._half, self._half)
@@ -322,11 +325,7 @@ class FieldSpec:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError(f"inversion of zero in {self!r}")
-        if self.e == 1:
-            return pow(a, -1, self.p)
-        if self._exp is not None:
-            return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
-        return modpoly.power(self._mul_slow, a, self.q - 2, 1)
+        return self.pow(a, -1)
 
     def pow(self, a, n):
         if a == 0:
@@ -350,10 +349,10 @@ class FieldSpec:
 
         (U_j, U_(j+1)) is doubled down the bits from (U_1, U_2) = (1, 1):
         U_2i = U_i (2 U_(i+1) - U_i), U_(2i+1) = U_(i+1)^2 - x U_i^2.
-        Prime fields step ints mod p.  With a Zech table the pair is held
-        as logs, so a product is a sum and a sum one Zech lookup; a term
-        0 has no log and is held as None.  Fields without tables step by
-        add, sub and mul.
+        Prime fields step ints mod p, faster there than logs.  With a
+        Zech table the pair is held as logs, so a product is a sum and a
+        sum one Zech lookup; a term 0 has no log and is held as None.
+        Fields without tables step by add, sub and mul.
         """
         if self.e == 1:
             p = self.p
@@ -414,16 +413,11 @@ class FieldSpec:
         z = 1 - y != y, U_i = (y^i - z^i)/(y - z), so it is
         ((1 - c z) y^n - (1 - c y) z^n) / (y - z), with 0^0 = 1.
 
-        Prime fields compute with ints mod p.  With a Zech table 1 - y is
-        read as log(1 + (-y)), and so are the other sums, all as logs; a
-        zero stops that with a TypeError, and the formula runs again by
-        the field's methods, as on every field without tables.
+        With a Zech table, prime fields included, 1 - y is read as
+        log(1 + (-y)), and so are the other sums, all as logs; a zero
+        stops that with a TypeError, and the formula runs again by the
+        field's methods, as on every field without tables.
         """
-        if self.e == 1:
-            p = self.p
-            z = 1 - y
-            return ((1 - c * z) * pow(y, n, p) - (1 - c * y) * pow(z, n, p)) \
-                * pow(y - z, -1, p) % p
         if y < 2:
             return 1 if n else c    # x = 0
         zech = self._zech
@@ -611,23 +605,21 @@ class QuadExt:
     elements go to the base field, and every other power is
     square-and-multiply over that product; a negative exponent, -1 for
     the inverse, reduces mod q^2 - 1.  The first binet point builds
-    coset tables of GF(q^2)* with the product, if q <= _LOG_TABLE_MAX_Q
-    at construction and the base field has exp/log tables, of
-    generator b, which the coset tables index.  g = a0 + a1 s of norm
-    g^(q+1) = a0^2 - d a1^2 = b generates GF(q^2)* iff no g^beta with
-    0 < beta <= q lies on the base line; then each i < q^2 - 1 is
-    alpha*(q+1) + beta with alpha < q - 1, beta <= q, and
-    g^i = b^alpha g^beta.  The tables, of at most q + 1 entries, hold
-    the b-logs of the coordinates of each g^beta, and rho[t] =
-    log(t + s) for t in GF(q).  So log(a0 + a1 s) is
-    (q+1) log_b(a1) + rho[a0/a1] for a1 != 0, and binet reads y^n in a
-    few lookups.  The build raises InternalCheckError unless the base
-    log inverts the base exp, the walk's g^(q+1) is b and rho fills
-    once per slot.
+    coset tables of GF(q^2)* with the product, if the base field has
+    exp/log tables, of generator b, which the coset tables index.
+    g = a0 + a1 s of norm g^(q+1) = a0^2 - d a1^2 = b generates
+    GF(q^2)* iff no g^beta with 0 < beta <= q lies on the base line;
+    then each i < q^2 - 1 is alpha*(q+1) + beta with alpha < q - 1,
+    beta <= q, and g^i = b^alpha g^beta.  The tables, of at most q + 1
+    entries, hold the b-logs of the coordinates of each g^beta, and
+    rho[t] = log(t + s) for t in GF(q).  So log(a0 + a1 s) is
+    (q+1) log_b(a1) + rho[a0/a1] for a1 != 0, and binet reads y^n at a
+    point of V, where a0 = 1/2, in a few lookups.  The build raises
+    InternalCheckError unless the base log inverts the base exp, the
+    walk's g^(q+1) is b and rho fills once per slot.
     """
 
-    __slots__ = ("base", "q", "size", "d", "_split", "_buildable", "_reps",
-                 "_rho")
+    __slots__ = ("base", "q", "size", "d", "_split", "_reps", "_rho")
 
     def __init__(self, base):
         if base.p == 2:
@@ -642,8 +634,6 @@ class QuadExt:
         while t % 2 == 0:
             s, t = s + 1, t // 2
         self._split = (s, t, base.pow(self.d, t))
-        self._buildable = (self.q <= _LOG_TABLE_MAX_Q
-                           and base._exp is not None)
         self._reps = self._rho = None
 
     def __repr__(self):
@@ -686,7 +676,10 @@ class QuadExt:
         t = y // q
         if self._rho is not None or self._build():
             exp, log, m = F._exp, F._log, q - 1
-            alpha, beta = divmod(self._logof(y) * n % (self.size - 1), q + 1)
+            # log y = (q+1) log_b(t) + rho[(1/2)/t]; a negative index
+            # wraps into the second half of the doubled exp
+            ly = (q + 1) * log[t] + self._rho[exp[log[F.half] - log[t]]]
+            alpha, beta = divmod(ly * n % (self.size - 1), q + 1)
             l0, l1 = self._reps[beta]
             d = (2 - c) % F.p
             return F.add(
@@ -700,10 +693,11 @@ class QuadExt:
     # -- the coset tables ----------------------------------------------------
 
     def _build(self):
-        """Build the coset tables if buildable; say if built.  g is the
-        first a0 + a1 s (a1 = 1, 2, ...; a0 off the base log) of norm b
-        whose walk stays off the base line up to g^q."""
-        if not self._buildable:
+        """Build the coset tables if the base field has exp/log tables;
+        say if built.  g is the first a0 + a1 s (a1 = 1, 2, ...; a0 off
+        the base log) of norm b whose walk stays off the base line up to
+        g^q."""
+        if self.base._exp is None:
             return False
         F, q, order = self.base, self.q, self.size - 1
         exp, log = F._exp, F._log
@@ -744,15 +738,6 @@ class QuadExt:
                       for r in reps]
         self._rho = rho
         return True
-
-    def _logof(self, u):
-        a1, a0 = divmod(u, self.q)
-        exp, log = self.base._exp, self.base._log
-        # a1 != 0, as binet reads points of V alone;
-        # a0/a1 = b^(log a0 - log a1), a negative index wraps into the
-        # second half of the doubled exp
-        t = exp[log[a0] - log[a1]] if a0 else 0
-        return (self.q + 1) * log[a1] + self._rho[t]
 
 
 @lru_cache(maxsize=EXT_CACHE_SIZE)

@@ -660,6 +660,54 @@ class TestChecks:
         assert calls == {"sums_bruteforce": tables, "c_coeffs": tables,
                          "b_coeffs": tables}
 
+    def test_pp_disagreement_exits_1(self, capsys, monkeypatch):
+        # one flipped verdict of the 2-to-1 criterion, at n = 2, k = 1
+        real = permcheck.is_pp_two_to_one
+
+        def flipped(F, n, k):
+            report = real(F, n, k)
+            if (n, k) == (2, 1):
+                report.verdict = not report.verdict
+            return report
+        monkeypatch.setattr(permcheck, "is_pp_two_to_one", flipped)
+        argv = ("pp", "--field", "7", "--n", "1..3", "--k", "0,1")
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert out.splitlines()[-1] == "criteria disagree on 1 rows"
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        blob = json.loads(out)
+        assert code == 1 and blob["disagreements"] == 1
+        assert [(row["n"], row["k"]) for row in blob["rows"]
+                if not row["agree"]] == [(2, 1)]
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert code == 1 and len(rows) == 6
+        assert [(row["n"], row["k"]) for row in rows
+                if row["agree"] == "false"] == [("2", "1")]
+
+    def test_verify_theorem_failure_exits_1(self, capsys, monkeypatch):
+        # the right side of T2.2 flipped at n = 4 for k = 0 and k = 1
+        st = permcheck.STATEMENTS["T2.2"]
+        real = st.rhs
+        monkeypatch.setattr(st, "rhs", lambda F, l, n, k: real(F, l, n, k)
+                            != (n == 4 and k in (0, 1)))
+        argv = ("verify", "T2.2", "--p", "5", "--e", "1", "--n", "0..12")
+        code, out, _ = run(capsys, *argv)
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[0] == "T2.2: 65 grid points, 2 failures"
+        assert lines[-1] == "pass: false"
+        fails = [json.loads(line[len("FAIL "):]) for line in lines[1:-1]]
+        assert all(line.startswith("FAIL ") for line in lines[1:-1])
+        assert [(f["n"], f["k"], f["ok"]) for f in fails] == \
+            [(4, 0, False), (4, 1, False)]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        blob = json.loads(out)
+        assert code == 1 and blob["pass"] is False
+        assert blob["failures"] == fails
+        assert blob["failures"] == [ent for ent in blob["grid"]
+                                    if not ent["ok"]]
+
     def test_verify_theorem_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "T2.2", "--p", "5", "--e", "1",
                            "--n", "0..12")

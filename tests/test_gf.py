@@ -472,10 +472,11 @@ def slow_zech(F, exp, log):
     return zech + zech
 
 
-# every e >= 2 field up to the default q bound, and GF(3^6) above it
+# every e >= 2 field up to the default q bound, GF(3^6) above it, and
+# prime fields, whose walk steps u*g mod p
 @pytest.mark.parametrize("p, e", [
     (p, e) for p in (2, 3, 5, 7, 11, 13, 17) for e in range(2, 9)
-    if p ** e <= gf.DEFAULT_MAX_Q] + [(3, 6)])
+    if p ** e <= gf.DEFAULT_MAX_Q] + [(3, 6), (3, 1), (7, 1), (337, 1)])
 def test_linear_walk_tables_match_the_slow_walk(p, e):
     F = gf.make_field(p, e)
     exp, log = slow_walk(F)
@@ -513,8 +514,10 @@ def test_char2_slow_add_is_the_digit_loop():
 def test_a_wrong_zech_input_fails_the_build(monkeypatch, capsys):
     # the Zech table reads each exp entry of one period, each log entry
     # but log[0] and log[1], and one digit step 1 + u per exp entry.
-    # Every wrong value of any one of them raises before a field is made
+    # Every wrong value of any one of them raises before a field is made;
+    # over GF(337), a sample of the slots and of their wrong values
     walk, zech_table = gf._cyclic_tables, gf._zech_table
+    rng = random.Random(337)
 
     def fault(m, where, i, wrong):
         if where == "step":
@@ -529,15 +532,16 @@ def test_a_wrong_zech_input_fails_the_build(monkeypatch, capsys):
             m.setattr(gf, "_cyclic_tables", faulted_walk)
 
     caught = 0
-    for p, e in ((2, 3), (3, 2), (2, 4), (3, 3)):
+    for p, e in ((2, 3), (3, 2), (2, 4), (3, 3), (3, 1), (7, 1), (337, 1)):
         F = gf.make_field(p, e)
         exp = F._exp[:F.q - 1]
         ones = [F._add_slow(1, u) for u in exp]
+        pick = (lambda xs: rng.sample(xs, 8)) if F.q > 100 else list
         for where, table, slots in (("exp", exp, range(F.q - 1)),
                                     ("log", F._log, range(2, F.q)),
                                     ("step", ones, range(F.q - 1))):
-            for i in slots:
-                for wrong in set(range(F.q)) - {table[i]}:
+            for i in pick(slots):
+                for wrong in pick(sorted(set(range(F.q)) - {table[i]})):
                     with monkeypatch.context() as m:
                         fault(m, where, i, wrong)
                         with pytest.raises(gf.InternalCheckError,
@@ -618,13 +622,13 @@ def test_a_wrong_column_fails_the_build(monkeypatch, capsys):
 
 def fast_and_slow(F, monkeypatch):
     """A fresh extension, whose first binet point builds its coset
-    tables, and one that read a size bound of 0 at construction and
-    never builds them (y^n by square-and-multiply over the coordinate
-    product)."""
+    tables, and one over the same field made under a size bound of 0,
+    which has no exp/log tables, so the extension never builds them
+    (y^n by square-and-multiply over the coordinate product)."""
     fast = gf.QuadExt(F)
     with monkeypatch.context() as m:
         m.setattr(gf, "_LOG_TABLE_MAX_Q", 0)
-        slow = gf.QuadExt(F)
+        slow = gf.QuadExt(gf.make_field(F.p, F.e, F.modulus))
     return fast, slow
 
 
@@ -785,32 +789,48 @@ def test_a_wrong_times_step_fails_the_build(fault, match, monkeypatch,
     assert capsys.readouterr().err.startswith("internal cross-check failed")
 
 
+def wrong_log(c, delta):
+    """A walk whose log[c] of GF(337)* is off by delta."""
+    walk = gf._cyclic_tables
+
+    def faulted_walk(F):
+        exp, log = walk(F)
+        log[c] = (log[c] + delta) % 336
+        return exp, log
+    return faulted_walk
+
+
 def test_a_wrong_base_power_fails_the_build(monkeypatch, capsys):
     # the build reads its a0 and the b-logs of every coordinate off the
     # base log.  Over the prime field GF(337), whose products read no
-    # table, a wrong entry there reaches the coset build alone: each
-    # raises before a table is kept
-    walk = gf._cyclic_tables
+    # table, the Zech check catches a wrong entry there as the field is
+    # made, all but log[1], as no 1 + g^i is 1; the coset build catches
+    # that one.  Each raises before a table is kept
     for c in (1, 2, 336) + tuple(random.Random(7).sample(range(3, 336), 10)):
         for delta in (1, 2, 335):
-            def wrong_log(F, c=c, delta=delta):
-                exp, log = walk(F)
-                log[c] = (log[c] + delta) % 336
-                return exp, log
             with monkeypatch.context() as m:
-                m.setattr(gf, "_cyclic_tables", wrong_log)
-                got = built_or_raised(gf.QuadExt(gf.make_field(337)), m)
-            assert got and "does not invert" in got
-    # a run that needs the coset tables reports the failed cross-check
-    with monkeypatch.context() as m:
-        m.setattr(gf, "_cyclic_tables", wrong_log)
-        gf.quadratic_extension.cache_clear()
-        rdpoly._principal_y.cache_clear()
-        assert cli.main(["pp", "--field", "337", "--n", "2", "--k", "1",
-                         "--criteria", "two_to_one"]) == 1
-        gf.quadratic_extension.cache_clear()
-        rdpoly._principal_y.cache_clear()
-    assert capsys.readouterr().err.startswith("internal cross-check failed")
+                m.setattr(gf, "_cyclic_tables", wrong_log(c, delta))
+                try:
+                    F = gf.make_field(337)
+                except gf.InternalCheckError as exc:
+                    got = str(exc)
+                else:
+                    got = built_or_raised(gf.QuadExt(F), m)
+            assert got and ("does not invert" if c == 1
+                            else "not a permutation") in got, (c, delta)
+    # a run that needs the field or the coset tables reports the failed
+    # cross-check
+    for c in (1, 2):
+        with monkeypatch.context() as m:
+            m.setattr(gf, "_cyclic_tables", wrong_log(c, 1))
+            gf.quadratic_extension.cache_clear()
+            rdpoly._principal_y.cache_clear()
+            assert cli.main(["pp", "--field", "337", "--n", "2", "--k", "1",
+                             "--criteria", "two_to_one"]) == 1
+            gf.quadratic_extension.cache_clear()
+            rdpoly._principal_y.cache_clear()
+        assert capsys.readouterr().err.startswith(
+            "internal cross-check failed")
 
 
 def test_extension_caches_stay_bounded():
@@ -824,3 +844,16 @@ def test_extension_caches_stay_bounded():
         info = cache.cache_info()
         assert info.maxsize == gf.EXT_CACHE_SIZE
         assert info.currsize == gf.EXT_CACHE_SIZE
+
+
+@pytest.mark.parametrize("refused, match", [
+    (lambda: gf.make_field(2, 3).half,
+     "1/2 does not exist in characteristic 2"),
+    (lambda: gf.make_field(2, 3).quarter,
+     "1/4 does not exist in characteristic 2"),
+    (lambda: gf.split_field_descriptor("9/1,a,1"),
+     "bad modulus in field descriptor"),
+], ids=["half", "quarter", "descriptor"])
+def test_library_refusals(refused, match):
+    with pytest.raises(ValueError, match=match):
+        refused()

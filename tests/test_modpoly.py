@@ -68,3 +68,9 @@ def test_power_over_integers():
     for a in range(-3, 4):
         for n in range(10):
             assert modpoly.power(lambda u, v: u * v, a, n, 1) == a ** n
+
+
+def test_library_refusals():
+    with pytest.raises(ZeroDivisionError,
+                       match="polynomial division by zero"):
+        modpoly.divmod_poly([1], [], 5)

@@ -221,12 +221,13 @@ def stepped(F, k, x, count):
 
 
 class TestRowKernels:
-    # each loop body of FieldSpec.lucas: ints mod p (GF(3), GF(7)),
-    # Zech logs with odd p (GF(9), GF(25), GF(27)) and with p = 2
-    # (GF(8), GF(16)), and add/sub/mul on fields built with no tables
+    # each loop body of FieldSpec.lucas: ints mod p (GF(3), GF(7), with
+    # tables and without), Zech logs with odd p (GF(9), GF(25), GF(27))
+    # and with p = 2 (GF(8), GF(16)), and add/sub/mul on fields built
+    # with no tables
     BODIES = [("3", True), ("7", True), ("9", True), ("25", True),
               ("27", True), ("8", True), ("16", True), ("9", False),
-              ("8", False)]
+              ("8", False), ("7", False)]
 
     @pytest.mark.parametrize("desc, tables", BODIES,
                              ids=[f"GF({d})-{'tables' if t else 'none'}"
@@ -583,7 +584,8 @@ def functional_map_by_formula(ext, n, k, y):
 
 class TestFunctionalRow:
     ROWS = [("5", True), ("7", True), ("9", True), ("25", True),
-            ("27", True), ("49", True), ("125", True), ("9", False)]
+            ("27", True), ("49", True), ("125", True), ("9", False),
+            ("7", False)]
 
     @pytest.mark.parametrize("desc, tables", ROWS,
                              ids=[f"GF({d})-{'tables' if t else 'none'}"
@@ -704,3 +706,17 @@ class TestCoefficientTuples:
                     poly = rd.as_polynomial(F, n, k)
                     assert isinstance(poly, tuple)
                     assert not poly or poly[-1] != 0
+
+
+@pytest.mark.parametrize("refused, match", [
+    (lambda: rd.char2_eval(F5, 3, 1, 2),
+     "char2_eval is for characteristic 2"),
+    (lambda: rd.fnk_coeffs(-1, 0), "n must be non-negative"),
+    (lambda: rd.genfun_coeffs(F4, 1, 3, 4),
+     "the series route needs odd characteristic"),
+    (lambda: rd.genfun_coeffs(F5, 1, 3, -1),
+     "count must be non-negative"),
+], ids=["char2_eval", "fnk_coeffs", "genfun_p2", "genfun_count"])
+def test_library_refusals(refused, match):
+    with pytest.raises(ValueError, match=match):
+        refused()
