@@ -54,11 +54,14 @@ SMALL_N = 5000          # bound for the O(n) and O(n^2) cross-check routes
 
 
 def _parse_range_list(text, what, max_q, minimum=None):
-    """Accept "4", "1..10", "5,7,9" and mixtures like "0..2,6".
+    """Accept "4", "1..10", "5,7,9" and mixtures like "0..2,6"; None for
+    a flag not given.
 
     The entries are counted, and held to the grid bound, before any
     list is built.
     """
+    if text is None:
+        return None
     spans = []
     for token in text.split(","):
         lo, sep, hi = token.strip().partition("..")
@@ -90,16 +93,12 @@ def _load_field(args, max_q):
     if not args.field:
         raise ValueError("--field is required for this command")
     p, e, modulus = gf.split_field_descriptor(args.field)
-    _guard_field(p, e, max_q)
-    return gf.make_field(p, e, modulus)
-
-
-def _guard_field(p, e, max_q):
-    """Refuse GF(p^e) above the q bound before anything of it is built."""
+    # refused above the q bound before anything of the field is built
     if gf.exceeds_size_bound(p, e, max_q):
         size = p if e == 1 else f"{p}^{e}"
         raise ValueError(f"field size {size} exceeds the bound "
                          f"q <= {max_q}; pass --unsafe-large")
+    return gf.make_field(p, e, modulus)
 
 
 def _guard_grid(n_points, max_q):
@@ -161,14 +160,6 @@ def _terms(coeffs, var, F=None):
     return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
-def _render(fmt, pretty_lines, json_obj, csv_header, csv_rows):
-    if fmt == "json":
-        return _json_text(json_obj)
-    if fmt == "csv":
-        return _csv_text(csv_header, csv_rows)
-    return "\n".join(pretty_lines)
-
-
 def _json_text(obj):
     import json
     return json.dumps(obj, sort_keys=True, indent=2)
@@ -210,8 +201,13 @@ def _output(args):
 
 
 def _emit(args, pretty_lines, json_obj, csv_header, csv_rows):
-    _write(args, _render(args.format, pretty_lines, json_obj, csv_header,
-                         csv_rows))
+    if args.format == "json":
+        text = _json_text(json_obj)
+    elif args.format == "csv":
+        text = _csv_text(csv_header, csv_rows)
+    else:
+        text = "\n".join(pretty_lines)
+    _write(args, text)
 
 
 def _write(args, text):
@@ -310,8 +306,7 @@ def cmd_pp(args, max_q):
     from . import permcheck
     F = _load_field(args, max_q)
     ns = _parse_range_list(args.n, "--n", max_q, minimum=1)
-    ks = (_parse_range_list(args.k, "--k", max_q) if args.k is not None
-          else list(range(F.p)))
+    ks = _parse_range_list(args.k, "--k", max_q) or list(range(F.p))
     _guard_grid(len(ns) * len(ks), max_q)
     criteria = [c.strip() for c in args.criteria.split(",") if c.strip()]
     if not criteria:
@@ -327,7 +322,8 @@ def cmd_pp(args, max_q):
     if F.p == 2 and "two_to_one" in criteria:
         raise ValueError("the two_to_one criterion needs odd characteristic")
 
-    rows, disagreements = [], 0
+    header = ["n", "k", *criteria, "agree"]
+    rows, csv_rows, disagreements = [], [], 0
     for n in ns:
         for k in ks:
             verdicts = {crit: tests[crit](F, n, k).verdict
@@ -335,16 +331,9 @@ def cmd_pp(args, max_q):
             agree = len(set(verdicts.values())) == 1
             disagreements += not agree
             rows.append({"n": n, "k": k % F.p, **verdicts, "agree": agree})
-
-    header = ["n", "k", *criteria, "agree"]
-    pretty = [" ".join(header)]
-    csv_rows = []
-    for row in rows:
-        cells = [str(row["n"]), str(row["k"])]
-        cells += [_bool(row[c]) for c in criteria]
-        cells.append(_bool(row["agree"]))
-        pretty.append(" ".join(cells))
-        csv_rows.append(cells)
+            csv_rows.append([str(n), str(k % F.p),
+                             *map(_bool, verdicts.values()), _bool(agree)])
+    pretty = [" ".join(cells) for cells in [header, *csv_rows]]
     if disagreements:
         pretty.append(f"criteria disagree on {disagreements} rows")
     jobj = {"command": "pp", "field": gf.field_descriptor(F),
@@ -378,12 +367,9 @@ def cmd_verify(args, max_q):
         raise ValueError("--p and --e are required for theorem grids")
     ps = _parse_range_list(args.p, "--p", max_q)
     es = _parse_range_list(args.e, "--e", max_q, minimum=1)
-    ls = (_parse_range_list(args.l, "--l", max_q, minimum=0)
-          if args.l is not None else None)
-    ns = (_parse_range_list(args.n, "--n", max_q, minimum=0)
-          if args.n is not None else None)
-    ks = (_parse_range_list(args.k, "--k", max_q)
-          if args.k is not None else None)
+    ls = _parse_range_list(args.l, "--l", max_q, minimum=0)
+    ns = _parse_range_list(args.n, "--n", max_q, minimum=0)
+    ks = _parse_range_list(args.k, "--k", max_q)
     for p in ps:
         if not gf.is_prime(p):
             raise ValueError(f"--p entries must be prime, got {p}")
@@ -404,7 +390,7 @@ def cmd_verify(args, max_q):
                    for ent in failures]
     pretty.append(f"pass: {_bool(not failures)}")
     keys = sorted({key for ent in entries for key in ent})
-    csv_rows = [[_csv_cell(ent.get(key)) for key in keys] for ent in entries]
+    csv_rows = [[_csv_cell(ent[key]) for key in keys] for ent in entries]
     jobj = {"theorem": args.target, "pass": not failures, "grid": entries,
             "failures": failures}
     _emit(args, pretty, jobj, keys, csv_rows)
@@ -412,8 +398,6 @@ def cmd_verify(args, max_q):
 
 
 def _csv_cell(value):
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return _bool(value)
     return str(value)
@@ -424,8 +408,7 @@ def _verify_sums(args, max_q):
     F = _load_field(args, max_q)
     if F.p == 2:
         raise ValueError("sum tables need odd characteristic")
-    ks = (_parse_range_list(args.k, "--k", max_q) if args.k is not None
-          else list(range(F.p)))
+    ks = _parse_range_list(args.k, "--k", max_q) or list(range(F.p))
     _guard_grid(len(ks) * F.q ** 2, max_q)
     results, failures = [], []
     for k in ks:

@@ -12,8 +12,7 @@ GF(q^2) is modelled separately as GF(q)[s]/(s^2 - d) with d the first
 non-square of GF(q)*: an extension element is an int u = a0 + a1*q
 built from two base-field encodings, so base elements embed as
 themselves and membership in the base line is the test u < q.  Square
-roots are taken by Tonelli-Shanks with that same d as the non-square,
-its constants computed once per extension.
+roots are taken by Tonelli-Shanks with that same d as the non-square.
 
 Construction validates everything (primality, monic irreducible
 modulus); after that a FieldSpec is immutable and safe to share.  A
@@ -124,18 +123,19 @@ def _cyclic_tables(F):
     the first walk that first comes back to 1 after N = q - 1 steps
     runs once through GF(q)*, so it is its own order test, and gives
     exp[i] = g^i for i < N and log[g^i] = i (log[0] = 0 is unused).
-    For e = 1 a step is u*g mod p.  For e >= 2 it is GF(p)-linear: for
-    u with digits u_i, u*g is the sum of u_i ((p^i)*g), each (p^i)*g
-    one slow product.  The walk keeps that sum over the integers, in a
-    radix 2^b whose digits hold e products of two digits without carry,
-    so a step is one pass over its digits: each is reduced mod p, which
-    gives a digit of u*g and the term it adds to the next sum.
+    A step is GF(p)-linear: for u with digits u_i, u*g is the sum of
+    u_i ((p^i)*g), each (p^i)*g one slow product (for e = 1 the one
+    digit u and g itself).  The walk keeps that sum over the integers,
+    in a radix 2^b whose digits hold e products of two digits without
+    carry, so a step is one pass over its digits: each is reduced mod
+    p, which gives a digit of u*g and the term it adds to the next sum.
 
     A walk that has not come back after N steps raises
     InternalCheckError.  A linear step whose walk runs through GF(q)*
     is the product by some element of some field on the same digits,
     which is this field iff its powers x^0 .. x^e of x (encoded p) are
-    the ones the modulus fixes; for e >= 2 anything else raises too.
+    the ones the modulus fixes; for e >= 2 anything else raises too,
+    and for e = 1 every such step is a product in GF(p).
     """
     p, q, order = F.p, F.q, F.q - 1
     b = (F.e * (p - 1) ** 2).bit_length()
@@ -144,22 +144,19 @@ def _cyclic_tables(F):
     for g in range(1, q):
         terms = [(i * b, s, sum(c << j * b for j, c in
                                 enumerate(F.coeffs(F._mul_slow(s, g)))))
-                 for i, s in enumerate(F._pows[:-1])] if F.e > 1 else None
-        acc, wide = 1, terms and terms[0][2]
+                 for i, s in enumerate(F._pows[:-1])]
+        acc, wide = 1, terms[0][2]
         for i in range(order):
             exp[i] = acc
             log[acc] = i
-            if terms is None:
-                acc = acc * g % p
-            else:
-                # wide is acc * g with unreduced digits: one pass
-                # reduces them to the next acc and sums its product by g
-                acc = nxt = 0
-                for shift, s, col in terms:
-                    d = (wide >> shift & mask) % p
-                    acc += d * s
-                    nxt += d * col
-                wide = nxt
+            # wide is acc * g with unreduced digits: one pass
+            # reduces them to the next acc and sums its product by g
+            acc = nxt = 0
+            for shift, s, col in terms:
+                d = (wide >> shift & mask) % p
+                acc += d * s
+                nxt += d * col
+            wide = nxt
             if acc == 1:
                 break
         else:
@@ -494,11 +491,11 @@ def exceeds_size_bound(p, e, max_q):
 def make_field(p, e=1, modulus=None):
     """Construct GF(p**e).
 
-    Without an explicit modulus, degree 1 uses the convention
-    modulus = x, and degree >= 2 picks the lexicographically smallest
-    monic irreducible (constant term compared first).  An explicit
-    modulus must be monic of degree e and irreducible; coefficients
-    are given constant term first and reduced mod p.
+    Degree 1 takes the modulus x, (0, 1), alone, given or not; degree
+    >= 2 defaults to the lexicographically smallest monic irreducible
+    (constant term compared first).  An explicit modulus must be monic
+    of degree e and irreducible; coefficients are given constant term
+    first and reduced mod p.
     """
     _check_p_and_e(p, e)
     if modulus is None:
@@ -508,7 +505,10 @@ def make_field(p, e=1, modulus=None):
         if len(modulus) != e + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree e, "
                              "constant term first")
-        if e >= 2 and not is_irreducible(list(modulus), p):
+        if e == 1 and modulus != (0, 1):
+            raise ValueError(f"a prime field takes the modulus x, (0, 1), "
+                             f"alone; got {modulus}")
+        if not is_irreducible(list(modulus), p):
             raise ValueError(f"modulus {modulus} is reducible over GF({p})")
     return FieldSpec(p, e, modulus)
 
@@ -619,7 +619,7 @@ class QuadExt:
     walk's g^(q+1) is b and rho fills once per slot.
     """
 
-    __slots__ = ("base", "q", "size", "d", "_split", "_reps", "_rho")
+    __slots__ = ("base", "q", "size", "d", "_reps", "_rho")
 
     def __init__(self, base):
         if base.p == 2:
@@ -629,11 +629,6 @@ class QuadExt:
         self.q = base.q
         self.size = base.q * base.q
         self.d = next(x for x in range(1, base.q) if not base.is_square(x))
-        # Tonelli-Shanks constants: q - 1 = 2^s t with t odd, and c = d^t
-        s, t = 0, self.q - 1
-        while t % 2 == 0:
-            s, t = s + 1, t // 2
-        self._split = (s, t, base.pow(self.d, t))
         self._reps = self._rho = None
 
     def __repr__(self):
@@ -770,12 +765,15 @@ def sqrt_ext(ext, v):
 def _tonelli_shanks(ext, v):
     """One square root in GF(q) of v != 0, or None if v is a non-square.
 
-    With q - 1 = 2^s t (t odd) and c = d^t from the extension, one power
-    h = v^((t-1)/2) gives r = v h = v^((t+1)/2) and u = r h = v^t.  v is
-    a square iff u^(2^(s-1)) = 1, which the first round decides.
+    With q - 1 = 2^s t (t odd) and c = d^t for the extension's d, one
+    power h = v^((t-1)/2) gives r = v h = v^((t+1)/2) and u = r h = v^t.
+    v is a square iff u^(2^(s-1)) = 1, which the first round decides.
     """
     F = ext.base
-    m, t, c = ext._split
+    m, t = 0, F.q - 1
+    while t % 2 == 0:
+        m, t = m + 1, t // 2
+    c = F.pow(ext.d, t)
     h = F.pow(v, (t - 1) // 2)
     r = F.mul(v, h)
     u = F.mul(r, h)

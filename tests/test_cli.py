@@ -836,11 +836,14 @@ class TestGuardsAndErrors:
     @pytest.mark.parametrize("argv, msg", [
         (("field-info", "--field", "3^2/2,0,1"),
          "modulus (2, 0, 1) is reducible over GF(3)"),
+        (("field-info", "--field", "3^1/1,1"),
+         "a prime field takes the modulus x, (0, 1), alone; got (1, 1)"),
         (("verify", "T2.1", "--p", "3", "--e", "7"),
          "grid point GF(3^7) exceeds the size bound q <= 343"),
         (("poly", "--field", "8", "--n", "3", "--k", "1"),
          "as_polynomial needs odd characteristic"),
-    ], ids=["reducible-modulus", "verify-past-bound", "library-error"])
+    ], ids=["reducible-modulus", "prime-field-modulus", "verify-past-bound",
+            "library-error"])
     def test_library_value_errors_are_one_usage_line(self, argv, msg):
         # a ValueError from the library reaches main unwrapped: exit 2
         # and its message as the one stderr line, with no traceback

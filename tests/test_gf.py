@@ -144,8 +144,16 @@ def test_field_axioms_gf25(a, b, c):
 
 
 def test_descriptor_roundtrip():
-    for F in (gf.make_field(5), gf.make_field(3, 2), gf.make_field(7, 2)):
+    # default moduli, then explicit ones of degree 1, 2 and 3; a prime
+    # field's explicit x is its default, and prints as "p"
+    for F in (gf.make_field(5), gf.make_field(3, 2), gf.make_field(7, 2),
+              gf.make_field(2, 3), gf.make_field(3, 1, (0, 1)),
+              gf.make_field(7, 1, (7, 1)), gf.make_field(3, 2, (2, 2, 1)),
+              gf.make_field(2, 3, (1, 0, 1, 1)),
+              gf.make_field(3, 3, (2, 2, 0, 1))):
         assert gf.parse_field_descriptor(gf.field_descriptor(F)) == F
+    assert gf.make_field(3, 1, (0, 1)) == gf.make_field(3)
+    assert gf.parse_field_descriptor("3^1/0,1") == gf.make_field(3)
     assert gf.parse_field_descriptor("9") == gf.make_field(3, 2)
     assert gf.parse_field_descriptor("3^2/1,0,1") == gf.make_field(3, 2)
     assert gf.parse_field_descriptor("27").q == 27
@@ -473,7 +481,7 @@ def slow_zech(F, exp, log):
 
 
 # every e >= 2 field up to the default q bound, GF(3^6) above it, and
-# prime fields, whose walk steps u*g mod p
+# prime fields, whose walk is the same digit pass over one digit
 @pytest.mark.parametrize("p, e", [
     (p, e) for p in (2, 3, 5, 7, 11, 13, 17) for e in range(2, 9)
     if p ** e <= gf.DEFAULT_MAX_Q] + [(3, 6), (3, 1), (7, 1), (337, 1)])
@@ -853,7 +861,11 @@ def test_extension_caches_stay_bounded():
      "1/4 does not exist in characteristic 2"),
     (lambda: gf.split_field_descriptor("9/1,a,1"),
      "bad modulus in field descriptor"),
-], ids=["half", "quarter", "descriptor"])
+    # a prime field used to keep such a modulus, print it, and compare
+    # unequal to GF(3) under the same descriptor "3"
+    (lambda: gf.make_field(3, 1, (1, 1)),
+     r"a prime field takes the modulus x, \(0, 1\), alone; got \(1, 1\)"),
+], ids=["half", "quarter", "descriptor", "prime-field-modulus"])
 def test_library_refusals(refused, match):
     with pytest.raises(ValueError, match=match):
         refused()

@@ -228,9 +228,10 @@ class TestStatementTable:
 
     @pytest.mark.parametrize("theorem", pc.THEOREM_IDS)
     def test_row_shape(self, theorem):
-        # pins the CSV columns of `verify` for each statement
-        rows = pc.verify_theorem(theorem, [5], [1], ns=[2, 3], ls=[0, 1])
-        assert rows
+        # pins the CSV columns of `verify` for each statement: the CLI
+        # reads every column of every entry, across fields too
+        rows = pc.verify_theorem(theorem, [5], [1, 2], ns=[2, 3], ls=[0, 1])
+        assert len({ent["field"] for ent in rows}) == 2
         assert all(set(ent) == self.SHAPES[theorem] for ent in rows)
 
     @pytest.mark.parametrize("theorem", pc.THEOREM_IDS)
