@@ -11,13 +11,18 @@ Every ingredient is built from its closed shape, in whole-list passes:
 b is a comb with two teeth at each multiple of q - 1, the first part
 of c is runs of equal entries, and the mixer polynomial is two exact
 divisions by z - 2 of an O(q) numerator.  The one large product,
-mixer * b, is q + 1 shifted copies of mixer * (b_0 + b_1 z); d is
+mixer * b, is q + 1 shifted copies of mixer * (b_0 + b_1 z), which
+between two edges of 2q - 1 entries is one period of q - 1 entries
+repeated: c costs O(q) Python steps plus one list repetition.  d is
 solved one block of q entries per list pass, and the offsets
 (k(n-1)+2)/2^n repeat with a period dividing p(p - 1).  A table costs
 O(q^2) list work beyond the field, O(q) of it in Python steps.
-sums_bruteforce is the term-by-term oracle, O(q^3) for all n at once.
+sums_bruteforce is the oracle: every kind is read off one pass per field
+that sums the sequences U_n(x) term by term over all x, each walked
+to its period.
 """
 
+from functools import lru_cache
 from itertools import accumulate, cycle, islice
 from operator import add
 
@@ -89,34 +94,71 @@ def _mixer(q, p):
     return mixer
 
 
+def _comb_window(q, p, tooth, lo, hi):
+    """Entries lo .. hi - 1 of c, summed term by term: the first product
+    of c_coeffs plus the teeth at the multiples of q - 1 that reach each
+    index."""
+    out = [(0 < i < q * q) + (i == q) - (i == q * q + q - 1)
+           for i in range(lo, hi)]
+    step, width = q - 1, len(tooth)
+    first = max(0, -((width - 1 - lo) // step)) * step
+    for s in range(first, min(q * step, hi - 1) + 1, step):
+        a, z = max(lo, s), min(hi, s + width)
+        out[a - lo:z - lo] = map(add, out[a - lo:z - lo], tooth[a - s:z - s])
+    return [v % p for v in out]
+
+
+def _folded_period(q, p, tooth):
+    """Entries 2q - 1 .. 3q - 3 of c, one period of its interior.
+
+    Between the edges every index meets the teeth at all the multiples
+    of q - 1 that can reach it, so its entry is 1 from the first product
+    plus the tooth folded mod q - 1, read at the index mod q - 1; the
+    period starts at 2q - 1, which is 1 mod q - 1.
+    """
+    step = q - 1
+    fold = [1] * step
+    for s in range(0, len(tooth), step):
+        chunk = tooth[s:s + step]
+        fold[:len(chunk)] = map(add, fold, chunk)
+    return [v % p for v in fold[1:] + fold[:1]]
+
+
 def c_coeffs(F, k):
     """Right-hand-side vector c, indices 0 .. q^2 + q - 1.
 
     c(z) = (1 + z^(q-1) - z^q) * (z + ... + z^(q^2-1)) - mixer(z) * b(z).
     The first product is 1 at degrees 1 .. q^2 - 1 except 2 at q, then
-    -1 at q^2 + q - 1.  b is the comb of b_coeffs, so mixer * b is
-    mixer * (b_0 + b_1 z) added at every multiple of q - 1.
+    -1 at q^2 + q - 1.  b is the comb of b_coeffs, so mixer * b is one
+    2q-wide tooth, -mixer * (b_0 + b_1 z), added at every multiple of
+    q - 1.  Outside a head and a tail of 2q - 1 entries each, every index
+    meets all the teeth that could reach it, so the interior, (q - 1)(q - 2)
+    entries, is one folded period repeated; the edges are summed from
+    the few teeth that reach them.
 
-    The constant term must vanish and the degree stays below q^2 + q;
-    both are asserted, not assumed.
+    The constant term must vanish, nothing may reach past degree
+    q^2 + q - 1, and the first and last period of the fill, at both
+    seams (from 2q - 1 on and up to q^2 - q), summed again from the
+    teeth, must equal the fill; all three are checked.
     """
     q, p = F.q, F.p
     b = b_coeffs(F, k)
     mixer = _mixer(q, p)
     b0, b1 = b[0], b[1]
     tooth = [-(b0 * x + b1 * y) % p for x, y in zip(mixer + [0], [0] + mixer)]
-    width, last = len(tooth), len(b) - 2
-    c = ([0] + [1] * (q - 1) + [2] + [1] * (q * q - q - 1) + [0] * (q - 1)
-         + [p - 1])
-    c += [0] * (last + width - len(c))
-    for s in range(0, last + 1, q - 1):
-        c[s:s + width] = map(add, c[s:s + width], tooth)
-    c = [v % p for v in c]
+    size, edge = q * q + q, 2 * q - 1
+    c = (_comb_window(q, p, tooth, 0, edge)
+         + _folded_period(q, p, tooth) * (q - 2)
+         + _comb_window(q, p, tooth, size - edge, q * q - q + len(tooth)))
     if c[0] != 0:
         raise InternalCheckError("c-vector constant term is nonzero")
-    if any(c[q * q + q:]):
+    if any(c[size:]):
         raise InternalCheckError("c-vector degree exceeds its bound")
-    return c[:q * q + q]
+    for lo in (edge, size - edge - q + 1):
+        if c[lo:lo + q - 1] != _comb_window(q, p, tooth, lo, lo + q - 1):
+            raise InternalCheckError(
+                f"c-vector periodic fill disagrees with the teeth at {lo}")
+    return c[:size]
 
 
 # -- the recurrence --------------------------------------------------------
@@ -199,19 +241,78 @@ def sums_via_recurrence(F, k):
     return SumTable(F, k, c, d, sums)
 
 
-def sums_bruteforce(F, k):
-    """Term-by-term oracle: S[n] = sum over x of D(n,k; 1,x), n < q^2.
+def _u_columns(F):
+    """(x, column) for every x in GF(q), where U_0 = 0, U_1 = 1 and
+    U_m = U_{m-1} - x U_{m-2}.
 
-    One pass per x of v_0 = 2 - k, v_1 = 1, v_m = v_{m-1} - x v_{m-2},
-    O(q^3) field ops: no index reduction, special point or doubling.
+    Each x walks its state (U_m, U_{m+1}) from (0, 1) until the state
+    comes back, and its column is U_0(x) .. U_{T-1}(x) for the period T
+    so detected (the step is invertible for x != 0); or until q^2 + 1
+    terms are out, when the column is U_0(x) .. U_{q^2}(x): x = 0 has
+    U_m = 1 for every m >= 1 and never comes back.  Reads only F.add,
+    F.mul, F.neg and the recurrence: a step is one lookup in a local add
+    list of q^2 entries and one in x's list of the -x v.
     """
-    S = [0] * (F.q * F.q)
+    q = F.q
+    size = q * q + 1
+    plus = [F.add(a, b) for a in F.elements() for b in F.elements()]
     for x in F.elements():
-        v, w = F.from_int(2 - k), 1
-        for n in range(len(S)):
-            S[n] = F.add(S[n], v)
-            v, w = w, F.sub(w, F.mul(x, v))
-    return S
+        nx = F.neg(x)
+        times = [F.mul(nx, v) for v in F.elements()]
+        col, u, w = [], 0, 1
+        append = col.append
+        for _ in range(size):
+            append(u)
+            u, w = w, plus[w * q + times[u]]
+            if w == 1 and not u:
+                break
+        yield x, col
+
+
+@lru_cache(maxsize=1)
+def u_column_sums(F):
+    """A[n] = sum over x in GF(q) of U_n(x) for n = 0 .. q^2, a tuple of
+    field elements, from one walk of every column of _u_columns.
+
+    Columns of equal length are summed with each base-p digit in its
+    own bit lane, each such sum is tiled to q^2 + 1 terms once, and the
+    lanes are reduced mod p at the end: about sum over x of
+    min(period, q^2 + 1) Python steps.  Kept for the last field alone.
+    """
+    q, p, e = F.q, F.p, F.e
+    size = q * q + 1
+    width = (q * p).bit_length()       # a lane never carries into the next
+    lane = [sum(c << width * i for i, c in enumerate(F.coeffs(v)))
+            for v in F.elements()]
+    groups = {}
+    for _, col in _u_columns(F):
+        lanes = map(lane.__getitem__, col)
+        acc = groups.get(len(col))
+        groups[len(col)] = (list(lanes) if acc is None
+                            else list(map(add, acc, lanes)))
+    total = [0] * size
+    for period, acc in groups.items():
+        total = list(map(add, total, (acc * -(-size // period))[:size]))
+    mask, out = (1 << width) - 1, [0] * size
+    for i in range(e):
+        shift, weight = width * i, p ** i
+        out = [o + (t >> shift & mask) % p * weight
+               for o, t in zip(out, total)]
+    return tuple(out)
+
+
+def sums_bruteforce(F, k):
+    """Oracle: S[n] = sum over x of D(n,k; 1,x) for n < q^2.
+
+    D(n,k; 1,x) = (k - 1) U_n(x) + (2 - k) U_{n+1}(x): both sides obey
+    the recurrence v_m = v_{m-1} - x v_{m-2} and agree at n = 0 and 1.  So
+    every kind is read off the one U pass of u_column_sums, with no index
+    reduction, special point or closed shape.
+    """
+    A = u_column_sums(F)
+    now = [F.mul(F.from_int(k - 1), v) for v in F.elements()]
+    nxt = [F.mul(F.from_int(2 - k), v) for v in F.elements()]
+    return [F.add(now[a], nxt[b]) for a, b in zip(A, A[1:])]
 
 
 def residue_identity_holds(table, brute):

@@ -26,7 +26,8 @@ Commands render their whole output and write it once; `poly` renders
 only the format asked for, so its integer row is turned into decimal
 once.  `sums` builds and checks its table first and then writes it
 ROWS_PER_WRITE rows at a time, rendering each of its at most p distinct
-sum values once.
+sum values once; a row number is its block's decimal prefix followed by
+a fixed-width suffix that is rendered once per table.
 
 Each process is one command, so the module imports only gf up front:
 a handler imports the modules it calls (rdpoly for eval and poly,
@@ -460,18 +461,27 @@ def cmd_sums(args, max_q):
     return 0 if oracle is None or all(oracle[1:]) else 1
 
 
-ROWS_PER_WRITE = 1000
+ROWS_PER_WRITE = 1000    # a power of ten, so a block's n share a prefix
 
 
 def _row_blocks(table, oracle):
-    """The rows (n, sum, d, oracle_match) for n = 1 .. q^2 - 1, as
-    iterators over ROWS_PER_WRITE rows, each to be read before the next."""
-    size = len(table.sums)
+    """The rows n = 1 .. q^2 - 1, one block per value of
+    n // ROWS_PER_WRITE, as (prefix, rows): rows iterates over
+    (suffix, sum, d, oracle_match), to be read before the next block,
+    with prefix + suffix the decimal of n and d in decimal.  The first
+    block's suffixes are the plain decimals 1 .. ROWS_PER_WRITE - 1 and
+    its prefix is empty; every later block reads one list of zero-padded
+    suffixes, and d one list of the decimals below p, both built once
+    per table."""
+    size, digits = len(table.sums), [str(v) for v in range(table.field.p)]
+    sums = islice(table.sums, 1, None)
+    ds = map(digits.__getitem__, islice(table.d, 1, None))
     checks = islice(oracle, 1, None) if oracle is not None else repeat(None)
-    rows = zip(range(1, size), islice(table.sums, 1, None),
-               islice(table.d, 1, None), checks)
-    for _ in range(1, size, ROWS_PER_WRITE):
-        yield islice(rows, ROWS_PER_WRITE)
+    yield "", zip(map(str, range(1, ROWS_PER_WRITE)), sums, ds, checks)
+    width = len(str(ROWS_PER_WRITE - 1))
+    suffixes = [str(j).zfill(width) for j in range(ROWS_PER_WRITE)]
+    for block in range(1, (size - 1) // ROWS_PER_WRITE + 1):
+        yield str(block), zip(suffixes, sums, ds, checks)
 
 
 def _write_sums(fh, fmt, table, oracle):
@@ -485,7 +495,8 @@ def _write_sums(fh, fmt, table, oracle):
     None).  Every sum lies in the prime subfield, so each of the at most
     p distinct values is rendered once, for csv by the one csv.writer
     (n, d and oracle_match never need quoting); a row is one f-string
-    of those pieces.
+    of those pieces and of the decimals of n and d from _row_blocks, so
+    no row turns an int into decimal.
     """
     F, sums = table.field, table.sums
     if fmt == "json":
@@ -499,9 +510,9 @@ def _write_sums(fh, fmt, table, oracle):
                  f'  "field": {json.dumps(gf.field_descriptor(F))},\n'
                  f'  "k": {table.k},\n  "rows": [\n')
         sep = ""
-        for rows in _row_blocks(table, oracle):
+        for pre, rows in _row_blocks(table, oracle):
             fh.write(sep + ",\n".join([
-                f'    {{\n      "d": {dn},\n      "n": {n},\n'
+                f'    {{\n      "d": {dn},\n      "n": {pre}{n},\n'
                 f'{match[ok]}      "sum": {cell[s]}\n    }}'
                 for n, s, dn, ok in rows]))
             sep = ",\n"
@@ -523,8 +534,8 @@ def _write_sums(fh, fmt, table, oracle):
         head, cell = " ".join(header), {v: _coords(F, v) for v in values}
         sep, match = " ", {None: "", True: " true", False: " false"}
     fh.write(head + "\n")
-    for rows in _row_blocks(table, oracle):
-        fh.write("".join([f"{n}{sep}{cell[s]}{sep}{dn}{match[ok]}\n"
+    for pre, rows in _row_blocks(table, oracle):
+        fh.write("".join([f"{pre}{n}{sep}{cell[s]}{sep}{dn}{match[ok]}\n"
                           for n, s, dn, ok in rows]))
 
 

@@ -98,6 +98,28 @@ def _sums_direct(F, k, c):
     return S
 
 
+def _sums_by_columns(F, k):
+    """The per-kind oracle: S[n] = sum over x of D(n,k; 1,x), n < q^2,
+    from one pass per x of v_0 = 2 - k, v_1 = 1,
+    v_m = v_{m-1} - x v_{m-2}; O(q^3) field ops for one kind."""
+    S = [0] * (F.q * F.q)
+    for x in F.elements():
+        v, w = F.from_int(2 - k), 1
+        for n in range(len(S)):
+            S[n] = F.add(S[n], v)
+            v, w = w, F.sub(w, F.mul(x, v))
+    return S
+
+
+def _u_walk(F, x, count):
+    """U_0(x) .. U_{count-1}(x), stepped with the field's methods."""
+    out, u, w = [], 0, 1
+    for _ in range(count):
+        out.append(u)
+        u, w = w, F.sub(w, F.mul(x, u))
+    return out
+
+
 class TestPowerSum:
     @pytest.mark.parametrize("F", [F5, F9], ids=lambda F: f"GF({F.q})")
     def test_divisibility_shape(self, F):
@@ -160,7 +182,9 @@ class TestCVector:
                 assert len(c) == F.q ** 2 + F.q
                 assert c[0] == 0
 
-    @pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27, 49])
+    # q = 3 leaves an interior of (q - 1)(q - 2) = 2 entries between the
+    # edges, one period of the fold
+    @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27, 49, 81, 121])
     def test_matches_products_of_the_definition(self, q):
         F = gf.parse_field_descriptor(str(q))
         for k in range(F.p):
@@ -194,6 +218,28 @@ class TestCVector:
         monkeypatch.setattr(cs, "_mixer", lambda q, p: fault(real(q, p)))
         with pytest.raises(InternalCheckError, match=message):
             cs.c_coeffs(F5, 3)
+
+    @pytest.mark.parametrize("q", [3, 5, 9, 25, 27])
+    def test_seam_check_fires_on_a_rotated_period(self, monkeypatch, q):
+        # the interior filled with its period rotated by one place: the
+        # first and last period, summed again from the teeth, disagree
+        # with the fill wherever the rotation moves an entry
+        F = gf.parse_field_descriptor(str(q))
+        periods = {k: cs.c_coeffs(F, k)[2 * q - 1:3 * q - 2]
+                   for k in range(F.p)}
+        real = cs._folded_period
+        monkeypatch.setattr(cs, "_folded_period",
+                            lambda *a: (lambda v: v[1:] + v[:1])(real(*a)))
+        moved = [k for k, period in periods.items()
+                 if period[1:] + period[:1] != period]
+        for k in periods:
+            if k in moved:
+                with pytest.raises(InternalCheckError, match="teeth"):
+                    cs.c_coeffs(F, k)
+            else:
+                assert cs.c_coeffs(F, k) == _c_by_products(F, k)
+        # over GF(3) the two entries of every period are equal
+        assert (moved == []) == (q == 3)
 
     # sha256 of the comma-joined vector, recorded with the dense product
     # (every entry of b walked) before mul skipped zeros
@@ -282,6 +328,55 @@ class TestBruteforce:
                 for x in F.elements():
                     acc = F.add(acc, rd.eval_recurrence(F, n, k, x))
                 assert brute[n] == acc, (k, n)
+
+
+class TestUColumns:
+    @pytest.mark.parametrize("fd", ["3", "5", "9", "8", "25"])
+    def test_x_zero_column_never_returns(self, fd):
+        # U_m(0) = 1 for every m >= 1: the walk stops at q^2 + 1 terms
+        F = gf.parse_field_descriptor(fd)
+        columns = dict(cs._u_columns(F))
+        assert columns[0] == [0] + [1] * F.q ** 2
+
+    @pytest.mark.parametrize("fd", ["5", "7", "9", "4", "8", "27"])
+    def test_columns_are_periods_tiling_the_plain_walk(self, fd):
+        F = gf.parse_field_descriptor(fd)
+        size = F.q ** 2 + 1
+        uneven = 0
+        for x, col in cs._u_columns(F):
+            walk = _u_walk(F, x, size + 2)
+            period = len(col)
+            assert (col * -(-size // period))[:size] == walk[:size], x
+            if x:
+                # the first return of the state (U_m, U_{m+1}) to (0, 1)
+                assert period < size
+                assert [m for m in range(1, period + 1)
+                        if walk[m:m + 2] == [0, 1]] == [period], x
+            uneven += size % period != 0
+        # some period leaves a partial copy at the end of the tiling
+        assert uneven
+
+    @pytest.mark.parametrize("fd", ["2", "3", "4", "5", "7", "8", "9", "11",
+                                    "13", "16", "25", "27", "32", "49"])
+    def test_every_kind_matches_the_per_kind_loop(self, fd):
+        F = gf.parse_field_descriptor(fd)
+        for k in range(F.p):
+            assert cs.sums_bruteforce(F, k) == _sums_by_columns(F, k), k
+
+    def test_one_pass_kept_for_the_last_field_alone(self, monkeypatch):
+        cs.u_column_sums.cache_clear()
+        passes = []
+        real = cs._u_columns
+        monkeypatch.setattr(cs, "_u_columns",
+                            lambda F: passes.append(F.q) or real(F))
+        for F in (F5, F5, F7, F5):
+            for k in range(F.p):
+                brute = cs.sums_bruteforce(F, k)
+                brute[1] = F.add(brute[1], 1)      # a caller's own list
+        assert passes == [5, 7, 5]
+        assert cs.sums_bruteforce(F5, 2) == _sums_by_columns(F5, 2)
+        info = cs.u_column_sums.cache_info()
+        assert (info.maxsize, info.currsize) == (1, 1)
 
 
 class TestResidueIdentity:

@@ -252,7 +252,8 @@ class TestSumsWriter:
     def test_oracle_mismatch_on_a_block_boundary(self, capsys, tmp_path,
                                                  monkeypatch, fmt):
         real = charsum.sums_bruteforce
-        last = cli.ROWS_PER_WRITE         # the last row of the first block
+        # the last row of the first block and the first of the second
+        last = cli.ROWS_PER_WRITE - 1
 
         def off_by_one(F, k):
             brute = real(F, k)
@@ -267,6 +268,27 @@ class TestSumsWriter:
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert [row[0] for row in rows if row[3] == "false"] == \
             [str(last), str(last + 1)]
+
+    @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+    @pytest.mark.parametrize("fd", ["27", "343"])
+    def test_row_numbers_are_the_decimals_of_n(self, fd, fmt):
+        # GF(27) has fewer rows than one block; GF(343) has six-digit n
+        # and block prefixes up to 117
+        F = gf.parse_field_descriptor(fd)
+        table = charsum.sums_via_recurrence(F, 1)
+        out = io.StringIO()
+        cli._write_sums(out, fmt, table, [True] * F.q ** 2)
+        if fmt == "json":
+            names = re.findall(r'^      "n": (.*),$', out.getvalue(), re.M)
+        else:
+            sep = "," if fmt == "csv" else " "
+            names = [line.partition(sep)[0]
+                     for line in out.getvalue().splitlines()[1:]]
+        want = [str(n) for n in range(1, F.q ** 2)]
+        # the first wrong row, not a diff of 117648 names
+        first = next((n for n, (a, b) in enumerate(zip(names, want), 1)
+                      if a != b), None)
+        assert (len(names), first) == (len(want), None)
 
     def test_json_table_memory_peak(self):
         # only the writer is traced: rendered as one json.dumps string the
@@ -648,9 +670,12 @@ class TestChecks:
     ])
     def test_sum_ingredients_built_once(self, capsys, monkeypatch, argv,
                                         tables):
-        # the oracle and c once per kind, b once per table
+        # the oracle and c once per kind, b once per table, and the U
+        # columns that the oracle reads walked once for all kinds
+        charsum.u_column_sums.cache_clear()
         calls = collections.Counter()
-        for name in ("sums_bruteforce", "c_coeffs", "b_coeffs"):
+        for name in ("sums_bruteforce", "c_coeffs", "b_coeffs",
+                     "_u_columns"):
             def counted(*a, _real=getattr(charsum, name), _name=name):
                 calls[_name] += 1
                 return _real(*a)
@@ -658,7 +683,7 @@ class TestChecks:
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert calls == {"sums_bruteforce": tables, "c_coeffs": tables,
-                         "b_coeffs": tables}
+                         "b_coeffs": tables, "_u_columns": 1}
 
     def test_pp_disagreement_exits_1(self, capsys, monkeypatch):
         # one flipped verdict of the 2-to-1 criterion, at n = 2, k = 1
