@@ -8,18 +8,21 @@ that pins down the shifted sums d_n = S(n) - (k(n-1)+2)/2^n for
 1 <= n <= q^2 - 1.  The recurrence overdetermines the final block; the
 spare equations are checked.
 Every ingredient is built from its closed shape, in whole-list passes:
-b is a comb with two teeth at each multiple of q - 1, the first part
-of c is runs of equal entries, and the mixer polynomial is two exact
-divisions by z - 2 of an O(q) numerator.  The one large product,
-mixer * b, is q + 1 shifted copies of mixer * (b_0 + b_1 z), which
-between two edges of 2q - 1 entries is one period of q - 1 entries
-repeated: c costs O(q) Python steps plus one list repetition.  d is
+b is a comb with the same two teeth at each multiple of q - 1, the
+first part of c is runs of equal entries, and the mixer polynomial is
+two exact divisions by z - 2 of an O(q) numerator.  The one large
+product, mixer * b, is q + 1 shifted copies of mixer * (b_0 + b_1 z),
+which between two edges of 2q - 1 entries is its first period of q - 1
+entries repeated; the edges and that period are summed from the teeth
+that reach them, so c costs O(q) Python steps plus one list
+repetition and reads only b's tooth.  d is
 solved one block of q entries per list pass, and the offsets
 (k(n-1)+2)/2^n repeat with a period dividing p(p - 1).  A table costs
 O(q^2) list work beyond the field, O(q) of it in Python steps.
 sums_bruteforce is the oracle: every kind is read off one pass per field
 that sums the sequences U_n(x) term by term over all x, each walked
-to its period.
+to its period.  Sum tables need odd characteristic; _b_tooth, which
+every table reads, refuses p = 2.
 """
 
 from functools import lru_cache
@@ -47,21 +50,26 @@ def power_sum(F, m):
 # -- the b vector ----------------------------------------------------------
 
 
+def _b_tooth(F, k):
+    """b's tooth [(k - 2) mod p, (1 - k) mod p], the pair of b_coeffs at
+    every multiple of q - 1.  Sum tables need odd characteristic, so
+    p = 2 raises ValueError."""
+    if F.p == 2:
+        raise ValueError("sum tables need odd characteristic")
+    return [(k - 2) % F.p, (1 - k) % F.p]
+
+
 def b_coeffs(F, k):
     """Coefficient vector b, indices 0 .. q^2 - q + 1, entries mod p.
 
     b(z) = (2 - k + (k-1) z) * (-1 - (z - z^q)^(q-1)).  With u = z^(q-1),
     (z - z^q)^(q-1) = u (1 - u)^(q-1) and (1 - u)^(q-1) = (1 - u^q)/(1 - u)
     = 1 + u + ... + u^(q-1) mod p, so b = -(2 - k + (k-1) z) times
-    sum_{j=0}^{q} z^(j(q-1)): a comb whose teeth (k - 2, 1 - k) sit at the
-    multiples of q - 1.  The tests hold it to the digit formula of the
-    paper.
+    sum_{j=0}^{q} z^(j(q-1)): a comb of _b_tooth at the multiples of
+    q - 1.  The tests hold it to the digit formula of the paper.
     """
-    if F.p == 2:
-        raise ValueError("the sum machinery needs odd characteristic")
-    q, p = F.q, F.p
-    tooth = [(k - 2) % p, (1 - k) % p]
-    return (tooth + [0] * (q - 3)) * q + tooth
+    tooth = _b_tooth(F, k)
+    return (tooth + [0] * (F.q - 3)) * F.q + tooth
 
 
 # -- the c vector ----------------------------------------------------------
@@ -108,56 +116,38 @@ def _comb_window(q, p, tooth, lo, hi):
     return [v % p for v in out]
 
 
-def _folded_period(q, p, tooth):
-    """Entries 2q - 1 .. 3q - 3 of c, one period of its interior.
-
-    Between the edges every index meets the teeth at all the multiples
-    of q - 1 that can reach it, so its entry is 1 from the first product
-    plus the tooth folded mod q - 1, read at the index mod q - 1; the
-    period starts at 2q - 1, which is 1 mod q - 1.
-    """
-    step = q - 1
-    fold = [1] * step
-    for s in range(0, len(tooth), step):
-        chunk = tooth[s:s + step]
-        fold[:len(chunk)] = map(add, fold, chunk)
-    return [v % p for v in fold[1:] + fold[:1]]
-
-
 def c_coeffs(F, k):
     """Right-hand-side vector c, indices 0 .. q^2 + q - 1.
 
     c(z) = (1 + z^(q-1) - z^q) * (z + ... + z^(q^2-1)) - mixer(z) * b(z).
     The first product is 1 at degrees 1 .. q^2 - 1 except 2 at q, then
-    -1 at q^2 + q - 1.  b is the comb of b_coeffs, so mixer * b is one
+    -1 at q^2 + q - 1.  b is the comb of _b_tooth, so mixer * b is one
     2q-wide tooth, -mixer * (b_0 + b_1 z), added at every multiple of
     q - 1.  Outside a head and a tail of 2q - 1 entries each, every index
     meets all the teeth that could reach it, so the interior, (q - 1)(q - 2)
-    entries, is one folded period repeated; the edges are summed from
-    the few teeth that reach them.
+    entries, is its first period, entries 2q - 1 .. 3q - 3, repeated;
+    that period and the edges are summed from the teeth that reach them.
 
     The constant term must vanish, nothing may reach past degree
-    q^2 + q - 1, and the first and last period of the fill, at both
-    seams (from 2q - 1 on and up to q^2 - q), summed again from the
-    teeth, must equal the fill; all three are checked.
+    q^2 + q - 1, and the last period of the fill, up to q^2 - q, summed
+    again from the teeth, must equal the fill; all three are checked.
     """
     q, p = F.q, F.p
-    b = b_coeffs(F, k)
+    b0, b1 = _b_tooth(F, k)
     mixer = _mixer(q, p)
-    b0, b1 = b[0], b[1]
     tooth = [-(b0 * x + b1 * y) % p for x, y in zip(mixer + [0], [0] + mixer)]
     size, edge = q * q + q, 2 * q - 1
     c = (_comb_window(q, p, tooth, 0, edge)
-         + _folded_period(q, p, tooth) * (q - 2)
+         + _comb_window(q, p, tooth, edge, edge + q - 1) * (q - 2)
          + _comb_window(q, p, tooth, size - edge, q * q - q + len(tooth)))
     if c[0] != 0:
         raise InternalCheckError("c-vector constant term is nonzero")
     if any(c[size:]):
         raise InternalCheckError("c-vector degree exceeds its bound")
-    for lo in (edge, size - edge - q + 1):
-        if c[lo:lo + q - 1] != _comb_window(q, p, tooth, lo, lo + q - 1):
-            raise InternalCheckError(
-                f"c-vector periodic fill disagrees with the teeth at {lo}")
+    lo = size - edge - q + 1
+    if c[lo:lo + q - 1] != _comb_window(q, p, tooth, lo, lo + q - 1):
+        raise InternalCheckError(
+            f"c-vector periodic fill disagrees with the teeth at {lo}")
     return c[:size]
 
 
@@ -230,8 +220,6 @@ def sums_via_recurrence(F, k):
     The overdetermined tail of d and the shape of c are checked on the
     way; sums_bruteforce is the independent oracle.
     """
-    if F.p == 2:
-        raise ValueError("the sum machinery needs odd characteristic")
     q, p = F.q, F.p
     k %= p
     c = c_coeffs(F, k)

@@ -407,8 +407,6 @@ def _csv_cell(value):
 def _verify_sums(args, max_q):
     from . import charsum
     F = _load_field(args, max_q)
-    if F.p == 2:
-        raise ValueError("sum tables need odd characteristic")
     ks = _parse_range_list(args.k, "--k", max_q) or list(range(F.p))
     _guard_grid(len(ks) * F.q ** 2, max_q)
     results, failures = [], []
@@ -448,8 +446,6 @@ def _verify_sums(args, max_q):
 def cmd_sums(args, max_q):
     from . import charsum
     F = _load_field(args, max_q)
-    if F.p == 2:
-        raise ValueError("sum tables need odd characteristic")
     k = _parse_int(args.k, "--k")
     table = charsum.sums_via_recurrence(F, k)
     oracle = None

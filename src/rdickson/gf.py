@@ -569,7 +569,7 @@ def split_field_descriptor(text):
     unless given.  A bare integer may be a prime or a prime power (e.g.
     "9" means GF(3^2) with the default modulus).
     """
-    body, _, modpart = text.strip().partition("/")
+    body, slash, modpart = text.strip().partition("/")
     try:
         if "^" in body:
             ps, _, es = body.partition("^")
@@ -579,7 +579,7 @@ def split_field_descriptor(text):
     except ValueError as exc:
         raise ValueError(f"bad field descriptor {text!r}: {exc}") from None
     modulus = None
-    if modpart:
+    if slash:
         try:
             modulus = tuple(int(c) for c in modpart.split(","))
         except ValueError:

@@ -170,8 +170,11 @@ class TestBVector:
             [0, 1, 4, 5, 8, 9, 12, 13, 16, 17, 20, 21]
 
     def test_rejects_char2(self):
-        with pytest.raises(ValueError):
-            cs.b_coeffs(gf.make_field(2, 2), 1)
+        # c reads b's tooth without building b, so it refuses on its own
+        for refused in (lambda: cs.b_coeffs(gf.make_field(2, 2), 1),
+                        lambda: cs.c_coeffs(gf.make_field(2, 3), 1)):
+            with pytest.raises(ValueError, match="odd characteristic"):
+                refused()
 
 
 class TestCVector:
@@ -183,7 +186,7 @@ class TestCVector:
                 assert c[0] == 0
 
     # q = 3 leaves an interior of (q - 1)(q - 2) = 2 entries between the
-    # edges, one period of the fold
+    # edges, one period
     @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27, 49, 81, 121])
     def test_matches_products_of_the_definition(self, q):
         F = gf.parse_field_descriptor(str(q))
@@ -222,14 +225,17 @@ class TestCVector:
     @pytest.mark.parametrize("q", [3, 5, 9, 25, 27])
     def test_seam_check_fires_on_a_rotated_period(self, monkeypatch, q):
         # the interior filled with its period rotated by one place: the
-        # first and last period, summed again from the teeth, disagree
-        # with the fill wherever the rotation moves an entry
+        # last period, summed again from the teeth, disagrees with the
+        # fill wherever the rotation moves an entry
         F = gf.parse_field_descriptor(str(q))
         periods = {k: cs.c_coeffs(F, k)[2 * q - 1:3 * q - 2]
                    for k in range(F.p)}
-        real = cs._folded_period
-        monkeypatch.setattr(cs, "_folded_period",
-                            lambda *a: (lambda v: v[1:] + v[:1])(real(*a)))
+        real = cs._comb_window
+
+        def rotated(q_, p, tooth, lo, hi):
+            v = real(q_, p, tooth, lo, hi)
+            return v[1:] + v[:1] if (lo, hi) == (2 * q - 1, 3 * q - 2) else v
+        monkeypatch.setattr(cs, "_comb_window", rotated)
         moved = [k for k, period in periods.items()
                  if period[1:] + period[:1] != period]
         for k in periods:

@@ -670,20 +670,22 @@ class TestChecks:
     ])
     def test_sum_ingredients_built_once(self, capsys, monkeypatch, argv,
                                         tables):
-        # the oracle and c once per kind, b once per table, and the U
-        # columns that the oracle reads walked once for all kinds
+        # the oracle and c once per kind, b never (c reads its tooth
+        # alone), and the U columns that the oracle reads walked once for
+        # all kinds
         charsum.u_column_sums.cache_clear()
         calls = collections.Counter()
-        for name in ("sums_bruteforce", "c_coeffs", "b_coeffs",
-                     "_u_columns"):
+        names = ("sums_bruteforce", "c_coeffs", "b_coeffs", "_u_columns")
+        for name in names:
             def counted(*a, _real=getattr(charsum, name), _name=name):
                 calls[_name] += 1
                 return _real(*a)
             monkeypatch.setattr(charsum, name, counted)
         code, _, _ = run(capsys, *argv)
         assert code == 0
-        assert calls == {"sums_bruteforce": tables, "c_coeffs": tables,
-                         "b_coeffs": tables, "_u_columns": 1}
+        assert {name: calls[name] for name in names} == {
+            "sums_bruteforce": tables, "c_coeffs": tables, "b_coeffs": 0,
+            "_u_columns": 1}
 
     def test_pp_disagreement_exits_1(self, capsys, monkeypatch):
         # one flipped verdict of the 2-to-1 criterion, at n = 2, k = 1
@@ -854,7 +856,8 @@ class TestGuardsAndErrors:
         for fd, msg in (("4^40", "p must be prime, got 4"),
                         ("3^0", "e must be a positive integer, got 0"),
                         ("3^x", "bad field descriptor '3^x'"),
-                        ("9^2/1,2", "p must be prime, got 9")):
+                        ("9^2/1,2", "p must be prime, got 9"),
+                        ("9/", "bad modulus in field descriptor '9/'")):
             code, _, err = run(capsys, "field-info", "--field", fd)
             assert code == 2 and msg in err, fd
 
@@ -867,8 +870,12 @@ class TestGuardsAndErrors:
          "grid point GF(3^7) exceeds the size bound q <= 343"),
         (("poly", "--field", "8", "--n", "3", "--k", "1"),
          "as_polynomial needs odd characteristic"),
+        (("sums", "--field", "8", "--k", "1"),
+         "sum tables need odd characteristic"),
+        (("verify", "sums", "--field", "8"),
+         "sum tables need odd characteristic"),
     ], ids=["reducible-modulus", "prime-field-modulus", "verify-past-bound",
-            "library-error"])
+            "library-error", "sums-char2", "verify-sums-char2"])
     def test_library_value_errors_are_one_usage_line(self, argv, msg):
         # a ValueError from the library reaches main unwrapped: exit 2
         # and its message as the one stderr line, with no traceback

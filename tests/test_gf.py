@@ -861,11 +861,17 @@ def test_extension_caches_stay_bounded():
      "1/4 does not exist in characteristic 2"),
     (lambda: gf.split_field_descriptor("9/1,a,1"),
      "bad modulus in field descriptor"),
+    # an empty modulus part used to fall back to the default modulus
+    (lambda: gf.split_field_descriptor("9/"),
+     "bad modulus in field descriptor"),
+    (lambda: gf.split_field_descriptor("3^2/"),
+     "bad modulus in field descriptor"),
     # a prime field used to keep such a modulus, print it, and compare
     # unequal to GF(3) under the same descriptor "3"
     (lambda: gf.make_field(3, 1, (1, 1)),
      r"a prime field takes the modulus x, \(0, 1\), alone; got \(1, 1\)"),
-], ids=["half", "quarter", "descriptor", "prime-field-modulus"])
+], ids=["half", "quarter", "descriptor", "empty-modulus",
+        "empty-modulus-power", "prime-field-modulus"])
 def test_library_refusals(refused, match):
     with pytest.raises(ValueError, match=match):
         refused()
