@@ -2,12 +2,18 @@
 
 S(n) = sum over all x in GF(q) of D(n,k; 1,x) lies in the prime
 subfield, so everything here is arithmetic on integer vectors mod p.
-The route: a closed coefficient vector b (the expansion of a product),
-a right-hand-side vector c derived from b, and a first-order recurrence
-that pins down the shifted sums d_n = S(n) - (k(n-1)+2)/2^n for
-1 <= n <= q^2 - 1.  The recurrence overdetermines the final block; the
-spare equations are checked.
-Every ingredient is built from its closed shape, in whole-list passes:
+Summed over x, the generating function of the family has the kind-free
+denominator 1 - z^q - z^(2q-2) + z^(2q-1), so S itself is a linear
+recurring sequence: zero below index 2q - 2, b's tooth (k - 2, 1 - k)
+at 2q - 2 and 2q - 1, and S[n] = S[n-q] + S[n-2q+2] - S[n-2q+1] after
+that, one block of q entries per list pass.  The shifted sums
+d_n = S(n) - (k(n-1)+2)/2^n have index period q^2 - 1, so two blocks run
+past the table are checked against the first two.  The offsets
+(k(n-1)+2)/2^n repeat with a period dividing p(p - 1).  A table costs
+O(q^2) list work beyond the field, O(q) of it in Python steps.
+The paper's route, a closed coefficient vector b (the expansion of a
+product), the vector c derived from it and the identity
+(z^q - z^(q-1) - 1) d(z) = c(z), is kept for residue_identity_holds:
 b is a comb with the same two teeth at each multiple of q - 1, the
 first part of c is runs of equal entries, and the mixer polynomial is
 two exact divisions by z - 2 of an O(q) numerator.  The one large
@@ -15,10 +21,7 @@ product, mixer * b, is q + 1 shifted copies of mixer * (b_0 + b_1 z),
 which between two edges of 2q - 1 entries is its first period of q - 1
 entries repeated; the edges and that period are summed from the teeth
 that reach them, so c costs O(q) Python steps plus one list
-repetition and reads only b's tooth.  d is
-solved one block of q entries per list pass, and the offsets
-(k(n-1)+2)/2^n repeat with a period dividing p(p - 1).  A table costs
-O(q^2) list work beyond the field, O(q) of it in Python steps.
+repetition and reads only b's tooth.
 sums_bruteforce is the oracle: every kind is read off one pass per field
 that sums the sequences U_n(x) term by term over all x, each walked
 to its period.  Sum tables need odd characteristic; _b_tooth, which
@@ -26,7 +29,7 @@ every table reads, refuses p = 2.
 """
 
 from functools import lru_cache
-from itertools import accumulate, cycle, islice
+from itertools import cycle, islice
 from operator import add
 
 from . import modpoly
@@ -151,39 +154,7 @@ def c_coeffs(F, k):
     return c[:size]
 
 
-# -- the recurrence --------------------------------------------------------
-
-
-def _d_vector(F, c):
-    """Shifted sums d_1 .. d_{q^2-1} from the coefficient identity.
-
-    The identity (z^q - z^(q-1) - 1) d(z) = c(z) gives, with d zero
-    below index 1, d[lq + j] = d[(l-1)q + j] - d[(l-1)q + j + 1] - c[lq + j]:
-    block l from block l - 1 and its own first entry, going up.  The top
-    block follows again from the tail of c going down; the overlap must
-    agree, and InternalCheckError reports any conflict.  Index 0 of the
-    returned list is unused.
-    """
-    q, p = F.q, F.p
-    d = [0] * (q * q)
-    d[1:q] = [-x % p for x in c[1:q]]
-    for base in range(q, q * q - q, q):
-        d[base] = (d[base - q] - d[base - q + 1] - c[base]) % p
-        prev = d[base - q + 1:base + 1]
-        d[base + 1:base + q] = [(x - y - z) % p for x, y, z in
-                                zip(prev, prev[1:], c[base + 1:base + q])]
-    base = q * q - q
-    tail = list(accumulate(reversed(c[q * q:q * q + q])))
-    d[base:] = [v % p for v in reversed(tail)]
-    # the tail block is pinned twice over; the recurrence must agree
-    prev = d[base - q:base + 1]
-    expect = [(x - y - z) % p for x, y, z in
-              zip(prev, prev[1:], c[base:base + q])]
-    for j, (got, want) in enumerate(zip(d[base:], expect)):
-        if got != want:
-            raise InternalCheckError(
-                f"overdetermined tail disagrees at index {base + j}")
-    return d
+# -- the table -------------------------------------------------------------
 
 
 def _quarter_offsets(p, k, count):
@@ -204,29 +175,53 @@ class SumTable:
     """All full-field sums of one (field, kind) pair for 1 <= n < q^2.
 
     sums[n] and d[n] are prime-subfield scalars; index 0 is the n = 0
-    member, whose sum is identically 0 (a constant summed q times).
+    member, whose sum is identically 0 (a constant summed q times), and
+    d[0] is held at 0 with it.
     """
 
-    __slots__ = ("field", "k", "c", "d", "sums")
+    __slots__ = ("field", "k", "d", "sums")
 
-    def __init__(self, field, k, c, d, sums):
-        self.field, self.k, self.c, self.d, self.sums = field, k, c, d, sums
+    def __init__(self, field, k, d, sums):
+        self.field, self.k, self.d, self.sums = field, k, d, sums
+
+
+def _recurring_sums(q, p, tooth):
+    """S[0 .. q^2 + 2q - 1]: zero below 2q - 2, the tooth at 2q - 2 and
+    2q - 1, then S[n] = S[n-q] + S[n-2q+2] - S[n-2q+1], whose lags all
+    reach below a block of q entries, so each block is one list pass."""
+    S = [0] * (q * q + 2 * q)
+    S[2 * q - 2:2 * q] = tooth
+    for lo in range(2 * q, q * q + 2 * q, q):
+        S[lo:lo + q] = [(a + b - c) % p for a, b, c in zip(
+            S[lo - q:lo], S[lo - 2 * q + 2:lo - q + 2],
+            S[lo - 2 * q + 1:lo - q + 1])]
+    return S
 
 
 def sums_via_recurrence(F, k):
-    """Build the SumTable: solve for d, then add back the offsets
-    (k(n-1)+2)/2^n, the values at x = 1/4.
+    """Build the SumTable from S's three-term recurrence, and d from S
+    minus the offsets (k(n-1)+2)/2^n, the values at x = 1/4.
 
-    The overdetermined tail of d and the shape of c are checked on the
-    way; sums_bruteforce is the independent oracle.
+    Over x, the product of (c + x e) is c^q - c e^(q-1) and the sum of
+    its quotients by c + x e is -e^(q-1); with c = 1 - z and e = z^2 the
+    sum over x of ((2 - k) + (k - 1) z) / (1 - z + x z^2), S's series,
+    is (k - 2 + (1 - k) z) z^(2q-2) / (1 - z^q - z^(2q-2) + z^(2q-1)).
+    Every x != 1/4 has index period q^2 - 1 for n >= 1 and x = 1/4
+    gives only the offsets, so d[q^2 + j] = d[j + 1]: the recurrence
+    runs two blocks past the table, so that the check for j < 2q reaches
+    the seeds, and InternalCheckError reports a break.  sums_bruteforce
+    is the independent oracle.
     """
     q, p = F.q, F.p
     k %= p
-    c = c_coeffs(F, k)
-    d = _d_vector(F, c)
-    sums = [(x + y) % p for x, y in zip(d, _quarter_offsets(p, k, q * q))]
-    sums[0] = 0
-    return SumTable(F, k, c, d, sums)
+    S = _recurring_sums(q, p, _b_tooth(F, k))
+    period = _quarter_offsets(p, k, p * (p - 1))
+    d = [(s - o) % p for s, o in zip(S, cycle(period))]
+    if d[q * q:] != d[1:2 * q + 1]:
+        raise InternalCheckError("sum recurrence breaks the period q^2 - 1")
+    del S[q * q:], d[q * q:]
+    d[0] = 0
+    return SumTable(F, k, d, S)
 
 
 def _u_columns(F):
@@ -304,8 +299,9 @@ def sums_bruteforce(F, k):
 
 
 def residue_identity_holds(table, brute):
-    """Check (z^q - z^(q-1) - 1) * d(z) = table.c(z) with d built from
-    the brute-force sums brute = sums_bruteforce(F, k), not from c."""
+    """Check the paper's identity (z^q - z^(q-1) - 1) * d(z) = c(z),
+    with c = c_coeffs(F, k), built here, and d from the brute-force sums
+    brute = sums_bruteforce(F, k), not from the table."""
     F, k = table.field, table.k
     q, p = F.q, F.p
     offsets = _quarter_offsets(p, k, q * q)
@@ -315,4 +311,4 @@ def residue_identity_holds(table, brute):
     mult[q - 1] = (mult[q - 1] - 1) % p
     mult[q] = 1
     lhs = modpoly.mul(mult, dpoly, p)
-    return modpoly.trim(lhs) == modpoly.trim(table.c)
+    return modpoly.trim(lhs) == modpoly.trim(c_coeffs(F, k))

@@ -24,10 +24,10 @@ format is written here: the library returns values, records and
 coefficient tuples, and _terms writes a tuple as a sum of terms.
 Commands render their whole output and write it once; `poly` renders
 only the format asked for, so its integer row is turned into decimal
-once.  `sums` builds and checks its table first and then writes it
-ROWS_PER_WRITE rows at a time, rendering each of its at most p distinct
-sum values once; a row number is its block's decimal prefix followed by
-a fixed-width suffix that is rendered once per table.
+once.  `sums` builds and checks its table first, then writes it
+ROWS_PER_WRITE rows at a time, each block one join of its row-number
+prefix and of pieces rendered once per table (the at most p sum values,
+the p decimals of d, the row-number suffixes): no row formats a string.
 
 Each process is one command, so the module imports only gf up front:
 a handler imports the modules it calls (rdpoly for eval and poly,
@@ -42,7 +42,8 @@ import contextlib
 import io
 import os
 import sys
-from itertools import islice, repeat
+from itertools import compress, islice
+from operator import eq, ne
 
 from . import gf
 from .gf import DEFAULT_MAX_Q, InternalCheckError
@@ -413,17 +414,16 @@ def _verify_sums(args, max_q):
     for k in ks:
         table = charsum.sums_via_recurrence(F, k)
         brute = charsum.sums_bruteforce(F, k)
-        bad = 0
-        for n in range(1, F.q ** 2):
-            if table.sums[n] != brute[n]:
-                bad += 1
-                failures.append({"k": k % F.p, "n": n})
+        # n = 0, the constant member, is not a row of the table
+        bad = [n for n in compress(range(F.q ** 2),
+                                   map(ne, table.sums, brute)) if n]
+        failures += [{"k": k % F.p, "n": n} for n in bad]
         residue = charsum.residue_identity_holds(table, brute)
         if not residue:
             failures.append({"k": k % F.p, "identity": "residue"})
         results.append({"k": k % F.p, "rows": F.q ** 2 - 1,
-                        "mismatches": bad, "residue_identity": residue,
-                        "ok": bad == 0 and residue})
+                        "mismatches": len(bad), "residue_identity": residue,
+                        "ok": not bad and residue})
     passed = not failures
     pretty = [f"sums over GF({F.q}): k={r['k']} "
               f"{'ok' if r['ok'] else 'FAIL'} ({r['rows']} rows)"
@@ -450,34 +450,13 @@ def cmd_sums(args, max_q):
     table = charsum.sums_via_recurrence(F, k)
     oracle = None
     if args.check:
-        brute = charsum.sums_bruteforce(F, k)
-        oracle = [brute[n] == table.sums[n] for n in range(F.q ** 2)]
+        oracle = list(map(eq, charsum.sums_bruteforce(F, k), table.sums))
     with _output(args) as fh:
         _write_sums(fh, args.format, table, oracle)
-    return 0 if oracle is None or all(oracle[1:]) else 1
+    return 0 if oracle is None or all(islice(oracle, 1, None)) else 1
 
 
 ROWS_PER_WRITE = 1000    # a power of ten, so a block's n share a prefix
-
-
-def _row_blocks(table, oracle):
-    """The rows n = 1 .. q^2 - 1, one block per value of
-    n // ROWS_PER_WRITE, as (prefix, rows): rows iterates over
-    (suffix, sum, d, oracle_match), to be read before the next block,
-    with prefix + suffix the decimal of n and d in decimal.  The first
-    block's suffixes are the plain decimals 1 .. ROWS_PER_WRITE - 1 and
-    its prefix is empty; every later block reads one list of zero-padded
-    suffixes, and d one list of the decimals below p, both built once
-    per table."""
-    size, digits = len(table.sums), [str(v) for v in range(table.field.p)]
-    sums = islice(table.sums, 1, None)
-    ds = map(digits.__getitem__, islice(table.d, 1, None))
-    checks = islice(oracle, 1, None) if oracle is not None else repeat(None)
-    yield "", zip(map(str, range(1, ROWS_PER_WRITE)), sums, ds, checks)
-    width = len(str(ROWS_PER_WRITE - 1))
-    suffixes = [str(j).zfill(width) for j in range(ROWS_PER_WRITE)]
-    for block in range(1, (size - 1) // ROWS_PER_WRITE + 1):
-        yield str(block), zip(suffixes, sums, ds, checks)
 
 
 def _write_sums(fh, fmt, table, oracle):
@@ -488,51 +467,72 @@ def _write_sums(fh, fmt, table, oracle):
     sort_keys=True, indent=2) of {command, field, k, rows}, csv.writer
     rows, or space-joined cells.  oracle[n] fills oracle_match (json
     leaves the key out, the other formats the cell blank, when oracle is
-    None).  Every sum lies in the prime subfield, so each of the at most
-    p distinct values is rendered once, for csv by the one csv.writer
-    (n, d and oracle_match never need quoting); a row is one f-string
-    of those pieces and of the decimals of n and d from _row_blocks, so
-    no row turns an int into decimal.
+    None).  A row is five pieces in the format's order, each carrying
+    the fixed text around it: n's block prefix and suffix, the sum, d
+    and oracle_match.  Every sum lies in the prime subfield, so each of
+    the at most p distinct values is rendered once (for csv by the one
+    csv.writer; n, d and oracle_match never need quoting); d is one of
+    the p decimals below p, and the ROWS_PER_WRITE zero-padded suffixes
+    are rendered once per table.  A block is one "".join of a list whose
+    every fifth slot is filled by one slice assignment: the prefix, one
+    string repeated, or what map fetches per row from a slice of sums, d
+    or oracle.  So no row formats a string or adds two.
     """
     F, sums = table.field, table.sums
+    digits = [str(v) for v in range(F.p)]
     if fmt == "json":
         import json
-        # a row's sum list sits at nesting depth 3: items at 8 spaces
-        cell = {v: json.dumps(list(F.coeffs(v)), indent=2).replace(
-                    "\n", "\n      ") for v in set(sums)}
-        match = {None: "", True: '      "oracle_match": true,\n',
-                 False: '      "oracle_match": false,\n'}
         fh.write(f'{{\n  "command": "sums",\n'
                  f'  "field": {json.dumps(gf.field_descriptor(F))},\n'
-                 f'  "k": {table.k},\n  "rows": [\n')
-        sep = ""
-        for pre, rows in _row_blocks(table, oracle):
-            fh.write(sep + ",\n".join([
-                f'    {{\n      "d": {dn},\n      "n": {pre}{n},\n'
-                f'{match[ok]}      "sum": {cell[s]}\n    }}'
-                for n, s, dn, ok in rows]))
-            sep = ",\n"
-        fh.write("\n  ]\n}\n")
-        return
-    values = list(set(sums))
-    header = ("n", "sum", "d", "oracle_match")
-    if fmt == "csv":
-        import csv
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_coords(F, v)] for v in values)
-        head, *quoted = buf.getvalue().splitlines()
-        cell = dict(zip(values, quoted))
-        sep, match = ",", {None: ",", True: ",true", False: ",false"}
+                 f'  "k": {table.k},\n  "rows": [')
+        # a row's sum list sits at nesting depth 3: items at 8 spaces
+        cell = {v: '      "sum": ' + json.dumps(list(F.coeffs(v)), indent=2)
+                .replace("\n", "\n      ") + "\n    }" for v in set(sums)}
+        # rows are joined by ",\n": the first block skips its first comma
+        dcell = [f',\n    {{\n      "d": {v},\n      "n": ' for v in digits]
+        match = {None: "", True: '      "oracle_match": true,\n',
+                 False: '      "oracle_match": false,\n'}
+        end, order, tail, skip = ",\n", "dpnms", "\n  ]\n}\n", 1
     else:
-        # the blank oracle_match cell and its separator are stripped
-        head, cell = " ".join(header), {v: _coords(F, v) for v in values}
-        sep, match = " ", {None: "", True: " true", False: " false"}
-    fh.write(head + "\n")
-    for pre, rows in _row_blocks(table, oracle):
-        fh.write("".join([f"{pre}{n}{sep}{cell[s]}{sep}{dn}{match[ok]}\n"
-                          for n, s, dn, ok in rows]))
+        values = list(set(sums))
+        header = ("n", "sum", "d", "oracle_match")
+        if fmt == "csv":
+            import csv
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([_coords(F, v)] for v in values)
+            head, *quoted = buf.getvalue().splitlines()
+            sep = ","
+            match = {None: ",\n", True: ",true\n", False: ",false\n"}
+        else:
+            # the blank oracle_match cell and its separator are stripped
+            head, quoted = " ".join(header), [_coords(F, v) for v in values]
+            sep = " "
+            match = {None: "\n", True: " true\n", False: " false\n"}
+        fh.write(head + "\n")
+        cell = {v: text + sep for v, text in zip(values, quoted)}
+        dcell, end, order, tail, skip = digits, sep, "pnsdm", "", 0
+    width = len(str(ROWS_PER_WRITE - 1))
+    suffixes = [str(j).zfill(width) + end for j in range(ROWS_PER_WRITE)]
+    for lo in range(0, len(sums), ROWS_PER_WRITE):
+        rows = slice(lo or 1, min(lo + ROWS_PER_WRITE, len(sums)))
+        # the first block's n are the plain decimals, with no prefix
+        names = (suffixes[:rows.stop - lo] if lo else
+                 [str(n) + end for n in range(1, rows.stop)])
+        count = len(names)
+        column = {"p": [str(lo // ROWS_PER_WRITE) if lo else ""] * count,
+                  "n": names, "s": map(cell.__getitem__, sums[rows]),
+                  "d": map(dcell.__getitem__, table.d[rows]),
+                  "m": [match[None]] * count if oracle is None
+                  else map(match.__getitem__, oracle[rows])}
+        pieces = [""] * (5 * count)
+        for i, key in enumerate(order):
+            pieces[i::5] = column[key]
+        text = "".join(pieces)
+        fh.write(text[skip:])
+        skip = 0
+    fh.write(tail)
 
 
 # -- field-info --------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from math import comb
 
 import pytest
@@ -108,6 +109,18 @@ def _sums_by_columns(F, k):
         for n in range(len(S)):
             S[n] = F.add(S[n], v)
             v, w = w, F.sub(w, F.mul(x, v))
+    return S
+
+
+def _sums_by_lags(q, p, tooth, lags, signs):
+    """S[0 .. q^2 + 2q - 1] of a three-term recurrence with the given
+    lags and signs, one entry at a time: the sign-flipped or re-lagged
+    copies of charsum._recurring_sums that the period guard must
+    catch."""
+    S = [0] * (q * q + 2 * q)
+    S[2 * q - 2:2 * q] = tooth
+    for n in range(2 * q, len(S)):
+        S[n] = sum(sign * S[n - lag] for lag, sign in zip(lags, signs)) % p
     return S
 
 
@@ -286,7 +299,8 @@ class TestSumTable:
         F = gf.parse_field_descriptor(str(q))
         for k in range(3):
             table = cs.sums_via_recurrence(F, k)
-            assert table.sums[1:] == _sums_direct(F, k, table.c)[1:], k
+            c = cs.c_coeffs(F, k)
+            assert table.sums[1:] == _sums_direct(F, k, c)[1:], k
 
     def test_frozen_q5_k3(self):
         # frozen from brute-force summation before the table existed
@@ -294,11 +308,61 @@ class TestSumTable:
         assert table.sums[1:9] == [0, 0, 0, 0, 0, 0, 0, 1]
         assert table.sums[24] == cs.sums_bruteforce(F5, 3)[24]
 
-    def test_overdetermined_tail_guard_fires(self):
-        c = cs.c_coeffs(F5, 3)
-        c[F5.q ** 2] = (c[F5.q ** 2] + 1) % F5.p
-        with pytest.raises(InternalCheckError):
-            cs._d_vector(F5, c)
+    @pytest.mark.parametrize("F", [gf.make_field(3), F5, F7, F9,
+                                   gf.make_field(5, 2), gf.make_field(3, 3)],
+                             ids=lambda F: f"GF({F.q})")
+    def test_row_zero_is_held_at_zero(self, F):
+        # S(0) sums a constant q times; d[0] is held at 0 with it, not
+        # S(0) minus the offset 2 - k
+        for k in range(F.p):
+            table = cs.sums_via_recurrence(F, k)
+            assert table.d[0] == table.sums[0] == 0, k
+            assert len(table.d) == len(table.sums) == F.q ** 2, k
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 25, 27, 49])
+    def test_period_guard_fires_on_a_faulty_recurrence(self, monkeypatch,
+                                                       q):
+        # a fault of one seed (off by +-1), one lag (q - 1, or one more)
+        # or one sign breaks d's period q^2 - 1 within the two blocks run
+        # past the table; one block misses the flipped sign of the lag-q
+        # term at k = 2, whose first q entries past the table are right
+        F = gf.parse_field_descriptor(str(q))
+        p = F.p
+        lags, signs = (q, 2 * q - 2, 2 * q - 1), (1, 1, -1)
+        faults = [((dv, 0), lags, signs) for dv in (1, -1)]
+        faults += [((0, dv), lags, signs) for dv in (1, -1)]
+        for i in range(3):
+            for lag in (q - 1, lags[i] + 1):
+                faults.append(((0, 0), lags[:i] + (lag,) + lags[i + 1:],
+                               signs))
+            faults.append(((0, 0), lags,
+                           signs[:i] + (-signs[i],) + signs[i + 1:]))
+        real = cs._recurring_sums
+        for k in range(p):
+            tooth = cs._b_tooth(F, k)
+            good = _sums_by_lags(q, p, tooth, lags, signs)
+            assert real(q, p, tooth) == good, k
+            for (d0, d1), bad_lags, bad_signs in faults:
+                monkeypatch.setattr(
+                    cs, "_recurring_sums", lambda q_, p_, t: _sums_by_lags(
+                        q_, p_, [(t[0] + d0) % p_, (t[1] + d1) % p_],
+                        bad_lags, bad_signs))
+                # each of these faults moves a value of the sequence
+                assert cs._recurring_sums(q, p, tooth) != good
+                with pytest.raises(InternalCheckError, match="period"):
+                    cs.sums_via_recurrence(F, k)
+
+    def test_table_memory_is_two_lists(self):
+        # S and d, each run two blocks past the table; no c, no offsets
+        # list of q^2 entries
+        F = gf.parse_field_descriptor("243")
+        tracemalloc.start()
+        try:
+            cs.sums_via_recurrence(F, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * F.q ** 2
 
     def test_json_rows(self, capsys):
         # the table as the CLI writes it in json

@@ -670,9 +670,10 @@ class TestChecks:
     ])
     def test_sum_ingredients_built_once(self, capsys, monkeypatch, argv,
                                         tables):
-        # the oracle and c once per kind, b never (c reads its tooth
-        # alone), and the U columns that the oracle reads walked once for
-        # all kinds
+        # the oracle once per kind, c once per kind for the residue
+        # identity of verify sums and never for a table, b never (c
+        # reads its tooth alone), and the U columns that the oracle reads
+        # walked once for all kinds
         charsum.u_column_sums.cache_clear()
         calls = collections.Counter()
         names = ("sums_bruteforce", "c_coeffs", "b_coeffs", "_u_columns")
@@ -684,7 +685,8 @@ class TestChecks:
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert {name: calls[name] for name in names} == {
-            "sums_bruteforce": tables, "c_coeffs": tables, "b_coeffs": 0,
+            "sums_bruteforce": tables,
+            "c_coeffs": tables if argv[0] == "verify" else 0, "b_coeffs": 0,
             "_u_columns": 1}
 
     def test_pp_disagreement_exits_1(self, capsys, monkeypatch):
