@@ -32,16 +32,16 @@ the p decimals of d, the row-number suffixes): no row formats a string.
 Each process is one command, so the module imports only gf up front:
 a handler imports the modules it calls (rdpoly for eval and poly,
 permcheck for pp and the statements, charsum for the sum tables), and
-json and csv are imported where those formats are rendered.  The
-parser holds the subparser of the command named first alone, or all of
-them when no command is named first.
+json and csv are imported where those formats are rendered.  A plain
+argv is read by one pass over _SHARED and _COMMANDS; argparse loads
+only for help and usage errors, and builds the named subparser alone.
 """
 
-import argparse
 import contextlib
 import io
 import os
 import sys
+import types
 from itertools import compress, islice
 from operator import eq, ne
 
@@ -350,16 +350,20 @@ def cmd_pp(args, max_q):
 
 def cmd_verify(args, max_q):
     sums = args.target == "sums"
+    # a flag the target never reads would pass as if it had been checked
+    unread = (dict.fromkeys(("--p", "--e", "--l", "--n"),
+                            "the field of --field")
+              if sums else {"--field": "the fields of --p and --e"})
     if not sums:
         from . import permcheck
         if args.target not in permcheck.THEOREM_IDS:
             raise ValueError(
                 f"unknown verify target {args.target!r}; expected 'sums' "
                 f"or one of {', '.join(permcheck.THEOREM_IDS)}")
-    # a flag the target never reads would pass as if it had been checked
-    unread, reads = ((("--p", "--e", "--l", "--n"), "the field of --field")
-                     if sums else (("--field",), "the fields of --p and --e"))
-    for flag in unread:
+        # the axis a statement walks is the same for every degree e
+        if permcheck.STATEMENTS[args.target].axis(1, None, None)[0] != "n":
+            unread["--n"] = "n = p^l + c over the exponents l"
+    for flag, reads in unread.items():
         if getattr(args, flag[2:]) is not None:
             raise ValueError(f"verify {args.target} does not read {flag}; "
                              f"it checks {reads}")
@@ -558,8 +562,15 @@ def cmd_field_info(args, max_q):
 # -- wiring ------------------------------------------------------------
 
 
-# name -> (handler, help, arguments); --check is listed where the
-# handler reads it
+# the flags of every command, then name -> (handler, help, arguments);
+# --check is listed where the handler reads it
+_SHARED = (("--field", {"help": 'field descriptor: "q", "p^e" or '
+                                    '"p^e/c0,c1,...,1"'}),
+           ("--format", {"choices": ("pretty", "json", "csv"),
+                         "default": "pretty"}),
+           ("--out", {"help": "write output to a file instead of stdout"}),
+           ("--unsafe-large", {"action": "store_true",
+                               "help": "lift the q and grid size guards"}))
 _CHECK = ("--check", {"action": "store_true",
                       "help": "cross-check against the independent routes"})
 _COMMANDS = {
@@ -593,14 +604,10 @@ _COMMANDS = {
 def _build_parser(only=None):
     """The parser and its subparsers by name: all of them, or only the
     one named `only`, which parses and reports that command alike."""
+    import argparse
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", help='field descriptor: "q", "p^e" or '
-                                        '"p^e/c0,c1,...,1"')
-    common.add_argument("--format", choices=("pretty", "json", "csv"),
-                        default="pretty")
-    common.add_argument("--out", help="write output to a file instead of stdout")
-    common.add_argument("--unsafe-large", action="store_true",
-                        help="lift the q and grid size guards")
+    for flag, options in _SHARED:
+        common.add_argument(flag, **options)
 
     parser = argparse.ArgumentParser(
         prog="rdickson",
@@ -615,19 +622,52 @@ def _build_parser(only=None):
     return parser, sub.choices
 
 
+def _fast_args(argv):
+    """The namespace argparse builds for a plain argv (the command, its
+    exact long flags each with a value not starting with "-", store_true
+    flags bare, verify's one target); None for any other argv, such as
+    help, "--flag=value" or "--", which argparse then parses."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    spec = dict(_SHARED + _COMMANDS[argv[0]][2])
+    dest = {name: name.lstrip("-").replace("-", "_") for name in spec}
+    # a store_true flag defaults to False
+    values = {dest[name]: "action" not in options and options.get("default")
+              for name, options in spec.items()}
+    needed = {name for name, options in spec.items()
+              if options.get("required") or name[0] != "-"}
+    for token in (tokens := iter(argv[1:])):
+        # argparse reads "" as a positional too; verify takes one target
+        name = token if token[:1] == "-" else "target"
+        if name not in spec or name == "target" and name not in needed:
+            return None
+        value = (token if name == "target" else
+                 "action" in spec[name] or next(tokens, "-"))
+        # argparse checks the choices of every occurrence, not the last
+        if (value is not True and value[:1] == "-"
+                or value not in spec[name].get("choices", (value,))):
+            return None
+        values[dest[name]] = value
+        needed.discard(name)
+    return None if needed else types.SimpleNamespace(command=argv[0],
+                                                     **values)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    # a run builds the subparser of its command alone
-    parser, commands = _build_parser(argv[0] if argv and argv[0] in _COMMANDS
-                                     else None)
-    try:
-        args, extra = parser.parse_known_args(argv)
-        if extra:
-            # with the usage of the command they were given to
-            commands[args.command].error(
-                "unrecognized arguments: " + " ".join(extra))
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = _fast_args(argv)
+    if args is None:
+        # a run builds the subparser of its command alone
+        parser, commands = _build_parser(
+            argv[0] if argv and argv[0] in _COMMANDS else None)
+        try:
+            args, extra = parser.parse_known_args(argv)
+            if extra:
+                # with the usage of the command they were given to
+                commands[args.command].error(
+                    "unrecognized arguments: " + " ".join(extra))
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     max_q = None if args.unsafe_large else DEFAULT_MAX_Q
     try:
         return _COMMANDS[args.command][0](args, max_q)

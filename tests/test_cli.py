@@ -4,6 +4,7 @@ import collections
 import contextlib
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -15,12 +16,16 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from rdickson import charsum, cli, gf, permcheck, rdpoly
 from rdickson.cli import main
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run(capsys, *argv):
@@ -549,6 +554,45 @@ class TestPolyWriter:
                                   for c in rdpoly.as_polynomial(F9, 7, 2)]
 
 
+_WORDS = st.sampled_from(("3", "1", "0..2", "1,1", "json", "csv", "xml",
+                          "T2.1", "sums", "pp", "", "-1", "-x", "--"))
+
+
+@st.composite
+def _plain_and_other_argvs(draw):
+    """A command with its required arguments and some optional flags in
+    any order, among further flags (repeated, bare, abbreviated, in "="
+    form), help, "--", positionals and values with a leading "-"; now
+    and then the command is moved or an argument left out."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    spec = cli._SHARED + cli._COMMANDS[name][2]
+    flags = st.sampled_from([flag for flag, _ in spec if flag[0] == "-"])
+    items = [[draw(_WORDS)] if flag[0] != "-" else [flag]
+             if "action" in options else [flag, draw(_WORDS)]
+             for flag, options in spec if options.get("required")
+             or flag[0] != "-" or draw(st.booleans())]
+    items += draw(st.lists(st.one_of(
+        st.tuples(flags, _WORDS), st.tuples(flags),
+        st.tuples(flags.flatmap(lambda f: st.integers(2, len(f) - 1).map(
+            lambda i: f[:i])), _WORDS),
+        st.tuples(flags, _WORDS).map(lambda t: ["=".join(t)]),
+        st.tuples(st.sampled_from(("-h", "--help", "--", "", "extra")))),
+        max_size=3))
+    items = draw(st.permutations(items))
+    if items and draw(st.integers(0, 4)) == 0:
+        del items[draw(st.integers(0, len(items) - 1))]
+    argv = [token for item in items for token in item]
+    at = draw(st.integers(0, len(argv))) if draw(st.integers(0, 4)) == 0 else 0
+    return argv[:at] + [name] + argv[at:]
+
+
+def _main_io(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestParser:
     # a run whose first argument names a command builds that subparser
     # alone; what it prints and returns is that of the full parser
@@ -575,6 +619,38 @@ class TestParser:
     def test_a_named_command_builds_its_subparser_alone(self):
         assert list(cli._build_parser("poly")[1]) == ["poly"]
         assert list(cli._build_parser()[1]) == list(cli._COMMANDS)
+
+    # a plain argv is read without argparse; what it reads, and what main
+    # prints and returns, is that of the full parser
+    @settings(max_examples=300, deadline=None, suppress_health_check=[
+        HealthCheck.function_scoped_fixture])
+    @given(_plain_and_other_argvs())
+    @example(["pp", "--format", "xml", "--field", "5", "--n", "1",
+              "--format", "csv"])
+    @example(["eval", "--field", "5", "--n", "1", "--k", "-1", "--x", "1"])
+    @example(["verify", "T2.1", "--p", "3", "--e", "1", "extra"])
+    def test_fast_pass_reads_as_argparse(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)          # where an --out value lands
+        fast = cli._fast_args(argv)
+        if fast is not None:
+            assert vars(fast) == vars(cli._build_parser()[0].parse_args(argv))
+        got = _main_io(argv)
+        with mock.patch.object(cli, "_fast_args", lambda argv: None):
+            assert _main_io(argv) == got
+
+    @pytest.mark.parametrize("workload", ("scan", "sums", "check"))
+    def test_benchmark_argvs_take_the_fast_pass(self, workload):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", BENCH_DIR / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        parser = cli._build_parser()[0]
+        for seed in range(3):
+            setup, timed = workloads.build(workload, seed)
+            for op in setup + timed:
+                fast = cli._fast_args(list(op.argv))
+                assert fast is not None, op.text
+                assert vars(fast) == vars(parser.parse_args(op.argv))
 
 
 class TestChecks:
@@ -908,8 +984,12 @@ class TestGuardsAndErrors:
         (("sums", "--field", "5", "--e", "9"), "--e", "the field of --field"),
         (("sums", "--field", "5", "--l", "4"), "--l", "the field of --field"),
         (("sums", "--field", "5", "--n", "3"), "--n", "the field of --field"),
+        (("T2.1", "--p", "3", "--e", "1", "--n", "5"), "--n",
+         "n = p^l + c over the exponents l"),
+        (("T-k0-pe2", "--n", "0..3", "--p", "3", "--e", "1"), "--n",
+         "n = p^l + c over the exponents l"),
     ], ids=["T2.1-field", "T2.2-field", "sums-p", "sums-e", "sums-l",
-            "sums-n"])
+            "sums-n", "T2.1-n", "T-k0-pe2-n"])
     def test_verify_refuses_a_flag_its_target_never_reads(self, capsys,
                                                           argv, flag, reads):
         # these used to check GF(3), or GF(5), and exit 0 as if the
@@ -921,11 +1001,12 @@ class TestGuardsAndErrors:
 
     @pytest.mark.parametrize("target", permcheck.THEOREM_IDS)
     def test_every_statement_takes_l_n_and_k(self, capsys, target):
-        # a statement that does not run an axis sizes its grid without
-        # it, so the flags stay accepted on every statement
+        # a statement that does not run --l or --k sizes its grid without
+        # it, so those flags stay accepted on every statement; --n is
+        # refused where the statement walks exponents l (above)
+        ns = ("--n", "0..3") if target == "T2.2" else ()
         code, out, err = run(capsys, "verify", target, "--p", "3,5",
-                             "--e", "1", "--l", "0..1", "--n", "0..3",
-                             "--k", "0..1")
+                             "--e", "1", "--l", "0..1", *ns, "--k", "0..1")
         assert (code, err) == (0, "")
         assert out.endswith("pass: true\n")
 
@@ -1249,6 +1330,29 @@ class TestModuleEntry:
                                       ("cli", "gf", "modpoly", *extra)])
         assert proc.stdout.split() == ["0", *want], proc.stderr
 
+    def test_a_plain_argv_loads_no_argparse(self):
+        # argparse with the gettext and locale it loads costs about 2.6 ms
+        # of a fresh process; help and usage errors still go through it
+        argvs = [["field-info", "--field", "9"],
+                 ["pp", "--field", "9", "--n", "1..3", "--format", "csv"],
+                 ["sums", "--field", "9", "--k", "1", "--format", "json"],
+                 ["eval", "--field", "9", "--n", "4", "--k", "1", "--x",
+                  "1,1", "--check"],
+                 ["verify", "T2.1", "--p", "3", "--e", "1", "--l", "0..2"],
+                 ["verify", "sums", "--field", "3"]]
+        code = ("import contextlib, io, sys; before = set(sys.modules)\n"
+                "from rdickson.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    codes = [main(argv) for argv in {argvs!r}]\n"
+                "print(*codes, *sorted({'argparse', 'gettext', 'locale'}"
+                " & (set(sys.modules) - before)))\n"
+                "main(['pp', '--help'])")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        codes, usage = proc.stdout.split("\n")[:2]
+        assert codes == " ".join(["0"] * len(argvs)), proc.stderr
+        assert usage.startswith("usage: rdickson pp"), proc.stderr
+
     def test_package_names_resolve_to_their_home_modules(self):
         import rdickson
         homes = (gf, rdpoly, permcheck, charsum)
@@ -1335,10 +1439,7 @@ class TestGeneratedArguments:
     @given(st.one_of(_EVAL, _PP, _VERIFY, _VERIFY_SUMS, _FIELD_INFO).map(
         _flatten))
     def test_exit_code_contract(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        out, err = out.getvalue(), err.getvalue()
+        code, out, err = _main_io(argv)
         assert code in (0, 1, 2)
         assert "Traceback" not in err
         if code == 1:
