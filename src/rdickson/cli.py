@@ -18,16 +18,17 @@ lifts both.  Each handler takes max_q: the bound, or None under
 
 Exit codes: 0 verified/ok, 1 a check failed or an internal
 cross-check tripped, 2 usage error (a ValueError, from here or from the
-library), an --out that cannot be written included.  Output is
-deterministic: equal invocations produce identical bytes.  Every output
-format is written here: the library returns values, records and
-coefficient tuples, and _terms writes a tuple as a sum of terms.
-Commands render their whole output and write it once; `poly` renders
-only the format asked for, so its integer row is turned into decimal
-once.  `sums` builds and checks its table first, then writes it
-ROWS_PER_WRITE rows at a time, each block one join of its row-number
-prefix and of pieces rendered once per table (the at most p sum values,
-the p decimals of d, the row-number suffixes): no row formats a string.
+library), an --out or stdout that cannot be written included.  Output
+is deterministic: equal invocations produce identical bytes.  Every
+output format is written here: the library returns values, records and
+coefficient tuples, and _terms writes a tuple as a sum of terms.  The
+short outputs are rendered whole and written once.  The long ones go
+through one block writer, _write_rows, with _write_json around it:
+`sums` builds and checks its table, `pp` decides every row (one byte
+each), and `poly` builds its integer row, before the first write; then
+each writes ROWS_PER_WRITE rows at a time (the fnk row
+FNK_ROWS_PER_WRITE), a block being one join of its columns.  So a
+command holds its data and one block, never its rendered text.
 
 Each process is one command, so the module imports only gf up front:
 a handler imports the modules it calls (rdpoly for eval and poly,
@@ -141,9 +142,16 @@ def _terms(coeffs, var, F=None):
     power, when F.e > 1.  A coefficient 1 before a power is left out,
     and () is "0".
     """
-    out = []
+    return "".join(_term_pieces(coeffs, var, F)) or "0"
+
+
+def _term_pieces(coeffs, var, F=None):
+    """The text of _terms one coefficient at a time: "" for a zero one,
+    else its term with the sign that joins it to the terms before."""
+    first = True
     for i, c in enumerate(coeffs):
         if not c:
+            yield ""
             continue
         if F is None:
             sign, text = "-" if c < 0 else "+", str(abs(c))
@@ -155,16 +163,8 @@ def _terms(coeffs, var, F=None):
                 text = power
             else:
                 text += ("*" if text[-1] == ")" else "") + power
-        out.append(f"{sign} {text}")
-    if not out:
-        return "0"
-    text = " ".join(out)
-    return text[2:] if text[0] == "+" else "-" + text[2:]
-
-
-def _json_text(obj):
-    import json
-    return json.dumps(obj, sort_keys=True, indent=2)
+        yield (sign.strip("+") if first else f" {sign} ") + text
+        first = False
 
 
 def _csv_text(header, rows):
@@ -180,19 +180,21 @@ def _csv_text(header, rows):
 def _output(args):
     """The stream a command writes to: the --out file, or stdout.
 
-    An OSError from opening or writing --out is a usage error.  A reader
-    that closes stdout early (say `| head`) ends the output quietly and
-    leaves the exit code to the command.
+    An OSError from opening or writing --out, or from writing stdout, is
+    a usage error.  A reader that closes stdout early (say `| head`)
+    ends the output quietly and leaves the exit code to the command.
     """
     if not args.out:
         try:
             yield sys.stdout
             sys.stdout.flush()
-        except BrokenPipeError:
+        except OSError as exc:
             # what is left, and the flush at exit, goes to the null device
             null = os.open(os.devnull, os.O_WRONLY)
             os.dup2(null, sys.stdout.fileno())
             os.close(null)
+            if not isinstance(exc, BrokenPipeError):
+                raise ValueError(f"cannot write stdout: {exc.strerror or exc}")
         return
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -204,18 +206,59 @@ def _output(args):
 
 def _emit(args, pretty_lines, json_obj, csv_header, csv_rows):
     if args.format == "json":
-        text = _json_text(json_obj)
+        text = _json_parts(json_obj)[0]
     elif args.format == "csv":
         text = _csv_text(csv_header, csv_rows)
     else:
         text = "\n".join(pretty_lines)
-    _write(args, text)
-
-
-def _write(args, text):
     text += "\n"               # appends in place: no second copy of text
     with _output(args) as fh:
         fh.write(text)
+
+
+ROWS_PER_WRITE = 1000    # a power of ten, so a block's n share a prefix
+FNK_ROWS_PER_WRITE = 50  # of up to 1505 digits at SMALL_N: 75 kB a block
+_HOLE = "\0"             # a placeholder that no document holds
+
+
+def _write_rows(fh, rows, columns, size=ROWS_PER_WRITE, skip=0):
+    """Write the rows of the range `rows` in blocks: the rows whose
+    index has one quotient by `size` go in one write.  columns(block)
+    gives a row's pieces in order for the rows of the range block, each
+    a string that every row repeats or an iterable of one string per
+    row; the block is one "".join of them, interleaved by slice
+    assignment.  The first row drops its first `skip` characters."""
+    for lo in range(rows.start - rows.start % size, rows.stop, size):
+        block = range(max(lo, rows.start), min(lo + size, rows.stop))
+        cols = columns(block)
+        width, count = len(cols), len(block)
+        pieces = [""] * (width * count)
+        for i, col in enumerate(cols):
+            pieces[i::width] = [col] * count if isinstance(col, str) else col
+        pieces[0] = pieces[0][skip:]
+        skip = 0
+        fh.write("".join(pieces))
+
+
+def _json_parts(obj, depth=0):
+    """json.dumps(obj, sort_keys=True, indent=2) nested `depth` levels
+    deep, split at each value _HOLE."""
+    import json
+    return (json.dumps(obj, sort_keys=True, indent=2)
+            .replace("\n", "\n" + "  " * depth).split('"\\u0000"'))
+
+
+def _write_json(fh, obj, depth, rows, columns, size=ROWS_PER_WRITE):
+    """Write the json text of obj, in which a value _HOLE, if any, is
+    the list of `rows` under a key `depth` levels deep, written by
+    _write_rows; each row starts with the ",\\n" that joins it."""
+    head, *tail = _json_parts(obj)
+    fh.write(head)
+    if tail:
+        fh.write("[")
+        _write_rows(fh, rows, columns, size, skip=1)
+        fh.write(("\n" + "  " * depth if rows else "") + "]" + tail[0])
+    fh.write("\n")
 
 
 # -- eval --------------------------------------------------------------
@@ -244,11 +287,6 @@ def cmd_eval(args, max_q):
             methods["matrix"] = rdpoly.eval_matrix(F, n, k, x, a)
     agree = len(set(methods.values())) == 1
 
-    pretty = [_coords(F, value)]
-    if args.check:
-        pretty = [f"{name}: {_coords(F, val)}"
-                  for name, val in sorted(methods.items())]
-        pretty.append(f"agree: {_bool(agree)}")
     jobj = {"command": "eval", "field": gf.field_descriptor(F), "n": n,
             "k": k % F.p, "a": list(F.coeffs(a)), "x": list(F.coeffs(x)),
             "value": list(F.coeffs(value))}
@@ -260,6 +298,7 @@ def cmd_eval(args, max_q):
         rows += [(name, _coords(F, val))
                  for name, val in sorted(methods.items())]
         rows.append(("agree", _bool(agree)))
+    pretty = [f"{name}: {val}" for name, val in rows[1:]] or [rows[0][1]]
     _emit(args, pretty, jobj, ("quantity", "value"), rows)
     return 0 if agree else 1
 
@@ -274,30 +313,38 @@ def cmd_poly(args, max_q):
     k = _parse_int(args.k, "--k")
     poly = rdpoly.as_polynomial(F, n, k)
     fnk = rdpoly.fnk_coeffs(n, k % F.p) if n <= SMALL_N else None
-    # only the format asked for is rendered, so the big ints of the fnk
-    # row are turned into decimal once
-    if args.format == "json":
-        field = gf.field_descriptor(F)
-        text = _json_text({
-            "command": "poly", "field": field, "n": n, "k": k % F.p,
-            "poly": {"field": field,
-                     "coeffs": [list(F.coeffs(c)) for c in poly]},
-            "poly_str": _terms(poly, "x", F),
-            # decimal strings: the coefficients outgrow fixed-width ints
-            "fnk": {"coeffs": [str(c) for c in fnk]}
-            if fnk is not None else None})
-    elif args.format == "csv":
-        text = _csv_text(("source", "degree", "coeff"),
-                         [("poly", i, _coords(F, c))
-                          for i, c in enumerate(poly)])
-        if fnk is not None:
+    # the fnk row's entries run to 0.3 n digits: each is turned into
+    # decimal once, FNK_ROWS_PER_WRITE at a time
+    rows = range(len(fnk or ()))
+    with _output(args) as fh:
+        if args.format == "json":
+            field = gf.field_descriptor(F)
+            _write_json(fh, {
+                "command": "poly", "field": field, "n": n, "k": k % F.p,
+                "poly": {"field": field,
+                         "coeffs": [list(F.coeffs(c)) for c in poly]},
+                "poly_str": _terms(poly, "x", F),
+                # decimal strings: the coefficients outgrow fixed-width ints
+                "fnk": {"coeffs": _HOLE} if fnk is not None else None},
+                2, rows, lambda b: [
+                    ',\n      "', map(str, fnk[b.start:b.stop]), '"'],
+                FNK_ROWS_PER_WRITE)
+        elif args.format == "csv":
+            fh.write(_csv_text(("source", "degree", "coeff"),
+                               [("poly", i, _coords(F, c))
+                                for i, c in enumerate(poly)]) + "\n")
             # a decimal integer never needs csv quoting
-            text += "".join([f"\nfnk,{i},{c}" for i, c in enumerate(fnk)])
-    else:
-        text = _terms(poly, "x", F)
-        if fnk is not None:
-            text += f"\nf = {_terms(fnk, 't')}   (value = f(1 - 4x) / 2^n)"
-    _write(args, text)
+            _write_rows(fh, rows, lambda b: [
+                "fnk,", map(str, b), ",", map(str, fnk[b.start:b.stop]), "\n"],
+                FNK_ROWS_PER_WRITE)
+        else:
+            fh.write(_terms(poly, "x", F) + "\n")
+            if fnk is not None:
+                terms = _term_pieces(fnk, "t")
+                fh.write("f = " + ("" if fnk else "0"))
+                _write_rows(fh, rows, lambda b: [islice(terms, len(b))],
+                            FNK_ROWS_PER_WRITE)
+                fh.write("   (value = f(1 - 4x) / 2^n)\n")
     return 0
 
 
@@ -324,24 +371,46 @@ def cmd_pp(args, max_q):
     if F.p == 2 and "two_to_one" in criteria:
         raise ValueError("the two_to_one criterion needs odd characteristic")
 
-    header = ["n", "k", *criteria, "agree"]
-    rows, csv_rows, disagreements = [], [], 0
+    # every row is decided before the first byte is written, so a row
+    # that raises leaves the output empty; a row keeps one byte: bit i
+    # the verdict of criteria[i], then the agree bit
+    verdicts = bytearray()
     for n in ns:
         for k in ks:
-            verdicts = {crit: tests[crit](F, n, k).verdict
-                        for crit in criteria}
-            agree = len(set(verdicts.values())) == 1
-            disagreements += not agree
-            rows.append({"n": n, "k": k % F.p, **verdicts, "agree": agree})
-            csv_rows.append([str(n), str(k % F.p),
-                             *map(_bool, verdicts.values()), _bool(agree)])
-    pretty = [" ".join(cells) for cells in [header, *csv_rows]]
-    if disagreements:
-        pretty.append(f"criteria disagree on {disagreements} rows")
-    jobj = {"command": "pp", "field": gf.field_descriptor(F),
-            "criteria": criteria, "rows": rows,
-            "disagreements": disagreements}
-    _emit(args, pretty, jobj, header, csv_rows)
+            bits = [tests[crit](F, n, k).verdict for crit in criteria]
+            bits.append(len(set(bits)) == 1)
+            verdicts.append(sum(bit << i for i, bit in enumerate(bits)))
+    disagreements = sum(v >> len(criteria) == 0 for v in verdicts)
+    header = ["n", "k", *criteria, "agree"]
+    sep = "," if args.format == "csv" else " "
+    texts = {}       # a verdict byte: its row's text around n and k
+    for v in set(verdicts):
+        row = {"n": _HOLE, "k": _HOLE}
+        for i, name in enumerate(header[2:]):
+            row[name] = bool(v >> i & 1)
+        texts[v] = (_json_parts(row, 2) if args.format == "json" else
+                    sep.join(map(_csv_cell, row.values())).split(_HOLE))
+
+    def columns(block):
+        pre, mid, post = zip(*map(texts.__getitem__,
+                                  verdicts[block.start:block.stop]))
+        n = [str(ns[r // len(ks)]) for r in block]
+        k = [str(ks[r % len(ks)] % F.p) for r in block]
+        # json sorts its keys, so k precedes n
+        if args.format == "json":
+            return [",\n    ", pre, k, mid, n, post]
+        return [pre, n, mid, k, post, "\n"]
+    rows = range(len(verdicts))
+    with _output(args) as fh:
+        if args.format == "json":
+            _write_json(fh, {"command": "pp", "field": gf.field_descriptor(F),
+                             "criteria": criteria, "rows": _HOLE,
+                             "disagreements": disagreements}, 1, rows, columns)
+        else:
+            fh.write(sep.join(header) + "\n")
+            _write_rows(fh, rows, columns)
+            if disagreements and args.format == "pretty":
+                fh.write(f"criteria disagree on {disagreements} rows\n")
     return 1 if disagreements else 0
 
 
@@ -436,11 +505,8 @@ def _verify_sums(args, max_q):
     jobj = {"command": "verify", "target": "sums",
             "field": gf.field_descriptor(F), "results": results,
             "failures": failures, "pass": passed}
-    csv_rows = [[r["k"], r["rows"], r["mismatches"],
-                 _bool(r["residue_identity"]), _bool(r["ok"])]
-                for r in results]
-    _emit(args, pretty, jobj,
-          ("k", "rows", "mismatches", "residue_identity", "ok"), csv_rows)
+    _emit(args, pretty, jobj, list(results[0]),
+          [list(map(_csv_cell, r.values())) for r in results])
     return 0 if passed else 1
 
 
@@ -460,53 +526,35 @@ def cmd_sums(args, max_q):
     return 0 if oracle is None or all(islice(oracle, 1, None)) else 1
 
 
-ROWS_PER_WRITE = 1000    # a power of ten, so a block's n share a prefix
-
-
 def _write_sums(fh, fmt, table, oracle):
-    """Write the rows n = 1 .. q^2 - 1 of a sum table, ROWS_PER_WRITE
-    rows per write.
+    """Write the rows n = 1 .. q^2 - 1 of a sum table by _write_rows.
 
-    The bytes are those of the whole-table renderings: json.dumps(...,
-    sort_keys=True, indent=2) of {command, field, k, rows}, csv.writer
-    rows, or space-joined cells.  oracle[n] fills oracle_match (json
-    leaves the key out, the other formats the cell blank, when oracle is
-    None).  A row is five pieces in the format's order, each carrying
-    the fixed text around it: n's block prefix and suffix, the sum, d
-    and oracle_match.  Every sum lies in the prime subfield, so each of
-    the at most p distinct values is rendered once (for csv by the one
-    csv.writer; n, d and oracle_match never need quoting); d is one of
-    the p decimals below p, and the ROWS_PER_WRITE zero-padded suffixes
-    are rendered once per table.  A block is one "".join of a list whose
-    every fifth slot is filled by one slice assignment: the prefix, one
-    string repeated, or what map fetches per row from a slice of sums, d
-    or oracle.  So no row formats a string or adds two.
+    The bytes are those of json.dumps(..., sort_keys=True, indent=2) of
+    {command, field, k, rows}, of csv.writer rows, or of space-joined
+    cells; oracle[n] fills oracle_match (left out, or blank, when oracle
+    is None).  A row is five pieces in the format's order: n's block
+    prefix and suffix, the sum, d and oracle_match, each with the fixed
+    text around it.  Every sum lies in the prime subfield, so the at
+    most p distinct sums, the p decimals of d and the ROWS_PER_WRITE
+    zero-padded suffixes are rendered once per table (n, d and
+    oracle_match never need csv quoting), and no row formats a string.
     """
     F, sums = table.field, table.sums
     digits = [str(v) for v in range(F.p)]
     if fmt == "json":
-        import json
-        fh.write(f'{{\n  "command": "sums",\n'
-                 f'  "field": {json.dumps(gf.field_descriptor(F))},\n'
-                 f'  "k": {table.k},\n  "rows": [')
-        # a row's sum list sits at nesting depth 3: items at 8 spaces
-        cell = {v: '      "sum": ' + json.dumps(list(F.coeffs(v)), indent=2)
-                .replace("\n", "\n      ") + "\n    }" for v in set(sums)}
-        # rows are joined by ",\n": the first block skips its first comma
+        # a row's sum list sits at nesting depth 3
+        cell = {v: '      "sum": ' + _json_parts(list(F.coeffs(v)), 3)[0]
+                + "\n    }" for v in set(sums)}
         dcell = [f',\n    {{\n      "d": {v},\n      "n": ' for v in digits]
         match = {None: "", True: '      "oracle_match": true,\n',
                  False: '      "oracle_match": false,\n'}
-        end, order, tail, skip = ",\n", "dpnms", "\n  ]\n}\n", 1
+        end, order = ",\n", "dpnms"
     else:
         values = list(set(sums))
         header = ("n", "sum", "d", "oracle_match")
         if fmt == "csv":
-            import csv
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows([_coords(F, v)] for v in values)
-            head, *quoted = buf.getvalue().splitlines()
+            head, *quoted = _csv_text(header, ([_coords(F, v)] for v in values)
+                                      ).split("\n")
             sep = ","
             match = {None: ",\n", True: ",true\n", False: ",false\n"}
         else:
@@ -516,27 +564,28 @@ def _write_sums(fh, fmt, table, oracle):
             match = {None: "\n", True: " true\n", False: " false\n"}
         fh.write(head + "\n")
         cell = {v: text + sep for v, text in zip(values, quoted)}
-        dcell, end, order, tail, skip = digits, sep, "pnsdm", "", 0
+        dcell, end, order = digits, sep, "pnsdm"
     width = len(str(ROWS_PER_WRITE - 1))
     suffixes = [str(j).zfill(width) + end for j in range(ROWS_PER_WRITE)]
-    for lo in range(0, len(sums), ROWS_PER_WRITE):
-        rows = slice(lo or 1, min(lo + ROWS_PER_WRITE, len(sums)))
+
+    def columns(block):
+        lo, rows = block.start, slice(block.start, block.stop)
         # the first block's n are the plain decimals, with no prefix
-        names = (suffixes[:rows.stop - lo] if lo else
-                 [str(n) + end for n in range(1, rows.stop)])
-        count = len(names)
-        column = {"p": [str(lo // ROWS_PER_WRITE) if lo else ""] * count,
-                  "n": names, "s": map(cell.__getitem__, sums[rows]),
+        prefix, names = ((str(lo // ROWS_PER_WRITE), suffixes[:len(block)])
+                         if lo >= ROWS_PER_WRITE else
+                         ("", [str(n) + end for n in block]))
+        column = {"p": prefix, "n": names,
+                  "s": map(cell.__getitem__, sums[rows]),
                   "d": map(dcell.__getitem__, table.d[rows]),
-                  "m": [match[None]] * count if oracle is None
+                  "m": match[None] if oracle is None
                   else map(match.__getitem__, oracle[rows])}
-        pieces = [""] * (5 * count)
-        for i, key in enumerate(order):
-            pieces[i::5] = column[key]
-        text = "".join(pieces)
-        fh.write(text[skip:])
-        skip = 0
-    fh.write(tail)
+        return [column[key] for key in order]
+    rows = range(1, len(sums))
+    if fmt == "json":
+        _write_json(fh, {"command": "sums", "field": gf.field_descriptor(F),
+                         "k": table.k, "rows": _HOLE}, 1, rows, columns)
+    else:
+        _write_rows(fh, rows, columns)
 
 
 # -- field-info --------------------------------------------------------

@@ -503,18 +503,51 @@ POLY_LITERALS = {
 }
 
 
+def _out_and_file(capsys, tmp_path, *argv):
+    """(exit code, stdout, stderr) of a run to stdout, after checking that
+    a run with --out writes the same bytes to the file and none to
+    stdout."""
+    target = tmp_path / "cli.out"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert out == ""
+    got = (code, target.read_text(encoding="utf-8"), err)
+    assert run(capsys, *argv) == got
+    return got
+
+
 class TestPolyWriter:
-    # only one format is rendered and the csv fnk rows are joined
-    # directly; the bytes must be those of the whole-document renderings
+    # the fnk row is written a few entries at a time; the bytes must be
+    # those of the whole-document renderings, to stdout and to --out
     @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
-    @pytest.mark.parametrize("n", [0, 37, cli.SMALL_N, cli.SMALL_N + 1])
-    @pytest.mark.parametrize("fd, k", [("5", 3), ("9", 2), ("7", 0)])
-    def test_bytes_match_whole_document_rendering(self, capsys, fd, k, n,
-                                                  fmt):
-        code, out, err = run(capsys, "poly", "--field", fd, "--n", str(n),
-                             "--k", str(k), "--format", fmt)
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 37, 1931, cli.SMALL_N,
+                                   cli.SMALL_N + 1])
+    @pytest.mark.parametrize("fd, k", [("5", 3), ("9", 2), ("7", 0),
+                                       ("7", 1), ("7", 2), ("7", 6),
+                                       ("9", 0), ("9", 1)])
+    def test_bytes_match_whole_document_rendering(self, capsys, tmp_path,
+                                                  fd, k, n, fmt):
+        got = _out_and_file(capsys, tmp_path, "poly", "--field", fd,
+                            "--n", str(n), "--k", str(k), "--format", fmt)
         want = _poly_reference(gf.parse_field_descriptor(fd), n, k, fmt)
-        assert (code, out, err) == (0, want, "")
+        assert got == (0, want, "")
+
+    @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+    def test_fnk_row_memory_peak(self, fmt):
+        # rendered whole, the GF(343) row of n = 5000 peaked at 7.5-7.8
+        # times its own size; a few entries per write keep it near 1
+        fnk = rdpoly.fnk_coeffs(cli.SMALL_N, 2)
+        size = sys.getsizeof(fnk) + sum(map(sys.getsizeof, fnk))
+        argv = ["poly", "--field", "343", "--n", str(cli.SMALL_N), "--k",
+                "2", "--format", fmt]
+        with open(os.devnull, "w", encoding="utf-8") as fh, \
+                contextlib.redirect_stdout(fh):
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == 0 and peak <= 1.5 * size
 
     @pytest.mark.parametrize("fd, n, k, fmt", sorted(POLY_LITERALS),
                              ids=lambda v: str(v))
@@ -552,6 +585,128 @@ class TestPolyWriter:
         assert blob["field"] == "3^2/1,0,1"
         assert blob["coeffs"] == [list(F9.coeffs(c))
                                   for c in rdpoly.as_polynomial(F9, 7, 2)]
+
+
+PP_CRITERIA = {"brute_force": "dickson_pp_bruteforce",
+               "two_to_one": "is_pp_two_to_one"}
+
+
+def _pp_reference(F, ns, ks, criteria, fmt):
+    """The pp output built whole: json.dumps of the document with a dict
+    per row, csv.writer rows, or space-joined cells; the criteria are
+    looked up in permcheck at call time, so a patched one counts."""
+    header = ["n", "k", *criteria, "agree"]
+    rows, cells, disagreements = [], [], 0
+    for n in ns:
+        for k in ks:
+            verdicts = {crit: getattr(permcheck, PP_CRITERIA[crit])(
+                F, n, k).verdict for crit in criteria}
+            agree = len(set(verdicts.values())) == 1
+            disagreements += not agree
+            rows.append({"n": n, "k": k % F.p, **verdicts, "agree": agree})
+            cells.append([str(n), str(k % F.p),
+                          *(json.dumps(v) for v in verdicts.values()),
+                          json.dumps(agree)])
+    if fmt == "json":
+        return json.dumps({"command": "pp", "field": gf.field_descriptor(F),
+                           "criteria": criteria, "rows": rows,
+                           "disagreements": disagreements},
+                          sort_keys=True, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(cells)
+        return buf.getvalue()
+    lines = [" ".join(row) for row in [header, *cells]]
+    if disagreements:
+        lines.append(f"criteria disagree on {disagreements} rows")
+    return "\n".join(lines) + "\n"
+
+
+# the traced peak of a 20000-row GF(25) grid read 36-38 bytes per row
+# in every format (Python 3.11), against 585-1399 when held whole
+PP_BYTES_PER_ROW = 64
+
+
+class TestPPWriter:
+    # every row is decided first, then written in blocks of rows; the
+    # bytes must be those of the whole-grid renderings
+    def _check(self, capsys, tmp_path, fd, ns, ks, criteria, fmt):
+        argv = ["pp", "--field", fd, "--n", ",".join(map(str, ns)),
+                "--criteria", ",".join(criteria), "--format", fmt]
+        argv += ["--k", ",".join(map(str, ks))] if ks else []
+        F = gf.parse_field_descriptor(fd)
+        code, out, err = _out_and_file(capsys, tmp_path, *argv)
+        want = _pp_reference(F, ns, ks or range(F.p), criteria, fmt)
+        assert (out, err) == (want, "")
+        return code
+
+    @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+    @pytest.mark.parametrize("fd, ns, ks, criteria", [
+        ("9", range(1, 31), None, ("brute_force", "two_to_one")),
+        ("9", [4, 2, 4, 9], [7, 1, 1, 3], ("two_to_one", "brute_force")),
+        ("25", range(1, 61), [0, 2, 5, 9, 2], ("brute_force", "two_to_one")),
+        ("25", [24, 1, 24], [11], ("two_to_one",)),
+        ("8", range(1, 41), [0, 1, 2, 5], ("brute_force",)),
+        ("8", [3, 3], None, ("brute_force",))],
+        ids=["9", "9-repeats", "25", "25-one", "8", "8-repeats"])
+    def test_bytes_match_whole_grid_rendering(self, capsys, tmp_path, fd,
+                                              ns, ks, criteria, fmt):
+        assert self._check(capsys, tmp_path, fd, list(ns), ks,
+                           list(criteria), fmt) == 0
+
+    @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+    def test_bytes_match_across_write_blocks(self, capsys, tmp_path, fmt):
+        # 2010 rows: two full blocks and a partial last one
+        assert 3 * cli.ROWS_PER_WRITE > 2010 > 2 * cli.ROWS_PER_WRITE
+        assert self._check(capsys, tmp_path, "9", range(1, 671), None,
+                           ["brute_force", "two_to_one"], fmt) == 0
+
+    @pytest.mark.parametrize("order", [("brute_force", "two_to_one"),
+                                       ("two_to_one", "brute_force")])
+    @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+    def test_disagreements(self, capsys, tmp_path, monkeypatch, fmt, order):
+        # the 2-to-1 verdict flipped on the rows n = 2 (mod 5) of k = 1,
+        # across a block boundary: the count, the agree column and the
+        # pretty trailer
+        real = permcheck.is_pp_two_to_one
+
+        def flipped(F, n, k):
+            report = real(F, n, k)
+            if n % 5 == 2 and k % F.p == 1:
+                report.verdict = not report.verdict
+            return report
+        monkeypatch.setattr(permcheck, "is_pp_two_to_one", flipped)
+        assert self._check(capsys, tmp_path, "25", range(1, 301), None,
+                           list(order), fmt) == 1
+
+    def test_a_late_failing_row_leaves_stdout_empty(self, capsys,
+                                                    monkeypatch):
+        # every row is decided before the first byte is written
+        real = permcheck.is_pp_two_to_one
+
+        def late(F, n, k):
+            if n == 1200:
+                raise ValueError("late row")
+            return real(F, n, k)
+        monkeypatch.setattr(permcheck, "is_pp_two_to_one", late)
+        code, out, err = run(capsys, "pp", "--field", "9", "--n", "1..1200")
+        assert (code, out, err) == (2, "", "error: late row\n")
+
+    def test_grid_memory_peak_per_row(self):
+        # 20000 rows over GF(25): one verdict byte per row, the --n
+        # list, and one block of text in json, the widest rows
+        argv = ["pp", "--field", "25", "--n", "1..4000", "--format", "json"]
+        with open(os.devnull, "w", encoding="utf-8") as fh, \
+                contextlib.redirect_stdout(fh):
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == 0 and peak < PP_BYTES_PER_ROW * 20000
 
 
 _WORDS = st.sampled_from(("3", "1", "0..2", "1,1", "json", "csv", "xml",
@@ -1200,8 +1355,11 @@ class TestGuardsAndErrors:
     @pytest.mark.parametrize("argv, lines, code", [
         (("sums", "--field", "125", "--k", "1"), 1, 0),
         (("sums", "--field", "125", "--k", "1", "--check"), 1, 1),
-        (("eval", "--field", "5", "--n", "4", "--k", "3", "--x", "2"), 0, 0)],
-        ids=["sums", "sums-check", "eval"])
+        (("eval", "--field", "5", "--n", "4", "--k", "3", "--x", "2"), 0, 0),
+        (("pp", "--field", "49", "--n", "1..2400"), 1, 0),
+        (("poly", "--field", "343", "--n", "5000", "--k", "2", "--format",
+          "csv"), 1, 0)],
+        ids=["sums", "sums-check", "eval", "pp", "poly"])
     def test_reader_closing_the_pipe_keeps_the_exit_code(self, tmp_path,
                                                          argv, lines, code):
         # the reader closes its end after `lines` lines: the sums rows
@@ -1225,6 +1383,24 @@ class TestGuardsAndErrors:
             proc.stdout.close()
             err = proc.stderr.read()
             assert (proc.wait(timeout=20), err) == (code, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ("field-info", "--field", "9"),
+        ("pp", "--field", "9", "--n", "1..3"),
+        ("sums", "--field", "125", "--k", "1"),
+        ("poly", "--field", "343", "--n", "5000", "--k", "2")],
+        ids=["field-info", "pp", "sums", "poly"])
+    def test_a_full_stdout_is_a_usage_error(self, argv):
+        # used to end in an OSError traceback and exit 1; the flush at
+        # exit must find fd 1 on the null device, or it exits 120
+        with open("/dev/full", "w", encoding="utf-8") as full:
+            proc = subprocess.run([sys.executable, "-m", "rdickson", *argv],
+                                  stdout=full, stderr=subprocess.PIPE,
+                                  text=True, timeout=20)
+        assert (proc.returncode, proc.stderr) == (
+            2, "error: cannot write stdout: No space left on device\n")
 
     @pytest.mark.parametrize("l", ["100000", "1000000000000"])
     def test_huge_exponent_is_refused_before_any_scan(self, l):
