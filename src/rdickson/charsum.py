@@ -13,15 +13,13 @@ past the table are checked against the first two.  The offsets
 O(q^2) list work beyond the field, O(q) of it in Python steps.
 The paper's route, a closed coefficient vector b (the expansion of a
 product), the vector c derived from it and the identity
-(z^q - z^(q-1) - 1) d(z) = c(z), is kept for residue_identity_holds:
-b is a comb with the same two teeth at each multiple of q - 1, the
-first part of c is runs of equal entries, and the mixer polynomial is
-two exact divisions by z - 2 of an O(q) numerator.  The one large
-product, mixer * b, is q + 1 shifted copies of mixer * (b_0 + b_1 z),
-which between two edges of 2q - 1 entries is its first period of q - 1
-entries repeated; the edges and that period are summed from the teeth
-that reach them, so c costs O(q) Python steps plus one list
-repetition and reads only b's tooth.
+(z^q - z^(q-1) - 1) d(z) = c(z), is kept for residue_identity_holds,
+which only `verify sums` runs: b is a comb with the same two teeth at
+each multiple of q - 1, the first part of c is runs of equal entries,
+and the mixer polynomial is two exact divisions by z - 2 of an O(q)
+numerator.  The one large product, mixer * b, is q + 1 shifted copies
+of mixer * (b_0 + b_1 z), slice-added to the first part, so c costs
+O(q) Python steps and O(q^2) list work and reads only b's tooth.
 sums_bruteforce is the oracle: every kind is read off one pass per field
 that sums the sequences U_n(x) term by term over all x, each walked
 to its period.  Sum tables need odd characteristic; _b_tooth, which
@@ -105,52 +103,32 @@ def _mixer(q, p):
     return mixer
 
 
-def _comb_window(q, p, tooth, lo, hi):
-    """Entries lo .. hi - 1 of c, summed term by term: the first product
-    of c_coeffs plus the teeth at the multiples of q - 1 that reach each
-    index."""
-    out = [(0 < i < q * q) + (i == q) - (i == q * q + q - 1)
-           for i in range(lo, hi)]
-    step, width = q - 1, len(tooth)
-    first = max(0, -((width - 1 - lo) // step)) * step
-    for s in range(first, min(q * step, hi - 1) + 1, step):
-        a, z = max(lo, s), min(hi, s + width)
-        out[a - lo:z - lo] = map(add, out[a - lo:z - lo], tooth[a - s:z - s])
-    return [v % p for v in out]
-
-
 def c_coeffs(F, k):
     """Right-hand-side vector c, indices 0 .. q^2 + q - 1.
 
     c(z) = (1 + z^(q-1) - z^q) * (z + ... + z^(q^2-1)) - mixer(z) * b(z).
     The first product is 1 at degrees 1 .. q^2 - 1 except 2 at q, then
     -1 at q^2 + q - 1.  b is the comb of _b_tooth, so mixer * b is one
-    2q-wide tooth, -mixer * (b_0 + b_1 z), added at every multiple of
-    q - 1.  Outside a head and a tail of 2q - 1 entries each, every index
-    meets all the teeth that could reach it, so the interior, (q - 1)(q - 2)
-    entries, is its first period, entries 2q - 1 .. 3q - 3, repeated;
-    that period and the edges are summed from the teeth that reach them.
-
-    The constant term must vanish, nothing may reach past degree
-    q^2 + q - 1, and the last period of the fill, up to q^2 - q, summed
-    again from the teeth, must equal the fill; all three are checked.
+    2q-wide tooth, -mixer * (b_0 + b_1 z), slice-added at each of the
+    q + 1 multiples of q - 1, and the sum is reduced mod p once.  The
+    constant term must vanish and nothing may reach past degree
+    q^2 + q - 1; both are checked.
     """
     q, p = F.q, F.p
     b0, b1 = _b_tooth(F, k)
     mixer = _mixer(q, p)
     tooth = [-(b0 * x + b1 * y) % p for x, y in zip(mixer + [0], [0] + mixer)]
-    size, edge = q * q + q, 2 * q - 1
-    c = (_comb_window(q, p, tooth, 0, edge)
-         + _comb_window(q, p, tooth, edge, edge + q - 1) * (q - 2)
-         + _comb_window(q, p, tooth, size - edge, q * q - q + len(tooth)))
+    size, width = q * q + q, len(tooth)
+    # room for the last tooth, so that a wrong mixer shows past the degree
+    c = [0] + [1] * (q * q - 1) + [0] * (width - q)
+    c[q], c[size - 1] = 2, -1
+    for s in range(0, q * q - q + 1, q - 1):
+        c[s:s + width] = map(add, c[s:s + width], tooth)
+    c = [v % p for v in c]
     if c[0] != 0:
         raise InternalCheckError("c-vector constant term is nonzero")
     if any(c[size:]):
         raise InternalCheckError("c-vector degree exceeds its bound")
-    lo = size - edge - q + 1
-    if c[lo:lo + q - 1] != _comb_window(q, p, tooth, lo, lo + q - 1):
-        raise InternalCheckError(
-            f"c-vector periodic fill disagrees with the teeth at {lo}")
     return c[:size]
 
 

@@ -35,7 +35,7 @@ a handler imports the modules it calls (rdpoly for eval and poly,
 permcheck for pp and the statements, charsum for the sum tables), and
 json and csv are imported where those formats are rendered.  A plain
 argv is read by one pass over _SHARED and _COMMANDS; argparse loads
-only for help and usage errors, and builds the named subparser alone.
+only for help, usage errors and argv such as "--flag=value".
 """
 
 import contextlib
@@ -650,9 +650,8 @@ _COMMANDS = {
 }
 
 
-def _build_parser(only=None):
-    """The parser and its subparsers by name: all of them, or only the
-    one named `only`, which parses and reports that command alike."""
+def _build_parser():
+    """The parser and its subparsers by name."""
     import argparse
     common = argparse.ArgumentParser(add_help=False)
     for flag, options in _SHARED:
@@ -664,10 +663,9 @@ def _build_parser(only=None):
                     "polynomial family over finite fields.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, text, arguments) in _COMMANDS.items():
-        if only in (None, name):
-            cmd = sub.add_parser(name, parents=[common], help=text)
-            for flag, options in arguments:
-                cmd.add_argument(flag, **options)
+        cmd = sub.add_parser(name, parents=[common], help=text)
+        for flag, options in arguments:
+            cmd.add_argument(flag, **options)
     return parser, sub.choices
 
 
@@ -706,9 +704,7 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = _fast_args(argv)
     if args is None:
-        # a run builds the subparser of its command alone
-        parser, commands = _build_parser(
-            argv[0] if argv and argv[0] in _COMMANDS else None)
+        parser, commands = _build_parser()
         try:
             args, extra = parser.parse_known_args(argv)
             if extra:

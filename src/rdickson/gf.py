@@ -33,8 +33,9 @@ T^2 - T + x to an index, and FieldSpec.binet and QuadExt.binet evaluate
 the same sequence from a root y of that polynomial on GF(q) or on V.
 Each has a body that holds values as logs and adds through the Zech
 table or the coset tables, and one by the field's methods, used on
-fields without tables and wherever a zero, which has no log, turns
-up; lucas has a third, ints mod p, for prime fields.
+fields without tables; lucas has a third, ints mod p, for prime
+fields.  A zero, which has no log, keeps lucas in logs (held as None)
+but sends FieldSpec.binet to its methods body.
 """
 
 import itertools

@@ -198,8 +198,8 @@ class TestCVector:
                 assert len(c) == F.q ** 2 + F.q
                 assert c[0] == 0
 
-    # q = 3 leaves an interior of (q - 1)(q - 2) = 2 entries between the
-    # edges, one period
+    # from q = 3, where each tooth, 2q wide at a stride of q - 1, overlaps
+    # the next two
     @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27, 49, 81, 121])
     def test_matches_products_of_the_definition(self, q):
         F = gf.parse_field_descriptor(str(q))
@@ -234,31 +234,6 @@ class TestCVector:
         monkeypatch.setattr(cs, "_mixer", lambda q, p: fault(real(q, p)))
         with pytest.raises(InternalCheckError, match=message):
             cs.c_coeffs(F5, 3)
-
-    @pytest.mark.parametrize("q", [3, 5, 9, 25, 27])
-    def test_seam_check_fires_on_a_rotated_period(self, monkeypatch, q):
-        # the interior filled with its period rotated by one place: the
-        # last period, summed again from the teeth, disagrees with the
-        # fill wherever the rotation moves an entry
-        F = gf.parse_field_descriptor(str(q))
-        periods = {k: cs.c_coeffs(F, k)[2 * q - 1:3 * q - 2]
-                   for k in range(F.p)}
-        real = cs._comb_window
-
-        def rotated(q_, p, tooth, lo, hi):
-            v = real(q_, p, tooth, lo, hi)
-            return v[1:] + v[:1] if (lo, hi) == (2 * q - 1, 3 * q - 2) else v
-        monkeypatch.setattr(cs, "_comb_window", rotated)
-        moved = [k for k, period in periods.items()
-                 if period[1:] + period[:1] != period]
-        for k in periods:
-            if k in moved:
-                with pytest.raises(InternalCheckError, match="teeth"):
-                    cs.c_coeffs(F, k)
-            else:
-                assert cs.c_coeffs(F, k) == _c_by_products(F, k)
-        # over GF(3) the two entries of every period are equal
-        assert (moved == []) == (q == 3)
 
     # sha256 of the comma-joined vector, recorded with the dense product
     # (every entry of b walked) before mul skipped zeros
