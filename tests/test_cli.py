@@ -800,6 +800,33 @@ class TestParser:
                 assert fast is not None, op.text
                 assert vars(fast) == vars(parser.parse_args(op.argv))
 
+    # every command's "--flag=value" argv goes to the full parser and runs
+    # as its plain form does through the fast pass
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--field", "7", "--n", "8", "--k", "4", "--x", "3",
+         "--check"),
+        ("poly", "--field", "5", "--n", "7", "--k", "2", "--format", "csv"),
+        ("pp", "--field", "49", "--n", "1..50"),
+        ("verify", "T2.1", "--p", "3", "--e", "1", "--format", "json"),
+        ("sums", "--field", "5", "--k", "1", "--check"),
+        ("field-info", "--field", "9")], ids=lambda argv: argv[0])
+    def test_flag_value_argv_runs_as_its_plain_form(self, argv):
+        argv = list(argv)
+        joined = [argv[0]]
+        for token in argv[1:]:
+            if joined[-1][:2] == "--" and token[:1] != "-" and (
+                    joined[-1] != "--check"):
+                joined[-1] += "=" + token
+            else:
+                joined.append(token)
+        assert len(joined) < len(argv)
+        fast = cli._fast_args(argv)
+        assert fast is not None and cli._fast_args(joined) is None
+        assert vars(fast) == vars(cli._build_parser()[0].parse_args(joined))
+        got = _main_io(argv)
+        assert got[0] == 0 and got[1] and not got[2]
+        assert _main_io(joined) == got
+
 
 class TestChecks:
     def test_eval_check_agreement(self, capsys):
