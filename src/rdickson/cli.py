@@ -24,11 +24,13 @@ output format is written here: the library returns values, records and
 coefficient tuples, and _terms writes a tuple as a sum of terms.  The
 short outputs are rendered whole and written once.  The long ones go
 through one block writer, _write_rows, with _write_json around it:
-`sums` builds and checks its table, `pp` decides every row (one byte
-each), and `poly` builds its integer row, before the first write; then
-each writes ROWS_PER_WRITE rows at a time (the fnk row
-FNK_ROWS_PER_WRITE), a block being one join of its columns.  So a
-command holds its data and one block, never its rendered text.
+`sums` builds and checks its table, `pp` and `verify` decide every
+grid point (one byte each, in permcheck), and `poly` builds its integer
+row, before the first write; then each writes ROWS_PER_WRITE rows at a
+time (the fnk row FNK_ROWS_PER_WRITE), a block being one join of its
+columns.  A grid row is a %-format per class of points (_row_format)
+filled in with each point's coordinates.  So a command holds its data
+and one block, never its rendered text.
 
 Each process is one command, so the module imports only gf up front:
 a handler imports the modules it calls (rdpoly for eval and poly,
@@ -43,7 +45,7 @@ import io
 import os
 import sys
 import types
-from itertools import compress, islice
+from itertools import compress, islice, product
 from operator import eq, ne
 
 from . import gf
@@ -173,7 +175,7 @@ def _csv_text(header, rows):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
+    return buf.getvalue()
 
 
 @contextlib.contextmanager
@@ -204,16 +206,23 @@ def _output(args):
             f"cannot write --out {args.out}: {exc.strerror or exc}")
 
 
-def _emit(args, pretty_lines, json_obj, csv_header, csv_rows):
-    if args.format == "json":
-        text = _json_parts(json_obj)[0]
-    elif args.format == "csv":
-        text = _csv_text(csv_header, csv_rows)
-    else:
-        text = "\n".join(pretty_lines)
-    text += "\n"               # appends in place: no second copy of text
+def _emit(args, pretty_lines, json_obj, csv_header, csv_rows, lines=(),
+          count=0):
+    """Write pretty_lines, json_obj or csv_header and csv_rows.  The
+    first count texts of the iterator lines are rows, written by
+    _write_rows: as the list at the value _HOLE of json_obj, after
+    csv_rows, and after the first pretty line."""
+    rows, columns = range(count), lambda block: [islice(lines, len(block))]
     with _output(args) as fh:
-        fh.write(text)
+        if args.format == "json":
+            _write_json(fh, json_obj, 1, rows, columns)
+        elif args.format == "csv":
+            fh.write(_csv_text(csv_header, csv_rows))
+            _write_rows(fh, rows, columns)
+        else:
+            fh.write(pretty_lines[0] + "\n")
+            _write_rows(fh, rows, columns)
+            fh.writelines(line + "\n" for line in pretty_lines[1:])
 
 
 ROWS_PER_WRITE = 1000    # a power of ten, so a block's n share a prefix
@@ -246,6 +255,18 @@ def _json_parts(obj, depth=0):
     import json
     return (json.dumps(obj, sort_keys=True, indent=2)
             .replace("\n", "\n" + "  " * depth).split('"\\u0000"'))
+
+
+def _row_format(fmt, row):
+    """A grid row, a dict whose coordinates are "%(name)s" placeholders,
+    as a %-format (no other value holds a "%"): its json object two
+    levels deep after the ",\\n" that joins it, or its line of cells,
+    joined by " " (pretty) or by "," as csv.writer joins them (csv)."""
+    if fmt == "json":
+        return ",\n    " + _json_parts(row, 2)[0].replace(
+            '"%(', "%(").replace(')s"', ")s")
+    cells = list(map(_csv_cell, row.values()))
+    return _csv_text(cells, ()) if fmt == "csv" else " ".join(cells) + "\n"
 
 
 def _write_json(fh, obj, depth, rows, columns, size=ROWS_PER_WRITE):
@@ -332,7 +353,7 @@ def cmd_poly(args, max_q):
         elif args.format == "csv":
             fh.write(_csv_text(("source", "degree", "coeff"),
                                [("poly", i, _coords(F, c))
-                                for i, c in enumerate(poly)]) + "\n")
+                                for i, c in enumerate(poly)]))
             # a decimal integer never needs csv quoting
             _write_rows(fh, rows, lambda b: [
                 "fnk,", map(str, b), ",", map(str, fnk[b.start:b.stop]), "\n"],
@@ -360,57 +381,22 @@ def cmd_pp(args, max_q):
     criteria = [c.strip() for c in args.criteria.split(",") if c.strip()]
     if not criteria:
         raise ValueError("--criteria names no criterion")
-    tests = {"brute_force": permcheck.dickson_pp_bruteforce,
-             "two_to_one": permcheck.is_pp_two_to_one}
-    for i, crit in enumerate(criteria):
-        if crit not in tests:
-            raise ValueError(f"unknown criterion {crit!r}; "
-                             f"choose from {', '.join(tests)}")
-        if crit in criteria[:i]:
-            raise ValueError(f"criterion {crit!r} is named twice")
-    if F.p == 2 and "two_to_one" in criteria:
-        raise ValueError("the two_to_one criterion needs odd characteristic")
-
     # every row is decided before the first byte is written, so a row
-    # that raises leaves the output empty; a row keeps one byte: bit i
-    # the verdict of criteria[i], then the agree bit
-    verdicts = bytearray()
-    for n in ns:
-        for k in ks:
-            bits = [tests[crit](F, n, k).verdict for crit in criteria]
-            bits.append(len(set(bits)) == 1)
-            verdicts.append(sum(bit << i for i, bit in enumerate(bits)))
+    # that raises leaves the output empty
+    verdicts = permcheck.pp_grid(F, ns, ks, criteria)
     disagreements = sum(v >> len(criteria) == 0 for v in verdicts)
     header = ["n", "k", *criteria, "agree"]
-    sep = "," if args.format == "csv" else " "
-    texts = {}       # a verdict byte: its row's text around n and k
-    for v in set(verdicts):
-        row = {"n": _HOLE, "k": _HOLE}
-        for i, name in enumerate(header[2:]):
-            row[name] = bool(v >> i & 1)
-        texts[v] = (_json_parts(row, 2) if args.format == "json" else
-                    sep.join(map(_csv_cell, row.values())).split(_HOLE))
-
-    def columns(block):
-        pre, mid, post = zip(*map(texts.__getitem__,
-                                  verdicts[block.start:block.stop]))
-        n = [str(ns[r // len(ks)]) for r in block]
-        k = [str(ks[r % len(ks)] % F.p) for r in block]
-        # json sorts its keys, so k precedes n
-        if args.format == "json":
-            return [",\n    ", pre, k, mid, n, post]
-        return [pre, n, mid, k, post, "\n"]
-    rows = range(len(verdicts))
-    with _output(args) as fh:
-        if args.format == "json":
-            _write_json(fh, {"command": "pp", "field": gf.field_descriptor(F),
-                             "criteria": criteria, "rows": _HOLE,
-                             "disagreements": disagreements}, 1, rows, columns)
-        else:
-            fh.write(sep.join(header) + "\n")
-            _write_rows(fh, rows, columns)
-            if disagreements and args.format == "pretty":
-                fh.write(f"criteria disagree on {disagreements} rows\n")
+    # a verdict byte: its row's format of n and k
+    texts = {v: _row_format(args.format, {"n": "%(n)s", "k": "%(k)s", **{
+        name: bool(v >> i & 1) for i, name in enumerate(header[2:])}})
+        for v in set(verdicts)}
+    _emit(args, [" ".join(header)] + [
+        f"criteria disagree on {disagreements} rows"] * (disagreements > 0),
+        {"command": "pp", "field": gf.field_descriptor(F),
+         "criteria": criteria, "rows": _HOLE, "disagreements": disagreements},
+        header, (), (texts[v] % {"n": n, "k": k % F.p}
+                     for (n, k), v in zip(product(ns, ks), verdicts)),
+        len(verdicts))
     return 1 if disagreements else 0
 
 
@@ -430,7 +416,8 @@ def cmd_verify(args, max_q):
                 f"unknown verify target {args.target!r}; expected 'sums' "
                 f"or one of {', '.join(permcheck.THEOREM_IDS)}")
         # the axis a statement walks is the same for every degree e
-        if permcheck.STATEMENTS[args.target].axis(1, None, None)[0] != "n":
+        axis = permcheck.STATEMENTS[args.target].axis(1, None, None)[0]
+        if axis != "n":
             unread["--n"] = "n = p^l + c over the exponents l"
     for flag, reads in unread.items():
         if getattr(args, flag[2:]) is not None:
@@ -454,21 +441,26 @@ def cmd_verify(args, max_q):
     if not size:
         raise ValueError(
             f"no point of this grid lies in the domain of {args.target}")
-    entries = permcheck.verify_theorem(args.target, ps, es, **grid)
-    failures = [ent for ent in entries if not ent["ok"]]
-
-    pretty = [f"{args.target}: {len(entries)} grid points, "
+    # as in pp, every point is decided before the first byte is written;
+    # a class's row format has its keys sorted, as csv and json sort them
+    count, classes, failures, rows = permcheck.verify_grid(
+        args.target, ps, es, **grid)
+    texts = {key: _row_format(args.format, {
+        **dict(sorted(ent.items())), "k": "%(k)s", "n": "%(n)s",
+        axis: f"%({axis})s"}) for key, ent in classes.items()}
+    pretty = [f"{args.target}: {count} grid points, "
               f"{len(failures)} failures"]
     if failures:
         import json
         pretty += ["FAIL " + json.dumps(ent, sort_keys=True)
                    for ent in failures]
     pretty.append(f"pass: {_bool(not failures)}")
-    keys = sorted({key for ent in entries for key in ent})
-    csv_rows = [[_csv_cell(ent[key]) for key in keys] for ent in entries]
-    jobj = {"theorem": args.target, "pass": not failures, "grid": entries,
-            "failures": failures}
-    _emit(args, pretty, jobj, keys, csv_rows)
+    # pretty lists no point
+    _emit(args, pretty, {"theorem": args.target, "pass": not failures,
+                         "grid": _HOLE, "failures": failures},
+          sorted(next(iter(classes.values()), ())), (),
+          (texts[key] % at for key, at in rows),
+          count * (args.format != "pretty"))
     return 1 if failures else 0
 
 

@@ -8,7 +8,8 @@ separately: the left side is always an exhaustive permutation test of
 the actual map, the right side the stated arithmetic condition or the
 stated auxiliary polynomial's own exhaustive test.  The two sides must
 coincide at every grid point; each point is one entry, with ok false
-where they differ.
+where they differ.  pp_grid and verify_grid decide a whole grid into one
+byte a point, for the CLI to write back point by point.
 
 Both scans of the family take one row function per (n, k), built once:
 the image scan evaluates rdpoly.recurrence_row point by point and stops
@@ -103,14 +104,29 @@ def is_pp_two_to_one(F, n, k):
     return PPReport(True)
 
 
+def pp_grid(F, ns, ks, criteria):
+    """The named criteria ("brute_force", "two_to_one") on each row (n, k)
+    of ns x ks, n-major, in one byte a row: bit i the verdict of
+    criteria[i], then the bit that they agree."""
+    tests = {"brute_force": dickson_pp_bruteforce,
+             "two_to_one": is_pp_two_to_one}
+    for i, crit in enumerate(criteria):
+        if crit not in tests:
+            raise ValueError(f"unknown criterion {crit!r}; "
+                             f"choose from {', '.join(tests)}")
+        if crit in criteria[:i]:
+            raise ValueError(f"criterion {crit!r} is named twice")
+    if F.p == 2 and "two_to_one" in criteria:
+        raise ValueError("the two_to_one criterion needs odd characteristic")
+    verdicts = bytearray()
+    for n, k in itertools.product(ns, ks):
+        bits = [tests[crit](F, n, k).verdict for crit in criteria]
+        bits.append(len(set(bits)) == 1)
+        verdicts.append(sum(bit << i for i, bit in enumerate(bits)))
+    return verdicts
+
+
 # -- grid verification of the permutation statements ----------------------
-
-
-def _entry(F, lhs, rhs, **params):
-    e = {"field": gf.field_descriptor(F), "q": F.q}
-    e.update(params)
-    e.update(lhs=lhs, rhs=rhs, ok=lhs == rhs)
-    return e
 
 
 def _power_map_pp(F, weighted_terms):
@@ -233,31 +249,67 @@ def _grid(theorem, ps, es, ns, ls, ks, max_q):
     return grid
 
 
-def verify_theorem(theorem, ps, es, *, ns=None, ls=None, ks=None,
-                   max_q=gf.DEFAULT_MAX_Q):
-    """Evaluate both sides of a named permutation statement on a grid.
+def verify_points(theorem, ps, es, **grid):
+    """Both sides of a named permutation statement at each point of
+    grid_points, one entry a point; each field is built once.
 
     The fields GF(p^e) run over ps x es, each guarded by q <= max_q
     (None: no bound); p = 2 is refused: every statement assumes odd
     characteristic.  The STATEMENTS entry fixes the rest: indices ns
     (T2.2, default 0..30) or exponents ls (default 0..e; T-k0-pe2 takes
     l = e alone), and which kinds ks (default 0..p-1, mod p) it covers,
-    none outside its domain; fixed-kind statements ignore ks.  Returns
-    the list of grid entries; the statement holds on the grid iff every
-    entry has ok true.
+    none outside its domain; fixed-kind statements ignore ks.  The
+    statement holds on the grid iff every entry has ok true.
     """
-    st, entries = STATEMENTS.get(theorem), []
+    st, field = STATEMENTS.get(theorem), None
+    for p, e, at in grid_points(theorem, ps, es, **grid):
+        if field != (p, e):
+            F, field = gf.make_field(p, e), (p, e)
+        l, n, k = at.get("l"), at["n"], at["k"]
+        lhs = dickson_pp_bruteforce(F, n, k, st.a).verdict
+        rhs = st.rhs(F, l, n, k)
+        yield {"field": gf.field_descriptor(F), "q": F.q, **at, "lhs": lhs,
+               "rhs": rhs, "ok": lhs == rhs,
+               **(st.extra(F, l, n, k, lhs) if st.extra else {})}
+
+
+def verify_theorem(theorem, ps, es, *, ns=None, ls=None, ks=None,
+                   max_q=gf.DEFAULT_MAX_Q):
+    """The list of verify_points' entries."""
+    return list(verify_points(theorem, ps, es, ns=ns, ls=ls, ks=ks,
+                              max_q=max_q))
+
+
+def verify_grid(theorem, ps, es, **grid):
+    """verify_points in one byte a point: (count, classes, failures, rows).
+
+    A byte has the bits lhs, rhs, ok and the entry's last value (the
+    statement's extra flag, or ok again).  classes maps (q, byte) to the
+    first entry of that class, failures lists the entries with ok false,
+    and rows walks the grid again without a test, as ((q, byte), at)."""
+    verdicts, classes, failures = bytearray(), {}, []
+    for ent in verify_points(theorem, ps, es, **grid):
+        *_, last = ent.values()
+        verdicts.append(ent["lhs"] | ent["rhs"] << 1 | ent["ok"] << 2
+                        | last << 3)
+        classes.setdefault((ent["q"], verdicts[-1]), ent)
+        if not ent["ok"]:
+            failures.append(ent)
+    rows = (((p ** e, v), at) for (p, e, at), v in
+            zip(grid_points(theorem, ps, es, **grid), verdicts))
+    return len(verdicts), classes, failures, rows
+
+
+def grid_points(theorem, ps, es, *, ns=None, ls=None, ks=None,
+                max_q=gf.DEFAULT_MAX_Q):
+    """The points of a statement's grid, (p, e, at) with at the entry's
+    coordinates {l, n, k} ({n, k} on T2.2's n axis): field by field,
+    then axis value, then kind; runs no test."""
     for p, e, (name, axis), kinds in _grid(theorem, ps, es, ns, ls, ks, max_q):
-        F = gf.make_field(p, e)
         for v in axis:
-            l, n = (v, p ** v + st.shift) if name == "l" else (None, v)
+            n = p ** v + STATEMENTS[theorem].shift if name == "l" else v
             for k in kinds:
-                lhs = dickson_pp_bruteforce(F, n, k, st.a).verdict
-                ent = _entry(F, lhs, st.rhs(F, l, n, k),
-                             **{name: v, "n": n}, k=k)
-                ent.update(st.extra(F, l, n, k, lhs) if st.extra else {})
-                entries.append(ent)
-    return entries
+                yield p, e, {name: v, "n": n, "k": k}
 
 
 def grid_size(theorem, ps, es, *, ns=None, ls=None, ks=None,

@@ -709,6 +709,131 @@ class TestPPWriter:
         assert code == 0 and peak < PP_BYTES_PER_ROW * 20000
 
 
+def _verify_reference(target, entries, fmt):
+    """The verify output built whole from verify_theorem's entries:
+    json.dumps of the document, csv.writer rows under the sorted keys,
+    or the count, FAIL and pass lines."""
+    failures = [ent for ent in entries if not ent["ok"]]
+    if fmt == "json":
+        return json.dumps({"theorem": target, "pass": not failures,
+                           "grid": entries, "failures": failures},
+                          sort_keys=True, indent=2) + "\n"
+    if fmt == "csv":
+        keys = sorted({key for ent in entries for key in ent})
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(keys)
+        writer.writerows([json.dumps(ent[key]) if isinstance(ent[key], bool)
+                          else str(ent[key]) for key in keys]
+                         for ent in entries)
+        return buf.getvalue()
+    lines = [f"{target}: {len(entries)} grid points, "
+             f"{len(failures)} failures"]
+    lines += ["FAIL " + json.dumps(ent, sort_keys=True) for ent in failures]
+    lines.append(f"pass: {json.dumps(not failures)}")
+    return "\n".join(lines) + "\n"
+
+
+# a grid per statement: extension fields, whose descriptors csv quotes,
+# and repeated indices and kinds
+VERIFY_GRIDS = {
+    "T2.2": ([3, 5], [1, 2], {"ns": [0, 1, 2, 4, 4, 9, 30],
+                              "ks": [0, 1, 2, 7]}),
+    "T2.1": ([3, 5], [1, 2], {"ls": [0, 1, 2, 3]}),
+    "T-pl1-k2": ([3, 5, 7], [1, 2], {"ls": [0, 1, 2]}),
+    "T-pl1-gen": ([3, 5], [1, 2], {"ls": [0, 1, 1, 2], "ks": [1, 3, 3]}),
+    "T-pl2-k2": ([3, 5], [1, 2], {"ls": [0, 1]}),
+    "T-pl2-k4": ([5, 7], [1, 2], {"ls": [0, 1]}),
+    "T-pl2-gen": ([5, 7], [1, 2], {"ls": [0, 1]}),
+    "T-k0-pe2": ([3, 5, 7], [1, 2, 3], {}),
+}
+
+# the traced peak of a 21000-point grid over GF(7) read 7-29 bytes per
+# point (Python 3.11), against 616-1778 when held whole
+VERIFY_BYTES_PER_POINT = 64
+
+
+class TestVerifyWriter:
+    # every point is decided first, into one byte, then written in blocks
+    # of rows; the bytes must be those of the whole-grid renderings
+    @staticmethod
+    def _check(capsys, tmp_path, target, fmt, ps, es, **axes):
+        argv = ["verify", target, "--p", ",".join(map(str, ps)),
+                "--e", ",".join(map(str, es)), "--format", fmt]
+        for name, values in axes.items():
+            argv += [f"--{name[0]}", ",".join(map(str, values))]
+        code, out, err = _out_and_file(capsys, tmp_path, *argv)
+        entries = permcheck.verify_theorem(target, ps, es, **axes)
+        assert (out, err) == (_verify_reference(target, entries, fmt), "")
+        return code
+
+    @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+    @pytest.mark.parametrize("target", permcheck.THEOREM_IDS)
+    def test_bytes_match_whole_grid_rendering(self, capsys, tmp_path,
+                                              target, fmt):
+        ps, es, axes = VERIFY_GRIDS[target]
+        assert self._check(capsys, tmp_path, target, fmt, ps, es,
+                           **axes) == 0
+
+    @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+    def test_bytes_match_across_write_blocks(self, capsys, tmp_path, fmt):
+        # 3612 points over two fields: three full blocks and a partial one
+        assert self._check(capsys, tmp_path, "T2.2", fmt, [5, 7], [1],
+                           ns=range(301)) == 0
+
+    @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+    def test_failures(self, capsys, tmp_path, monkeypatch, fmt):
+        # the right side of T-pl2-k2 flipped at l = 1 on every field: the
+        # failures, their rows and the pass flag, across fields
+        st = permcheck.STATEMENTS["T-pl2-k2"]
+        real = st.rhs
+        monkeypatch.setattr(st, "rhs", lambda F, l, n, k: real(F, l, n, k)
+                            != (l == 1))
+        assert self._check(capsys, tmp_path, "T-pl2-k2", fmt, [3, 5],
+                           [1, 2], ls=[0, 1, 2]) == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_extra_flag_splits_a_class(self, capsys, tmp_path, monkeypatch,
+                                       fmt):
+        # the extra flag of T-pl2-k4 set on odd l alone: points of one
+        # field with equal sides then differ in their rows
+        st = permcheck.STATEMENTS["T-pl2-k4"]
+        monkeypatch.setattr(st, "extra", lambda F, l, n, k, lhs:
+                            {"l_zero_claim_ok": l % 2 == 1})
+        assert self._check(capsys, tmp_path, "T-pl2-k4", fmt, [5], [2],
+                           ls=range(5)) == 0
+
+    def test_a_late_failing_point_leaves_stdout_empty(self, capsys,
+                                                      monkeypatch):
+        # every point is decided before the first byte is written
+        real = permcheck.dickson_pp_bruteforce
+
+        def late(F, n, k, a=1):
+            if (F.q, n) == (7, 300):
+                raise ValueError("late point")
+            return real(F, n, k, a)
+        monkeypatch.setattr(permcheck, "dickson_pp_bruteforce", late)
+        for fmt in ("pretty", "json", "csv"):
+            code, out, err = run(capsys, "verify", "T2.2", "--p", "5,7",
+                                 "--e", "1", "--n", "0..300", "--format", fmt)
+            assert (code, out, err) == (2, "", "error: late point\n")
+
+    def test_grid_memory_peak_per_point(self):
+        # 21000 points over GF(7): one byte a point, the --n list, and one
+        # block of text in json, the widest rows
+        argv = ["verify", "T2.2", "--p", "7", "--e", "1", "--n", "0..2999",
+                "--format", "json"]
+        with open(os.devnull, "w", encoding="utf-8") as fh, \
+                contextlib.redirect_stdout(fh):
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == 0 and peak < VERIFY_BYTES_PER_POINT * 21000
+
+
 _WORDS = st.sampled_from(("3", "1", "0..2", "1,1", "json", "csv", "xml",
                           "T2.1", "sums", "pp", "", "-1", "-x", "--"))
 
@@ -1346,12 +1471,13 @@ class TestGuardsAndErrors:
                                                        monkeypatch, target):
         # --unsafe-large used to leave a bound of q <= 10^9 in place; the
         # grid is sized for real, and the scan of GF(10^9 + 7) stubbed
+        # where the grid's entries are made
         seen = []
 
         def verify(theorem, ps, es, **grid):
             seen.append(grid["max_q"])
             return []
-        monkeypatch.setattr(permcheck, "verify_theorem", verify)
+        monkeypatch.setattr(permcheck, "verify_points", verify)
         code, out, err = run(capsys, "verify", target, "--p", "1000000007",
                              "--e", "1", "--l", "0", "--k", "1",
                              "--unsafe-large")
