@@ -15,11 +15,12 @@ _HOMES = {
            "field_descriptor", "parse_field_descriptor", "is_prime",
            "is_irreducible", "quadratic_extension", "sqrt_ext", "solve_y",
            "enumerate_v"),
+    "rowkernels": ("value_at_quarter", "eval_a0", "recurrence_row",
+                   "functional_row"),
     "rdpoly": ("first_kind_weights", "second_kind_weights",
                "family_weights", "eval_definition", "eval_recurrence",
-               "eval_functional", "eval_via_fnk", "eval_matrix", "eval_a0",
-               "char2_eval", "closed_form", "value_at_quarter",
-               "functional_map", "recurrence_row", "functional_row",
+               "eval_functional", "eval_via_fnk", "eval_matrix",
+               "char2_eval", "closed_form", "functional_map",
                "fnk_coeffs", "genfun_coeffs", "as_polynomial"),
     "permcheck": ("PPReport", "THEOREM_IDS",
                   "is_pp_bruteforce", "monomial_pp", "is_pp_two_to_one",

@@ -11,16 +11,16 @@ coincide at every grid point; each point is one entry, with ok false
 where they differ.  pp_grid and verify_grid decide a whole grid into one
 byte a point, for the CLI to write back point by point.
 
-Both scans of the family take one row function per (n, k), built once:
-the image scan evaluates rdpoly.recurrence_row point by point and stops
-at the first collision, and the 2-to-1 count maps its domain through
-rdpoly.functional_row and stops at the first point that decides.
+Both scans of the family take one row function per (n, k), built once
+by rowkernels: the image scan evaluates recurrence_row point by point
+and stops at the first collision, and the 2-to-1 count maps its domain
+through functional_row and stops at the first point that decides.
 """
 
 import itertools
 import math
 
-from . import gf, rdpoly
+from . import gf, rowkernels
 
 N_DIGITS = 4300   # Python's default cap on the digits of a printed int
 
@@ -63,7 +63,7 @@ def monomial_pp(F, n):
 
 def dickson_pp_bruteforce(F, n, k, a=1):
     """Brute-force permutation test of x -> D(n,k; a,x)."""
-    return is_pp_bruteforce(F, rdpoly.recurrence_row(F, n, k, a))
+    return is_pp_bruteforce(F, rowkernels.recurrence_row(F, n, k, a))
 
 
 def is_pp_two_to_one(F, n, k):
@@ -87,8 +87,8 @@ def is_pp_two_to_one(F, n, k):
     k %= F.p
     ext = gf.quadratic_extension(F)
     half = F.half
-    excluded = rdpoly.value_at_quarter(F, n, k)
-    row = rdpoly.functional_row(ext, n, k)
+    excluded = rowkernels.value_at_quarter(F, n, k)
+    row = rowkernels.functional_row(ext, n, k)
     fibers = {}
     for y in itertools.chain(F.elements(), gf.enumerate_v(ext)):
         if y == half:

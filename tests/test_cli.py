@@ -22,7 +22,8 @@ import pytest
 from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
-from rdickson import charsum, cli, gf, permcheck, rdpoly
+from rdickson import (charsum, cli, cli_grids, cli_sums, cli_values, gf,
+                      permcheck, rdpoly, rowkernels)
 from rdickson.cli import main
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
@@ -142,14 +143,14 @@ class TestFormats:
         brute = charsum.sums_bruteforce(F, 3)
         oracle = [a == b for a, b in zip(brute, table.sums)]
         calls = collections.Counter()
-        for owner, name in ((gf.FieldSpec, "coeffs"), (cli, "_coords"),
+        for owner, name in ((gf.FieldSpec, "coeffs"), (cli_sums, "_coords"),
                             (json, "dumps"), (csv, "writer")):
             def counted(*a, _real=getattr(owner, name), _name=name, **kw):
                 calls[_name] += 1
                 return _real(*a, **kw)
             monkeypatch.setattr(owner, name, counted)
         out = io.StringIO()
-        cli._write_sums(out, fmt, table, oracle)
+        cli_sums._write_sums(out, fmt, table, oracle)
         assert out.getvalue().count("\n") > 624
         assert 0 < calls["coeffs"] <= 5
         for name, cap in caps.items():
@@ -282,7 +283,7 @@ class TestSumsWriter:
         F = gf.parse_field_descriptor(fd)
         table = charsum.sums_via_recurrence(F, 1)
         out = io.StringIO()
-        cli._write_sums(out, fmt, table, [True] * F.q ** 2)
+        cli_sums._write_sums(out, fmt, table, [True] * F.q ** 2)
         if fmt == "json":
             names = re.findall(r'^      "n": (.*),$', out.getvalue(), re.M)
         else:
@@ -302,7 +303,7 @@ class TestSumsWriter:
         with open(os.devnull, "w", encoding="utf-8") as fh:
             tracemalloc.start()
             try:
-                cli._write_sums(fh, "json", table, None)
+                cli_sums._write_sums(fh, "json", table, None)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -563,12 +564,12 @@ class TestPolyWriter:
 
     def test_terms(self):
         F9 = gf.make_field(3, 2)
-        assert cli._terms((5, -1), "x") == "5 - x"
-        assert cli._terms((), "x") == "0"
-        assert cli._terms((0, 2, 0, -7), "x") == "2x - 7x^3"
-        assert cli._terms((-1, 0, 1), "t") == "-1 + t^2"
-        assert cli._terms((4, 0, 7), "x", F9) == "(1,1) + (1,2)*x^2"
-        assert cli._terms((1, 1), "x", gf.make_field(7)) == "1 + x"
+        assert cli_values._terms((5, -1), "x") == "5 - x"
+        assert cli_values._terms((), "x") == "0"
+        assert cli_values._terms((0, 2, 0, -7), "x") == "2x - 7x^3"
+        assert cli_values._terms((-1, 0, 1), "t") == "-1 + t^2"
+        assert cli_values._terms((4, 0, 7), "x", F9) == "(1,1) + (1,2)*x^2"
+        assert cli_values._terms((1, 1), "x", gf.make_field(7)) == "1 + x"
 
     def test_json_coefficients(self, capsys):
         # the integer row as decimal strings, since its entries outgrow
@@ -951,6 +952,31 @@ class TestParser:
         got = _main_io(argv)
         assert got[0] == 0 and got[1] and not got[2]
         assert _main_io(joined) == got
+
+    # a handler is named as "module.function" and resolved on dispatch,
+    # so a wrong name would fail only when its command runs; resolving
+    # one runs nothing
+    def test_every_command_resolves_to_one_callable_handler(self):
+        argvs = [["eval", "--field", "7", "--n", "8", "--k", "4", "--x", "3"],
+                 ["poly", "--field", "5", "--n", "7", "--k", "2"],
+                 ["pp", "--field", "49", "--n", "1..50"],
+                 ["verify", "T2.1", "--p", "3", "--e", "1"],
+                 ["verify", "sums", "--field", "5"],
+                 ["sums", "--field", "5", "--k", "1"],
+                 ["field-info", "--field", "9"]]
+        assert {argv[0] for argv in argvs} == set(cli._COMMANDS)
+        parser = cli._build_parser()[0]
+        for argv in argvs:
+            command = cli._fast_args(argv).command
+            handler = cli._handler(command)
+            assert handler is cli._handler(parser.parse_args(argv).command)
+            module, _, name = cli._COMMANDS[command][0].partition(".")
+            assert callable(handler), argv
+            assert (handler.__module__, handler.__name__) == (
+                f"rdickson.{module}", name)
+        # cmd_verify imports its two targets' handlers by name
+        assert callable(cli_sums.cmd_verify_sums)
+        assert callable(cli_grids.cmd_verify_statement)
 
 
 class TestChecks:
@@ -1634,12 +1660,15 @@ class TestModuleEntry:
         (("field-info", "--field", "9"), ()),
         (("verify", "--help"), ()),
         (("eval", "--field", "9", "--n", "4", "--k", "1", "--x", "1,1"),
-         ("rdpoly",)),
-        (("poly", "--field", "9", "--n", "4", "--k", "1"), ("rdpoly",)),
-        (("pp", "--field", "9", "--n", "1..3"), ("rdpoly", "permcheck")),
-        (("verify", "T2.1", "--p", "3", "--e", "1"), ("rdpoly", "permcheck")),
-        (("sums", "--field", "9", "--k", "1"), ("charsum",)),
-        (("verify", "sums", "--field", "3"), ("charsum",))])
+         ("cli_values", "rdpoly", "rowkernels")),
+        (("poly", "--field", "9", "--n", "4", "--k", "1"),
+         ("cli_values", "rdpoly", "rowkernels")),
+        (("pp", "--field", "9", "--n", "1..3"),
+         ("cli_grids", "permcheck", "rowkernels")),
+        (("verify", "T2.1", "--p", "3", "--e", "1"),
+         ("cli_grids", "permcheck", "rowkernels")),
+        (("sums", "--field", "9", "--k", "1"), ("cli_sums", "charsum")),
+        (("verify", "sums", "--field", "3"), ("cli_sums", "charsum"))])
     def test_each_command_loads_only_the_modules_it_runs(self, argv, extra):
         code = ("import contextlib, io, sys; from rdickson.cli import main\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -1677,7 +1706,7 @@ class TestModuleEntry:
 
     def test_package_names_resolve_to_their_home_modules(self):
         import rdickson
-        homes = (gf, rdpoly, permcheck, charsum)
+        homes = (gf, rowkernels, rdpoly, permcheck, charsum)
         for name in rdickson.__all__:
             value = getattr(rdickson, name)
             holders = [m for m in homes if name in vars(m)]

@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from rdickson import gf, permcheck as pc
+from rdickson import gf, permcheck as pc, rowkernels
 from rdickson import rdpoly as rd
 
 F3 = gf.make_field(3)
@@ -90,7 +90,7 @@ class TestTwoToOne:
                 return row(y)
             return point
 
-        monkeypatch.setattr(rd, "functional_row", counted)
+        monkeypatch.setattr(rowkernels, "functional_row", counted)
         seen = set()
         for n in range(1, 50):
             for k in range(F25.p):
@@ -129,7 +129,7 @@ class TestTwoToOne:
 
         def own(ext, n, k):
             return lambda y: calls.append(y) or ("own", y)
-        monkeypatch.setattr(rd, "functional_row", own)
+        monkeypatch.setattr(rowkernels, "functional_row", own)
         rep = pc.is_pp_two_to_one(F5, 3, 1)
         assert not rep.verdict
         assert gf.quadratic_extension(F5).coeffs(rep.witness[0]) == (0, 0)
