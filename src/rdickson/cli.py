@@ -31,15 +31,15 @@ of its columns.  A grid row is a %-format per class of points
 (_row_format) filled in with each point's coordinates.  So a command
 holds its data and one block, never its rendered text.
 
-Each process is one command, and it compiles only the code it runs.
-This module holds what the commands share (the argv reader, the parse
-helpers, the writer) and field-info; it imports only gf up front.  main
-imports the one handler module that _COMMANDS names: cli_values (eval
-and poly, over rdpoly), cli_grids (pp and the statements, over
-permcheck) or cli_sums (the sum tables, over charsum); json and csv are
-imported where those formats are rendered.  A plain argv is read by one
-pass over _SHARED and _COMMANDS; argparse loads only for help, usage
-errors and argv such as "--flag=value".
+Each process is one command, and it loads (without bytecode, compiles)
+only the code it runs.  This module holds what the commands share (the
+argv reader, the parse helpers, the writer) and field-info, and imports
+only gf up front.  Each other command imports its handler module when it
+runs: cli_values (eval and poly, over rdpoly), cli_grids (pp and the
+statements, over permcheck) or cli_sums (the sum tables, over charsum);
+json and csv are imported where those formats are rendered.  A plain
+argv is read by one pass over _SHARED and _COMMANDS; argparse loads only
+for help, usage errors and argv such as "--flag=value".
 """
 
 import contextlib
@@ -112,6 +112,14 @@ def _guard_grid(n_points, max_q):
         raise ValueError(
             f"grid of {n_points} points exceeds {GRID_LIMIT}; "
             "pass --unsafe-large to proceed")
+
+
+def _refuse_unread(args, unread):
+    # a flag the target never reads would pass as if it had been checked
+    for flag, reads in unread.items():
+        if getattr(args, flag[2:]) is not None:
+            raise ValueError(f"verify {args.target} does not read {flag}; "
+                             f"it checks {reads}")
 
 
 def _coords(F, v):
@@ -243,7 +251,22 @@ def _csv_cell(value):
     return str(value)
 
 
-# -- verify ------------------------------------------------------------
+# -- commands: each imports its handler module when it runs ------------
+
+
+def cmd_eval(args, max_q):
+    from .cli_values import cmd_eval as run
+    return run(args, max_q)
+
+
+def cmd_poly(args, max_q):
+    from .cli_values import cmd_poly as run
+    return run(args, max_q)
+
+
+def cmd_pp(args, max_q):
+    from .cli_grids import cmd_pp as run
+    return run(args, max_q)
 
 
 def cmd_verify(args, max_q):
@@ -255,12 +278,9 @@ def cmd_verify(args, max_q):
     return run(args, max_q)
 
 
-def _refuse_unread(args, unread):
-    # a flag the target never reads would pass as if it had been checked
-    for flag, reads in unread.items():
-        if getattr(args, flag[2:]) is not None:
-            raise ValueError(f"verify {args.target} does not read {flag}; "
-                             f"it checks {reads}")
+def cmd_sums(args, max_q):
+    from .cli_sums import cmd_sums as run
+    return run(args, max_q)
 
 
 # -- field-info --------------------------------------------------------
@@ -286,8 +306,8 @@ def cmd_field_info(args, max_q):
 # -- wiring ------------------------------------------------------------
 
 
-# the flags of every command, then name -> (handler, help, arguments),
-# the handler as "module.function"; --check is listed where it is read
+# the flags of every command, then name -> (handler, help, arguments);
+# --check is listed where the handler reads it
 _SHARED = (("--field", {"help": 'field descriptor: "q", "p^e" or '
                                     '"p^e/c0,c1,...,1"'}),
            ("--format", {"choices": ("pretty", "json", "csv"),
@@ -298,19 +318,19 @@ _SHARED = (("--field", {"help": 'field descriptor: "q", "p^e" or '
 _CHECK = ("--check", {"action": "store_true",
                       "help": "cross-check against the independent routes"})
 _COMMANDS = {
-    "eval": ("cli_values.cmd_eval", "evaluate one member at one point", (
+    "eval": (cmd_eval, "evaluate one member at one point", (
         ("--n", {"required": True, "help": "index (any size)"}),
         ("--k", {"required": True, "help": "kind parameter"}),
         ("--x", {"required": True, "help": "argument element"}),
         ("--a", {"default": "1", "help": "scale element (default 1)"}),
         _CHECK)),
-    "poly": ("cli_values.cmd_poly", "reduced polynomial mod x^q - x", (
+    "poly": (cmd_poly, "reduced polynomial mod x^q - x", (
         ("--n", {"required": True}), ("--k", {"required": True}))),
-    "pp": ("cli_grids.cmd_pp", "permutation scan over an (n, k) grid", (
+    "pp": (cmd_pp, "permutation scan over an (n, k) grid", (
         ("--n", {"required": True, "help": "range, e.g. 1..10"}),
         ("--k", {"help": "range (default: all of 0..p-1)"}),
         ("--criteria", {"default": "brute_force,two_to_one"}))),
-    "verify": ("cli.cmd_verify", "check a named statement or the sum tables", (
+    "verify": (cmd_verify, "check a named statement or the sum tables", (
         ("target", {"help": "'sums' or a statement id (an unknown target "
                             "lists them)"}),
         ("--p", {"help": "primes, e.g. 3,5,7"}),
@@ -319,10 +339,9 @@ _COMMANDS = {
         ("--n", {"help": "indices (T2.2 grids, default 0..30)"}),
         ("--k", {"help": "kinds (default 0..p-1; ignored by the "
                          "fixed-kind statements)"}))),
-    "sums": ("cli_sums.cmd_sums", "full-field sum table for one kind", (
+    "sums": (cmd_sums, "full-field sum table for one kind", (
         ("--k", {"required": True}), _CHECK)),
-    "field-info": ("cli.cmd_field_info", "parameters of a field descriptor",
-                   ()),
+    "field-info": (cmd_field_info, "parameters of a field descriptor", ()),
 }
 
 
@@ -376,13 +395,6 @@ def _fast_args(argv):
                                                      **values)
 
 
-def _handler(command):
-    """The handler _COMMANDS names, its module imported on dispatch."""
-    module, _, name = _COMMANDS[command][0].partition(".")
-    # unlike importlib.import_module, __import__ is timed by -X importtime
-    return getattr(__import__(module, globals(), None, [name], 1), name)
-
-
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = _fast_args(argv)
@@ -398,7 +410,7 @@ def main(argv=None):
             return exc.code if isinstance(exc.code, int) else 2
     max_q = None if args.unsafe_large else DEFAULT_MAX_Q
     try:
-        return _handler(args.command)(args, max_q)
+        return _COMMANDS[args.command][0](args, max_q)
     except InternalCheckError as exc:
         print(f"internal cross-check failed: {exc}", file=sys.stderr)
         return 1

@@ -953,30 +953,28 @@ class TestParser:
         assert got[0] == 0 and got[1] and not got[2]
         assert _main_io(joined) == got
 
-    # a handler is named as "module.function" and resolved on dispatch,
-    # so a wrong name would fail only when its command runs; resolving
-    # one runs nothing
-    def test_every_command_resolves_to_one_callable_handler(self):
-        argvs = [["eval", "--field", "7", "--n", "8", "--k", "4", "--x", "3"],
-                 ["poly", "--field", "5", "--n", "7", "--k", "2"],
-                 ["pp", "--field", "49", "--n", "1..50"],
-                 ["verify", "T2.1", "--p", "3", "--e", "1"],
-                 ["verify", "sums", "--field", "5"],
-                 ["sums", "--field", "5", "--k", "1"],
-                 ["field-info", "--field", "9"]]
-        assert {argv[0] for argv in argvs} == set(cli._COMMANDS)
-        parser = cli._build_parser()[0]
-        for argv in argvs:
-            command = cli._fast_args(argv).command
-            handler = cli._handler(command)
-            assert handler is cli._handler(parser.parse_args(argv).command)
-            module, _, name = cli._COMMANDS[command][0].partition(".")
-            assert callable(handler), argv
-            assert (handler.__module__, handler.__name__) == (
-                f"rdickson.{module}", name)
-        # cmd_verify imports its two targets' handlers by name
-        assert callable(cli_sums.cmd_verify_sums)
-        assert callable(cli_grids.cmd_verify_statement)
+    # a command of a handler module reaches that module's function by
+    # the plain argv pass and by argparse alike; the function, patched,
+    # runs nothing
+    @pytest.mark.parametrize("argv, module, name", [
+        (["eval", "--field", "7", "--n", "8", "--k", "4", "--x", "3"],
+         cli_values, "cmd_eval"),
+        (["poly", "--field", "5", "--n", "7", "--k", "2"],
+         cli_values, "cmd_poly"),
+        (["pp", "--field", "49", "--n", "1..50"], cli_grids, "cmd_pp"),
+        (["verify", "T2.1", "--p", "3", "--e", "1"],
+         cli_grids, "cmd_verify_statement"),
+        (["verify", "sums", "--field", "5"], cli_sums, "cmd_verify_sums"),
+        (["sums", "--field", "5", "--k", "1"], cli_sums, "cmd_sums")])
+    def test_each_command_dispatches_to_its_handler_module(
+            self, monkeypatch, argv, module, name):
+        calls = []
+        monkeypatch.setattr(module, name,
+                            lambda args, max_q: calls.append(vars(args)) or 7)
+        assert cli._fast_args(argv) is not None
+        assert main(argv) == main(argv + ["--format=pretty"]) == 7
+        assert len(calls) == 2 and calls[0] == calls[1]
+        assert calls[0]["command"] == argv[0]
 
 
 class TestChecks:
@@ -1038,13 +1036,19 @@ class TestChecks:
         code, clean, _ = run(capsys, *argv)
         routes = [line.split(": ")[0] for line in clean.splitlines()[:-1]]
         assert code == 0 and len(routes) >= 2
-        # the routes, and the closed values that routes may share
-        for name in [self.ROUTES[r] for r in routes] + ["value_at_quarter",
-                                                        "eval_a0"]:
+        # the routes, and the closed values that routes may share, which
+        # the row kernels read in rowkernels and rdpoly re-exports; each
+        # closed value is read at its point: a = 0, or x = 1/4 at a = 1
+        closed = {"value_at_quarter": (field, x, a) == ("7", "2", "1"),
+                  "eval_a0": a == "0"}
+        for name in [self.ROUTES[r] for r in routes] + list(closed):
+            wrong = self.off_by_one(getattr(rdpoly, name))
             with monkeypatch.context() as m:
-                m.setattr(rdpoly, name, self.off_by_one(getattr(rdpoly, name)))
+                for module in (rdpoly, rowkernels):
+                    if hasattr(module, name):
+                        m.setattr(module, name, wrong)
                 code, out, _ = run(capsys, *argv)
-            if name in self.ROUTES.values() or out != clean:
+            if closed.get(name, True) or out != clean:
                 assert (code, "agree: false") == (1, out.splitlines()[-1]), \
                     name
 
