@@ -96,7 +96,7 @@ def _parse_int(text, what, minimum=None):
 
 
 def _load_field(args, max_q):
-    if not args.field:
+    if args.field is None:
         raise ValueError("--field is required for this command")
     p, e, modulus = gf.split_field_descriptor(args.field)
     # refused above the q bound before anything of the field is built
@@ -150,7 +150,7 @@ def _output(args):
     a usage error.  A reader that closes stdout early (say `| head`)
     ends the output quietly and leaves the exit code to the command.
     """
-    if not args.out:
+    if args.out is None:
         try:
             yield sys.stdout
             sys.stdout.flush()

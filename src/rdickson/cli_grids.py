@@ -47,7 +47,7 @@ def cmd_verify_statement(args, max_q):
     if axis != "n":
         unread["--n"] = "n = p^l + c over the exponents l"
     _refuse_unread(args, unread)
-    if not args.p or not args.e:
+    if args.p is None or args.e is None:
         raise ValueError("--p and --e are required for theorem grids")
     ps = _parse_range_list(args.p, "--p", max_q)
     es = _parse_range_list(args.e, "--e", max_q, minimum=1)

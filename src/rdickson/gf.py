@@ -20,12 +20,12 @@ FieldSpec with q <= _LOG_TABLE_MAX_Q builds its lookup tables at
 construction, all O(q): exp/log tables of GF(q)*, from the first
 generator g that a walk finds, and the Zech table log(1 + g^i).  The
 methods of a prime field still add, multiply and take powers as ints
-mod p; the other fields do so through the tables.  A QuadExt
-multiplies by the coordinate formula, raises to powers by
-square-and-multiply over it and, at its first binet point, builds
-coset tables of GF(q^2)*, none longer than q + 1, that index the base
-field's exp/log tables, if the base field holds them.  Tables change
-speed only, never values.
+mod p, the other fields through the tables; neg, sub and inv are read
+off those three methods.  A QuadExt multiplies by the coordinate
+formula, raises to powers by square-and-multiply over it and, at its
+first binet point, builds coset tables of GF(q^2)*, none longer than
+q + 1, that index the base field's exp/log tables, if the base field
+holds them.  Tables change speed only, never values.
 
 The per-point kernels of the permutation scans live here too, as they
 read the tables: FieldSpec.lucas doubles the Lucas sequence of
@@ -198,10 +198,10 @@ class FieldSpec:
 
     Up to the table bound every field holds exp, log and, with
     zech[i] = log(1 + g^i), the Zech table.  For e >= 2 mul reads
-    exp/log, a + b = a (1 + b/a) is exp[log a + zech[log b - log a]],
-    and -a is exp[log a + log(-1)], log(-1) being (q - 1)/2, or 0 for
-    p = 2.  Prime fields compute with ints mod p in these methods, and
-    read the tables in binet and their quadratic extension.
+    exp/log and a + b = a (1 + b/a) is exp[log a + zech[log b - log a]].
+    Prime fields compute with ints mod p in these methods, and read the
+    tables in binet and their quadratic extension.  On every field neg,
+    sub and inv are -1 (encoded p - 1) times a, a + (-b) and a^-1.
     """
 
     __slots__ = ("p", "e", "q", "modulus", "_pows", "_exp", "_log",
@@ -217,8 +217,8 @@ class FieldSpec:
         self._log_neg = (self.q - 1) // 2 if p != 2 else 0
         if self.q <= _LOG_TABLE_MAX_Q:
             exp, log = _cyclic_tables(self)
-            # exp and zech are doubled so that mul, add, sub and QuadExt
-            # index a sum or difference of logs without a mod
+            # exp and zech are doubled so that mul, add, the kernels and
+            # QuadExt index a sum or difference of logs without a mod
             self._exp, self._log = exp + exp, log
             # 1 + u steps the constant digit alone
             zech = _zech_table(log, [u - u % p + (u + 1) % p for u in exp],
@@ -292,24 +292,10 @@ class FieldSpec:
         return 0 if z is None else self._exp[la + z]
 
     def neg(self, a):
-        if self.e == 1:
-            return -a % self.p
-        if self._zech is None:
-            return self.element(-c for c in self.coeffs(a))
-        return self._exp[self._log[a] + self._log_neg] if a else 0
+        return self.mul(self.p - 1, a)
 
     def sub(self, a, b):
-        if self.e == 1:
-            return (a - b) % self.p
-        zech = self._zech
-        if zech is None:
-            return self._add_slow(a, self.neg(b))
-        if not a or not b:
-            return a or self.neg(b)
-        # a - b = a (1 + (-b)/a), where log(-b) = log b + log(-1)
-        la = self._log[a]
-        z = zech[self._log[b] + self._log_neg - la]
-        return 0 if z is None else self._exp[la + z]
+        return self.add(a, self.neg(b))
 
     def mul(self, a, b):
         if self.e == 1:
@@ -321,8 +307,6 @@ class FieldSpec:
         return self._mul_slow(a, b)
 
     def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError(f"inversion of zero in {self!r}")
         return self.pow(a, -1)
 
     def pow(self, a, n):

@@ -1,0 +1,150 @@
+"""Mutant catalogue: each fast route with the oracle tests that catch it.
+
+Every row of MUTANTS changes one line of the package: the file under
+src/rdickson, the exact old text (which must occur there once), the new
+text, the route the change breaks and the ids of the tests that must
+fail on it.  For each row the script copies the tree to a temporary
+directory, runs the named tests there once unchanged (they must pass)
+and once with the change applied (each must fail).  It exits 1 if a
+mutant survives, if its old text is gone or repeated, or if a named
+test fails on the unchanged tree.
+
+Run from anywhere, with pytest installed (pytest does not collect this
+file):
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py lucas sub  # the rows whose route names one
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SKIPPED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
+                                 ".hypothesis", "*.egg-info")
+
+CHARSUM = "tests/test_charsum.py::"
+GF = "tests/test_gf.py::"
+PERMCHECK = "tests/test_permcheck.py::"
+RDPOLY = "tests/test_rdpoly.py::"
+
+# (file, old text, new text, route, test ids that must fail)
+MUTANTS = [
+    ("charsum.py",
+     "[(a + b - c) % p for a, b, c in zip(",
+     "[(a + b + c) % p for a, b, c in zip(",
+     "sum recurrence: the sign of a lag term",
+     [CHARSUM + "TestSumTable::test_matches_bruteforce_all_k[GF(25)]"]),
+    ("gf.py",
+     "(w * w - x * u * u) % p\n",
+     "(w * w + x * u * u) % p\n",
+     "lucas, prime-field body: the doubling step",
+     [RDPOLY + "TestRowKernels::"
+      "test_each_body_matches_the_stepped_recurrence[GF(7)-tables]",
+      RDPOLY + "TestEvaluatorAgreement::test_four_routes_small_grid[GF(7)]"]),
+    ("rowkernels.py",
+     "return (k * (n - 1) + 2) * pow(",
+     "return (k * (n + 1) + 2) * pow(",
+     "the x = 1/4 constant: value_at_quarter's numerator",
+     [RDPOLY + "TestQuarterPoint::test_constant_equals_sequence_value",
+      CHARSUM + "TestQuarterOffsets::"
+      "test_running_power_matches_value_at_quarter[GF(5)]"]),
+    ("permcheck.py",
+     "if val == excluded or len(fiber) == 3:",
+     "if len(fiber) == 3:",
+     "2-to-1 criterion: the excluded-value test",
+     [PERMCHECK + "TestTwoToOne::test_agrees_with_brute_force_everywhere"]),
+    ("gf.py",
+     "d = zech[(ly + zech[0] + h) % m] + h",
+     "d = zech[(ly + zech[0] + h) % m]",
+     "binet, log body: the sign of y - z",
+     [RDPOLY + "TestFunctionalRow::"
+      "test_row_matches_the_point_formula[GF(25)-tables]",
+      PERMCHECK + "TestTwoToOne::test_agrees_with_brute_force_everywhere"]),
+    ("charsum.py",
+     "if d[q * q:] != d[1:2 * q + 1]:",
+     "if d[q * q:q * q + q] != d[1:q + 1]:",
+     "sum recurrence: the period guard over one block, not two",
+     [CHARSUM + "TestSumTable::"
+      "test_period_guard_fires_on_a_faulty_recurrence[5]"]),
+    ("rowkernels.py",
+     "m = (n - 1) % (F.q * F.q - 1)",
+     "m = (n - 1) % (F.q * F.q)",
+     "recurrence row: the index reduced mod q^2, not q^2 - 1",
+     [RDPOLY + "TestDoublingKernel::test_band_around_period[3^2/2,1,1]",
+      RDPOLY + "TestEvaluatorAgreement::"
+      "test_reduction_agrees_with_definition_gf25"]),
+    ("gf.py",
+     "return self.mul(self.p - 1, a)",
+     "return self.mul(1, a)",
+     "FieldSpec.neg as the product with 1",
+     [GF + "test_digit_recursion_add_tables_match_per_pair[7-3]",
+      GF + "test_digit_recursion_add_tables_match_per_pair[337-1]",
+      GF + "test_digit_recursion_add_tables_match_per_pair[3-2-no-tables]"]),
+    ("gf.py",
+     "return self.add(a, self.neg(b))",
+     "return self.add(a, b)",
+     "FieldSpec.sub without the negative",
+     [GF + "test_digit_recursion_add_tables_match_per_pair[7-3]",
+      GF + "test_digit_recursion_add_tables_match_per_pair[337-1]",
+      GF + "test_digit_recursion_add_tables_match_per_pair[3-2-no-tables]"]),
+    ("gf.py",
+     "return self.pow(a, -1)",
+     "return self.pow(a, 1)",
+     "FieldSpec.inv as the power 1",
+     [GF + "test_inverses_all_fields", GF + "test_inverse_in_gf5"]),
+]
+
+
+def failed_ids(tree, ids):
+    """Run the tests named by ids in tree; the set of those that failed."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+         *ids], cwd=tree, env=env, capture_output=True, text=True)
+    failed = set(re.findall(r"^FAILED (\S+)", proc.stdout, re.M))
+    if proc.returncode not in (0, 1) or (proc.returncode == 1) != bool(failed):
+        sys.exit(f"pytest exited {proc.returncode}:\n{proc.stdout}"
+                 f"{proc.stderr}")
+    return failed
+
+
+def check(path, old, new, ids):
+    """The reason the mutant is not killed as its row says, or None."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=SKIPPED)
+        target = tree / "src" / "rdickson" / path
+        text = target.read_text(encoding="utf-8")
+        if text.count(old) != 1:
+            return f"the old text occurs {text.count(old)} times in {path}"
+        if failed_ids(tree, ids):
+            return "a named test fails on the unchanged tree"
+        target.write_text(text.replace(old, new), encoding="utf-8")
+        survivors = set(ids) - failed_ids(tree, ids)
+        if survivors:
+            return "survives " + ", ".join(sorted(survivors))
+    return None
+
+
+def main(words):
+    rows = [row for row in MUTANTS
+            if not words or any(w in row[3] for w in words)]
+    bad = 0
+    for path, old, new, route, ids in rows:
+        why = check(path, old, new, ids)
+        print(f"{'FAIL' if why else 'killed'}: {path}: {route}"
+              + (f": {why}" if why else ""), flush=True)
+        bad += why is not None
+    print(f"{len(rows) - bad} of {len(rows)} mutants killed")
+    return 1 if bad or not rows else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

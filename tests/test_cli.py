@@ -1421,6 +1421,23 @@ class TestGuardsAndErrors:
         assert err == (f"error: bad {flag} '': expected N, N..M or a "
                        "comma list\n")
 
+    @pytest.mark.parametrize("argv, msg", [
+        (("eval", "--field", "7", "--n", "3", "--k", "1", "--x", "2",
+          "--out"), "cannot write --out "),
+        (("field-info", "--field"), "bad field descriptor ''"),
+        (("verify", "T2.1", "--e", "1", "--p"), "bad --p ''"),
+        (("verify", "T2.1", "--p", "3", "--e"), "bad --e ''"),
+    ], ids=["out", "field", "p", "e"])
+    @pytest.mark.parametrize("joined", [False, True], ids=["apart", "joined"])
+    def test_empty_flag_value_is_a_bad_value(self, capsys, argv, msg, joined):
+        # an empty value used to read as a missing flag: --out '' wrote
+        # to stdout and exited 0, and the others were reported as required
+        argv = (*argv[:-1], argv[-1] + "=") if joined else (*argv, "")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: " + msg) and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_verify_grid_guard(self, capsys):
         # 400001 indices times 3 kinds is past the 10^6 point bound
         code, _, err = run(capsys, "verify", "T2.2", "--p", "3", "--e", "1",

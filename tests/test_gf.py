@@ -95,11 +95,40 @@ def test_inverse_in_gf5():
         F.inv(0)
 
 
-def test_inverses_all_fields():
-    for F in (gf.make_field(7), gf.make_field(3, 2), gf.make_field(5, 2),
-              gf.make_field(3, 3), gf.make_field(2, 2)):
+# (p, e, whether the field is built with tables); a field built under a
+# size bound of 0 has none
+TABLE_STATES = [(7, 3, True), (3, 5, True), (2, 8, True), (17, 2, True),
+                (5, 3, True), (3, 6, True), (2, 9, True), (2, 1, True),
+                (7, 1, True), (337, 1, True), (2, 1, False), (7, 1, False),
+                (2, 4, False), (3, 2, False), (5, 2, False), (3, 3, False)]
+
+
+def field_in_state(p, e, tables, monkeypatch):
+    with monkeypatch.context() as m:
+        if not tables:
+            m.setattr(gf, "_LOG_TABLE_MAX_Q", 0)
+        F = gf.make_field(p, e)
+    assert (F._zech is not None) == tables
+    return F
+
+
+def test_inverses_all_fields(monkeypatch):
+    fields = [field_in_state(p, e, tables, monkeypatch)
+              for p, e, tables in TABLE_STATES if p ** e <= 512]
+    fields += [gf.make_field(7), gf.make_field(3, 2), gf.make_field(5, 2),
+               gf.make_field(3, 3), gf.make_field(2, 2)]
+    for F in fields:
         for a in range(1, F.q):
             assert F.mul(a, F.inv(a)) == 1
+    # above the table bound, a sample
+    for big in (gf.make_field(4099), gf.make_field(3, 8)):
+        assert big._exp is None
+        fields.append(big)
+        for a in random.Random(big.q).sample(range(1, big.q), 100):
+            assert big.mul(a, big.inv(a)) == 1
+    for F in fields:
+        with pytest.raises(ZeroDivisionError):
+            F.inv(0)
 
 
 def test_pow_fixes_field():
@@ -420,11 +449,11 @@ def per_pair_tables(F):
     return add, sub, neg
 
 
-@pytest.mark.parametrize("p, e", [(7, 3), (3, 5), (2, 8), (17, 2), (5, 3),
-                                  (3, 6), (2, 9)])
-def test_digit_recursion_add_tables_match_per_pair(p, e):
-    F = gf.make_field(p, e)
-    assert F._zech is not None
+@pytest.mark.parametrize(
+    "p, e, tables", TABLE_STATES,
+    ids=[f"{p}-{e}" + ("" if t else "-no-tables") for p, e, t in TABLE_STATES])
+def test_digit_recursion_add_tables_match_per_pair(p, e, tables, monkeypatch):
+    F = field_in_state(p, e, tables, monkeypatch)
     add, sub, neg = per_pair_tables(F)
     pairs = list(itertools.product(range(F.q), repeat=2))
     assert list(itertools.starmap(F.add, pairs)) == add
