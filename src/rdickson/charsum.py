@@ -16,10 +16,11 @@ product), the vector c derived from it and the identity
 (z^q - z^(q-1) - 1) d(z) = c(z), is kept for residue_identity_holds,
 which only `verify sums` runs: b is a comb with the same two teeth at
 each multiple of q - 1, the first part of c is runs of equal entries,
-and the mixer polynomial is two exact divisions by z - 2 of an O(q)
-numerator.  The one large product, mixer * b, is q + 1 shifted copies
-of mixer * (b_0 + b_1 z), slice-added to the first part, so c costs
-O(q) Python steps and O(q^2) list work and reads only b's tooth.
+and the mixer polynomial is its defining sum, by Horner's rule in
+z - 1.  The one large product, mixer * b, is q + 1 shifted copies of
+mixer * (b_0 + b_1 z), slice-added to the first part, so c costs O(q^2)
+list work and reads only b's tooth; the left side is three shifted
+copies of d.
 sums_bruteforce is the oracle: every kind is read off one pass per field
 that sums the sequences U_n(x) term by term over all x, each walked
 to its period.  Sum tables need odd characteristic; _b_tooth, which
@@ -27,10 +28,9 @@ every table reads, refuses p = 2.
 """
 
 from functools import lru_cache
-from itertools import cycle, islice
+from itertools import chain, cycle, islice
 from operator import add
 
-from . import modpoly
 from .gf import InternalCheckError
 
 
@@ -76,29 +76,14 @@ def b_coeffs(F, k):
 # -- the c vector ----------------------------------------------------------
 
 
-def _divide_by_z_minus_2(a, p):
-    """The quotient of a by z - 2 over GF(p), by synthetic division; a
-    nonzero remainder raises InternalCheckError."""
-    quo, carry = [0] * (len(a) - 1), 0
-    for i in range(len(a) - 1, 0, -1):
-        carry = (a[i] + 2 * carry) % p
-        quo[i - 1] = carry
-    if (a[0] + 2 * carry) % p:
-        raise InternalCheckError("mixer numerator is not divisible by z - 2")
-    return quo
-
-
 def _mixer(q, p):
     """z^(2(q-1)) + sum_{m=1}^{q-1} (z-1)^(q-1-m) z^(2m) (1/4)^m, degree
-    2q - 2.
-
-    The sum is geometric with ratio z^2 / (4(z - 1)); as 4^q = 4,
-    (z - 1)^q = z^q - 1 and (z - 1)^(q-1) = 1 + z + ... + z^(q-1) mod p,
-    (z - 2)^2 (mixer - z^(2q-2)) = z^(2q) - (z^2 + ... + z^(q+1)), which
-    two exact divisions by z - 2 undo.
-    """
-    num = [0, 0] + [p - 1] * q + [0] * (q - 2) + [1]
-    mixer = _divide_by_z_minus_2(_divide_by_z_minus_2(num, p), p)
+    2q - 2, by Horner's rule in z - 1: O(q^2) list work."""
+    inv4, r, mixer = pow(4, -1, p), 1, [0]
+    for m in range(1, q):
+        r = r * inv4 % p
+        # mixer <- mixer (z - 1) + 4^(-m) z^(2m)
+        mixer = [(a - b) % p for a, b in zip([0] + mixer, mixer + [0])] + [r]
     mixer[-1] = (mixer[-1] + 1) % p
     return mixer
 
@@ -110,7 +95,8 @@ def c_coeffs(F, k):
     The first product is 1 at degrees 1 .. q^2 - 1 except 2 at q, then
     -1 at q^2 + q - 1.  b is the comb of _b_tooth, so mixer * b is one
     2q-wide tooth, -mixer * (b_0 + b_1 z), slice-added at each of the
-    q + 1 multiples of q - 1, and the sum is reduced mod p once.  The
+    q + 1 multiples of q - 1, and the sum is reduced mod p once: with
+    _mixer's Horner sum, O(q) list passes of O(q) entries each.  The
     constant term must vanish and nothing may reach past degree
     q^2 + q - 1; both are checked.
     """
@@ -136,7 +122,7 @@ def c_coeffs(F, k):
 
 
 def _quarter_offsets(p, k, count):
-    """rdpoly.value_at_quarter(F, n, k) for n < count, over any F of
+    """rowkernels.value_at_quarter(F, n, k) for n < count, over any F of
     characteristic p: the values lie in the prime subfield, whose
     encodings are the ints below p, so one running power of 1/2 mod p
     gives them.  (k(n-1) + 2) has period p in n and 2^-n a period
@@ -279,14 +265,12 @@ def sums_bruteforce(F, k):
 def residue_identity_holds(table, brute):
     """Check the paper's identity (z^q - z^(q-1) - 1) * d(z) = c(z),
     with c = c_coeffs(F, k), built here, and d from the brute-force sums
-    brute = sums_bruteforce(F, k), not from the table."""
+    brute = sums_bruteforce(F, k), not from the table.  The left side is
+    three shifted copies of d, as long as c: q^2 + q entries."""
     F, k = table.field, table.k
     q, p = F.q, F.p
     offsets = _quarter_offsets(p, k, q * q)
-    dpoly = [0] + [(brute[n] - offsets[n]) % p for n in range(1, q * q)]
-    mult = [0] * (q + 1)
-    mult[0] = p - 1
-    mult[q - 1] = (mult[q - 1] - 1) % p
-    mult[q] = 1
-    lhs = modpoly.mul(mult, dpoly, p)
-    return modpoly.trim(lhs) == modpoly.trim(c_coeffs(F, k))
+    d = [0] + [(brute[n] - offsets[n]) % p for n in range(1, q * q)]
+    lhs = [(a - b - c) % p for a, b, c in zip(
+        chain([0] * q, d), chain([0] * (q - 1), d, [0]), chain(d, [0] * q))]
+    return lhs == c_coeffs(F, k)

@@ -167,7 +167,7 @@ def _output(args):
             yield fh
     except OSError as exc:
         raise ValueError(
-            f"cannot write --out {args.out}: {exc.strerror or exc}")
+            f"cannot write --out {args.out!r}: {exc.strerror or exc}")
 
 
 def _emit(args, pretty_lines, json_obj, csv_header, csv_rows, lines=(),

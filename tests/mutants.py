@@ -98,6 +98,77 @@ MUTANTS = [
      "return self.pow(a, 1)",
      "FieldSpec.inv as the power 1",
      [GF + "test_inverses_all_fields", GF + "test_inverse_in_gf5"]),
+    ("charsum.py",
+     "[(a - b) % p for a, b in zip([0] + mixer, mixer + [0])]",
+     "[(a + b) % p for a, b in zip([0] + mixer, mixer + [0])]",
+     "c's mixer: the Horner step by z + 1, not z - 1",
+     [CHARSUM + "TestCVector::test_mixer_matches_its_binomial_expansion[5]",
+      CHARSUM + "TestCVector::test_matches_products_of_the_definition[5]"]),
+    ("charsum.py",
+     "chain([0] * q, d)",
+     "chain([0] * (q + 1), d)",
+     "residue identity: the left side's z^q copy of d",
+     [CHARSUM + "TestResidueIdentity::test_holds_from_bruteforce_sums"]),
+    ("charsum.py",
+     "chain([0] * (q - 1), d, [0])",
+     "chain([0] * (q - 2), d, [0, 0])",
+     "residue identity: the left side's z^(q-1) copy of d",
+     [CHARSUM + "TestResidueIdentity::test_holds_from_bruteforce_sums"]),
+    ("charsum.py",
+     "chain(d, [0] * q)",
+     "chain([0], d, [0] * (q - 1))",
+     "residue identity: the left side's unshifted copy of d",
+     [CHARSUM + "TestResidueIdentity::test_holds_from_bruteforce_sums"]),
+    ("charsum.py",
+     "return lhs == c_coeffs(F, k)",
+     "return lhs == lhs[:len(c_coeffs(F, k))]",
+     "residue identity: c built but the left side compared with itself",
+     [CHARSUM + "TestResidueIdentity::test_fails_on_one_wrong_sum[GF(5)]",
+      CHARSUM + "TestResidueIdentity::"
+      "test_fails_on_one_wrong_c_coefficient[GF(25)]"]),
+    ("charsum.py",
+     "for s in range(0, q * q - q + 1, q - 1):",
+     "for s in range(0, q * q - q + 1, q + 1):",
+     "c's teeth: the stride q + 1, not q - 1",
+     [CHARSUM + "TestCVector::test_matches_products_of_the_definition[5]",
+      CHARSUM + "TestResidueIdentity::test_holds_from_bruteforce_sums"]),
+    ("gf.py",
+     "z = zech[(xh + 2 * (u - w)) % m]",
+     "z = zech[(xh + 2 * (w - u)) % m]",
+     "lucas, log body: the sign of U_i - U_(i+1) in U_(2i+1)",
+     [RDPOLY + "TestRowKernels::"
+      "test_each_body_matches_the_stepped_recurrence[GF(9)-tables]",
+      RDPOLY + "TestRowKernels::"
+      "test_each_body_matches_the_stepped_recurrence[GF(25)-tables]"]),
+    ("gf.py",
+     "exp[(log[d] - log[2] + alpha + l1 - log[t]) % m])",
+     "exp[(log[d] + log[2] + alpha + l1 - log[t]) % m])",
+     "QuadExt.binet, coset-table body: B times 2t, not over it",
+     [RDPOLY + "TestFunctionalRow::"
+      "test_row_matches_the_point_formula[GF(25)-tables]",
+      RDPOLY + "TestFunctionalMap::"
+      "test_base_line_and_v_against_two_powers[GF(25)]"]),
+    ("gf.py",
+     "z = zech[self._log[b] - la]",
+     "z = zech[la - self._log[b]]",
+     "FieldSpec.add, Zech add: log(b/a) read as log(a/b)",
+     [GF + "test_digit_recursion_add_tables_match_per_pair[3-5]",
+      GF + "test_digit_recursion_add_tables_match_per_pair[2-8]"]),
+    ("rowkernels.py",
+     "scale = F.inv(F.mul(a, a))",
+     "scale = F.inv(a)",
+     "recurrence row: the rescale of x by 1/a, not 1/a^2",
+     [RDPOLY + "TestEvaluatorAgreement::"
+      "test_general_a_definition_matches_recurrence",
+      RDPOLY + "TestPeriodAndScaling::test_scaling_identity"]),
+    ("rdpoly.py",
+     "F.mul(powers[s * i % m], y[i % r])",
+     "F.mul(powers[s * i % r], y[i % r])",
+     "as_polynomial's transform: the twiddle index mod m/f, not m",
+     [RDPOLY + "TestAsPolynomial::test_transform_against_the_naive_transform"
+      "[27]",
+      RDPOLY + "TestAsPolynomial::test_transform_matches_the_quadratic_sums"
+      "[27]"]),
 ]
 
 

@@ -16,6 +16,7 @@ from rdickson.gf import InternalCheckError
 F5 = gf.make_field(5)
 F7 = gf.make_field(7)
 F9 = gf.make_field(3, 2)
+F25 = gf.make_field(5, 2)
 
 
 def _b_by_cases(F, k):
@@ -206,24 +207,19 @@ class TestCVector:
         for k in range(F.p):
             assert cs.c_coeffs(F, k) == _c_by_products(F, k), k
 
-    @pytest.mark.parametrize("q", [3, 5, 9, 25, 343])
-    def test_mixer_division_is_exact_only_for_its_numerator(self, q):
+    @pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27, 49, 125, 337, 343])
+    def test_mixer_matches_its_binomial_expansion(self, q):
+        # z^(2q-2) + sum_m 4^(-m) z^(2m) (z - 1)^(q-1-m), each power of
+        # z - 1 expanded by the binomial theorem: no Horner step
         p = gf.parse_field_descriptor(str(q)).p
-        # z^(2q) - (z^2 + ... + z^(q+1)) = (z - 2)^2 (mixer - z^(2q-2))
-        num = [0, 0] + [p - 1] * q + [0] * (q - 2) + [1]
-        once = cs._divide_by_z_minus_2(num, p)
-        assert len(cs._divide_by_z_minus_2(once, p)) == 2 * q - 1
-        for i in range(len(num)):
-            # off by one coefficient: the value at z = 2 moves by 2^i
-            bad = list(num)
-            bad[i] = (bad[i] + 1) % p
-            with pytest.raises(InternalCheckError, match="z - 2"):
-                cs._divide_by_z_minus_2(bad, p)
-        # divisible once but not twice: the second division refuses
-        bad = list(num)
-        bad[1], bad[2] = (bad[1] - 2) % p, (bad[2] + 1) % p
-        with pytest.raises(InternalCheckError, match="z - 2"):
-            cs._divide_by_z_minus_2(cs._divide_by_z_minus_2(bad, p), p)
+        want = [0] * (2 * q - 1)
+        want[2 * q - 2] = 1
+        for m in range(1, q):
+            r = pow(4, -m, p)
+            for j in range(q - m):
+                want[2 * m + j] += (r * comb(q - 1 - m, j)
+                                    * (-1) ** (q - 1 - m - j))
+        assert cs._mixer(q, p) == [v % p for v in want]
 
     @pytest.mark.parametrize("fault, message", [
         (lambda m: [(m[0] + 1) % 5] + m[1:], "constant term"),
@@ -430,3 +426,25 @@ class TestResidueIdentity:
             for k in (0, 2, F.p - 1):
                 assert cs.residue_identity_holds(
                     cs.sums_via_recurrence(F, k), cs.sums_bruteforce(F, k))
+
+    @pytest.mark.parametrize("F", [F5, F9, F25], ids=lambda F: f"GF({F.q})")
+    def test_fails_on_one_wrong_sum(self, F):
+        # where the three shifted copies of d start and end
+        q = F.q
+        table, brute = cs.sums_via_recurrence(F, 2), cs.sums_bruteforce(F, 2)
+        for n in (1, q - 1, q, q * q - 1):
+            bad = list(brute)
+            bad[n] = F.add(bad[n], 1)
+            assert not cs.residue_identity_holds(table, bad), n
+
+    @pytest.mark.parametrize("F", [F5, F9, F25], ids=lambda F: f"GF({F.q})")
+    def test_fails_on_one_wrong_c_coefficient(self, F, monkeypatch):
+        q, real = F.q, cs.c_coeffs
+        table, brute = cs.sums_via_recurrence(F, 2), cs.sums_bruteforce(F, 2)
+        for i in (1, q, q * q - 1, q * q + q - 1):
+            def faulted(F, k, i=i):
+                c = real(F, k)
+                c[i] = (c[i] + 1) % F.p
+                return c
+            monkeypatch.setattr(cs, "c_coeffs", faulted)
+            assert not cs.residue_identity_holds(table, brute), i

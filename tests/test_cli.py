@@ -1070,6 +1070,26 @@ class TestChecks:
         assert code == 1
         assert "pass: false" in out
 
+    def test_verify_sums_fails_on_a_wrong_c_alone(self, capsys, monkeypatch):
+        # the table and the oracle agree, so the identity is what fails
+        real = charsum.c_coeffs
+
+        def faulted(F, k):
+            c = real(F, k)
+            c[F.q] = (c[F.q] + 1) % F.p
+            return c
+        monkeypatch.setattr(charsum, "c_coeffs", faulted)
+        argv = ("verify", "sums", "--field", "25", "--k", "2", "--format")
+        runs = {fmt: run(capsys, *argv, fmt)
+                for fmt in ("pretty", "json", "csv")}
+        assert {fmt: code for fmt, (code, _, _) in runs.items()} == {
+            "pretty": 1, "json": 1, "csv": 1}
+        assert runs["pretty"][1] == ("sums over GF(25): k=2 FAIL (624 rows)\n"
+                                     "pass: false\n")
+        assert runs["csv"][1].endswith("\n2,624,0,false,false\n")
+        report = json.loads(runs["json"][1])
+        assert report["failures"] == [{"identity": "residue", "k": 2}]
+
     @pytest.mark.parametrize("argv, tables", [
         (("verify", "sums", "--field", "5", "--k", "0..4"), 5),
         (("sums", "--field", "5", "--k", "1", "--check"), 1),
@@ -1423,7 +1443,7 @@ class TestGuardsAndErrors:
 
     @pytest.mark.parametrize("argv, msg", [
         (("eval", "--field", "7", "--n", "3", "--k", "1", "--x", "2",
-          "--out"), "cannot write --out "),
+          "--out"), "cannot write --out '': "),
         (("field-info", "--field"), "bad field descriptor ''"),
         (("verify", "T2.1", "--e", "1", "--p"), "bad --p ''"),
         (("verify", "T2.1", "--p", "3", "--e"), "bad --e ''"),
@@ -1542,7 +1562,8 @@ class TestGuardsAndErrors:
             else tmp_path
         proc = run_capped(*argv, "--out", str(target))
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr.startswith(f"error: cannot write --out {target}: ")
+        assert proc.stderr.startswith(
+            f"error: cannot write --out {str(target)!r}: ")
         assert proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("argv, lines, code", [
