@@ -22,12 +22,12 @@ mixer * (b_0 + b_1 z), slice-added to the first part, so c costs O(q^2)
 list work and reads only b's tooth; the left side is three shifted
 copies of d.
 sums_bruteforce is the oracle: every kind is read off one pass per field
-that sums the sequences U_n(x) term by term over all x, each walked
-to its period.  Sum tables need odd characteristic; _b_tooth, which
+that walks U_n(x) to its period for one x per Frobenius orbit and sums
+the orbits' traces.  Sum tables need odd characteristic; _b_tooth, which
 every table reads, refuses p = 2.
 """
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, cycle, islice
 from operator import add
 
@@ -189,21 +189,28 @@ def sums_via_recurrence(F, k):
 
 
 def _u_columns(F):
-    """(x, column) for every x in GF(q), where U_0 = 0, U_1 = 1 and
-    U_m = U_{m-1} - x U_{m-2}.
+    """(x, m, column) for x the least element of each Frobenius orbit
+    {x, x^p, ..., x^(p^(m-1))} of GF(q), where U_0 = 0, U_1 = 1 and
+    U_n = U_{n-1} - x U_{n-2}: the coefficients lie in GF(p), so the
+    column of x^p is the p-th power of x's, and m | e.
 
-    Each x walks its state (U_m, U_{m+1}) from (0, 1) until the state
-    comes back, and its column is U_0(x) .. U_{T-1}(x) for the period T
-    so detected (the step is invertible for x != 0); or until q^2 + 1
-    terms are out, when the column is U_0(x) .. U_{q^2}(x): x = 0 has
-    U_m = 1 for every m >= 1 and never comes back.  Reads only F.add,
-    F.mul, F.neg and the recurrence: a step is one lookup in a local add
-    list of q^2 entries and one in x's list of the -x v.
+    x walks its state (U_n, U_{n+1}) from (0, 1) until it comes back,
+    and its column is U_0(x) .. U_{T-1}(x) for the period T so detected
+    (the step is invertible for x != 0); or until q^2 + 1 terms are out,
+    when the column is U_0(x) .. U_{q^2}(x): x = 0 has U_n = 1 for every
+    n >= 1 and never comes back.  Reads only F.pow, F.add, F.mul, F.neg
+    and the recurrence: a step is one lookup in a local add list of q^2
+    entries and one in x's list of the -x v.
     """
-    q = F.q
+    q, p = F.q, F.p
     size = q * q + 1
     plus = [F.add(a, b) for a in F.elements() for b in F.elements()]
     for x in F.elements():
+        orbit = [x]
+        while (y := F.pow(orbit[-1], p)) != x:
+            orbit.append(y)
+        if min(orbit) < x:
+            continue                # walked at its least element
         nx = F.neg(x)
         times = [F.mul(nx, v) for v in F.elements()]
         col, u, w = [], 0, 1
@@ -213,53 +220,46 @@ def _u_columns(F):
             u, w = w, plus[w * q + times[u]]
             if w == 1 and not u:
                 break
-        yield x, col
+        yield x, len(orbit), col
 
 
 @lru_cache(maxsize=1)
 def u_column_sums(F):
     """A[n] = sum over x in GF(q) of U_n(x) for n = 0 .. q^2, a tuple of
-    field elements, from one walk of every column of _u_columns.
+    ints in range(p) (the encodings of GF(p)), from _u_columns.
 
-    Columns of equal length are summed with each base-p digit in its
-    own bit lane, each such sum is tiled to q^2 + 1 terms once, and the
-    lanes are reduced mod p at the end: about sum over x of
-    min(period, q^2 + 1) Python steps.  Kept for the last field alone.
+    The orbit of x adds the trace of U_n(x) from GF(p^m) to GF(p), so a
+    column is read through a table of that trace, built once per m.
+    Columns of equal length are summed as ints, each sum is tiled to
+    q^2 + 1 terms once, and the total is reduced mod p: about sum over
+    orbits of min(period, q^2 + 1) Python steps.  Kept for the last
+    field alone.
     """
-    q, p, e = F.q, F.p, F.e
-    size = q * q + 1
-    width = (q * p).bit_length()       # a lane never carries into the next
-    lane = [sum(c << width * i for i, c in enumerate(F.coeffs(v)))
-            for v in F.elements()]
-    groups = {}
-    for _, col in _u_columns(F):
-        lanes = map(lane.__getitem__, col)
+    p, traces, groups = F.p, {}, {}
+    for _, m, col in _u_columns(F):
+        if m not in traces:
+            traces[m] = [reduce(F.add, [F.pow(v, p ** i) for i in range(m)])
+                         for v in F.elements()]
+        share = map(traces[m].__getitem__, col)
         acc = groups.get(len(col))
-        groups[len(col)] = (list(lanes) if acc is None
-                            else list(map(add, acc, lanes)))
-    total = [0] * size
-    for period, acc in groups.items():
-        total = list(map(add, total, (acc * -(-size // period))[:size]))
-    mask, out = (1 << width) - 1, [0] * size
-    for i in range(e):
-        shift, weight = width * i, p ** i
-        out = [o + (t >> shift & mask) % p * weight
-               for o, t in zip(out, total)]
-    return tuple(out)
+        groups[len(col)] = (list(share) if acc is None
+                            else list(map(add, acc, share)))
+    total = [0] * (F.q * F.q + 1)
+    for acc in groups.values():
+        total = list(map(add, total, cycle(acc)))
+    return tuple(t % p for t in total)
 
 
 def sums_bruteforce(F, k):
     """Oracle: S[n] = sum over x of D(n,k; 1,x) for n < q^2.
 
     D(n,k; 1,x) = (k - 1) U_n(x) + (2 - k) U_{n+1}(x): both sides obey
-    the recurrence v_m = v_{m-1} - x v_{m-2} and agree at n = 0 and 1.  So
-    every kind is read off the one U pass of u_column_sums, with no index
-    reduction, special point or closed shape.
+    the recurrence v_n = v_{n-1} - x v_{n-2} and agree at n = 0 and 1.  So
+    every kind is read off the one U pass of u_column_sums, ints mod p,
+    with no index reduction, special point or closed shape.
     """
-    A = u_column_sums(F)
-    now = [F.mul(F.from_int(k - 1), v) for v in F.elements()]
-    nxt = [F.mul(F.from_int(2 - k), v) for v in F.elements()]
-    return [F.add(now[a], nxt[b]) for a, b in zip(A, A[1:])]
+    A, p = u_column_sums(F), F.p
+    return [((k - 1) * a + (2 - k) * b) % p for a, b in zip(A, A[1:])]
 
 
 def residue_identity_holds(table, brute):

@@ -399,6 +399,11 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = _fast_args(argv)
     if args is None:
+        # argparse reads the value of "--flag=--" as [] on Python < 3.13
+        for flag, _, value in (token.partition("=") for token in argv):
+            if flag[:2] == "--" and value == "--":
+                print(f"error: bad value '--' for {flag}", file=sys.stderr)
+                return 2
         parser, commands = _build_parser()
         try:
             args, extra = parser.parse_known_args(argv)

@@ -169,6 +169,33 @@ MUTANTS = [
       "[27]",
       RDPOLY + "TestAsPolynomial::test_transform_matches_the_quadratic_sums"
       "[27]"]),
+    ("charsum.py",
+     "for i in range(m)])",
+     "for i in range(F.e)])",
+     "sum oracle: the trace over e Frobenius powers, not the orbit's m",
+     [CHARSUM + "TestUColumns::test_every_kind_matches_the_per_kind_loop[25]",
+      CHARSUM + "TestUColumns::test_every_kind_matches_the_per_kind_loop[27]",
+      CHARSUM + "TestUColumns::test_every_kind_matches_the_per_kind_loop[81]"]),
+    ("charsum.py",
+     "for n in range(min(count, p * (p - 1))):",
+     "for n in range(min(count, p * p)):",
+     "the x = 1/4 offsets: the period p^2, not p(p - 1)",
+     [CHARSUM + "TestQuarterOffsets::test_period_repeats_around_its_length[3]",
+      CHARSUM + "TestQuarterOffsets::test_period_repeats_around_its_length[5]",
+      CHARSUM + "TestQuarterOffsets::"
+      "test_running_power_matches_value_at_quarter[GF(25)]"]),
+    ("charsum.py",
+     "if c[0] != 0:",
+     "if c[0] < 0:",
+     "c's constant-term check: a sign that reduced entries never have",
+     [CHARSUM + "TestCVector::"
+      "test_shape_checks_fire_on_a_wrong_mixer[<lambda>-constant term]"]),
+    ("charsum.py",
+     "if any(c[size:]):",
+     "if any(c[size + 1:]):",
+     "c's degree check: from one past the bound",
+     [CHARSUM + "TestCVector::"
+      "test_shape_checks_fire_on_a_wrong_mixer[<lambda>-degree]"]),
 ]
 
 
@@ -179,7 +206,8 @@ def failed_ids(tree, ids):
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
          *ids], cwd=tree, env=env, capture_output=True, text=True)
-    failed = set(re.findall(r"^FAILED (\S+)", proc.stdout, re.M))
+    # an id may hold a space; the message follows " - "
+    failed = set(re.findall(r"^FAILED (.+?)(?: - .*)?$", proc.stdout, re.M))
     if proc.returncode not in (0, 1) or (proc.returncode == 1) != bool(failed):
         sys.exit(f"pytest exited {proc.returncode}:\n{proc.stdout}"
                  f"{proc.stderr}")

@@ -374,34 +374,60 @@ class TestBruteforce:
 class TestUColumns:
     @pytest.mark.parametrize("fd", ["3", "5", "9", "8", "25"])
     def test_x_zero_column_never_returns(self, fd):
-        # U_m(0) = 1 for every m >= 1: the walk stops at q^2 + 1 terms
+        # U_n(0) = 1 for every n >= 1: the walk stops at q^2 + 1 terms
         F = gf.parse_field_descriptor(fd)
-        columns = dict(cs._u_columns(F))
+        columns = {x: col for x, _, col in cs._u_columns(F)}
         assert columns[0] == [0] + [1] * F.q ** 2
 
-    @pytest.mark.parametrize("fd", ["5", "7", "9", "4", "8", "27"])
+    @pytest.mark.parametrize("fd", ["5", "7", "9", "4", "8", "27", "81"])
     def test_columns_are_periods_tiling_the_plain_walk(self, fd):
         F = gf.parse_field_descriptor(fd)
         size = F.q ** 2 + 1
-        uneven = 0
-        for x, col in cs._u_columns(F):
+        uneven, covered = 0, []
+        for x, m, col in cs._u_columns(F):
+            # x is the least of its orbit, which has m elements, m | e
+            orbit = [F.pow(x, F.p ** i) for i in range(m)]
+            assert F.pow(x, F.p ** m) == x and min(orbit) == x, x
+            assert len(set(orbit)) == m and F.e % m == 0, x
+            covered += orbit
             walk = _u_walk(F, x, size + 2)
             period = len(col)
             assert (col * -(-size // period))[:size] == walk[:size], x
             if x:
-                # the first return of the state (U_m, U_{m+1}) to (0, 1)
+                # the first return of the state (U_n, U_{n+1}) to (0, 1)
                 assert period < size
-                assert [m for m in range(1, period + 1)
-                        if walk[m:m + 2] == [0, 1]] == [period], x
+                assert [n for n in range(1, period + 1)
+                        if walk[n:n + 2] == [0, 1]] == [period], x
             uneven += size % period != 0
+        # the orbits walked cover the field, each element once
+        assert sorted(covered) == list(F.elements())
         # some period leaves a partial copy at the end of the tiling
         assert uneven
 
+    @pytest.mark.parametrize("fd", ["4", "8", "9", "25", "27", "49"])
+    def test_column_of_x_to_the_p_is_the_pth_power(self, fd):
+        # U's recurrence has its coefficients in GF(p), so Frobenius
+        # carries x's column onto that of x^p: the fact that lets one
+        # walk serve an orbit
+        F = gf.parse_field_descriptor(fd)
+        size = F.q ** 2 + 1
+        for x in F.elements():
+            want = [F.pow(u, F.p) for u in _u_walk(F, x, size)]
+            assert _u_walk(F, F.pow(x, F.p), size) == want, x
+
+    # e = 1 .. 5, so orbits of each length m | e: on GF(27) an x of GF(3)
+    # has m = 1, where e U = 3 U = 0
     @pytest.mark.parametrize("fd", ["2", "3", "4", "5", "7", "8", "9", "11",
-                                    "13", "16", "25", "27", "32", "49"])
+                                    "13", "16", "25", "27", "32", "49", "81",
+                                    "5^3"])
     def test_every_kind_matches_the_per_kind_loop(self, fd):
         F = gf.parse_field_descriptor(fd)
-        for k in range(F.p):
+        # A[n] lies in GF(p), and its encodings are the ints below p
+        A = cs.u_column_sums(F)
+        assert len(A) == F.q ** 2 + 1
+        assert all(type(a) is int and 0 <= a < F.p for a in A)
+        # on GF(125), k = 1 reads every A[n] past A[0], k = 3 both terms
+        for k in (1, 3) if F.q > 100 else range(F.p):
             assert cs.sums_bruteforce(F, k) == _sums_by_columns(F, k), k
 
     def test_one_pass_kept_for_the_last_field_alone(self, monkeypatch):

@@ -903,6 +903,13 @@ class TestParser:
               "--format", "csv"])
     @example(["eval", "--field", "5", "--n", "1", "--k", "-1", "--x", "1"])
     @example(["verify", "T2.1", "--p", "3", "--e", "1", "extra"])
+    # "--flag=--", which argparse reads as [] before Python 3.13
+    @example(["eval", "--field", "5", "--n", "1", "--k", "1", "--x=--"])
+    @example(["poly", "--field=--", "--n", "3", "--k", "1"])
+    @example(["pp", "--field", "7", "--n=--", "--k", "0"])
+    @example(["verify", "T2.1", "--p=--", "--e", "1"])
+    @example(["sums", "--field", "7", "--k=--"])
+    @example(["field-info", "--out", "3", "--field=--"])
     def test_fast_pass_reads_as_argparse(self, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)          # where an --out value lands
         fast = cli._fast_args(argv)
@@ -911,6 +918,22 @@ class TestParser:
         got = _main_io(argv)
         with mock.patch.object(cli, "_fast_args", lambda argv: None):
             assert _main_io(argv) == got
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--field", "5", "--n", "1", "--k", "1", "--x=--"),
+        ("poly", "--field=--", "--n", "3", "--k", "1"),
+        ("pp", "--field", "7", "--n=--", "--k", "0"),
+        ("verify", "T2.1", "--p=--", "--e", "1"),
+        ("sums", "--field", "7", "--k=--"),
+        ("field-info", "--out=--", "--field", "7")], ids=lambda argv: argv[0])
+    def test_double_dash_flag_value_is_one_usage_line(self, tmp_path,
+                                                      monkeypatch, argv):
+        # the same refusal on every Python, naming the flag; no file made
+        monkeypatch.chdir(tmp_path)
+        flag = next(t for t in argv if t.endswith("=--"))[:-3]
+        assert _main_io(list(argv)) == (
+            2, "", f"error: bad value '--' for {flag}\n")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("workload", ("scan", "sums", "check"))
     def test_benchmark_argvs_take_the_fast_pass(self, workload):
