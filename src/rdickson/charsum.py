@@ -8,8 +8,7 @@ recurring sequence: zero below index 2q - 2, b's tooth (k - 2, 1 - k)
 at 2q - 2 and 2q - 1, and S[n] = S[n-q] + S[n-2q+2] - S[n-2q+1] after
 that, one block of q entries per list pass.  The shifted sums
 d_n = S(n) - (k(n-1)+2)/2^n have index period q^2 - 1, so two blocks run
-past the table are checked against the first two.  The offsets
-(k(n-1)+2)/2^n repeat with a period dividing p(p - 1).  A table costs
+past the table are checked against the first two.  A table costs
 O(q^2) list work beyond the field, O(q) of it in Python steps.
 The paper's route, a closed coefficient vector b (the expansion of a
 product), the vector c derived from it and the identity
@@ -27,8 +26,9 @@ the orbits' traces.  Sum tables need odd characteristic; _b_tooth, which
 every table reads, refuses p = 2.
 """
 
+from array import array
 from functools import lru_cache, reduce
-from itertools import chain, cycle, islice
+from itertools import chain, cycle
 from operator import add
 
 from .gf import InternalCheckError
@@ -121,18 +121,18 @@ def c_coeffs(F, k):
 # -- the table -------------------------------------------------------------
 
 
-def _quarter_offsets(p, k, count):
-    """rowkernels.value_at_quarter(F, n, k) for n < count, over any F of
-    characteristic p: the values lie in the prime subfield, whose
-    encodings are the ints below p, so one running power of 1/2 mod p
-    gives them.  (k(n-1) + 2) has period p in n and 2^-n a period
-    dividing p - 1, so one period of length p(p - 1) is built and
-    repeated."""
+def _shifted_sums(p, k, S):
+    """d[n] = S[n] - (k(n-1) + 2)/2^n mod p, with d[0] held at 0.  The
+    offsets, the values at x = 1/4, are ints below p on any field of
+    characteristic p; they have period p(p - 1) in n, so one period is
+    built by a running power of 1/2 and subtracted along S."""
     inv2, r, period = pow(2, -1, p), 1, []
-    for n in range(min(count, p * (p - 1))):
+    for n in range(p * (p - 1)):
         period.append((k * (n - 1) + 2) * r % p)
         r = r * inv2 % p
-    return list(islice(cycle(period), count))
+    d = [(s - o) % p for s, o in zip(S, cycle(period))]
+    d[0] = 0
+    return d
 
 
 class SumTable:
@@ -179,12 +179,10 @@ def sums_via_recurrence(F, k):
     q, p = F.q, F.p
     k %= p
     S = _recurring_sums(q, p, _b_tooth(F, k))
-    period = _quarter_offsets(p, k, p * (p - 1))
-    d = [(s - o) % p for s, o in zip(S, cycle(period))]
+    d = _shifted_sums(p, k, S)
     if d[q * q:] != d[1:2 * q + 1]:
         raise InternalCheckError("sum recurrence breaks the period q^2 - 1")
     del S[q * q:], d[q * q:]
-    d[0] = 0
     return SumTable(F, k, d, S)
 
 
@@ -229,24 +227,25 @@ def u_column_sums(F):
     ints in range(p) (the encodings of GF(p)), from _u_columns.
 
     The orbit of x adds the trace of U_n(x) from GF(p^m) to GF(p), so a
-    column is read through a table of that trace, built once per m.
-    Columns of equal length are summed as ints, each sum is tiled to
-    q^2 + 1 terms once, and the total is reduced mod p: about sum over
-    orbits of min(period, q^2 + 1) Python steps.  Kept for the last
-    field alone.
+    column is read through a table of that trace, built once per m; for
+    m = 1 it is the identity, and the column is read as it is.  Columns
+    of equal length are summed into one array('Q'), 8 bytes an entry,
+    each sum is tiled to q^2 + 1 terms once and dropped, and the total
+    is reduced mod p: about sum over orbits of min(period, q^2 + 1)
+    Python steps.  Kept for the last field alone.
     """
     p, traces, groups = F.p, {}, {}
     for _, m, col in _u_columns(F):
         if m not in traces:
             traces[m] = [reduce(F.add, [F.pow(v, p ** i) for i in range(m)])
                          for v in F.elements()]
-        share = map(traces[m].__getitem__, col)
+        share = col if m == 1 else map(traces[m].__getitem__, col)
         acc = groups.get(len(col))
-        groups[len(col)] = (list(share) if acc is None
-                            else list(map(add, acc, share)))
+        groups[len(col)] = array("Q", share if acc is None
+                                 else map(add, acc, share))
     total = [0] * (F.q * F.q + 1)
-    for acc in groups.values():
-        total = list(map(add, total, cycle(acc)))
+    while groups:
+        total = list(map(add, total, cycle(groups.popitem()[1])))
     return tuple(t % p for t in total)
 
 
@@ -269,8 +268,7 @@ def residue_identity_holds(table, brute):
     three shifted copies of d, as long as c: q^2 + q entries."""
     F, k = table.field, table.k
     q, p = F.q, F.p
-    offsets = _quarter_offsets(p, k, q * q)
-    d = [0] + [(brute[n] - offsets[n]) % p for n in range(1, q * q)]
+    d = _shifted_sums(p, k, brute)
     lhs = [(a - b - c) % p for a, b, c in zip(
         chain([0] * q, d), chain([0] * (q - 1), d, [0]), chain(d, [0] * q))]
     return lhs == c_coeffs(F, k)

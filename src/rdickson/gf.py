@@ -555,12 +555,14 @@ def split_field_descriptor(text):
     "9" means GF(3^2) with the default modulus).
     """
     body, slash, modpart = text.strip().partition("/")
+    ps, hat, es = body.partition("^")
     try:
-        if "^" in body:
-            ps, _, es = body.partition("^")
-            p, e = int(ps), int(es)
-        else:
-            p, e = _factor_prime_power(int(body))
+        p, e = int(ps), int(es) if hat else None
+    except ValueError:
+        raise ValueError(f"bad field descriptor {text!r}: expected q, p^e "
+                         "or p^e/c0,...,1") from None
+    try:
+        p, e = (p, e) if hat else _factor_prime_power(p)
     except ValueError as exc:
         raise ValueError(f"bad field descriptor {text!r}: {exc}") from None
     modulus = None

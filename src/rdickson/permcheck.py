@@ -81,7 +81,7 @@ def is_pp_two_to_one(F, n, k):
     The witness is the deciding point.
     """
     if F.p == 2:
-        raise ValueError("the 2-to-1 criterion needs odd characteristic")
+        raise ValueError("the two_to_one criterion needs odd characteristic")
     if n < 1:
         raise ValueError("the 2-to-1 criterion needs n >= 1")
     k %= F.p
@@ -116,8 +116,6 @@ def pp_grid(F, ns, ks, criteria):
                              f"choose from {', '.join(tests)}")
         if crit in criteria[:i]:
             raise ValueError(f"criterion {crit!r} is named twice")
-    if F.p == 2 and "two_to_one" in criteria:
-        raise ValueError("the two_to_one criterion needs odd characteristic")
     verdicts = bytearray()
     for n, k in itertools.product(ns, ks):
         bits = [tests[crit](F, n, k).verdict for crit in criteria]

@@ -169,16 +169,21 @@ MUTANTS = [
       "[27]",
       RDPOLY + "TestAsPolynomial::test_transform_matches_the_quadratic_sums"
       "[27]"]),
+    # on GF(25) and GF(27) an orbit has m = 1, read without a trace, or
+    # m = e, so only GF(81)'s orbits of length 2 tell m from e
     ("charsum.py",
      "for i in range(m)])",
      "for i in range(F.e)])",
      "sum oracle: the trace over e Frobenius powers, not the orbit's m",
-     [CHARSUM + "TestUColumns::test_every_kind_matches_the_per_kind_loop[25]",
-      CHARSUM + "TestUColumns::test_every_kind_matches_the_per_kind_loop[27]",
-      CHARSUM + "TestUColumns::test_every_kind_matches_the_per_kind_loop[81]"]),
+     [CHARSUM + "TestUColumns::test_every_kind_matches_the_per_kind_loop[81]"]),
     ("charsum.py",
-     "for n in range(min(count, p * (p - 1))):",
-     "for n in range(min(count, p * p)):",
+     "share = col if m == 1 else",
+     "share = col if m < 3 else",
+     "sum oracle: a column of an orbit of length 2 read without its trace",
+     [CHARSUM + "TestUColumns::test_every_kind_matches_the_per_kind_loop[81]"]),
+    ("charsum.py",
+     "for n in range(p * (p - 1)):",
+     "for n in range(p * p):",
      "the x = 1/4 offsets: the period p^2, not p(p - 1)",
      [CHARSUM + "TestQuarterOffsets::test_period_repeats_around_its_length[3]",
       CHARSUM + "TestQuarterOffsets::test_period_repeats_around_its_length[5]",
@@ -196,6 +201,35 @@ MUTANTS = [
      "c's degree check: from one past the bound",
      [CHARSUM + "TestCVector::"
       "test_shape_checks_fire_on_a_wrong_mixer[<lambda>-degree]"]),
+    ("charsum.py",
+     "    d[0] = 0\n",
+     "",
+     "shifted sums: d[0] left at S[0] minus the offset 2 - k",
+     [CHARSUM + "TestQuarterOffsets::test_row_zero_is_held_at_zero[5]",
+      CHARSUM + "TestSumTable::test_row_zero_is_held_at_zero[GF(5)]",
+      CHARSUM + "TestResidueIdentity::test_holds_from_bruteforce_sums"]),
+    ("permcheck.py",
+     "if v in seen:",
+     "if v in seen and seen[v]:",
+     "image scan: the collision test misses a collision with x = 0",
+     [PERMCHECK + "TestBruteForce::test_witness_may_be_the_first_point",
+      PERMCHECK + "TestTwoToOne::test_agrees_with_brute_force_everywhere"]),
+    ("permcheck.py",
+     "if val == excluded or len(fiber) == 3:",
+     "if val == excluded or len(fiber) == 4:",
+     "2-to-1 criterion: the third-point test waits for a fourth point",
+     [PERMCHECK + "TestTwoToOne::test_witness_is_the_last_point_mapped"]),
+    ("permcheck.py",
+     "if len(fiber) == 1:",
+     "if len(fiber) == 0:",
+     "2-to-1 criterion: the one-point-fiber test after the pass",
+     [PERMCHECK + "TestTwoToOne::test_lone_point_decides_after_the_pass"]),
+    ("rowkernels.py",
+     "        if x == quarter:\n            return at_quarter\n",
+     "",
+     "recurrence row: the x = 1/4 branch dropped, the reduced index used",
+     [RDPOLY + "TestQuarterPoint::"
+      "test_index_reduction_is_wrong_at_quarter_and_patched"]),
 ]
 
 

@@ -146,23 +146,38 @@ class TestPowerSum:
             cs.power_sum(F5, -1)
 
 
+def _shifted_by_value_at_quarter(F, k, S):
+    """S[n] minus value_at_quarter(F, n, k) for n >= 1, and 0 at n = 0."""
+    return [0] + [(S[n] - rd.value_at_quarter(F, n, k)) % F.p
+                  for n in range(1, len(S))]
+
+
 class TestQuarterOffsets:
     @pytest.mark.parametrize("F", [F5, F9, gf.make_field(5, 2),
                                    gf.make_field(3, 3)],
                              ids=lambda F: f"GF({F.q})")
     def test_running_power_matches_value_at_quarter(self, F):
+        S = [n * n % F.p for n in range(F.q * F.q)]
         for k in range(F.p):
-            want = [rd.value_at_quarter(F, n, k) for n in range(F.q * F.q)]
-            assert cs._quarter_offsets(F.p, k, F.q * F.q) == want
+            want = _shifted_by_value_at_quarter(F, k, S)
+            assert cs._shifted_sums(F.p, k, S) == want, k
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_period_repeats_around_its_length(self, p):
-        # one period of p(p - 1) values is built and repeated
+        # one period of p(p - 1) offsets is built and subtracted along S
         F, period = gf.make_field(p), p * (p - 1)
-        for count in (0, 1, period - 1, period, period + 1, 3 * period + 2):
+        for count in (1, period - 1, period, period + 1, 3 * period + 2):
+            S = [(3 * n + 1) % p for n in range(count)]
             for k in range(p):
-                want = [rd.value_at_quarter(F, n, k) for n in range(count)]
-                assert cs._quarter_offsets(p, k, count) == want, (count, k)
+                want = _shifted_by_value_at_quarter(F, k, S)
+                assert cs._shifted_sums(p, k, S) == want, (count, k)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_row_zero_is_held_at_zero(self, p):
+        # d[0] is 0 whatever S[0] and the offset 2 - k at n = 0
+        for k in range(p):
+            for s0 in range(p):
+                assert cs._shifted_sums(p, k, [s0, 1])[0] == 0, (k, s0)
 
 
 class TestBVector:

@@ -1312,6 +1312,29 @@ class TestGuardsAndErrors:
             code, _, err = run(capsys, "field-info", "--field", fd)
             assert code == 2 and msg in err, fd
 
+    @pytest.mark.parametrize("fd", ["", "abc", "3^x", "^3", "3^4^5", "x/1,2"])
+    def test_non_integer_descriptor_names_the_forms(self, capsys, fd):
+        # int()'s "invalid literal" text used to reach the user
+        code, out, err = run(capsys, "field-info", "--field", fd)
+        assert (code, out) == (2, "")
+        assert err == (f"error: bad field descriptor {fd!r}: expected q, "
+                       "p^e or p^e/c0,...,1\n")
+
+    @pytest.mark.parametrize("criteria", [(), ("--criteria", "two_to_one")],
+                             ids=["default", "two_to_one"])
+    def test_pp_refuses_two_to_one_in_characteristic_2(self, capsys,
+                                                       tmp_path, criteria):
+        # every row is decided before the first byte is written, so the
+        # criterion's own refusal leaves stdout and --out untouched
+        out_file = tmp_path / "pp.txt"
+        for out_args in ((), ("--out", str(out_file))):
+            code, out, err = run(capsys, "pp", "--field", "8", "--n", "1..3",
+                                 *criteria, *out_args)
+            assert (code, out) == (2, "")
+            assert err == ("error: the two_to_one criterion needs odd "
+                           "characteristic\n")
+        assert not out_file.exists()
+
     @pytest.mark.parametrize("argv, msg", [
         (("field-info", "--field", "3^2/2,0,1"),
          "modulus (2, 0, 1) is reducible over GF(3)"),

@@ -47,6 +47,12 @@ class TestBruteForce:
         # 2^2 = 3^2 = 4 is the first collision in enumeration order
         assert tuple(map(F5.coeffs, rep.witness)) == ((2,), (3,))
 
+    def test_witness_may_be_the_first_point(self):
+        # x(x - 1) takes 0 at x = 0 and again at x = 1
+        rep = pc.is_pp_bruteforce(F5, lambda x: F5.mul(x, F5.sub(x, 1)))
+        assert not rep.verdict
+        assert tuple(map(F5.coeffs, rep.witness)) == ((0,), (1,))
+
     def test_pp_has_no_witness(self):
         rep = pc.is_pp_bruteforce(F5, lambda x: F5.add(x, 1))
         assert rep.verdict and rep.witness is None
