@@ -6,10 +6,12 @@ Summed over x, the generating function of the family has the kind-free
 denominator 1 - z^q - z^(2q-2) + z^(2q-1), so S itself is a linear
 recurring sequence: zero below index 2q - 2, b's tooth (k - 2, 1 - k)
 at 2q - 2 and 2q - 1, and S[n] = S[n-q] + S[n-2q+2] - S[n-2q+1] after
-that, one block of q entries per list pass.  The shifted sums
-d_n = S(n) - (k(n-1)+2)/2^n have index period q^2 - 1, so two blocks run
-past the table are checked against the first two.  A table costs
-O(q^2) list work beyond the field, O(q) of it in Python steps.
+that.  The shifted sums d_n = S(n) - (k(n-1)+2)/2^n have index period
+q^2 - 1, so two blocks run past the table are checked against the first
+two.  S and d are arrays of the narrowest machine word that holds p - 1,
+built a block of q entries at a time, each block a few operations on
+one int that holds it in lanes: O(q) int operations on ints of O(q)
+words, and no Python step per entry.
 The paper's route, a closed coefficient vector b (the expansion of a
 product), the vector c derived from it and the identity
 (z^q - z^(q-1) - 1) d(z) = c(z), is kept for residue_identity_holds,
@@ -26,6 +28,7 @@ the orbits' traces.  Sum tables need odd characteristic; _b_tooth, which
 every table reads, refuses p = 2.
 """
 
+import sys
 from array import array
 from functools import lru_cache, reduce
 from itertools import chain, cycle
@@ -119,18 +122,94 @@ def c_coeffs(F, k):
 
 
 # -- the table -------------------------------------------------------------
+#
+# S and d are built in blocks, each block held as one int: with entries
+# of s bytes, entry j of a block sits in lane j, bits 16 s j to
+# 16 s j + 16 s - 1, so a lane holds a sum of three entries plus p with
+# room to spare, and one int operation acts on every lane at once
+# without a carry into the next.
+
+
+def _typecode(p):
+    """The narrowest unsigned array typecode whose items hold 0 .. p - 1:
+    'B' up to p = 256 and 'H' up to p = 65536.  A table that can be
+    indexed has p < 2^32 (_recurring_sums refuses the rest), which 'L',
+    of at least 4 bytes, always holds."""
+    return next(tc for tc in "BHIL" if p - 1 < 1 << 8 * array(tc).itemsize)
+
+
+def _byte_offsets(size):
+    """Where an item's bytes lie in an array's raw bytes, least
+    significant first."""
+    offsets = range(size)
+    return offsets if sys.byteorder == "little" else offsets[::-1]
+
+
+def _lanes(items):
+    """The int whose lane j holds items[j], for an array of entries."""
+    size = items.itemsize
+    raw, wide = items.tobytes(), bytearray(2 * size * len(items))
+    for i, j in enumerate(_byte_offsets(size)):
+        wide[i::2 * size] = raw[j::size]
+    return int.from_bytes(wide, "little")
+
+
+def _extend(out, lanes, count):
+    """Append the first count lanes of lanes, each below 2^(8 s), to the
+    array out of itemsize s."""
+    size = out.itemsize
+    wide = lanes.to_bytes(2 * size * count, "little")
+    raw = bytearray(size * count)
+    for i, j in enumerate(_byte_offsets(size)):
+        raw[j::size] = wide[i::2 * size]
+    out.frombytes(raw)
+
+
+def _lane_constants(p, size, count):
+    """(bits, ones, bias) for count lanes of an array of itemsize size:
+    the bits of a lane, 1 in every lane, and 2^(bits - 1) - p in every
+    lane.  A lane t below 2^(bits - 1) + p has bit bits - 1 of t + bias
+    set exactly when t >= p, so t - p ((t + bias) >> (bits - 1) & ones)
+    takes p off the lanes at or above p."""
+    bits = 16 * size
+    ones = int.from_bytes((b"\1" + bytes(2 * size - 1)) * count, "little")
+    return bits, ones, ((1 << bits - 1) - p) * ones
 
 
 def _shifted_sums(p, k, S):
-    """d[n] = S[n] - (k(n-1) + 2)/2^n mod p, with d[0] held at 0.  The
-    offsets, the values at x = 1/4, are ints below p on any field of
-    characteristic p; they have period p(p - 1) in n, so one period is
-    built by a running power of 1/2 and subtracted along S."""
-    inv2, r, period = pow(2, -1, p), 1, []
-    for n in range(p * (p - 1)):
-        period.append((k * (n - 1) + 2) * r % p)
+    """d[n] = S[n] - (k(n-1) + 2)/2^n mod p, with d[0] held at 0, as an
+    array of _typecode(p), for any sequence S of ints below p.
+
+    The offsets, the values at x = 1/4, are ints below p on any field of
+    characteristic p.  S is taken in blocks of w entries, w the largest
+    power of p with w^2 <= len(S) (q for a table), at least p, or all of
+    S when it is shorter.  Since p divides w and 2^w = 2 mod p, the
+    offset at n + w is the offset at n halved mod p.  So the negated
+    offsets of the first block, built by a running power of 1/2, give
+    each next block's by halving every lane, (x + p (x & 1)) >> 1 (x + p
+    is even for odd x), and a block of d is the lanes of S plus them,
+    in [0, 2p - 2], reduced once.
+    """
+    tc = _typecode(p)
+    w = p
+    while (w * p) ** 2 <= len(S):
+        w *= p
+    w = min(w, len(S))              # one block when S is shorter than p
+    inv2, r, first = pow(2, -1, p), 1, []
+    for n in range(w):
+        first.append(-(k * (n - 1) + 2) * r % p)
         r = r * inv2 % p
-    d = [(s - o) % p for s, o in zip(S, cycle(period))]
+    d = array(tc)
+    bits, ones, bias = _lane_constants(p, d.itemsize, w)
+    neg = _lanes(array(tc, first))
+    for lo in range(0, len(S), w):
+        part = array(tc, S[lo:lo + w])
+        if len(part) < w:
+            neg &= (1 << bits * len(part)) - 1
+        t = _lanes(part) + neg
+        t -= (t + bias >> bits - 1 & ones) * p
+        _extend(d, t, len(part))
+        neg = (neg + (neg & ones) * p) >> 1
     d[0] = 0
     return d
 
@@ -138,9 +217,11 @@ def _shifted_sums(p, k, S):
 class SumTable:
     """All full-field sums of one (field, kind) pair for 1 <= n < q^2.
 
-    sums[n] and d[n] are prime-subfield scalars; index 0 is the n = 0
-    member, whose sum is identically 0 (a constant summed q times), and
-    d[0] is held at 0 with it.
+    sums[n] and d[n] are prime-subfield scalars, held as arrays of
+    _typecode(p): indexing, slicing, iteration and len read them as
+    ints, and a slice compares equal to a list only as .tolist().
+    Index 0 is the n = 0 member, whose sum is identically 0 (a constant
+    summed q times), and d[0] is held at 0 with it.
     """
 
     __slots__ = ("field", "k", "d", "sums")
@@ -150,15 +231,31 @@ class SumTable:
 
 
 def _recurring_sums(q, p, tooth):
-    """S[0 .. q^2 + 2q - 1]: zero below 2q - 2, the tooth at 2q - 2 and
-    2q - 1, then S[n] = S[n-q] + S[n-2q+2] - S[n-2q+1], whose lags all
-    reach below a block of q entries, so each block is one list pass."""
-    S = [0] * (q * q + 2 * q)
-    S[2 * q - 2:2 * q] = tooth
-    for lo in range(2 * q, q * q + 2 * q, q):
-        S[lo:lo + q] = [(a + b - c) % p for a, b, c in zip(
-            S[lo - q:lo], S[lo - 2 * q + 2:lo - q + 2],
-            S[lo - 2 * q + 1:lo - q + 1])]
+    """S[0 .. q^2 + 2q - 1] as an array of _typecode(p): zero below
+    2q - 2, the tooth at 2q - 2 and 2q - 1, then
+    S[n] = S[n-q] + S[n-2q+2] - S[n-2q+1].  The lags all reach below a
+    block of q entries, so a block is a few operations on the lanes of
+    the two blocks before it: their sum plus p per lane, in [1, 3p - 2],
+    reduced twice.  A table too large to index is refused before
+    anything is built."""
+    size = q * q + 2 * q
+    if size > sys.maxsize:
+        raise ValueError(f"a sum table over GF({q}) has {size} entries, "
+                         f"more than the {sys.maxsize} an array can index")
+    S = array(_typecode(p), [0]) * (2 * q - 2)
+    S.fromlist(tooth)
+    bits, ones, bias = _lane_constants(p, S.itemsize, q)
+    shift, block = bits * q, (1 << bits * q) - 1
+    window = _lanes(S)              # the lanes of S[lo - 2q .. lo - 1]
+    for _ in range(q):
+        last = window >> shift
+        # lane j: S[lo+j-q] + S[lo+j-2q+2] + p - S[lo+j-2q+1]
+        t = last + (window >> 2 * bits & block) + p * ones - (
+            window >> bits & block)
+        t -= (t + bias >> bits - 1 & ones) * p
+        t -= (t + bias >> bits - 1 & ones) * p
+        _extend(S, t, q)
+        window = last | t << shift
     return S
 
 

@@ -83,7 +83,7 @@ def is_pp_two_to_one(F, n, k):
     if F.p == 2:
         raise ValueError("the two_to_one criterion needs odd characteristic")
     if n < 1:
-        raise ValueError("the 2-to-1 criterion needs n >= 1")
+        raise ValueError("the two_to_one criterion needs n >= 1")
     k %= F.p
     ext = gf.quadratic_extension(F)
     half = F.half

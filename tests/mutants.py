@@ -29,6 +29,7 @@ SKIPPED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                  ".hypothesis", "*.egg-info")
 
 CHARSUM = "tests/test_charsum.py::"
+CLI = "tests/test_cli.py::"
 GF = "tests/test_gf.py::"
 PERMCHECK = "tests/test_permcheck.py::"
 RDPOLY = "tests/test_rdpoly.py::"
@@ -36,8 +37,8 @@ RDPOLY = "tests/test_rdpoly.py::"
 # (file, old text, new text, route, test ids that must fail)
 MUTANTS = [
     ("charsum.py",
-     "[(a + b - c) % p for a, b, c in zip(",
-     "[(a + b + c) % p for a, b, c in zip(",
+     "+ p * ones - (",
+     "+ p * ones + (",
      "sum recurrence: the sign of a lag term",
      [CHARSUM + "TestSumTable::test_matches_bruteforce_all_k[GF(25)]"]),
     ("gf.py",
@@ -182,13 +183,20 @@ MUTANTS = [
      "sum oracle: a column of an orbit of length 2 read without its trace",
      [CHARSUM + "TestUColumns::test_every_kind_matches_the_per_kind_loop[81]"]),
     ("charsum.py",
-     "for n in range(p * (p - 1)):",
-     "for n in range(p * p):",
-     "the x = 1/4 offsets: the period p^2, not p(p - 1)",
+     "neg = (neg + (neg & ones) * p) >> 1",
+     "neg = (neg + (neg & ones) * p) >> 1 if lo else neg",
+     "the x = 1/4 offsets: the second block's not halved from the first's",
      [CHARSUM + "TestQuarterOffsets::test_period_repeats_around_its_length[3]",
       CHARSUM + "TestQuarterOffsets::test_period_repeats_around_its_length[5]",
       CHARSUM + "TestQuarterOffsets::"
       "test_running_power_matches_value_at_quarter[GF(25)]"]),
+    ("charsum.py",
+     "if p - 1 < 1 << 8 * array(tc).itemsize)",
+     "if p - 1 <= 1 << 8 * array(tc).itemsize)",
+     "compact tables: p = 257 held in one byte",
+     [CHARSUM + "TestCompactTables::test_matches_the_list_built_table[257]",
+      CHARSUM + "TestCompactTables::"
+      "test_typecode_is_the_narrowest_that_holds_p[257]"]),
     ("charsum.py",
      "if c[0] != 0:",
      "if c[0] < 0:",
@@ -230,6 +238,14 @@ MUTANTS = [
      "recurrence row: the x = 1/4 branch dropped, the reduced index used",
      [RDPOLY + "TestQuarterPoint::"
       "test_index_reduction_is_wrong_at_quarter_and_patched"]),
+    ("cli.py",
+     "block = range(max(lo, rows.start), min(lo + size, rows.stop))",
+     "block = range(max(lo + 1, rows.start), min(lo + size, rows.stop))",
+     "block writer: each block after the first starts one row late",
+     [CLI + "TestSumsWriter::test_row_numbers_are_the_decimals_of_n"
+      "[343-pretty]",
+      CLI + "TestSumsWriter::test_bytes_match_across_write_blocks[csv]",
+      CLI + "TestPPWriter::test_bytes_match_across_write_blocks[csv]"]),
 ]
 
 

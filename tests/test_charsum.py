@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import sys
 import tracemalloc
+from array import array
+from itertools import cycle
 from math import comb
 
 import pytest
@@ -125,6 +128,31 @@ def _sums_by_lags(q, p, tooth, lags, signs):
     return S
 
 
+def _recurring_sums_by_lists(q, p, tooth):
+    """S[0 .. q^2 + 2q - 1] as a list, one list pass per block of q
+    entries: the reference for charsum._recurring_sums' lanes."""
+    S = [0] * (q * q + 2 * q)
+    S[2 * q - 2:2 * q] = tooth
+    for lo in range(2 * q, q * q + 2 * q, q):
+        S[lo:lo + q] = [(a + b - c) % p for a, b, c in zip(
+            S[lo - q:lo], S[lo - 2 * q + 2:lo - q + 2],
+            S[lo - 2 * q + 1:lo - q + 1])]
+    return S
+
+
+def _shifted_sums_by_cycle(p, k, S):
+    """d as a list: one period of p(p - 1) offsets by a running power of
+    1/2, cycled along S, with d[0] held at 0: the reference for
+    charsum._shifted_sums' halved lanes."""
+    inv2, r, period = pow(2, -1, p), 1, []
+    for n in range(p * (p - 1)):
+        period.append((k * (n - 1) + 2) * r % p)
+        r = r * inv2 % p
+    d = [(s - o) % p for s, o in zip(S, cycle(period))]
+    d[0] = 0
+    return d
+
+
 def _u_walk(F, x, count):
     """U_0(x) .. U_{count-1}(x), stepped with the field's methods."""
     out, u, w = [], 0, 1
@@ -160,17 +188,20 @@ class TestQuarterOffsets:
         S = [n * n % F.p for n in range(F.q * F.q)]
         for k in range(F.p):
             want = _shifted_by_value_at_quarter(F, k, S)
-            assert cs._shifted_sums(F.p, k, S) == want, k
+            assert cs._shifted_sums(F.p, k, S).tolist() == want, k
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_period_repeats_around_its_length(self, p):
-        # one period of p(p - 1) offsets is built and subtracted along S
+        # the offsets repeat with period p(p - 1); S is taken in blocks of
+        # p or, from p^4 entries on, p^2, each block's offsets halved
+        # from the last's, and the last block may be short
         F, period = gf.make_field(p), p * (p - 1)
-        for count in (1, period - 1, period, period + 1, 3 * period + 2):
+        for count in (1, period - 1, period, period + 1, 3 * period + 2,
+                      p ** 4 - 1, p ** 4 + 1):
             S = [(3 * n + 1) % p for n in range(count)]
             for k in range(p):
                 want = _shifted_by_value_at_quarter(F, k, S)
-                assert cs._shifted_sums(p, k, S) == want, (count, k)
+                assert cs._shifted_sums(p, k, S).tolist() == want, (count, k)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_row_zero_is_held_at_zero(self, p):
@@ -286,12 +317,12 @@ class TestSumTable:
         for k in range(3):
             table = cs.sums_via_recurrence(F, k)
             c = cs.c_coeffs(F, k)
-            assert table.sums[1:] == _sums_direct(F, k, c)[1:], k
+            assert table.sums[1:].tolist() == _sums_direct(F, k, c)[1:], k
 
     def test_frozen_q5_k3(self):
         # frozen from brute-force summation before the table existed
         table = cs.sums_via_recurrence(F5, 3)
-        assert table.sums[1:9] == [0, 0, 0, 0, 0, 0, 0, 1]
+        assert table.sums[1:9].tolist() == [0, 0, 0, 0, 0, 0, 0, 1]
         assert table.sums[24] == cs.sums_bruteforce(F5, 3)[24]
 
     @pytest.mark.parametrize("F", [gf.make_field(3), F5, F7, F9,
@@ -327,7 +358,7 @@ class TestSumTable:
         for k in range(p):
             tooth = cs._b_tooth(F, k)
             good = _sums_by_lags(q, p, tooth, lags, signs)
-            assert real(q, p, tooth) == good, k
+            assert real(q, p, tooth).tolist() == good, k
             for (d0, d1), bad_lags, bad_signs in faults:
                 monkeypatch.setattr(
                     cs, "_recurring_sums", lambda q_, p_, t: _sums_by_lags(
@@ -338,17 +369,20 @@ class TestSumTable:
                 with pytest.raises(InternalCheckError, match="period"):
                     cs.sums_via_recurrence(F, k)
 
-    def test_table_memory_is_two_lists(self):
-        # S and d, each run two blocks past the table; no c, no offsets
-        # list of q^2 entries
-        F = gf.parse_field_descriptor("243")
-        tracemalloc.start()
-        try:
-            cs.sums_via_recurrence(F, 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * 8 * F.q ** 2
+    def test_table_memory_is_two_compact_arrays(self):
+        # S and d, each run two blocks past the table, at one machine
+        # word of _typecode(p) an entry (one byte on GF(243), two on
+        # GF(337)); no list of q^2 entries and no offsets period
+        for fd in ("243", "337"):
+            F = gf.parse_field_descriptor(fd)
+            size = array(cs._typecode(F.p)).itemsize
+            tracemalloc.start()
+            try:
+                cs.sums_via_recurrence(F, 2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * size * F.q ** 2, fd
 
     def test_json_rows(self, capsys):
         # the table as the CLI writes it in json
@@ -368,6 +402,66 @@ class TestSumTable:
     def test_rejects_char2(self):
         with pytest.raises(ValueError):
             cs.sums_via_recurrence(gf.make_field(2), 1)
+
+
+class TestCompactTables:
+    @pytest.mark.parametrize("fd", ["3", "9", "27", "81", "243", "125", "169",
+                                    "343", "257", "337"])
+    def test_matches_the_list_built_table(self, fd):
+        # entries pass 255 on GF(257) and GF(337), whose typecode is 'H'
+        F = gf.parse_field_descriptor(fd)
+        q, p = F.q, F.p
+        assert cs._typecode(p) == ("B" if p < 256 else "H")
+        for k in range(p) if p < 20 else (0, 1, 2, p - 1):
+            S = _recurring_sums_by_lists(q, p, cs._b_tooth(F, k))
+            d = _shifted_sums_by_cycle(p, k, S)
+            table = cs.sums_via_recurrence(F, k)
+            assert table.sums.typecode == table.d.typecode == cs._typecode(p)
+            assert table.sums.tolist() == S[:q * q], k
+            assert table.d.tolist() == d[:q * q], k
+
+    @pytest.mark.parametrize("p", [3, 255, 256, 257, 65536, 65537,
+                                   2 ** 32 - 5])
+    def test_typecode_is_the_narrowest_that_holds_p(self, p):
+        sizes = [array(tc).itemsize for tc in "BHIL"]
+        tc = cs._typecode(p)
+        assert p - 1 < 256 ** array(tc).itemsize
+        assert all(p - 1 >= 256 ** size for size in sizes
+                   if size < array(tc).itemsize)
+
+    @pytest.mark.parametrize("p", [3, 251, 257, 65521, 65537, 2 ** 32 - 5])
+    def test_lane_arithmetic_holds_at_every_width(self, p):
+        # the recurrence and the offsets at each lane width, on short
+        # blocks (q here is only the lag, not a field size)
+        F = gf.make_field(p)
+        for q in (3, 5):
+            for tooth in ([p - 1, p - 1], [1, p - 2], [0, 1]):
+                S = cs._recurring_sums(q, p, tooth)
+                assert S.typecode == cs._typecode(p)
+                want = _sums_by_lags(q, p, tooth, (q, 2 * q - 2, 2 * q - 1),
+                                     (1, 1, -1))
+                assert S.tolist() == want, (q, tooth)
+                for k in (0, 1, p - 1):
+                    assert cs._shifted_sums(p, k, S).tolist() == \
+                        _shifted_by_value_at_quarter(F, k, want), (q, tooth, k)
+
+    def test_lanes_read_items_in_either_byte_order(self, monkeypatch):
+        items = array("H", [1, 258, 65535, 0, 4660])
+        lanes = cs._lanes(items)
+        assert lanes == sum(v << 32 * j for j, v in enumerate(items))
+        swapped = array("H", items)
+        swapped.byteswap()
+        other = "big" if sys.byteorder == "little" else "little"
+        monkeypatch.setattr(cs.sys, "byteorder", other)
+        assert cs._lanes(swapped) == lanes
+        out = array("H")
+        cs._extend(out, lanes, len(items))
+        assert out == swapped
+
+    def test_too_large_to_index_is_refused_before_building(self):
+        q = 4294967311
+        with pytest.raises(ValueError, match=f"{q * q + 2 * q} entries"):
+            cs.sums_via_recurrence(gf.make_field(q), 1)
 
 
 class TestBruteforce:

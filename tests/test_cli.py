@@ -1335,6 +1335,19 @@ class TestGuardsAndErrors:
                            "characteristic\n")
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("command", [("sums",), ("verify", "sums")],
+                             ids=["sums", "verify-sums"])
+    def test_sum_table_too_large_to_index_is_refused(self, command):
+        # q^2 + 2q entries past sys.maxsize used to end in an
+        # OverflowError traceback from the list that held S
+        q = 4294967311
+        proc = run_capped(*command, "--field", str(q), "--k", "1",
+                          "--unsafe-large")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"error: a sum table over GF({q}) has {q * q + 2 * q} entries, "
+            f"more than the {sys.maxsize} an array can index\n")
+
     @pytest.mark.parametrize("argv, msg", [
         (("field-info", "--field", "3^2/2,0,1"),
          "modulus (2, 0, 1) is reducible over GF(3)"),

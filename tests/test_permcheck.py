@@ -165,6 +165,16 @@ class TestTwoToOne:
         with pytest.raises(ValueError):
             pc.is_pp_two_to_one(F5, 0, 1)
 
+    def test_refusals_name_the_criterion_as_criteria_does(self):
+        # both read "two_to_one", the --criteria name of the criterion
+        with pytest.raises(ValueError) as exc:
+            pc.is_pp_two_to_one(F5, 0, 1)
+        assert str(exc.value) == "the two_to_one criterion needs n >= 1"
+        with pytest.raises(ValueError) as exc:
+            pc.is_pp_two_to_one(gf.make_field(2, 2), 3, 1)
+        assert str(exc.value) == ("the two_to_one criterion needs odd "
+                                  "characteristic")
+
 
 def holds(entries):
     """A statement holds on a grid iff every entry has ok true."""
