@@ -318,6 +318,7 @@ def _u_columns(F):
         yield x, len(orbit), col
 
 
+# re-read: verify sums reads one field's column sums for every kind
 @lru_cache(maxsize=1)
 def u_column_sums(F):
     """A[n] = sum over x in GF(q) of U_n(x) for n = 0 .. q^2, a tuple of

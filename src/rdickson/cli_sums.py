@@ -89,7 +89,7 @@ def cmd_verify_sums(args, max_q):
     _refuse_unread(args, dict.fromkeys(("--p", "--e", "--l", "--n"),
                                        "the field of --field"))
     F = _load_field(args, max_q)
-    ks = _parse_range_list(args.k, "--k", max_q) or list(range(F.p))
+    ks = _parse_range_list(args.k, "--k", max_q) or range(F.p)
     _guard_grid(len(ks) * F.q ** 2, max_q)
     results, failures = [], []
     for k in ks:

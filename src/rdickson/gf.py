@@ -722,6 +722,7 @@ class QuadExt:
         return True
 
 
+# re-read: a command asks for its field's extension at many points
 @lru_cache(maxsize=EXT_CACHE_SIZE)
 def quadratic_extension(field):
     """The (cached) quadratic extension context of a field."""

@@ -24,9 +24,9 @@ a = 0; neither is a route of its own.  The integer-row routes
 integers and only then reduce them mod p.  A row is walked from its
 first entry by the exact ratio of neighbouring binomials, a few big-int
 multiplies and exact divisions per entry; the rows of the two
-classical kinds are the family's rows at k = 1 and k = 0.  The family
-row, the fnk row and its reduction mod p keep ROW_CACHE_SIZE rows each,
-for callers that read one row at many points x.  The other routes, and
+classical kinds are the family's rows at k = 1 and k = 0.  Every
+command reads each row once, so a row is built per call and dropped
+when its route returns.  The other routes, and
 as_polynomial (interpolated from the q values of one recurrence_row by a
 transform over GF(q)* on the powers of the field's generator), compute
 in the field throughout.  A caller that reads a row at many points x
@@ -44,8 +44,7 @@ from . import gf, modpoly
 from .rowkernels import (eval_a0, functional_row,  # noqa: F401
                          recurrence_row, value_at_quarter)
 
-# Every caller that reads a row twice reads one (n, k) over many x; the
-# CLI reads each row once.  One row per cache serves that reuse.
+# the reduced rows that _fnk_row_mod keeps
 ROW_CACHE_SIZE = 1
 
 
@@ -63,7 +62,6 @@ def first_kind_weights(n):
     return family_weights(n, 0)
 
 
-@lru_cache(maxsize=ROW_CACHE_SIZE)
 def family_weights(n, k):
     """Row of the k-th member, k * second - (k-1) * first over Z:
     w[i] = C(n-i, i) + (1 - k) C(n-i-1, i-1).
@@ -147,10 +145,9 @@ def eval_functional(F, n, k, x):
     return functional_map(ext, n, k, _principal_y(ext, x))
 
 
+# no command re-reads a point; kept for the benchmark tracer's cache_info()
 @lru_cache(maxsize=gf.EXT_CACHE_SIZE)
 def _principal_y(ext, x):
-    # pure in (ext, x); bounded like quadratic_extension, since every key
-    # keeps its extension and that extension's tables alive
     return min(gf.solve_y(ext, x), key=ext.coeffs)
 
 
@@ -223,7 +220,6 @@ def closed_form(F, n, k, x):
 # -- half-scaled integer form ---------------------------------------------
 
 
-@lru_cache(maxsize=ROW_CACHE_SIZE)
 def fnk_coeffs(n, k):
     """Integer polynomial f with D(n,k; 1,x) = (1/2)^n f(1 - 4x), odd p,
     as its coefficient tuple from the constant term up, without
@@ -251,6 +247,7 @@ def fnk_coeffs(n, k):
     return tuple(modpoly.trim(out))
 
 
+# no command re-reads a row; kept for the benchmark tracer's cache_info()
 @lru_cache(maxsize=ROW_CACHE_SIZE)
 def _fnk_row_mod(n, k, p):
     return tuple(c % p for c in fnk_coeffs(n, k))

@@ -55,6 +55,15 @@ MUTANTS = [
      [RDPOLY + "TestQuarterPoint::test_constant_equals_sequence_value",
       CHARSUM + "TestQuarterOffsets::"
       "test_running_power_matches_value_at_quarter[GF(5)]"]),
+    # x -> -x is a bijection, so no permutation verdict sees this one:
+    # value tests at a = 0 must
+    ("rowkernels.py",
+     "F.pow(F.neg(x), n // 2)",
+     "F.pow(x, n // 2)",
+     "the a = 0 closed value: eval_a0 reads (-x)^(n/2) as x^(n/2)",
+     [RDPOLY + "TestEvaluatorAgreement::test_a0_closed_value",
+      RDPOLY + "TestEvaluatorAgreement::"
+      "test_general_a_definition_matches_recurrence"]),
     ("permcheck.py",
      "if val == excluded or len(fiber) == 3:",
      "if len(fiber) == 3:",
@@ -246,6 +255,13 @@ MUTANTS = [
       "[343-pretty]",
       CLI + "TestSumsWriter::test_bytes_match_across_write_blocks[csv]",
       CLI + "TestPPWriter::test_bytes_match_across_write_blocks[csv]"]),
+    ("cli_values.py",
+     '"fnk,", map(str, b),',
+     '"fnk,", map(str, range(len(b))),',
+     "fnk row writer: each FNK_ROWS_PER_WRITE block numbers its degrees "
+     "from 0",
+     [CLI + "TestPolyWriter::test_bytes_match_whole_document_rendering"
+      "[5-3-1931-csv]"]),
 ]
 
 

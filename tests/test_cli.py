@@ -46,6 +46,18 @@ def run_capped(*argv):
                           preexec_fn=cap)
 
 
+def assert_same_text(got, want):
+    """got == want, exactly.  A mismatch is reported as (line count, first
+    differing line number, that line): pytest's diff of two whole
+    outputs of several MB takes minutes to build."""
+    if got != want:
+        a, b = got.splitlines(True), want.splitlines(True)
+        first = next((i for i, (x, y) in enumerate(zip(a, b), 1) if x != y),
+                     min(len(a), len(b)) + 1)
+        assert (len(a), first, a[first - 1:first]) == \
+            (len(b), first, b[first - 1:first])
+
+
 class TestDocumentedExamples:
     # frozen end-to-end transcripts; the values come from the oracle
     # recurrence, not from a previous run of this code
@@ -219,7 +231,8 @@ class TestSumsWriter:
             assert out == ""
             out = target.read_text(encoding="utf-8")
         want = _sums_reference(gf.parse_field_descriptor(fd), k, fmt, check)
-        assert out == want and err == ""
+        assert_same_text(out, want)
+        assert err == ""
         return code
 
     @pytest.mark.parametrize("dest", ["stdout", "out"])
@@ -512,7 +525,9 @@ def _out_and_file(capsys, tmp_path, *argv):
     code, out, err = run(capsys, *argv, "--out", str(target))
     assert out == ""
     got = (code, target.read_text(encoding="utf-8"), err)
-    assert run(capsys, *argv) == got
+    again = run(capsys, *argv)
+    assert (again[0], again[2]) == (code, err)
+    assert_same_text(again[1], got[1])
     return got
 
 
@@ -530,7 +545,8 @@ class TestPolyWriter:
         got = _out_and_file(capsys, tmp_path, "poly", "--field", fd,
                             "--n", str(n), "--k", str(k), "--format", fmt)
         want = _poly_reference(gf.parse_field_descriptor(fd), n, k, fmt)
-        assert got == (0, want, "")
+        assert (got[0], got[2]) == (0, "")
+        assert_same_text(got[1], want)
 
     @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
     def test_fnk_row_memory_peak(self, fmt):
@@ -640,7 +656,8 @@ class TestPPWriter:
         F = gf.parse_field_descriptor(fd)
         code, out, err = _out_and_file(capsys, tmp_path, *argv)
         want = _pp_reference(F, ns, ks or range(F.p), criteria, fmt)
-        assert (out, err) == (want, "")
+        assert_same_text(out, want)
+        assert err == ""
         return code
 
     @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
@@ -765,7 +782,8 @@ class TestVerifyWriter:
             argv += [f"--{name[0]}", ",".join(map(str, values))]
         code, out, err = _out_and_file(capsys, tmp_path, *argv)
         entries = permcheck.verify_theorem(target, ps, es, **axes)
-        assert (out, err) == (_verify_reference(target, entries, fmt), "")
+        assert_same_text(out, _verify_reference(target, entries, fmt))
+        assert err == ""
         return code
 
     @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
@@ -1342,6 +1360,17 @@ class TestGuardsAndErrors:
         # OverflowError traceback from the list that held S
         q = 4294967311
         proc = run_capped(*command, "--field", str(q), "--k", "1",
+                          "--unsafe-large")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"error: a sum table over GF({q}) has {q * q + 2 * q} entries, "
+            f"more than the {sys.maxsize} an array can index\n")
+
+    def test_sum_tables_of_every_kind_are_refused_by_the_first(self):
+        # the default kinds are range(p): a list of p ints ran out of
+        # memory before the first table's size refusal could speak
+        q = 4294967311
+        proc = run_capped("verify", "sums", "--field", str(q),
                           "--unsafe-large")
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (

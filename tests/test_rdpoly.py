@@ -7,6 +7,7 @@ the library existed and must never be regenerated from library output.
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,16 +104,33 @@ class TestWeights:
                 want[j + 1] -= k * c
             assert rd.fnk_coeffs(n, k) == tuple(modpoly.trim(want))
 
-    def test_row_caches_stay_bounded_near_the_cap(self):
+    def test_reduced_row_cache_stays_bounded_near_the_cap(self):
         # eleven indices near the CLI's cross-check cap n = 5000
         for n in range(4990, 5001):
-            rd.eval_definition(F5, n, 3, 2)
             rd.eval_via_fnk(F5, n, 3, 2)
-            rd.fnk_coeffs(n, 2)
         caches = [fn for fn in vars(rd).values() if hasattr(fn, "cache_info")]
+        assert sorted(fn.__name__ for fn in caches) == ["_fnk_row_mod",
+                                                       "_principal_y"]
         assert all(fn.cache_info().maxsize is not None for fn in caches)
-        for fn in (rd.family_weights, rd.fnk_coeffs, rd._fnk_row_mod):
-            assert fn.cache_info().currsize <= rd.ROW_CACHE_SIZE, fn.__name__
+        assert rd._fnk_row_mod.cache_info().currsize <= rd.ROW_CACHE_SIZE
+
+    @pytest.mark.parametrize("F", [F5, gf.make_field(7, 3),
+                                   gf.make_field(337)],
+                             ids=lambda F: f"GF({F.q})")
+    def test_integer_rows_are_dropped_when_their_routes_return(self, F):
+        # each big-int row of n = 5000 takes about 1 MiB; only the fnk
+        # row reduced mod p (about 20-40 KiB) may stay
+        for fn in vars(rd).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+        tracemalloc.start()
+        try:
+            rd.eval_definition(F, 5000, 3, 2)
+            rd.eval_via_fnk(F, 5000, 3, 2)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 64 * 1024
 
 
 class TestFrozenValues:
