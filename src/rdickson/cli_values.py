@@ -72,8 +72,8 @@ def cmd_eval(args, max_q):
                 methods["fnk"] = rdpoly.eval_via_fnk(F, n, k, x)
             if rdpoly._power_shape(F.p, n) is not None:
                 methods["closed_form"] = rdpoly.closed_form(F, n, k, x)
-        # where fewer than two independent routes would run
-        if n > SMALL_N and (F.p == 2 or a != 1 or x == F.quarter):
+        # char 2 and a != 1 would run fewer than two independent routes
+        if n > SMALL_N and (F.p == 2 or a != 1):
             methods["matrix"] = rdpoly.eval_matrix(F, n, k, x, a)
     agree = len(set(methods.values())) == 1
 

@@ -14,7 +14,8 @@ byte a point, for the CLI to write back point by point.
 Both scans of the family take one row function per (n, k), built once
 by rowkernels: the image scan evaluates recurrence_row point by point
 and stops at the first collision, and the 2-to-1 count maps its domain
-through functional_row and stops at the first point that decides.
+through functional_row and stops at the first point that decides; only
+the latter reads x = 1/4's closed constant, as its excluded value.
 """
 
 import itertools

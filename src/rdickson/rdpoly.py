@@ -9,7 +9,7 @@ two classical kinds.  Each evaluator below is an independent route to
 the same values, kept separate so they can be cross-checked:
 
   eval_definition   integer coefficient row (any characteristic, any a)
-  eval_recurrence   Lucas index doubling after reduction mod q^2 - 1
+  eval_recurrence   Lucas index doubling after reduction mod p(q^2 - 1)
   eval_functional   through the parameter y with y(1 - y) = x, which
                     lies on GF(q) or on the line V of GF(q^2)
   eval_via_fnk      half-scaled integer form evaluated at 1 - 4x
@@ -97,8 +97,8 @@ def eval_definition(F, n, k, x, a=1):
 
 
 def eval_recurrence(F, n, k, x, a=1):
-    """Two-term recurrence with index reduction mod q^2 - 1: the value of
-    recurrence_row(F, n, k, a) at x."""
+    """Two-term recurrence with index reduction mod p(q^2 - 1): the value
+    of recurrence_row(F, n, k, a) at x."""
     return recurrence_row(F, n, k, a)(x)
 
 

@@ -26,15 +26,16 @@ def recurrence_row(F, n, k, a=1):
     """x -> D(n,k; a,x) by the two-term recurrence, the row's fixed work
     done once.
 
-    For a = 1 and x != 1/4 the value depends only on n mod (q^2 - 1)
-    once n >= 1; the excluded point x = 1/4 takes its closed constant
-    instead.  With U_0 = 0, U_1 = 1, U_m = U_{m-1} - x U_{m-2}, the
-    value is v_n = U_n - x (2 - k) U_{n-1}, which F.lucas reaches by
-    index doubling down the bits of (n - 1) mod (q^2 - 1),
+    With U_0 = 0, U_1 = 1, U_m = U_{m-1} - x U_{m-2}, the value at
+    a = 1 is v_n = U_n - x (2 - k) U_{n-1}, which F.lucas reaches by
+    index doubling down the bits of (n - 1) mod p(q^2 - 1),
 
         U_{2m} = U_m (2 U_{m+1} - U_m),  U_{2m+1} = U_{m+1}^2 - x U_m^2,
 
-    so any index costs O(log q) field ops in every characteristic.
+    so any index costs O(log q) field ops in every characteristic.  The
+    modulus is a period of U at every x != 0, 1/4 included: a multiple of
+    q^2 - 1 where T^2 - T + x has two roots, and of p(p - 1), the period
+    of U_j = j / 2^(j-1), at the double root 1/2 of x = 1/4.
     Other a reduce to a = 1 by D(n,k; a,x) = a^n * D(n,k; 1, x/a^2),
     which holds in every characteristic; a = 0 is routed to eval_a0.
     """
@@ -48,16 +49,11 @@ def recurrence_row(F, n, k, a=1):
     c = F.from_int(2 - k)
     if n == 0:
         return lambda x: c
-    quarter = F.quarter if F.p != 2 else None
-    at_quarter = value_at_quarter(F, n, k) if F.p != 2 else None
-    m = (n - 1) % (F.q * F.q - 1)
+    m = (n - 1) % (F.p * (F.q * F.q - 1))
+    if m == 0:
+        return lambda x: 1
     lucas, bits = F.lucas, bin(m)[3:]
-
-    def row(x):
-        if x == quarter:
-            return at_quarter
-        return lucas(x, bits, c) if m else 1
-    return row
+    return lambda x: lucas(x, bits, c)
 
 
 def functional_row(ext, n, k):

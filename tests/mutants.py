@@ -54,7 +54,9 @@ MUTANTS = [
      "the x = 1/4 constant: value_at_quarter's numerator",
      [RDPOLY + "TestQuarterPoint::test_constant_equals_sequence_value",
       CHARSUM + "TestQuarterOffsets::"
-      "test_running_power_matches_value_at_quarter[GF(5)]"]),
+      "test_running_power_matches_value_at_quarter[GF(5)]",
+      CLI + "TestChecks::"
+      "test_pp_criteria_split_on_a_wrong_quarter_constant[7-29]"]),
     # x -> -x is a bijection, so no permutation verdict sees this one:
     # value tests at a = 0 must
     ("rowkernels.py",
@@ -82,13 +84,23 @@ MUTANTS = [
      "sum recurrence: the period guard over one block, not two",
      [CHARSUM + "TestSumTable::"
       "test_period_guard_fires_on_a_faulty_recurrence[5]"]),
+    # p = 2 keeps the period without the factor 2, so only odd fields
+    # kill this one
     ("rowkernels.py",
+     "m = (n - 1) % (F.p * (F.q * F.q - 1))",
      "m = (n - 1) % (F.q * F.q - 1)",
-     "m = (n - 1) % (F.q * F.q)",
-     "recurrence row: the index reduced mod q^2, not q^2 - 1",
-     [RDPOLY + "TestDoublingKernel::test_band_around_period[3^2/2,1,1]",
-      RDPOLY + "TestEvaluatorAgreement::"
-      "test_reduction_agrees_with_definition_gf25"]),
+     "recurrence row: the period's factor p dropped, x = 1/4 misread",
+     [RDPOLY + "TestDoublingKernel::test_huge_index[3^2/2,1,1]",
+      RDPOLY + "TestDoublingKernel::test_huge_index[3^3/1,0,2,1]",
+      RDPOLY + "TestQuarterPoint::"
+      "test_index_reduction_is_wrong_at_quarter_and_patched[343]"]),
+    ("rowkernels.py",
+     "F.p * (F.q * F.q - 1)",
+     "F.p * F.q * F.q",
+     "recurrence row: the index reduced mod p q^2, not p(q^2 - 1)",
+     [RDPOLY + "TestDoublingKernel::test_huge_index[2^3/1,0,1,1]",
+      RDPOLY + "TestDoublingKernel::test_huge_index[3^2/2,1,1]",
+      RDPOLY + "TestDoublingKernel::test_huge_index[3^3/1,0,2,1]"]),
     ("gf.py",
      "return self.mul(self.p - 1, a)",
      "return self.mul(1, a)",
@@ -150,6 +162,49 @@ MUTANTS = [
       "test_each_body_matches_the_stepped_recurrence[GF(9)-tables]",
       RDPOLY + "TestRowKernels::"
       "test_each_body_matches_the_stepped_recurrence[GF(25)-tables]"]),
+    # add and sub agree in characteristic 2, so GF(8) without tables
+    # does not see this one
+    ("gf.py",
+     "u, w = w, sub(w, mul(x, u))",
+     "u, w = w, add(w, mul(x, u))",
+     "lucas, method body: the one-bit step's U_(i+1) - x U_i as a sum",
+     [RDPOLY + "TestRowKernels::"
+      "test_each_body_matches_the_stepped_recurrence[GF(9)-none]",
+      *(CLI + "TestExtensionTables::"
+        f"test_output_is_the_same_with_tables_on_and_off[argv{i}]"
+        for i in range(5))]),
+    # fields with tables reach the method body too, when binet's log
+    # body meets a zero
+    ("gf.py",
+     "return mul(num, self.inv(sub(y, z)))",
+     "return mul(num, self.inv(sub(z, y)))",
+     "FieldSpec.binet, method body: the sign of the denominator y - z",
+     [RDPOLY + "TestEvaluatorAgreement::test_four_routes_small_grid[GF(5)]",
+      RDPOLY + "TestEvaluatorAgreement::test_four_routes_small_grid[GF(7)]",
+      *(RDPOLY + "TestFunctionalMap::"
+        f"test_base_line_and_v_against_two_powers[GF({q})]"
+        for q in (13, 25, 49)),
+      *(RDPOLY + "TestFunctionalRow::test_row_matches_the_point_formula"
+        f"[GF({q})-{tables}]" for q, tables in (
+            (5, "tables"), (7, "tables"), (25, "tables"), (49, "tables"),
+            (125, "tables"), (9, "none"), (7, "none"))),
+      PERMCHECK + "TestTwoToOne::test_agrees_with_brute_force_everywhere",
+      PERMCHECK + "TestTwoToOne::test_stops_at_the_first_point_that_decides",
+      "tests/test_acceptance.py::test_criterion_1_four_way_equivalence",
+      "tests/test_acceptance.py::test_criterion_4_two_to_one_equivalence",
+      GF + "test_a_wrong_base_power_fails_the_build",
+      CLI + "test_readme_cli_example[pp --field 7 --n 1..10 --k 0..6-None]",
+      *(CLI + f"TestPPWriter::test_bytes_match_whole_grid_rendering[25-{fmt}]"
+        for fmt in ("pretty", "json", "csv")),
+      CLI + "TestPPWriter::test_grid_memory_peak_per_row",
+      CLI + "TestParser::test_flag_value_argv_runs_as_its_plain_form[pp]",
+      *(CLI + "TestChecks::test_pp_criteria_split_on_a_wrong_quarter_"
+        f"constant[{case}]" for case in ("7-29", "25-15")),
+      *(CLI + "TestExtensionTables::"
+        f"test_output_is_the_same_with_tables_on_and_off[argv{i}]"
+        for i in range(3)),
+      CLI + "TestGuardsAndErrors::"
+      "test_reader_closing_the_pipe_keeps_the_exit_code[pp]"]),
     ("gf.py",
      "exp[(log[d] - log[2] + alpha + l1 - log[t]) % m])",
      "exp[(log[d] + log[2] + alpha + l1 - log[t]) % m])",
@@ -241,12 +296,6 @@ MUTANTS = [
      "if len(fiber) == 0:",
      "2-to-1 criterion: the one-point-fiber test after the pass",
      [PERMCHECK + "TestTwoToOne::test_lone_point_decides_after_the_pass"]),
-    ("rowkernels.py",
-     "        if x == quarter:\n            return at_quarter\n",
-     "",
-     "recurrence row: the x = 1/4 branch dropped, the reduced index used",
-     [RDPOLY + "TestQuarterPoint::"
-      "test_index_reduction_is_wrong_at_quarter_and_patched"]),
     ("cli.py",
      "block = range(max(lo, rows.start), min(lo + size, rows.stop))",
      "block = range(max(lo + 1, rows.start), min(lo + size, rows.stop))",

@@ -1181,6 +1181,22 @@ class TestChecks:
         assert [(row["n"], row["k"]) for row in rows
                 if row["agree"] == "false"] == [("2", "1")]
 
+    @pytest.mark.parametrize("field, rows", [("7", 29), ("25", 15)])
+    def test_pp_criteria_split_on_a_wrong_quarter_constant(
+            self, capsys, monkeypatch, field, rows):
+        # the image scan reads x = 1/4 through the recurrence, the 2-to-1
+        # count the closed constant as its excluded value: a wrong
+        # constant flips 2-to-1 verdicts that the image scan must contest
+        argv = ("pp", "--field", field, "--n", "1..60")
+        assert run(capsys, *argv)[0] == 0
+        real = rowkernels.value_at_quarter
+        for module in (rowkernels, rdpoly):
+            monkeypatch.setattr(module, "value_at_quarter",
+                                lambda F, n, k: (real(F, n, k) + 1) % F.p)
+        code, out, _ = run(capsys, *argv)
+        assert (code, out.splitlines()[-1]) == \
+            (1, f"criteria disagree on {rows} rows")
+
     def test_verify_theorem_failure_exits_1(self, capsys, monkeypatch):
         # the right side of T2.2 flipped at n = 4 for k = 0 and k = 1
         st = permcheck.STATEMENTS["T2.2"]

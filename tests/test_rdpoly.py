@@ -201,8 +201,8 @@ class TestEvaluatorAgreement:
 
 
 class TestDoublingKernel:
-    # the index-doubling kernel against the plain loop, where reduction
-    # mod q^2 - 1 wraps, and at an index no loop could reach
+    # the index-doubling kernel against the plain loop around q^2 - 1,
+    # the period off x = 1/4, and at an index no loop could reach
     FIELDS = [gf.make_field(3, 3), gf.make_field(2, 3),
               gf.make_field(3, 2, (2, 1, 1))]
 
@@ -309,8 +309,8 @@ class TestMatrixRoute:
 
     @pytest.mark.parametrize("desc", ["16", "25", "343"])
     def test_unreduced_index_against_the_recurrence(self, desc):
-        # the recurrence reduces n, rescales a and patches x = 1/4; the
-        # matrix power does none of these
+        # the recurrence reduces n mod p(q^2 - 1) and rescales a; the
+        # matrix power does neither
         F = gf.parse_field_descriptor(desc)
         rng = random.Random(desc)
         for _ in range(60):
@@ -350,12 +350,25 @@ class TestQuarterPoint:
                 want = F.mul(num, F.inv(F.pow(F.from_int(2), n)))
                 assert rd.value_at_quarter(F, n, k) == want, (n, k)
 
-    def test_index_reduction_is_wrong_at_quarter_and_patched(self):
-        # the reason 1/4 is special: the reduced index gives another value
-        n = 4 + 24
-        assert naive(F5, n, 3, F5.quarter) != naive(F5, 4, 3, F5.quarter)
-        assert rd.eval_recurrence(F5, n, 3, F5.quarter) == \
-            naive(F5, n, 3, F5.quarter)
+    @pytest.mark.parametrize("desc", ["3", "5", "9", "27", "343", "337"])
+    def test_index_reduction_is_wrong_at_quarter_and_patched(self, desc):
+        # the reason 1/4 is special: at the double root 1/2 the index
+        # period is p(p - 1), not q^2 - 1, so n = 1 + j(q^2 - 1) with
+        # 1 <= j < p has another value than its reduced index 1 for
+        # k != 0.  The recurrence reads 1/4 like any other point, and
+        # the closed constant is its oracle there
+        F = gf.parse_field_descriptor(desc)
+        p, period, ks = F.p, F.q * F.q - 1, sorted({1, 2, F.p - 1})
+        for k in ks:
+            for j in range(1, p):
+                n = 1 + j * period
+                want = rd.value_at_quarter(F, n, k)
+                assert want != rd.value_at_quarter(F, n % period, k), (j, k)
+                assert rd.eval_recurrence(F, n, k, F.quarter) == want, (j, k)
+        for k in [0, *ks]:
+            n = 10 ** 30 + 7
+            assert rd.eval_recurrence(F, n, k, F.quarter) == \
+                rd.value_at_quarter(F, n, k), k
 
 
 class TestPeriodAndScaling:
