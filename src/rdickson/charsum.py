@@ -9,9 +9,9 @@ at 2q - 2 and 2q - 1, and S[n] = S[n-q] + S[n-2q+2] - S[n-2q+1] after
 that.  The shifted sums d_n = S(n) - (k(n-1)+2)/2^n have index period
 q^2 - 1, so two blocks run past the table are checked against the first
 two.  S and d are arrays of the narrowest machine word that holds p - 1,
-built a block of q entries at a time, each block a few operations on
-one int that holds it in lanes: O(q) int operations on ints of O(q)
-words, and no Python step per entry.
+built together a block of q entries at a time, each block a few
+operations on one int that holds it in lanes: O(q) int operations on
+ints of O(q) words, and no Python step per entry.
 The paper's route, a closed coefficient vector b (the expansion of a
 product), the vector c derived from it and the identity
 (z^q - z^(q-1) - 1) d(z) = c(z), is kept for residue_identity_holds,
@@ -21,18 +21,18 @@ and the mixer polynomial is its defining sum, by Horner's rule in
 z - 1.  The one large product, mixer * b, is q + 1 shifted copies of
 mixer * (b_0 + b_1 z), slice-added to the first part, so c costs O(q^2)
 list work and reads only b's tooth; the left side is three shifted
-copies of d.
+copies of the oracle's d.
 sums_bruteforce is the oracle: every kind is read off one pass per field
 that walks U_n(x) to its period for one x per Frobenius orbit and sums
-the orbits' traces.  Sum tables need odd characteristic; _b_tooth, which
-every table reads, refuses p = 2.
+the orbits' traces, and shifted_sums takes d from it by d's definition.
+Sum tables need odd characteristic; _b_tooth refuses p = 2.
 """
 
 import sys
 from array import array
 from functools import lru_cache, reduce
-from itertools import chain, cycle
-from operator import add
+from itertools import chain, cycle, islice
+from operator import add, mul
 
 from .gf import InternalCheckError
 
@@ -176,42 +176,14 @@ def _lane_constants(p, size, count):
     return bits, ones, ((1 << bits - 1) - p) * ones
 
 
-def _shifted_sums(p, k, S):
-    """d[n] = S[n] - (k(n-1) + 2)/2^n mod p, with d[0] held at 0, as an
-    array of _typecode(p), for any sequence S of ints below p.
-
-    The offsets, the values at x = 1/4, are ints below p on any field of
-    characteristic p.  S is taken in blocks of w entries, w the largest
-    power of p with w^2 <= len(S) (q for a table), at least p, or all of
-    S when it is shorter.  Since p divides w and 2^w = 2 mod p, the
-    offset at n + w is the offset at n halved mod p.  So the negated
-    offsets of the first block, built by a running power of 1/2, give
-    each next block's by halving every lane, (x + p (x & 1)) >> 1 (x + p
-    is even for odd x), and a block of d is the lanes of S plus them,
-    in [0, 2p - 2], reduced once.
-    """
-    tc = _typecode(p)
-    w = p
-    while (w * p) ** 2 <= len(S):
-        w *= p
-    w = min(w, len(S))              # one block when S is shorter than p
-    inv2, r, first = pow(2, -1, p), 1, []
-    for n in range(w):
-        first.append(-(k * (n - 1) + 2) * r % p)
+def _halving(p):
+    """1, 1/2, 1/4, ... mod p, the running power of 1/2 in the offsets
+    (k(n-1) + 2)/2^n, the values at x = 1/4, that the table's first
+    block of d and the oracle's d read."""
+    inv2, r = pow(2, -1, p), 1
+    while True:
+        yield r
         r = r * inv2 % p
-    d = array(tc)
-    bits, ones, bias = _lane_constants(p, d.itemsize, w)
-    neg = _lanes(array(tc, first))
-    for lo in range(0, len(S), w):
-        part = array(tc, S[lo:lo + w])
-        if len(part) < w:
-            neg &= (1 << bits * len(part)) - 1
-        t = _lanes(part) + neg
-        t -= (t + bias >> bits - 1 & ones) * p
-        _extend(d, t, len(part))
-        neg = (neg + (neg & ones) * p) >> 1
-    d[0] = 0
-    return d
 
 
 class SumTable:
@@ -230,33 +202,47 @@ class SumTable:
         self.field, self.k, self.d, self.sums = field, k, d, sums
 
 
-def _recurring_sums(q, p, tooth):
-    """S[0 .. q^2 + 2q - 1] as an array of _typecode(p): zero below
-    2q - 2, the tooth at 2q - 2 and 2q - 1, then
-    S[n] = S[n-q] + S[n-2q+2] - S[n-2q+1].  The lags all reach below a
-    block of q entries, so a block is a few operations on the lanes of
-    the two blocks before it: their sum plus p per lane, in [1, 3p - 2],
-    reduced twice.  A table too large to index is refused before
-    anything is built."""
+def _recurring_sums(q, p, tooth, k):
+    """S[0 .. q^2 + 2q - 1] and d beside it, as two arrays of
+    _typecode(p): S is zero below 2q - 2, the tooth at 2q - 2 and
+    2q - 1, then S[n] = S[n-q] + S[n-2q+2] - S[n-2q+1].  The lags all
+    reach below a block of q entries, so a block is a few operations on
+    the lanes of the two blocks before it (zero before S, so the first
+    two come out 0 and take the tooth): their sum plus p per lane, in
+    [1, 3p - 2], reduced twice.  That block of d is it plus the negated
+    offsets, in [0, 2p - 2], reduced once.  Since p divides q and
+    2^q = 2 mod p, the next block's offsets are these halved lane by
+    lane, (x + p (x & 1)) >> 1 (x + p is even for odd x), from a first
+    block built by _halving.  A table too large to index is refused
+    before anything is built."""
     size = q * q + 2 * q
     if size > sys.maxsize:
         raise ValueError(f"a sum table over GF({q}) has {size} entries, "
                          f"more than the {sys.maxsize} an array can index")
-    S = array(_typecode(p), [0]) * (2 * q - 2)
-    S.fromlist(tooth)
+    S, d = array(_typecode(p)), array(_typecode(p))
     bits, ones, bias = _lane_constants(p, S.itemsize, q)
     shift, block = bits * q, (1 << bits * q) - 1
-    window = _lanes(S)              # the lanes of S[lo - 2q .. lo - 1]
-    for _ in range(q):
+    seeds = (tooth[0] | tooth[1] << bits) << bits * (2 * q - 2)
+    neg = _lanes(array(S.typecode, [-(k * (n - 1) + 2) * h % p
+                                    for n, h in zip(range(q), _halving(p))]))
+    window = 0                      # the lanes of S[lo - 2q .. lo - 1]
+    for _ in range(q + 2):
         last = window >> shift
         # lane j: S[lo+j-q] + S[lo+j-2q+2] + p - S[lo+j-2q+1]
         t = last + (window >> 2 * bits & block) + p * ones - (
             window >> bits & block)
         t -= (t + bias >> bits - 1 & ones) * p
         t -= (t + bias >> bits - 1 & ones) * p
+        t += seeds & block
+        seeds >>= shift
         _extend(S, t, q)
         window = last | t << shift
-    return S
+        t += neg
+        t -= (t + bias >> bits - 1 & ones) * p
+        _extend(d, t, q)
+        neg = (neg + (neg & ones) * p) >> 1
+    d[0] = 0
+    return S, d
 
 
 def sums_via_recurrence(F, k):
@@ -275,8 +261,7 @@ def sums_via_recurrence(F, k):
     """
     q, p = F.q, F.p
     k %= p
-    S = _recurring_sums(q, p, _b_tooth(F, k))
-    d = _shifted_sums(p, k, S)
+    S, d = _recurring_sums(q, p, _b_tooth(F, k), k)
     if d[q * q:] != d[1:2 * q + 1]:
         raise InternalCheckError("sum recurrence breaks the period q^2 - 1")
     del S[q * q:], d[q * q:]
@@ -359,14 +344,27 @@ def sums_bruteforce(F, k):
     return [((k - 1) * a + (2 - k) * b) % p for a, b in zip(A, A[1:])]
 
 
-def residue_identity_holds(table, brute):
+def shifted_sums(p, k, S):
+    """Oracle: d[n] = S[n] - (k(n-1) + 2)/2^n mod p, d[0] held at 0, for
+    any sequence S of ints below p, as an array of _typecode(p), by the
+    definition: k(n-1) + 2 has period p and 2^(-n) period p - 1 mod p,
+    so one period of each is cycled along S.  It shares no lane code
+    with the table's d."""
+    offsets = map(mul, cycle([(k * (n - 1) + 2) % p for n in range(p)]),
+                  cycle(islice(_halving(p), p - 1)))
+    d = array(_typecode(p), [(s - o) % p for s, o in zip(S, offsets)])
+    d[0] = 0
+    return d
+
+
+def residue_identity_holds(table, d):
     """Check the paper's identity (z^q - z^(q-1) - 1) * d(z) = c(z),
-    with c = c_coeffs(F, k), built here, and d from the brute-force sums
-    brute = sums_bruteforce(F, k), not from the table.  The left side is
-    three shifted copies of d, as long as c: q^2 + q entries."""
+    with c = c_coeffs(F, k), built here, and d the oracle's shifted
+    sums, shifted_sums(p, k, sums_bruteforce(F, k)), not the table's.
+    The left side is three shifted copies of d, as long as c: q^2 + q
+    entries."""
     F, k = table.field, table.k
     q, p = F.q, F.p
-    d = _shifted_sums(p, k, brute)
     lhs = [(a - b - c) % p for a, b, c in zip(
         chain([0] * q, d), chain([0] * (q - 1), d, [0]), chain(d, [0] * q))]
     return lhs == c_coeffs(F, k)

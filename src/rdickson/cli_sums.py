@@ -1,8 +1,9 @@
 """The sums command and verify sums, over charsum: a sum table built
 and checked whole, then written in blocks of rows."""
 
+from array import array
 from itertools import compress, islice
-from operator import eq, ne
+from operator import and_, eq, ne, or_
 
 from . import charsum, gf
 from .cli import (ROWS_PER_WRITE, _HOLE, _bool, _coords, _csv_cell,
@@ -17,7 +18,10 @@ def cmd_sums(args, max_q):
     table = charsum.sums_via_recurrence(F, k)
     oracle = None
     if args.check:
-        oracle = list(map(eq, charsum.sums_bruteforce(F, k), table.sums))
+        brute = charsum.sums_bruteforce(F, k)
+        d = charsum.shifted_sums(F.p, k, brute)
+        oracle = list(map(and_, map(eq, brute, table.sums),
+                          map(eq, d, table.d)))
     with _output(args) as fh:
         _write_sums(fh, args.format, table, oracle)
     return 0 if oracle is None or all(islice(oracle, 1, None)) else 1
@@ -94,12 +98,17 @@ def cmd_verify_sums(args, max_q):
     results, failures = [], []
     for k in ks:
         table = charsum.sums_via_recurrence(F, k)
-        brute = charsum.sums_bruteforce(F, k)
-        # n = 0, the constant member, is not a row of the table
-        bad = [n for n in compress(range(F.q ** 2),
-                                   map(ne, table.sums, brute)) if n]
+        # the oracle's sums held as the table's are, so that whole columns
+        # compare at once; rows are looked for only when one differs, and
+        # fail on their sum or their d (n = 0, the constant member, is not
+        # a row)
+        brute = array(table.sums.typecode, charsum.sums_bruteforce(F, k))
+        d = charsum.shifted_sums(F.p, k, brute)
+        bad = [] if table.sums == brute and table.d == d else [
+            n for n in compress(range(F.q ** 2), map(
+                or_, map(ne, table.sums, brute), map(ne, table.d, d))) if n]
         failures += [{"k": k % F.p, "n": n} for n in bad]
-        residue = charsum.residue_identity_holds(table, brute)
+        residue = charsum.residue_identity_holds(table, d)
         if not residue:
             failures.append({"k": k % F.p, "identity": "residue"})
         results.append({"k": k % F.p, "rows": F.q ** 2 - 1,

@@ -220,6 +220,26 @@ MUTANTS = [
      [GF + "test_digit_recursion_add_tables_match_per_pair[3-5]",
       GF + "test_digit_recursion_add_tables_match_per_pair[2-8]"]),
     ("rowkernels.py",
+     "n = (n - 1) % (ext.size - 1) + 1 if n else 0",
+     "n = (n - 1) % ext.size + 1 if n else 0",
+     "functional row: the index reduced mod q^2, not q^2 - 1",
+     [RDPOLY + "TestFunctionalRow::"
+      "test_row_matches_the_point_formula[GF(5)-tables]",
+      RDPOLY + "TestFunctionalRow::"
+      "test_row_matches_the_point_formula[GF(9)-none]",
+      RDPOLY + "TestFunctionalMap::"
+      "test_base_line_and_v_against_two_powers[GF(13)]"]),
+    ("rdpoly.py",
+     "(a, F.neg(x), 1, 0)",
+     "(a, x, 1, 0)",
+     "matrix route: the step matrix's -x read as x",
+     [RDPOLY + "TestMatrixRoute::"
+      "test_every_small_case_against_the_plain_loop[GF(5)]",
+      RDPOLY + "TestMatrixRoute::"
+      "test_every_small_case_against_the_plain_loop[GF(9)]",
+      RDPOLY + "TestMatrixRoute::"
+      "test_unreduced_index_against_the_recurrence[25]"]),
+    ("rowkernels.py",
      "scale = F.inv(F.mul(a, a))",
      "scale = F.inv(a)",
      "recurrence row: the rescale of x by 1/a, not 1/a^2",
@@ -248,12 +268,29 @@ MUTANTS = [
      [CHARSUM + "TestUColumns::test_every_kind_matches_the_per_kind_loop[81]"]),
     ("charsum.py",
      "neg = (neg + (neg & ones) * p) >> 1",
-     "neg = (neg + (neg & ones) * p) >> 1 if lo else neg",
+     "neg = (neg + (neg & ones) * p) >> 1 if len(d) > q else neg",
      "the x = 1/4 offsets: the second block's not halved from the first's",
-     [CHARSUM + "TestQuarterOffsets::test_period_repeats_around_its_length[3]",
+     [CHARSUM + "TestQuarterOffsets::"
+      "test_running_power_matches_value_at_quarter[GF(25)]",
+      CHARSUM + "TestCompactTables::"
+      "test_offset_lanes_halve_at_every_width[127-8]",
+      CHARSUM + "TestCompactTables::"
+      "test_offset_lanes_halve_at_every_width[65537-33]"]),
+    # the running power is read by the table's first block and by the
+    # oracle alike, so the oracle's own checks must see it
+    ("charsum.py",
+     "r = r * inv2 % p",
+     "r = r * 2 % p",
+     "the x = 1/4 offsets: the running power stepped by 2, not 1/2",
+     [CHARSUM + "TestResidueIdentity::test_holds_from_bruteforce_sums",
+      CLI + "TestChecks::test_a_wrong_table_d_fails_its_row[24]"]),
+    ("charsum.py",
+     "cycle([(k * (n - 1) + 2) % p for n in range(p)])",
+     "cycle([(k * (n - 1) + 2) % p for n in range(p - 1)])",
+     "the oracle's offsets: k(n-1) + 2 cycled with period p - 1, not p",
+     [CHARSUM + "TestResidueIdentity::test_holds_from_bruteforce_sums",
       CHARSUM + "TestQuarterOffsets::test_period_repeats_around_its_length[5]",
-      CHARSUM + "TestQuarterOffsets::"
-      "test_running_power_matches_value_at_quarter[GF(25)]"]),
+      CLI + "TestChecks::test_a_wrong_table_d_fails_its_row[24]"]),
     ("charsum.py",
      "if p - 1 < 1 << 8 * array(tc).itemsize)",
      "if p - 1 <= 1 << 8 * array(tc).itemsize)",
@@ -274,11 +311,17 @@ MUTANTS = [
      [CHARSUM + "TestCVector::"
       "test_shape_checks_fire_on_a_wrong_mixer[<lambda>-degree]"]),
     ("charsum.py",
-     "    d[0] = 0\n",
-     "",
-     "shifted sums: d[0] left at S[0] minus the offset 2 - k",
+     "    d[0] = 0\n    return S, d\n",
+     "    return S, d\n",
+     "shifted sums: the table's d[0] left at S[0] minus the offset 2 - k",
+     [CHARSUM + "TestSumTable::test_row_zero_is_held_at_zero[GF(5)]",
+      CHARSUM + "TestQuarterOffsets::"
+      "test_running_power_matches_value_at_quarter[GF(5)]"]),
+    ("charsum.py",
+     "    d[0] = 0\n    return d\n",
+     "    return d\n",
+     "shifted sums: the oracle's d[0] left at S[0] minus the offset 2 - k",
      [CHARSUM + "TestQuarterOffsets::test_row_zero_is_held_at_zero[5]",
-      CHARSUM + "TestSumTable::test_row_zero_is_held_at_zero[GF(5)]",
       CHARSUM + "TestResidueIdentity::test_holds_from_bruteforce_sums"]),
     ("permcheck.py",
      "if v in seen:",

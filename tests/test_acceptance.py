@@ -106,7 +106,9 @@ def test_criterion_5_sum_oracle_equivalence():
             brute = cs.sums_bruteforce(F, k)
             for n in range(1, F.q ** 2):
                 assert table.sums[n] == brute[n], (F.q, k, n)
-            assert cs.residue_identity_holds(table, brute), (F.q, k)
+            d = cs.shifted_sums(p, k, brute)
+            assert table.d.tolist() == d.tolist(), (F.q, k)
+            assert cs.residue_identity_holds(table, d), (F.q, k)
 
 
 def reduced_expansion_holds(n, k):

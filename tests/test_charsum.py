@@ -142,8 +142,8 @@ def _recurring_sums_by_lists(q, p, tooth):
 
 def _shifted_sums_by_cycle(p, k, S):
     """d as a list: one period of p(p - 1) offsets by a running power of
-    1/2, cycled along S, with d[0] held at 0: the reference for
-    charsum._shifted_sums' halved lanes."""
+    1/2, cycled along S, with d[0] held at 0: the reference for the
+    halved lanes of charsum._recurring_sums."""
     inv2, r, period = pow(2, -1, p), 1, []
     for n in range(p * (p - 1)):
         period.append((k * (n - 1) + 2) * r % p)
@@ -185,30 +185,33 @@ class TestQuarterOffsets:
                                    gf.make_field(3, 3)],
                              ids=lambda F: f"GF({F.q})")
     def test_running_power_matches_value_at_quarter(self, F):
+        # the oracle's d of any S, and the table's d of its own sums
         S = [n * n % F.p for n in range(F.q * F.q)]
         for k in range(F.p):
             want = _shifted_by_value_at_quarter(F, k, S)
-            assert cs._shifted_sums(F.p, k, S).tolist() == want, k
+            assert cs.shifted_sums(F.p, k, S).tolist() == want, k
+            table = cs.sums_via_recurrence(F, k)
+            assert table.d.tolist() == _shifted_by_value_at_quarter(
+                F, k, table.sums), k
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_period_repeats_around_its_length(self, p):
-        # the offsets repeat with period p(p - 1); S is taken in blocks of
-        # p or, from p^4 entries on, p^2, each block's offsets halved
-        # from the last's, and the last block may be short
+        # the oracle cycles one period of p(p - 1) offsets along S, which
+        # may end anywhere in it
         F, period = gf.make_field(p), p * (p - 1)
-        for count in (1, period - 1, period, period + 1, 3 * period + 2,
-                      p ** 4 - 1, p ** 4 + 1):
+        for count in (1, period - 1, period, period + 1, 3 * period + 2):
             S = [(3 * n + 1) % p for n in range(count)]
             for k in range(p):
                 want = _shifted_by_value_at_quarter(F, k, S)
-                assert cs._shifted_sums(p, k, S).tolist() == want, (count, k)
+                assert cs.shifted_sums(p, k, S).tolist() == want, (count, k)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_row_zero_is_held_at_zero(self, p):
-        # d[0] is 0 whatever S[0] and the offset 2 - k at n = 0
+        # the oracle's d[0] is 0 whatever S[0] and the offset 2 - k at
+        # n = 0
         for k in range(p):
             for s0 in range(p):
-                assert cs._shifted_sums(p, k, [s0, 1])[0] == 0, (k, s0)
+                assert cs.shifted_sums(p, k, [s0, 1])[0] == 0, (k, s0)
 
 
 class TestBVector:
@@ -358,14 +361,19 @@ class TestSumTable:
         for k in range(p):
             tooth = cs._b_tooth(F, k)
             good = _sums_by_lags(q, p, tooth, lags, signs)
-            assert real(q, p, tooth).tolist() == good, k
+            S, d = real(q, p, tooth, k)
+            assert S.tolist() == good, k
+            assert d.tolist() == _shifted_sums_by_cycle(p, k, good), k
             for (d0, d1), bad_lags, bad_signs in faults:
-                monkeypatch.setattr(
-                    cs, "_recurring_sums", lambda q_, p_, t: _sums_by_lags(
-                        q_, p_, [(t[0] + d0) % p_, (t[1] + d1) % p_],
-                        bad_lags, bad_signs))
+                def faulty(q_, p_, t, k_, d0=d0, d1=d1, bad_lags=bad_lags,
+                           bad_signs=bad_signs):
+                    S = _sums_by_lags(q_, p_, [(t[0] + d0) % p_,
+                                               (t[1] + d1) % p_],
+                                      bad_lags, bad_signs)
+                    return S, _shifted_sums_by_cycle(p_, k_, S)
+                monkeypatch.setattr(cs, "_recurring_sums", faulty)
                 # each of these faults moves a value of the sequence
-                assert cs._recurring_sums(q, p, tooth) != good
+                assert cs._recurring_sums(q, p, tooth, k)[0] != good
                 with pytest.raises(InternalCheckError, match="period"):
                     cs.sums_via_recurrence(F, k)
 
@@ -431,19 +439,29 @@ class TestCompactTables:
 
     @pytest.mark.parametrize("p", [3, 251, 257, 65521, 65537, 2 ** 32 - 5])
     def test_lane_arithmetic_holds_at_every_width(self, p):
-        # the recurrence and the offsets at each lane width, on short
-        # blocks (q here is only the lag, not a field size)
-        F = gf.make_field(p)
+        # the recurrence at each lane width, on short blocks (q here is
+        # only the lag, not a field size)
         for q in (3, 5):
             for tooth in ([p - 1, p - 1], [1, p - 2], [0, 1]):
-                S = cs._recurring_sums(q, p, tooth)
-                assert S.typecode == cs._typecode(p)
+                S, d = cs._recurring_sums(q, p, tooth, 0)
+                assert S.typecode == d.typecode == cs._typecode(p)
                 want = _sums_by_lags(q, p, tooth, (q, 2 * q - 2, 2 * q - 1),
                                      (1, 1, -1))
                 assert S.tolist() == want, (q, tooth)
-                for k in (0, 1, p - 1):
-                    assert cs._shifted_sums(p, k, S).tolist() == \
-                        _shifted_by_value_at_quarter(F, k, want), (q, tooth, k)
+
+    @pytest.mark.parametrize("p, q", [(3, 3), (127, 8), (257, 17),
+                                      (65537, 33), (2 ** 31 - 1, 32)])
+    def test_offset_lanes_halve_at_every_width(self, p, q):
+        # the offsets at each lane width: a lag q = 1 + ord_p(2) has
+        # 2^q = 2 mod p, so at k = 0 each block's offsets are the last's
+        # halved, as they are at every k when p divides q
+        F = gf.make_field(p)
+        assert pow(2, q, p) == 2
+        for tooth in ([p - 1, p - 1], [1, p - 2], [0, 1]):
+            for k in range(p) if q % p == 0 else (0,):
+                S, d = cs._recurring_sums(q, p, tooth, k)
+                assert d.tolist() == \
+                    _shifted_by_value_at_quarter(F, k, S), (tooth, k)
 
     def test_lanes_read_items_in_either_byte_order(self, monkeypatch):
         items = array("H", [1, 258, 65535, 0, 4660])
@@ -559,8 +577,9 @@ class TestResidueIdentity:
     def test_holds_from_bruteforce_sums(self):
         for F in (F5, F9):
             for k in (0, 2, F.p - 1):
+                d = cs.shifted_sums(F.p, k, cs.sums_bruteforce(F, k))
                 assert cs.residue_identity_holds(
-                    cs.sums_via_recurrence(F, k), cs.sums_bruteforce(F, k))
+                    cs.sums_via_recurrence(F, k), d), k
 
     @pytest.mark.parametrize("F", [F5, F9, F25], ids=lambda F: f"GF({F.q})")
     def test_fails_on_one_wrong_sum(self, F):
@@ -570,16 +589,18 @@ class TestResidueIdentity:
         for n in (1, q - 1, q, q * q - 1):
             bad = list(brute)
             bad[n] = F.add(bad[n], 1)
-            assert not cs.residue_identity_holds(table, bad), n
+            d = cs.shifted_sums(F.p, 2, bad)
+            assert not cs.residue_identity_holds(table, d), n
 
     @pytest.mark.parametrize("F", [F5, F9, F25], ids=lambda F: f"GF({F.q})")
     def test_fails_on_one_wrong_c_coefficient(self, F, monkeypatch):
         q, real = F.q, cs.c_coeffs
-        table, brute = cs.sums_via_recurrence(F, 2), cs.sums_bruteforce(F, 2)
+        table = cs.sums_via_recurrence(F, 2)
+        d = cs.shifted_sums(F.p, 2, cs.sums_bruteforce(F, 2))
         for i in (1, q, q * q - 1, q * q + q - 1):
             def faulted(F, k, i=i):
                 c = real(F, k)
                 c[i] = (c[i] + 1) % F.p
                 return c
             monkeypatch.setattr(cs, "c_coeffs", faulted)
-            assert not cs.residue_identity_holds(table, brute), i
+            assert not cs.residue_identity_holds(table, d), i

@@ -193,7 +193,9 @@ def _sums_reference(F, k, fmt, check):
     match = {}
     if check:
         brute = charsum.sums_bruteforce(F, k)
-        match = {n: brute[n] == table.sums[n] for n in rows}
+        d = charsum.shifted_sums(F.p, k, brute)
+        match = {n: brute[n] == table.sums[n] and d[n] == table.d[n]
+                 for n in rows}
     coords = {n: list(F.coeffs(table.sums[n])) for n in rows}
     if fmt == "json":
         obj = {"command": "sums", "field": gf.field_descriptor(F),
@@ -1131,6 +1133,31 @@ class TestChecks:
         report = json.loads(runs["json"][1])
         assert report["failures"] == [{"identity": "residue", "k": 2}]
 
+    @pytest.mark.parametrize("n", [1, 24, 624])
+    def test_a_wrong_table_d_fails_its_row(self, capsys, monkeypatch, n):
+        # the table's sums are right and only its d at n is off by one:
+        # the oracle's d names that row, and the identity, read from the
+        # oracle's d, holds
+        real = charsum.sums_via_recurrence
+
+        def faulted(F, k):
+            table = real(F, k)
+            table.d[n] = (table.d[n] + 1) % F.p
+            return table
+        monkeypatch.setattr(charsum, "sums_via_recurrence", faulted)
+        code, out, _ = run(capsys, "verify", "sums", "--field", "25",
+                           "--k", "2", "--format", "json")
+        assert code == 1
+        report = json.loads(out)
+        assert report["failures"] == [{"k": 2, "n": n}]
+        assert report["results"] == [{"k": 2, "rows": 624, "mismatches": 1,
+                                      "residue_identity": True, "ok": False}]
+        code, out, _ = run(capsys, "sums", "--field", "25", "--k", "2",
+                           "--check", "--format", "csv")
+        assert code == 1
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [row[0] for row in rows if row[3] == "false"] == [str(n)]
+
     @pytest.mark.parametrize("argv, tables", [
         (("verify", "sums", "--field", "5", "--k", "0..4"), 5),
         (("sums", "--field", "5", "--k", "1", "--check"), 1),
@@ -1143,7 +1170,8 @@ class TestChecks:
         # walked once for all kinds
         charsum.u_column_sums.cache_clear()
         calls = collections.Counter()
-        names = ("sums_bruteforce", "c_coeffs", "b_coeffs", "_u_columns")
+        names = ("sums_bruteforce", "shifted_sums", "c_coeffs", "b_coeffs",
+                 "_u_columns")
         for name in names:
             def counted(*a, _real=getattr(charsum, name), _name=name):
                 calls[_name] += 1
@@ -1152,7 +1180,7 @@ class TestChecks:
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert {name: calls[name] for name in names} == {
-            "sums_bruteforce": tables,
+            "sums_bruteforce": tables, "shifted_sums": tables,
             "c_coeffs": tables if argv[0] == "verify" else 0, "b_coeffs": 0,
             "_u_columns": 1}
 
