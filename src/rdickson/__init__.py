@@ -11,10 +11,11 @@ import importlib
 __version__ = "0.1.0"
 
 _HOMES = {
-    "gf": ("FieldSpec", "QuadExt", "InternalCheckError", "make_field",
+    "gf": ("FieldSpec", "InternalCheckError", "make_field",
            "field_descriptor", "parse_field_descriptor", "is_prime",
-           "is_irreducible", "quadratic_extension", "sqrt_ext", "solve_y",
-           "enumerate_v"),
+           "is_irreducible"),
+    "quadext": ("QuadExt", "quadratic_extension", "sqrt_ext", "solve_y",
+                "enumerate_v"),
     "rowkernels": ("value_at_quarter", "eval_a0", "recurrence_row",
                    "functional_row"),
     "rdpoly": ("first_kind_weights", "second_kind_weights",
@@ -25,9 +26,9 @@ _HOMES = {
     "permcheck": ("PPReport", "THEOREM_IDS",
                   "is_pp_bruteforce", "monomial_pp", "is_pp_two_to_one",
                   "dickson_pp_bruteforce", "verify_theorem"),
-    "charsum": ("SumTable", "power_sum", "b_coeffs", "c_coeffs",
-                "sums_via_recurrence", "sums_bruteforce",
-                "residue_identity_holds"),
+    "charsum": ("SumTable", "sums_via_recurrence"),
+    "sumoracle": ("power_sum", "b_coeffs", "c_coeffs", "sums_bruteforce",
+                  "residue_identity_holds"),
 }
 _MODULE_OF = {name: module for module, names in _HOMES.items()
               for name in names}

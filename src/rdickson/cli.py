@@ -37,9 +37,13 @@ argv reader, the parse helpers, the writer) and field-info, and imports
 only gf up front.  Each other command imports its handler module when it
 runs: cli_values (eval and poly, over rdpoly), cli_grids (pp and the
 statements, over permcheck) or cli_sums (the sum tables, over charsum);
-json and csv are imported where those formats are rendered.  A plain
-argv is read by one pass over _SHARED and _COMMANDS; argparse loads only
-for help, usage errors and argv such as "--flag=value".
+json and csv are imported where those formats are rendered.  Two library
+modules load only under the code that reads them: quadext, GF(q^2), for
+the 2-to-1 count, the functional route and eval's cross-check, and
+sumoracle, the sum tables' oracle, for sums --check and verify sums.  So
+field-info and a plain sums compile neither.  A plain argv is read by
+one pass over _SHARED and _COMMANDS; argparse loads only for help, usage
+errors and argv such as "--flag=value".
 """
 
 import contextlib
@@ -292,8 +296,7 @@ def cmd_field_info(args, max_q):
             "modulus": list(F.modulus),
             "descriptor": gf.field_descriptor(F)}
     if F.p != 2:
-        ext = gf.quadratic_extension(F)
-        info["non_square"] = list(F.coeffs(ext.d))
+        info["non_square"] = list(F.coeffs(F.first_non_square()))
         info["half"] = list(F.coeffs(F.half))
         info["quarter"] = list(F.coeffs(F.quarter))
     pretty = [f"{key} = {value}" for key, value in info.items()]

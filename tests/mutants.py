@@ -120,35 +120,35 @@ MUTANTS = [
      "return self.pow(a, 1)",
      "FieldSpec.inv as the power 1",
      [GF + "test_inverses_all_fields", GF + "test_inverse_in_gf5"]),
-    ("charsum.py",
+    ("sumoracle.py",
      "[(a - b) % p for a, b in zip([0] + mixer, mixer + [0])]",
      "[(a + b) % p for a, b in zip([0] + mixer, mixer + [0])]",
      "c's mixer: the Horner step by z + 1, not z - 1",
      [CHARSUM + "TestCVector::test_mixer_matches_its_binomial_expansion[5]",
       CHARSUM + "TestCVector::test_matches_products_of_the_definition[5]"]),
-    ("charsum.py",
+    ("sumoracle.py",
      "chain([0] * q, d)",
      "chain([0] * (q + 1), d)",
      "residue identity: the left side's z^q copy of d",
      [CHARSUM + "TestResidueIdentity::test_holds_from_bruteforce_sums"]),
-    ("charsum.py",
+    ("sumoracle.py",
      "chain([0] * (q - 1), d, [0])",
      "chain([0] * (q - 2), d, [0, 0])",
      "residue identity: the left side's z^(q-1) copy of d",
      [CHARSUM + "TestResidueIdentity::test_holds_from_bruteforce_sums"]),
-    ("charsum.py",
+    ("sumoracle.py",
      "chain(d, [0] * q)",
      "chain([0], d, [0] * (q - 1))",
      "residue identity: the left side's unshifted copy of d",
      [CHARSUM + "TestResidueIdentity::test_holds_from_bruteforce_sums"]),
-    ("charsum.py",
+    ("sumoracle.py",
      "return lhs == c_coeffs(F, k)",
      "return lhs == lhs[:len(c_coeffs(F, k))]",
      "residue identity: c built but the left side compared with itself",
      [CHARSUM + "TestResidueIdentity::test_fails_on_one_wrong_sum[GF(5)]",
       CHARSUM + "TestResidueIdentity::"
       "test_fails_on_one_wrong_c_coefficient[GF(25)]"]),
-    ("charsum.py",
+    ("sumoracle.py",
      "for s in range(0, q * q - q + 1, q - 1):",
      "for s in range(0, q * q - q + 1, q + 1):",
      "c's teeth: the stride q + 1, not q - 1",
@@ -205,7 +205,7 @@ MUTANTS = [
         for i in range(3)),
       CLI + "TestGuardsAndErrors::"
       "test_reader_closing_the_pipe_keeps_the_exit_code[pp]"]),
-    ("gf.py",
+    ("quadext.py",
      "exp[(log[d] - log[2] + alpha + l1 - log[t]) % m])",
      "exp[(log[d] + log[2] + alpha + l1 - log[t]) % m])",
      "QuadExt.binet, coset-table body: B times 2t, not over it",
@@ -256,12 +256,12 @@ MUTANTS = [
       "[27]"]),
     # on GF(25) and GF(27) an orbit has m = 1, read without a trace, or
     # m = e, so only GF(81)'s orbits of length 2 tell m from e
-    ("charsum.py",
+    ("sumoracle.py",
      "for i in range(m)])",
      "for i in range(F.e)])",
      "sum oracle: the trace over e Frobenius powers, not the orbit's m",
      [CHARSUM + "TestUColumns::test_every_kind_matches_the_per_kind_loop[81]"]),
-    ("charsum.py",
+    ("sumoracle.py",
      "share = col if m == 1 else",
      "share = col if m < 3 else",
      "sum oracle: a column of an orbit of length 2 read without its trace",
@@ -284,7 +284,7 @@ MUTANTS = [
      "the x = 1/4 offsets: the running power stepped by 2, not 1/2",
      [CHARSUM + "TestResidueIdentity::test_holds_from_bruteforce_sums",
       CLI + "TestChecks::test_a_wrong_table_d_fails_its_row[24]"]),
-    ("charsum.py",
+    ("sumoracle.py",
      "cycle([(k * (n - 1) + 2) % p for n in range(p)])",
      "cycle([(k * (n - 1) + 2) % p for n in range(p - 1)])",
      "the oracle's offsets: k(n-1) + 2 cycled with period p - 1, not p",
@@ -298,13 +298,13 @@ MUTANTS = [
      [CHARSUM + "TestCompactTables::test_matches_the_list_built_table[257]",
       CHARSUM + "TestCompactTables::"
       "test_typecode_is_the_narrowest_that_holds_p[257]"]),
-    ("charsum.py",
+    ("sumoracle.py",
      "if c[0] != 0:",
      "if c[0] < 0:",
      "c's constant-term check: a sign that reduced entries never have",
      [CHARSUM + "TestCVector::"
       "test_shape_checks_fire_on_a_wrong_mixer[<lambda>-constant term]"]),
-    ("charsum.py",
+    ("sumoracle.py",
      "if any(c[size:]):",
      "if any(c[size + 1:]):",
      "c's degree check: from one past the bound",
@@ -317,7 +317,7 @@ MUTANTS = [
      [CHARSUM + "TestSumTable::test_row_zero_is_held_at_zero[GF(5)]",
       CHARSUM + "TestQuarterOffsets::"
       "test_running_power_matches_value_at_quarter[GF(5)]"]),
-    ("charsum.py",
+    ("sumoracle.py",
      "    d[0] = 0\n    return d\n",
      "    return d\n",
      "shifted sums: the oracle's d[0] left at S[0] minus the offset 2 - k",

@@ -14,6 +14,7 @@ from rdickson import charsum as cs
 from rdickson import cli
 from rdickson import gf, modpoly
 from rdickson import rdpoly as rd
+from rdickson import sumoracle as so
 from rdickson.gf import InternalCheckError
 
 F5 = gf.make_field(5)
@@ -268,15 +269,15 @@ class TestCVector:
             for j in range(q - m):
                 want[2 * m + j] += (r * comb(q - 1 - m, j)
                                     * (-1) ** (q - 1 - m - j))
-        assert cs._mixer(q, p) == [v % p for v in want]
+        assert so._mixer(q, p) == tuple(v % p for v in want)
 
     @pytest.mark.parametrize("fault, message", [
-        (lambda m: [(m[0] + 1) % 5] + m[1:], "constant term"),
-        (lambda m: m + [1], "degree")])
+        (lambda m: ((m[0] + 1) % 5,) + m[1:], "constant term"),
+        (lambda m: m + (1,), "degree")])
     def test_shape_checks_fire_on_a_wrong_mixer(self, monkeypatch, fault,
                                                 message):
-        real = cs._mixer
-        monkeypatch.setattr(cs, "_mixer", lambda q, p: fault(real(q, p)))
+        real = so._mixer
+        monkeypatch.setattr(so, "_mixer", lambda q, p: fault(real(q, p)))
         with pytest.raises(InternalCheckError, match=message):
             cs.c_coeffs(F5, 3)
 
@@ -503,7 +504,7 @@ class TestUColumns:
     def test_x_zero_column_never_returns(self, fd):
         # U_n(0) = 1 for every n >= 1: the walk stops at q^2 + 1 terms
         F = gf.parse_field_descriptor(fd)
-        columns = {x: col for x, _, col in cs._u_columns(F)}
+        columns = {x: col for x, _, col in so._u_columns(F)}
         assert columns[0] == [0] + [1] * F.q ** 2
 
     @pytest.mark.parametrize("fd", ["5", "7", "9", "4", "8", "27", "81"])
@@ -511,7 +512,7 @@ class TestUColumns:
         F = gf.parse_field_descriptor(fd)
         size = F.q ** 2 + 1
         uneven, covered = 0, []
-        for x, m, col in cs._u_columns(F):
+        for x, m, col in so._u_columns(F):
             # x is the least of its orbit, which has m elements, m | e
             orbit = [F.pow(x, F.p ** i) for i in range(m)]
             assert F.pow(x, F.p ** m) == x and min(orbit) == x, x
@@ -550,7 +551,7 @@ class TestUColumns:
     def test_every_kind_matches_the_per_kind_loop(self, fd):
         F = gf.parse_field_descriptor(fd)
         # A[n] lies in GF(p), and its encodings are the ints below p
-        A = cs.u_column_sums(F)
+        A = so.u_column_sums(F)
         assert len(A) == F.q ** 2 + 1
         assert all(type(a) is int and 0 <= a < F.p for a in A)
         # on GF(125), k = 1 reads every A[n] past A[0], k = 3 both terms
@@ -558,10 +559,10 @@ class TestUColumns:
             assert cs.sums_bruteforce(F, k) == _sums_by_columns(F, k), k
 
     def test_one_pass_kept_for_the_last_field_alone(self, monkeypatch):
-        cs.u_column_sums.cache_clear()
+        so.u_column_sums.cache_clear()
         passes = []
-        real = cs._u_columns
-        monkeypatch.setattr(cs, "_u_columns",
+        real = so._u_columns
+        monkeypatch.setattr(so, "_u_columns",
                             lambda F: passes.append(F.q) or real(F))
         for F in (F5, F5, F7, F5):
             for k in range(F.p):
@@ -569,7 +570,7 @@ class TestUColumns:
                 brute[1] = F.add(brute[1], 1)      # a caller's own list
         assert passes == [5, 7, 5]
         assert cs.sums_bruteforce(F5, 2) == _sums_by_columns(F5, 2)
-        info = cs.u_column_sums.cache_info()
+        info = so.u_column_sums.cache_info()
         assert (info.maxsize, info.currsize) == (1, 1)
 
 
@@ -594,7 +595,7 @@ class TestResidueIdentity:
 
     @pytest.mark.parametrize("F", [F5, F9, F25], ids=lambda F: f"GF({F.q})")
     def test_fails_on_one_wrong_c_coefficient(self, F, monkeypatch):
-        q, real = F.q, cs.c_coeffs
+        q, real = F.q, so.c_coeffs
         table = cs.sums_via_recurrence(F, 2)
         d = cs.shifted_sums(F.p, 2, cs.sums_bruteforce(F, 2))
         for i in (1, q, q * q - 1, q * q + q - 1):
@@ -602,5 +603,5 @@ class TestResidueIdentity:
                 c = real(F, k)
                 c[i] = (c[i] + 1) % F.p
                 return c
-            monkeypatch.setattr(cs, "c_coeffs", faulted)
+            monkeypatch.setattr(so, "c_coeffs", faulted)
             assert not cs.residue_identity_holds(table, d), i

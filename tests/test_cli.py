@@ -23,7 +23,7 @@ from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
 from rdickson import (charsum, cli, cli_grids, cli_sums, cli_values, gf,
-                      permcheck, rdpoly, rowkernels)
+                      permcheck, quadext, rdpoly, rowkernels, sumoracle)
 from rdickson.cli import main
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
@@ -1115,13 +1115,13 @@ class TestChecks:
 
     def test_verify_sums_fails_on_a_wrong_c_alone(self, capsys, monkeypatch):
         # the table and the oracle agree, so the identity is what fails
-        real = charsum.c_coeffs
+        real = sumoracle.c_coeffs
 
         def faulted(F, k):
             c = real(F, k)
             c[F.q] = (c[F.q] + 1) % F.p
             return c
-        monkeypatch.setattr(charsum, "c_coeffs", faulted)
+        monkeypatch.setattr(sumoracle, "c_coeffs", faulted)
         argv = ("verify", "sums", "--field", "25", "--k", "2", "--format")
         runs = {fmt: run(capsys, *argv, fmt)
                 for fmt in ("pretty", "json", "csv")}
@@ -1168,21 +1168,32 @@ class TestChecks:
         # identity of verify sums and never for a table, b never (c
         # reads its tooth alone), and the U columns that the oracle reads
         # walked once for all kinds
-        charsum.u_column_sums.cache_clear()
+        sumoracle.u_column_sums.cache_clear()
         calls = collections.Counter()
-        names = ("sums_bruteforce", "shifted_sums", "c_coeffs", "b_coeffs",
-                 "_u_columns")
-        for name in names:
-            def counted(*a, _real=getattr(charsum, name), _name=name):
+        # the CLI reads the oracle through charsum, and the oracle its
+        # own parts in sumoracle
+        owners = {"sums_bruteforce": charsum, "shifted_sums": charsum,
+                  "c_coeffs": sumoracle, "b_coeffs": sumoracle,
+                  "_u_columns": sumoracle}
+        for name, owner in owners.items():
+            def counted(*a, _real=getattr(owner, name), _name=name):
                 calls[_name] += 1
                 return _real(*a)
-            monkeypatch.setattr(charsum, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         code, _, _ = run(capsys, *argv)
         assert code == 0
-        assert {name: calls[name] for name in names} == {
+        assert {name: calls[name] for name in owners} == {
             "sums_bruteforce": tables, "shifted_sums": tables,
             "c_coeffs": tables if argv[0] == "verify" else 0, "b_coeffs": 0,
             "_u_columns": 1}
+
+    def test_verify_sums_builds_the_mixer_once_for_every_kind(self, capsys):
+        # c's mixer reads only q and p: one build serves the 5 kinds
+        sumoracle._mixer.cache_clear()
+        code, _, _ = run(capsys, "verify", "sums", "--field", "25")
+        assert code == 0
+        info = sumoracle._mixer.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
 
     def test_pp_disagreement_exits_1(self, capsys, monkeypatch):
         # one flipped verdict of the 2-to-1 criterion, at n = 2, k = 1
@@ -1282,6 +1293,25 @@ class TestExtensionTables:
         code, _, _ = run(capsys, "field-info", "--field", "343")
         assert code == 0
         assert self.ext343()._rho is None
+
+    def test_field_info_non_square_is_the_extensions_d(self, capsys):
+        # field-info builds no extension, yet names its d: the first
+        # element of GF(q)* that no square reaches
+        fields = 0
+        for q in range(3, 344, 2):
+            try:
+                F = gf.parse_field_descriptor(str(q))
+            except ValueError:
+                continue
+            squares = {F.mul(y, y) for y in F.elements()}
+            d = next(x for x in range(1, q) if x not in squares)
+            assert gf.quadratic_extension(F).d == d, q
+            code, out, _ = run(capsys, "field-info", "--field", str(q),
+                               "--format", "json")
+            assert code == 0
+            assert json.loads(out)["non_square"] == list(F.coeffs(d)), q
+            fields += 1
+        assert fields == 78
 
     @pytest.mark.parametrize("argv", [
         ("eval", "--field", "343", "--n", "117000", "--k", "3", "--x",
@@ -1838,11 +1868,16 @@ class TestModuleEntry:
         (("poly", "--field", "9", "--n", "4", "--k", "1"),
          ("cli_values", "rdpoly", "rowkernels")),
         (("pp", "--field", "9", "--n", "1..3"),
-         ("cli_grids", "permcheck", "rowkernels")),
+         ("cli_grids", "permcheck", "quadext", "rowkernels")),
         (("verify", "T2.1", "--p", "3", "--e", "1"),
          ("cli_grids", "permcheck", "rowkernels")),
         (("sums", "--field", "9", "--k", "1"), ("cli_sums", "charsum")),
-        (("verify", "sums", "--field", "3"), ("cli_sums", "charsum"))])
+        (("verify", "sums", "--field", "3"),
+         ("cli_sums", "charsum", "sumoracle")),
+        (("eval", "--field", "9", "--n", "4", "--k", "1", "--x", "1,1",
+          "--check"), ("cli_values", "quadext", "rdpoly", "rowkernels")),
+        (("sums", "--field", "9", "--k", "1", "--check"),
+         ("cli_sums", "charsum", "sumoracle"))])
     def test_each_command_loads_only_the_modules_it_runs(self, argv, extra):
         code = ("import contextlib, io, sys; from rdickson.cli import main\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -1880,7 +1915,8 @@ class TestModuleEntry:
 
     def test_package_names_resolve_to_their_home_modules(self):
         import rdickson
-        homes = (gf, rowkernels, rdpoly, permcheck, charsum)
+        homes = (gf, quadext, rowkernels, rdpoly, permcheck, charsum,
+                 sumoracle)
         for name in rdickson.__all__:
             value = getattr(rdickson, name)
             holders = [m for m in homes if name in vars(m)]
@@ -1899,6 +1935,18 @@ class TestModuleEntry:
              "m for m in sys.modules if m.partition('.')[0] == 'rdickson'))"],
             capture_output=True, text=True)
         assert proc.stdout == "rdickson\n", proc.stderr
+
+    def test_split_modules_forward_their_public_names(self):
+        # gf and charsum hand out the names of quadext and sumoracle, the
+        # same objects, and no private one
+        for owner, home, names in ((gf, quadext, gf._QUADEXT),
+                                   (charsum, sumoracle, charsum._ORACLE)):
+            for name in names:
+                assert getattr(owner, name) is getattr(home, name), name
+        for owner, name in ((gf, "_tonelli_shanks"), (charsum, "_mixer"),
+                            (charsum, "u_column_sums")):
+            with pytest.raises(AttributeError, match=name):
+                getattr(owner, name)
 
 
 # -- generated argument lists ----------------------------------------------

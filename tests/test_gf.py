@@ -276,6 +276,12 @@ def test_quadratic_extension_rejects_char2():
         gf.QuadExt(gf.make_field(2, 2))
 
 
+def test_first_non_square_refuses_char2():
+    # every element of GF(2^e) is a square, so there is no d to name
+    with pytest.raises(ValueError, match="characteristic 2"):
+        gf.make_field(2, 2).first_non_square()
+
+
 def one_minus(ext, u):
     """Oracle: 1 - u, coordinate by coordinate."""
     F, (a1, a0) = ext.base, divmod(u, ext.q)
