@@ -13,9 +13,10 @@ byte a point, for the CLI to write back point by point.
 
 Both scans of the family take one row function per (n, k), built once
 by rowkernels: the image scan evaluates recurrence_row point by point
-and stops at the first collision, and the 2-to-1 count maps its domain
-through functional_row and stops at the first point that decides; only
-the latter reads x = 1/4's closed constant, as its excluded value.
+and stops at the first collision, and the 2-to-1 count maps one point
+of each pair {y, 1 - y} of its domain through functional_row and stops
+at the first value seen before; only the latter reads x = 1/4's closed
+constant, the value its seen-set starts with.
 """
 
 import itertools
@@ -76,10 +77,13 @@ def is_pp_two_to_one(F, n, k):
         g(y) = k (y^n (1-y) - y (1-y)^n)/(2y-1) + y^n + (1-y)^n
 
     takes every value exactly twice and never takes the excluded value
-    (k(n-1)+2)/2^n.  One pass maps the points in domain order and stops
-    at the first that decides: a hit of the excluded value or a third
-    point in one fiber.  After a full pass a one-point fiber decides.
-    The witness is the deciding point.
+    (k(n-1)+2)/2^n.  g(y) = g(1 - y), and x = y (1 - y) takes each pair
+    {y, 1 - y} to one x != 1/4, so that holds iff g is injective on one
+    y of each pair and misses the excluded value.  The pass maps
+    y = 1/2 + t on GF(q), then 1/2 + t s on V, for each t != 0 whose
+    highest nonzero coordinate is at most (p-1)/2 (one of t and -t), and
+    stops at the first y whose value repeats or is the excluded value:
+    the witness.  A PP row maps q - 1 points.
     """
     if F.p == 2:
         raise ValueError("the two_to_one criterion needs odd characteristic")
@@ -87,21 +91,16 @@ def is_pp_two_to_one(F, n, k):
         raise ValueError("the two_to_one criterion needs n >= 1")
     k %= F.p
     ext = gf.quadratic_extension(F)
-    half = F.half
-    excluded = rowkernels.value_at_quarter(F, n, k)
+    p, q, half = F.p, F.q, F.half
     row = rowkernels.functional_row(ext, n, k)
-    fibers = {}
-    for y in itertools.chain(F.elements(), gf.enumerate_v(ext)):
-        if y == half:
-            continue
+    seen = {rowkernels.value_at_quarter(F, n, k)}
+    ts = [range(p ** i, (p + 1) // 2 * p ** i) for i in range(F.e)]
+    for y in itertools.chain((F.add(half, t) for r in ts for t in r),
+                             (half + t * q for r in ts for t in r)):
         val = row(y)
-        fiber = fibers.setdefault(val, [])
-        fiber.append(y)
-        if val == excluded or len(fiber) == 3:
+        if val in seen:
             return PPReport(False, (y,))
-    for fiber in fibers.values():
-        if len(fiber) == 1:
-            return PPReport(False, (fiber[0],))
+        seen.add(val)
     return PPReport(True)
 
 

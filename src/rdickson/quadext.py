@@ -1,6 +1,6 @@
 """The quadratic extension GF(q^2) of a field GF(q) of odd
-characteristic, with its square roots and the two point sets that the
-2-to-1 criterion and the functional route read.
+characteristic, with its square roots, the roots y of y (1 - y) = x
+that the functional route reads and the line V of the 2-to-1 domain.
 
 GF(q^2) is modelled as GF(q)[s]/(s^2 - d) with d the first non-square
 of GF(q)* (FieldSpec.first_non_square): an extension element is an int

@@ -67,10 +67,51 @@ MUTANTS = [
       RDPOLY + "TestEvaluatorAgreement::"
       "test_general_a_definition_matches_recurrence"]),
     ("permcheck.py",
-     "if val == excluded or len(fiber) == 3:",
-     "if len(fiber) == 3:",
-     "2-to-1 criterion: the excluded-value test",
-     [PERMCHECK + "TestTwoToOne::test_agrees_with_brute_force_everywhere"]),
+     "seen = {rowkernels.value_at_quarter(F, n, k)}",
+     "seen = set()",
+     "2-to-1 criterion: the seen-set without its excluded seed",
+     [PERMCHECK + "TestTwoToOne::test_agrees_with_brute_force_everywhere",
+      PERMCHECK + "TestTwoToOne::"
+      "test_verdict_is_the_full_domain_fiber_count[GF(5)]"]),
+    ("permcheck.py",
+     "(p + 1) // 2 * p ** i)",
+     "(p + 1) // 2 * p ** i + 1)",
+     "2-to-1 criterion: a pair walked twice, as t and as -t",
+     [PERMCHECK + "TestTwoToOne::test_agrees_with_brute_force_everywhere",
+      PERMCHECK + "TestTwoToOne::test_stops_at_the_first_point_that_decides"]),
+    ("permcheck.py",
+     "range(p ** i, ",
+     "range(p ** i + 1, ",
+     "2-to-1 criterion: a pair skipped, t = p^i never walked",
+     [PERMCHECK + "TestTwoToOne::test_stops_at_the_first_point_that_decides",
+      PERMCHECK + "TestTwoToOne::test_witness_is_the_last_point_mapped"]),
+    ("permcheck.py",
+     "(half + t * q for r in ts for t in r)",
+     "(half * q + t for r in ts for t in r)",
+     "2-to-1 criterion: V's point 1/2 + t s encoded with its coordinates "
+     "swapped",
+     [PERMCHECK + "TestTwoToOne::test_agrees_with_brute_force_everywhere",
+      PERMCHECK + "TestTwoToOne::test_witness_is_the_last_point_mapped"]),
+    ("rdpoly.py",
+     "return F.add(F.mul(kh, low), F.sub(1, kh))",
+     "return F.add(F.mul(kh, low), F.sub(1, k))",
+     "closed form, n = p^l: the constant 1 - k/2 read as 1 - k",
+     [RDPOLY + "TestClosedForm::test_all_supported_shapes[GF(5)]",
+      RDPOLY + "TestClosedForm::test_all_supported_shapes[GF(9)]"]),
+    ("rdpoly.py",
+     "F.mul(F.sub(half, kq), high)",
+     "F.mul(F.add(half, kq), high)",
+     "closed form, n = p^l + 1: the high term's 1/2 - k/4 read as "
+     "1/2 + k/4",
+     [RDPOLY + "TestClosedForm::test_all_supported_shapes[GF(5)]",
+      RDPOLY + "TestClosedForm::test_all_supported_shapes[GF(9)]"]),
+    ("rdpoly.py",
+     "return F.add(F.sub(t, F.mul(F.sub(1, kh), x)), half)",
+     "return F.add(F.add(t, F.mul(F.sub(1, kh), x)), half)",
+     "closed form, n = p^l + 2: the term (1 - k/2) x added, not "
+     "subtracted",
+     [RDPOLY + "TestClosedForm::test_all_supported_shapes[GF(5)]",
+      RDPOLY + "TestClosedForm::test_all_supported_shapes[GF(9)]"]),
     ("gf.py",
      "d = zech[(ly + zech[0] + h) % m] + h",
      "d = zech[(ly + zech[0] + h) % m]",
@@ -329,16 +370,6 @@ MUTANTS = [
      "image scan: the collision test misses a collision with x = 0",
      [PERMCHECK + "TestBruteForce::test_witness_may_be_the_first_point",
       PERMCHECK + "TestTwoToOne::test_agrees_with_brute_force_everywhere"]),
-    ("permcheck.py",
-     "if val == excluded or len(fiber) == 3:",
-     "if val == excluded or len(fiber) == 4:",
-     "2-to-1 criterion: the third-point test waits for a fourth point",
-     [PERMCHECK + "TestTwoToOne::test_witness_is_the_last_point_mapped"]),
-    ("permcheck.py",
-     "if len(fiber) == 1:",
-     "if len(fiber) == 0:",
-     "2-to-1 criterion: the one-point-fiber test after the pass",
-     [PERMCHECK + "TestTwoToOne::test_lone_point_decides_after_the_pass"]),
     ("cli.py",
      "block = range(max(lo, rows.start), min(lo + size, rows.stop))",
      "block = range(max(lo + 1, rows.start), min(lo + size, rows.stop))",

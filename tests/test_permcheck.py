@@ -7,6 +7,7 @@ import pytest
 
 from rdickson import gf, permcheck as pc, rowkernels
 from rdickson import rdpoly as rd
+from test_gf import field_in_state
 
 F3 = gf.make_field(3)
 F5 = gf.make_field(5)
@@ -24,6 +25,24 @@ def two_to_one_pass(F, n, k):
               if y != F.half]
     row = rd.functional_row(ext, n, k)
     return domain, [row(y) for y in domain], rd.value_at_quarter(F, n, k)
+
+
+def one_minus(ext, y):
+    """1 - y in GF(q^2), coordinate by coordinate."""
+    F = ext.base
+    a0, a1 = ext.parts(y)
+    return ext.make(F.sub(1, a0), F.neg(a1))
+
+
+def representatives(F):
+    """One y of each pair {y, 1 - y} of the 2-to-1 domain, in the order
+    of the count's walk: 1/2 + t on GF(q), then 1/2 + t s on V, for each
+    t != 0 whose last nonzero coordinate is at most (p-1)/2, ascending."""
+    ext = gf.quadratic_extension(F)
+    ts = [t for t in range(1, F.q)
+          if [c for c in F.coeffs(t) if c][-1] <= (F.p - 1) // 2]
+    return ([F.add(F.half, t) for t in ts]
+            + [ext.make(F.half, t) for t in ts])
 
 
 def is_permutation(F, fn):
@@ -84,7 +103,8 @@ class TestTwoToOne:
                         pc.dickson_pp_bruteforce(F, n, k).verdict, (F.q, n, k)
 
     def test_stops_at_the_first_point_that_decides(self, monkeypatch):
-        # a permutation row maps all 2q-2 points, any other row fewer
+        # a permutation row maps the q-1 representatives in walk order,
+        # any other row a shorter prefix of them
         calls = []
         real = rd.functional_row
 
@@ -97,6 +117,7 @@ class TestTwoToOne:
             return point
 
         monkeypatch.setattr(rowkernels, "functional_row", counted)
+        reps = representatives(F25)
         seen = set()
         for n in range(1, 50):
             for k in range(F25.p):
@@ -104,42 +125,73 @@ class TestTwoToOne:
                 pp = pc.dickson_pp_bruteforce(F25, n, k).verdict
                 assert pc.is_pp_two_to_one(F25, n, k).verdict == pp
                 seen.add(pp)
+                assert calls == reps[:len(calls)], (n, k)
                 if pp:
-                    assert len(calls) == 2 * F25.q - 2, (n, k)
+                    assert len(calls) == F25.q - 1, (n, k)
                 else:
-                    assert len(calls) < 2 * F25.q - 2, (n, k)
+                    assert len(calls) < F25.q - 1, (n, k)
         assert seen == {True, False}
 
     def test_witness_is_the_last_point_mapped(self):
-        # the pass stops at the first point that hits the excluded value
-        # or puts a third point in one fiber, and names that point
-        for F in (F5, F9):
+        # the pass stops at the first representative whose value was
+        # seen before or is the excluded value, and names it
+        for F in (F5, F9, F25):
             ext = gf.quadratic_extension(F)
+            reps = representatives(F)
             for n in range(1, F.q ** 2):
                 for k in range(F.p):
                     rep = pc.is_pp_two_to_one(F, n, k)
-                    if rep.verdict:
-                        continue
-                    domain, values, excluded = two_to_one_pass(F, n, k)
-                    i = domain.index(rep.witness[0])
-                    assert len(ext.coeffs(rep.witness[0])) == 2 * F.e
-                    decided = [j for j in range(len(domain))
-                               if values[j] == excluded
-                               or values[:j + 1].count(values[j]) == 3]
-                    assert decided[0] == i, (F.q, n, k)
+                    row = rd.functional_row(ext, n, k)
+                    seen = {rd.value_at_quarter(F, n, k)}
+                    for y in reps:
+                        val = row(y)
+                        if val in seen:
+                            assert rep.witness == (y,), (F.q, n, k)
+                            break
+                        seen.add(val)
+                    else:
+                        assert rep.verdict and rep.witness is None
 
-    def test_lone_point_decides_after_the_pass(self, monkeypatch):
-        # a g that is 1-to-1 and misses the excluded value: only the
-        # check after the pass can refuse it
-        calls = []
+    def test_representatives_take_one_point_of_each_pair(self):
+        for F in (F3, F5, F9, F25, F27):
+            ext = gf.quadratic_extension(F)
+            domain, _, _ = two_to_one_pass(F, 1, 0)
+            reps = representatives(F)
+            assert len(reps) == F.q - 1
+            assert sorted(reps + [one_minus(ext, y) for y in reps]) == \
+                sorted(domain)
 
-        def own(ext, n, k):
-            return lambda y: calls.append(y) or ("own", y)
-        monkeypatch.setattr(rowkernels, "functional_row", own)
-        rep = pc.is_pp_two_to_one(F5, 3, 1)
-        assert not rep.verdict
-        assert gf.quadratic_extension(F5).coeffs(rep.witness[0]) == (0, 0)
-        assert len(calls) == 2 * F5.q - 2
+    @pytest.mark.parametrize("F", [F5, F9, F25], ids=lambda F: f"GF({F.q})")
+    def test_verdict_is_the_full_domain_fiber_count(self, F):
+        # the paper's statement on all 2q-2 points: every value taken
+        # exactly twice and the excluded value never
+        for n in range(1, F.q ** 2):
+            for k in range(F.p):
+                _, values, excluded = two_to_one_pass(F, n, k)
+                fibers = collections.Counter(values)
+                want = set(fibers.values()) == {2} and excluded not in fibers
+                assert pc.is_pp_two_to_one(F, n, k).verdict == want, \
+                    (F.q, n, k)
+
+    @pytest.mark.parametrize("p, e, tables", [(7, 1, True), (5, 2, True),
+                                              (3, 3, True), (3, 2, False)],
+                             ids=["GF(7)-tables", "GF(25)-tables",
+                                  "GF(27)-tables", "GF(9)-none"])
+    def test_map_takes_one_value_on_each_pair(self, p, e, tables,
+                                              monkeypatch):
+        # g(y) = g(1 - y) at every point of (GF(q) union V) minus {1/2},
+        # every kind, n below and past q^2 - 1: the walk maps one y a pair
+        F = field_in_state(p, e, tables, monkeypatch)
+        ext = gf.QuadExt(F)
+        q = F.q
+        domain = [y for y in range(q) if y != F.half]
+        domain += [F.half + t * q for t in range(1, q)]
+        for n in [*range(1, 2 * q + 1), q * q - 2, q * q - 1, q * q,
+                  q * q + 5, 10 ** 9 + 7]:
+            for k in range(p):
+                row = rd.functional_row(ext, n, k)
+                for y in domain:
+                    assert row(y) == row(one_minus(ext, y)), (n, k, y)
 
     def test_fibers_are_exact_pairs_when_pp(self):
         assert pc.is_pp_two_to_one(F9, 3, 1).verdict
