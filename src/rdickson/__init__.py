@@ -3,10 +3,12 @@ finite fields: evaluation along independent routes, permutation
 criteria, and full-field sum tables, all cross-checkable against
 brute force.
 
-The public names load their module on first use (PEP 562), so that a
-command imports only the modules it runs."""
-
-import importlib
+_HOMES is the one list of the names that load on first use (PEP 562),
+each under the module that defines it, so that a command imports only
+the modules it runs.  _loader builds a module's __getattr__ from it:
+the package's serves every name, gf's the names of quadext and
+charsum's those of sumoracle.  A name is kept where it was first read,
+so it can be replaced there."""
 
 __version__ = "0.1.0"
 
@@ -28,7 +30,7 @@ _HOMES = {
                   "dickson_pp_bruteforce", "verify_theorem"),
     "charsum": ("SumTable", "sums_via_recurrence"),
     "sumoracle": ("power_sum", "b_coeffs", "c_coeffs", "sums_bruteforce",
-                  "residue_identity_holds"),
+                  "shifted_sums", "residue_identity_holds"),
 }
 _MODULE_OF = {name: module for module, names in _HOMES.items()
               for name in names}
@@ -36,10 +38,21 @@ _MODULE_OF = {name: module for module, names in _HOMES.items()
 __all__ = [*_MODULE_OF, "__version__"]
 
 
-def __getattr__(name):
-    module = _MODULE_OF.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+def _loader(namespace, homes=_HOMES):
+    """The __getattr__ of the module whose globals are namespace, for
+    the names that _HOMES lists under the modules homes: each is read
+    from its home on first use and kept in namespace."""
+    def __getattr__(name):
+        module = _MODULE_OF.get(name)
+        if module not in homes:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}")
+        # __import__ is the import statement's path, which -X importtime
+        # reports; importlib.import_module is not
+        value = namespace[name] = getattr(
+            __import__(f"{__name__}.{module}", fromlist=[name]), name)
+        return value
+    return __getattr__
+
+
+__getattr__ = _loader(globals())

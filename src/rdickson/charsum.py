@@ -13,17 +13,21 @@ built together a block of q entries at a time, each block a few
 operations on one int that holds it in lanes: O(q) int operations on
 ints of O(q) words, and no Python step per entry.
 The oracle that checks a table, sums_bruteforce with d by its
-definition and the paper's residue identity, is the module sumoracle.
-Its names are read through this module, which imports sumoracle on first
-use (PEP 562), so a table built without --check never compiles the code
-that checks it.
+definition (shifted_sums) and the paper's residue identity, is the
+module sumoracle.  Its names, listed under "sumoracle" in
+rdickson._HOMES, are read through this module, whose __getattr__ (the
+package's _loader) imports sumoracle on first use (PEP 562), so a table
+built without --check never compiles the code that checks it.
 Sum tables need odd characteristic; _b_tooth refuses p = 2.
 """
 
 import sys
 from array import array
 
+from . import _loader
 from .gf import InternalCheckError
+
+__getattr__ = _loader(globals(), ("sumoracle",))
 
 
 def _b_tooth(F, k):
@@ -180,18 +184,3 @@ def sums_via_recurrence(F, k):
         raise InternalCheckError("sum recurrence breaks the period q^2 - 1")
     del S[q * q:], d[q * q:]
     return SumTable(F, k, d, S)
-
-
-# -- the oracle, in sumoracle ----------------------------------------------
-
-_ORACLE = ("power_sum", "b_coeffs", "c_coeffs", "sums_bruteforce",
-           "shifted_sums", "residue_identity_holds")
-
-
-def __getattr__(name):
-    """The oracle's names, loaded from sumoracle on first use (PEP 562)."""
-    if name not in _ORACLE:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import sumoracle
-    value = globals()[name] = getattr(sumoracle, name)
-    return value

@@ -33,17 +33,19 @@ holds its data and one block, never its rendered text.
 
 Each process is one command, and it loads (without bytecode, compiles)
 only the code it runs.  This module holds what the commands share (the
-argv reader, the parse helpers, the writer) and field-info, and imports
-only gf up front.  Each other command imports its handler module when it
-runs: cli_values (eval and poly, over rdpoly), cli_grids (pp and the
-statements, over permcheck) or cli_sums (the sum tables, over charsum);
-json and csv are imported where those formats are rendered.  Two library
-modules load only under the code that reads them: quadext, GF(q^2), for
-the 2-to-1 count, the functional route and eval's cross-check, and
-sumoracle, the sum tables' oracle, for sums --check and verify sums.  So
-field-info and a plain sums compile neither.  A plain argv is read by
-one pass over _SHARED and _COMMANDS; argparse loads only for help, usage
-errors and argv such as "--flag=value".
+argv reader, the parse helpers, the writer), field-info and verify's
+choice of handler, and imports only gf up front.  _COMMANDS names each
+command's handler by module and function, and main imports that module
+when the command runs: cli_values (eval and poly, over rdpoly),
+cli_grids (pp and the statements, over permcheck) or cli_sums (the sum
+tables, over charsum); json and csv are imported where those formats are
+rendered.  The library's deferred names are listed in one table,
+rdickson._HOMES: quadext, GF(q^2), loads only for the 2-to-1 count, the
+functional route and eval's cross-check, and sumoracle, the sum tables'
+oracle, only for sums --check and verify sums.  So field-info and a
+plain sums compile neither.  A plain argv is read by one pass over
+_SHARED and _COMMANDS; argparse loads only for help, usage errors and
+argv such as "--flag=value".
 """
 
 import contextlib
@@ -78,6 +80,7 @@ def _parse_range_list(text, what, max_q, minimum=None):
         try:
             spans.append(range(int(lo), int(hi if sep else lo) + 1))
         except ValueError:
+            _refuse_long_integers(what, lo, hi)
             raise ValueError(
                 f"bad {what} {text!r}: expected N, N..M or a comma list")
     _guard_grid(sum(max(0, r.stop - r.start) for r in spans), max_q)
@@ -93,10 +96,29 @@ def _parse_int(text, what, minimum=None):
     try:
         value = int(text)
     except ValueError:
+        _refuse_long_integers(what, text)
         raise ValueError(f"bad {what} {text!r}: expected an integer")
     if minimum is not None and value < minimum:
         raise ValueError(f"{what} must be at least {minimum}")
     return value
+
+
+def _refuse_long_integers(what, *texts):
+    """For the texts of a flag that int() refused: a well-formed integer
+    among them has more digits than int() converts (the limit
+    sys.get_int_max_str_digits(), from Python 3.10.7 on), and is refused
+    in a short message that names the limit instead of echoing it."""
+    for text in texts:
+        body = text.strip()
+        body = body[1:] if body[:1] in ("+", "-") else body
+        if all(map(str.isdecimal, body.split("_"))):
+            try:
+                int(text)
+            except ValueError:
+                raise ValueError(
+                    f"bad {what}: an integer of more than "
+                    f"{sys.get_int_max_str_digits()} digits, the limit of "
+                    "sys.get_int_max_str_digits()") from None
 
 
 def _load_field(args, max_q):
@@ -255,22 +277,7 @@ def _csv_cell(value):
     return str(value)
 
 
-# -- commands: each imports its handler module when it runs ------------
-
-
-def cmd_eval(args, max_q):
-    from .cli_values import cmd_eval as run
-    return run(args, max_q)
-
-
-def cmd_poly(args, max_q):
-    from .cli_values import cmd_poly as run
-    return run(args, max_q)
-
-
-def cmd_pp(args, max_q):
-    from .cli_grids import cmd_pp as run
-    return run(args, max_q)
+# -- the commands whose handler is here ---------------------------------
 
 
 def cmd_verify(args, max_q):
@@ -280,14 +287,6 @@ def cmd_verify(args, max_q):
     else:
         from .cli_grids import cmd_verify_statement as run
     return run(args, max_q)
-
-
-def cmd_sums(args, max_q):
-    from .cli_sums import cmd_sums as run
-    return run(args, max_q)
-
-
-# -- field-info --------------------------------------------------------
 
 
 def cmd_field_info(args, max_q):
@@ -309,8 +308,8 @@ def cmd_field_info(args, max_q):
 # -- wiring ------------------------------------------------------------
 
 
-# the flags of every command, then name -> (handler, help, arguments);
-# --check is listed where the handler reads it
+# the flags of every command, then name -> ((module, function) of the
+# handler, help, arguments); --check is listed where the handler reads it
 _SHARED = (("--field", {"help": 'field descriptor: "q", "p^e" or '
                                     '"p^e/c0,c1,...,1"'}),
            ("--format", {"choices": ("pretty", "json", "csv"),
@@ -321,19 +320,22 @@ _SHARED = (("--field", {"help": 'field descriptor: "q", "p^e" or '
 _CHECK = ("--check", {"action": "store_true",
                       "help": "cross-check against the independent routes"})
 _COMMANDS = {
-    "eval": (cmd_eval, "evaluate one member at one point", (
+    "eval": (("cli_values", "cmd_eval"),
+             "evaluate one member at one point", (
         ("--n", {"required": True, "help": "index (any size)"}),
         ("--k", {"required": True, "help": "kind parameter"}),
         ("--x", {"required": True, "help": "argument element"}),
         ("--a", {"default": "1", "help": "scale element (default 1)"}),
         _CHECK)),
-    "poly": (cmd_poly, "reduced polynomial mod x^q - x", (
+    "poly": (("cli_values", "cmd_poly"), "reduced polynomial mod x^q - x", (
         ("--n", {"required": True}), ("--k", {"required": True}))),
-    "pp": (cmd_pp, "permutation scan over an (n, k) grid", (
+    "pp": (("cli_grids", "cmd_pp"),
+           "permutation scan over an (n, k) grid", (
         ("--n", {"required": True, "help": "range, e.g. 1..10"}),
         ("--k", {"help": "range (default: all of 0..p-1)"}),
         ("--criteria", {"default": "brute_force,two_to_one"}))),
-    "verify": (cmd_verify, "check a named statement or the sum tables", (
+    "verify": (("cli", "cmd_verify"),
+               "check a named statement or the sum tables", (
         ("target", {"help": "'sums' or a statement id (an unknown target "
                             "lists them)"}),
         ("--p", {"help": "primes, e.g. 3,5,7"}),
@@ -342,9 +344,10 @@ _COMMANDS = {
         ("--n", {"help": "indices (T2.2 grids, default 0..30)"}),
         ("--k", {"help": "kinds (default 0..p-1; ignored by the "
                          "fixed-kind statements)"}))),
-    "sums": (cmd_sums, "full-field sum table for one kind", (
+    "sums": (("cli_sums", "cmd_sums"), "full-field sum table for one kind", (
         ("--k", {"required": True}), _CHECK)),
-    "field-info": (cmd_field_info, "parameters of a field descriptor", ()),
+    "field-info": (("cli", "cmd_field_info"),
+                   "parameters of a field descriptor", ()),
 }
 
 
@@ -417,8 +420,13 @@ def main(argv=None):
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
     max_q = None if args.unsafe_large else DEFAULT_MAX_Q
+    module, function = _COMMANDS[args.command][0]
+    # the handler's module loads here, by the import statement's path,
+    # which -X importtime reports
+    run = getattr(__import__(f"{__package__}.{module}", fromlist=[function]),
+                  function)
     try:
-        return _COMMANDS[args.command][0](args, max_q)
+        return run(args, max_q)
     except InternalCheckError as exc:
         print(f"internal cross-check failed: {exc}", file=sys.stderr)
         return 1

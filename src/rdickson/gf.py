@@ -9,10 +9,10 @@ additive and multiplicative identities.  A FieldSpec instance supplies
 the arithmetic and is passed around together with the elements.
 
 GF(q^2) is modelled separately, in quadext, as GF(q)[s]/(s^2 - d) with
-d = FieldSpec.first_non_square().  Its names (QuadExt,
-quadratic_extension, sqrt_ext, solve_y and enumerate_v) are read
-through this module, which imports quadext on first use (PEP 562), so a
-command that never works in GF(q^2) never compiles it.
+d = FieldSpec.first_non_square().  Its names, listed under "quadext" in
+rdickson._HOMES, are read through this module, whose __getattr__ (the
+package's _loader) imports quadext on first use (PEP 562), so a command
+that never works in GF(q^2) never compiles it.
 
 Construction validates everything (primality, monic irreducible
 modulus); after that a FieldSpec is immutable and safe to share.  A
@@ -37,7 +37,9 @@ as None) but sends FieldSpec.binet to its methods body.
 import itertools
 import math
 
-from . import modpoly
+from . import _loader, modpoly
+
+__getattr__ = _loader(globals(), ("quadext",))
 
 # Lookup-table threshold.  Above this size the slow paths are used;
 # correctness is identical.  It covers the exp/log/Zech tables of GF(q)
@@ -581,19 +583,3 @@ def split_field_descriptor(text):
 def parse_field_descriptor(text):
     """The field that split_field_descriptor(text) describes."""
     return make_field(*split_field_descriptor(text))
-
-
-# -- GF(q^2), in quadext ---------------------------------------------------
-
-_QUADEXT = ("QuadExt", "quadratic_extension", "sqrt_ext", "solve_y",
-            "enumerate_v")
-
-
-def __getattr__(name):
-    """The names of quadext, loaded on first use (PEP 562): a command
-    that never works in GF(q^2) never compiles it."""
-    if name not in _QUADEXT:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import quadext
-    value = globals()[name] = getattr(quadext, name)
-    return value

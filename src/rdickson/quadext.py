@@ -13,10 +13,10 @@ builds coset tables of GF(q^2)*, none longer than q + 1, that index the
 base field's exp/log tables, if the base field holds them.  Tables
 change speed only, never values.
 
-gf resolves every public name here on first use (PEP 562), and the
-package calls them through gf, so only a command that works in GF(q^2)
-loads this module: the 2-to-1 count, the functional route and eval's
-cross-check.
+The public names here are listed under "quadext" in rdickson._HOMES,
+and gf resolves them on first use (PEP 562).  The package calls them
+through gf, so only a command that works in GF(q^2) loads this module:
+the 2-to-1 count, the functional route and eval's cross-check.
 """
 
 from functools import lru_cache

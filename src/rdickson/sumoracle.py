@@ -15,9 +15,10 @@ z - 1.  The one large product, mixer * b, is q + 1 shifted copies of
 mixer * (b_0 + b_1 z), slice-added to the first part, so c costs O(q^2)
 list work and reads only b's tooth; the left side is three shifted
 copies of the oracle's d.
-charsum reads the public names here on first use (PEP 562), and the
-package calls them through charsum, so only sums --check and verify
-sums load this module.
+The public names here are listed under "sumoracle" in rdickson._HOMES,
+and charsum resolves them on first use (PEP 562).  The package calls
+them through charsum, so only sums --check and verify sums load this
+module.
 """
 
 from array import array

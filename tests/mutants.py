@@ -385,6 +385,45 @@ MUTANTS = [
      "from 0",
      [CLI + "TestPolyWriter::test_bytes_match_whole_document_rendering"
       "[5-3-1931-csv]"]),
+    ("rdpoly.py",
+     "(c * i // (n - i)))",
+     "(c * i // (n - i + 1)))",
+     "ratio-built row: C(n-i-1, i-1) read as C(n-i, i) i / (n-i+1)",
+     [RDPOLY + "TestWeights::test_rows_match_recurrence_over_z",
+      RDPOLY + "TestWeights::test_ratio_rows_match_binomials_at_large_n"
+      "[2047]"]),
+    ("rdpoly.py",
+     "c = step // (2 * j + 2)",
+     "c = step // (2 * j + 1)",
+     "ratio-built fnk row: C(n, 2j+2) stepped over 2j + 1, not 2j + 2",
+     [RDPOLY + "TestFnk::test_k1_expansion_against_inline_binomials",
+      RDPOLY + "TestWeights::test_fnk_ratio_row_matches_binomials_at_large_n"
+      "[1931]"]),
+    ("rdpoly.py",
+     "t = F.sub(1, F.mul(F.from_int(4), x))",
+     "t = F.sub(1, F.mul(F.from_int(2), x))",
+     "half-scaled route: the fnk row read at 1 - 2x, not 1 - 4x",
+     [RDPOLY + "TestEvaluatorAgreement::test_four_routes_small_grid[GF(5)]",
+      RDPOLY + "TestEvaluatorAgreement::test_four_routes_small_grid[GF(7)]"]),
+    ("gf.py",
+     '__getattr__ = _loader(globals(), ("quadext",))',
+     "__getattr__ = _loader(globals())",
+     "deferred names: gf forwards every name of _HOMES, not only quadext's",
+     [CLI + "TestModuleEntry::test_split_modules_forward_their_public_names"]),
+    ("__init__.py",
+     "value = namespace[name] = getattr(",
+     "value = getattr(",
+     "deferred names: a forwarded name not kept where it was read, so the "
+     "tracer's wrapper would not replace it",
+     [CLI + "TestModuleEntry::test_split_modules_forward_their_public_names"]),
+    ("cli.py",
+     '(("cli_grids", "cmd_pp"),',
+     '(("cli_sums", "cmd_sums"),',
+     "command table: pp's entry names the sums handler and its module",
+     [CLI + "TestParser::test_each_command_dispatches_to_its_handler_module"
+      "[argv2-rdickson.cli_grids-cmd_pp]",
+      CLI + "TestModuleEntry::test_each_command_loads_only_the_modules_it_runs"
+      "[argv4-extra4]"]),
 ]
 
 

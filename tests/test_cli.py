@@ -1620,6 +1620,41 @@ class TestGuardsAndErrors:
         assert err.startswith("error: " + msg) and err.count("\n") == 1
         assert "Traceback" not in err
 
+    # int() refuses a decimal text of more digits than
+    # sys.get_int_max_str_digits(); such an argument used to be reported
+    # as "expected an integer" and echoed whole, 4.4 kB at 4301 digits
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits",
+                                    lambda: 0)(),
+                        reason="int() converts integers of any length")
+    @pytest.mark.parametrize("argv, flag", [
+        (("eval", "--field", "7", "--n", "{}", "--k", "1", "--x", "3"),
+         "--n"),
+        (("eval", "--field", "7", "--n", "1", "--k", " -{} ", "--x", "3"),
+         "--k"),
+        (("eval", "--field", "7", "--n", "1", "--k", "1", "--x", "3,+{}"),
+         "--x"),
+        (("eval", "--field", "7", "--n", "1", "--k", "1", "--x", "3",
+          "--a", "1_{}"), "--a"),
+        (("pp", "--field", "7", "--n", "1,{}"), "--n"),
+        (("pp", "--field", "7", "--n", "1", "--k", "0..{}"), "--k"),
+        (("sums", "--field", "7", "--k", "{}"), "--k"),
+        (("verify", "T2.1", "--p", "{}..3", "--e", "1"), "--p"),
+    ], ids=["eval-n", "eval-k", "eval-x", "eval-a", "pp-n", "pp-k",
+            "sums-k", "verify-p"])
+    def test_an_integer_past_the_digit_limit_is_named_not_echoed(
+            self, capsys, argv, flag):
+        limit = sys.get_int_max_str_digits()
+        long = "9" * (limit + 1)
+        code, out, err = run(capsys, *(a.format(long) for a in argv))
+        assert (code, out) == (2, "")
+        assert err == (f"error: bad {flag}: an integer of more than {limit} "
+                       "digits, the limit of sys.get_int_max_str_digits()\n")
+        # a malformed text keeps its message, and an integer at the
+        # limit is read
+        code, _, err = run(capsys, *(a.format(long + "x") for a in argv))
+        assert code == 2 and f"bad {flag} '" in err
+        assert cli._parse_int("9" * limit, "--n") == 10 ** limit - 1
+
     def test_verify_grid_guard(self, capsys):
         # 400001 indices times 3 kinds is past the 10^6 point bound
         code, _, err = run(capsys, "verify", "T2.2", "--p", "3", "--e", "1",
@@ -1936,15 +1971,24 @@ class TestModuleEntry:
             capture_output=True, text=True)
         assert proc.stdout == "rdickson\n", proc.stderr
 
-    def test_split_modules_forward_their_public_names(self):
-        # gf and charsum hand out the names of quadext and sumoracle, the
-        # same objects, and no private one
-        for owner, home, names in ((gf, quadext, gf._QUADEXT),
-                                   (charsum, sumoracle, charsum._ORACLE)):
-            for name in names:
+    def test_split_modules_forward_their_public_names(self, monkeypatch):
+        # gf and charsum hand out the names that rdickson._HOMES lists
+        # under quadext and sumoracle, the same objects, and keep each in
+        # their namespace once read, where the benchmark's tracer wraps
+        # it; no private name and no name of another home
+        import rdickson
+        for owner, home, key in ((gf, quadext, "quadext"),
+                                 (charsum, sumoracle, "sumoracle")):
+            for name in rdickson._HOMES[key]:
+                monkeypatch.delitem(vars(owner), name, raising=False)
                 assert getattr(owner, name) is getattr(home, name), name
+                assert vars(owner)[name] is getattr(home, name), name
+        monkeypatch.delitem(vars(rdickson), "shifted_sums", raising=False)
+        assert rdickson.shifted_sums is sumoracle.shifted_sums
+        assert vars(rdickson)["shifted_sums"] is sumoracle.shifted_sums
         for owner, name in ((gf, "_tonelli_shanks"), (charsum, "_mixer"),
-                            (charsum, "u_column_sums")):
+                            (charsum, "u_column_sums"),
+                            (gf, "sums_bruteforce"), (charsum, "solve_y")):
             with pytest.raises(AttributeError, match=name):
                 getattr(owner, name)
 
