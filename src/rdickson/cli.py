@@ -80,7 +80,7 @@ def _parse_range_list(text, what, max_q, minimum=None):
         try:
             spans.append(range(int(lo), int(hi if sep else lo) + 1))
         except ValueError:
-            _refuse_long_integers(what, lo, hi)
+            gf._refuse_long_integers(what, lo, hi)
             raise ValueError(
                 f"bad {what} {text!r}: expected N, N..M or a comma list")
     _guard_grid(sum(max(0, r.stop - r.start) for r in spans), max_q)
@@ -96,29 +96,11 @@ def _parse_int(text, what, minimum=None):
     try:
         value = int(text)
     except ValueError:
-        _refuse_long_integers(what, text)
+        gf._refuse_long_integers(what, text)
         raise ValueError(f"bad {what} {text!r}: expected an integer")
     if minimum is not None and value < minimum:
         raise ValueError(f"{what} must be at least {minimum}")
     return value
-
-
-def _refuse_long_integers(what, *texts):
-    """For the texts of a flag that int() refused: a well-formed integer
-    among them has more digits than int() converts (the limit
-    sys.get_int_max_str_digits(), from Python 3.10.7 on), and is refused
-    in a short message that names the limit instead of echoing it."""
-    for text in texts:
-        body = text.strip()
-        body = body[1:] if body[:1] in ("+", "-") else body
-        if all(map(str.isdecimal, body.split("_"))):
-            try:
-                int(text)
-            except ValueError:
-                raise ValueError(
-                    f"bad {what}: an integer of more than "
-                    f"{sys.get_int_max_str_digits()} digits, the limit of "
-                    "sys.get_int_max_str_digits()") from None
 
 
 def _load_field(args, max_q):

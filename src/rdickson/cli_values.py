@@ -5,8 +5,7 @@ from itertools import islice
 
 from . import gf, rdpoly
 from .cli import (SMALL_N, _HOLE, _bool, _coords, _csv_text, _emit,
-                  _load_field, _output, _parse_int, _refuse_long_integers,
-                  _write_json, _write_rows)
+                  _load_field, _output, _parse_int, _write_json, _write_rows)
 
 FNK_ROWS_PER_WRITE = 50  # of up to 1505 digits at SMALL_N: 75 kB a block
 
@@ -15,7 +14,7 @@ def _parse_element(F, text, what):
     try:
         coords = [int(t) for t in text.split(",")]
     except ValueError:
-        _refuse_long_integers(what, *text.split(","))
+        gf._refuse_long_integers(what, *text.split(","))
         raise ValueError(
             f"bad {what} {text!r}: expected comma-separated coordinates")
     try:

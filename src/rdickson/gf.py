@@ -36,6 +36,7 @@ as None) but sends FieldSpec.binet to its methods body.
 
 import itertools
 import math
+import sys
 
 from . import _loader, modpoly
 
@@ -553,6 +554,25 @@ def _factor_prime_power(n):
     raise ValueError(f"{n} is not a prime power")
 
 
+def _refuse_long_integers(what, *texts):
+    """For the texts of an argument that int() refused: a well-formed
+    integer among them has more digits than int() converts (the limit
+    sys.get_int_max_str_digits(), from Python 3.10.7 on), and is refused
+    in a short message that names the limit instead of echoing it.
+    split_field_descriptor and cli's flag parsers share it."""
+    for text in texts:
+        body = text.strip()
+        body = body[1:] if body[:1] in ("+", "-") else body
+        if all(map(str.isdecimal, body.split("_"))):
+            try:
+                int(text)
+            except ValueError:
+                raise ValueError(
+                    f"bad {what}: an integer of more than "
+                    f"{sys.get_int_max_str_digits()} digits, the limit of "
+                    "sys.get_int_max_str_digits()") from None
+
+
 def split_field_descriptor(text):
     """Parse "q", "p^e", or "p^e/c0,c1,...,1" into (p, e, modulus),
     building no field; p must be prime and e positive.  modulus is None
@@ -564,6 +584,7 @@ def split_field_descriptor(text):
     try:
         p, e = int(ps), int(es) if hat else None
     except ValueError:
+        _refuse_long_integers("field descriptor", ps, es)
         raise ValueError(f"bad field descriptor {text!r}: expected q, p^e "
                          "or p^e/c0,...,1") from None
     try:
@@ -575,6 +596,8 @@ def split_field_descriptor(text):
         try:
             modulus = tuple(int(c) for c in modpart.split(","))
         except ValueError:
+            _refuse_long_integers("modulus in field descriptor",
+                                  *modpart.split(","))
             raise ValueError(f"bad modulus in field descriptor {text!r}") from None
     _check_p_and_e(p, e)
     return p, e, modulus

@@ -424,6 +424,26 @@ MUTANTS = [
       "[argv2-rdickson.cli_grids-cmd_pp]",
       CLI + "TestModuleEntry::test_each_command_loads_only_the_modules_it_runs"
       "[argv4-extra4]"]),
+    ("__main__.py",
+     "    gc.freeze()\n",
+     "",
+     "process entry: run returns without freezing the heap",
+     [CLI + "TestModuleEntry::test_run_returns_mains_code_and_freezes_once"
+      "[ok]"]),
+    # run still freezes here; what fails is main's own freeze, which an
+    # in-process caller would keep for life
+    ("cli.py",
+     "    args = _fast_args(argv)\n",
+     "    __import__(\"gc\").freeze()\n    args = _fast_args(argv)\n",
+     "process entry: a freeze in cli.main",
+     [CLI + "TestModuleEntry::test_main_never_freezes"]),
+    ("gf.py",
+     "        if i == order - 1:\n",
+     "        if order % (i + 1) == 0:\n",
+     "_cyclic_tables' order test: a walk back at 1 before q - 1 steps is "
+     "taken for a generator",
+     [GF + "test_prime_field_tables_start_at_the_first_primitive_root[7]",
+      GF + "test_linear_walk_tables_match_the_slow_walk[3-2]"]),
 ]
 
 

@@ -3,6 +3,7 @@
 import collections
 import contextlib
 import csv
+import gc
 import hashlib
 import importlib.util
 import io
@@ -1626,7 +1627,7 @@ class TestGuardsAndErrors:
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits",
                                     lambda: 0)(),
                         reason="int() converts integers of any length")
-    @pytest.mark.parametrize("argv, flag", [
+    @pytest.mark.parametrize("argv, what", [
         (("eval", "--field", "7", "--n", "{}", "--k", "1", "--x", "3"),
          "--n"),
         (("eval", "--field", "7", "--n", "1", "--k", " -{} ", "--x", "3"),
@@ -1639,20 +1640,24 @@ class TestGuardsAndErrors:
         (("pp", "--field", "7", "--n", "1", "--k", "0..{}"), "--k"),
         (("sums", "--field", "7", "--k", "{}"), "--k"),
         (("verify", "T2.1", "--p", "{}..3", "--e", "1"), "--p"),
+        (("field-info", "--field", "{}"), "field descriptor"),
+        (("field-info", "--field", "3^{}"), "field descriptor"),
+        (("field-info", "--field", "9/1,{},1"),
+         "modulus in field descriptor"),
     ], ids=["eval-n", "eval-k", "eval-x", "eval-a", "pp-n", "pp-k",
-            "sums-k", "verify-p"])
+            "sums-k", "verify-p", "field-q", "field-e", "field-modulus"])
     def test_an_integer_past_the_digit_limit_is_named_not_echoed(
-            self, capsys, argv, flag):
+            self, capsys, argv, what):
         limit = sys.get_int_max_str_digits()
         long = "9" * (limit + 1)
         code, out, err = run(capsys, *(a.format(long) for a in argv))
         assert (code, out) == (2, "")
-        assert err == (f"error: bad {flag}: an integer of more than {limit} "
+        assert err == (f"error: bad {what}: an integer of more than {limit} "
                        "digits, the limit of sys.get_int_max_str_digits()\n")
         # a malformed text keeps its message, and an integer at the
         # limit is read
         code, _, err = run(capsys, *(a.format(long + "x") for a in argv))
-        assert code == 2 and f"bad {flag} '" in err
+        assert code == 2 and f"bad {what} '" in err
         assert cli._parse_int("9" * limit, "--n") == 10 ** limit - 1
 
     def test_verify_grid_guard(self, capsys):
@@ -1881,6 +1886,42 @@ class TestModuleEntry:
              "--n", "4", "--k", "3", "--x", "2"],
             capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stdout == "0\n"
+
+    # the process entry of `python -m rdickson` and of the installed
+    # script returns main's code and then freezes the heap, once
+    @pytest.mark.parametrize("argv, code", [
+        (("field-info", "--field", "9"), 0),
+        (("eval", "--field", "7", "--n", "8", "--k", "4", "--x", "3",
+          "--check"), 1),
+        (("field-info", "--field", "6"), 2)], ids=["ok", "failed", "usage"])
+    def test_run_returns_mains_code_and_freezes_once(self, monkeypatch,
+                                                     argv, code):
+        from rdickson import __main__ as entry
+        # only eval's check reads it
+        monkeypatch.setattr(rdpoly, "eval_functional",
+                            lambda F, n, k, x: (rdpoly.eval_recurrence(
+                                F, n, k, x) + 1) % F.p)
+        assert main(list(argv)) == code
+        with mock.patch.object(entry, "gc") as fake:
+            assert entry.run(list(argv)) == code
+        assert fake.mock_calls == [mock.call.freeze()]
+
+    def test_main_never_freezes(self):
+        # an in-process caller lives on, and a frozen object is never
+        # collected
+        argvs = [["field-info", "--field", "9"],
+                 ["eval", "--field", "9", "--n", "4", "--k", "1", "--x",
+                  "1,1", "--check"],
+                 ["poly", "--field", "9", "--n", "4", "--k", "1"],
+                 ["pp", "--field", "9", "--n", "1..3"],
+                 ["verify", "T2.1", "--p", "3", "--e", "1"],
+                 ["verify", "sums", "--field", "3"],
+                 ["sums", "--field", "9", "--k", "1", "--check"],
+                 ["pp", "--help"], ["field-info", "--field", "6"]]
+        assert {argv[0] for argv in argvs} == set(cli._COMMANDS)
+        before = gc.get_freeze_count()
+        assert [main(argv) for argv in argvs] == [0] * 8 + [2]
+        assert gc.get_freeze_count() == before
 
     def test_import_leaves_heavy_stdlib_modules_out(self):
         # every invocation is a fresh process, so the import is paid on
