@@ -75,14 +75,12 @@ def _parse_range_list(text, what, max_q, minimum=None):
     if text is None:
         return None
     spans = []
+    refusal = ValueError(f"bad {what} {text!r}: expected N, N..M or a "
+                         "comma list")
     for token in text.split(","):
         lo, sep, hi = token.strip().partition("..")
-        try:
-            spans.append(range(int(lo), int(hi if sep else lo) + 1))
-        except ValueError:
-            gf._refuse_long_integers(what, lo, hi)
-            raise ValueError(
-                f"bad {what} {text!r}: expected N, N..M or a comma list")
+        spans.append(range(gf.read_int(lo, what, refusal),
+                           gf.read_int(hi if sep else lo, what, refusal) + 1))
     _guard_grid(sum(max(0, r.stop - r.start) for r in spans), max_q)
     out = [v for r in spans for v in r]
     if not out:
@@ -93,11 +91,8 @@ def _parse_range_list(text, what, max_q, minimum=None):
 
 
 def _parse_int(text, what, minimum=None):
-    try:
-        value = int(text)
-    except ValueError:
-        gf._refuse_long_integers(what, text)
-        raise ValueError(f"bad {what} {text!r}: expected an integer")
+    value = gf.read_int(text, what, ValueError(
+        f"bad {what} {text!r}: expected an integer"))
     if minimum is not None and value < minimum:
         raise ValueError(f"{what} must be at least {minimum}")
     return value

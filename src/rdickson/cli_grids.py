@@ -57,16 +57,16 @@ def cmd_verify_statement(args, max_q):
     for p in ps:
         if not gf.is_prime(p):
             raise ValueError(f"--p entries must be prime, got {p}")
-    grid = dict(ns=ns, ls=ls, ks=ks, max_q=max_q)
-    size = permcheck.grid_size(args.target, ps, es, **grid)
+    grid = permcheck.statement_grid(args.target, ps, es, ns=ns, ls=ls,
+                                    ks=ks, max_q=max_q)
+    size = permcheck.grid_size(grid)
     _guard_grid(size, max_q)
     if not size:
         raise ValueError(
             f"no point of this grid lies in the domain of {args.target}")
     # as in pp, every point is decided before the first byte is written;
     # a class's row format has its keys sorted, as csv and json sort them
-    count, classes, failures, rows = permcheck.verify_grid(
-        args.target, ps, es, **grid)
+    count, classes, failures, rows = permcheck.verify_grid(args.target, grid)
     texts = {key: _row_format(args.format, {
         **dict(sorted(ent.items())), "k": "%(k)s", "n": "%(n)s",
         axis: f"%({axis})s"}) for key, ent in classes.items()}

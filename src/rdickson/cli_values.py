@@ -11,12 +11,9 @@ FNK_ROWS_PER_WRITE = 50  # of up to 1505 digits at SMALL_N: 75 kB a block
 
 
 def _parse_element(F, text, what):
-    try:
-        coords = [int(t) for t in text.split(",")]
-    except ValueError:
-        gf._refuse_long_integers(what, *text.split(","))
-        raise ValueError(
-            f"bad {what} {text!r}: expected comma-separated coordinates")
+    refusal = ValueError(
+        f"bad {what} {text!r}: expected comma-separated coordinates")
+    coords = [gf.read_int(t, what, refusal) for t in text.split(",")]
     try:
         return F.element(coords)
     except ValueError as exc:
@@ -98,10 +95,15 @@ def cmd_poly(args, max_q):
     F = _load_field(args, max_q)
     n = _parse_int(args.n, "--n", minimum=0)
     k = _parse_int(args.k, "--k")
-    poly = rdpoly.as_polynomial(F, n, k)
     fnk = rdpoly.fnk_coeffs(n, k % F.p) if n <= SMALL_N else None
-    # the fnk row's entries run to 0.3 n digits: each is turned into
-    # decimal once, FNK_ROWS_PER_WRITE at a time
+    # the fnk row's entries run to 0.3 n digits: one past the digit limit
+    # is refused before the first byte, and each is turned into decimal
+    # once, FNK_ROWS_PER_WRITE at a time
+    if fnk and max(map(abs, fnk)) >= 10 ** gf.digit_limit():
+        raise ValueError(f"--n {n} gives an integer row with an entry of "
+                         f"more than {gf.digit_limit()} digits, the limit "
+                         "of sys.get_int_max_str_digits(); lower --n")
+    poly = rdpoly.as_polynomial(F, n, k)
     rows = range(len(fnk or ()))
     with _output(args) as fh:
         if args.format == "json":

@@ -554,23 +554,29 @@ def _factor_prime_power(n):
     raise ValueError(f"{n} is not a prime power")
 
 
-def _refuse_long_integers(what, *texts):
-    """For the texts of an argument that int() refused: a well-formed
-    integer among them has more digits than int() converts (the limit
-    sys.get_int_max_str_digits(), from Python 3.10.7 on), and is refused
-    in a short message that names the limit instead of echoing it.
-    split_field_descriptor and cli's flag parsers share it."""
-    for text in texts:
-        body = text.strip()
+def digit_limit():
+    """The one bound on the decimal digits of an integer read or written:
+    sys.get_int_max_str_digits(), or under 0 (no limit) the interpreter's
+    default, since permcheck must bound an exponent l before it forms
+    p^l, and 3^(10^12) would never finish."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def read_int(token, what, refusal):
+    """int(token), for the text of an integer argument.  A well-formed
+    integer of more digits than int() converts is refused in a short
+    message that names the limit instead of echoing it; any other text
+    that int() refuses raises the exception refusal."""
+    try:
+        return int(token)
+    except ValueError:
+        body = token.strip()
         body = body[1:] if body[:1] in ("+", "-") else body
         if all(map(str.isdecimal, body.split("_"))):
-            try:
-                int(text)
-            except ValueError:
-                raise ValueError(
-                    f"bad {what}: an integer of more than "
-                    f"{sys.get_int_max_str_digits()} digits, the limit of "
-                    "sys.get_int_max_str_digits()") from None
+            raise ValueError(
+                f"bad {what}: an integer of more than {digit_limit()} "
+                "digits, the limit of sys.get_int_max_str_digits()") from None
+        raise refusal from None
 
 
 def split_field_descriptor(text):
@@ -581,24 +587,19 @@ def split_field_descriptor(text):
     """
     body, slash, modpart = text.strip().partition("/")
     ps, hat, es = body.partition("^")
-    try:
-        p, e = int(ps), int(es) if hat else None
-    except ValueError:
-        _refuse_long_integers("field descriptor", ps, es)
-        raise ValueError(f"bad field descriptor {text!r}: expected q, p^e "
-                         "or p^e/c0,...,1") from None
+    refusal = ValueError(f"bad field descriptor {text!r}: expected q, p^e "
+                         "or p^e/c0,...,1")
+    p = read_int(ps, "field descriptor", refusal)
+    e = read_int(es, "field descriptor", refusal) if hat else None
     try:
         p, e = (p, e) if hat else _factor_prime_power(p)
     except ValueError as exc:
         raise ValueError(f"bad field descriptor {text!r}: {exc}") from None
     modulus = None
     if slash:
-        try:
-            modulus = tuple(int(c) for c in modpart.split(","))
-        except ValueError:
-            _refuse_long_integers("modulus in field descriptor",
-                                  *modpart.split(","))
-            raise ValueError(f"bad modulus in field descriptor {text!r}") from None
+        refusal = ValueError(f"bad modulus in field descriptor {text!r}")
+        modulus = tuple(read_int(c, "modulus in field descriptor", refusal)
+                        for c in modpart.split(","))
     _check_p_and_e(p, e)
     return p, e, modulus
 

@@ -24,8 +24,6 @@ import math
 
 from . import gf, rowkernels
 
-N_DIGITS = 4300   # Python's default cap on the digits of a printed int
-
 
 class PPReport:
     """Outcome of one permutation test: the verdict and, on a refusal,
@@ -211,19 +209,32 @@ THEOREM_IDS = tuple(STATEMENTS)
 
 
 def _n_prints(p, l, shift):
-    """Whether n = p^l + shift has at most N_DIGITS decimal digits.
+    """Whether n = p^l + shift has at most gf.digit_limit() digits.
 
     l log10(p) decides it unless it lies within 1 of the bound, so p^l
-    is formed only when it has about N_DIGITS digits.
+    is formed only when it has about that many digits.
     """
+    digits = gf.digit_limit()
     est = l * math.log10(p)
-    if abs(est - N_DIGITS) > 1:
-        return est < N_DIGITS
-    return p ** l + shift < 10 ** N_DIGITS
+    if abs(est - digits) > 1:
+        return est < digits
+    return p ** l + shift < 10 ** digits
 
 
-def _grid(theorem, ps, es, ns, ls, ks, max_q):
-    """Check a grid against the statements' assumptions; list its fields."""
+def statement_grid(theorem, ps, es, *, ns=None, ls=None, ks=None,
+                   max_q=gf.DEFAULT_MAX_Q):
+    """The grid of a named statement, checked against its assumptions
+    and the bounds, as a list of (p, e, (axis name, axis), kinds), one
+    a field, which grid_size, verify_points and grid_points read.
+
+    The fields GF(p^e) run over ps x es, each guarded by q <= max_q
+    (None: no bound); p = 2 is refused: every statement assumes odd
+    characteristic.  The STATEMENTS entry fixes the rest: indices ns
+    (T2.2, default 0..30) or exponents ls (default 0..e; T-k0-pe2 takes
+    l = e alone), and which kinds ks (default 0..p-1, mod p) it covers,
+    none outside its domain; fixed-kind statements ignore ks.  An
+    exponent l is refused where _n_prints(p, l, shift) is false.
+    """
     if theorem not in STATEMENTS:
         raise ValueError(f"unknown theorem id {theorem!r}; "
                          f"expected one of {', '.join(THEOREM_IDS)}")
@@ -240,27 +251,19 @@ def _grid(theorem, ps, es, ns, ls, ks, max_q):
             if name == "l" and axis and not _n_prints(p, max(axis), st.shift):
                 raise ValueError(
                     f"exponent l = {max(axis)} is too large for p = {p}: "
-                    f"n = p^l + {st.shift} would exceed {N_DIGITS} decimal "
-                    "digits; lower --l")
+                    f"n = p^l + {st.shift} would exceed "
+                    f"{gf.digit_limit()} decimal digits; lower --l")
             kinds = range(p) if ks is None else [k % p for k in ks]
             grid.append((p, e, (name, axis), st.kinds(p, kinds)))
     return grid
 
 
-def verify_points(theorem, ps, es, **grid):
+def verify_points(theorem, grid):
     """Both sides of a named permutation statement at each point of
-    grid_points, one entry a point; each field is built once.
-
-    The fields GF(p^e) run over ps x es, each guarded by q <= max_q
-    (None: no bound); p = 2 is refused: every statement assumes odd
-    characteristic.  The STATEMENTS entry fixes the rest: indices ns
-    (T2.2, default 0..30) or exponents ls (default 0..e; T-k0-pe2 takes
-    l = e alone), and which kinds ks (default 0..p-1, mod p) it covers,
-    none outside its domain; fixed-kind statements ignore ks.  The
-    statement holds on the grid iff every entry has ok true.
-    """
-    st, field = STATEMENTS.get(theorem), None
-    for p, e, at in grid_points(theorem, ps, es, **grid):
+    grid_points, one entry a point; each field is built once.  The
+    statement holds on the grid iff every entry has ok true."""
+    st, field = STATEMENTS[theorem], None
+    for p, e, at in grid_points(theorem, grid):
         if field != (p, e):
             F, field = gf.make_field(p, e), (p, e)
         l, n, k = at.get("l"), at["n"], at["k"]
@@ -273,12 +276,12 @@ def verify_points(theorem, ps, es, **grid):
 
 def verify_theorem(theorem, ps, es, *, ns=None, ls=None, ks=None,
                    max_q=gf.DEFAULT_MAX_Q):
-    """The list of verify_points' entries."""
-    return list(verify_points(theorem, ps, es, ns=ns, ls=ls, ks=ks,
-                              max_q=max_q))
+    """The list of verify_points' entries on statement_grid's grid."""
+    return list(verify_points(theorem, statement_grid(
+        theorem, ps, es, ns=ns, ls=ls, ks=ks, max_q=max_q)))
 
 
-def verify_grid(theorem, ps, es, **grid):
+def verify_grid(theorem, grid):
     """verify_points in one byte a point: (count, classes, failures, rows).
 
     A byte has the bits lhs, rhs, ok and the entry's last value (the
@@ -286,7 +289,7 @@ def verify_grid(theorem, ps, es, **grid):
     first entry of that class, failures lists the entries with ok false,
     and rows walks the grid again without a test, as ((q, byte), at)."""
     verdicts, classes, failures = bytearray(), {}, []
-    for ent in verify_points(theorem, ps, es, **grid):
+    for ent in verify_points(theorem, grid):
         *_, last = ent.values()
         verdicts.append(ent["lhs"] | ent["rhs"] << 1 | ent["ok"] << 2
                         | last << 3)
@@ -294,24 +297,21 @@ def verify_grid(theorem, ps, es, **grid):
         if not ent["ok"]:
             failures.append(ent)
     rows = (((p ** e, v), at) for (p, e, at), v in
-            zip(grid_points(theorem, ps, es, **grid), verdicts))
+            zip(grid_points(theorem, grid), verdicts))
     return len(verdicts), classes, failures, rows
 
 
-def grid_points(theorem, ps, es, *, ns=None, ls=None, ks=None,
-                max_q=gf.DEFAULT_MAX_Q):
-    """The points of a statement's grid, (p, e, at) with at the entry's
-    coordinates {l, n, k} ({n, k} on T2.2's n axis): field by field,
-    then axis value, then kind; runs no test."""
-    for p, e, (name, axis), kinds in _grid(theorem, ps, es, ns, ls, ks, max_q):
+def grid_points(theorem, grid):
+    """The points of statement_grid's grid, (p, e, at) with at the
+    entry's coordinates {l, n, k} ({n, k} on T2.2's n axis): field by
+    field, then axis value, then kind; runs no test."""
+    for p, e, (name, axis), kinds in grid:
         for v in axis:
             n = p ** v + STATEMENTS[theorem].shift if name == "l" else v
             for k in kinds:
                 yield p, e, {name: v, "n": n, "k": k}
 
 
-def grid_size(theorem, ps, es, *, ns=None, ls=None, ks=None,
-              max_q=gf.DEFAULT_MAX_Q):
-    """Exact point count of verify_theorem's grid; builds no field."""
-    return sum(len(axis) * len(kinds) for _, _, (_, axis), kinds
-               in _grid(theorem, ps, es, ns, ls, ks, max_q))
+def grid_size(grid):
+    """Exact point count of statement_grid's grid; builds no field."""
+    return sum(len(axis) * len(kinds) for _, _, (_, axis), kinds in grid)

@@ -444,6 +444,45 @@ MUTANTS = [
      "taken for a generator",
      [GF + "test_prime_field_tables_start_at_the_first_primitive_root[7]",
       GF + "test_linear_walk_tables_match_the_slow_walk[3-2]"]),
+    ("quadext.py",
+     "m, c = i, F.mul(b, b)",
+     "m, c = i, b",
+     "Tonelli-Shanks' root-fixing round: c not squared for the next round",
+     [GF + "test_sqrt_ext_matches_scan[17]",
+      GF + "test_sqrt_ext_matches_scan[41]",
+      RDPOLY + "TestEvaluatorAgreement::test_four_routes_small_grid[GF(5)]"]),
+    ("permcheck.py",
+     "    digits = gf.digit_limit()\n",
+     "    digits = 4300\n",
+     "_n_prints: n's digits held to the default limit, not the "
+     "interpreter's",
+     [PERMCHECK + "TestStatementTable::"
+      "test_the_exponent_bound_reads_the_live_digit_limit",
+      CLI + "TestGuardsAndErrors::"
+      "test_a_lowered_digit_limit_leaves_no_partial_output[verify-json]",
+      CLI + "TestGuardsAndErrors::"
+      "test_a_lowered_digit_limit_leaves_no_partial_output[verify-csv]"]),
+    ("gf.py",
+     'if all(map(str.isdecimal, body.split("_"))):',
+     "if False:",
+     "read_int: an integer past the digit limit refused as malformed text, "
+     "echoed whole",
+     [GF + "test_read_int_names_the_limit_past_it[plain-]",
+      GF + "test_read_int_names_the_limit_past_it[underscores--]",
+      CLI + "TestGuardsAndErrors::"
+      "test_an_integer_past_the_digit_limit_is_named_not_echoed[eval-n]",
+      CLI + "TestGuardsAndErrors::"
+      "test_an_integer_past_the_digit_limit_is_named_not_echoed[field-e]"]),
+    ("cli_values.py",
+     "if fnk and max(map(abs, fnk)) >= 10 ** gf.digit_limit():",
+     "if False:",
+     "poly's digit guard: an integer row past the limit written in part",
+     [CLI + "TestGuardsAndErrors::"
+      "test_a_lowered_digit_limit_leaves_no_partial_output[poly-pretty]",
+      CLI + "TestGuardsAndErrors::"
+      "test_a_lowered_digit_limit_leaves_no_partial_output[poly-json]",
+      CLI + "TestGuardsAndErrors::"
+      "test_a_lowered_digit_limit_leaves_no_partial_output[poly-csv]"]),
 ]
 
 

@@ -36,15 +36,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_capped(*argv):
+def run_capped(*argv, **env):
     """Run the CLI in a child capped at 1 GiB of address space and 20 s,
     so that a regression to unbounded work fails fast instead of taking
-    the machine's memory."""
+    the machine's memory; env adds to the child's environment."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
     return subprocess.run([sys.executable, "-m", "rdickson", *argv],
                           capture_output=True, text=True, timeout=20,
-                          preexec_fn=cap)
+                          preexec_fn=cap, env={**os.environ, **env})
 
 
 def assert_same_text(got, want):
@@ -1624,8 +1624,7 @@ class TestGuardsAndErrors:
     # int() refuses a decimal text of more digits than
     # sys.get_int_max_str_digits(); such an argument used to be reported
     # as "expected an integer" and echoed whole, 4.4 kB at 4301 digits
-    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits",
-                                    lambda: 0)(),
+    @pytest.mark.skipif(not sys.get_int_max_str_digits(),
                         reason="int() converts integers of any length")
     @pytest.mark.parametrize("argv, what", [
         (("eval", "--field", "7", "--n", "{}", "--k", "1", "--x", "3"),
@@ -1640,12 +1639,14 @@ class TestGuardsAndErrors:
         (("pp", "--field", "7", "--n", "1", "--k", "0..{}"), "--k"),
         (("sums", "--field", "7", "--k", "{}"), "--k"),
         (("verify", "T2.1", "--p", "{}..3", "--e", "1"), "--p"),
+        (("verify", "T2.1", "--p", "3", "--e", "1", "--l", "{}"), "--l"),
         (("field-info", "--field", "{}"), "field descriptor"),
         (("field-info", "--field", "3^{}"), "field descriptor"),
         (("field-info", "--field", "9/1,{},1"),
          "modulus in field descriptor"),
     ], ids=["eval-n", "eval-k", "eval-x", "eval-a", "pp-n", "pp-k",
-            "sums-k", "verify-p", "field-q", "field-e", "field-modulus"])
+            "sums-k", "verify-p", "verify-l", "field-q", "field-e",
+            "field-modulus"])
     def test_an_integer_past_the_digit_limit_is_named_not_echoed(
             self, capsys, argv, what):
         limit = sys.get_int_max_str_digits()
@@ -1739,18 +1740,18 @@ class TestGuardsAndErrors:
     def test_unsafe_large_lifts_the_verify_size_bound(self, capsys,
                                                        monkeypatch, target):
         # --unsafe-large used to leave a bound of q <= 10^9 in place; the
-        # grid is sized for real, and the scan of GF(10^9 + 7) stubbed
-        # where the grid's entries are made
+        # grid is built and sized for real, and the scan of GF(10^9 + 7)
+        # stubbed where the grid's entries are made
         seen = []
 
-        def verify(theorem, ps, es, **grid):
-            seen.append(grid["max_q"])
+        def verify(theorem, grid):
+            seen.extend((p, e) for p, e, *_ in grid)
             return []
         monkeypatch.setattr(permcheck, "verify_points", verify)
         code, out, err = run(capsys, "verify", target, "--p", "1000000007",
                              "--e", "1", "--l", "0", "--k", "1",
                              "--unsafe-large")
-        assert (code, err, seen) == (0, "", [None])
+        assert (code, err, seen) == (0, "", [(1000000007, 1)])
         assert out.endswith("pass: true\n")
 
     @pytest.mark.parametrize("argv", [
@@ -1825,6 +1826,46 @@ class TestGuardsAndErrors:
         proc = run_capped("verify", "T2.1", "--p", "3", "--e", "1", "--l", l)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert "--l" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "T2.1", "--p", "3", "--e", "1", "--l", "1500", "--format",
+         "json"),
+        ("verify", "T2.1", "--p", "3", "--e", "1", "--l", "1500", "--format",
+         "csv"),
+        ("poly", "--field", "7", "--n", "5000", "--k", "2"),
+        ("poly", "--field", "7", "--n", "5000", "--k", "2", "--format",
+         "json"),
+        ("poly", "--field", "7", "--n", "5000", "--k", "2", "--format",
+         "csv")], ids=["verify-json", "verify-csv", "poly-pretty",
+                       "poly-json", "poly-csv"])
+    def test_a_lowered_digit_limit_leaves_no_partial_output(self, tmp_path,
+                                                            argv):
+        # n = 3^1500 has 716 digits, and the integer row of n = 5000
+        # entries of up to 1505: under a limit of 640 each command used
+        # to write part of its document, then exit 2 with the
+        # interpreter's own message
+        proc = run_capped(*argv, PYTHONINTMAXSTRDIGITS="640")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+        assert re.search(r" 640 (decimal )?digits", proc.stderr)
+        assert proc.stderr.endswith(
+            "; lower --l\n" if argv[0] == "verify" else "; lower --n\n")
+        out = tmp_path / "out.txt"
+        proc = run_capped(*argv, "--out", str(out),
+                          PYTHONINTMAXSTRDIGITS="640")
+        assert proc.returncode == 2 and not out.exists()
+
+    @pytest.mark.parametrize("l", ["9100", "1000000000000"])
+    def test_no_digit_limit_keeps_the_default_bound_on_l(self, l):
+        # under 0, no limit, the interpreter would print any n, but l is
+        # still bounded, before 3^(10^12) is formed
+        proc = run_capped("verify", "T2.1", "--p", "3", "--e", "1", "--l", l,
+                          PYTHONINTMAXSTRDIGITS="0")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"error: exponent l = {l} is too large for p = 3: n = p^l + 0 "
+            "would exceed 4300 decimal digits; lower --l\n")
 
     def test_small_exponents_pass_the_digit_bound_unchanged(self, capsys):
         # the digest was recorded on this output before the bound existed

@@ -3,6 +3,7 @@
 import collections
 import itertools
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -189,6 +190,65 @@ def test_descriptor_roundtrip():
     for bad in ("10", "6^2", "x", "5^2/1,1"):
         with pytest.raises(ValueError):
             gf.parse_field_descriptor(bad)
+
+
+@pytest.fixture
+def digits_640():
+    """The interpreter's digit limit at its least, 640, for one test."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("token, value", [
+    ("7", 7), ("-7", -7), ("+7", 7), (" 7\n", 7), ("\t-0 ", 0),
+    ("1_000", 1000), ("-1_2_3", -123), ("0_7", 7)])
+def test_read_int_reads_what_int_reads(token, value):
+    assert gf.read_int(token, "--n", ValueError("unused")) == value
+
+
+_LONG = "9" * 641
+
+
+@pytest.mark.parametrize("token", [
+    "", " ", "+", "-", "x", "1x", "--1", "+-1", "1 2", "1__0", "_1", "1_",
+    "1.0", "0x10", "1e3",
+    # past the limit too: a malformed text is never named as too long
+    _LONG + "x", "x" + _LONG, "--" + _LONG, "_" + _LONG, _LONG + "__1",
+    _LONG[:300] + " " + _LONG[300:], _LONG + ".0"],
+    ids=lambda t: t if len(t) < 10 else f"{t[:3]}...{t[-3:]}")
+def test_read_int_raises_the_refusal_for_malformed_text(token, digits_640):
+    refusal = ValueError("refused")
+    with pytest.raises(ValueError) as info:
+        gf.read_int(token, "--n", refusal)
+    assert info.value is refusal
+
+
+@pytest.mark.parametrize("sign", ["", "+", "-", " -"])
+@pytest.mark.parametrize("sep", ["", "_"], ids=["plain", "underscores"])
+def test_read_int_names_the_limit_past_it(sign, sep, digits_640):
+    # 641 digits, with or without underscores, and 640 still read
+    with pytest.raises(ValueError) as info:
+        gf.read_int(sign + sep.join("9" * 641), "--k", ValueError("unused"))
+    assert str(info.value) == ("bad --k: an integer of more than 640 "
+                               "digits, the limit of "
+                               "sys.get_int_max_str_digits()")
+    assert gf.read_int(sign + sep.join("9" * 640), "--k", None) == \
+        int(sign + "9" * 640)
+
+
+def test_digit_limit_is_the_live_limit():
+    old = sys.get_int_max_str_digits()
+    try:
+        for limit in (640, 5000, old or 4300):
+            sys.set_int_max_str_digits(limit)
+            assert gf.digit_limit() == limit
+        # 0 is no limit to the interpreter; the bound stays the default
+        sys.set_int_max_str_digits(0)
+        assert gf.digit_limit() == sys.int_info.default_max_str_digits
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def _trial_factor(n):

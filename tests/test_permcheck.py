@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import sys
 
 import pytest
 
@@ -312,8 +313,9 @@ class TestStatementTable:
         # duplicate kinds count twice, kinds outside the statement's
         # domain not at all, exactly as verify_theorem runs them
         rows = pc.verify_theorem(theorem, [3, 5], [1, 2], **axes)
-        assert pc.grid_size(theorem, [3, 5], [1, 2], **axes) == \
-            len(rows)
+        grid = pc.statement_grid(theorem, [3, 5], [1, 2], **axes)
+        assert pc.grid_size(grid) == len(rows)
+        assert len(list(pc.grid_points(theorem, grid))) == len(rows)
 
     @pytest.mark.parametrize("theorem", pc.THEOREM_IDS)
     @pytest.mark.parametrize("ps, es, match", [
@@ -323,8 +325,9 @@ class TestStatementTable:
     ])
     def test_grid_size_refuses_what_verify_refuses(self, theorem, ps, es,
                                                    match):
-        # checked before any kind list or p^e is built
-        for fn in (pc.grid_size, pc.verify_theorem):
+        # checked before any kind list or p^e is built, by the one
+        # validation that the CLI's size guard and scan both read
+        for fn in (pc.statement_grid, pc.verify_theorem):
             with pytest.raises(ValueError, match=match):
                 fn(theorem, ps, es, ls=[0])
 
@@ -332,8 +335,8 @@ class TestStatementTable:
     def test_grid_size_without_a_bound_takes_any_field(self, theorem):
         # max_q=None, what the CLI passes under --unsafe-large, refuses
         # no q; T2.2 takes its default indices 0..30
-        size = pc.grid_size(theorem, [10 ** 9 + 7], [1], ls=[0], ks=[1],
-                            max_q=None)
+        size = pc.grid_size(pc.statement_grid(
+            theorem, [10 ** 9 + 7], [1], ls=[0], ks=[1], max_q=None))
         assert size == (31 if theorem == "T2.2" else 1)
 
     @pytest.mark.parametrize("theorem", [t for t in pc.THEOREM_IDS
@@ -341,8 +344,19 @@ class TestStatementTable:
     def test_exponents_whose_n_cannot_print_are_refused(self, theorem):
         # 3^9012 + 2 has 4300 decimal digits, 3^9013 has 4301; both
         # functions refuse alike, before any p^l with l = 10^12 is formed
-        pc.grid_size(theorem, [3], [1], ls=[9012])
+        pc.statement_grid(theorem, [3], [1], ls=[9012])
         for ls in ([0, 9013], [10 ** 12]):
-            for fn in (pc.grid_size, pc.verify_theorem):
+            for fn in (pc.statement_grid, pc.verify_theorem):
                 with pytest.raises(ValueError, match="--l"):
                     fn(theorem, [3], [1], ls=ls)
+
+    def test_the_exponent_bound_reads_the_live_digit_limit(self):
+        # 3^1341 has 640 decimal digits, 3^1342 has 641
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            pc.statement_grid("T2.1", [3], [1], ls=[1341])
+            with pytest.raises(ValueError, match="640 decimal digits"):
+                pc.statement_grid("T2.1", [3], [1], ls=[1342])
+        finally:
+            sys.set_int_max_str_digits(old)
