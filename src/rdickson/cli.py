@@ -75,8 +75,8 @@ def _parse_range_list(text, what, max_q, minimum=None):
     if text is None:
         return None
     spans = []
-    refusal = ValueError(f"bad {what} {text!r}: expected N, N..M or a "
-                         "comma list")
+    refusal = ValueError(f"bad {what} {gf.excerpt(text)}: expected N, N..M "
+                         "or a comma list")
     for token in text.split(","):
         lo, sep, hi = token.strip().partition("..")
         spans.append(range(gf.read_int(lo, what, refusal),
@@ -84,7 +84,7 @@ def _parse_range_list(text, what, max_q, minimum=None):
     _guard_grid(sum(max(0, r.stop - r.start) for r in spans), max_q)
     out = [v for r in spans for v in r]
     if not out:
-        raise ValueError(f"empty {what} {text!r}")
+        raise ValueError(f"empty {what} {gf.excerpt(text)}")
     if minimum is not None and min(out) < minimum:
         raise ValueError(f"{what} entries must be at least {minimum}")
     return out
@@ -92,7 +92,7 @@ def _parse_range_list(text, what, max_q, minimum=None):
 
 def _parse_int(text, what, minimum=None):
     value = gf.read_int(text, what, ValueError(
-        f"bad {what} {text!r}: expected an integer"))
+        f"bad {what} {gf.excerpt(text)}: expected an integer"))
     if minimum is not None and value < minimum:
         raise ValueError(f"{what} must be at least {minimum}")
     return value
@@ -102,19 +102,16 @@ def _load_field(args, max_q):
     if args.field is None:
         raise ValueError("--field is required for this command")
     p, e, modulus = gf.split_field_descriptor(args.field)
-    # refused above the q bound before anything of the field is built
-    if gf.exceeds_size_bound(p, e, max_q):
-        size = p if e == 1 else f"{p}^{e}"
-        raise ValueError(f"field size {size} exceeds the bound "
-                         f"q <= {max_q}; pass --unsafe-large")
+    # refused by the field rule before anything of the field is built
+    gf.check_field(p, e, max_q)
     return gf.make_field(p, e, modulus)
 
 
 def _guard_grid(n_points, max_q):
     if max_q is not None and n_points > GRID_LIMIT:
         raise ValueError(
-            f"grid of {n_points} points exceeds {GRID_LIMIT}; "
-            "pass --unsafe-large to proceed")
+            f"grid of {gf.excerpt(n_points)} points exceeds "
+            f"{GRID_LIMIT}; pass --unsafe-large to proceed")
 
 
 def _refuse_unread(args, unread):

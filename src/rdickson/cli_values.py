@@ -11,13 +11,13 @@ FNK_ROWS_PER_WRITE = 50  # of up to 1505 digits at SMALL_N: 75 kB a block
 
 
 def _parse_element(F, text, what):
-    refusal = ValueError(
-        f"bad {what} {text!r}: expected comma-separated coordinates")
+    refusal = ValueError(f"bad {what} {gf.excerpt(text)}: expected "
+                         "comma-separated coordinates")
     coords = [gf.read_int(t, what, refusal) for t in text.split(",")]
     try:
         return F.element(coords)
     except ValueError as exc:
-        raise ValueError(f"bad {what} {text!r}: {exc}")
+        raise ValueError(f"bad {what} {gf.excerpt(text)}: {exc}")
 
 
 def _terms(coeffs, var, F=None):

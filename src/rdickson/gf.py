@@ -14,8 +14,13 @@ rdickson._HOMES, are read through this module, whose __getattr__ (the
 package's _loader) imports quadext on first use (PEP 562), so a command
 that never works in GF(q^2) never compiles it.
 
-Construction validates everything (primality, monic irreducible
-modulus); after that a FieldSpec is immutable and safe to share.  A
+Whether (p, e) names a field that may be built is decided in one
+place, check_field, which the CLI's field loader, the statement grids
+and make_field all call.  Miller-Rabin on the primes up to 41 decides
+p's primality exactly below _MR_EXACT, and runs only there: a larger p
+is refused, for its size under a bound and otherwise because its
+primality would be a guess.  make_field then checks the modulus (monic,
+irreducible); after that a FieldSpec is immutable and safe to share.  A
 FieldSpec with q <= _LOG_TABLE_MAX_Q builds its lookup tables at
 construction, all O(q): exp/log tables of GF(q)*, from the first
 generator g that a walk finds, and the Zech table log(1 + g^i).  The
@@ -50,7 +55,11 @@ _LOG_TABLE_MAX_Q = 4096
 # entries, so a long-lived process holds a bounded number of tables.
 EXT_CACHE_SIZE = 4
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to every base of _MR_BASES (Sorenson
+# and Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86,
+# 2017): below it Miller-Rabin on those bases decides primality exactly
+_MR_EXACT = 3317044064679887385961981
 
 
 class InternalCheckError(RuntimeError):
@@ -59,7 +68,10 @@ class InternalCheckError(RuntimeError):
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin, exact for all n below 3.3e24."""
+    """Deterministic Miller-Rabin on the primes up to 41, exact for every
+    n below _MR_EXACT; a larger n raises ValueError rather than guess."""
+    if n >= _MR_EXACT:
+        raise ValueError(f"is_prime is exact only below {_MR_EXACT}")
     if n < 2:
         return False
     for sp in _MR_BASES:
@@ -462,21 +474,28 @@ class FieldSpec:
         return self.element(prod)
 
 
-def _check_p_and_e(p, e):
-    if not isinstance(p, int) or not is_prime(p):
-        raise ValueError(f"p must be prime, got {p!r}")
-    if not isinstance(e, int) or e < 1:
-        raise ValueError(f"e must be a positive integer, got {e!r}")
-
-
 # The bound on q that the CLI and the statement grids apply by default.
 DEFAULT_MAX_Q = 343
 
 
-def exceeds_size_bound(p, e, max_q):
-    """Whether q = p^e exceeds max_q (None is no bound), without forming
-    a huge p^e: as p >= 2, p^e > max_q once e reaches max_q's bit length."""
-    return max_q is not None and p ** min(e, max_q.bit_length()) > max_q
+def check_field(p, e, max_q=None):
+    """Refuse (p, e) unless GF(p^e) may be built under the bound
+    q <= max_q (None: no bound).  In order: p must be prime where that
+    is decided exactly, below _MR_EXACT; e must be a positive int; q
+    must lie within the bound, checked without forming a huge p^e (as
+    p >= 2, p^e > max_q once e reaches max_q's bit length); and a p at
+    or past _MR_EXACT, which no Miller-Rabin round has tested, is
+    refused whatever the bound."""
+    if not isinstance(p, int) or p < _MR_EXACT and not is_prime(p):
+        raise ValueError(f"p must be prime, got {excerpt(p)}")
+    if not isinstance(e, int) or e < 1:
+        raise ValueError(f"e must be a positive integer, got {excerpt(e)}")
+    if max_q is not None and p ** min(e, max_q.bit_length()) > max_q:
+        raise ValueError(f"GF({excerpt(p)}^{excerpt(e)}) exceeds the size "
+                         f"bound q <= {max_q}; pass --unsafe-large")
+    if p >= _MR_EXACT:
+        raise ValueError(f"p must lie below {_MR_EXACT}, where primality "
+                         f"is decided exactly, got {excerpt(p)}")
 
 
 def make_field(p, e=1, modulus=None):
@@ -486,9 +505,9 @@ def make_field(p, e=1, modulus=None):
     >= 2 defaults to the lexicographically smallest monic irreducible
     (constant term compared first).  An explicit modulus must be monic
     of degree e and irreducible; coefficients are given constant term
-    first and reduced mod p.
+    first and reduced mod p.  check_field(p, e) is applied first.
     """
-    _check_p_and_e(p, e)
+    check_field(p, e)
     if modulus is None:
         modulus = (0, 1) if e == 1 else _default_modulus(p, e)
     else:
@@ -498,9 +517,10 @@ def make_field(p, e=1, modulus=None):
                              "constant term first")
         if e == 1 and modulus != (0, 1):
             raise ValueError(f"a prime field takes the modulus x, (0, 1), "
-                             f"alone; got {modulus}")
+                             f"alone; got {excerpt(modulus)}")
         if not is_irreducible(list(modulus), p):
-            raise ValueError(f"modulus {modulus} is reducible over GF({p})")
+            raise ValueError(f"modulus {excerpt(modulus)} is reducible "
+                             f"over GF({p})")
     return FieldSpec(p, e, modulus)
 
 
@@ -531,27 +551,26 @@ def _integer_root(n, e):
 def _factor_prime_power(n):
     """(p, e) with p^e = n and p prime.
 
-    Trial division stops below 1024: a divisor there is p.  Otherwise
+    Trial division stops below 1024: a divisor d there is p, and e is
+    log_d(n) rounded, checked by one power.  Otherwise
     p > 1024, so e <= log2(n) / 10, and n = p^e is a perfect e'-th power
     only for e' dividing e: the largest e whose exact integer root is
-    prime wins.  So a large composite is refused at once.
+    prime wins.  So a large composite is refused at once.  A root at or
+    past _MR_EXACT is returned untested, for check_field to refuse.
     """
     if n >= 2:
         for d in range(2, 1024):
             if n % d == 0:
-                e, m = 0, n
-                while m % d == 0:
-                    m //= d
-                    e += 1
-                if m == 1:
+                e = round(math.log(n, d))
+                if d ** e == n:
                     return d, e
                 break
         else:
             for e in range(n.bit_length() // 10, 0, -1):
                 p = _integer_root(n, e)
-                if p ** e == n and is_prime(p):
+                if p ** e == n and (p >= _MR_EXACT or is_prime(p)):
                     return p, e
-    raise ValueError(f"{n} is not a prime power")
+    raise ValueError(f"{excerpt(n)} is not a prime power")
 
 
 def digit_limit():
@@ -579,28 +598,37 @@ def read_int(token, what, refusal):
         raise refusal from None
 
 
-def split_field_descriptor(text):
+def excerpt(value):
+    """How a refusal quotes what the user gave (a text, an integer, a
+    tuple): its repr, cut to its first and last 30 characters around
+    "..." when longer than 63, so that no message echoes a long argument
+    whole."""
+    text = repr(value)
+    return text if len(text) <= 63 else f"{text[:30]}...{text[-30:]}"
+
+
+def split_field_descriptor(fd):
     """Parse "q", "p^e", or "p^e/c0,c1,...,1" into (p, e, modulus),
-    building no field; p must be prime and e positive.  modulus is None
-    unless given.  A bare integer may be a prime or a prime power (e.g.
-    "9" means GF(3^2) with the default modulus).
+    building no field and checking nothing of it: that is check_field's.
+    modulus is None unless given.  A bare integer may be a prime or a
+    prime power (e.g. "9" means GF(3^2) with the default modulus).
     """
-    body, slash, modpart = text.strip().partition("/")
+    body, slash, modpart = fd.strip().partition("/")
     ps, hat, es = body.partition("^")
-    refusal = ValueError(f"bad field descriptor {text!r}: expected q, p^e "
-                         "or p^e/c0,...,1")
+    refusal = ValueError(f"bad field descriptor {excerpt(fd)}: expected "
+                         "q, p^e or p^e/c0,...,1")
     p = read_int(ps, "field descriptor", refusal)
     e = read_int(es, "field descriptor", refusal) if hat else None
     try:
         p, e = (p, e) if hat else _factor_prime_power(p)
     except ValueError as exc:
-        raise ValueError(f"bad field descriptor {text!r}: {exc}") from None
+        raise ValueError(
+            f"bad field descriptor {excerpt(fd)}: {exc}") from None
     modulus = None
     if slash:
-        refusal = ValueError(f"bad modulus in field descriptor {text!r}")
+        refusal = ValueError(f"bad modulus in field descriptor {excerpt(fd)}")
         modulus = tuple(read_int(c, "modulus in field descriptor", refusal)
                         for c in modpart.split(","))
-    _check_p_and_e(p, e)
     return p, e, modulus
 
 

@@ -110,10 +110,10 @@ def pp_grid(F, ns, ks, criteria):
              "two_to_one": is_pp_two_to_one}
     for i, crit in enumerate(criteria):
         if crit not in tests:
-            raise ValueError(f"unknown criterion {crit!r}; "
+            raise ValueError(f"unknown criterion {gf.excerpt(crit)}; "
                              f"choose from {', '.join(tests)}")
         if crit in criteria[:i]:
-            raise ValueError(f"criterion {crit!r} is named twice")
+            raise ValueError(f"criterion {gf.excerpt(crit)} is named twice")
     verdicts = bytearray()
     for n, k in itertools.product(ns, ks):
         bits = [tests[crit](F, n, k).verdict for crit in criteria]
@@ -212,10 +212,12 @@ def _n_prints(p, l, shift):
     """Whether n = p^l + shift has at most gf.digit_limit() digits.
 
     l log10(p) decides it unless it lies within 1 of the bound, so p^l
-    is formed only when it has about that many digits.
+    is formed only when it has about that many digits.  As p >= 2, every
+    l >= 10 * digits is far past it, so l is capped there: a longer l
+    would overflow the float product.
     """
     digits = gf.digit_limit()
-    est = l * math.log10(p)
+    est = min(l, 10 * digits) * math.log10(p)
     if abs(est - digits) > 1:
         return est < digits
     return p ** l + shift < 10 ** digits
@@ -227,8 +229,9 @@ def statement_grid(theorem, ps, es, *, ns=None, ls=None, ks=None,
     and the bounds, as a list of (p, e, (axis name, axis), kinds), one
     a field, which grid_size, verify_points and grid_points read.
 
-    The fields GF(p^e) run over ps x es, each guarded by q <= max_q
-    (None: no bound); p = 2 is refused: every statement assumes odd
+    The fields GF(p^e) run over ps x es, each refused unless
+    gf.check_field(p, e, max_q) (None: no bound) admits it, before any
+    field is built; p = 2 is refused: every statement assumes odd
     characteristic.  The STATEMENTS entry fixes the rest: indices ns
     (T2.2, default 0..30) or exponents ls (default 0..e; T-k0-pe2 takes
     l = e alone), and which kinds ks (default 0..p-1, mod p) it covers,
@@ -236,7 +239,7 @@ def statement_grid(theorem, ps, es, *, ns=None, ls=None, ks=None,
     exponent l is refused where _n_prints(p, l, shift) is false.
     """
     if theorem not in STATEMENTS:
-        raise ValueError(f"unknown theorem id {theorem!r}; "
+        raise ValueError(f"unknown theorem id {gf.excerpt(theorem)}; "
                          f"expected one of {', '.join(THEOREM_IDS)}")
     if 2 in ps:
         raise ValueError(f"{theorem} assumes odd characteristic; "
@@ -244,14 +247,12 @@ def statement_grid(theorem, ps, es, *, ns=None, ls=None, ks=None,
     st, grid = STATEMENTS[theorem], []
     for p in ps:
         for e in es:
-            if gf.exceeds_size_bound(p, e, max_q):
-                raise ValueError(f"grid point GF({p}^{e}) exceeds the "
-                                 f"size bound q <= {max_q}")
+            gf.check_field(p, e, max_q)
             name, axis = st.axis(e, ns, ls)
             if name == "l" and axis and not _n_prints(p, max(axis), st.shift):
                 raise ValueError(
-                    f"exponent l = {max(axis)} is too large for p = {p}: "
-                    f"n = p^l + {st.shift} would exceed "
+                    f"exponent l = {gf.excerpt(max(axis))} is too large for "
+                    f"p = {p}: n = p^l + {st.shift} would exceed "
                     f"{gf.digit_limit()} decimal digits; lower --l")
             kinds = range(p) if ks is None else [k % p for k in ks]
             grid.append((p, e, (name, axis), st.kinds(p, kinds)))

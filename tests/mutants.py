@@ -483,6 +483,57 @@ MUTANTS = [
       "test_a_lowered_digit_limit_leaves_no_partial_output[poly-json]",
       CLI + "TestGuardsAndErrors::"
       "test_a_lowered_digit_limit_leaves_no_partial_output[poly-csv]"]),
+    ("gf.py",
+     "_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)",
+     "_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)",
+     "is_prime: base 41 dropped, so psi_12 passes for a prime",
+     [GF + "test_is_prime_refuses_strong_pseudoprimes[psi12]",
+      CLI + "TestGuardsAndErrors::test_strong_pseudoprimes_are_refused"
+      "[psi12-eval]"]),
+    ("gf.py",
+     "    if p >= _MR_EXACT:\n",
+     "    if False:\n",
+     "the field rule: a p at or past psi_13 admitted untested",
+     [GF + "test_check_field_order[psi13]",
+      GF + "test_check_field_order[big]",
+      CLI + "TestGuardsAndErrors::test_strong_pseudoprimes_are_refused"
+      "[psi13-unsafe]"]),
+    ("gf.py",
+     """    if max_q is not None and p ** min(e, max_q.bit_length()) > max_q:
+        raise ValueError(f"GF({excerpt(p)}^{excerpt(e)}) exceeds the size "
+                         f"bound q <= {max_q}; pass --unsafe-large")
+    if p >= _MR_EXACT:
+        raise ValueError(f"p must lie below {_MR_EXACT}, where primality "
+                         f"is decided exactly, got {excerpt(p)}")
+""",
+     """    if p >= _MR_EXACT:
+        raise ValueError(f"p must lie below {_MR_EXACT}, where primality "
+                         f"is decided exactly, got {excerpt(p)}")
+    if max_q is not None and p ** min(e, max_q.bit_length()) > max_q:
+        raise ValueError(f"GF({excerpt(p)}^{excerpt(e)}) exceeds the size "
+                         f"bound q <= {max_q}; pass --unsafe-large")
+""",
+     "the field rule: the size bound checked after the psi_13 refusal",
+     [GF + "test_check_field_order[psi13-size]",
+      CLI + "TestGuardsAndErrors::test_strong_pseudoprimes_are_refused"
+      "[psi13]",
+      CLI + "TestGuardsAndErrors::"
+      "test_a_large_prime_is_refused_for_its_size_at_once[field-info]"]),
+    ("gf.py",
+     "return text if len(text) <= 63 else",
+     "return text if True else",
+     "excerpt: a long argument echoed whole in its refusal",
+     [GF + "test_excerpt_keeps_the_head_and_tail_of_long_text[int-4001]",
+      CLI + "TestGuardsAndErrors::test_a_refusal_quotes_a_bounded_excerpt"
+      "[pp-n]",
+      CLI + "TestGuardsAndErrors::test_a_refusal_quotes_a_bounded_excerpt"
+      "[field-size]"]),
+    ("gf.py",
+     "                nxt += d * col\n",
+     "                nxt += col\n",
+     "_cyclic_tables' linear walk: the next product by g without its digit",
+     [GF + "test_linear_walk_tables_match_the_slow_walk[3-2]",
+      GF + "test_linear_walk_tables_match_the_slow_walk[7-1]"]),
 ]
 
 

@@ -1372,7 +1372,7 @@ class TestExtensionTables:
 class TestGuardsAndErrors:
     def test_field_size_guard(self, capsys):
         code, _, err = run(capsys, "field-info", "--field", "625")
-        assert (code, err) == (2, "error: field size 5^4 exceeds the bound "
+        assert (code, err) == (2, "error: GF(5^4) exceeds the size bound "
                                   "q <= 343; pass --unsafe-large\n")
 
     @pytest.mark.parametrize("fd", ["3^40", "2^64", "3^12", "3^40/1,2"])
@@ -1385,7 +1385,7 @@ class TestGuardsAndErrors:
         monkeypatch.setattr(gf, "make_field", refuse)
         code, out, err = run(capsys, "field-info", "--field", fd)
         assert (code, out) == (2, "")
-        assert f"field size {fd.partition('/')[0]} exceeds the bound" in err
+        assert f"GF({fd.partition('/')[0]}) exceeds the size bound" in err
 
     def test_large_composite_descriptor_is_refused_at_once(self, capsys):
         # 1000000007 * 1000000009: trial division ran past a 5 s timeout
@@ -1395,6 +1395,84 @@ class TestGuardsAndErrors:
         assert time.perf_counter() - start < 0.5
         assert (code, out) == (2, "")
         assert "1000000016000000063 is not a prime power" in err
+
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin on the
+    # primes up to 37, psi_13 = 1287836182261 * 2575672364521 on those up
+    # to 41: eval over psi_12 ended in a TypeError traceback, and over
+    # psi_13 it printed "agree: true" in a ring that is not a field
+    @pytest.mark.parametrize("argv, msg", [
+        (("eval", "--field", "318665857834031151167461", "--n", "7", "--k",
+          "1", "--x", "2", "--check", "--unsafe-large"),
+         "318665857834031151167461 is not a prime power"),
+        (("field-info", "--field", "318665857834031151167461"),
+         "318665857834031151167461 is not a prime power"),
+        (("field-info", "--field", "3317044064679887385961981",
+          "--unsafe-large"),
+         "p must lie below 3317044064679887385961981, where primality is "
+         "decided exactly, got 3317044064679887385961981"),
+        (("eval", "--field", "3317044064679887385961981", "--n", "7", "--k",
+          "1", "--x", "2", "--check", "--unsafe-large"),
+         "p must lie below 3317044064679887385961981"),
+        (("field-info", "--field", "3317044064679887385961981"),
+         "GF(3317044064679887385961981^1) exceeds the size bound q <= 343"),
+    ], ids=["psi12-eval", "psi12", "psi13-unsafe", "psi13-eval", "psi13"])
+    def test_strong_pseudoprimes_are_refused(self, capsys, argv, msg):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert msg in err
+
+    # 2^4253 - 1, a prime of 1281 digits: two Miller-Rabin passes ran
+    # before the size refusal, 4.4-4.7 s for field-info
+    @pytest.mark.parametrize("argv", [
+        ("field-info", "--field", "{}"), ("pp", "--field", "{}", "--n", "1"),
+        ("eval", "--field", "{}", "--n", "1", "--k", "1", "--x", "1"),
+        ("poly", "--field", "{}", "--n", "1", "--k", "1"),
+        ("sums", "--field", "{}", "--k", "1"),
+        ("verify", "T2.1", "--p", "{}", "--e", "1")],
+        ids=lambda argv: argv[0])
+    def test_a_large_prime_is_refused_for_its_size_at_once(self, capsys,
+                                                           argv):
+        p = str(2 ** 4253 - 1)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *(a.format(p) for a in argv))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == (f"error: GF({p[:30]}...{p[-30:]}^1) exceeds the "
+                       "size bound q <= 343; pass --unsafe-large\n")
+
+    # a refusal quotes a long argument by its head and tail: pp's --n
+    # below used to be echoed whole, 4356 bytes of stderr
+    @pytest.mark.parametrize("argv", [
+        ("pp", "--field", "9", "--n", "1,{4301}x"),
+        ("pp", "--field", "9", "--n", "{4000}..1"),
+        ("pp", "--field", "9", "--n", "1..{4000}"),
+        ("pp", "--field", "9", "--n", "1", "--criteria", "{4000}"),
+        ("eval", "--field", "9", "--n", "{4000}x", "--k", "1", "--x", "1"),
+        ("eval", "--field", "9", "--n", "1", "--k", "1", "--x", "1,{4000}x"),
+        ("eval", "--field", "9", "--n", "1", "--k", "1", "--x", "1,1,{4000}"),
+        ("eval", "--field", "9", "--n", "1", "--k", "1", "--x", "1",
+         "--a", "{4000}x"),
+        ("sums", "--field", "7", "--k", "{4000}x"),
+        ("field-info", "--field", "{4000}x"),
+        ("field-info", "--field", "{4000}3"),
+        ("field-info", "--field", "3^2/1,{4000}x"),
+        ("field-info", "--field", "3^{4000}"),
+        ("field-info", "--field", str(2 ** 11213 - 1)),
+        ("field-info", "--field", str(2 ** 11213 - 1), "--unsafe-large"),
+        ("verify", "T{4000}", "--p", "3", "--e", "1"),
+        ("verify", "T2.1", "--p", "{4000}", "--e", "1"),
+        ("verify", "T2.1", "--p", "3", "--e", "1", "--l", "{4000}")],
+        ids=["pp-n", "pp-n-empty", "pp-n-grid", "pp-criteria", "eval-n",
+             "eval-x", "eval-x-coords", "eval-a", "sums-k", "field",
+             "field-composite", "field-modulus", "field-e", "field-size",
+             "field-exact", "verify-target", "verify-p", "verify-l"])
+    def test_a_refusal_quotes_a_bounded_excerpt(self, capsys, argv):
+        code, out, err = run(capsys, *(
+            re.sub(r"\{(\d+)\}", lambda m: "9" * int(m[1]), a) for a in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 300 and "..." in err
 
     def test_invalid_descriptors_keep_their_messages(self, capsys):
         for fd, msg in (("4^40", "p must be prime, got 4"),
@@ -1458,7 +1536,7 @@ class TestGuardsAndErrors:
         (("field-info", "--field", "3^1/1,1"),
          "a prime field takes the modulus x, (0, 1), alone; got (1, 1)"),
         (("verify", "T2.1", "--p", "3", "--e", "7"),
-         "grid point GF(3^7) exceeds the size bound q <= 343"),
+         "GF(3^7) exceeds the size bound q <= 343; pass --unsafe-large"),
         (("poly", "--field", "8", "--n", "3", "--k", "1"),
          "as_polynomial needs odd characteristic"),
         (("sums", "--field", "8", "--k", "1"),

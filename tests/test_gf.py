@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import math
 import random
 import sys
 import tracemalloc
@@ -279,7 +280,9 @@ LARGE_DESCRIPTORS = [
     ((2 ** 61 - 1) ** 3, (2 ** 61 - 1, 3)), (2 ** 127 - 1, (2 ** 127 - 1, 1)),
     (1031 ** 900, (1031, 900)), (1031, (1031, 1)),
     (1000000007 * 1000000009, None), (6 ** 20, None), (2 ** 61 * 3, None),
-    (1031 * 1033, None), (1031 ** 99 * 1033, None), (10 ** 4299 + 1, None)]
+    (1031 * 1033, None),
+    # a root at or past gf._MR_EXACT is left untested, for check_field
+    (1031 ** 99 * 1033, (1031 ** 99 * 1033, 1)), (10 ** 4299 + 1, None)]
 
 
 @pytest.mark.parametrize("n, want", LARGE_DESCRIPTORS,
@@ -289,10 +292,119 @@ def test_factor_prime_power_of_large_integers(n, want):
     # divisors below 1024, then exact integer roots: no trial division up
     # to sqrt(n), and a few Newton steps per root even for large e
     if want is None:
-        with pytest.raises(ValueError, match=f"{n} is not a prime power"):
+        with pytest.raises(ValueError,
+                           match=f"{gf.excerpt(n)} is not a prime power"):
             gf._factor_prime_power(n)
     else:
         assert gf._factor_prime_power(n) == want
+
+
+PSI_12 = 318665857834031151167461     # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981    # 1287836182261 * 2575672364521
+
+
+def _strong_probable_prime(n, a):
+    # oracle: one Miller-Rabin round, written out from its definition
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return (pow(a, d, n) == 1
+            or any(pow(a, d << r, n) == n - 1 for r in range(s)))
+
+
+# each composite passes Miller-Rabin on the primes before its last base
+@pytest.mark.parametrize("n, factors, last_base", [
+    (2047, (23, 89), 3),
+    (3215031751, (151, 751, 28351), 11),
+    (3825123056546413051, (149491, 747451, 34233211), 37),
+    (PSI_12, (399165290221, 798330580441), 41)],
+    ids=["2047", "3215031751", "3825123056546413051", "psi12"])
+def test_is_prime_refuses_strong_pseudoprimes(n, factors, last_base):
+    assert math.prod(factors) == n
+    bases = gf._MR_BASES[:gf._MR_BASES.index(last_base)]
+    assert all(_strong_probable_prime(n, a) for a in bases)
+    assert not gf.is_prime(n)
+
+
+def test_is_prime_is_exact_below_psi13_and_raises_from_it():
+    assert gf._MR_EXACT == PSI_13
+    assert all(_strong_probable_prime(PSI_13, a) for a in gf._MR_BASES)
+    for n in (PSI_13, PSI_13 + 2, 2 ** 4253 - 1):
+        with pytest.raises(ValueError, match="is_prime is exact only below"):
+            gf.is_prime(n)
+    assert gf.is_prime(2 ** 61 - 1) and gf.is_prime(10 ** 9 + 7)
+    sieve = [n for n in range(2, 3000)
+             if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    assert [n for n in range(-5, 3000) if gf.is_prime(n)] == sieve
+
+
+@pytest.fixture
+def no_round_past_psi13(monkeypatch):
+    """gf.is_prime, failing the test if it is called at or past PSI_13."""
+    exact = gf.is_prime
+
+    def is_prime(n):
+        assert n < PSI_13, "a Miller-Rabin round ran past psi_13"
+        return exact(n)
+    monkeypatch.setattr(gf, "is_prime", is_prime)
+
+
+BIG_PRIME = 2 ** 4253 - 1     # 1281 digits
+
+
+# the rule's order: p's primality below psi_13, then e, then the size
+# bound, then psi_13 itself; no Miller-Rabin round runs past psi_13
+@pytest.mark.parametrize("p, e, max_q, match", [
+    (4, 0, 343, "p must be prime, got 4$"),
+    (PSI_12, 1, None, f"p must be prime, got {PSI_12}$"),
+    (PSI_12, 0, 343, "p must be prime"),
+    (3, 0, 343, "e must be a positive integer, got 0$"),
+    (PSI_13, 0, None, "e must be a positive integer, got 0$"),
+    (3, 1.0, None, "e must be a positive integer, got 1.0$"),
+    (5, 4, 343, r"^GF\(5\^4\) exceeds the size bound q <= 343; "
+                "pass --unsafe-large$"),
+    (3, 10 ** 12, 343, r"^GF\(3\^1000000000000\) exceeds the size bound"),
+    (PSI_13, 1, 343, rf"^GF\({PSI_13}\^1\) exceeds the size bound"),
+    (BIG_PRIME, 1, 343, r"^GF\(190797007524439073807468042969\.\.\."
+                        r"122664421376034687815350484991\^1\) exceeds"),
+    (PSI_13, 1, None, f"^p must lie below {PSI_13}, where primality is "
+                      f"decided exactly, got {PSI_13}$"),
+    (PSI_13, 2, 10 ** 60, "decided exactly"),
+    (BIG_PRIME, 1, None, "decided exactly"),
+    (1031 ** 99 * 1033, 1, None, "decided exactly")],
+    ids=["p-then-e", "psi12", "psi12-then-e", "e", "psi13-then-e",
+         "e-float", "size", "size-huge-e", "psi13-size", "big-size",
+         "psi13", "psi13-within-bound", "big", "composite-root"])
+def test_check_field_order(no_round_past_psi13, p, e, max_q, match):
+    with pytest.raises(ValueError, match=match):
+        gf.check_field(p, e, max_q)
+
+
+def test_check_field_admits_what_it_should(no_round_past_psi13):
+    # PSI_13 - 168 is the last prime below PSI_13
+    for p, e, max_q in ((7, 3, 343), (337, 1, 343), (3, 40, None),
+                        (10 ** 9 + 7, 1, None), (PSI_13 - 168, 1, None)):
+        assert gf.check_field(p, e, max_q) is None
+    # a descriptor is parsed without the rule; make_field applies it
+    assert gf.split_field_descriptor(str(PSI_13)) == (PSI_13, 1, None)
+    with pytest.raises(ValueError, match="not a prime power"):
+        gf.split_field_descriptor(str(PSI_12))
+    for p in (PSI_13, BIG_PRIME, 9):
+        with pytest.raises(ValueError, match="^p must"):
+            gf.make_field(p)
+
+
+@pytest.mark.parametrize("value, shown", [
+    ("abc", "'abc'"), (12345, "12345"), ((1, 2), "(1, 2)"),
+    ("x" * 61, repr("x" * 61)),
+    ("x" * 62, "'" + "x" * 29 + "..." + "x" * 29 + "'"),
+    (10 ** 63 - 1, "9" * 63), (10 ** 4000, "1" + "0" * 29 + "..." + "0" * 30),
+    (tuple(range(40)),
+     "(0, 1, 2, 3, 4, 5, 6, 7, 8, 9,...2, 33, 34, 35, 36, 37, 38, 39)")],
+    ids=["text", "int", "tuple", "text-61", "text-62", "int-63", "int-4001",
+         "tuple-40"])
+def test_excerpt_keeps_the_head_and_tail_of_long_text(value, shown):
+    assert gf.excerpt(value) == shown
 
 
 def test_integer_root_is_the_floor():

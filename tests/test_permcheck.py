@@ -350,6 +350,27 @@ class TestStatementTable:
                 with pytest.raises(ValueError, match="--l"):
                     fn(theorem, [3], [1], ls=ls)
 
+    def test_an_exponent_past_the_float_range_is_refused(self):
+        # l log10(p) overflowed a float past l = 10^308: a traceback
+        for l in (10 ** 400, 10 ** 4299):
+            with pytest.raises(ValueError, match="is too large for p = 3"):
+                pc.statement_grid("T2.1", [3], [1], ls=[l])
+
+    @pytest.mark.parametrize("ps, es, max_q, match", [
+        ([9], [1], gf.DEFAULT_MAX_Q, "p must be prime, got 9"),
+        ([3, 9], [1], None, "p must be prime, got 9"),
+        ([3], [0], None, "e must be a positive integer, got 0"),
+        ([3317044064679887385961981], [1], None, "decided exactly")])
+    def test_each_field_of_a_grid_passes_the_field_rule(
+            self, monkeypatch, ps, es, max_q, match):
+        # the rule, gf.check_field, refuses before any field is built
+        def refuse(*args):
+            raise AssertionError("a field was built before the rule ran")
+        monkeypatch.setattr(gf, "make_field", refuse)
+        for fn in (pc.statement_grid, pc.verify_theorem):
+            with pytest.raises(ValueError, match=match):
+                fn("T2.1", ps, es, max_q=max_q)
+
     def test_the_exponent_bound_reads_the_live_digit_limit(self):
         # 3^1341 has 640 decimal digits, 3^1342 has 641
         old = sys.get_int_max_str_digits()
