@@ -101,10 +101,8 @@ def _parse_int(text, what, minimum=None):
 def _load_field(args, max_q):
     if args.field is None:
         raise ValueError("--field is required for this command")
-    p, e, modulus = gf.split_field_descriptor(args.field)
     # refused by the field rule before anything of the field is built
-    gf.check_field(p, e, max_q)
-    return gf.make_field(p, e, modulus)
+    return gf.make_field(*gf.split_field_descriptor(args.field), max_q)
 
 
 def _guard_grid(n_points, max_q):

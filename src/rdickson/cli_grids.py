@@ -12,7 +12,8 @@ from .cli import (_HOLE, _bool, _emit, _guard_grid, _load_field,
 def cmd_pp(args, max_q):
     F = _load_field(args, max_q)
     ns = _parse_range_list(args.n, "--n", max_q, minimum=1)
-    ks = _parse_range_list(args.k, "--k", max_q) or list(range(F.p))
+    ks = [k % F.p for k in _parse_range_list(args.k, "--k", max_q)
+          or range(F.p)]
     _guard_grid(len(ns) * len(ks), max_q)
     criteria = [c.strip() for c in args.criteria.split(",") if c.strip()]
     if not criteria:
@@ -30,7 +31,7 @@ def cmd_pp(args, max_q):
         f"criteria disagree on {disagreements} rows"] * (disagreements > 0),
         {"command": "pp", "field": gf.field_descriptor(F),
          "criteria": criteria, "rows": _HOLE, "disagreements": disagreements},
-        header, (), (texts[v] % {"n": n, "k": k % F.p}
+        header, (), (texts[v] % {"n": n, "k": k}
                      for (n, k), v in zip(product(ns, ks), verdicts)),
         len(verdicts))
     return 1 if disagreements else 0

@@ -107,11 +107,11 @@ def cmd_verify_sums(args, max_q):
         bad = [] if table.sums == brute and table.d == d else [
             n for n in compress(range(F.q ** 2), map(
                 or_, map(ne, table.sums, brute), map(ne, table.d, d))) if n]
-        failures += [{"k": k % F.p, "n": n} for n in bad]
+        failures += [{"k": table.k, "n": n} for n in bad]
         residue = charsum.residue_identity_holds(table, d)
         if not residue:
-            failures.append({"k": k % F.p, "identity": "residue"})
-        results.append({"k": k % F.p, "rows": F.q ** 2 - 1,
+            failures.append({"k": table.k, "identity": "residue"})
+        results.append({"k": table.k, "rows": F.q ** 2 - 1,
                         "mismatches": len(bad), "residue_identity": residue,
                         "ok": not bad and residue})
     passed = not failures

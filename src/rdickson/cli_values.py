@@ -56,7 +56,7 @@ def _term_pieces(coeffs, var, F=None):
 def cmd_eval(args, max_q):
     F = _load_field(args, max_q)
     n = _parse_int(args.n, "--n", minimum=0)
-    k = _parse_int(args.k, "--k")
+    k = _parse_int(args.k, "--k") % F.p
     x = _parse_element(F, args.x, "--x")
     a = _parse_element(F, args.a, "--a")
     value = rdpoly.eval_recurrence(F, n, k, x, a)
@@ -76,7 +76,7 @@ def cmd_eval(args, max_q):
     agree = len(set(methods.values())) == 1
 
     jobj = {"command": "eval", "field": gf.field_descriptor(F), "n": n,
-            "k": k % F.p, "a": list(F.coeffs(a)), "x": list(F.coeffs(x)),
+            "k": k, "a": list(F.coeffs(a)), "x": list(F.coeffs(x)),
             "value": list(F.coeffs(value))}
     rows = [("value", _coords(F, value))]
     if args.check:
@@ -94,8 +94,8 @@ def cmd_eval(args, max_q):
 def cmd_poly(args, max_q):
     F = _load_field(args, max_q)
     n = _parse_int(args.n, "--n", minimum=0)
-    k = _parse_int(args.k, "--k")
-    fnk = rdpoly.fnk_coeffs(n, k % F.p) if n <= SMALL_N else None
+    k = _parse_int(args.k, "--k") % F.p
+    fnk = rdpoly.fnk_coeffs(n, k) if n <= SMALL_N else None
     # the fnk row's entries run to 0.3 n digits: one past the digit limit
     # is refused before the first byte, and each is turned into decimal
     # once, FNK_ROWS_PER_WRITE at a time
@@ -109,7 +109,7 @@ def cmd_poly(args, max_q):
         if args.format == "json":
             field = gf.field_descriptor(F)
             _write_json(fh, {
-                "command": "poly", "field": field, "n": n, "k": k % F.p,
+                "command": "poly", "field": field, "n": n, "k": k,
                 "poly": {"field": field,
                          "coeffs": [list(F.coeffs(c)) for c in poly]},
                 "poly_str": _terms(poly, "x", F),

@@ -15,12 +15,14 @@ package's _loader) imports quadext on first use (PEP 562), so a command
 that never works in GF(q^2) never compiles it.
 
 Whether (p, e) names a field that may be built is decided in one
-place, check_field, which the CLI's field loader, the statement grids
-and make_field all call.  Miller-Rabin on the primes up to 41 decides
-p's primality exactly below _MR_EXACT, and runs only there: a larger p
-is refused, for its size under a bound and otherwise because its
-primality would be a guess.  make_field then checks the modulus (monic,
-irreducible); after that a FieldSpec is immutable and safe to share.  A
+place, check_field: make_field applies it under the bound it is given
+(the CLI passes its q <= DEFAULT_MAX_Q, or None under --unsafe-large),
+and the statement grids apply it to every field of a grid before any is
+built.  Miller-Rabin on the primes up to 41 decides p's primality
+exactly below _MR_EXACT, and runs only there: a larger p is refused,
+for its size under a bound and otherwise because its primality would
+be a guess.  make_field then checks the modulus (monic, irreducible);
+after that a FieldSpec is immutable and safe to share.  A
 FieldSpec with q <= _LOG_TABLE_MAX_Q builds its lookup tables at
 construction, all O(q): exp/log tables of GF(q)*, from the first
 generator g that a walk finds, and the Zech table log(1 + g^i).  The
@@ -498,16 +500,17 @@ def check_field(p, e, max_q=None):
                          f"is decided exactly, got {excerpt(p)}")
 
 
-def make_field(p, e=1, modulus=None):
-    """Construct GF(p**e).
+def make_field(p, e=1, modulus=None, max_q=None):
+    """Construct GF(p**e), after check_field(p, e, max_q) has admitted
+    it under the bound q <= max_q (None, the default: no bound).
 
     Degree 1 takes the modulus x, (0, 1), alone, given or not; degree
     >= 2 defaults to the lexicographically smallest monic irreducible
     (constant term compared first).  An explicit modulus must be monic
     of degree e and irreducible; coefficients are given constant term
-    first and reduced mod p.  check_field(p, e) is applied first.
+    first and reduced mod p.
     """
-    check_field(p, e)
+    check_field(p, e, max_q)
     if modulus is None:
         modulus = (0, 1) if e == 1 else _default_modulus(p, e)
     else:
@@ -602,7 +605,13 @@ def excerpt(value):
     """How a refusal quotes what the user gave (a text, an integer, a
     tuple): its repr, cut to its first and last 30 characters around
     "..." when longer than 63, so that no message echoes a long argument
-    whole."""
+    whole.  An integer past digit_limit(), which repr refuses, is given
+    by its digit count."""
+    if isinstance(value, int) and abs(value) >= 10 ** digit_limit():
+        n = abs(value)
+        # within one of the digit count, and at most that count
+        d = int(n.bit_length() * math.log10(2))
+        return f"<an integer of {d + (n >= 10 ** d)} digits>"
     text = repr(value)
     return text if len(text) <= 63 else f"{text[:30]}...{text[-30:]}"
 

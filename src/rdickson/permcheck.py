@@ -87,7 +87,6 @@ def is_pp_two_to_one(F, n, k):
         raise ValueError("the two_to_one criterion needs odd characteristic")
     if n < 1:
         raise ValueError("the two_to_one criterion needs n >= 1")
-    k %= F.p
     ext = gf.quadratic_extension(F)
     p, q, half = F.p, F.q, F.half
     row = rowkernels.functional_row(ext, n, k)

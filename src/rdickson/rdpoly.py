@@ -2,6 +2,11 @@
 
 The family D(n, k; a, x) is indexed by a degree n >= 0 and a kind
 parameter k; over a field of characteristic p only k mod p matters.
+So every route takes k as any int and reduces it only where it enters
+the field: in F.from_int, with an integer row mod p, in
+value_at_quarter's final mod p, or in closed_form, which reads k as an
+element.  The CLI reduces --k once, as it reads it, so the kind it
+prints is k mod p.
 With a = 1 the values satisfy v_0 = 2 - k, v_1 = 1 and the two-term
 recurrence v_m = v_{m-1} - x * v_{m-2}, and the k-th member is the
 integer combination k * (second kind) - (k - 1) * (first kind) of the
@@ -88,7 +93,6 @@ def eval_definition(F, n, k, x, a=1):
     The value sum_i w[i] (-x)^i a^(n-2i) is summed by Horner's rule in
     a^2, then multiplied by a^(n % 2).
     """
-    k %= F.p
     negx, a2, acc, xp = F.neg(x), F.mul(a, a), 0, 1
     for w in family_weights(n, k):
         acc = F.add(F.mul(acc, a2), F.mul(F.from_int(w), xp))
@@ -138,7 +142,6 @@ def eval_functional(F, n, k, x):
     """
     if F.p == 2:
         raise ValueError("the functional route needs odd characteristic")
-    k %= F.p
     if x == F.quarter:
         return value_at_quarter(F, n, k)
     ext = gf.quadratic_extension(F)
@@ -257,7 +260,6 @@ def eval_via_fnk(F, n, k, x):
     """Evaluate the half-scaled integer form at 1 - 4x (odd p)."""
     if F.p == 2:
         raise ValueError("the half-scaled route needs odd characteristic")
-    k %= F.p
     t = F.sub(1, F.mul(F.from_int(4), x))
     acc = 0
     for c in reversed(_fnk_row_mod(n, k, F.p)):
@@ -275,7 +277,6 @@ def genfun_coeffs(F, k, x, count):
         raise ValueError("the series route needs odd characteristic")
     if count < 0:
         raise ValueError("count must be non-negative")
-    k %= F.p
     num = [F.from_int(2 - k), F.from_int(k - 1)]
     den = [1, F.neg(1), x]          # unit constant term: direct division
     out = []
@@ -305,7 +306,6 @@ def as_polynomial(F, n, k):
     """
     if F.p == 2:
         raise ValueError("as_polynomial needs odd characteristic")
-    k %= F.p
     powers = F.generator_powers()
     # sums[i] = sum_a f(a) a^i for i < q - 1; c_j = -sums[q - 1 - j]
     row = recurrence_row(F, n, k)

@@ -19,7 +19,7 @@ def eval_a0(F, n, k, x):
     """a = 0 closed value: 0 for odd n, (2 - k)(-x)^l for n = 2l."""
     if n % 2:
         return 0
-    return F.mul(F.from_int(2 - (k % F.p)), F.pow(F.neg(x), n // 2))
+    return F.mul(F.from_int(2 - k), F.pow(F.neg(x), n // 2))
 
 
 def recurrence_row(F, n, k, a=1):
@@ -39,7 +39,6 @@ def recurrence_row(F, n, k, a=1):
     Other a reduce to a = 1 by D(n,k; a,x) = a^n * D(n,k; 1, x/a^2),
     which holds in every characteristic; a = 0 is routed to eval_a0.
     """
-    k %= F.p
     if a == 0:
         return lambda x: eval_a0(F, n, k, x)
     if a != 1:
@@ -71,7 +70,7 @@ def functional_row(ext, n, k):
     coset tables.  Any other y of GF(q^2) raises ValueError.
     """
     F, q = ext.base, ext.q
-    c, half = F.from_int(2 - k % F.p), F.half
+    c, half = F.from_int(2 - k), F.half
     # an n >= 1 stays >= 1, so that 0^n = 0
     n = (n - 1) % (ext.size - 1) + 1 if n else 0
 

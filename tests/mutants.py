@@ -534,6 +534,36 @@ MUTANTS = [
      "_cyclic_tables' linear walk: the next product by g without its digit",
      [GF + "test_linear_walk_tables_match_the_slow_walk[3-2]",
       GF + "test_linear_walk_tables_match_the_slow_walk[7-1]"]),
+    ("gf.py",
+     "    check_field(p, e, max_q)\n",
+     "    check_field(p, e)\n",
+     "make_field: the bound it is given left unapplied",
+     [CLI + "TestGuardsAndErrors::test_field_size_guard",
+      CLI + "TestGuardsAndErrors::"
+      "test_field_size_guard_runs_before_the_field_is_built[3^40]"]),
+    ("gf.py",
+     "    if isinstance(value, int) and abs(value) >= 10 ** digit_limit():\n",
+     "    if False:\n",
+     "excerpt: an integer past the digit limit quoted by its repr",
+     [GF + "test_excerpt_keeps_the_head_and_tail_of_long_text[int-4301]",
+      GF + "test_excerpt_gives_an_integer_past_the_limit_by_its_digit_count",
+      CLI + "TestGuardsAndErrors::"
+      "test_a_grid_count_past_the_digit_limit_is_refused_in_one_line[pp]"]),
+    # every route reads k mod p alone, so only the printed kind shows it
+    ("cli_grids.py",
+     "ks = [k % F.p for k in ",
+     "ks = [k for k in ",
+     "the kind rule: pp's kinds not reduced where the CLI reads them",
+     [CLI + "TestChecks::"
+      "test_a_kind_moved_by_a_multiple_of_p_writes_the_same_bytes[pretty-pp]",
+      CLI + "TestChecks::"
+      "test_a_kind_moved_by_a_multiple_of_p_writes_the_same_bytes[json-pp]"]),
+    ("cli_values.py",
+     'k = _parse_int(args.k, "--k") % F.p\n    x =',
+     'k = _parse_int(args.k, "--k")\n    x =',
+     "the kind rule: eval's kind not reduced where the CLI reads it",
+     [CLI + "TestChecks::test_a_kind_moved_by_a_multiple_of_p_writes_the_"
+      "same_bytes[json-eval-25]"]),
 ]
 
 

@@ -1022,6 +1022,29 @@ class TestParser:
 
 
 class TestChecks:
+    # the kind is reduced mod p once, where the CLI reads it: a kind
+    # moved by a multiple of p writes the same bytes, its k included (a
+    # range with a negative entry is given as --k=..., which argparse
+    # does not read as a flag)
+    @pytest.mark.parametrize("argv, p, kinds", [
+        (("eval", "--field", "25", "--n", "12", "--k", "{}", "--x", "1,2",
+          "--check"), 5, (3,)),
+        (("eval", "--field", "7", "--n", "8", "--k", "{}", "--x", "3",
+          "--check"), 7, (4,)),
+        (("poly", "--field", "9", "--n", "7", "--k", "{}"), 3, (2,)),
+        (("pp", "--field", "7", "--n", "1..12", "--k={},{}"), 7, (1, 5)),
+        (("sums", "--field", "9", "--k", "{}", "--check"), 3, (2,)),
+        (("verify", "sums", "--field", "5", "--k={}..{}"), 5, (1, 3))],
+        ids=["eval-25", "eval-7", "poly", "pp", "sums", "verify-sums"])
+    @pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+    def test_a_kind_moved_by_a_multiple_of_p_writes_the_same_bytes(
+            self, capsys, argv, p, kinds, fmt):
+        outputs = [run(capsys, *(a.format(*(k + shift for k in kinds))
+                                 for a in argv), "--format", fmt)
+                   for shift in (0, 3 * p, -p, 10 ** 30 * p)]
+        assert outputs[0][0] == 0 and outputs[0][1]
+        assert outputs == outputs[:1] * 4
+
     def test_eval_check_agreement(self, capsys):
         code, out, _ = run(capsys, "eval", "--field", "7", "--n", "8",
                            "--k", "4", "--x", "3", "--check")
@@ -1378,14 +1401,39 @@ class TestGuardsAndErrors:
     @pytest.mark.parametrize("fd", ["3^40", "2^64", "3^12", "3^40/1,2"])
     def test_field_size_guard_runs_before_the_field_is_built(
             self, capsys, monkeypatch, fd):
-        # the guard used to run after make_field, whose modulus search
-        # did not finish within 20 s for 3^40 and 2^64
+        # the guard used to run after the modulus search, which did not
+        # finish within 20 s for 3^40 and 2^64; make_field holds it now,
+        # so nothing it builds may run before it: no modulus search or
+        # test, no FieldSpec
         def refuse(*args):
-            raise AssertionError("make_field ran before the size guard")
-        monkeypatch.setattr(gf, "make_field", refuse)
+            raise AssertionError("a field was built before the size guard")
+        for name in ("_default_modulus", "is_irreducible", "FieldSpec"):
+            monkeypatch.setattr(gf, name, refuse)
         code, out, err = run(capsys, "field-info", "--field", fd)
         assert (code, out) == (2, "")
         assert f"GF({fd.partition('/')[0]}) exceeds the size bound" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("field-info", "--field", "343"),
+        ("field-info", "--field", "3^2/2,2,1"),
+        ("eval", "--field", "49", "--n", "9", "--k", "3", "--x", "1,2",
+         "--check"),
+        ("poly", "--field", "9", "--n", "9", "--k", "1"),
+        ("pp", "--field", "25", "--n", "1..4"),
+        ("sums", "--field", "9", "--k", "1", "--check"),
+        ("verify", "sums", "--field", "9")],
+        ids=["field-info", "field-info-modulus", "eval", "poly", "pp",
+             "sums", "verify-sums"])
+    def test_one_field_runs_the_field_rule_once(self, capsys, monkeypatch,
+                                                argv):
+        # _load_field used to apply check_field with the bound, then
+        # make_field applied it again without one
+        calls = []
+        check = gf.check_field
+        monkeypatch.setattr(gf, "check_field",
+                            lambda *args: calls.append(args) or check(*args))
+        code, _, _ = run(capsys, *argv)
+        assert code == 0 and len(calls) == 1, calls
 
     def test_large_composite_descriptor_is_refused_at_once(self, capsys):
         # 1000000007 * 1000000009: trial division ran past a 5 s timeout
@@ -1473,6 +1521,20 @@ class TestGuardsAndErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert len(err.encode()) < 300 and "..." in err
+
+    # a grid count past the digit limit, which str and repr refuse, used
+    # to end in CPython's own message ("Exceeds the limit (4300 digits)
+    # for integer string conversion; ...")
+    @pytest.mark.parametrize("argv", [
+        ("pp", "--field", "9", "--n", "0..{}"),
+        ("verify", "T2.2", "--p", "3", "--e", "1", "--n", "0..{}")],
+        ids=["pp", "verify"])
+    def test_a_grid_count_past_the_digit_limit_is_refused_in_one_line(
+            self, capsys, argv):
+        code, out, err = run(capsys, *(a.format("9" * 4300) for a in argv))
+        assert (code, out) == (2, "")
+        assert err == ("error: grid of <an integer of 4301 digits> points "
+                       "exceeds 1000000; pass --unsafe-large to proceed\n")
 
     def test_invalid_descriptors_keep_their_messages(self, capsys):
         for fd, msg in (("4^40", "p must be prime, got 4"),

@@ -400,11 +400,33 @@ def test_check_field_admits_what_it_should(no_round_past_psi13):
     ("x" * 62, "'" + "x" * 29 + "..." + "x" * 29 + "'"),
     (10 ** 63 - 1, "9" * 63), (10 ** 4000, "1" + "0" * 29 + "..." + "0" * 30),
     (tuple(range(40)),
-     "(0, 1, 2, 3, 4, 5, 6, 7, 8, 9,...2, 33, 34, 35, 36, 37, 38, 39)")],
+     "(0, 1, 2, 3, 4, 5, 6, 7, 8, 9,...2, 33, 34, 35, 36, 37, 38, 39)"),
+    (10 ** 4300 - 1, "9" * 30 + "..." + "9" * 30),
+    (10 ** 4300, "<an integer of 4301 digits>"),
+    (-10 ** 5000, "<an integer of 5001 digits>")],
     ids=["text", "int", "tuple", "text-61", "text-62", "int-63", "int-4001",
-         "tuple-40"])
+         "tuple-40", "int-4300", "int-4301", "int-negative-5001"])
 def test_excerpt_keeps_the_head_and_tail_of_long_text(value, shown):
     assert gf.excerpt(value) == shown
+
+
+def test_excerpt_gives_an_integer_past_the_limit_by_its_digit_count():
+    # repr refuses such an integer, so its digits are counted without it;
+    # the counts cross several digit boundaries, against len(str(...))
+    # taken under the default limit
+    values = [10 ** 640, 10 ** 641 - 1, 10 ** 641, -10 ** 700,
+              *(s * 2 ** b - d for b in range(2127, 2400) for s in (1, -1)
+                for d in (0, 1))]
+    want = [f"<an integer of {len(str(abs(v)))} digits>" for v in values]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        got = [gf.excerpt(v) for v in values]
+        fits = gf.excerpt(10 ** 640 - 1)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert got == want
+    assert fits == "9" * 30 + "..." + "9" * 30
 
 
 def test_integer_root_is_the_floor():

@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rdickson import gf, modpoly
+from rdickson import charsum, gf, modpoly, permcheck
 from rdickson import rdpoly as rd
 from test_gf import first_generator
 
@@ -396,12 +396,64 @@ class TestPeriodAndScaling:
                                 F.mul(F.pow(a, n), inner) == \
                                 naive(F, n, k, x, a), (F.q, a, n, k, x)
 
-    def test_kind_collapses_mod_p(self):
-        for n in range(9):
-            for k in (0, 1, 2):
-                for x in F5.elements():
-                    assert rd.eval_recurrence(F5, n, k, x) == \
-                        rd.eval_recurrence(F5, n, k + 5, x)
+    def test_kind_collapses_mod_p(self, monkeypatch):
+        # the kind rule: only k mod p matters, and the CLI reduces k once,
+        # as it reads it, so no route may depend on k being reduced: each
+        # route, both permutation criteria and the sum table read k,
+        # k + p, k - p and k + 10^30 p alike, on a prime field, on an
+        # extension with tables and on one without (built, with its
+        # GF(q^2), while the table bound is 0)
+        for desc, tables in (("7", True), ("9", True), ("9", False)):
+            with monkeypatch.context() as m:
+                if not tables:
+                    m.setattr(gf, "_LOG_TABLE_MAX_Q", 0)
+                gf.quadratic_extension.cache_clear()
+                rd._principal_y.cache_clear()
+                F = gf.parse_field_descriptor(desc)
+                assert (F._zech is not None) == tables
+                for k in range(F.p):
+                    self.assert_kinds_read_alike(F, k)
+        gf.quadratic_extension.cache_clear()
+        rd._principal_y.cache_clear()
+
+    @staticmethod
+    def assert_kinds_read_alike(F, k):
+        p = F.p
+        kinds = (k, k + p, k - p, k + 10 ** 30 * p)
+
+        def alike(route, where):
+            values = [route(kind) for kind in kinds]
+            assert values == values[:1] * len(kinds), (F, k, where)
+
+        shapes = {p ** l + d for l in range(3) for d in range(3)}
+        for x in F.elements():
+            alike(lambda kind: rd.genfun_coeffs(F, kind, x, 12), "genfun")
+        for n in sorted({*range(12), *shapes}):
+            for x in F.elements():
+                for a in (1, 0, 2):
+                    for route in (rd.eval_definition, rd.eval_recurrence,
+                                  rd.eval_matrix):
+                        alike(lambda kind: route(F, n, kind, x, a),
+                              (route.__name__, n, x, a))
+                for route in (rd.eval_functional, rd.eval_via_fnk):
+                    alike(lambda kind: route(F, n, kind, x),
+                          (route.__name__, n, x))
+                if n in shapes:
+                    alike(lambda kind: rd.closed_form(F, n, kind, x),
+                          ("closed_form", n, x))
+            alike(lambda kind: rd.as_polynomial(F, n, kind),
+                  ("as_polynomial", n))
+            for crit in (permcheck.dickson_pp_bruteforce,
+                         permcheck.is_pp_two_to_one) if n else ():
+                def report(kind):
+                    r = crit(F, n, kind)
+                    return r.verdict, r.witness
+                alike(report, (crit.__name__, n))
+
+        def table(kind):
+            t = charsum.sums_via_recurrence(F, kind)
+            return t.k, t.sums, t.d
+        alike(table, "sums")
 
 
 class TestChar2:
