@@ -342,11 +342,17 @@ def _build_parser():
     return parser, sub.choices
 
 
+def _negative(token):
+    # "-6,-2" or "-2..-1": a value, though argparse reads it as a flag
+    return token[:1] == "-" and "0" <= token[1:2] <= "9"
+
+
 def _fast_args(argv):
     """The namespace argparse builds for a plain argv (the command, its
-    exact long flags each with a value not starting with "-", store_true
-    flags bare, verify's one target); None for any other argv, such as
-    help, "--flag=value" or "--", which argparse then parses."""
+    exact long flags each with a value not starting with "-" unless a
+    digit follows, store_true flags bare, verify's one target); None for
+    any other argv, such as help, "--flag=value" or "--", which argparse
+    then parses."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     spec = dict(_SHARED + _COMMANDS[argv[0]][2])
@@ -364,7 +370,7 @@ def _fast_args(argv):
         value = (token if name == "target" else
                  "action" in spec[name] or next(tokens, "-"))
         # argparse checks the choices of every occurrence, not the last
-        if (value is not True and value[:1] == "-"
+        if (value is not True and value[:1] == "-" and not _negative(value)
                 or value not in spec[name].get("choices", (value,))):
             return None
         values[dest[name]] = value
@@ -382,9 +388,22 @@ def main(argv=None):
             if flag[:2] == "--" and value == "--":
                 print(f"error: bad value '--' for {flag}", file=sys.stderr)
                 return 2
+        # a value flag's "-<digit>..." value joins it as "--flag=value",
+        # which argparse reads as that flag's value (up to a "--")
+        flags = {flag for flag, options in _SHARED + _COMMANDS.get(
+            argv[0] if argv else None, (0, 0, ()))[2]
+            if flag[0] == "-" and "action" not in options}
+        joined = []
+        for token in argv:
+            if joined and joined[-1] in flags and _negative(token):
+                joined[-1] += "=" + token
+            else:
+                joined.append(token)
+            if token == "--":
+                flags = ()
         parser, commands = _build_parser()
         try:
-            args, extra = parser.parse_known_args(argv)
+            args, extra = parser.parse_known_args(joined)
             if extra:
                 # with the usage of the command they were given to
                 commands[args.command].error(

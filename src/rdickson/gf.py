@@ -30,15 +30,10 @@ methods of a prime field still add, multiply and take powers as ints
 mod p, the other fields through the tables; neg, sub and inv are read
 off those three methods.  Tables change speed only, never values.
 
-The per-point kernels of the permutation scans live here too, as they
-read the tables: FieldSpec.lucas doubles the Lucas sequence of
-T^2 - T + x to an index, and FieldSpec.binet (and QuadExt.binet, in
-quadext) evaluate the same sequence from a root y of that polynomial on
-GF(q) or on V.  Each has a body that holds values as logs and adds
-through the Zech table or the coset tables, and one by the field's
-methods, used on fields without tables; lucas has a third, ints mod p,
-for prime fields.  A zero, which has no log, keeps lucas in logs (held
-as None) but sends FieldSpec.binet to its methods body.
+The per-point kernels of the permutation scans, which read these
+tables, live in rowkernels next to the rows that call them (lucas and
+binet) and in quadext (QuadExt.binet), so a command that scans no row
+never compiles them.
 """
 
 import itertools
@@ -212,8 +207,9 @@ class FieldSpec:
     zech[i] = log(1 + g^i), the Zech table.  For e >= 2 mul reads
     exp/log and a + b = a (1 + b/a) is exp[log a + zech[log b - log a]].
     Prime fields compute with ints mod p in these methods, and read the
-    tables in binet and their quadratic extension.  On every field neg,
-    sub and inv are -1 (encoded p - 1) times a, a + (-b) and a^-1.
+    tables in rowkernels.binet and their quadratic extension.  On every
+    field neg, sub and inv are -1 (encoded p - 1) times a, a + (-b) and
+    a^-1.
     """
 
     __slots__ = ("p", "e", "q", "modulus", "_pows", "_exp", "_log",
@@ -229,8 +225,8 @@ class FieldSpec:
         self._log_neg = (self.q - 1) // 2 if p != 2 else 0
         if self.q <= _LOG_TABLE_MAX_Q:
             exp, log = _cyclic_tables(self)
-            # exp and zech are doubled so that mul, add, the kernels and
-            # QuadExt index a sum or difference of logs without a mod
+            # exp and zech are doubled so that mul, add, the row kernels
+            # and QuadExt index a sum or difference of logs without a mod
             self._exp, self._log = exp + exp, log
             # 1 + u steps the constant digit alone
             zech = _zech_table(log, [u - u % p + (u + 1) % p for u in exp],
@@ -334,107 +330,6 @@ class FieldSpec:
         if self._exp is not None:
             return self._exp[self._log[a] * n % (self.q - 1)]
         return modpoly.power(self._mul_slow, a, n, 1)
-
-    # -- the Lucas sequence of T^2 - T + x -----------------------------------
-
-    def lucas(self, x, bits, c):
-        """U_(j+1) - c x U_j, for U_0 = 0, U_1 = 1, U_i = U_(i-1) - x U_(i-2)
-        and bits the binary digits of j >= 1 after its leading 1.
-
-        (U_j, U_(j+1)) is doubled down the bits from (U_1, U_2) = (1, 1):
-        U_2i = U_i (2 U_(i+1) - U_i), U_(2i+1) = U_(i+1)^2 - x U_i^2.
-        Prime fields step ints mod p, faster there than logs.  With a
-        Zech table the pair is held as logs, so a product is a sum and a
-        sum one Zech lookup; a term 0 has no log and is held as None.
-        Fields without tables step by add, sub and mul.
-        """
-        if self.e == 1:
-            p = self.p
-            u = w = 1
-            for bit in bits:
-                u, w = u * (w + w - u) % p, (w * w - x * u * u) % p
-                if bit == "1":
-                    u, w = w, (w - x * u) % p
-            return (w - c * x * u) % p
-        if not x:
-            return 1            # then U_i = 1 for every i >= 1
-        zech = self._zech
-        if zech is None:
-            add, sub, mul = self.add, self.sub, self.mul
-            u = w = 1
-            for bit in bits:
-                u, w = (mul(u, sub(add(w, w), u)),
-                        sub(mul(w, w), mul(x, mul(u, u))))
-                if bit == "1":
-                    u, w = w, sub(w, mul(x, u))
-            return sub(w, mul(mul(c, x), u))
-        # logs below m = q - 1; h = log(-1), two = log 2 (None for p = 2,
-        # where 2 U_(i+1) - U_i is U_i); a, b are the logs of U_2i, U_2i+1
-        exp, log, m, h, two = (self._exp, self._log, self.q - 1,
-                               self._log_neg, zech[0])
-        xh = (log[x] + h) % m
-        u = w = 0
-        for bit in bits:
-            if u is None:
-                a, b = None, 2 * w % m
-            elif w is None:
-                a, b = (2 * u + h) % m, (xh + 2 * u) % m
-            else:
-                if two is None:
-                    a = 2 * u % m
-                else:
-                    t = zech[u - w - two + h]
-                    a = None if t is None else (u + w + two + t) % m
-                z = zech[(xh + 2 * (u - w)) % m]
-                b = None if z is None else (2 * w + z) % m
-            if bit == "0":
-                u, w = a, b
-            elif a is None or b is None:
-                u, w = b, (xh + a) % m if b is None else b
-            else:
-                z = zech[xh + a - b]
-                u, w = b, None if z is None else (b + z) % m
-        if w is None:
-            return exp[(log[c] + xh + u) % m] if c else 0
-        if u is None or not c:
-            return exp[w]
-        z = zech[(log[c] + xh + u - w) % m]
-        return 0 if z is None else exp[w + z]
-
-    def binet(self, y, n, c):
-        """U_n - c x U_(n-1), lucas's value for j = n - 1 >= 0, or c for
-        n = 0, at x = y (1 - y), from the root y of T^2 - T + x: with
-        z = 1 - y != y, U_i = (y^i - z^i)/(y - z), so it is
-        ((1 - c z) y^n - (1 - c y) z^n) / (y - z), with 0^0 = 1.
-
-        With a Zech table, prime fields included, 1 - y is read as
-        log(1 + (-y)), and so are the other sums, all as logs; a zero
-        stops that with a TypeError, and the formula runs again by the
-        field's methods, as on every field without tables.
-        """
-        if y < 2:
-            return 1 if n else c    # x = 0
-        zech = self._zech
-        if zech is not None:
-            log, m, h = self._log, self.q - 1, self._log_neg
-            try:
-                ly = log[y]
-                lz = zech[ly + h]
-                # the logs of y^n (1 - c z) and -z^n (1 - c y)
-                a, b = ly * n % m, (lz * n + h) % m
-                if c:
-                    a += zech[(log[c] + lz + h) % m]
-                    b += zech[(log[c] + ly + h) % m]
-                # y - z = 2y - 1 = -(1 + (-2) y)
-                d = zech[(ly + zech[0] + h) % m] + h
-                return self._exp[(a + zech[(b - a) % m] - d) % m]
-            except TypeError:
-                pass
-        sub, mul = self.sub, self.mul
-        z = sub(1, y)
-        num = sub(mul(self.pow(y, n), sub(1, mul(c, z))),
-                  mul(self.pow(z, n), sub(1, mul(c, y))))
-        return mul(num, self.inv(sub(y, z)))
 
     def generator_powers(self):
         """g^0 .. g^(q-2) for g the first generator of GF(q)* in encoding

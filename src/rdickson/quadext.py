@@ -11,7 +11,9 @@ non-square.  A QuadExt multiplies by the coordinate formula, raises to
 powers by square-and-multiply over it and, at its first binet point,
 builds coset tables of GF(q^2)*, none longer than q + 1, that index the
 base field's exp/log tables, if the base field holds them.  Tables
-change speed only, never values.
+change speed only, never values.  QuadExt.binet is the per-point kernel
+that rowkernels.functional_row calls on V, as it calls rowkernels.binet
+on the base line.
 
 The public names here are listed under "quadext" in rdickson._HOMES,
 and gf resolves them on first use (PEP 562).  The package calls them
@@ -92,7 +94,7 @@ class QuadExt:
         return modpoly.power(self.mul, u, n % (self.size - 1), 1)
 
     def binet(self, y, n, c):
-        """FieldSpec.binet at the root y = 1/2 + t s of V, t != 0 and n >= 0.
+        """rowkernels.binet at the root y = 1/2 + t s of V, t != 0, n >= 0.
 
         Its conjugate z = 1/2 - t s is 1 - y, and y^n = A + B s gives
         z^n = A - B s, so the value is c A + (2 - c) B / (2t).  With the

@@ -33,6 +33,7 @@ CLI = "tests/test_cli.py::"
 GF = "tests/test_gf.py::"
 PERMCHECK = "tests/test_permcheck.py::"
 RDPOLY = "tests/test_rdpoly.py::"
+SUITE = "tests/test_acceptance.py::test_criterion_3_theorem_suite"
 
 # (file, old text, new text, route, test ids that must fail)
 MUTANTS = [
@@ -41,7 +42,7 @@ MUTANTS = [
      "+ p * ones + (",
      "sum recurrence: the sign of a lag term",
      [CHARSUM + "TestSumTable::test_matches_bruteforce_all_k[GF(25)]"]),
-    ("gf.py",
+    ("rowkernels.py",
      "(w * w - x * u * u) % p\n",
      "(w * w + x * u * u) % p\n",
      "lucas, prime-field body: the doubling step",
@@ -112,11 +113,15 @@ MUTANTS = [
      "subtracted",
      [RDPOLY + "TestClosedForm::test_all_supported_shapes[GF(5)]",
       RDPOLY + "TestClosedForm::test_all_supported_shapes[GF(9)]"]),
-    ("gf.py",
+    ("rowkernels.py",
      "d = zech[(ly + zech[0] + h) % m] + h",
      "d = zech[(ly + zech[0] + h) % m]",
      "binet, log body: the sign of y - z",
-     [RDPOLY + "TestFunctionalRow::"
+     [RDPOLY + "TestRowKernels::"
+      "test_binet_matches_the_method_formula[GF(25)-tables]",
+      RDPOLY + "TestRowKernels::"
+      "test_binet_matches_the_method_formula[GF(7)-tables]",
+      RDPOLY + "TestFunctionalRow::"
       "test_row_matches_the_point_formula[GF(25)-tables]",
       PERMCHECK + "TestTwoToOne::test_agrees_with_brute_force_everywhere"]),
     ("charsum.py",
@@ -195,7 +200,7 @@ MUTANTS = [
      "c's teeth: the stride q + 1, not q - 1",
      [CHARSUM + "TestCVector::test_matches_products_of_the_definition[5]",
       CHARSUM + "TestResidueIdentity::test_holds_from_bruteforce_sums"]),
-    ("gf.py",
+    ("rowkernels.py",
      "z = zech[(xh + 2 * (u - w)) % m]",
      "z = zech[(xh + 2 * (w - u)) % m]",
      "lucas, log body: the sign of U_i - U_(i+1) in U_(2i+1)",
@@ -205,7 +210,7 @@ MUTANTS = [
       "test_each_body_matches_the_stepped_recurrence[GF(25)-tables]"]),
     # add and sub agree in characteristic 2, so GF(8) without tables
     # does not see this one
-    ("gf.py",
+    ("rowkernels.py",
      "u, w = w, sub(w, mul(x, u))",
      "u, w = w, add(w, mul(x, u))",
      "lucas, method body: the one-bit step's U_(i+1) - x U_i as a sum",
@@ -216,11 +221,14 @@ MUTANTS = [
         for i in range(5))]),
     # fields with tables reach the method body too, when binet's log
     # body meets a zero
-    ("gf.py",
-     "return mul(num, self.inv(sub(y, z)))",
-     "return mul(num, self.inv(sub(z, y)))",
-     "FieldSpec.binet, method body: the sign of the denominator y - z",
-     [RDPOLY + "TestEvaluatorAgreement::test_four_routes_small_grid[GF(5)]",
+    ("rowkernels.py",
+     "return mul(num, F.inv(sub(y, z)))",
+     "return mul(num, F.inv(sub(z, y)))",
+     "binet, method body: the sign of the denominator y - z",
+     [*(RDPOLY + "TestRowKernels::test_binet_matches_the_method_formula"
+        f"[GF({q})-{tables}]" for q, tables in (
+            (5, "tables"), (9, "tables"), (9, "none"), (7, "none"))),
+      RDPOLY + "TestEvaluatorAgreement::test_four_routes_small_grid[GF(5)]",
       RDPOLY + "TestEvaluatorAgreement::test_four_routes_small_grid[GF(7)]",
       *(RDPOLY + "TestFunctionalMap::"
         f"test_base_line_and_v_against_two_powers[GF({q})]"
@@ -564,6 +572,67 @@ MUTANTS = [
      "the kind rule: eval's kind not reduced where the CLI reads it",
      [CLI + "TestChecks::test_a_kind_moved_by_a_multiple_of_p_writes_the_"
       "same_bytes[json-eval-25]"]),
+    ("quadext.py",
+     "F.mul(r1, half)))",
+     "r1))",
+     "solve_y: y's s coordinate r1, not r1 / 2",
+     [GF + "test_solve_y_inverts_the_parabola",
+      RDPOLY + "TestEvaluatorAgreement::test_four_routes_small_grid[GF(5)]"]),
+    # the right side of each permutation statement, against its left side
+    # (an exhaustive scan) on the grids of the statement tests
+    ("permcheck.py",
+     "and math.gcd(n // 2, F.q - 1) == 1)",
+     "and math.gcd(n // 2, F.p - 1) == 1)",
+     "statement T2.2's right side: gcd(n/2, p - 1), not gcd(n/2, q - 1)",
+     [PERMCHECK + "TestTheoremGrids::test_a0_statement",
+      SUITE]),
+    ("permcheck.py",
+     "math.gcd((3 ** l - 1) // 2, F.q - 1) == 1)",
+     "math.gcd((3 ** l + 1) // 2, F.q - 1) == 1)",
+     "statement T2.1's right side: (3^l + 1)/2, not (3^l - 1)/2",
+     [PERMCHECK + "TestTheoremGrids::test_prime_power_statement_p3_vs_p5",
+      SUITE]),
+    ("permcheck.py",
+     "rhs=lambda F, l, n, k: math.gcd((F.p ** l - 1) // 2, F.q - 1) == 1)",
+     "rhs=lambda F, l, n, k: math.gcd((F.p ** l - 1) // 2, F.p - 1) == 1)",
+     "statement T-pl1-k2's right side: gcd with p - 1, not q - 1",
+     [PERMCHECK + "TestTheoremGrids::test_pl1_statements",
+      SUITE]),
+    ("permcheck.py",
+     "math.gcd((F.p ** l + 1) // 2, F.q - 1) == 1)",
+     "math.gcd((F.p ** l - 1) // 2, F.q - 1) == 1)",
+     "statement T-pl1-gen's right side at k = 0: (p^l - 1)/2, not "
+     "(p^l + 1)/2",
+     [PERMCHECK + "TestTheoremGrids::test_pl1_statements",
+      SUITE]),
+    ("permcheck.py",
+     "rhs=lambda F, l, n, k: l == 0,",
+     "rhs=lambda F, l, n, k: l <= 1,",
+     "statement T-pl2-k2's right side: l <= 1, not l = 0",
+     [PERMCHECK + "TestTheoremGrids::test_pl2_statements",
+      SUITE]),
+    # the binomial's -x/2 read as x/2 gave the same right side at every
+    # l <= 3 over GF(5), GF(7), GF(11), GF(13), GF(25) and GF(49)
+    ("permcheck.py",
+     "((1, (F.p ** l - 1) // 2), (F.neg(F.half), 1))",
+     "((1, (F.p ** l + 1) // 2), (F.neg(F.half), 1))",
+     "statement T-pl2-k4's right side: the binomial's exponent (p^l + 1)/2, "
+     "not (p^l - 1)/2",
+     [PERMCHECK + "TestTheoremGrids::test_pl2_statements",
+      SUITE]),
+    ("permcheck.py",
+     "(F.from_int(2 - k), 1)",
+     "(F.from_int(k - 2), 1)",
+     "statement T-pl2-gen's right side: the trinomial's (2 - k) x read as "
+     "(k - 2) x",
+     [PERMCHECK + "TestTheoremGrids::test_pl2_statements",
+      SUITE]),
+    ("permcheck.py",
+     "F.q % 3 == 1",
+     "F.p % 3 == 1",
+     "statement T-k0-pe2's right side: p = 1 mod 3, not q = 1 mod 3",
+     [PERMCHECK + "TestTheoremGrids::test_k0_order_plus_two",
+      SUITE]),
 ]
 
 

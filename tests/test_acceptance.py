@@ -70,7 +70,7 @@ def test_criterion_2_closed_forms():
 def test_criterion_3_theorem_suite():
     reports = [
         pc.verify_theorem("T2.2", [5, 7], [1], ns=range(31)),
-        pc.verify_theorem("T2.2", [3], [2], ns=range(31)),
+        pc.verify_theorem("T2.2", [3, 5], [2], ns=range(31)),
         pc.verify_theorem("T2.1", [3], [1, 2, 3]),     # all l <= e, all k
     ]
     for p in (5, 7):
@@ -81,6 +81,8 @@ def test_criterion_3_theorem_suite():
                 "T-pl2-gen"):
         reports.append(pc.verify_theorem(tid, [3, 5, 7], [1, 2],
                                          ls=range(3)))
+    # GF(27), where (3^3 - 1)/2 = 13 divides q - 1 but not p - 1
+    reports.append(pc.verify_theorem("T-pl1-k2", [3], [3], ls=range(4)))
     reports.append(pc.verify_theorem("T-k0-pe2", [3, 5, 7], [1, 2]))
     bad = [ent for entries in reports for ent in entries if not ent["ok"]]
     assert bad == [], bad

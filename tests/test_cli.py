@@ -997,6 +997,62 @@ class TestParser:
         assert got[0] == 0 and got[1] and not got[2]
         assert _main_io(joined) == got
 
+    # a value with a leading "-" and a digit, as "--k -6,-2", is read as
+    # its "--k=-6,-2" form for every value flag of every command, by the
+    # plain argv pass and by argparse (reached by a "--format=pretty")
+    NEGATIVE_BASES = {
+        "eval": (("--field", "9"), ("--n", "5"), ("--k", "1"),
+                 ("--x", "1,2")),
+        "poly": (("--field", "7"), ("--n", "5"), ("--k", "2")),
+        "pp": (("--field", "7"), ("--n", "1..3")),
+        "verify": (("T2.2",), ("--p", "3"), ("--e", "1")),
+        "sums": (("--field", "5"), ("--k", "1")),
+        "field-info": (("--field", "5"),)}
+    NEGATIVE_VALUES = {"--x": "-1,2", "--a": "-2", "--k": "-6,-2",
+                       "--n": "-2..-1", "--p": "-3", "--e": "-1..1",
+                       "--l": "-1", "--field": "-7", "--format": "-1",
+                       "--out": "-1.txt", "--criteria": "-1"}
+
+    @pytest.mark.parametrize("name, flag", [
+        (name, flag) for name, (_, _, arguments) in cli._COMMANDS.items()
+        for flag, options in cli._SHARED + arguments
+        if flag[0] == "-" and "action" not in options])
+    @pytest.mark.parametrize("via", ["plain", "argparse"])
+    def test_negative_value_reads_as_its_flag_value_form(
+            self, tmp_path, monkeypatch, name, flag, via):
+        monkeypatch.chdir(tmp_path)          # where an --out value lands
+        value = self.NEGATIVE_VALUES[flag]
+        head = [name, *(token for item in self.NEGATIVE_BASES[name]
+                        if item[0] != flag for token in item)]
+        if via == "argparse":
+            head.append("--format=pretty")
+        argv = head + [flag, value]
+        # --format's choices send its value to argparse either way
+        assert (cli._fast_args(argv) is None) == (
+            via == "argparse" or flag == "--format")
+        runs = []
+        for form in (argv, head + [f"{flag}={value}"]):
+            runs.append((_main_io(form), sorted(
+                (f.name, f.read_bytes()) for f in tmp_path.iterdir())))
+        assert runs[0] == runs[1]
+        assert "expected one argument" not in runs[0][0][2]
+
+    @pytest.mark.parametrize("argv", [
+        ["pp", "--field", "7", "--n", "1..3", "--k", "-6,-2"],
+        ["pp", "--field", "7", "--n", "1..2", "--k", "-2..-1"],
+        ["eval", "--field", "9", "--n", "5", "--k", "1", "--x", "-1,2"],
+        ["verify", "T2.2", "--p", "3", "--e", "1", "--n", "0..2", "--k",
+         "-1,0"]], ids=" ".join)
+    def test_negative_value_runs(self, argv):
+        code, out, err = _main_io(argv)
+        assert code == 0 and out and not err
+
+    def test_a_flag_as_a_value_keeps_the_argparse_message(self):
+        code, out, err = _main_io(["pp", "--field", "7", "--n", "--k",
+                                   "-6,-2"])
+        assert code == 2 and not out
+        assert err.endswith("error: argument --n: expected one argument\n")
+
     # a command of a handler module reaches that module's function by
     # the plain argv pass and by argparse alike; the function, patched,
     # runs nothing

@@ -250,6 +250,9 @@ class TestTheoremGrids:
         ent = next(e for e in rows if e["n"] == 4 and e["k"] == 1)
         want = is_permutation(F5, lambda x: rd.eval_a0(F5, 4, 1, x))
         assert ent["lhs"] == want == ent["rhs"] and ent["ok"]
+        # on GF(25), n/2 = 3 divides q - 1 = 24 but is prime to p - 1
+        rows = pc.verify_theorem("T2.2", [5], [2], ns=[6])
+        assert holds(rows) and not any(e["rhs"] for e in rows)
 
     def test_prime_power_statement_p3_vs_p5(self):
         assert holds(pc.verify_theorem("T2.1", [3], [1, 2]))
@@ -263,6 +266,9 @@ class TestTheoremGrids:
         rows = pc.verify_theorem("T-pl1-gen", [5], [1], ls=[0, 1])
         assert holds(rows)
         assert all(e["k"] != 2 for e in rows)
+        # on GF(27), (3^3 - 1)/2 = 13 divides q - 1 = 26 but not p - 1
+        rows = pc.verify_theorem("T-pl1-k2", [3], [3], ls=[3])
+        assert holds(rows) and not any(e["rhs"] for e in rows)
 
     def test_pl2_statements(self):
         rows = pc.verify_theorem("T-pl2-k2", [5], [1, 2], ls=[0, 1])

@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rdickson import charsum, gf, modpoly, permcheck
+from rdickson import charsum, gf, modpoly, permcheck, rowkernels
 from rdickson import rdpoly as rd
 from test_gf import first_generator
 
@@ -239,7 +239,7 @@ def stepped(F, k, x, count):
 
 
 class TestRowKernels:
-    # each loop body of FieldSpec.lucas: ints mod p (GF(3), GF(7), with
+    # each loop body of rowkernels.lucas: ints mod p (GF(3), GF(7), with
     # tables and without), Zech logs with odd p (GF(9), GF(25), GF(27))
     # and with p = 2 (GF(8), GF(16)), and add/sub/mul on fields built
     # with no tables
@@ -288,12 +288,51 @@ class TestRowKernels:
             for j in range(1, count):
                 for c in (0, 1):
                     want = F.sub(u[j + 1], F.mul(F.mul(c, x), u[j]))
-                    assert F.lucas(x, bin(j)[3:], c) == want, (x, j, c)
+                    assert rowkernels.lucas(F, x, bin(j)[3:], c) == want, (
+                        x, j, c)
                 for s in range(1, j.bit_length()):
                     i = j >> s
                     if 0 in (u[i], u[i + 1]):
                         seen.add((u[i] == 0, j >> s - 1 & 1))
         assert seen == {(True, 0), (True, 1), (False, 0), (False, 1)}
+
+    # binet's two bodies: logs through the Zech table (prime fields
+    # included) and the field's methods, run alone without tables
+    BINET = [("5", True), ("7", True), ("11", True), ("9", True),
+             ("25", True), ("27", True), ("9", False), ("7", False)]
+
+    @pytest.mark.parametrize("desc, tables", BINET,
+                             ids=[f"GF({d})-{'tables' if t else 'none'}"
+                                  for d, t in BINET])
+    def test_binet_matches_the_method_formula(self, desc, tables,
+                                              monkeypatch):
+        # every y != 1/2 of GF(q), every c of GF(q) and n in 0 .. 2q and
+        # past q^2 - 1, against ((1 - c z) y^n - (1 - c y) z^n) / (y - z)
+        # by the field's methods; the zeros that send the log body to the
+        # method body (1 - c z = 0, 1 - c y = 0, the two terms cancelling)
+        # are all met
+        with monkeypatch.context() as m:
+            if not tables:
+                m.setattr(gf, "_LOG_TABLE_MAX_Q", 0)
+            F = gf.parse_field_descriptor(desc)
+        assert (F._exp is not None) == tables
+        q, seen = F.q, set()
+        for y in F.elements():
+            if y == F.half:
+                continue
+            z = F.sub(1, y)
+            for c in F.elements():
+                left, right = F.sub(1, F.mul(c, z)), F.sub(1, F.mul(c, y))
+                for n in [*range(2 * q + 1), q * q - 1, q * q + 5]:
+                    num = F.sub(F.mul(F.pow(y, n), left),
+                                F.mul(F.pow(z, n), right))
+                    want = F.mul(num, F.inv(F.sub(y, z)))
+                    assert rowkernels.binet(F, y, n, c) == want, (y, n, c)
+                    if y > 1:
+                        seen.add("1 - c z" if not left else "1 - c y"
+                                 if not right else "cancel" if not num
+                                 else "log body")
+        assert seen == {"1 - c z", "1 - c y", "cancel", "log body"}
 
 
 class TestMatrixRoute:
